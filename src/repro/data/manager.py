@@ -40,9 +40,13 @@ def task_namespace(task_id: str) -> str:
     return head if sep else ""
 
 
-@dataclass
+@dataclass(eq=False)
 class StagingTicket:
-    """Tracks the staging of one task's inputs onto its target endpoint."""
+    """Tracks the staging of one task's inputs onto its target endpoint.
+
+    Compared by identity: two tickets with equal fields are still two
+    tickets (a re-placement opens a new one for the same task).
+    """
 
     task_id: str
     destination: str
@@ -70,7 +74,7 @@ class StagingTicket:
         return self.completed_at - self.created_at
 
 
-@dataclass
+@dataclass(eq=False)
 class _QueuedTransfer:
     request: TransferRequest
     #: Every ticket waiting on this transfer; several tasks headed to the same

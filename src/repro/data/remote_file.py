@@ -19,7 +19,7 @@ on the local filesystem.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional, Set
+from typing import Callable, Iterable, List, Optional, Set
 
 __all__ = [
     "RemoteFile",
@@ -32,11 +32,15 @@ __all__ = [
 
 _file_counter = itertools.count()
 
-#: Global generation counter over every file's replica set.  Consumers that
-#: cache location-dependent values (the array-backed scheduling context's
-#: staging-time matrix) stamp their entries with it instead of tracking each
-#: file individually — replica changes are rare relative to predictions read.
+#: Global generation counter over every file's replica set: "did anything
+#: move anywhere" (DHA's re-scheduling fingerprint).  Caches of values that
+#: depend on *particular* files stamp their entries with those files'
+#: :attr:`RemoteFile.location_stamp` instead, so one file moving leaves
+#: entries about every other file valid.
 _location_version = 0
+
+#: Source of :attr:`RemoteFile.location_stamp` values (unique across files).
+_location_stamps = itertools.count(1)
 
 
 def location_version() -> int:
@@ -54,7 +58,7 @@ def bump_location_version() -> None:
 
     Used when replica *reachability* changes (an endpoint crashing or
     rejoining quarantines / restores its copies): the catalog is unchanged
-    but every location-stamped prediction cache must invalidate.
+    but "nothing moved anywhere" no longer holds.
     """
     _bump_location_version()
 
@@ -79,6 +83,13 @@ class RemoteFile:
         self.size_mb = float(size_mb)
         #: Endpoints currently holding a replica of this file.
         self.locations: Set[str] = set()
+        #: Renewed on every change of :attr:`locations`, from a counter shared
+        #: by all files: the stamps of a task's input files, taken together,
+        #: identify both which files they are and where each one lives.
+        self.location_stamp = next(_location_stamps)
+        #: Callbacks ``(file, endpoint)`` run after a replica of this file
+        #: appeared at or vanished from ``endpoint`` (see :meth:`watch_locations`).
+        self._location_watchers: List[Callable[["RemoteFile", str], None]] = []
         if location is not None:
             self.locations.add(location)
             _bump_location_version()
@@ -121,12 +132,35 @@ class RemoteFile:
     def add_location(self, endpoint: str) -> None:
         if endpoint not in self.locations:
             self.locations.add(endpoint)
-            _bump_location_version()
+            self._locations_changed(endpoint)
 
     def remove_location(self, endpoint: str) -> None:
         if endpoint in self.locations:
             self.locations.discard(endpoint)
-            _bump_location_version()
+            self._locations_changed(endpoint)
+
+    def watch_locations(self, callback: Callable[["RemoteFile", str], None]) -> None:
+        """Call ``callback(file, endpoint)`` after every replica-set change.
+
+        The replica store keeps per-endpoint eviction indexes that depend on
+        where else a file lives; whoever moves the file (a transfer backend,
+        a task registering its output) need not know the store exists.
+        Registering the same callback twice is a no-op.
+        """
+        if callback not in self._location_watchers:
+            self._location_watchers.append(callback)
+
+    def _locations_changed(self, endpoint: str) -> None:
+        _bump_location_version()
+        self.location_stamp = next(_location_stamps)
+        for watcher in self._location_watchers:
+            watcher(self, endpoint)
+
+    def __getstate__(self) -> dict:
+        # Watchers belong to this process's stores, not to the file's value.
+        state = self.__dict__.copy()
+        state["_location_watchers"] = []
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -447,7 +447,9 @@ class DataPlane(DataManager):
         """A newer placement replaced ``ticket``: release what only it needs."""
         self.superseded_tickets += 1
         ticket.superseded = True
-        for job in self.transfers.active_jobs():
+        # Cancels and demotes are events: walk the ticket's jobs in the
+        # order active_jobs() would.
+        for job in self.transfers.jobs_for(ticket.pending_transfers):
             if ticket not in job.tickets:
                 continue
             job.tickets.remove(ticket)

@@ -7,11 +7,10 @@ space with a pluggable eviction policy when an arriving replica would
 overflow the budget.
 
 Evicting a replica calls :meth:`~repro.data.remote_file.RemoteFile.remove_location`,
-which bumps the global replica-set generation
-(:func:`repro.data.remote_file.location_version`) — the scalar prediction
-cache and the vector :class:`~repro.sched.vector.PredictionIndex` staging
-matrix both stamp their entries with it, so scheduler predictions invalidate
-automatically when the store reshapes the replica catalog.
+which renews that file's location stamp — the vector
+:class:`~repro.sched.vector.PredictionIndex` stamps a staging row with its
+task's input files' stamps, so scheduler predictions about the file
+invalidate automatically when the store reshapes the replica catalog.
 
 Two invariants bound what eviction may do:
 
@@ -28,6 +27,12 @@ When pinned + sole-replica bytes alone exceed the budget the store runs in
 *overflow*: the excess is tracked (:attr:`ReplicaStore.peak_overflow_mb`)
 rather than enforced, mirroring a real staging area that must hold the
 working set of the tasks currently running.
+
+Which replicas the two invariants leave open to eviction is kept as a
+per-endpoint set, updated where one of its inputs moves (a pin, a release,
+the file gaining or losing a replica anywhere, an endpoint crashing or
+rejoining) — an arrival at an over-budget endpoint that holds nothing
+evictable costs one empty-set lookup, not a scan of the endpoint's replicas.
 """
 
 from __future__ import annotations
@@ -146,6 +151,13 @@ class ReplicaStore:
         #: rejoin brings them back) but are quarantined — they count neither
         #: as eviction backups nor as re-staging sources while down.
         self._offline: Set[str] = set()
+        #: Bumped whenever :attr:`_offline` changes: replica *reachability*
+        #: moved although no file's replica set did.
+        self.offline_generation = 0
+        #: endpoint -> file_id -> replica, for exactly the replicas eviction
+        #: may take: unpinned, still listed at the endpoint by their file, and
+        #: either backed up at an online endpoint or expendable.
+        self._evictable: Dict[str, Dict[str, Replica]] = {}
         self._usage: Dict[str, float] = {}
         self._touch_seq = itertools.count(1)
 
@@ -158,6 +170,9 @@ class ReplicaStore:
         #: Largest amount by which unevictable (pinned / sole-replica) bytes
         #: ever exceeded an endpoint's budget.
         self.peak_overflow_mb = 0.0
+        #: Victim selections run, and evictable replicas they compared.
+        self.victim_scans = 0
+        self.victim_candidates_examined = 0
 
     # ---------------------------------------------------------------- queries
     def capacity_mb(self, endpoint: str) -> Optional[float]:
@@ -233,6 +248,7 @@ class ReplicaStore:
         last copy is pure budget waste.
         """
         self._expendable.add(file.file_id)
+        self._refresh_file(file)
 
     def is_expendable(self, file_id: str) -> bool:
         return file_id in self._expendable
@@ -241,14 +257,15 @@ class ReplicaStore:
     def mark_offline(self, endpoint: str) -> None:
         """``endpoint`` crashed: quarantine its replicas until it rejoins.
 
-        Reachability changes invalidate location-stamped prediction caches
-        (scalar staging memo, vector staging matrix) via the replica-set
-        generation, exactly like a catalog change would.
+        Reachability changes invalidate the vector staging matrix's
+        file-bearing rows via :attr:`offline_generation` and DHA's
+        nothing-moved fingerprint via the global replica-set generation,
+        exactly like a catalog change would.
         """
         if endpoint in self._offline:
             return
         self._offline.add(endpoint)
-        bump_location_version()
+        self._reachability_changed()
 
     def mark_online(self, endpoint: str) -> None:
         """``endpoint`` rejoined: its surviving replicas are reachable again.
@@ -261,7 +278,7 @@ class ReplicaStore:
         if endpoint not in self._offline:
             return
         self._offline.discard(endpoint)
-        bump_location_version()
+        self._reachability_changed()
         self._enforce_budget(endpoint, protect=None)
 
     def is_offline(self, endpoint: str) -> bool:
@@ -274,6 +291,7 @@ class ReplicaStore:
         evicted before the new consumer was submitted is genuinely gone.
         """
         self._expendable.discard(file.file_id)
+        self._refresh_file(file)
 
     # ------------------------------------------------------------------- pins
     def pin(self, file: RemoteFile, endpoint: str, task_id: str) -> None:
@@ -296,6 +314,7 @@ class ReplicaStore:
         else:
             replica.pinned_by.add(task_id)
             replica.last_touch = next(self._touch_seq)
+            self._refresh(replica)
 
     def release_task(self, task_id: str) -> None:
         """Drop every pin held by ``task_id`` (it finished, failed or moved)."""
@@ -304,6 +323,7 @@ class ReplicaStore:
             replica = self.replica(file_id, endpoint)
             if replica is not None:
                 replica.pinned_by.discard(task_id)
+                self._refresh(replica)
 
     def pinned_mb(self, endpoint: str) -> float:
         return float(
@@ -323,6 +343,8 @@ class ReplicaStore:
         if pending:
             replica.pinned_by.update(pending)
         self._replicas.setdefault(endpoint, {})[file.file_id] = replica
+        file.watch_locations(self._refresh_file)
+        self._refresh(replica)
         usage = self._usage.get(endpoint, 0.0) + replica.size_mb
         self._usage[endpoint] = usage
         if usage > self.peak_usage_mb.get(endpoint, 0.0):
@@ -346,16 +368,15 @@ class ReplicaStore:
         return evicted
 
     def _select_victim(self, endpoint: str, protect: Optional[str]) -> Optional[Replica]:
+        self.victim_scans += 1
         candidates = [
             replica
-            for file_id, replica in self._replicas.get(endpoint, {}).items()
+            for file_id, replica in self._evictable.get(endpoint, {}).items()
             if file_id != protect
-            and not replica.pinned
-            and (self._has_reachable_backup(replica, endpoint) or file_id in self._expendable)
-            and replica.file.available_at(endpoint)
         ]
         if not candidates:
             return None
+        self.victim_candidates_examined += len(candidates)
 
         def refetch(replica: Replica) -> float:
             # Nothing will ever read an expendable file again: re-staging
@@ -364,7 +385,48 @@ class ReplicaStore:
                 return 0.0
             return self._refetch_cost(replica.file, endpoint)
 
+        # Policy keys end in the unique file id, so the winner does not
+        # depend on the order the set is walked in.
         return min(candidates, key=lambda r: self.policy.key(r, refetch(r)))
+
+    # ------------------------------------------------------- evictable index
+    def _is_evictable(self, replica: Replica) -> bool:
+        file = replica.file
+        return (
+            not replica.pinned_by
+            and file.available_at(replica.endpoint)
+            and (
+                file.file_id in self._expendable
+                or self._has_reachable_backup(replica, replica.endpoint)
+            )
+        )
+
+    def _refresh(self, replica: Replica) -> None:
+        """Re-evaluate one stored replica's membership of the evictable set."""
+        if self._is_evictable(replica):
+            self._evictable.setdefault(replica.endpoint, {})[replica.file.file_id] = replica
+        else:
+            self._evictable.get(replica.endpoint, {}).pop(replica.file.file_id, None)
+
+    def _refresh_file(self, file: RemoteFile, moved_at: Optional[str] = None) -> None:
+        """Re-evaluate ``file``'s replicas wherever it is listed.
+
+        Doubles as the file's location watcher: a replica appearing at or
+        vanishing from ``moved_at`` changes that copy's own availability
+        (it may no longer be listed there) and every other copy's backup.
+        """
+        for endpoint in {*file.locations, moved_at}:
+            replica = self.replica(file.file_id, endpoint)
+            if replica is not None:
+                self._refresh(replica)
+
+    def _reachability_changed(self) -> None:
+        """The offline set moved: any replica's backup may have (dis)appeared."""
+        self.offline_generation += 1
+        bump_location_version()
+        for replicas in self._replicas.values():
+            for replica in replicas.values():
+                self._refresh(replica)
 
     def _has_reachable_backup(self, replica: Replica, endpoint: str) -> bool:
         """Another replica exists at a currently *online* endpoint.
@@ -380,6 +442,7 @@ class ReplicaStore:
 
     def _evict(self, replica: Replica) -> None:
         self._replicas[replica.endpoint].pop(replica.file.file_id, None)
+        self._evictable.get(replica.endpoint, {}).pop(replica.file.file_id, None)
         self._usage[replica.endpoint] = max(
             0.0, self._usage.get(replica.endpoint, 0.0) - replica.size_mb
         )

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.data.manager import StagingTicket
 from repro.data.transfer import TransferBackend, TransferRequest, TransferResult
@@ -40,9 +40,12 @@ PREFETCH = 1
 Link = Tuple[str, str]
 
 
-@dataclass
+@dataclass(eq=False)
 class TransferJob:
-    """One scheduled file movement, possibly shared by many tickets."""
+    """One scheduled file movement, possibly shared by many tickets.
+
+    Compared by identity: a job is a live queue entry, not a value.
+    """
 
     request: TransferRequest
     #: Service class (``DEMAND`` or ``PREFETCH``).
@@ -105,6 +108,8 @@ class TransferScheduler:
         self._queued_count: Dict[Link, int] = {}
         #: The single live job per (file_id, destination) — the coalescing map.
         self._active: Dict[Tuple[str, str], TransferJob] = {}
+        #: The same live jobs by the transfer id waiting tickets hold.
+        self._by_transfer_id: Dict[str, TransferJob] = {}
 
         # Counters (attempts, like the legacy manager's ``transfer_count``).
         self.dispatched_attempts = 0
@@ -116,6 +121,16 @@ class TransferScheduler:
         if job is not None and job.cancelled:
             return None
         return job
+
+    def jobs_for(self, transfer_ids: Iterable[str]) -> List[TransferJob]:
+        """The live jobs among ``transfer_ids``, in :meth:`active_jobs` order."""
+        jobs = [
+            job
+            for transfer_id in transfer_ids
+            if (job := self._by_transfer_id.get(transfer_id)) is not None
+        ]
+        jobs.sort(key=lambda job: (job.request.file.file_id, job.request.dst))
+        return jobs
 
     def in_flight(self, src: str, dst: str) -> int:
         return self._in_flight.get((src, dst), 0)
@@ -145,6 +160,7 @@ class TransferScheduler:
         job.seq = next(self._seq)
         key = (job.request.file.file_id, job.request.dst)
         self._active[key] = job
+        self._by_transfer_id[job.request.transfer_id] = job
         self._queued_count[job.link] = self._queued_count.get(job.link, 0) + 1
         self._push(job)
         self.pump(job.link)
@@ -176,9 +192,7 @@ class TransferScheduler:
         if job.started or job.cancelled:
             return False
         job.cancelled = True
-        key = (job.request.file.file_id, job.request.dst)
-        if self._active.get(key) is job:
-            del self._active[key]
+        self._forget(job)
         self._queued_count[job.link] = max(0, self._queued_count.get(job.link, 0) - 1)
         self.cancelled_count += 1
         return True
@@ -192,9 +206,13 @@ class TransferScheduler:
 
     def release(self, job: TransferJob) -> None:
         """Drop a finished job from the coalescing map."""
+        self._forget(job)
+
+    def _forget(self, job: TransferJob) -> None:
         key = (job.request.file.file_id, job.request.dst)
         if self._active.get(key) is job:
             del self._active[key]
+        self._by_transfer_id.pop(job.request.transfer_id, None)
 
     # ------------------------------------------------------------------- pump
     def pump(self, link: Link) -> None:

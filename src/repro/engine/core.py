@@ -289,6 +289,11 @@ class ExecutionEngine:
         #: cascade — so runtime graph growth is digest-stable across the
         #: columnar and scalar event paths.
         self._growth_hooks: List[Callable[[], None]] = []
+        #: ``bus.published_count`` right after the last pump's growth drain.
+        #: While it still reads the same, that pump's placement and dispatch
+        #: phases changed nothing and nothing happened since (every state
+        #: change the pump reacts to is announced on the bus).
+        self._settled_count = -1
         #: Outstanding consumers per task id — the data plane's output
         #: lifecycle: when the count hits zero the producer's outputs are
         #: *expendable* (their last replica may be evicted).  Maintained for
@@ -470,7 +475,10 @@ class ExecutionEngine:
                 for record in records:
                     self._handle_completion(record)
             self.periodic.check()
-            progressed = self._pump()
+            # Two of a task's three kernel events (batch delivery at the
+            # endpoint, the endpoint-internal finish) change nothing the
+            # engine can observe: a pump after them repeats the last one.
+            progressed = (bool(records) or self._pump_due()) and self._pump()
             if records or progressed or self.fabric.pending_work():
                 stall_rounds = 0
                 continue
@@ -595,12 +603,26 @@ class ExecutionEngine:
             self.scheduler.on_tasks_added(batch)
         return len(self.graph) > before
 
+    def _pump_due(self) -> bool:
+        """False when a pump now would provably repeat the last one's no-op:
+        it placed and dispatched nothing, and since its growth drain no event
+        was published, no task was submitted and no ready task is queued.
+        (With mocking disabled endpoint state moves without any event: every
+        query re-reads the service.)"""
+        return (
+            self.bus.published_count != self._settled_count
+            or bool(self._pending_added)
+            or self.index.queued_count > 0
+            or not self.endpoint_monitor.mocking_enabled
+        )
+
     def _pump(self) -> bool:
         """One round of scheduling, staging and dispatching.
 
         Returns True when any task changed state (used for stall detection).
         """
         progressed = self.drain_growth()
+        self._settled_count = self.bus.published_count
         progressed |= self.placement.schedule_ready()
         progressed |= self.dispatch.dispatch_staged()
         self.fabric.flush()

@@ -25,6 +25,9 @@ FEATURES = ("input_mb", "cores_per_node", "cpu_freq_ghz", "ram_gb")
 
 ModelFactory = Callable[[], object]
 
+#: Entry cap of the prediction memo; reaching it clears the memo.
+_MEMO_CAP = 4096
+
 
 class _FunctionModel:
     """Time + output-size models for one function."""
@@ -39,12 +42,23 @@ class _FunctionModel:
         #: so retraining keeps triggering on fresh observations).
         self.observed = 0
         self.trained_on = 0
+        #: Moves whenever a prediction may answer differently: on every
+        #: warm-up sample (an untrained model predicts the running mean of
+        #: its samples) and on every (re)train.
+        self.stamp = 0
 
-    def add(self, features: Tuple[float, float, float, float], time_s: float, output_mb: float) -> None:
+    def add(
+        self, features: Tuple[float, float, float, float], time_s: float, output_mb: float
+    ) -> bool:
+        """Record one observation; True when it moved the model's predictions."""
         self.samples.append((features, time_s, output_mb))
         self.observed += 1
         if self.max_retained is not None and len(self.samples) > self.max_retained:
             del self.samples[: len(self.samples) - self.max_retained]
+        if self.trained_on == 0:
+            self.stamp += 1
+            return True
+        return False
 
     @property
     def sample_count(self) -> int:
@@ -63,6 +77,7 @@ class _FunctionModel:
         self.time_model.fit(X, times)
         self.output_model.fit(X, outputs)
         self.trained_on = self.observed
+        self.stamp += 1
 
     def predict_time(self, features: Sequence[float]) -> Optional[float]:
         if self.trained_on == 0:
@@ -140,6 +155,13 @@ class ExecutionProfiler:
         #: observation).  Consumers memoizing predictions — the scheduling
         #: context — stamp cache entries with this version.
         self.prediction_version = 0
+        #: ``(predictor, function, input_mb, *hardware)`` -> ``(prediction,
+        #: stamp)`` for the two scalar predictors, stamped with that function
+        #: model's own stamp so one function's observations leave the others'
+        #: entries valid.  The caller's ``default`` is applied after the lookup.
+        self._memo: Dict[Tuple, Tuple[Optional[float], int]] = {}
+        self.cache_hits = 0
+        self.cache_misses = 0
         if store is not None:
             self.load_history(store)
 
@@ -172,8 +194,7 @@ class ExecutionProfiler:
             record.ram_gb,
         )
         model = self._models[record.function_name]
-        model.add(features, record.execution_time_s, record.output_mb)
-        if model.trained_on == 0:
+        if model.add(features, record.execution_time_s, record.output_mb):
             # An untrained model predicts the running mean of its samples, so
             # every warm-up observation shifts its predictions.
             self.prediction_version += 1
@@ -210,11 +231,9 @@ class ExecutionProfiler:
         of the candidate endpoint.  Returns ``default`` when the function has
         never been observed.
         """
-        model = self._models.get(function_name)
-        if model is None:
-            return default
-        features = (input_mb, *hardware_features)
-        predicted = model.predict_time(features)
+        predicted = self._memoized(
+            _FunctionModel.predict_time, function_name, input_mb, hardware_features
+        )
         return default if predicted is None else predicted
 
     def predict_time_matrix(
@@ -244,11 +263,33 @@ class ExecutionProfiler:
         hardware_features: Tuple[float, float, float],
         default: float = 0.0,
     ) -> float:
+        predicted = self._memoized(
+            _FunctionModel.predict_output, function_name, input_mb, hardware_features
+        )
+        return default if predicted is None else predicted
+
+    def _memoized(
+        self,
+        predictor: Callable[[_FunctionModel, Sequence[float]], Optional[float]],
+        function_name: str,
+        input_mb: float,
+        hardware_features: Tuple[float, float, float],
+    ) -> Optional[float]:
+        """``predictor(model, features)`` (``None`` = no answer), through the memo."""
         model = self._models.get(function_name)
         if model is None:
-            return default
-        predicted = model.predict_output((input_mb, *hardware_features))
-        return default if predicted is None else predicted
+            return None
+        key = (predictor, function_name, input_mb, *hardware_features)
+        cached = self._memo.get(key)
+        if cached is not None and cached[1] == model.stamp:
+            self.cache_hits += 1
+            return cached[0]
+        self.cache_misses += 1
+        predicted = predictor(model, key[2:])
+        if len(self._memo) >= _MEMO_CAP:
+            self._memo.clear()
+        self._memo[key] = (predicted, model.stamp)
+        return predicted
 
     def average_execution_time(self, function_name: str, default: float = 0.0) -> float:
         """Mean observed execution time across all endpoints (DHA priorities)."""

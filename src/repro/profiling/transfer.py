@@ -24,15 +24,28 @@ __all__ = ["TransferProfiler"]
 
 Pair = Tuple[str, str]
 
+#: Entry cap of the prediction memo; reaching it clears the memo.
+_MEMO_CAP = 4096
+
 
 class _PairModel:
     def __init__(self, degree: int = 2) -> None:
         self.model = PolynomialRegression(degree=degree)
         self.samples: List[Tuple[float, float, float]] = []  # (size_mb, concurrency, duration)
         self.trained_on = 0
+        #: Moves whenever :meth:`predict` may answer differently: on every
+        #: sample while untrained (the bandwidth estimate shifts) and on every
+        #: (re)train.  A trained model predicts from its coefficients, which
+        #: new samples do not touch until the next :meth:`train`.
+        self.stamp = 0
 
-    def add(self, size_mb: float, concurrency: float, duration_s: float) -> None:
+    def add(self, size_mb: float, concurrency: float, duration_s: float) -> bool:
+        """Record one observation; True when it moved the pair's predictions."""
         self.samples.append((size_mb, concurrency, duration_s))
+        if self.trained_on == 0:
+            self.stamp += 1
+            return True
+        return False
 
     @property
     def sample_count(self) -> int:
@@ -57,6 +70,7 @@ class _PairModel:
         y = np.array([d for _, _, d in rows], dtype=float)
         self.model.fit(X, y)
         self.trained_on = self.sample_count
+        self.stamp += 1
 
     def predict(self, size_mb: float, concurrency: float) -> Optional[float]:
         if self.trained_on == 0:
@@ -89,11 +103,19 @@ class TransferProfiler:
         self._pairs: Dict[Pair, _PairModel] = defaultdict(lambda: _PairModel(self._degree))
         self.update_count = 0
         #: Monotonic counter bumped whenever any prediction may have changed:
-        #: every new observation shifts an untrained pair's bandwidth
-        #: estimate, and retrains change the fitted models.  Consumers
-        #: caching transfer predictions (the array-backed scheduling context)
-        #: stamp their entries with this version.
+        #: an observation shifts an *untrained* pair's bandwidth estimate
+        #: (a trained pair predicts from its coefficients until the next
+        #: retrain — the rule ``ExecutionProfiler._add_sample`` follows), and
+        #: retrains change the fitted models.  Consumers caching transfer
+        #: predictions (the array-backed scheduling context) stamp their
+        #: entries with this version.
         self.prediction_version = 0
+        #: ``(src, dst, size_mb, concurrency)`` -> ``(seconds, stamp)`` where
+        #: the stamp is the forward and reverse pair models' own stamps, so an
+        #: observation on one link leaves every other link's entries valid.
+        self._memo: Dict[Tuple[str, str, float, float], Tuple[float, Tuple[int, int]]] = {}
+        self.cache_hits = 0
+        self.cache_misses = 0
         if store is not None:
             self.load_history(store)
 
@@ -111,16 +133,18 @@ class TransferProfiler:
         if not result.success:
             return
         pair = (result.request.src, result.request.dst)
-        self._pairs[pair].add(result.request.size_mb, float(concurrency), result.duration_s)
-        self.prediction_version += 1
+        if self._pairs[pair].add(
+            result.request.size_mb, float(concurrency), result.duration_s
+        ):
+            self.prediction_version += 1
 
     def _observe_record(self, record: TransferRecord) -> None:
         if not record.success:
             return
-        self._pairs[(record.src, record.dst)].add(
+        if self._pairs[(record.src, record.dst)].add(
             record.size_mb, float(record.concurrency), record.duration_s
-        )
-        self.prediction_version += 1
+        ):
+            self.prediction_version += 1
 
     def seed_bandwidth(self, src: str, dst: str, bandwidth_mbps: float, probe_mb: float = 10.0) -> None:
         """Seed a pair with a known bandwidth (probing transfers, §IV-C).
@@ -131,9 +155,11 @@ class TransferProfiler:
         if bandwidth_mbps <= 0:
             raise ValueError("bandwidth_mbps must be positive")
         model = self._pairs[(src, dst)]
+        moved = False
         for size in (probe_mb, probe_mb * 10, probe_mb * 100):
-            model.add(size, 1.0, size / bandwidth_mbps)
-        self.prediction_version += 1
+            moved |= model.add(size, 1.0, size / bandwidth_mbps)
+        if moved:
+            self.prediction_version += 1
 
     def update_models(self, force: bool = False) -> int:
         retrained = 0
@@ -155,18 +181,38 @@ class TransferProfiler:
         """Predicted transfer duration in seconds (0 for co-located data)."""
         if src == dst or size_mb <= 0:
             return 0.0
-        model = self._pairs.get((src, dst))
-        if model is not None:
-            predicted = model.predict(size_mb, float(concurrency))
-            if predicted is not None:
-                return predicted
+        forward = self._pairs.get((src, dst))
+        reverse = self._pairs.get((dst, src))
+        stamp = (
+            -1 if forward is None else forward.stamp,
+            -1 if reverse is None else reverse.stamp,
+        )
+        key = (src, dst, size_mb, concurrency)
+        cached = self._memo.get(key)
+        if cached is not None and cached[1] == stamp:
+            self.cache_hits += 1
+            return cached[0]
+        self.cache_misses += 1
+        predicted = self._predict(forward, reverse, size_mb, float(concurrency))
+        if len(self._memo) >= _MEMO_CAP:
+            self._memo.clear()
+        self._memo[key] = (predicted, stamp)
+        return predicted
+
+    def _predict(
+        self,
+        forward: Optional[_PairModel],
+        reverse: Optional[_PairModel],
+        size_mb: float,
+        concurrency: float,
+    ) -> float:
         # Try the reverse direction before falling back to the default: WAN
         # links are close to symmetric and it is better than nothing.
-        reverse = self._pairs.get((dst, src))
-        if reverse is not None:
-            predicted = reverse.predict(size_mb, float(concurrency))
-            if predicted is not None:
-                return predicted
+        for model in (forward, reverse):
+            if model is not None:
+                predicted = model.predict(size_mb, concurrency)
+                if predicted is not None:
+                    return predicted
         return size_mb / self.default_bandwidth_mbps
 
     def estimated_bandwidth_mbps(self, src: str, dst: str) -> float:

@@ -199,6 +199,12 @@ class SchedulingContext:
         online = [s for s in sources if not store.is_offline(s)]
         return online or sources
 
+    def quarantine_generation(self) -> int:
+        """Moves whenever :meth:`staging_sources` may answer differently for
+        an unchanged replica set (an endpoint crashed or rejoined)."""
+        store = getattr(self.data_manager, "store", None)
+        return 0 if store is None else store.offline_generation
+
     def predicted_staging_time(self, task: Task, endpoint: str) -> float:
         """Predicted time to stage the task's missing inputs onto ``endpoint``.
 

@@ -9,8 +9,9 @@ byte-identical to the scalar reference path:
   execution time and predicted staging time of every pair.  Rows are filled
   lazily and batched (one profiler call per function, deduplicated by input
   size) and are generation-stamped exactly like the scalar memo cache: a
-  profiler retrain, a hardware change, a transfer observation or a replica
-  move invalidates lazily via version counters, and the engine's per-task
+  profiler retrain, a hardware change or a transfer observation invalidates
+  lazily via version counters, a replica move invalidates the staging rows
+  of the tasks that read *that* file, and the engine's per-task
   invalidation clears single rows.  Every cell holds exactly the float the
   scalar :class:`~repro.sched.base.SchedulingContext` methods would return.
 
@@ -30,11 +31,10 @@ mirror); schedulers fall back to the scalar reference automatically.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.data import remote_file as _remote_file
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.dag import Task
@@ -45,6 +45,8 @@ __all__ = ["EndpointStateVectors", "PredictionIndex"]
 
 #: Row-capacity growth quantum of the prediction matrices.
 _GROW = 1024
+
+_location_stamp = attrgetter("location_stamp")
 
 
 class PredictionIndex:
@@ -66,10 +68,10 @@ class PredictionIndex:
         self._stag_stamp = np.full(_GROW, -1, dtype=np.int64)
         # Version tuples collapsed into monotonic ints (stamp values).  The
         # staging generation is split in two streams sharing one counter:
-        # rows of tasks *with* input files depend on replica locations (the
-        # global location version moves on every registered output file),
-        # while rows of tasks without files do not — keeping the latter,
-        # the bulk of priority-time queries, cached across completions.
+        # rows of tasks *with* input files are transfer predictions between
+        # those files' replicas and every endpoint, rows of tasks without
+        # files cost a predicted input volume — neither stream's inputs
+        # invalidate the other's rows.
         self._exec_token: Optional[Tuple] = None
         self._exec_gen = 0
         self._stag_nofiles_token: Optional[Tuple] = None
@@ -77,6 +79,10 @@ class PredictionIndex:
         self._stag_gen_nofiles = 0
         self._stag_gen_files = 0
         self._stag_counter = 0
+        #: Per file-bearing row: its input files' location stamps when the
+        #: row was filled.  A replica move renews only that file's stamp, so
+        #: only the rows reading it go stale.
+        self._stag_inputs: Dict[int, Tuple[int, ...]] = {}
         #: Recycled rows of released (finished) tasks.
         self._free_rows: List[int] = []
         self._default: Optional[float] = None
@@ -103,15 +109,13 @@ class PredictionIndex:
     def _current_stag_gens(self) -> Tuple[int, int]:
         """Current staging generations ``(without files, with files)``."""
         context = self._context
-        base = (
-            getattr(context.transfer_profiler, "prediction_version", 0),
-            context.execution_profiler.prediction_version,
-        )
-        if base != self._stag_nofiles_token:
-            self._stag_nofiles_token = base
+        transfer_version = getattr(context.transfer_profiler, "prediction_version", 0)
+        nofiles_token = (transfer_version, context.execution_profiler.prediction_version)
+        if nofiles_token != self._stag_nofiles_token:
+            self._stag_nofiles_token = nofiles_token
             self._stag_counter += 1
             self._stag_gen_nofiles = self._stag_counter
-        files_token = base + (_remote_file.location_version(),)
+        files_token = (transfer_version, context.quarantine_generation())
         if files_token != self._stag_files_token:
             self._stag_files_token = files_token
             self._stag_counter += 1
@@ -174,6 +178,7 @@ class PredictionIndex:
         rows = self._rows
         exec_stamp = self._exec_stamp
         stag_stamp = self._stag_stamp
+        stag_inputs = self._stag_inputs
         for position, task in enumerate(tasks):
             row = rows.get(task.task_id)
             if row is None:
@@ -183,9 +188,14 @@ class PredictionIndex:
             indices[position] = row
             if exec_stamp[row] != exec_gen:
                 stale_exec.append((task, row))
-            stag_gen = stag_gen_files if task.input_files else stag_gen_nofiles
-            if stag_stamp[row] != stag_gen:
-                stale_stag.append((task, row, stag_gen))
+            files = task.input_files
+            if files:
+                inputs = tuple(map(_location_stamp, files))
+                if stag_stamp[row] != stag_gen_files or stag_inputs.get(row) != inputs:
+                    stag_inputs[row] = inputs
+                    stale_stag.append((task, row, stag_gen_files))
+            elif stag_stamp[row] != stag_gen_nofiles:
+                stale_stag.append((task, row, stag_gen_nofiles))
         if stale_exec:
             self._fill_exec(stale_exec, exec_gen)
         if stale_stag:

@@ -269,6 +269,33 @@ class TestCancellation:
         assert private.available_at("c")
         assert plane.superseded_tickets == 1
 
+    def test_supersede_detaches_only_the_superseded_ticket(self):
+        # Regression: tickets compared field by field, so superseding one of
+        # two field-equal tickets removed whichever the job listed first.
+        from repro.data.manager import StagingTicket
+
+        kernel, _, plane = build_plane(max_concurrent=1)
+        blocker = file_at("blocker", 500.0, "a")
+        shared = file_at("shared", 100.0, "a")
+        plane.stage("t0", [blocker], "b")
+        kept = plane.stage("t1", [shared], "b")  # queued behind blocker
+        job = plane.transfers.active_job(shared.file_id, "b")
+        twin = StagingTicket(
+            task_id=kept.task_id,
+            destination=kept.destination,
+            ticket_id=kept.ticket_id,
+            pending_transfers=set(kept.pending_transfers),
+            created_at=kept.created_at,
+        )
+        job.tickets.append(twin)
+        assert kept != twin  # identity, not field equality
+        plane._supersede(twin)
+        assert len(job.tickets) == 1 and job.tickets[0] is kept
+        assert twin.superseded and not kept.superseded
+        assert not job.cancelled  # ``kept`` still waits on the copy
+        kernel.run()
+        assert kept.done and shared.available_at("b")
+
     def test_crashed_destination_cancels_orphaned_queued_transfers(self):
         kernel, _, plane = build_plane(max_concurrent=1)
         blocker = file_at("blocker", 500.0, "a")

@@ -79,6 +79,51 @@ class TestStallCeiling:
                 client.run()
 
 
+class TestIdleRoundSkip:
+    """``run`` skips the pump after kernel events the engine cannot observe."""
+
+    @staticmethod
+    def _run_chains(always_pump=False, mocking=True):
+        env = build_two_site_env(workers_a=2, workers_b=2)
+        client = env.make_client(env.make_config("DHA"))
+        client.endpoint_monitor.mocking_enabled = mocking
+        engine = client.engine
+        if always_pump:
+            engine._pump_due = lambda: True
+        log, rounds, pumps = [], [0], [0]
+        client.bus.subscribe_all(
+            lambda e: log.append((type(e).__name__, e.time, getattr(e, "endpoint", None)))
+        )
+        process, pump = engine.fabric.process, engine._pump
+
+        def counted_process(*args, **kwargs):
+            rounds[0] += 1
+            return process(*args, **kwargs)
+
+        def counted_pump():
+            pumps[0] += 1
+            return pump()
+
+        engine.fabric.process, engine._pump = counted_process, counted_pump
+        with client:
+            for _ in range(6):
+                engine_work(engine_work(engine_work()))
+            client.run()
+        return log, rounds[0], pumps[0]
+
+    def test_skipped_rounds_change_no_event(self):
+        log, rounds, pumps = self._run_chains()
+        reference, reference_rounds, reference_pumps = self._run_chains(always_pump=True)
+        assert log == reference and rounds == reference_rounds
+        assert reference_pumps == reference_rounds
+        assert pumps < rounds
+
+    def test_never_skips_with_mocking_disabled(self):
+        # Endpoint state then moves without any bus event.
+        _, rounds, pumps = self._run_chains(mocking=False)
+        assert pumps == rounds
+
+
 class TestPredictionMemoization:
     def test_repeat_lookups_hit_the_cache(self):
         bundle = build_context({"a": EndpointSpec(), "b": EndpointSpec()})

@@ -156,3 +156,43 @@ def test_vector_tracks_profiler_and_hardware_invalidation():
 
     ready = [task]
     assert scalar.schedule(ready) == vector.schedule(ready)
+
+
+def test_a_moved_file_refills_only_the_rows_that_read_it():
+    # Staging rows of file-bearing tasks are stamped with their own input
+    # files' location stamps: replicating file A leaves the rows of tasks
+    # reading only file B (and of tasks reading no file) untouched.
+    bundle = build_context({"a": EndpointSpec(), "b": EndpointSpec(), "c": EndpointSpec()})
+    context = bundle.context
+    index = context.ensure_arrays()
+    file_a, file_b = input_file(100.0, "a"), input_file(200.0, "b")
+    reads_a = add_task(bundle.graph, input_files=[file_a])
+    reads_b = add_task(bundle.graph, input_files=[file_b])
+    reads_both = add_task(bundle.graph, input_files=[file_a, file_b])
+    reads_none = add_task(bundle.graph)
+    tasks = [reads_a, reads_b, reads_both, reads_none]
+    width = len(index.endpoint_names)
+
+    def staging_matches_scalar():
+        rows = index.rows(tasks, default=1.0)
+        for task, row in zip(tasks, rows):
+            for column, name in enumerate(index.endpoint_names):
+                assert index.staging_matrix[row, column] == context.predicted_staging_time(
+                    task, name
+                )
+
+    staging_matches_scalar()
+    filled = index.cells_filled
+    index.rows(tasks, default=1.0)
+    assert index.cells_filled == filled  # nothing moved, nothing refilled
+
+    file_a.add_location("c")
+    staging_matches_scalar()
+    assert index.cells_filled == filled + 2 * width  # reads_a and reads_both
+
+    # Swapping a task's inputs for other files is seen without any eager
+    # invalidation: the stamps identify the files, not just their versions.
+    filled = index.cells_filled
+    reads_a.input_files = [file_b]
+    staging_matches_scalar()
+    assert index.cells_filled == filled + width
