@@ -108,6 +108,8 @@ def _run(policy: str, **config_overrides):
     config = env.make_config(
         "DHA",
         enable_scaling=False,
+        # Streaming serving takes a manager built without the placement plan.
+        enable_placement_plan=False,
         profiler_update_interval_s=3600.0,
         **config_overrides,
     )

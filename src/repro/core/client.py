@@ -1,14 +1,15 @@
-"""The UniFaaS client — a thin façade over the orchestration engine (§IV).
+"""The UniFaaS client — a thin façade over a one-tenant federation (§IV).
 
 :class:`UniFaaSClient` is the object user code holds: decorated-function
 invocations register tasks through it, :meth:`run` executes the composed
-workflow, :meth:`summary` reports the outcome.  All orchestration lives in
-:class:`~repro.engine.core.ExecutionEngine`, which ties the five system
-components of Fig. 1 — DAG generator, monitors, profilers, scheduler and
-data manager — together around a typed
-:class:`~repro.engine.bus.EventBus`.  The client delegates the engine's
-components under their historical attribute names (reads *and* writes), so
-existing experiments, examples and tests keep working unchanged.
+workflow, :meth:`summary` reports the outcome.  Underneath it is a
+:class:`~repro.serving.manager.WorkflowManager` — the one place the five
+system components of Fig. 1 (DAG generator, monitors, profilers, scheduler,
+data manager) are wired and the one run loop — holding a single workflow
+with namespace ``""`` and no cross-workflow arbitration.  The client
+delegates the workflow engine's components under their historical attribute
+names (reads *and* writes), so existing experiments, examples and tests keep
+working unchanged.
 """
 
 from __future__ import annotations
@@ -20,39 +21,17 @@ from repro.core.functions import FederatedFunction, set_current_client
 from repro.core.futures import UniFuture
 from repro.data.transfer import TransferBackend
 from repro.elastic.scaling import ScalingStrategy
-from repro.engine.core import ENDPOINT_HINT_KWARG, ExecutionEngine
+from repro.engine.core import ENDPOINT_HINT_KWARG
 from repro.faas.fabric import ExecutionFabric
 from repro.metrics.collector import MetricsCollector
 from repro.monitor.store import HistoryStore
 from repro.sched.base import Scheduler
+from repro.serving.manager import ENGINE_ATTRS, WorkflowManager
 
 __all__ = ["ENDPOINT_HINT_KWARG", "UniFaaSClient"]
 
-#: Engine components re-exposed under their historical client attribute
-#: names.  Both reads and writes delegate, so rebinding e.g.
-#: ``client.scheduler`` mid-experiment behaves as it did pre-refactor.
-_ENGINE_ATTRS = frozenset(
-    {
-        "config",
-        "fabric",
-        "clock",
-        "graph",
-        "bus",
-        "task_monitor",
-        "endpoint_monitor",
-        "execution_profiler",
-        "transfer_profiler",
-        "data_manager",
-        "plan_service",
-        "scheduler",
-        "scaling_strategy",
-        "metrics",
-        "context",
-    }
-)
-
-#: Attributes delegated to the engine's periodic coordinator.
-_PERIODIC_ATTRS = frozenset({"scaling_check_interval_s"})
+#: Federation-level components re-exposed on the client.
+_MANAGER_ATTRS = frozenset({"scaling_strategy", "scaling_check_interval_s"})
 
 
 class UniFaaSClient:
@@ -69,35 +48,33 @@ class UniFaaSClient:
         history_store: Optional[HistoryStore] = None,
         metrics: Optional[MetricsCollector] = None,
         scaling_check_interval_s: float = 10.0,
-        placement=None,
     ) -> None:
-        self.engine = ExecutionEngine(
+        self.manager = WorkflowManager(
             config,
             fabric,
             transfer_backend=transfer_backend,
-            scheduler=scheduler,
+            arbitration=None,
             scaling_strategy=scaling_strategy,
             history_store=history_store,
-            metrics=metrics,
             scaling_check_interval_s=scaling_check_interval_s,
-            placement=placement,
         )
+        self.engine = self.manager.add_workflow("", scheduler=scheduler, metrics=metrics).engine
         set_current_client(self)
 
-    # -------------------------------------------------------- engine delegation
+    # --------------------------------------------------------------- delegation
     def __getattr__(self, name: str):
         # Only consulted for names not found the normal way.
-        if name in _ENGINE_ATTRS:
+        if name in ENGINE_ATTRS:
             return getattr(self.engine, name)
-        if name in _PERIODIC_ATTRS:
-            return getattr(self.engine.periodic, name)
+        if name in _MANAGER_ATTRS:
+            return getattr(self.manager, name)
         raise AttributeError(f"{type(self).__name__!s} object has no attribute {name!r}")
 
     def __setattr__(self, name: str, value) -> None:
-        if name in _ENGINE_ATTRS:
+        if name in ENGINE_ATTRS:
             setattr(self.engine, name, value)
-        elif name in _PERIODIC_ATTRS:
-            setattr(self.engine.periodic, name, value)
+        elif name in _MANAGER_ATTRS:
+            setattr(self.manager, name, value)
         else:
             super().__setattr__(name, value)
 
@@ -126,11 +103,14 @@ class UniFaaSClient:
         workflow stalls (for example, every endpoint lost all its workers
         and scaling is disabled).
         """
-        self.engine.run(max_wall_time_s=max_wall_time_s)
+        self.manager.run(max_wall_time_s=max_wall_time_s)
 
     # ----------------------------------------------------------------- status
     def summary(self):
         """Workflow summary (makespan, transfer volume, utilisation, ...)."""
+        stats = getattr(self.data_manager, "stats_dict", None)
+        if stats is not None:
+            self.metrics.set_dataplane_stats(stats())
         return self.metrics.summary(self.data_manager.total_transferred_mb)
 
     def task_states(self) -> Dict[str, int]:

@@ -263,6 +263,8 @@ class DataPlane(DataManager):
         whose new tickets supersede the old ones); prefetch jobs are
         speculative and are dropped outright.
         """
+        if self.store.is_offline(endpoint):
+            return  # every tenant's bus forwards the same crash; the first one acted
         self.store.mark_offline(endpoint)
         for job in self.transfers.queued_jobs():
             if job.request.dst != endpoint:

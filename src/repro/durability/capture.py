@@ -56,16 +56,18 @@ def capture_sections(ctx) -> Dict[str, object]:
             key: _capture_engine(engine, ctx)
             for key, engine in sorted(ctx.engines.items())
         },
-        "dataplane": _capture_data_manager(ctx.data_manager),
+        "dataplane": _capture_data_manager(ctx.manager.data_manager),
     }
-    if ctx.manager is not None:
+    if ctx.manager.policy is not None:
+        # Arbitration state exists only where workflows are arbitrated (the
+        # single-workflow client's lone tenant is not).
         sections["serving"] = _capture_serving(ctx.manager)
-    if getattr(ctx, "streaming", None) is not None:
+    if ctx.streaming is not None:
         sections["streaming"] = _capture_streaming(ctx.streaming)
-    if getattr(ctx, "placement", None) is not None:
+    if ctx.manager.plan_service is not None:
         # Plan state plus the dedicated "placement" RNG stream: the replay
         # proof requires the restored run's solves to continue bit-identically.
-        sections["placement"] = ctx.placement.capture_state()
+        sections["placement"] = ctx.manager.plan_service.capture_state()
     return sections
 
 
@@ -118,8 +120,6 @@ def _columns_digest(store) -> str:
 
 # ---------------------------------------------------------------- dataplane
 def _capture_data_manager(dm) -> Dict[str, object]:
-    if dm is None:
-        return {}
     store = getattr(dm, "store", None)
     if store is None:
         # The paper's FIFO staging path: volume counters are the state.

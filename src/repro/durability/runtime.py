@@ -90,25 +90,22 @@ class DurabilityOptions:
 class RunContext:
     """The live objects of one scenario attempt the controller captures.
 
-    ``engines`` and ``recorders`` are keyed by workflow id ("" on the
-    single-workflow path); ``manager`` is the serving layer's
-    :class:`~repro.serving.manager.WorkflowManager` or ``None``.
+    ``manager`` is the attempt's federation
+    (:class:`~repro.serving.manager.WorkflowManager`); ``engines`` and
+    ``recorders`` are keyed by workflow id ("" for the single-workflow
+    client's lone tenant).
     """
 
-    def __init__(self, env, spec, seed: int) -> None:
+    def __init__(self, env, spec, seed: int, manager) -> None:
         self.env = env
         self.spec = spec
         self.seed = int(seed)
+        self.manager = manager
         self.engines: Dict[str, object] = {}
         self.recorders: Dict[str, object] = {}
-        self.data_manager = None
-        self.manager = None
         #: The open-loop :class:`~repro.streaming.service.StreamingService`
         #: of a streaming attempt (``None`` on batch paths).
         self.streaming = None
-        #: The :class:`~repro.placement.service.PlacementService` of the
-        #: attempt (``None`` when the placement plan is disabled).
-        self.placement = None
 
 
 class DurabilityController:

@@ -20,26 +20,25 @@ the run purely through bus subscriptions — the subscription order reproduces
 the call order of the monolithic client this engine replaced, so scheduling
 outcomes are unchanged.
 
-The engine is deliberately single-threaded and runs identically on the
+An engine is strictly *per-workflow* state.  Everything shared — fabric,
+clock, monitors, profilers, data manager, placement service — belongs to the
+federation (:class:`~repro.serving.manager.WorkflowManager`) that constructs
+the engine and drives it from the one run loop; the single-workflow
+:class:`~repro.core.client.UniFaaSClient` is a one-tenant federation.  The
+engine is deliberately single-threaded and runs identically on the
 discrete-event simulation substrate (experiments) and on real thread-pool
 endpoints (examples).
 """
 
 from __future__ import annotations
 
-import time as _time
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
-from repro.core.config import Config
 from repro.core.dag import Task, TaskGraph, TaskState
-from repro.core.exceptions import SchedulingError
 from repro.core.functions import FederatedFunction
 from repro.core.futures import UniFuture
-from repro.data.manager import DataManager
 from repro.data.remote_file import GlobusFile, RemoteFile, RsyncFile
-from repro.data.transfer import LocalCopyTransferBackend, TransferBackend, TransferResult
 from repro.dataplane import DataPlane, Prefetcher
-from repro.elastic.scaling import DefaultScalingStrategy, NoScalingStrategy, ScalingStrategy
 from repro.engine.bus import EventBus
 from repro.engine.dispatch import DispatchCoordinator
 from repro.engine.events import (
@@ -60,32 +59,15 @@ from repro.engine.periodic import PeriodicCoordinator
 from repro.engine.placement import PlacementCoordinator
 from repro.engine.staging import StagingCoordinator
 from repro.engine.state import TaskIndex
-from repro.faas.fabric import ExecutionFabric
 from repro.faas.types import TaskExecutionRecord
 from repro.metrics.collector import MetricsCollector
-from repro.monitor.endpoint_monitor import EndpointMonitor
-from repro.monitor.store import HistoryStore
-from repro.monitor.task_monitor import TaskMonitor
-from repro.profiling.execution import ExecutionProfiler
-from repro.profiling.transfer import TransferProfiler
 from repro.sched import create_scheduler
 from repro.sched.base import Scheduler, SchedulingContext
 
-__all__ = [
-    "ENDPOINT_HINT_KWARG",
-    "MAX_RETRIES_KWARG",
-    "PLACEMENT_DISABLED",
-    "ExecutionEngine",
-    "build_data_manager",
-    "build_scaling_strategy",
-]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.serving.manager import WorkflowManager
 
-#: Sentinel for the engine's ``placement`` argument: the caller owns the
-#: placement decision and decided on *no plan* — the engine must not build
-#: its own service even though the config enables one.  (``None`` means
-#: "undecided": the single-workflow path self-builds when enabled; the
-#: open-loop streaming serving path passes this sentinel instead.)
-PLACEMENT_DISABLED = object()
+__all__ = ["ENDPOINT_HINT_KWARG", "MAX_RETRIES_KWARG", "ExecutionEngine"]
 
 #: Reserved keyword argument that pins a task to a specific endpoint,
 #: bypassing the scheduler (used by the elasticity experiments).
@@ -96,90 +78,36 @@ ENDPOINT_HINT_KWARG = "unifaas_endpoint"
 MAX_RETRIES_KWARG = "unifaas_max_retries"
 
 
-def build_data_manager(config: Config, backend: TransferBackend, clock) -> DataManager:
-    """The data layer a ``config`` asks for: the data-plane subsystem
-    (replica store + priority transfer scheduling + prefetch) or, with the
-    plane disabled, the paper's plain FIFO staging path, byte-identically.
-
-    Shared between the single-workflow engine and the multi-workflow
-    serving layer (:class:`~repro.serving.manager.WorkflowManager`), which
-    builds *one* data manager for all tenant workflows.
-    """
-    if config.enable_dataplane:
-        default_storage = (
-            config.storage_capacity_gb * 1024.0
-            if config.storage_capacity_gb is not None
-            else None
-        )
-        return DataPlane(
-            backend,
-            clock,
-            mechanism=config.transfer_mechanism,
-            max_concurrent_transfers=config.max_concurrent_transfers,
-            max_retries=config.max_transfer_retries,
-            storage_budget_mb=config.storage_budget_mb(),
-            default_storage_mb=default_storage,
-            eviction_policy=config.eviction_policy,
-        )
-    return DataManager(
-        backend,
-        clock,
-        mechanism=config.transfer_mechanism,
-        max_concurrent_transfers=config.max_concurrent_transfers,
-        max_retries=config.max_transfer_retries,
-    )
-
-
-def build_scaling_strategy(config: Config) -> ScalingStrategy:
-    """The elasticity strategy a ``config`` asks for (§IV-H).
-
-    Also shared with the serving layer, where scaling is a federation-level
-    concern: the manager aggregates every tenant's pending pressure into one
-    strategy built here, while tenant engines get a no-op.
-    """
-    if not config.enable_scaling:
-        return NoScalingStrategy()
-    caps = {
-        spec.endpoint: spec.max_workers
-        for spec in config.executors
-        if spec.max_workers is not None
-    }
-    return DefaultScalingStrategy(caps=caps)
-
-
 class ExecutionEngine:
-    """Event-driven execution of a dynamic federated workflow."""
-
-    #: Consecutive no-progress rounds before the stall diagnosis runs.
-    stall_soft_rounds: int = 10
-    #: Hard ceiling on consecutive no-progress rounds.  The soft diagnosis
-    #: may legitimately wait (staged tasks are re-offered every pump), but a
-    #: workflow that makes no progress for this many rounds can never
-    #: recover — raise instead of spinning forever.
-    stall_hard_rounds: int = 1000
+    """One workflow's event-driven execution state inside a federation."""
 
     def __init__(
         self,
-        config: Config,
-        fabric: ExecutionFabric,
+        federation: "WorkflowManager",
         *,
-        transfer_backend: Optional[TransferBackend] = None,
         scheduler: Optional[Scheduler] = None,
-        scaling_strategy: Optional[ScalingStrategy] = None,
-        history_store: Optional[HistoryStore] = None,
         metrics: Optional[MetricsCollector] = None,
-        scaling_check_interval_s: float = 10.0,
-        endpoint_monitor: Optional[EndpointMonitor] = None,
-        execution_profiler: Optional[ExecutionProfiler] = None,
-        transfer_profiler: Optional[TransferProfiler] = None,
-        task_monitor: Optional[TaskMonitor] = None,
-        data_manager: Optional[DataManager] = None,
-        placement: Optional["PlacementService"] = None,
         namespace: str = "",
     ) -> None:
-        self.config = config
-        self.fabric = fabric
-        self.clock = fabric.clock
+        # The shared substrate, by reference: one of each, federation-wide.
+        self.federation = federation
+        self.config = config = federation.config
+        self.fabric = federation.fabric
+        self.clock = federation.clock
+        self.task_monitor = federation.task_monitor
+        self.endpoint_monitor = federation.endpoint_monitor
+        self.execution_profiler = federation.execution_profiler
+        self.transfer_profiler = federation.transfer_profiler
+        self.data_manager = federation.data_manager
+        #: The federation's placement service (``None`` = the greedy layers
+        #: run unsteered).  The service hands every greedy layer the same
+        #: immutable plan: the scheduler keeps placements inside the warm
+        #: set, the elastic scaler anchors its split on the plan worker
+        #: targets, and the data plane prefers plan replica roots as
+        #: transfer sources.
+        self.plan_service = federation.plan_service
+
+        # Per-workflow state.
         self.graph = TaskGraph()
         self.bus = EventBus()
         #: Columnar fast path: batched event delivery + array-backed demand
@@ -187,50 +115,11 @@ class ExecutionEngine:
         #: oracle) runs instead; both produce byte-identical event logs.
         self._columnar = bool(getattr(config, "enable_columnar_engine", True))
         self.index = TaskIndex(store=self.graph.store if self._columnar else None)
-        #: Workflow namespace prefixing this engine's task ids (multi-tenant
-        #: serving); "" keeps the process-global task counter of the
-        #: single-workflow path byte-identically.
+        #: Workflow namespace prefixing this engine's task ids; "" (the
+        #: single-workflow client) keeps the process-global task counter.
         self.namespace = namespace
         self._task_seq = 0
-        #: Whether this engine built its own data manager (single-workflow
-        #: path).  Under the serving layer the manager owns the shared data
-        #: plane and wires its crash/rejoin + profiler observers exactly once.
-        self._owns_data_manager = data_manager is None
-        self._owns_task_monitor = task_monitor is None
 
-        # Monitors.  Shared components (multi-workflow serving) are injected;
-        # the single-workflow path builds its own, warm-started from history.
-        store: Optional[HistoryStore] = None
-        if task_monitor is None or execution_profiler is None or transfer_profiler is None:
-            store = history_store or HistoryStore(config.history_db_path or ":memory:")
-        self.task_monitor = task_monitor or TaskMonitor(store)
-        self.endpoint_monitor = endpoint_monitor or EndpointMonitor(
-            lambda name: fabric.endpoint_status(name),
-            self.clock,
-            sync_interval_s=config.endpoint_sync_interval_s,
-        )
-
-        # Profilers (warm-started from history when available).
-        self.execution_profiler = execution_profiler or ExecutionProfiler(
-            store if store is not None and store.task_count() else None
-        )
-        self.transfer_profiler = transfer_profiler or TransferProfiler(
-            store if store is not None and store.transfer_count() else None
-        )
-        if self._owns_task_monitor:
-            self.task_monitor.add_task_listener(self.execution_profiler.observe)
-
-        # Data manager — either the data-plane subsystem (replica store +
-        # priority transfer scheduling + prefetch) or, with the plane
-        # disabled, the paper's plain FIFO staging path, byte-identically.
-        if data_manager is not None:
-            self.data_manager: DataManager = data_manager
-        else:
-            backend = transfer_backend or LocalCopyTransferBackend(clock=self.clock)
-            self.data_manager = build_data_manager(config, backend, self.clock)
-            self.data_manager.add_transfer_callback(self._on_transfer_result)
-
-        # Scheduler.
         if scheduler is not None:
             self.scheduler = scheduler
         else:
@@ -244,38 +133,10 @@ class ExecutionEngine:
             elif config.strategy == "HEFT":
                 kwargs = dict(vectorized=config.enable_vectorized_scheduling)
             self.scheduler = create_scheduler(config.strategy, **kwargs)
-
-        # Elasticity.
-        self.scaling_strategy = scaling_strategy or build_scaling_strategy(config)
-
-        # Metrics.
         self.metrics = metrics or MetricsCollector()
-
-        # Global placement (capacitated facility location).  A shared service
-        # (multi-workflow serving) is injected; the single-workflow path
-        # builds its own when the config enables the plan.  The service hands
-        # every greedy layer the same immutable plan: the scheduler keeps
-        # placements inside the warm set, the elastic scaler anchors its
-        # split on the plan worker targets, and the data plane prefers plan
-        # replica roots as transfer sources.
-        self.plan_service: Optional["PlacementService"] = (
-            None if placement is PLACEMENT_DISABLED else placement
-        )
-        if (
-            placement is None  # the caller did not decide for us
-            and self.plan_service is None
-            and config.enable_placement_plan
-        ):
-            from repro.placement.service import PlacementService
-
-            self.plan_service = PlacementService(config)
         if self.plan_service is not None:
             self.plan_service.attach(self)
             self.scheduler.plan_provider = self.plan_service.current_plan
-            if hasattr(self.scaling_strategy, "plan_provider"):
-                self.scaling_strategy.plan_provider = self.plan_service.current_plan
-            if isinstance(self.data_manager, DataPlane):
-                self.data_manager.set_plan_provider(self.plan_service.current_plan)
 
         # Engine state.
         self.context: Optional[SchedulingContext] = None
@@ -289,10 +150,10 @@ class ExecutionEngine:
         #: cascade — so runtime graph growth is digest-stable across the
         #: columnar and scalar event paths.
         self._growth_hooks: List[Callable[[], None]] = []
-        #: ``bus.published_count`` right after the last pump's growth drain.
-        #: While it still reads the same, that pump's placement and dispatch
-        #: phases changed nothing and nothing happened since (every state
-        #: change the pump reacts to is announced on the bus).
+        #: ``bus.published_count`` right after the last pump round's growth
+        #: drain.  While it still reads the same, that round's placement and
+        #: dispatch phases changed nothing and nothing happened since (every
+        #: state change the pump reacts to is announced on the bus).
         self._settled_count = -1
         #: Outstanding consumers per task id — the data plane's output
         #: lifecycle: when the count hits zero the producer's outputs are
@@ -342,7 +203,7 @@ class ExecutionEngine:
         self.staging = StagingCoordinator(self)
         self.dispatch = DispatchCoordinator(self)
         self.failure = FailureCoordinator(self)
-        self.periodic = PeriodicCoordinator(self, scaling_check_interval_s)
+        self.periodic = PeriodicCoordinator(self)
         self.bus.subscribe(TaskReady, self._on_task_ready)
         self.bus.subscribe(TaskCompleted, self._on_task_completed)
 
@@ -357,15 +218,18 @@ class ExecutionEngine:
                 lambda e: plane.release_task(e.task_id) if e.success else None,
             )
             self.bus.subscribe(TaskFailed, lambda e: plane.release_task(e.task_id))
-            if self._owns_data_manager:
-                # A shared plane (serving layer) gets these exactly once, on
-                # the manager's control bus — not once per tenant workflow.
-                self.bus.subscribe(
-                    EndpointCrashed, lambda e: plane.on_endpoint_crashed(e.endpoint)
-                )
-                self.bus.subscribe(
-                    EndpointRejoined, lambda e: plane.on_endpoint_rejoined(e.endpoint)
-                )
+            # On this workflow's own bus, so the quarantine lands after the
+            # synchronous dynamics handlers above (the failure coordinator's
+            # re-placements are still deferred in the bus cascade) and before
+            # any re-placed task stages — never from a replica on the dead
+            # endpoint.  Every tenant forwards the same event; the plane
+            # ignores the repeats.
+            self.bus.subscribe(
+                EndpointCrashed, lambda e: plane.on_endpoint_crashed(e.endpoint)
+            )
+            self.bus.subscribe(
+                EndpointRejoined, lambda e: plane.on_endpoint_rejoined(e.endpoint)
+            )
             if config.enable_prefetch:
                 self.prefetcher = Prefetcher(
                     plane,
@@ -451,53 +315,10 @@ class ExecutionEngine:
             self._pending_added.append(task)
         return task.future
 
-    # -------------------------------------------------------------------- run
-    def run(self, max_wall_time_s: Optional[float] = None) -> None:
-        """Execute the composed workflow to completion.
-
-        Raises :class:`SchedulingError` if the workflow stalls (for example,
-        every endpoint lost all its workers and scaling is disabled).
-        """
-        if len(self.graph) == 0:
-            return
-        self._start()
-        wall_start = _time.monotonic()
-        stall_rounds = 0
-        while not self.graph.is_complete():
-            if max_wall_time_s is not None and _time.monotonic() - wall_start > max_wall_time_s:
-                raise SchedulingError(
-                    f"workflow exceeded the wall-time budget of {max_wall_time_s} s"
-                )
-            records = self.fabric.process()
-            if self._columnar:
-                self._handle_completions(records)
-            else:
-                for record in records:
-                    self._handle_completion(record)
-            self.periodic.check()
-            # Two of a task's three kernel events (batch delivery at the
-            # endpoint, the endpoint-internal finish) change nothing the
-            # engine can observe: a pump after them repeats the last one.
-            progressed = (bool(records) or self._pump_due()) and self._pump()
-            if records or progressed or self.fabric.pending_work():
-                stall_rounds = 0
-                continue
-            stall_rounds += 1
-            if stall_rounds >= self.stall_hard_rounds:
-                raise SchedulingError(
-                    f"workflow made no progress for {stall_rounds} rounds; "
-                    f"task states: {self.graph.counts()}"
-                )
-            if stall_rounds > self.stall_soft_rounds:
-                self._diagnose_stall()
-        self.finalize()
-        self.fabric.flush()
-
+    # -------------------------------------------------------------- lifecycle
     def finalize(self) -> None:
-        """Close out the run's metrics (also called per workflow when this
-        engine runs under the multi-workflow serving layer)."""
-        if isinstance(self.data_manager, DataPlane) and self._owns_data_manager:
-            self.metrics.set_dataplane_stats(self.data_manager.stats_dict())
+        """Close out this workflow's metrics (the run loop calls it when the
+        workflow completes or is cancelled)."""
         if self._columnar:
             # Stream the store's timestamp reduction straight into the
             # collector's bounded sketch — no intermediate Python list.
@@ -525,20 +346,10 @@ class ExecutionEngine:
         return waits
 
     def start(self) -> None:
-        """Begin execution bookkeeping without driving the run loop.
-
-        The multi-workflow serving layer drives the shared fabric itself and
-        pumps each tenant engine; it calls this once per workflow when the
-        workflow's (possibly staggered) arrival comes due.  Idempotent.
-        """
-        if not self._running:
-            self._start()
-
-    def _start(self) -> None:
+        """Begin execution bookkeeping: scheduling context, scheduler
+        initialisation, metrics.  The federation's run loop calls this when
+        the workflow's (possibly staggered) arrival comes due."""
         self._running = True
-        for name in self.fabric.endpoint_names():
-            if name not in self.endpoint_monitor.endpoint_names():
-                self.endpoint_monitor.register(name)
         self.context = SchedulingContext(
             graph=self.graph,
             endpoint_monitor=self.endpoint_monitor,
@@ -555,19 +366,6 @@ class ExecutionEngine:
         self.scheduler.on_workflow_submitted(self.graph.tasks())
         self.metrics.workflow_started(self.clock.now())
         self.periodic.sample_metrics(force=True)
-
-    def _diagnose_stall(self) -> None:
-        staged = self.graph.state_count(TaskState.STAGED)
-        if staged and not self.config.enable_delay_mechanism:
-            return  # dispatch will be retried on the next pump
-        if staged:
-            # Delay mechanism with nothing running anywhere: force dispatch so
-            # the workflow cannot deadlock on an empty pool.
-            forced = self.dispatch.dispatch_staged(force=True)
-            if forced:
-                return
-        counts = self.graph.counts()
-        raise SchedulingError(f"workflow stalled; task states: {counts}")
 
     # ------------------------------------------------------------------ pump
     def add_growth_hook(self, hook: Callable[[], None]) -> None:
@@ -601,32 +399,21 @@ class ExecutionEngine:
             batch = self._pending_added
             self._pending_added = []
             self.scheduler.on_tasks_added(batch)
+        self._settled_count = self.bus.published_count
         return len(self.graph) > before
 
-    def _pump_due(self) -> bool:
-        """False when a pump now would provably repeat the last one's no-op:
-        it placed and dispatched nothing, and since its growth drain no event
-        was published, no task was submitted and no ready task is queued.
-        (With mocking disabled endpoint state moves without any event: every
-        query re-reads the service.)"""
+    def pump_due(self) -> bool:
+        """False when pumping this workflow now would provably repeat the
+        last round's no-op: since that round's growth drain no event was
+        published, no task was submitted and no ready task is queued.  (With mocking disabled
+        endpoint state moves without any event: every query re-reads the
+        service.)"""
         return (
             self.bus.published_count != self._settled_count
             or bool(self._pending_added)
             or self.index.queued_count > 0
             or not self.endpoint_monitor.mocking_enabled
         )
-
-    def _pump(self) -> bool:
-        """One round of scheduling, staging and dispatching.
-
-        Returns True when any task changed state (used for stall detection).
-        """
-        progressed = self.drain_growth()
-        self._settled_count = self.bus.published_count
-        progressed |= self.placement.schedule_ready()
-        progressed |= self.dispatch.dispatch_staged()
-        self.fabric.flush()
-        return progressed
 
     # ---------------------------------------------------------------- events
     def _on_endpoint_dynamics(self, event) -> None:
@@ -643,8 +430,8 @@ class ExecutionEngine:
             # Dynamics invalidate the plan (the service's generation mirrors
             # the monitor's state_version idiom): a crash excludes the
             # endpoint from future solves, a rejoin re-admits it, churn just
-            # forces a re-solve.  Under the serving layer every tenant engine
-            # forwards the same event; the service dedups the bump.
+            # forces a re-solve.  Every tenant engine forwards the same event;
+            # the service dedups the bump.
             if isinstance(event, EndpointCrashed):
                 self.plan_service.mark_offline(event.endpoint)
             elif isinstance(event, EndpointRejoined):
@@ -656,7 +443,7 @@ class ExecutionEngine:
                 # Re-solve before the reactions below so the scaler and the
                 # re-scheduling pass already steer by the post-event plan.
                 self.plan_service.maybe_resolve(self.clock.now(), self)
-            self.periodic.run_scaling()
+            self.federation.scale_now(event)
             # On a crash the failure coordinator owns re-placement of the
             # stranded tasks; running a rescheduling pass here too would move
             # the same tasks twice (its TaskPlaced events are deferred by the
@@ -870,7 +657,3 @@ class ExecutionEngine:
                     for file in self.graph.get(dep).output_files:
                         plane_store.mark_expendable(file)
         return newly_ready
-
-    def _on_transfer_result(self, result: TransferResult, concurrency: int) -> None:
-        self.task_monitor.observe_transfer(result, concurrency)
-        self.transfer_profiler.observe(result, concurrency)

@@ -1,4 +1,4 @@
-"""Periodic coordinator — everything the engine does on a cadence (§IV-B/D/H).
+"""Periodic coordinator — everything a workflow does on a cadence (§IV-B/D).
 
 Independent timers, all driven by the engine clock so they behave
 identically under the simulated and wall clocks:
@@ -13,11 +13,12 @@ identically under the simulated and wall clocks:
   the current generation (the service gates itself);
 * **re-scheduling** — offer the not-yet-dispatched tasks back to the
   scheduler (DHA's task stealing, §IV-D);
-* **scaling** — let the elasticity strategy request workers (§IV-H);
 
 plus the metrics sampler, which reads the per-endpoint pending counts
 straight from the incremental :class:`~repro.engine.state.TaskIndex` instead
-of re-scanning every undispatched task.
+of re-scanning every undispatched task.  Elastic scaling (§IV-H) is a
+federation-level cadence and lives in the run loop
+(:meth:`~repro.serving.manager.WorkflowManager.scale_now`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import time as _time
 from typing import TYPE_CHECKING
 
 from repro.core.dag import TaskState
-from repro.elastic.scaling import EndpointView
 from repro.engine.events import CapacityChanged, TaskPlaced
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -41,13 +41,11 @@ _RESCHEDULABLE = (TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
 class PeriodicCoordinator:
     """Runs the engine's periodic duties when their intervals elapse."""
 
-    def __init__(self, engine: "ExecutionEngine", scaling_check_interval_s: float) -> None:
+    def __init__(self, engine: "ExecutionEngine") -> None:
         self._engine = engine
-        self.scaling_check_interval_s = scaling_check_interval_s
         self._last_profiler_update = 0.0
         self._last_endpoint_sync = 0.0
         self._last_reschedule = 0.0
-        self._last_scaling_check = 0.0
         self._last_metrics_sample = 0.0
         #: Re-scheduling candidates cached against the undispatched-set epoch
         #: (membership changes bump it; targets and states are re-checked).
@@ -71,9 +69,9 @@ class PeriodicCoordinator:
                 # stamp anyway; dropping them eagerly frees the memory.
                 engine.context.invalidate_predictions()
         if engine.plan_service is not None:
-            # Before re-scheduling/scaling: both steer by the plan, so a due
-            # re-solve (cadence elapsed or generation invalidated) must land
-            # first.  The service itself gates on its own interval.
+            # Before re-scheduling: it steers by the plan, so a due re-solve
+            # (cadence elapsed or generation invalidated) must land first.
+            # The service itself gates on its own interval.
             engine.plan_service.maybe_resolve(now, engine)
         if (
             engine.scheduler.supports_rescheduling
@@ -81,9 +79,6 @@ class PeriodicCoordinator:
         ):
             self._last_reschedule = now
             self.run_rescheduling()
-        if now - self._last_scaling_check >= self.scaling_check_interval_s:
-            self._last_scaling_check = now
-            self.run_scaling()
         if now - self._last_metrics_sample >= engine.metrics.sample_interval_s:
             self.sample_metrics()
 
@@ -117,30 +112,6 @@ class PeriodicCoordinator:
             engine.bus.publish(
                 TaskPlaced.for_task(task, time=engine.clock.now(), endpoint=move.endpoint)
             )
-
-    # ---------------------------------------------------------------- scaling
-    def run_scaling(self) -> None:
-        engine = self._engine
-        pending = (
-            engine.index.queued_count
-            + engine.graph.state_count(TaskState.SCHEDULED)
-            + engine.graph.state_count(TaskState.STAGING)
-            + engine.graph.state_count(TaskState.STAGED)
-        )
-        views = {}
-        for name in engine.fabric.endpoint_names():
-            mock = engine.endpoint_monitor.mock(name)
-            views[name] = EndpointView(
-                name=name,
-                active_workers=mock.active_workers,
-                idle_workers=mock.idle_workers,
-                outstanding_tasks=mock.outstanding_tasks,
-                max_workers=mock.max_workers,
-            )
-        decision = engine.scaling_strategy.decide(pending, views)
-        for name, workers in decision.workers_to_request.items():
-            if workers > 0:
-                engine.fabric.request_workers(name, workers)
 
     # ---------------------------------------------------------------- metrics
     def sample_metrics(self, force: bool = False) -> None:

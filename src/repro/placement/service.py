@@ -1,8 +1,7 @@
 """The placement service: owns the plan lifecycle across the run.
 
-One service instance serves one federation — the single-workflow engine
-builds its own, the multi-workflow :class:`~repro.serving.manager.
-WorkflowManager` builds one and shares it across every tenant engine.  The
+One service instance serves one federation: :class:`~repro.serving.manager.
+WorkflowManager` builds it and shares it across every tenant engine.  The
 service:
 
 * snapshots the live state (pending demand, hot datasets, online endpoints,

@@ -17,7 +17,8 @@ machine-readable artifacts:
     Run the same scenario once per scheduler and print a comparison table
     (plus one ``BENCH_*.json`` per run).  ``--modes`` instead runs the same
     scenario across engine modes and **exits non-zero** unless their
-    determinism digests are byte-identical.
+    whole artifacts are byte-identical (list a mode twice to gate
+    run-to-run determinism too).
 
 ``check-replay BENCH_A BENCH_B``
     Compare a ``--snapshot-at`` run's artifact against a ``--restore-from``
@@ -297,10 +298,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _compare_modes(args: argparse.Namespace, preset) -> int:
-    """``compare NAME --modes default,no-vector,no-columnar`` — digest gate.
+    """``compare NAME --modes default,default,no-vector,no-columnar`` — the
+    byte gate.
 
-    Every listed engine mode must produce a byte-identical determinism
-    digest; any divergence makes the command exit 1 so CI can gate on it.
+    Every listed engine mode must produce a byte-identical BENCH artifact
+    (the whole ``to_json()`` payload, digest included); any divergence makes
+    the command exit 1 so CI can gate on it.  Listing a mode twice gates
+    run-to-run determinism.
     """
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if not modes:
@@ -330,10 +334,10 @@ def _compare_modes(args: argparse.Namespace, preset) -> int:
 
     print(f"scenario: {args.name}   seed: {results[0].seed}")
     print(f"{'MODE':<14} {'MAKESPAN':>10} {'COMPLETED':>10}  DIGEST")
-    baseline = results[0].determinism_digest
+    baseline = results[0].to_json()
     mismatched = False
     for mode, result in zip(modes, results):
-        match = result.determinism_digest == baseline
+        match = result.to_json() == baseline
         mismatched |= not match
         marker = "" if match else "  <-- DIVERGES"
         print(
@@ -341,10 +345,10 @@ def _compare_modes(args: argparse.Namespace, preset) -> int:
             f"{result.determinism_digest[:16]}…{marker}"
         )
     if mismatched:
-        print("mode digests DIFFER — the engine paths are not byte-equivalent",
+        print("mode artifacts DIFFER — the engine paths are not byte-equivalent",
               file=sys.stderr)
         return 1
-    print(f"all {len(modes)} mode digests identical")
+    print(f"all {len(modes)} mode artifacts identical")
     return 0
 
 
@@ -505,10 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "schedulers; needs a multi-workflow or streaming "
                               "preset, or --workflows >= 2")
     compare.add_argument("--modes", default=None,
-                         help="comma-separated engine modes to digest-gate "
-                              "(subset of default,no-vector,no-columnar); exits "
-                              "non-zero unless every mode's determinism digest "
-                              "is byte-identical")
+                         help="comma-separated engine modes to byte-gate "
+                              "(from default,no-vector,no-columnar; repeats "
+                              "allowed); exits non-zero unless every run's whole "
+                              "artifact is byte-identical")
     compare.add_argument("--out", default=".", help="directory for BENCH artifacts")
     compare.add_argument("--max-wall-time", type=float, default=600.0,
                          help="wall-clock budget per run (seconds)")

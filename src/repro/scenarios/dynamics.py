@@ -16,8 +16,9 @@ dynamics into data:
 * :class:`DynamicsInjector` — schedules a compiled timeline on the
   simulation kernel; each firing mutates the substrate (endpoint, service,
   network) and announces a typed
-  :class:`~repro.engine.events.EndpointDynamicsEvent` on the engine's bus so
-  the failure coordinator, elastic scaler and DHA re-scheduling react.
+  :class:`~repro.engine.events.EndpointDynamicsEvent` on the federation's
+  control bus, which forwards it to every workflow so the failure
+  coordinators, elastic scaler and DHA re-scheduling react.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from repro.engine.events import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.core import ExecutionEngine
     from repro.experiments.environment import SimulationEnvironment
+    from repro.serving.manager import WorkflowManager
 
 __all__ = [
     "ACTIONS",
@@ -259,17 +260,18 @@ class DynamicsSpec:
 
 
 class DynamicsInjector:
-    """Schedules a compiled timeline and surfaces it to the engine.
+    """Schedules a compiled timeline and surfaces it to the federation.
 
     Every firing does two things in order: (1) mutate the simulation
     substrate — the endpoint, the service's status cache, the network — and
-    (2) publish the corresponding typed event on the engine's bus, where the
-    failure coordinator, the elastic scaler and the schedulers subscribe.
+    (2) publish the corresponding typed event on the federation's control
+    bus, which forwards it to every workflow's bus, where the failure
+    coordinator, the elastic scaler and the schedulers subscribe.
     """
 
-    def __init__(self, env: "SimulationEnvironment", engine: "ExecutionEngine") -> None:
+    def __init__(self, env: "SimulationEnvironment", federation: "WorkflowManager") -> None:
         self._env = env
-        self._engine = engine
+        self._bus = federation.bus
         #: Events that actually perturbed the substrate (no-ops — churn on a
         #: crashed endpoint, crash of an offline endpoint — are excluded).
         self.fired: List[TimelineEvent] = []
@@ -312,7 +314,7 @@ class DynamicsInjector:
             return False
         lost = endpoint.crash()
         self._refresh_service_view(event.endpoint)
-        self._engine.bus.publish(
+        self._bus.publish(
             EndpointCrashed(time=self._now(), endpoint=event.endpoint, lost_tasks=lost)
         )
         return None
@@ -324,7 +326,7 @@ class DynamicsInjector:
         workers = int(event.value) if event.value else None
         endpoint.rejoin(workers)
         self._refresh_service_view(event.endpoint)
-        self._engine.bus.publish(
+        self._bus.publish(
             EndpointRejoined(
                 time=self._now(), endpoint=event.endpoint, workers=endpoint.active_workers
             )
@@ -343,7 +345,7 @@ class DynamicsInjector:
             return False
         endpoint.apply_capacity_change(delta)
         self._refresh_service_view(event.endpoint)
-        self._engine.bus.publish(
+        self._bus.publish(
             WorkerChurn(time=self._now(), endpoint=event.endpoint, delta_workers=delta)
         )
         return None
@@ -351,7 +353,7 @@ class DynamicsInjector:
     def _apply_cold_window(self, event: TimelineEvent) -> None:
         endpoint = self._env.endpoint(event.endpoint)
         endpoint.begin_cold_window(event.duration_s, penalty_s=event.value or None)
-        self._engine.bus.publish(
+        self._bus.publish(
             ColdStartWindow(
                 time=self._now(),
                 endpoint=event.endpoint,
@@ -367,7 +369,7 @@ class DynamicsInjector:
         until = float("inf") if event.duration_s <= 0 else now + event.duration_s
         self._net_until = max(self._net_until, until)
         self._env.network.set_bandwidth_scale(factor)
-        self._engine.bus.publish(
+        self._bus.publish(
             NetworkDegraded(time=now, factor=factor, duration_s=event.duration_s)
         )
         if event.duration_s > 0:
@@ -384,7 +386,7 @@ class DynamicsInjector:
         if self._now() + 1e-9 < self._net_until:
             return  # a longer (or later) window still holds the degradation
         self._env.network.set_bandwidth_scale(1.0)
-        self._engine.bus.publish(NetworkRestored(time=self._now()))
+        self._bus.publish(NetworkRestored(time=self._now()))
 
     def _apply_staleness(self, event: TimelineEvent) -> None:
         previous = self._env.service.latency.status_refresh_interval_s
@@ -395,7 +397,7 @@ class DynamicsInjector:
         until = float("inf") if event.duration_s <= 0 else now + event.duration_s
         self._staleness_until = max(self._staleness_until, until)
         self._env.service.set_status_refresh_interval(interval)
-        self._engine.bus.publish(
+        self._bus.publish(
             StatusStalenessChanged(time=now, interval_s=interval)
         )
         if event.duration_s > 0:
@@ -408,7 +410,7 @@ class DynamicsInjector:
         if self._now() + 1e-9 < self._staleness_until or self._nominal_refresh_s is None:
             return  # a longer (or later) spike still holds the staleness
         self._env.service.set_status_refresh_interval(self._nominal_refresh_s)
-        self._engine.bus.publish(
+        self._bus.publish(
             StatusStalenessChanged(time=self._now(), interval_s=self._nominal_refresh_s)
         )
 

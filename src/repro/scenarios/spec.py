@@ -34,7 +34,7 @@ from repro.core.dag import TaskState
 from repro.engine.events import Event, expand_event
 from repro.experiments.environment import EndpointSetup, SimulationEnvironment, build_simulation
 from repro.faas.types import ServiceLatencyModel
-from repro.scenarios.dynamics import DynamicsInjector, DynamicsSpec, TimelineEvent
+from repro.scenarios.dynamics import DynamicsInjector, DynamicsSpec
 from repro.sim.hardware import ClusterSpec, testbed_clusters
 from repro.sim.network import NetworkModel
 from repro.streaming.spec import StreamingSpec
@@ -330,9 +330,9 @@ class ScenarioSpec:
     #: ``bandwidth_mbps``, every link touching the remaining edge endpoints
     #: runs at a fifth of it).
     network_profile: str = "uniform"
-    #: Number of concurrent tenant workflows (1 = the classic single-workflow
-    #: path; > 1 runs the multi-workflow serving layer, each workflow an
-    #: instance of ``workload`` on the shared federation).
+    #: Number of concurrent tenant workflows, each an instance of
+    #: ``workload`` on the shared federation (1 = the paper's single-workflow
+    #: client: one unarbitrated tenant).
     workflows: int = 1
     #: Cross-workflow arbitration policy: "fifo", "fair_share" or "priority".
     arbitration: str = "fair_share"
@@ -432,7 +432,7 @@ class ScenarioResult:
     endpoint_crashes: int = 0
     #: Data-plane counters (empty when the subsystem is disabled).
     dataplane: Dict[str, object] = field(default_factory=dict)
-    #: Multi-workflow serving report (empty on the single-workflow path):
+    #: Multi-workflow serving report (empty for a single workflow):
     #: arbitration policy, fairness, and per-tenant makespan / wait / digest.
     serving: Dict[str, object] = field(default_factory=dict)
     #: Durability report (empty unless snapshotting / restore / checkpointing
@@ -509,9 +509,10 @@ def run_scenario(
 ) -> ScenarioResult:
     """Execute ``spec`` and return its deterministic result record.
 
+    Every run goes through one federation (``WorkflowManager``):
     ``spec.workflows > 1`` runs N instances of the workload concurrently
-    through the multi-workflow serving layer; 1 keeps the classic
-    single-workflow path byte-identically.
+    under the spec's arbitration policy; 1 is the paper's single-workflow
+    client, a lone unarbitrated tenant.
 
     ``durability`` (a :class:`~repro.durability.runtime.DurabilityOptions`)
     arms snapshot capture, restore-with-verification replay, or periodic
@@ -556,44 +557,7 @@ def _run_attempt(
         return run_streaming_scenario(
             spec, seed, env, config, max_wall_time_s, controller_factory
         )
-    if spec.workflows > 1:
-        return _run_serving_scenario(
-            spec, seed, env, config, max_wall_time_s, controller_factory
-        )
-
-    client = env.make_client(config)
-    if spec.seed_knowledge:
-        env.seed_full_knowledge(client)
-        env.seed_execution_knowledge(client, spec.workload.task_types())
-
-    recorder = _EventLogRecorder()
-    client.bus.subscribe_all(recorder)
-
-    timeline = spec.dynamics.compile(
-        [e.name for e in spec.topology], env.rng.stream("dynamics")
-    )
-    injector = DynamicsInjector(env, client.engine)
-    injector.install(timeline)
-
-    controller = None
-    if controller_factory is not None:
-        # Fixed call-site: the controller's kernel events must be scheduled
-        # at the same sequence positions in capture and restore runs.
-        from repro.durability.runtime import RunContext
-
-        ctx = RunContext(env, spec, seed)
-        ctx.engines[""] = client.engine
-        ctx.recorders[""] = recorder
-        ctx.data_manager = client.data_manager
-        ctx.placement = client.engine.plan_service
-        controller = controller_factory(ctx)
-        controller.install()
-
-    info = spec.workload.build(client)
-    client.run(max_wall_time_s=max_wall_time_s)
-
-    result = _collect_result(spec, seed, client, info, timeline, injector, recorder)
-    return result, controller
+    return _run_batch_scenario(spec, seed, env, config, max_wall_time_s, controller_factory)
 
 
 def _run_durable(
@@ -725,7 +689,10 @@ def _build_environment(spec: ScenarioSpec, seed: int):
         enable_vectorized_scheduling=spec.vectorized,
         enable_columnar_engine=spec.columnar,
         enable_dataplane=spec.enable_dataplane,
-        enable_placement_plan=spec.enable_placement,
+        # The plan amortises over long-lived tenants; open-loop streaming
+        # tenants live and die inside one re-solve cadence, so a streaming
+        # federation is built without it.
+        enable_placement_plan=spec.enable_placement and spec.streaming is None,
         enable_prefetch=spec.enable_prefetch,
         storage_capacity_gb=spec.storage_gb,
         eviction_policy=spec.eviction_policy,
@@ -741,7 +708,7 @@ def _build_environment(spec: ScenarioSpec, seed: int):
     return env, config
 
 
-def _run_serving_scenario(
+def _run_batch_scenario(
     spec: ScenarioSpec,
     seed: int,
     env: SimulationEnvironment,
@@ -749,14 +716,18 @@ def _run_serving_scenario(
     max_wall_time_s: float,
     controller_factory=None,
 ):
-    """N instances of the workload through the multi-workflow serving layer."""
+    """``spec.workflows`` instances of the workload through one federation.
+
+    One workflow is the paper's client: namespace ``""``, no arbitration.
+    """
     from repro.serving import WorkflowManager
 
+    multi = spec.workflows > 1
     manager = WorkflowManager(
         config,
         env.fabric,
         transfer_backend=env.transfer_backend,
-        arbitration=spec.arbitration,
+        arbitration=spec.arbitration if multi else None,
     )
     if spec.seed_knowledge:
         env.seed_full_knowledge(manager)
@@ -772,13 +743,13 @@ def _run_serving_scenario(
         return build
 
     for index in range(spec.workflows):
-        wid = f"wf{index}"
+        wid = f"wf{index}" if multi else ""
         weight = (
             spec.tenant_weights[index] if index < len(spec.tenant_weights) else 1.0
         )
         handle = manager.add_workflow(
             wid,
-            owner=f"tenant-{index}",
+            owner=f"tenant-{index}" if multi else "",
             weight=weight,
             # Earlier arrivals outrank later ones under strict priority.
             priority=spec.workflows - index,
@@ -797,18 +768,16 @@ def _run_serving_scenario(
 
     controller = None
     if controller_factory is not None:
-        # Same fixed call-site rule as the single-workflow path: controller
-        # events are armed after the dynamics timeline, before the run.
+        # Fixed call-site: the controller's kernel events must be scheduled
+        # at the same sequence positions in capture and restore runs — armed
+        # after the dynamics timeline, before the run.
         from repro.durability.errors import OrchestratorCrashed
         from repro.durability.runtime import RunContext
 
-        ctx = RunContext(env, spec, seed)
+        ctx = RunContext(env, spec, seed, manager)
         for handle in manager.workflows():
             ctx.engines[handle.workflow_id] = handle.engine
             ctx.recorders[handle.workflow_id] = recorders[handle.workflow_id]
-        ctx.data_manager = manager.data_manager
-        ctx.manager = manager
-        ctx.placement = manager.plan_service
         controller = controller_factory(ctx)
         controller.install()
         try:
@@ -856,6 +825,16 @@ def _run_serving_scenario(
             "failed_tasks": summary.failed_tasks,
             "event_digest": wf_digest,
         }
+    if multi:
+        # Published multi-workflow artifacts count execution *attempts* (a
+        # retried task's failed attempt is a failure) where single-workflow
+        # ones count terminal task states; unifying the two moves
+        # zoo-mixed's digest, so it waits for a re-baselining PR.
+        completed, failed = serving.completed_tasks, serving.failed_tasks
+    else:
+        graph = manager.workflow("").graph
+        completed = graph.state_count(TaskState.COMPLETED)
+        failed = graph.state_count(TaskState.FAILED)
 
     per_wf_summaries = list(serving.workflows.values())
     utilization = (
@@ -873,8 +852,8 @@ def _run_serving_scenario(
         seed=seed,
         makespan_s=serving.makespan_s,
         total_tasks=sum(info.task_count for info in infos.values()),
-        completed_tasks=serving.completed_tasks,
-        failed_tasks=serving.failed_tasks,
+        completed_tasks=completed,
+        failed_tasks=failed,
         staged_mb=manager.data_manager.total_transferred_mb,
         retries=retries,
         rescheduled_tasks=sum(s.rescheduled_tasks for s in per_wf_summaries),
@@ -884,57 +863,16 @@ def _run_serving_scenario(
         determinism_digest=digest.hexdigest(),
         endpoint_crashes=crashes,
         dataplane=dataplane_stats,
-        serving={
+    )
+    if multi:
+        # Only multi-workflow runs carry the key, so single-workflow
+        # artifacts stay byte-identical to earlier releases.
+        result.serving = {
             "policy": serving.policy,
             "workflow_count": spec.workflows,
             "stagger_s": round(spec.workflow_stagger_s, 6),
             "jain_fairness": round(serving.jain_fairness, 6),
             "wait_p95_s": round(serving.wait_time_p95_s, 6),
             "workflows": workflow_payload,
-        },
-    )
+        }
     return result, controller
-
-
-def _collect_result(
-    spec: ScenarioSpec,
-    seed: int,
-    client: UniFaaSClient,
-    info: WorkloadInfo,
-    timeline: List[TimelineEvent],
-    injector: DynamicsInjector,
-    recorder: _EventLogRecorder,
-) -> ScenarioResult:
-    summary = client.summary()
-    graph = client.graph
-    retries = 0
-    for task in graph:
-        if task.attempts > 1:
-            retries += task.attempts - 1
-    crashes = sum(
-        getattr(client.fabric.endpoint(name), "crash_count", 0)
-        for name in client.fabric.endpoint_names()
-    )
-
-    digest = hashlib.sha256()
-    digest.update(repr([e.as_dict() for e in timeline]).encode())
-    digest.update(repr(recorder.entries).encode())
-
-    return ScenarioResult(
-        scenario=spec.name,
-        scheduler=spec.scheduler,
-        seed=seed,
-        makespan_s=summary.makespan_s,
-        total_tasks=info.task_count,
-        completed_tasks=graph.state_count(TaskState.COMPLETED),
-        failed_tasks=graph.state_count(TaskState.FAILED),
-        staged_mb=client.data_manager.total_transferred_mb,
-        retries=retries,
-        rescheduled_tasks=summary.rescheduled_tasks,
-        mean_utilization_pct=summary.mean_worker_utilization,
-        tasks_per_endpoint=dict(summary.tasks_per_endpoint),
-        dynamics_fired=[e.as_dict() for e in injector.fired],
-        determinism_digest=digest.hexdigest(),
-        endpoint_crashes=crashes,
-        dataplane=dict(summary.dataplane),
-    )

@@ -133,11 +133,8 @@ def run_streaming_scenario(
         # armed after the dynamics timeline, before the stream opens.
         from repro.durability.runtime import RunContext
 
-        ctx = RunContext(env, spec, seed)
-        ctx.data_manager = manager.data_manager
-        ctx.manager = manager
+        ctx = RunContext(env, spec, seed, manager)
         ctx.streaming = service
-        ctx.placement = manager.plan_service
         controller = controller_factory(ctx)
         controller.install()
 

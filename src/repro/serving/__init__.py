@@ -1,11 +1,13 @@
-"""Multi-workflow serving: N tenant workflows over one shared federation.
+"""The federation: N workflows over one shared substrate, one run loop.
 
-:class:`~repro.serving.manager.WorkflowManager` shares the simulation
-kernel, fabric, endpoint monitor, profilers and data plane between
-workflows while keeping graphs, schedulers, metrics and event buses per
-workflow; an :class:`~repro.serving.arbitration.ArbitrationPolicy` (FIFO,
-weighted fair-share, strict-priority) splits free capacity between tenants
-every pump round.
+:class:`~repro.serving.manager.WorkflowManager` builds and shares the
+simulation kernel, fabric, endpoint monitor, profilers and data plane
+between workflows while keeping graphs, schedulers, metrics and event buses
+per workflow, and drives them all from the one run loop (the single-workflow
+:class:`~repro.core.client.UniFaaSClient` is a one-tenant manager); an
+:class:`~repro.serving.arbitration.ArbitrationPolicy` (FIFO, weighted
+fair-share, strict-priority, EDF) splits free capacity between tenants every
+pump round.
 """
 
 from repro.serving.arbitration import (

@@ -1,30 +1,34 @@
-"""The multi-workflow serving layer (multi-tenant UniFaaS).
+"""The federation: one shared substrate, one run loop, N workflows.
 
-The paper's engine executes one workflow per client.  A production service
-faces many users submitting many workflows against the *same* federation —
-so :class:`WorkflowManager` runs N concurrent workflows over one shared
-substrate:
+:class:`WorkflowManager` is the only place the shared substrate of Fig. 1 is
+built and the only run loop in the package:
 
 * **shared** — the simulation kernel / clock, the execution fabric, the
   endpoint monitor's mocked real-time view, both profilers, the task
-  monitor (history + reliability) and one data manager / data plane (so
-  replica caching, pinning and eviction budgets are federation-wide);
-* **per workflow** — the task graph, task index, event bus, metrics,
-  coordinators and scheduler, with workflow-namespaced task ids so the
-  shared replica store's pins, sole-replica licenses and per-ticket volume
-  accounting never alias between tenants.
+  monitor (history + reliability), one data manager / data plane (so
+  replica caching, pinning and eviction budgets are federation-wide), the
+  placement service, the elastic scaling strategy and the control bus the
+  dynamics layer publishes on;
+* **per workflow** — an :class:`~repro.engine.core.ExecutionEngine`: task
+  graph, task index, event bus, metrics, coordinators and scheduler, with
+  workflow-namespaced task ids so the shared replica store's pins,
+  sole-replica licenses and per-ticket volume accounting never alias
+  between tenants.
 
-Each pump round the manager reads the federation's free capacity, asks its
-:class:`~repro.serving.arbitration.ArbitrationPolicy` to split it between
-the workflows that have demand (FIFO / fair-share weighted by owner /
-strict-priority), hands every workflow's scheduler its slice (capacity-
-slicing hook on :class:`~repro.sched.base.Scheduler`), pumps each workflow,
-and dispatches each workflow's staged tasks within its slice — merging
-placements deterministically by iterating workflows in arrival order.
-Workflow arrivals may be staggered: an arrival is scheduled on the
-simulation kernel (the same mechanism the dynamics layer uses), the
-workflow's DAG is built when its arrival comes due, and endpoint-dynamics
-events are forwarded from the manager's control bus to every tenant bus.
+The paper's single-workflow client (:class:`~repro.core.client.UniFaaSClient`)
+is this manager with one tenant, namespace ``""`` and no arbitration: the
+tenant's scheduler sees the whole federation.  With an
+:class:`~repro.serving.arbitration.ArbitrationPolicy` each pump round reads
+the federation's free capacity, splits it between the workflows that have
+demand (FIFO / fair-share weighted by owner / strict-priority / EDF), hands
+every workflow's scheduler its slice (capacity-slicing hook on
+:class:`~repro.sched.base.Scheduler`), pumps each workflow, and dispatches
+each workflow's staged tasks within its slice — merging placements
+deterministically by iterating workflows in arrival order.  Workflow
+arrivals may be staggered: an arrival is scheduled on the simulation kernel
+(the same mechanism the dynamics layer uses), the workflow's DAG is built
+when its arrival comes due, and endpoint-dynamics events are forwarded from
+the control bus to every tenant bus.
 """
 
 from __future__ import annotations
@@ -37,17 +41,17 @@ from repro.core.config import Config
 from repro.core.dag import TaskState
 from repro.core.exceptions import SchedulingError
 from repro.core.functions import FederatedFunction, set_current_client
-from repro.data.manager import task_namespace
+from repro.data.manager import DataManager, task_namespace
 from repro.data.transfer import LocalCopyTransferBackend, TransferBackend
 from repro.dataplane import DataPlane
-from repro.elastic.scaling import EndpointView, NoScalingStrategy, ScalingStrategy
-from repro.engine.bus import EventBus
-from repro.engine.core import (
-    PLACEMENT_DISABLED,
-    ExecutionEngine,
-    build_data_manager,
-    build_scaling_strategy,
+from repro.elastic.scaling import (
+    DefaultScalingStrategy,
+    EndpointView,
+    NoScalingStrategy,
+    ScalingStrategy,
 )
+from repro.engine.bus import EventBus
+from repro.engine.core import ExecutionEngine
 from repro.engine.events import (
     ColdStartWindow,
     EndpointCrashed,
@@ -71,7 +75,36 @@ from repro.serving.arbitration import (
     create_arbitration,
 )
 
-__all__ = ["ServingSummary", "WorkflowHandle", "WorkflowManager", "jain_index"]
+__all__ = [
+    "ENGINE_ATTRS",
+    "ServingSummary",
+    "WorkflowHandle",
+    "WorkflowManager",
+    "jain_index",
+]
+
+#: Engine components a composition surface (:class:`WorkflowHandle`, and the
+#: single-workflow :class:`~repro.core.client.UniFaaSClient`) re-exposes
+#: under their historical client attribute names — what workload builders
+#: and experiments read.
+ENGINE_ATTRS = frozenset(
+    {
+        "config",
+        "fabric",
+        "clock",
+        "graph",
+        "bus",
+        "task_monitor",
+        "endpoint_monitor",
+        "execution_profiler",
+        "transfer_profiler",
+        "data_manager",
+        "plan_service",
+        "scheduler",
+        "metrics",
+        "context",
+    }
+)
 
 #: Dynamics event types the manager's control bus forwards to tenant buses.
 _DYNAMICS_EVENTS = (
@@ -84,8 +117,7 @@ _DYNAMICS_EVENTS = (
     StatusStalenessChanged,
 )
 
-#: Task states that count as scaling pressure (mirrors the single-workflow
-#: periodic coordinator).
+#: Task states that count as scaling pressure.
 _PENDING_STATES = (TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
 
 
@@ -109,7 +141,8 @@ class WorkflowHandle:
 
     Behaves like a :class:`~repro.core.client.UniFaaSClient` for workflow
     composition — decorated-function invocations inside a ``with handle:``
-    block register tasks on this workflow's engine — while the manager
+    block register tasks on this workflow's engine, and the engine's
+    components read under the same attribute names — while the manager
     drives execution.
     """
 
@@ -148,6 +181,12 @@ class WorkflowHandle:
         self._attributed_mb: Optional[float] = None
 
     # -------------------------------------------------- client-like facade
+    def __getattr__(self, name: str):
+        # Only consulted for names not found the normal way.
+        if name in ENGINE_ATTRS:
+            return getattr(self.engine, name)
+        raise AttributeError(f"{type(self).__name__!s} object has no attribute {name!r}")
+
     def submit(self, fn: FederatedFunction, args: tuple, kwargs: Dict[str, object]):
         """Register one invocation of ``fn`` (called by the decorator)."""
         return self.engine.submit(fn, args, kwargs)
@@ -167,9 +206,11 @@ class WorkflowHandle:
     def pause(self) -> None:
         """Stop pumping this workflow (in-flight fabric tasks still drain)."""
         self.paused = True
+        self._manager._membership_changed()
 
     def resume(self) -> None:
         self.paused = False
+        self._manager._membership_changed()
 
     def cancel(self) -> None:
         """Cancel this workflow.
@@ -182,25 +223,7 @@ class WorkflowHandle:
         if self.cancelled or self.finished:
             return
         self.cancelled = True
-        if self.started:
-            self.engine.finalize()
-        self.finished = True
-
-    @property
-    def fabric(self) -> ExecutionFabric:
-        return self.engine.fabric
-
-    @property
-    def graph(self):
-        return self.engine.graph
-
-    @property
-    def bus(self) -> EventBus:
-        return self.engine.bus
-
-    @property
-    def metrics(self) -> MetricsCollector:
-        return self.engine.metrics
+        self._manager._finish(self)
 
     @property
     def complete(self) -> bool:
@@ -248,12 +271,55 @@ class ServingSummary:
         }
 
 
+def _build_data_manager(config: Config, backend: TransferBackend, clock) -> DataManager:
+    """The data layer ``config`` asks for: the data-plane subsystem (replica
+    store + priority transfer scheduling + prefetch) or, with the plane
+    disabled, the paper's plain FIFO staging path, byte-identically."""
+    if config.enable_dataplane:
+        default_storage = (
+            config.storage_capacity_gb * 1024.0
+            if config.storage_capacity_gb is not None
+            else None
+        )
+        return DataPlane(
+            backend,
+            clock,
+            mechanism=config.transfer_mechanism,
+            max_concurrent_transfers=config.max_concurrent_transfers,
+            max_retries=config.max_transfer_retries,
+            storage_budget_mb=config.storage_budget_mb(),
+            default_storage_mb=default_storage,
+            eviction_policy=config.eviction_policy,
+        )
+    return DataManager(
+        backend,
+        clock,
+        mechanism=config.transfer_mechanism,
+        max_concurrent_transfers=config.max_concurrent_transfers,
+        max_retries=config.max_transfer_retries,
+    )
+
+
+def _build_scaling_strategy(config: Config) -> ScalingStrategy:
+    """The elasticity strategy ``config`` asks for (§IV-H)."""
+    if not config.enable_scaling:
+        return NoScalingStrategy()
+    caps = {
+        spec.endpoint: spec.max_workers
+        for spec in config.executors
+        if spec.max_workers is not None
+    }
+    return DefaultScalingStrategy(caps=caps)
+
+
 class WorkflowManager:
     """Run N concurrent workflows over one shared federation."""
 
     #: Consecutive no-progress rounds before forced dispatch is attempted.
     stall_soft_rounds: int = 10
-    #: Hard ceiling on consecutive no-progress rounds.
+    #: Hard ceiling on consecutive no-progress rounds.  Forced dispatch may
+    #: legitimately wait, but a federation that makes no progress for this
+    #: many rounds can never recover — raise instead of spinning forever.
     stall_hard_rounds: int = 1000
 
     def __init__(
@@ -262,7 +328,7 @@ class WorkflowManager:
         fabric: ExecutionFabric,
         *,
         transfer_backend: Optional[TransferBackend] = None,
-        arbitration: Union[str, ArbitrationPolicy] = "fair_share",
+        arbitration: Union[str, ArbitrationPolicy, None] = "fair_share",
         scaling_strategy: Optional[ScalingStrategy] = None,
         history_store: Optional[HistoryStore] = None,
         scaling_check_interval_s: float = 10.0,
@@ -272,19 +338,20 @@ class WorkflowManager:
         self.fabric = fabric
         self.clock = fabric.clock
         #: Control bus: the dynamics injector publishes here; the manager
-        #: forwards to every tenant bus and runs shared-plane reactions once.
+        #: forwards to every tenant bus.
         self.bus = EventBus()
-        self.policy = (
+        self._columnar = bool(getattr(config, "enable_columnar_engine", True))
+        #: Cross-workflow arbitration; ``None`` (the single-workflow client)
+        #: hands the one tenant the whole federation — no capacity slice, no
+        #: dispatch budget.
+        self.policy: Optional[ArbitrationPolicy] = (
             arbitration
-            if isinstance(arbitration, ArbitrationPolicy)
-            else create_arbitration(
-                arbitration,
-                vectorized=getattr(config, "enable_columnar_engine", True),
-            )
+            if arbitration is None or isinstance(arbitration, ArbitrationPolicy)
+            else create_arbitration(arbitration, vectorized=self._columnar)
         )
         self.scaling_check_interval_s = scaling_check_interval_s
 
-        # Shared substrate: one of each, federation-wide.
+        # Shared substrate: one of each, federation-wide, built only here.
         store = history_store or HistoryStore(config.history_db_path or ":memory:")
         self.task_monitor = TaskMonitor(store)
         self.endpoint_monitor = EndpointMonitor(
@@ -292,6 +359,7 @@ class WorkflowManager:
             self.clock,
             sync_interval_s=config.endpoint_sync_interval_s,
         )
+        # Profilers, warm-started from history when available.
         self.execution_profiler = ExecutionProfiler(
             store if store.task_count() else None,
             max_samples_retained=profiler_sample_window,
@@ -299,16 +367,17 @@ class WorkflowManager:
         self.transfer_profiler = TransferProfiler(store if store.transfer_count() else None)
         self.task_monitor.add_task_listener(self.execution_profiler.observe)
         backend = transfer_backend or LocalCopyTransferBackend(clock=self.clock)
-        self.data_manager = build_data_manager(config, backend, self.clock)
+        self.data_manager = _build_data_manager(config, backend, self.clock)
         self.data_manager.add_transfer_callback(self._on_transfer_result)
 
-        # Elasticity is a federation-level concern: tenant engines get a
-        # no-op strategy and the manager aggregates pending pressure.
-        self.scaling_strategy = scaling_strategy or build_scaling_strategy(config)
+        # Elasticity is a federation-level concern: one strategy, fed the
+        # aggregate pending pressure of every workflow.
+        self.scaling_strategy = scaling_strategy or _build_scaling_strategy(config)
 
-        # Global placement is federation-level too: one shared service, every
-        # tenant engine attached, so demand and hot datasets are planned
-        # across tenants and one RNG stream drives every solve.
+        # Global placement (capacitated facility location) is federation-
+        # level too: one service, every engine attached, so demand and hot
+        # datasets are planned across tenants and one RNG stream drives every
+        # solve.  ``None`` (the config disables the plan) = greedy layers.
         self.plan_service = None
         if config.enable_placement_plan:
             from repro.placement.service import PlacementService
@@ -316,28 +385,37 @@ class WorkflowManager:
             self.plan_service = PlacementService(config)
             if hasattr(self.scaling_strategy, "plan_provider"):
                 self.scaling_strategy.plan_provider = self.plan_service.current_plan
+            if isinstance(self.data_manager, DataPlane):
+                self.data_manager.set_plan_provider(self.plan_service.current_plan)
 
-        # Dynamics: forward to tenants first (their failure coordinators
-        # re-place stranded tasks), then run the shared plane's quarantine —
-        # the same relative order the single-workflow bus wiring has.  Every
-        # subscription is recorded so :meth:`shutdown` can release it.
+        # Dynamics are forwarded to every tenant bus, where each engine's own
+        # handlers (monitor re-sync, failure coordinator, data-plane
+        # quarantine) react in one fixed order.  Every subscription is
+        # recorded so :meth:`shutdown` can release it.
         self._subscriptions: List = []
         for event_type in _DYNAMICS_EVENTS:
             self.bus.subscribe(event_type, self._forward_dynamics)
             self._subscriptions.append((event_type, self._forward_dynamics))
-        if isinstance(self.data_manager, DataPlane):
-            plane = self.data_manager
-            on_crashed = lambda e: plane.on_endpoint_crashed(e.endpoint)  # noqa: E731
-            on_rejoined = lambda e: plane.on_endpoint_rejoined(e.endpoint)  # noqa: E731
-            self.bus.subscribe(EndpointCrashed, on_crashed)
-            self.bus.subscribe(EndpointRejoined, on_rejoined)
-            self._subscriptions.append((EndpointCrashed, on_crashed))
-            self._subscriptions.append((EndpointRejoined, on_rejoined))
 
         self._workflows: Dict[str, WorkflowHandle] = {}
         self._ordered: List[WorkflowHandle] = []
+        #: Started, unfinished, unpaused workflows in arrival order, and their
+        #: arbitration shares — rebuilt only when membership changes.
+        self._active: List[WorkflowHandle] = []
+        self._shares: List[TenantShare] = []
+        #: Registered workflows not yet activated / not yet finished.
+        self._unstarted = 0
+        self._unfinished = 0
+        #: The active set changed, or a dispatch grant went unconsumed, since
+        #: the last pump: the next round must pump.
+        self._dirty = False
+        #: ``bus.published_count`` at the last pump (a control-bus event since
+        #: then makes the next round pump).
+        self._control_settled = 0
+        #: The dynamics event the scaler last reacted to (every tenant
+        #: forwards the same event; only the first reaction counts).
+        self._scaled_for: object = None
         self._arrival_handles: Dict[str, object] = {}
-        self._running = False
         self._shut_down = False
         self._last_scaling_check = 0.0
         self._started_at: Optional[float] = None
@@ -351,17 +429,6 @@ class WorkflowManager:
         self.on_workflow_finished: Optional[Callable[[WorkflowHandle], None]] = None
         #: All-time counters that survive retirement (summary aggregates).
         self.retired_count = 0
-
-    def disable_placement(self) -> None:
-        """Drop the shared placement plan; tenants admitted later run greedy.
-
-        Open-loop streaming calls this before the first arrival: ephemeral
-        tenants live and die well inside ``placement_interval_s``, so a
-        federation-wide plan has nothing to amortise there.
-        """
-        self.plan_service = None
-        if hasattr(self.scaling_strategy, "plan_provider"):
-            self.scaling_strategy.plan_provider = None
 
     # ------------------------------------------------------------ workflows
     def add_workflow(
@@ -385,37 +452,21 @@ class WorkflowManager:
         ``weight`` feeds fair-share arbitration, ``priority`` the
         strict-priority policy, and ``deadline_s`` (an absolute simulation
         time; the streaming admission layer sets admit time + SLO) the
-        earliest-deadline-first policy.
+        earliest-deadline-first policy.  The id namespaces the workflow's
+        task ids; ``""`` (the single-workflow client) leaves them bare.
         """
         if weight <= 0:
             raise ValueError("workflow weight must be positive")
         if arrival_s < 0:
             raise ValueError("arrival_s must be non-negative")
-        workflow_id = workflow_id or f"wf{len(self._workflows)}"
+        if workflow_id is None:
+            workflow_id = f"wf{len(self._workflows)}"
         if workflow_id in self._workflows:
             raise ValueError(f"duplicate workflow id {workflow_id!r}")
         if "/" in workflow_id:
             raise ValueError("workflow ids must not contain '/' (the namespace separator)")
         engine = ExecutionEngine(
-            self.config,
-            self.fabric,
-            scheduler=scheduler,
-            scaling_strategy=NoScalingStrategy(),
-            metrics=metrics,
-            endpoint_monitor=self.endpoint_monitor,
-            execution_profiler=self.execution_profiler,
-            transfer_profiler=self.transfer_profiler,
-            task_monitor=self.task_monitor,
-            data_manager=self.data_manager,
-            # The manager owns the placement decision for every tenant: the
-            # shared service when the plan is on, explicitly disabled when it
-            # is off — a tenant engine must never self-build a private plan.
-            placement=(
-                self.plan_service
-                if self.plan_service is not None
-                else PLACEMENT_DISABLED
-            ),
-            namespace=workflow_id,
+            self, scheduler=scheduler, metrics=metrics, namespace=workflow_id
         )
         engine.metrics.tenant = owner or workflow_id
         handle = WorkflowHandle(
@@ -430,6 +481,8 @@ class WorkflowManager:
             builder=builder,
         )
         self._workflows[workflow_id] = handle
+        self._unstarted += 1
+        self._unfinished += 1
         # Deterministic tenant order regardless of registration interleaving.
         # Every live handle is (re)stamped with its position — the arbitration
         # policies' FIFO key.  The stamp, not a live ``enumerate``, is what
@@ -440,6 +493,7 @@ class WorkflowManager:
         )
         for index, ordered_handle in enumerate(self._ordered):
             ordered_handle.arrival_index = index
+        self._membership_changed()
         kernel = getattr(self.fabric, "kernel", None)
         if kernel is not None and arrival_s > self.clock.now():
             # A real (non-daemon) kernel event, like the dynamics layer's
@@ -466,52 +520,61 @@ class WorkflowManager:
 
     # ------------------------------------------------------------------ run
     def run(self, max_wall_time_s: Optional[float] = None) -> None:
-        """Drive every registered workflow to completion.
+        """Drive every registered workflow to completion — the one run loop.
+
+        A round advances the fabric, delivers its completion records, runs
+        the cadences, and pumps (growth → placement → dispatch) unless the
+        pump would provably repeat the last round's no-op: two of a task's
+        three kernel events (batch delivery at the endpoint, the
+        endpoint-internal finish) change nothing any engine can observe.
 
         Raises :class:`SchedulingError` when the federation stalls (no
         workflow can make progress and no arrival is pending).
         """
         if not self._workflows and self.completion_hold is None:
             return
-        self._running = True
         for name in self.fabric.endpoint_names():
             if name not in self.endpoint_monitor.endpoint_names():
                 self.endpoint_monitor.register(name)
+        for handle in self._ordered:
+            if handle.finished and not handle.cancelled and handle.engine.graph.unfinished_count():
+                # Composed further since an earlier run() finished it.
+                handle.finished = False
+                self._unfinished += 1
+                handle.engine.start()
+                self._membership_changed()
         if self._started_at is None:
             self._started_at = self.clock.now()
         wall_start = _time.monotonic()
         stall_rounds = 0
-        while not self._all_complete():
+        while self._unfinished or (
+            # The arrival stream still owes work (pending arrivals, queued
+            # admissions): an empty or fully-drained tenant set is not the
+            # end of the run.
+            self.completion_hold is not None and self.completion_hold()
+        ):
             if max_wall_time_s is not None and _time.monotonic() - wall_start > max_wall_time_s:
                 raise SchedulingError(
-                    f"serving run exceeded the wall-time budget of {max_wall_time_s} s"
+                    f"run exceeded the wall-time budget of {max_wall_time_s} s"
                 )
-            activated = self._activate_due()
+            activated = self._unstarted > 0 and self._activate_due()
             records = self.fabric.process()
-            if getattr(self.config, "enable_columnar_engine", True):
-                # Columnar path: hand each engine its *consecutive* run of
-                # records as one batch.  Batching only adjacent same-engine
-                # records preserves the global record order every shared,
-                # order-sensitive component (task monitor, profilers) sees.
-                start = 0
-                while start < len(records):
-                    engine = self._engine_for_task(records[start].task_id)
-                    stop = start + 1
-                    while (
-                        stop < len(records)
-                        and self._engine_for_task(records[stop].task_id) is engine
-                    ):
-                        stop += 1
-                    engine._handle_completions(records[start:stop])
-                    start = stop
-            else:
-                for record in records:
-                    self._engine_for_task(record.task_id)._handle_completion(record)
-            for handle in self._active_workflows():
+            if records:
+                self._deliver(records)
+            active = self._active
+            for handle in active:
                 handle.engine.periodic.check()
-            self._check_scaling()
-            progressed = self._pump()
-            self._finish_completed()
+            now = self.clock.now()
+            if now - self._last_scaling_check >= self.scaling_check_interval_s:
+                self._last_scaling_check = now
+                self.scale_now()
+            due = bool(records) or self._dirty or self.bus.published_count != self._control_settled
+            if not due:
+                for handle in active:
+                    if handle.engine.pump_due():
+                        due = True
+                        break
+            progressed = due and self._pump(active)
             if activated or records or progressed or self.fabric.pending_work():
                 stall_rounds = 0
                 continue
@@ -521,14 +584,14 @@ class WorkflowManager:
                     h.workflow_id: h.engine.graph.counts() for h in self._ordered
                 }
                 raise SchedulingError(
-                    f"serving run made no progress for {stall_rounds} rounds; "
+                    f"run stalled: no progress for {stall_rounds} rounds; "
                     f"task states: {counts}"
                 )
-            if stall_rounds > self.stall_soft_rounds:
+            if stall_rounds > self.stall_soft_rounds and self.config.enable_delay_mechanism:
                 # Delay-mechanism deadlock on an empty pool: force the staged
-                # queue heads out, in arrival order (the single-workflow
-                # engine's stall diagnosis, across tenants).
-                for handle in self._active_workflows():
+                # queue heads out, in arrival order.  (Without the mechanism
+                # the dispatch gate is open and the next pump retries.)
+                for handle in active:
                     if handle.engine.dispatch.dispatch_staged(force=True):
                         break
         self._finished_at = self.clock.now()
@@ -539,15 +602,14 @@ class WorkflowManager:
         """Release this manager's shared-kernel footprint (idempotent).
 
         Cancels every pending workflow-arrival event and unsubscribes the
-        control bus's dynamics/dataplane handlers, so a manager discarded
-        mid-run — orchestrator crash recovery, an aborted ``with`` block, or
-        a restore replacing it — never double-fires handlers or activates
-        workflows alongside its successor.
+        control bus's dynamics handlers, so a manager discarded mid-run —
+        orchestrator crash recovery, an aborted ``with`` block, or a restore
+        replacing it — never double-fires handlers or activates workflows
+        alongside its successor.
         """
         if self._shut_down:
             return
         self._shut_down = True
-        self._running = False
         for event_handle in self._arrival_handles.values():
             event_handle.cancel()
         self._arrival_handles.clear()
@@ -556,21 +618,37 @@ class WorkflowManager:
         self._subscriptions.clear()
 
     # ------------------------------------------------------------- internals
+    def _membership_changed(self) -> None:
+        """Rebuild the cached active list and its arbitration shares."""
+        self._active = [
+            h for h in self._ordered if h.started and not h.finished and not h.paused
+        ]
+        self._shares = [
+            TenantShare(
+                workflow_id=h.workflow_id,
+                weight=h.weight,
+                priority=h.priority,
+                arrival_index=h.arrival_index,
+                deadline=h.deadline_s,
+            )
+            for h in self._active
+        ]
+        self._dirty = True
+
     def _activate(self, handle: WorkflowHandle) -> None:
         if handle.started or handle.cancelled or self._shut_down:
             return
         handle.started = True
+        self._unstarted -= 1
         if handle.builder is not None:
             handle.builder(handle)
         if len(handle.engine.graph) == 0:
             # An empty workflow is trivially complete.
             handle.engine.metrics.workflow_started(self.clock.now())
-            handle.engine.finalize()
-            handle.finished = True
-            if self.on_workflow_finished is not None:
-                self.on_workflow_finished(handle)
+            self._finish(handle)
             return
         handle.engine.start()
+        self._membership_changed()
 
     def _activate_due(self) -> bool:
         activated = False
@@ -581,29 +659,48 @@ class WorkflowManager:
                 activated = True
         return activated
 
-    def _active_workflows(self) -> List[WorkflowHandle]:
-        return [
-            h for h in self._ordered if h.started and not h.finished and not h.paused
-        ]
+    def _finish(self, handle: WorkflowHandle) -> None:
+        """Close out a completed — or cancelled — workflow."""
+        if handle.started:
+            handle.engine.finalize()
+        else:
+            self._unstarted -= 1
+        handle.finished = True
+        self._unfinished -= 1
+        self._membership_changed()
+        if self.on_workflow_finished is not None and not handle.cancelled:
+            self.on_workflow_finished(handle)
 
-    def _all_complete(self) -> bool:
-        if self.completion_hold is not None and self.completion_hold():
-            # The arrival stream still owes work (pending arrivals, queued
-            # admissions): an empty or fully-drained tenant set is not the
-            # end of the run.
-            return False
-        return all(h.finished for h in self._ordered)
-
-    def _engine_for_task(self, task_id: str) -> ExecutionEngine:
-        return self._workflows[task_namespace(task_id)].engine
-
-    def _finish_completed(self) -> None:
-        for handle in self._active_workflows():
-            if handle.engine.graph.is_complete():
-                handle.engine.finalize()
-                handle.finished = True
-                if self.on_workflow_finished is not None:
-                    self.on_workflow_finished(handle)
+    def _deliver(self, records: List) -> None:
+        """Hand one fabric round's completion records to their engines."""
+        columnar = self._columnar
+        if len(self._ordered) == 1:
+            # One registered workflow: every record is its.
+            engine = self._ordered[0].engine
+            if columnar:
+                engine._handle_completions(records)
+            else:
+                for record in records:
+                    engine._handle_completion(record)
+            return
+        workflows = self._workflows
+        engines = [workflows[task_namespace(r.task_id)].engine for r in records]
+        if not columnar:
+            for engine, record in zip(engines, records):
+                engine._handle_completion(record)
+            return
+        # Columnar path: hand each engine its *consecutive* run of records as
+        # one batch.  Batching only adjacent same-engine records preserves the
+        # global record order every shared, order-sensitive component (task
+        # monitor, profilers) sees.
+        start, count = 0, len(records)
+        while start < count:
+            engine = engines[start]
+            stop = start + 1
+            while stop < count and engines[stop] is engine:
+                stop += 1
+            engine._handle_completions(records[start:stop])
+            start = stop
 
     # ------------------------------------------------------------ retirement
     def retire(self, handle: WorkflowHandle) -> None:
@@ -640,31 +737,19 @@ class WorkflowManager:
             arrival.cancel()
         self.retired_count += 1
 
-    def _tenants(self, active: List[WorkflowHandle]) -> List[TenantShare]:
-        return [
-            TenantShare(
-                workflow_id=h.workflow_id,
-                weight=h.weight,
-                priority=h.priority,
-                arrival_index=h.arrival_index,
-                deadline=h.deadline_s,
-            )
-            for h in self._ordered
-            if h in active
-        ]
-
     def _free_capacity(self) -> Dict[str, int]:
         return {
             name: self.endpoint_monitor.free_capacity(name)
             for name in self.endpoint_monitor.endpoint_names()
         }
 
-    def _pump(self) -> bool:
-        """One arbitrated round of placement and dispatch across tenants."""
-        active = self._active_workflows()
+    def _pump(self, active: List[WorkflowHandle]) -> bool:
+        """One round of growth, placement and dispatch across the active
+        workflows, then close out the ones that completed."""
+        self._dirty = False
+        self._control_settled = self.bus.published_count
         if not active:
             return False
-        tenants = self._tenants(active)
         progressed = False
 
         # Workflow growth first (authoring runtimes reacting to terminal
@@ -674,6 +759,25 @@ class WorkflowManager:
         for handle in active:
             progressed |= handle.engine.drain_growth()
 
+        if self.policy is None:
+            for handle in active:
+                progressed |= handle.engine.placement.schedule_ready()
+            for handle in active:
+                progressed |= handle.engine.dispatch.dispatch_staged()
+        else:
+            progressed |= self._pump_arbitrated(active, self.policy)
+        self.fabric.flush()
+
+        for handle in active:
+            if handle.engine.graph.is_complete():
+                self._finish(handle)
+        return progressed
+
+    def _pump_arbitrated(self, active: List[WorkflowHandle], policy: ArbitrationPolicy) -> bool:
+        """Placement and dispatch with the federation's capacity split
+        between the tenants by ``policy``."""
+        tenants = self._shares
+        progressed = False
         # Placement: slice the *unclaimed* free capacity (free workers minus
         # every tenant's not-yet-dispatched claims) between the workflows
         # with placeable work, so capacity-limited placement (Locality,
@@ -699,7 +803,7 @@ class WorkflowManager:
             placement_demand = {
                 wid: dict.fromkeys(endpoints, size) for wid, size in demand_size.items()
             }
-            placement_slices = self.policy.allocate(
+            placement_slices = policy.allocate(
                 unclaimed, placement_demand, tenants, record_service=False
             )
             for handle in active:
@@ -717,21 +821,34 @@ class WorkflowManager:
         if any(staged_demand.values()):
             free_now = self._free_capacity()
             if any(free_now.values()):
-                budgets = self.policy.allocate(free_now, staged_demand, tenants)
+                budgets = policy.allocate(free_now, staged_demand, tenants)
+                dispatched = False
                 for handle in active:
-                    progressed |= handle.engine.dispatch.dispatch_staged(
+                    dispatched |= handle.engine.dispatch.dispatch_staged(
                         budget=budgets.get(handle.workflow_id, {})
                     )
-        self.fabric.flush()
+                if not dispatched and any(budgets.values()):
+                    # An unconsumed grant still counted as service rendered
+                    # (fair-share's deficit), so the next round's allocation
+                    # is not a repeat of this one even though no event was
+                    # published.
+                    self._dirty = True
+                progressed |= dispatched
         return progressed
 
-    def _check_scaling(self) -> None:
-        now = self.clock.now()
-        if now - self._last_scaling_check < self.scaling_check_interval_s:
-            return
-        self._last_scaling_check = now
+    def scale_now(self, cause: object = None) -> None:
+        """Let the elasticity strategy request workers (§IV-H).
+
+        Runs on the run loop's cadence, and promptly when endpoint dynamics
+        change capacity: every tenant engine forwards the same ``cause``
+        event, and only the first call per event acts.
+        """
+        if cause is not None:
+            if cause is self._scaled_for:
+                return
+            self._scaled_for = cause
         pending = 0
-        for handle in self._active_workflows():
+        for handle in self._active:
             graph = handle.engine.graph
             pending += handle.engine.index.queued_count
             pending += sum(graph.state_count(state) for state in _PENDING_STATES)
@@ -766,7 +883,7 @@ class WorkflowManager:
         start = self._started_at or 0.0
         finish = self._finished_at if self._finished_at is not None else self.clock.now()
         return ServingSummary(
-            policy=self.policy.name,
+            policy=self.policy.name if self.policy is not None else "none",
             makespan_s=max(0.0, finish - start),
             total_tasks=sum(s.total_tasks for s in workflows.values()),
             completed_tasks=sum(s.completed_tasks for s in workflows.values()),

@@ -60,9 +60,14 @@ class StreamingService:
         # Open-loop tenants are ephemeral — a handful of tasks, gone in
         # seconds, far inside the plan's re-solve cadence — so the global
         # placement plan has nothing to amortise and would only perturb the
-        # arbitration policies' fairness properties.  Streaming serving
-        # keeps the per-task greedy path.
-        manager.disable_placement()
+        # arbitration policies' fairness properties.  The plan is scoped to
+        # closed-loop managers by construction: streaming serving takes one
+        # built from a config with the plan off.
+        if manager.plan_service is not None:
+            raise ValueError(
+                "streaming serving needs a manager built without the placement "
+                "plan (Config.enable_placement_plan=False)"
+            )
         self.builder_factory = builder_factory
         self.on_admit = on_admit
         self.on_retire = on_retire

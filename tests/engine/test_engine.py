@@ -1,9 +1,9 @@
-"""Engine internals: indexed state, the stall ceiling, and memoization."""
+"""Engine internals: indexed state and memoization (the run loop's stall
+ladder and idle-round skip live in ``tests/serving/test_run_loop.py``)."""
 
 import pytest
 
 from repro.core.dag import Task
-from repro.core.exceptions import SchedulingError
 from repro.core.functions import SimProfile, function
 from repro.engine.state import TaskIndex
 
@@ -46,82 +46,6 @@ class TestTaskIndex:
         index = TaskIndex()
         index.clear_undispatched("missing")
         assert index.undispatched_count == 0
-
-
-class TestStallCeiling:
-    def test_hard_ceiling_raises_with_state_counts(self):
-        # Staged tasks with the delay mechanism disabled used to make the
-        # stall diagnosis return forever while the dispatch gate never
-        # opened, spinning run() indefinitely.  The hard ceiling turns that
-        # into a diagnosable SchedulingError.
-        env = build_two_site_env()
-        config = env.make_config("DHA", enable_delay_mechanism=False)
-        client = env.make_client(config)
-        client.engine.stall_hard_rounds = 50
-        client.scheduler.should_dispatch = lambda task: False
-        with client:
-            engine_work()
-            with pytest.raises(SchedulingError, match="no progress.*staged"):
-                client.run()
-
-    def test_soft_diagnosis_still_raises_without_staged_tasks(self):
-        env = build_two_site_env(workers_a=0, workers_b=0)
-        # No workers anywhere and scaling disabled: tasks stay staged but
-        # DHA's forced dispatch drains them; with a scheduler that never
-        # places anything the workflow stalls in READY instead.
-        config = env.make_config("ROUND_ROBIN")
-        client = env.make_client(config)
-        client.scheduler.schedule = lambda ready: []
-        client.engine.stall_hard_rounds = 50
-        with client:
-            engine_work()
-            with pytest.raises(SchedulingError, match="stalled"):
-                client.run()
-
-
-class TestIdleRoundSkip:
-    """``run`` skips the pump after kernel events the engine cannot observe."""
-
-    @staticmethod
-    def _run_chains(always_pump=False, mocking=True):
-        env = build_two_site_env(workers_a=2, workers_b=2)
-        client = env.make_client(env.make_config("DHA"))
-        client.endpoint_monitor.mocking_enabled = mocking
-        engine = client.engine
-        if always_pump:
-            engine._pump_due = lambda: True
-        log, rounds, pumps = [], [0], [0]
-        client.bus.subscribe_all(
-            lambda e: log.append((type(e).__name__, e.time, getattr(e, "endpoint", None)))
-        )
-        process, pump = engine.fabric.process, engine._pump
-
-        def counted_process(*args, **kwargs):
-            rounds[0] += 1
-            return process(*args, **kwargs)
-
-        def counted_pump():
-            pumps[0] += 1
-            return pump()
-
-        engine.fabric.process, engine._pump = counted_process, counted_pump
-        with client:
-            for _ in range(6):
-                engine_work(engine_work(engine_work()))
-            client.run()
-        return log, rounds[0], pumps[0]
-
-    def test_skipped_rounds_change_no_event(self):
-        log, rounds, pumps = self._run_chains()
-        reference, reference_rounds, reference_pumps = self._run_chains(always_pump=True)
-        assert log == reference and rounds == reference_rounds
-        assert reference_pumps == reference_rounds
-        assert pumps < rounds
-
-    def test_never_skips_with_mocking_disabled(self):
-        # Endpoint state then moves without any bus event.
-        _, rounds, pumps = self._run_chains(mocking=False)
-        assert pumps == rounds
 
 
 class TestPredictionMemoization:

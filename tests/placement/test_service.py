@@ -27,8 +27,10 @@ def _client_with_pending_consumers(tasks: int = 8):
     hot = GlobusFile("hot-data", size_mb=64.0, location="site_b")
     with client:
         futures = [read_hot(hot) for _ in range(tasks)]
-    # Build the scheduling context (the serving layer calls this per tenant;
-    # client.run() would call it lazily) so the service can snapshot demand.
+    # What the run loop does before its first round — monitor the endpoints,
+    # build the scheduling context — so the service can snapshot demand.
+    for name in env.fabric.endpoint_names():
+        client.endpoint_monitor.register(name)
     client.engine.start()
     return env, client, futures
 

@@ -76,7 +76,7 @@ class TestCompareModes:
             "compare", "ci-smoke",
             "--modes", "default,no-vector,no-columnar", "--out", str(tmp_path),
         ) == 0
-        assert "all 3 mode digests identical" in capsys.readouterr().out
+        assert "all 3 mode artifacts identical" in capsys.readouterr().out
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [
             "BENCH_ci-smoke-nocolumnar.json",
@@ -84,18 +84,26 @@ class TestCompareModes:
             "BENCH_ci-smoke.json",
         ]
 
-    def test_diverging_modes_exit_1(self, tmp_path, capsys, monkeypatch):
-        digests = iter(["a" * 64, "b" * 64])
+    @pytest.mark.parametrize(
+        "artifacts",
+        [
+            [("a" * 64, 1.0), ("b" * 64, 1.0)],
+            # Same event log, different metrics: the whole artifact is gated,
+            # not only its digest field.
+            [("a" * 64, 1.0), ("a" * 64, 2.0)],
+        ],
+    )
+    def test_diverging_modes_exit_1(self, tmp_path, capsys, monkeypatch, artifacts):
+        remaining = iter(artifacts)
 
         class FakeResult:
             def __init__(self):
-                self.determinism_digest = next(digests)
-                self.makespan_s = 1.0
+                self.determinism_digest, self.makespan_s = next(remaining)
                 self.completed_tasks = 1
                 self.seed = 0
 
             def to_json(self):
-                return "{}"
+                return json.dumps([self.determinism_digest, self.makespan_s])
 
         monkeypatch.setattr(cli, "run_scenario", lambda spec, **kw: FakeResult())
         assert run_cli(

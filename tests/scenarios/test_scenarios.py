@@ -100,7 +100,7 @@ class TestCrashRecovery:
         env.seed_execution_knowledge(client, [spec])
         fn = make_task_type(spec)
 
-        injector = DynamicsInjector(env, client.engine)
+        injector = DynamicsInjector(env, client.manager)
         injector.install([TimelineEvent(at_s=5.0, action="crash", endpoint="site_a")])
 
         with client:
@@ -131,7 +131,7 @@ class TestCrashRecovery:
         env.seed_execution_knowledge(client, [spec])
         fn = make_task_type(spec)
 
-        injector = DynamicsInjector(env, client.engine)
+        injector = DynamicsInjector(env, client.manager)
         injector.install([TimelineEvent(at_s=2.0, action="crash", endpoint="site_a")])
 
         with client:
@@ -151,7 +151,7 @@ class TestCrashRecovery:
         env.seed_execution_knowledge(client, [spec])
         fn = make_task_type(spec)
 
-        injector = DynamicsInjector(env, client.engine)
+        injector = DynamicsInjector(env, client.manager)
         injector.install([
             TimelineEvent(at_s=4.0, action="crash", endpoint="site_a"),
             TimelineEvent(at_s=20.0, action="rejoin", endpoint="site_a", value=8.0),
@@ -212,7 +212,7 @@ class TestFlushStarvation:
         env.seed_execution_knowledge(client, [spec])
         fn = make_task_type(spec)
 
-        injector = DynamicsInjector(env, client.engine)
+        injector = DynamicsInjector(env, client.manager)
         injector.install([TimelineEvent(at_s=3.0, action="crash", endpoint="site_a")])
 
         with client:
@@ -267,7 +267,7 @@ class TestNetworkAndStalenessDynamics:
         env = two_site_env()
         config = env.make_config("DHA")
         client = env.make_client(config)
-        injector = DynamicsInjector(env, client.engine)
+        injector = DynamicsInjector(env, client.manager)
         injector.install([
             TimelineEvent(at_s=1.0, action="net_degrade", value=0.25, duration_s=4.0),
         ])
@@ -294,7 +294,7 @@ class TestNetworkAndStalenessDynamics:
         env = two_site_env()
         config = env.make_config("DHA")
         client = env.make_client(config)
-        injector = DynamicsInjector(env, client.engine)
+        injector = DynamicsInjector(env, client.manager)
         injector.install([
             # A long window with a shorter one nested inside it: neither the
             # long window's own restore nor the nested one may end the
@@ -322,7 +322,7 @@ class TestNetworkAndStalenessDynamics:
         env = two_site_env()
         config = env.make_config("DHA")
         client = env.make_client(config)
-        injector = DynamicsInjector(env, client.engine)
+        injector = DynamicsInjector(env, client.manager)
         injector.install([
             TimelineEvent(at_s=1.0, action="crash", endpoint="site_a"),
             # Churn on the crashed endpoint and a second crash are no-ops.
@@ -342,7 +342,7 @@ class TestNetworkAndStalenessDynamics:
         env = two_site_env()
         config = env.make_config("DHA")
         client = env.make_client(config)
-        injector = DynamicsInjector(env, client.engine)
+        injector = DynamicsInjector(env, client.manager)
         injector.install([
             TimelineEvent(at_s=1.0, action="staleness", value=500.0, duration_s=5.0),
         ])

@@ -8,8 +8,33 @@ requests and the FIFO data manager's retry / supersede behaviour).
 
 import dataclasses
 
-from repro.scenarios.presets import get_scenario, standard_dynamics
-from repro.scenarios.spec import run_scenario
+import pytest
+
+from repro.scenarios.presets import SCENARIOS, get_scenario, scenario_names, standard_dynamics
+from repro.scenarios.spec import _build_environment, run_scenario
+from repro.serving import WorkflowManager
+
+
+class TestOneCompositionSurface:
+    """A tenant handle exposes what workload builders read off a client."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_every_preset_workload_builds_through_a_workflow_handle(self, name):
+        spec = SCENARIOS[name]
+        env, config = _build_environment(spec, spec.seed)
+        manager = WorkflowManager(config, env.fabric, transfer_backend=env.transfer_backend)
+        handle = manager.add_workflow("wf0")
+        info = spec.workload.build(handle)
+        assert info.task_count == len(handle.graph) > 0
+        assert all(task.task_id.startswith("wf0/") for task in handle.graph)
+
+    def test_paper_montage_runs_as_two_tenants(self):
+        # `run-scenario paper-static-montage --workflows 2` used to die on
+        # `client.config`: the montage builder reads the config off the handle.
+        spec = get_scenario("paper-static-montage").with_overrides(workflows=2)
+        result = run_scenario(spec, max_wall_time_s=120)
+        assert result.completed_tasks == result.total_tasks > 0
+        assert set(result.serving["workflows"]) == {"wf0", "wf1"}
 
 
 class TestServingPresets:

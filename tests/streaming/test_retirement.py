@@ -45,7 +45,8 @@ def fanin_builder(width=6, duration=1.0, output_mb=8.0):
 
 
 def make_manager(env, policy="edf", **kwargs):
-    config = env.make_config("DHA", enable_scaling=False)
+    # Streaming serving takes a manager built without the placement plan.
+    config = env.make_config("DHA", enable_scaling=False, enable_placement_plan=False)
     manager = WorkflowManager(
         config,
         env.fabric,
@@ -229,3 +230,14 @@ class TestUnboundedGrowthGuards:
         assert store.task_records() == []
         assert store.function_names() == []
         assert store.task_count() == 0
+
+
+class TestPlanScope:
+    def test_streaming_refuses_a_manager_built_with_the_placement_plan(self):
+        env = build_env()
+        manager = WorkflowManager(
+            env.make_config("DHA"), env.fabric, transfer_backend=env.transfer_backend
+        )
+        assert manager.plan_service is not None
+        with pytest.raises(ValueError, match="without the placement plan"):
+            run_stream(manager)
