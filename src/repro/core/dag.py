@@ -393,10 +393,10 @@ class TaskGraph:
 
     def is_complete(self) -> bool:
         """True when every task reached a terminal state."""
-        return self.store.terminal_count() == len(self._tasks) and len(self._tasks) > 0
+        return self.store.terminal == len(self._tasks) > 0
 
     def unfinished_count(self) -> int:
-        return len(self._tasks) - self.store.terminal_count()
+        return len(self._tasks) - self.store.terminal
 
     # ------------------------------------------------------------ mutation
     def add_task(self, task: Task, now: float = 0.0) -> Task:

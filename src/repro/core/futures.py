@@ -9,7 +9,9 @@ The implementation is thread-safe: the local execution fabric resolves
 futures from worker threads while user code may block in :meth:`result`.
 In simulation mode the orchestration engine resolves futures while the
 discrete-event loop runs, so :meth:`result` is called after
-``client.run()`` returns and never blocks.
+``client.run()`` returns and never blocks — which is why a future creates its
+``threading.Event`` only when somebody actually has to wait on it: a
+simulated run makes one future per task and waits on none.
 """
 
 from __future__ import annotations
@@ -29,6 +31,13 @@ class FutureState:
     CANCELLED = "cancelled"
 
 
+#: Serialises every future's state transitions, callback registration and
+#: the creation of its wait event.  One lock for all futures: the critical
+#: sections are a few attribute writes, and a lock per future is a fixed cost
+#: per task that a simulated run never uses.
+_LOCK = threading.Lock()
+
+
 class UniFuture:
     """Result placeholder for an asynchronously executed task.
 
@@ -44,8 +53,8 @@ class UniFuture:
         self._state = FutureState.PENDING
         self._result: Any = None
         self._exception: Optional[BaseException] = None
-        self._event = threading.Event()
-        self._lock = threading.Lock()
+        #: Created by the first waiter that finds the future pending.
+        self._event: Optional[threading.Event] = None
         self._callbacks: List[Callable[["UniFuture"], None]] = []
 
     # ------------------------------------------------------------ inspection
@@ -67,34 +76,28 @@ class UniFuture:
 
     # -------------------------------------------------------------- resolve
     def set_result(self, value: Any) -> None:
-        with self._lock:
+        with _LOCK:
             if self.done():
                 raise RuntimeError(f"future for task {self.task_id} already resolved")
             self._result = value
             self._state = FutureState.DONE
-            callbacks = list(self._callbacks)
-        self._event.set()
-        self._run_callbacks(callbacks)
+        self._resolved()
 
     def set_exception(self, exc: BaseException) -> None:
-        with self._lock:
+        with _LOCK:
             if self.done():
                 raise RuntimeError(f"future for task {self.task_id} already resolved")
             self._exception = exc
             self._state = FutureState.FAILED
-            callbacks = list(self._callbacks)
-        self._event.set()
-        self._run_callbacks(callbacks)
+        self._resolved()
 
     def cancel(self) -> bool:
         """Mark the future cancelled.  Returns ``False`` if already resolved."""
-        with self._lock:
+        with _LOCK:
             if self.done():
                 return False
             self._state = FutureState.CANCELLED
-            callbacks = list(self._callbacks)
-        self._event.set()
-        self._run_callbacks(callbacks)
+        self._resolved()
         return True
 
     # --------------------------------------------------------------- consume
@@ -114,7 +117,7 @@ class UniFuture:
 
     def add_done_callback(self, fn: Callable[["UniFuture"], None]) -> None:
         """Call ``fn(self)`` when the future resolves (immediately if done)."""
-        with self._lock:
+        with _LOCK:
             if not self.done():
                 self._callbacks.append(fn)
                 return
@@ -124,14 +127,28 @@ class UniFuture:
     def _wait(self, timeout: Optional[float]) -> None:
         if self.done():
             return
+        with _LOCK:
+            if self.done():
+                return
+            if self._event is None:
+                self._event = threading.Event()
         if not self._event.wait(timeout):
             raise TimeoutError(
                 f"result for task {self.task_id} not available within {timeout} s"
             )
 
-    def _run_callbacks(self, callbacks: List[Callable[["UniFuture"], None]]) -> None:
-        for cb in callbacks:
-            cb(self)
+    def _resolved(self) -> None:
+        """Wake the waiters and run the callbacks of a future that just left
+        PENDING (outside the lock: a callback may touch other futures).
+
+        Once the state is no longer PENDING nobody appends a callback or
+        creates the wait event any more — both check ``done()`` under the
+        lock first — so reading them here without it is safe.
+        """
+        if self._event is not None:
+            self._event.set()
+        for callback in self._callbacks:
+            callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UniFuture(task_id={self.task_id!r}, state={self._state!r})"

@@ -18,7 +18,7 @@ coordinators rely on:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Tuple, Type
+from typing import Callable, Deque, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Type
 
 from repro.engine.events import Event
 
@@ -50,6 +50,9 @@ class EventBus:
         self._draining = False
         #: Total number of events delivered (diagnostics).
         self.published_count = 0
+        #: Activity watcher (see :meth:`watch`).
+        self._activity: Optional[Set[Hashable]] = None
+        self._token: Hashable = None
 
     # ---------------------------------------------------------- subscription
     def subscribe(self, event_type: Type[Event], handler: Handler) -> Handler:
@@ -102,6 +105,23 @@ class EventBus:
         self._snapshots[event_type] = tuple(handlers)
         return True
 
+    # -------------------------------------------------------------- activity
+    def watch(self, activity: Set[Hashable], token: Hashable) -> None:
+        """Add ``token`` to ``activity`` whenever this bus delivers an event.
+
+        How a federation's run loop learns which of its tenant buses moved
+        without polling each one: every bus drops its owner's token into the
+        one shared set, and the loop visits exactly the owners it finds there.
+        """
+        self._activity = activity
+        self._token = token
+
+    def touch(self) -> None:
+        """Report activity to the watcher without delivering an event (state
+        the watcher reacts to moved outside any event)."""
+        if self._activity is not None:
+            self._activity.add(self._token)
+
     # ----------------------------------------------------------- publication
     def publish(self, event: Event) -> None:
         """Deliver ``event`` to its subscribers (synchronously, in order).
@@ -129,6 +149,8 @@ class EventBus:
 
     def _drain(self) -> None:
         self._draining = True
+        if self._activity is not None:
+            self._activity.add(self._token)
         try:
             while self._queue:
                 current = self._queue.popleft()

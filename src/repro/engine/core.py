@@ -150,11 +150,6 @@ class ExecutionEngine:
         #: cascade — so runtime graph growth is digest-stable across the
         #: columnar and scalar event paths.
         self._growth_hooks: List[Callable[[], None]] = []
-        #: ``bus.published_count`` right after the last pump round's growth
-        #: drain.  While it still reads the same, that round's placement and
-        #: dispatch phases changed nothing and nothing happened since (every
-        #: state change the pump reacts to is announced on the bus).
-        self._settled_count = -1
         #: Outstanding consumers per task id — the data plane's output
         #: lifecycle: when the count hits zero the producer's outputs are
         #: *expendable* (their last replica may be evicted).  Maintained for
@@ -307,12 +302,16 @@ class ExecutionEngine:
             task.max_retries = int(max_retries)
         self.graph.add_task(task, now=self.clock.now())
 
-        if task.state == TaskState.READY:
+        ready = task.state == TaskState.READY
+        if ready:
             self.bus.publish(TaskReady.for_task(task, time=self.clock.now(), via="submit"))
         if self._running:
             # Deferred: the scheduler sees every addition of this pump round
             # in one on_tasks_added batch (flushed by drain_growth).
             self._pending_added.append(task)
+            if not ready:
+                # No event announced it: tell the run loop to come by.
+                self.bus.touch()
         return task.future
 
     # -------------------------------------------------------------- lifecycle
@@ -399,19 +398,23 @@ class ExecutionEngine:
             batch = self._pending_added
             self._pending_added = []
             self.scheduler.on_tasks_added(batch)
-        self._settled_count = self.bus.published_count
         return len(self.graph) > before
 
     def pump_due(self) -> bool:
-        """False when pumping this workflow now would provably repeat the
-        last round's no-op: since that round's growth drain no event was
-        published, no task was submitted and no ready task is queued.  (With mocking disabled
-        endpoint state moves without any event: every query re-reads the
-        service.)"""
+        """Whether the run loop must visit this workflow again next round
+        although no event says so.
+
+        Every state change a visit reacts to is announced on :attr:`bus`,
+        and the bus reports its activity to the run loop by itself
+        (:meth:`~repro.engine.bus.EventBus.watch`); what is left is work a
+        visit could not finish — a ready task the scheduler left queued, a
+        submission not yet handed to the scheduler — and, with mocking
+        disabled, endpoint state that moves without any event (every query
+        re-reads the service).  The loop asks once, at the end of a visit.
+        """
         return (
-            self.bus.published_count != self._settled_count
+            self.index.queued_count > 0
             or bool(self._pending_added)
-            or self.index.queued_count > 0
             or not self.endpoint_monitor.mocking_enabled
         )
 

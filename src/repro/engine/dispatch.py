@@ -12,11 +12,11 @@ monitor (mock update) and the scheduler (claim release) subscribe to.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional
 
 from repro.core.dag import Task, TaskState
 from repro.core.exceptions import UniFaaSError
-from repro.engine.events import StagingDone, TaskDispatched, TaskPlaced, TasksDispatched
+from repro.engine.events import StagingDone, TaskDispatched, TasksDispatched
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.core import ExecutionEngine
@@ -30,43 +30,13 @@ class DispatchCoordinator:
     def __init__(self, engine: "ExecutionEngine") -> None:
         self._engine = engine
         self._staged_queues: Dict[str, Deque[str]] = defaultdict(deque)
-        #: Incremental mirror of the *live* queue entries — ``task_id ->
-        #: (endpoint, cores)`` plus per-endpoint core sums — so the serving
-        #: layer's per-round demand query is O(endpoints), not O(queued).
-        #: Entries leave on dispatch, on any stale pop, and on re-placement
-        #: (a new TaskPlaced supersedes the old queue position).
-        self._staged_entries: Dict[str, Tuple[str, int]] = {}
-        self._staged_counts: Dict[str, int] = {}
         engine.bus.subscribe(StagingDone, self._on_staging_done)
-        engine.bus.subscribe(TaskPlaced, self._on_task_placed)
 
     # ---------------------------------------------------------------- events
     def _on_staging_done(self, event: StagingDone) -> None:
         if event.failed:
             return  # the failure coordinator owns this outcome
         self._staged_queues[event.endpoint].append(event.task_id)
-        self._forget(event.task_id)  # a retry may still sit in an old queue
-        cores = event.task.cores
-        self._staged_entries[event.task_id] = (event.endpoint, cores)
-        self._staged_counts[event.endpoint] = (
-            self._staged_counts.get(event.endpoint, 0) + cores
-        )
-
-    def _on_task_placed(self, event: TaskPlaced) -> None:
-        # A (re-)placement supersedes any staged-queue position the task
-        # still holds; the stale queue entry itself is popped lazily.
-        self._forget(event.task_id)
-
-    def _forget(self, task_id: str) -> None:
-        entry = self._staged_entries.pop(task_id, None)
-        if entry is None:
-            return
-        endpoint, cores = entry
-        remaining = self._staged_counts.get(endpoint, 0) - cores
-        if remaining > 0:
-            self._staged_counts[endpoint] = remaining
-        else:
-            self._staged_counts.pop(endpoint, None)
 
     # ------------------------------------------------------------------ pump
     def dispatch_staged(
@@ -91,21 +61,17 @@ class DispatchCoordinator:
                 task_id = queue[0]
                 if task_id not in engine.graph:
                     queue.popleft()
-                    self._forget(task_id)
                     continue
                 task = engine.graph.get(task_id)
                 if task.state != TaskState.STAGED or task.assigned_endpoint != endpoint:
                     # Task was re-scheduled elsewhere or already handled.
                     queue.popleft()
-                    if self._staged_entries.get(task_id, (None,))[0] == endpoint:
-                        self._forget(task_id)
                     continue
                 if allowance is not None and allowance < task.cores:
                     break
                 if not force and not engine.scheduler.should_dispatch(task):
                     break
                 queue.popleft()
-                self._forget(task_id)
                 self.dispatch(task, batch=batch, batch_log=batch_log)
                 if allowance is not None:
                     allowance -= task.cores
@@ -126,13 +92,10 @@ class DispatchCoordinator:
 
         What this workflow would dispatch right now given unlimited budget —
         the demand the serving layer's arbitration policy allocates against.
-        On the columnar path the counts come straight from the task store's
-        incrementally-maintained per-endpoint staged-cores array; the dict
-        mirror below is the scalar oracle (and still O(endpoints) per query).
+        A copy of the task store's ``staged_cores``; the run loop hands the
+        policy that live dict itself instead of asking here every round.
         """
-        if self._engine._columnar:
-            return self._engine.graph.store.staged_demand()
-        return {ep: cores for ep, cores in self._staged_counts.items() if cores > 0}
+        return self._engine.graph.store.staged_demand()
 
     def dispatch(
         self,

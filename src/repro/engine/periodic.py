@@ -19,11 +19,27 @@ straight from the incremental :class:`~repro.engine.state.TaskIndex` instead
 of re-scanning every undispatched task.  Elastic scaling (§IV-H) is a
 federation-level cadence and lives in the run loop
 (:meth:`~repro.serving.manager.WorkflowManager.scale_now`).
+
+The run loop does not poll :meth:`PeriodicCoordinator.check` every round: the
+coordinator publishes :attr:`~PeriodicCoordinator.due_at`, the earliest clock
+time any of its timers can fire, and the loop calls ``check`` once the clock
+reaches it (the minimum over its active tenants is the federation's one
+cadence deadline).  ``check`` itself still tests every timer, so calling it
+early or needlessly is a no-op.
+
+Every timer starts at ``0.0``, not at the workflow's arrival.  A tenant
+admitted at ``t >= profiler_update_interval_s`` therefore refits the shared
+profilers on its very first check, whatever the other tenants just did: 338 of
+the ``update_models`` calls of a 150-arrival open-loop stream are such
+first-check refits.  Moving the refit to one federation-level cadence changes
+refit *times*, hence predictions and event order, so it waits for the PR that
+re-baselines the golden digests (ROADMAP item 2(c) / 3(b)).
 """
 
 from __future__ import annotations
 
 import time as _time
+from math import isfinite
 from typing import TYPE_CHECKING
 
 from repro.core.dag import TaskState
@@ -37,6 +53,11 @@ __all__ = ["PeriodicCoordinator"]
 #: Undispatched states eligible for a re-scheduling pass.
 _RESCHEDULABLE = (TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
 
+#: ``due_at`` is set this much (relatively) before the first instant a timer's
+#: own ``now - last >= interval`` test can pass, so rounding in ``last +
+#: interval`` can only make the run loop call ``check`` early, never late.
+_EARLY = 1e-9
+
 
 class PeriodicCoordinator:
     """Runs the engine's periodic duties when their intervals elapse."""
@@ -47,6 +68,9 @@ class PeriodicCoordinator:
         self._last_endpoint_sync = 0.0
         self._last_reschedule = 0.0
         self._last_metrics_sample = 0.0
+        #: Earliest clock time a timer above can fire (see the module
+        #: docstring); re-derived whenever one of them is reset.
+        self.due_at = 0.0
         #: Re-scheduling candidates cached against the undispatched-set epoch
         #: (membership changes bump it; targets and states are re-checked).
         self._resched_cache_epoch = -1
@@ -81,6 +105,17 @@ class PeriodicCoordinator:
             self.run_rescheduling()
         if now - self._last_metrics_sample >= engine.metrics.sample_interval_s:
             self.sample_metrics()
+        config = engine.config
+        due = min(
+            self._last_endpoint_sync + config.endpoint_sync_interval_s,
+            self._last_profiler_update + config.profiler_update_interval_s,
+            self._last_metrics_sample + engine.metrics.sample_interval_s,
+        )
+        if engine.scheduler.supports_rescheduling:
+            due = min(due, self._last_reschedule + config.rescheduling_interval_s)
+        if engine.plan_service is not None:
+            due = min(due, engine.plan_service.next_resolve_at())
+        self.due_at = due - _EARLY * max(1.0, abs(due)) if isfinite(due) else due
 
     # ---------------------------------------------------------- re-scheduling
     def run_rescheduling(self) -> None:

@@ -35,9 +35,9 @@ class TaskIndex:
 
     def __init__(self, store: Optional[TaskStore] = None) -> None:
         #: Columnar engine core: when the graph's :class:`TaskStore` is
-        #: attached, the per-endpoint undispatched counts are read from its
-        #: incrementally-maintained arrays (tasks in the scheduled / staging
-        #: / staged band) instead of this index's dicts.  The dicts are still
+        #: attached, the undispatched counts are read from its running
+        #: aggregates (tasks in the scheduled / staging / staged band)
+        #: instead of this index's dicts.  The dicts are still
         #: maintained — they carry the *placement order* the re-scheduling
         #: pass needs, and they are the scalar oracle the equivalence suite
         #: compares the arrays against.

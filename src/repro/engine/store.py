@@ -8,14 +8,14 @@ and assigned endpoint in flat numpy arrays keyed by a stable integer row
 minted at insertion.  :class:`~repro.core.dag.Task` objects stay around as
 the object API, but become lazy views: their state/endpoint/priority setters
 and their :class:`~repro.core.dag.TaskTimestamps` mirror every write into
-the arrays, so bulk queries — state counts, ready-set extraction, wait-time
-scans, per-endpoint staged/undispatched demand — are array reductions
-instead of Python loops over task objects.
+the arrays, so bulk queries — ready-set extraction, wait-time scans — are
+array reductions instead of Python loops over task objects.
 
-Endpoints are interned to small ints; per-endpoint aggregates (staged
-workers' worth of tasks, tasks awaiting dispatch) are maintained
-incrementally in O(1) per state or endpoint change, so the serving layer's
-per-round demand queries are O(endpoints) regardless of task count.
+Endpoints are interned to small ints; the aggregates the run loop reads every
+round — staged workers' worth of tasks and tasks awaiting dispatch per
+endpoint, the undispatched total, the terminal total — are plain Python ints
+and dicts maintained in O(1) per state or endpoint change, so reading them
+costs an attribute access, not an array reduction.
 
 Rows are never recycled: a task graph only grows (tasks reach terminal
 states but are not removed), so the arrays are bounded by the all-time task
@@ -53,6 +53,15 @@ _TERMINAL_CODES = (
 _GROW = 1024
 
 
+def _add(counts: Dict[str, int], key: str, delta: int) -> None:
+    """``counts[key] += delta``, keeping only non-zero entries."""
+    value = counts.get(key, 0) + delta
+    if value:
+        counts[key] = value
+    else:
+        del counts[key]
+
+
 class TaskStore:
     """Columnar (struct-of-arrays) mirror of one task graph's task state."""
 
@@ -73,14 +82,25 @@ class TaskStore:
         self._ids: List[str] = []
         self._rows: Dict[str, int] = {}
 
-        # Endpoint interning + incremental per-endpoint aggregates.
+        # Endpoint interning.
         self._endpoint_names: List[str] = []
         self._endpoint_index: Dict[str, int] = {}
-        self._staged_cores = np.zeros(0, dtype=np.int64)
-        self._pending_dispatch = np.zeros(0, dtype=np.int64)
 
-        # Incremental per-state task counts.
-        self._state_counts = np.zeros(len(_STATES), dtype=np.int64)
+        # Running aggregates, updated where state and endpoint change
+        # (:meth:`add`, :meth:`set_state`, :meth:`_account`).
+        #: Workers' worth of STAGED tasks per endpoint (non-zero entries).
+        #: Live: the serving layer hands this very dict to its arbitration
+        #: policy as the tenant's dispatch demand.
+        self.staged_cores: Dict[str, int] = {}
+        #: Bumped whenever :attr:`staged_cores` changes.
+        self.staged_version = 0
+        #: Tasks placed but not yet dispatched, per endpoint (non-zero) ...
+        self._pending_dispatch: Dict[str, int] = {}
+        #: ... and in total.
+        self.undispatched_count = 0
+        #: Tasks in a terminal state.
+        self.terminal = 0
+        self._state_counts = [0] * len(_STATES)
 
     # --------------------------------------------------------------- basics
     def __len__(self) -> int:
@@ -98,12 +118,6 @@ class TaskStore:
             idx = len(self._endpoint_names)
             self._endpoint_index[name] = idx
             self._endpoint_names.append(name)
-            grown = np.zeros(idx + 1, dtype=np.int64)
-            grown[: len(self._staged_cores)] = self._staged_cores
-            self._staged_cores = grown
-            grown = np.zeros(idx + 1, dtype=np.int64)
-            grown[: len(self._pending_dispatch)] = self._pending_dispatch
-            self._pending_dispatch = grown
         return idx
 
     def _grow(self) -> None:
@@ -138,6 +152,8 @@ class TaskStore:
         ep = -1 if endpoint is None else self.intern_endpoint(endpoint)
         self.endpoint[row] = ep
         self._state_counts[code] += 1
+        if code in _TERMINAL_CODES:
+            self.terminal += 1
         if ep >= 0:
             self._account(row, 0, code, -1, ep)
         return row
@@ -151,6 +167,7 @@ class TaskStore:
         self.state[row] = new
         self._state_counts[old] -= 1
         self._state_counts[new] += 1
+        self.terminal += (new in _TERMINAL_CODES) - (old in _TERMINAL_CODES)
         ep = int(self.endpoint[row])
         if ep >= 0:
             self._account(row, old, new, ep, ep)
@@ -167,15 +184,21 @@ class TaskStore:
     def _account(self, row: int, old_code: int, new_code: int, old_ep: int, new_ep: int) -> None:
         """Incrementally maintain the per-endpoint demand aggregates."""
         if old_ep >= 0:
+            name = self._endpoint_names[old_ep]
             if old_code in _PENDING_DISPATCH:
-                self._pending_dispatch[old_ep] -= 1
+                _add(self._pending_dispatch, name, -1)
+                self.undispatched_count -= 1
             if old_code == _STAGED:
-                self._staged_cores[old_ep] -= int(self.cores[row])
+                _add(self.staged_cores, name, -int(self.cores[row]))
+                self.staged_version += 1
         if new_ep >= 0:
+            name = self._endpoint_names[new_ep]
             if new_code in _PENDING_DISPATCH:
-                self._pending_dispatch[new_ep] += 1
+                _add(self._pending_dispatch, name, 1)
+                self.undispatched_count += 1
             if new_code == _STAGED:
-                self._staged_cores[new_ep] += int(self.cores[row])
+                _add(self.staged_cores, name, int(self.cores[row]))
+                self.staged_version += 1
 
     def set_timestamp(self, row: int, name: str, value: Optional[float]) -> None:
         self.timestamps[name][row] = np.nan if value is None else value
@@ -186,18 +209,15 @@ class TaskStore:
 
     # -------------------------------------------------------------- queries
     def state_count(self, state: TaskState) -> int:
-        return int(self._state_counts[STATE_CODES[state]])
+        return self._state_counts[STATE_CODES[state]]
 
     def counts(self) -> Dict[str, int]:
         """Non-zero task counts per state value, in state declaration order."""
         return {
-            _STATES[code].value: int(count)
+            _STATES[code].value: count
             for code, count in enumerate(self._state_counts)
             if count
         }
-
-    def terminal_count(self) -> int:
-        return int(sum(self._state_counts[code] for code in _TERMINAL_CODES))
 
     def rows_in_states(self, *states: TaskState) -> np.ndarray:
         """Row indices of tasks in any of ``states``, in insertion order."""
@@ -226,14 +246,12 @@ class TaskStore:
 
     def staged_demand(self) -> Dict[str, int]:
         """Workers' worth of STAGED tasks per endpoint (non-zero entries)."""
-        rows = np.nonzero(self._staged_cores > 0)[0]
-        return {self._endpoint_names[i]: int(self._staged_cores[i]) for i in rows}
+        return self._in_intern_order(self.staged_cores)
 
     def undispatched_by_endpoint(self) -> Dict[str, int]:
         """Tasks placed but not yet dispatched, per endpoint (non-zero)."""
-        rows = np.nonzero(self._pending_dispatch > 0)[0]
-        return {self._endpoint_names[i]: int(self._pending_dispatch[i]) for i in rows}
+        return self._in_intern_order(self._pending_dispatch)
 
-    @property
-    def undispatched_count(self) -> int:
-        return int(self._pending_dispatch.sum())
+    def _in_intern_order(self, counts: Dict[str, int]) -> Dict[str, int]:
+        # A stable key order whatever order the entries came and went in.
+        return {name: counts[name] for name in self._endpoint_names if name in counts}

@@ -54,6 +54,14 @@ class HistoryStore:
     path:
         Database file path, or ``":memory:"`` (default) for an in-memory
         store scoped to this process.
+
+    Rows are written as they are observed but committed in bulk: by
+    :meth:`flush`, :meth:`clear` and :meth:`close`.  The run loop flushes a
+    file-backed store after every delivered record batch and any store when a
+    run ends, however it ends.  Reads through this store see every row at
+    once — they share its connection; only *another* connection to a
+    file-backed store needs the commit, and a ``:memory:`` store has no other
+    connection.
     """
 
     def __init__(self, path: str = ":memory:") -> None:
@@ -116,7 +124,6 @@ class HistoryStore:
                 record.timestamp,
             ),
         )
-        self._conn.commit()
 
     def task_records(
         self,
@@ -187,7 +194,6 @@ class HistoryStore:
                 record.timestamp,
             ),
         )
-        self._conn.commit()
 
     def transfer_records(
         self,
@@ -242,7 +248,13 @@ class HistoryStore:
         self._conn.execute("DELETE FROM transfer_records")
         self._conn.commit()
 
+    def flush(self) -> None:
+        """Make every row written so far durable (and visible to other
+        connections to the same file)."""
+        self._conn.commit()
+
     def close(self) -> None:
+        self.flush()
         self._conn.close()
 
 
@@ -285,6 +297,9 @@ class NullHistoryStore(HistoryStore):
         return []
 
     def clear(self) -> None:
+        pass
+
+    def flush(self) -> None:
         pass
 
     def close(self) -> None:

@@ -145,6 +145,13 @@ class PlacementService:
                 return self._plan
         return self.resolve(now, engine)
 
+    def next_resolve_at(self) -> float:
+        """Earliest clock time :meth:`maybe_resolve` will solve again:
+        at once while the plan is missing or its generation is stale."""
+        if self._last_solved is None or self._solved_generation != self._generation:
+            return float("-inf")
+        return self._last_solved + self.interval_s
+
     def resolve(self, now: float, engine) -> Optional[PlacementPlan]:
         """Solve unconditionally against the current live state."""
         self.attach(engine)

@@ -97,11 +97,13 @@ class DecisionTreeRegressor:
         return self
 
     def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _TreeNode:
-        node = _TreeNode(value=float(np.mean(y)))
+        # ``np.mean`` and ``np.all`` without their Python wrappers (a forest
+        # refit builds thousands of nodes): the same reduction, the same bits.
+        node = _TreeNode(value=float(np.add.reduce(y) / len(y)))
         if (
             depth >= self.max_depth
             or len(y) < self.min_samples_split
-            or np.all(y == y[0])
+            or (y == y[0]).all()
         ):
             return node
         split = self._best_split(X, y)
@@ -116,6 +118,21 @@ class DecisionTreeRegressor:
         return node
 
     def _best_split(self, X: np.ndarray, y: np.ndarray) -> Optional[Tuple[int, float]]:
+        """The split a position-by-position scan would pick, without the scan.
+
+        The specification (kept as code in ``tests/reference/tree_fit.py``)
+        scores every split position of every feature in turn and accepts a
+        position when its score beats the best so far by more than ``1e-12``.
+        A position the scan accepts scores below every position before it, so
+        here all positions of a feature are scored as one array expression
+        and only its strict prefix minima are handed to the scan's own
+        arithmetic and acceptance test — a handful per feature.  The array
+        scores merely *select*: they can differ from the scan's in the last
+        bits (``x * x`` against the scalar ``x ** 2``), so the selection
+        keeps every position within ``slack`` of the minimum before it, and
+        what is accepted, and with which threshold, is decided by the scan's
+        arithmetic alone.
+        """
         n_samples, n_features = X.shape
         features = np.arange(n_features)
         if self.max_features is not None and self.max_features < n_features:
@@ -123,28 +140,45 @@ class DecisionTreeRegressor:
 
         best_score = np.inf
         best: Optional[Tuple[int, float]] = None
-        total_sum = y.sum()
-        total_sq = (y**2).sum()
+        first, stop = self.min_samples_leaf - 1, n_samples - self.min_samples_leaf
+        if stop <= first:
+            return None
+        total_sum = total_sq = slack = None
 
         for feature in features:
-            order = np.argsort(X[:, feature], kind="stable")
-            xs = X[order, feature]
+            column = X[:, feature]
+            order = column.argsort(kind="stable")
+            xs = column[order]
+            # Split positions lie between distinct consecutive x values: none
+            # in a constant column, one per endpoint boundary in a hardware
+            # feature, nearly all in a continuous one.
+            positions = (xs[first:stop] != xs[first + 1 : stop + 1]).nonzero()[0] + first
+            if not positions.size:
+                continue
+            if total_sum is None:
+                total_sum = y.sum()
+                total_sq = (y**2).sum()
+                # Each squared term is at most ``total_sq`` and off by an ulp
+                # or two.
+                slack = 32.0 * np.spacing(total_sq)
             ys = y[order]
-            # Candidate split positions: between distinct consecutive x values.
-            cum_sum = np.cumsum(ys)
-            cum_sq = np.cumsum(ys**2)
-            for i in range(self.min_samples_leaf - 1, n_samples - self.min_samples_leaf):
-                if xs[i] == xs[i + 1]:
-                    continue
-                n_left = i + 1
-                n_right = n_samples - n_left
-                left_sum, left_sq = cum_sum[i], cum_sq[i]
-                right_sum = total_sum - left_sum
-                right_sq = total_sq - left_sq
-                # Sum of squared errors on each side (variance * n).
-                sse_left = left_sq - left_sum**2 / n_left
-                sse_right = right_sq - right_sum**2 / n_right
-                score = sse_left + sse_right
+            cum_sum = ys.cumsum()
+            cum_sq = (ys**2).cumsum()
+            left_sum, left_sq = cum_sum[positions], cum_sq[positions]
+            right_sum = total_sum - left_sum
+            n_left = positions + 1.0
+            # Sum of squared errors on each side (variance * n).
+            scores = (left_sq - left_sum * left_sum / n_left) + (
+                (total_sq - left_sq) - right_sum * right_sum / (n_samples - n_left)
+            )
+            floor = np.fmin.accumulate(scores)
+            floor[1:] = np.fmin(floor[:-1], best_score)
+            floor[0] = best_score
+            for i in positions[scores < floor + slack]:
+                n_l = i + 1
+                l_sum, l_sq = cum_sum[i], cum_sq[i]
+                r_sum = total_sum - l_sum
+                score = (l_sq - l_sum**2 / n_l) + ((total_sq - l_sq) - r_sum**2 / (n_samples - n_l))
                 if score < best_score - 1e-12:
                     best_score = score
                     best = (int(feature), float((xs[i] + xs[i + 1]) / 2.0))

@@ -285,6 +285,9 @@ class Scheduler(ABC):
         #: Tasks assigned per endpoint that have not been dispatched yet
         #: (claims against the mocked free capacity).
         self._claims: Dict[str, int] = {}
+        #: The federation's per-endpoint sum of its active tenants' claims
+        #: (see :meth:`share_claims`); ``None`` while this tenant is not one.
+        self._claim_totals: Optional[Dict[str, int]] = None
         #: Incremental per-endpoint state arrays (vectorized schedulers only).
         self._vectors: Optional[EndpointStateVectors] = None
         #: Bumped on every claim change — part of the re-scheduling pass's
@@ -308,7 +311,13 @@ class Scheduler(ABC):
     def initialize(self, context: SchedulingContext) -> None:
         """Bind the scheduler to a workflow run."""
         self.context = context
+        # A re-initialize while the federation sums this scheduler's claims
+        # (restore, restart) takes the old claims out of that sum first.
+        totals = self._claim_totals
+        if totals is not None:
+            self.share_claims(None)
         self._claims = {name: 0 for name in context.endpoint_names()}
+        self._claim_totals = totals
         # Endpoint-state vectors are created lazily by the schedulers that
         # actually consume them (DHA's EFT index); claim mirroring below is
         # a no-op until then.
@@ -390,6 +399,9 @@ class Scheduler(ABC):
     def claim(self, endpoint: str, count: int = 1) -> None:
         self._claims[endpoint] = self._claims.get(endpoint, 0) + count
         self._claims_version += 1
+        totals = self._claim_totals
+        if totals is not None:
+            totals[endpoint] = totals.get(endpoint, 0) + count
         if self._vectors is not None:
             self._vectors.add_claim(endpoint, count)
 
@@ -398,8 +410,27 @@ class Scheduler(ABC):
         if self._claims.get(endpoint, 0) > 0:
             self._claims[endpoint] -= 1
             self._claims_version += 1
+            if self._claim_totals is not None:
+                self._claim_totals[endpoint] -= 1
             if self._vectors is not None:
                 self._vectors.add_claim(endpoint, -1)
+
+    def share_claims(self, totals: Optional[Dict[str, int]]) -> None:
+        """Keep ``totals`` — the federation's per-endpoint sum over its active
+        tenants' schedulers — current with this scheduler's claims.
+
+        The serving layer calls this when the tenant joins its active set
+        (the claims held now are added, every later :meth:`claim` /
+        :meth:`release_claim` writes through) and with ``None`` when it
+        leaves (they are taken out again), so the run loop reads the sum in
+        O(endpoints) instead of asking every tenant every round.
+        """
+        for sign, target in ((-1, self._claim_totals), (1, totals)):
+            if target is not None:
+                for endpoint, count in self._claims.items():
+                    if count:
+                        target[endpoint] = target.get(endpoint, 0) + sign * count
+        self._claim_totals = totals
 
     def transfer_claim(self, old: Optional[str], new: str) -> None:
         """Move one undispatched-task claim between endpoints.

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
@@ -75,6 +76,12 @@ class ArbitrationPolicy(ABC):
     """Splits per-endpoint free capacity between competing workflows."""
 
     name: str = "base"
+    #: Moves whenever state of the policy's own that :meth:`allocate` reads
+    #: moves.  The serving layer re-runs an allocation only when one of its
+    #: inputs changed, and this is the input it cannot see: a stateless policy
+    #: leaves it alone, a stateful one (fair-share's cumulative service) must
+    #: bump it with every such change.
+    state_version: int = 0
 
     @abstractmethod
     def allocate(
@@ -127,7 +134,7 @@ class FifoArbitration(ArbitrationPolicy):
     name = "fifo"
 
     def allocate(self, free, demands, tenants, *, record_service: bool = True) -> Allocation:
-        ordered = sorted(tenants, key=lambda t: (t.arrival_index, t.workflow_id))
+        ordered = sorted(tenants, key=attrgetter("arrival_index", "workflow_id"))
         return self._ordered_drain(free, demands, ordered)
 
 
@@ -158,7 +165,7 @@ class EdfArbitration(ArbitrationPolicy):
 
     def allocate(self, free, demands, tenants, *, record_service: bool = True) -> Allocation:
         ordered = sorted(
-            tenants, key=lambda t: (t.deadline, t.arrival_index, t.workflow_id)
+            tenants, key=attrgetter("deadline", "arrival_index", "workflow_id")
         )
         return self._ordered_drain(free, demands, ordered)
 
@@ -220,6 +227,7 @@ class FairShareArbitration(ArbitrationPolicy):
                     allocation[wid][endpoint] = allocation[wid].get(endpoint, 0) + granted
                     if record_service:
                         self._served[wid] = self._served.get(wid, 0) + granted
+                        self.state_version += 1
                     unmet[wid] -= granted
                     remaining -= granted
                     granted_any = True
@@ -304,8 +312,9 @@ class FairShareArbitration(ArbitrationPolicy):
                 remaining -= granted_total
         if record_service:
             for i, wid in enumerate(wids):
-                if served[i] > 0.0:
+                if served[i] > 0.0 and self._served.get(wid) != int(served[i]):
                     self._served[wid] = int(served[i])
+                    self.state_version += 1
         return allocation
 
 

@@ -18,13 +18,15 @@ built and the only run loop in the package:
 The paper's single-workflow client (:class:`~repro.core.client.UniFaaSClient`)
 is this manager with one tenant, namespace ``""`` and no arbitration: the
 tenant's scheduler sees the whole federation.  With an
-:class:`~repro.serving.arbitration.ArbitrationPolicy` each pump round reads
-the federation's free capacity, splits it between the workflows that have
-demand (FIFO / fair-share weighted by owner / strict-priority / EDF), hands
-every workflow's scheduler its slice (capacity-slicing hook on
-:class:`~repro.sched.base.Scheduler`), pumps each workflow, and dispatches
-each workflow's staged tasks within its slice — merging placements
-deterministically by iterating workflows in arrival order.  Workflow
+:class:`~repro.serving.arbitration.ArbitrationPolicy` a pump round splits
+the federation's free capacity between the workflows that have demand (FIFO
+/ fair-share weighted by owner / strict-priority / EDF), hands every
+workflow's scheduler its slice (capacity-slicing hook on
+:class:`~repro.sched.base.Scheduler`), pumps the workflows that are due, and
+dispatches each workflow's staged tasks within its budget — merging
+placements deterministically by iterating workflows in arrival order.  What
+a round costs follows what moved since the last one, not how many workflows
+are active: :meth:`WorkflowManager.run` states the contract.  Workflow
 arrivals may be staggered: an arrival is scheduled on the simulation kernel
 (the same mechanism the dynamics layer uses), the workflow's DAG is built
 when its arrival comes due, and endpoint-dynamics events are forwarded from
@@ -35,7 +37,8 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.config import Config
 from repro.core.dag import TaskState
@@ -120,6 +123,12 @@ _DYNAMICS_EVENTS = (
 #: Task states that count as scaling pressure.
 _PENDING_STATES = (TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
 
+# Per-tenant reads the run loop gathers over a list of handles without a
+# Python-level call per tenant.
+_ARRIVAL_INDEX = attrgetter("arrival_index")
+_PERIODIC_DUE_AT = attrgetter("engine.periodic.due_at")
+_STAGED_VERSION = attrgetter("engine.graph.store.staged_version")
+
 
 def jain_index(values: List[float]) -> float:
     """Jain's fairness index over ``values`` (1.0 = perfectly even).
@@ -176,6 +185,8 @@ class WorkflowHandle:
         self.paused = False
         self.cancelled = False
         self.retired = False
+        #: In the manager's active set (started, unfinished, unpaused).
+        self.active = False
         #: Attributed transfer volume, frozen at retirement (the shared data
         #: manager's per-namespace entry is released then).
         self._attributed_mb: Optional[float] = None
@@ -354,6 +365,10 @@ class WorkflowManager:
         # Shared substrate: one of each, federation-wide, built only here.
         store = history_store or HistoryStore(config.history_db_path or ":memory:")
         self.task_monitor = TaskMonitor(store)
+        #: A file-backed history is committed once per delivered record batch
+        #: (another connection can read it mid-run; a crash loses one round at
+        #: most).  A ``:memory:`` store has no other reader and never commits.
+        self._history_on_disk = store.path != ":memory:"
         self.endpoint_monitor = EndpointMonitor(
             lambda name: fabric.endpoint_status(name),
             self.clock,
@@ -406,6 +421,38 @@ class WorkflowManager:
         #: Registered workflows not yet activated / not yet finished.
         self._unstarted = 0
         self._unfinished = 0
+        #: Tenants the next pump visits.  Every tenant bus drops its handle
+        #: here when it delivers an event (``EventBus.watch``); a tenant
+        #: joining the active set starts here, and one whose visit left work
+        #: behind (``ExecutionEngine.pump_due``) is put back.
+        self._due: Set[WorkflowHandle] = set()
+        # Running aggregates over the active set — what arbitration reads
+        # instead of asking every tenant every round.  Tenants enter and
+        # leave in ``_membership_changed``.
+        #: endpoint -> Σ scheduler claims; the schedulers write through
+        #: (``Scheduler.share_claims``).
+        self._claims: Dict[str, int] = {}
+        #: workflow id -> queued + placed-but-undispatched tasks as of the
+        #: tenant's last visit (every change of either is announced on the
+        #: tenant's bus, so a tenant whose demand moved is due) ...
+        self._demand_size: Dict[str, int] = {}
+        #: ... and the same spread over the endpoints, the shape a policy
+        #: takes (the placement demand is an upper bound on any endpoint).
+        self._demand: Dict[str, Dict[str, int]] = {}
+        #: workflow id -> the tenant store's live ``staged_cores`` dict.
+        self._staged: Dict[str, Dict[str, int]] = {}
+        #: Mocked free workers per endpoint, re-read when the monitor's
+        #: ``state_version`` moves.
+        self._free: Dict[str, int] = {}
+        self._free_version = -1
+        # Arbitration fingerprints: the inputs of the last placement /
+        # dispatch allocation and what it granted.  ``None`` forces the next.
+        self._placement_fingerprint: Optional[tuple] = None
+        self._slices: Dict[str, Dict[str, int]] = {}
+        self._dispatch_fingerprint: Optional[tuple] = None
+        self._budgeted: List[Tuple[WorkflowHandle, Dict[str, int]]] = []
+        #: Earliest clock time any active tenant's periodic duty can fire.
+        self._cadence_at = float("-inf")
         #: The active set changed, or a dispatch grant went unconsumed, since
         #: the last pump: the next round must pump.
         self._dirty = False
@@ -480,6 +527,7 @@ class WorkflowManager:
             deadline_s=deadline_s,
             builder=builder,
         )
+        engine.bus.watch(self._due, handle)
         self._workflows[workflow_id] = handle
         self._unstarted += 1
         self._unfinished += 1
@@ -523,13 +571,45 @@ class WorkflowManager:
         """Drive every registered workflow to completion — the one run loop.
 
         A round advances the fabric, delivers its completion records, runs
-        the cadences, and pumps (growth → placement → dispatch) unless the
-        pump would provably repeat the last round's no-op: two of a task's
-        three kernel events (batch delivery at the endpoint, the
-        endpoint-internal finish) change nothing any engine can observe.
+        the cadences that are due, and pumps (growth → placement → dispatch)
+        the tenants that are due.  Its cost follows what moved, not how many
+        tenants are active:
+
+        * **Cadences.**  ``_cadence_at`` is the minimum over the active
+          tenants of ``PeriodicCoordinator.due_at`` — itself the minimum of
+          that tenant's sync, refit, re-schedule and metrics-sample timers
+          and the placement service's own gate.  Until the clock reaches it
+          no ``check()`` is called; then only the tenants whose own
+          ``due_at`` has come are checked, in arrival order.  A control-bus
+          event (dynamics may leave the plan stale) checks every tenant.
+        * **Due set.**  A tenant is visited by the pump when its bus
+          delivered an event since its last growth drain — completion
+          records, a staging ticket, a forwarded dynamics event, its own
+          placement or dispatch last round — when it joined the active set,
+          when a task was submitted to it without an event, or when its last
+          visit left work behind (``ExecutionEngine.pump_due``: a ready task
+          still queued; mocking disabled).  Tenants holding a non-empty
+          dispatch budget are visited for dispatch on top.
+        * **Incremental aggregates.**  Nothing is summed over the tenants per
+          round.  Each tenant's ``TaskStore`` keeps its terminal count, its
+          undispatched count and its staged cores per endpoint as plain
+          values, updated where task state and endpoint change; every
+          ``Scheduler.claim`` / ``release_claim`` of an active tenant writes
+          through to ``_claims``; ``_demand`` is refreshed for visited
+          tenants only; ``_staged`` holds the stores' live dicts.  Tenants
+          enter and leave all of them in ``_membership_changed``.
+        * **Arbitration fingerprint.**  ``policy.allocate`` is re-run only
+          when the capacity vector, the demand vector, the share list or
+          ``policy.state_version`` moved (:meth:`_pump_arbitrated`).
+        * **Skipped rounds.**  With no record, nobody due, the control bus
+          quiet and no dispatch grant left unconsumed, the round does not
+          pump at all: two of a task's three kernel events (batch delivery at
+          the endpoint, the endpoint-internal finish) change nothing any
+          engine can observe.
 
         Raises :class:`SchedulingError` when the federation stalls (no
-        workflow can make progress and no arrival is pending).
+        workflow can make progress and no arrival is pending).  However the
+        run ends, the history rows observed so far are committed.
         """
         if not self._workflows and self.completion_hold is None:
             return
@@ -547,53 +627,60 @@ class WorkflowManager:
             self._started_at = self.clock.now()
         wall_start = _time.monotonic()
         stall_rounds = 0
-        while self._unfinished or (
-            # The arrival stream still owes work (pending arrivals, queued
-            # admissions): an empty or fully-drained tenant set is not the
-            # end of the run.
-            self.completion_hold is not None and self.completion_hold()
-        ):
-            if max_wall_time_s is not None and _time.monotonic() - wall_start > max_wall_time_s:
-                raise SchedulingError(
-                    f"run exceeded the wall-time budget of {max_wall_time_s} s"
-                )
-            activated = self._unstarted > 0 and self._activate_due()
-            records = self.fabric.process()
-            if records:
-                self._deliver(records)
-            active = self._active
-            for handle in active:
-                handle.engine.periodic.check()
-            now = self.clock.now()
-            if now - self._last_scaling_check >= self.scaling_check_interval_s:
-                self._last_scaling_check = now
-                self.scale_now()
-            due = bool(records) or self._dirty or self.bus.published_count != self._control_settled
-            if not due:
-                for handle in active:
-                    if handle.engine.pump_due():
-                        due = True
-                        break
-            progressed = due and self._pump(active)
-            if activated or records or progressed or self.fabric.pending_work():
-                stall_rounds = 0
-                continue
-            stall_rounds += 1
-            if stall_rounds >= self.stall_hard_rounds:
-                counts = {
-                    h.workflow_id: h.engine.graph.counts() for h in self._ordered
-                }
-                raise SchedulingError(
-                    f"run stalled: no progress for {stall_rounds} rounds; "
-                    f"task states: {counts}"
-                )
-            if stall_rounds > self.stall_soft_rounds and self.config.enable_delay_mechanism:
-                # Delay-mechanism deadlock on an empty pool: force the staged
-                # queue heads out, in arrival order.  (Without the mechanism
-                # the dispatch gate is open and the next pump retries.)
-                for handle in active:
-                    if handle.engine.dispatch.dispatch_staged(force=True):
-                        break
+        try:
+            while self._unfinished or (
+                # The arrival stream still owes work (pending arrivals, queued
+                # admissions): an empty or fully-drained tenant set is not the
+                # end of the run.
+                self.completion_hold is not None and self.completion_hold()
+            ):
+                if max_wall_time_s is not None and _time.monotonic() - wall_start > max_wall_time_s:
+                    raise SchedulingError(
+                        f"run exceeded the wall-time budget of {max_wall_time_s} s"
+                    )
+                activated = self._unstarted > 0 and self._activate_due()
+                records = self.fabric.process()
+                if records:
+                    self._deliver(records)
+                    if self._history_on_disk:
+                        self.task_monitor.store.flush()
+                active = self._active
+                now = self.clock.now()
+                control = self.bus.published_count != self._control_settled
+                if control or now >= self._cadence_at:
+                    for handle in active:
+                        periodic = handle.engine.periodic
+                        if control or now >= periodic.due_at:
+                            periodic.check()
+                    self._cadence_at = min(map(_PERIODIC_DUE_AT, active), default=float("inf"))
+                if now - self._last_scaling_check >= self.scaling_check_interval_s:
+                    self._last_scaling_check = now
+                    self.scale_now()
+                due = bool(records) or self._dirty or control or bool(self._due)
+                progressed = due and self._pump(active)
+                if activated or records or progressed or self.fabric.pending_work():
+                    stall_rounds = 0
+                    continue
+                stall_rounds += 1
+                if stall_rounds >= self.stall_hard_rounds:
+                    counts = {
+                        h.workflow_id: h.engine.graph.counts() for h in self._ordered
+                    }
+                    raise SchedulingError(
+                        f"run stalled: no progress for {stall_rounds} rounds; "
+                        f"task states: {counts}"
+                    )
+                if stall_rounds > self.stall_soft_rounds and self.config.enable_delay_mechanism:
+                    # Delay-mechanism deadlock on an empty pool: force the staged
+                    # queue heads out, in arrival order.  (Without the mechanism
+                    # the dispatch gate is open and the next pump retries.)
+                    for handle in active:
+                        if handle.engine.dispatch.dispatch_staged(force=True):
+                            break
+        finally:
+            # However the loop ends (stall, wall-time budget, a builder's
+            # exception, Ctrl-C), the rows observed so far stay.
+            self.task_monitor.store.flush()
         self._finished_at = self.clock.now()
         self.fabric.flush()
 
@@ -619,10 +706,28 @@ class WorkflowManager:
 
     # ------------------------------------------------------------- internals
     def _membership_changed(self) -> None:
-        """Rebuild the cached active list and its arbitration shares."""
-        self._active = [
-            h for h in self._ordered if h.started and not h.finished and not h.paused
-        ]
+        """Rebuild the cached active list and its arbitration shares; tenants
+        entering or leaving it join or leave the running aggregates."""
+        active = [h for h in self._ordered if h.started and not h.finished and not h.paused]
+        staying = set(active)
+        for handle in self._active:
+            if handle not in staying:
+                handle.active = False
+                handle.engine.scheduler.share_claims(None)
+                del self._demand_size[handle.workflow_id]
+                del self._demand[handle.workflow_id]
+                del self._staged[handle.workflow_id]
+                self._due.discard(handle)
+        for handle in active:
+            if not handle.active:
+                handle.active = True
+                handle.engine.scheduler.share_claims(self._claims)
+                # Demand is read at the tenant's first visit, which is next.
+                self._demand_size[handle.workflow_id] = 0
+                self._demand[handle.workflow_id] = {}
+                self._staged[handle.workflow_id] = handle.engine.graph.store.staged_cores
+                self._due.add(handle)
+        self._active = active
         self._shares = [
             TenantShare(
                 workflow_id=h.workflow_id,
@@ -631,8 +736,10 @@ class WorkflowManager:
                 arrival_index=h.arrival_index,
                 deadline=h.deadline_s,
             )
-            for h in self._active
+            for h in active
         ]
+        self._placement_fingerprint = self._dispatch_fingerprint = None
+        self._cadence_at = float("-inf")
         self._dirty = True
 
     def _activate(self, handle: WorkflowHandle) -> None:
@@ -738,44 +845,84 @@ class WorkflowManager:
         self.retired_count += 1
 
     def _free_capacity(self) -> Dict[str, int]:
-        return {
-            name: self.endpoint_monitor.free_capacity(name)
-            for name in self.endpoint_monitor.endpoint_names()
-        }
+        """Mocked free workers per endpoint (shared: read, never written)."""
+        monitor = self.endpoint_monitor
+        if monitor.state_version != self._free_version or not monitor.mocking_enabled:
+            free = {name: monitor.free_capacity(name) for name in monitor.endpoint_names()}
+            if free.keys() != self._free.keys():
+                self._demand = {
+                    wid: dict.fromkeys(free, size) for wid, size in self._demand_size.items()
+                }
+            self._free = free
+            self._free_version = monitor.state_version
+        return self._free
 
     def _pump(self, active: List[WorkflowHandle]) -> bool:
-        """One round of growth, placement and dispatch across the active
-        workflows, then close out the ones that completed."""
+        """One round of growth, placement and dispatch for the tenants that
+        are due, then close out the ones that completed.
+
+        ``_due`` says whom to visit (see :meth:`run`).  A visit drains the
+        tenant's growth, offers its queued ready tasks to its scheduler and,
+        at the end, finishes it if it completed or puts it back if
+        ``pump_due()`` says work is left.  Tenants nobody needs to visit are
+        reached only through what arbitration hands them: a capacity slice
+        that changed, a dispatch budget that is not empty.
+        """
         self._dirty = False
         self._control_settled = self.bus.published_count
-        if not active:
-            return False
         progressed = False
 
         # Workflow growth first (authoring runtimes reacting to terminal
         # outcomes), in arrival order, so demand sizes below count the tasks
         # materialized this round and a tenant whose recovery branch just
-        # appeared is not finished prematurely.
-        for handle in active:
-            progressed |= handle.engine.drain_growth()
+        # appeared is not finished prematurely.  The tenant leaves the due
+        # set right after *its* drain: what it publishes from here on (a
+        # terminal failure in the placement or dispatch phase must still
+        # reach the growth hooks) makes it due again next round.
+        visited: List[WorkflowHandle] = []
+        for handle in sorted(self._due, key=_ARRIVAL_INDEX):
+            if handle.active:
+                progressed |= handle.engine.drain_growth()
+                visited.append(handle)
+            self._due.discard(handle)
+        if not active:
+            return False
 
         if self.policy is None:
-            for handle in active:
+            for handle in visited:
                 progressed |= handle.engine.placement.schedule_ready()
+            # No budget says who may dispatch: whoever has a staged task
+            # tries (free capacity moves with any tenant's completions).
             for handle in active:
-                progressed |= handle.engine.dispatch.dispatch_staged()
+                if handle.engine.graph.store.staged_cores:
+                    progressed |= handle.engine.dispatch.dispatch_staged()
         else:
-            progressed |= self._pump_arbitrated(active, self.policy)
+            progressed |= self._pump_arbitrated(active, visited, self.policy)
         self.fabric.flush()
 
-        for handle in active:
-            if handle.engine.graph.is_complete():
+        for handle in visited:
+            engine = handle.engine
+            if engine.graph.is_complete():
                 self._finish(handle)
+            elif engine.pump_due():
+                self._due.add(handle)
         return progressed
 
-    def _pump_arbitrated(self, active: List[WorkflowHandle], policy: ArbitrationPolicy) -> bool:
+    def _pump_arbitrated(
+        self,
+        active: List[WorkflowHandle],
+        visited: List[WorkflowHandle],
+        policy: ArbitrationPolicy,
+    ) -> bool:
         """Placement and dispatch with the federation's capacity split
-        between the tenants by ``policy``."""
+        between the tenants by ``policy``.
+
+        Either allocation is re-run only when one of its inputs moved since
+        it last ran — its *fingerprint*: the capacity vector, the demand
+        vector, ``policy.state_version`` (fair-share's cumulative service),
+        and the share list (a membership change clears both fingerprints).
+        Unchanged inputs mean the last grant still stands.
+        """
         tenants = self._shares
         progressed = False
         # Placement: slice the *unclaimed* free capacity (free workers minus
@@ -785,49 +932,65 @@ class WorkflowManager:
         # demand counts its ready tasks *and* its placed-but-undispatched
         # ones: the slice also bounds the next periodic re-scheduling pass,
         # which must keep seeing fresh capacity (a frozen stale slice would
-        # pin mid-flight tenants to endpoints that have since browned out).
-        # The allocation is advisory (an upper bound the tenant may not
+        # pin mid-flight tenants to endpoints that have since browned out) —
+        # so a moved capacity or claim re-slices every tenant, visited or
+        # not.  The allocation is advisory (an upper bound the tenant may not
         # consume), so fair-share must not count it as service rendered.
-        demand_size = {
-            h.workflow_id: h.engine.index.queued_count + h.engine.index.undispatched_count
-            for h in active
-        }
-        if any(demand_size.values()):
-            endpoints = self.endpoint_monitor.endpoint_names()
-            free = self._free_capacity()
-            claimed = {
-                name: sum(h.engine.scheduler.claimed(name) for h in active)
-                for name in endpoints
+        free = self._free_capacity()
+        sizes = self._demand_size
+        placeable: List[WorkflowHandle] = []
+        for handle in visited:
+            index = handle.engine.index
+            queued = index.queued_count
+            if queued:
+                placeable.append(handle)
+            size = queued + index.undispatched_count
+            if size != sizes[handle.workflow_id]:
+                sizes[handle.workflow_id] = size
+                self._demand[handle.workflow_id] = dict.fromkeys(free, size)
+        if any(sizes.values()):
+            claims = self._claims
+            unclaimed = {
+                name: max(0, count - claims.get(name, 0)) for name, count in free.items()
             }
-            unclaimed = {name: max(0, free[name] - claimed[name]) for name in endpoints}
-            placement_demand = {
-                wid: dict.fromkeys(endpoints, size) for wid, size in demand_size.items()
-            }
-            placement_slices = policy.allocate(
-                unclaimed, placement_demand, tenants, record_service=False
+            fingerprint = (
+                tuple(unclaimed.values()), tuple(sizes.values()), policy.state_version
             )
-            for handle in active:
-                handle.engine.scheduler.set_capacity_slice(
-                    placement_slices.get(handle.workflow_id, {})
-                )
+            if fingerprint != self._placement_fingerprint:
+                self._placement_fingerprint = fingerprint
+                slices = policy.allocate(unclaimed, self._demand, tenants, record_service=False)
+                previous, self._slices = self._slices, slices
+                for handle in active:
+                    capacity_slice = slices.get(handle.workflow_id, {})
+                    if capacity_slice != previous.get(handle.workflow_id):
+                        handle.engine.scheduler.set_capacity_slice(capacity_slice)
+            for handle in placeable:
                 progressed |= handle.engine.placement.schedule_ready()
 
         # Dispatch: slice the free workers between the workflows with staged
         # demand; each workflow dispatches only within its slice (merged
         # deterministically in arrival order).
-        staged_demand = {
-            h.workflow_id: h.engine.dispatch.staged_demand() for h in active
-        }
-        if any(staged_demand.values()):
-            free_now = self._free_capacity()
-            if any(free_now.values()):
-                budgets = policy.allocate(free_now, staged_demand, tenants)
+        staged = self._staged
+        if any(staged.values()):
+            free = self._free_capacity()
+            if any(free.values()):
+                fingerprint = (
+                    tuple(free.values()),
+                    tuple(map(_STAGED_VERSION, active)),
+                    policy.state_version,
+                )
+                if fingerprint != self._dispatch_fingerprint:
+                    self._dispatch_fingerprint = fingerprint
+                    budgets = policy.allocate(free, staged, tenants)
+                    self._budgeted = [
+                        (handle, budgets[handle.workflow_id])
+                        for handle in active
+                        if budgets.get(handle.workflow_id)
+                    ]
                 dispatched = False
-                for handle in active:
-                    dispatched |= handle.engine.dispatch.dispatch_staged(
-                        budget=budgets.get(handle.workflow_id, {})
-                    )
-                if not dispatched and any(budgets.values()):
+                for handle, budget in self._budgeted:
+                    dispatched |= handle.engine.dispatch.dispatch_staged(budget=budget)
+                if not dispatched and self._budgeted:
                     # An unconsumed grant still counted as service rendered
                     # (fair-share's deficit), so the next round's allocation
                     # is not a repeat of this one even though no event was

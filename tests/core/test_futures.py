@@ -1,5 +1,6 @@
 """Tests for UniFuture."""
 
+import sys
 import threading
 
 import pytest
@@ -74,6 +75,49 @@ class TestBlocking:
         t.start()
         assert fut.result(timeout=2.0) == "late"
         t.join()
+
+
+    def test_wait_event_exists_only_once_somebody_waits(self):
+        # The simulated fabric resolves one future per task and blocks on none.
+        quiet = UniFuture("t1")
+        quiet.set_result(1)
+        assert quiet.result() == 1 and quiet._event is None
+        waited = UniFuture("t2")
+        with pytest.raises(TimeoutError):
+            waited.result(timeout=0.01)
+        assert waited._event is not None
+        waited.set_result(2)
+        assert waited.result(timeout=0) == 2
+
+    def test_waiters_racing_resolvers_all_wake(self):
+        # More threads than cores and a short switch interval: a waiter that
+        # creates its event just as the resolver looks for one must not sleep
+        # through the resolution.
+        futures = [UniFuture(f"t{i}") for i in range(200)]
+        results = []
+
+        def wait_all():
+            results.append([f.result(timeout=10.0) for f in futures])
+
+        def resolve(chunk):
+            for fut in chunk:
+                fut.set_result(fut.task_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=wait_all) for _ in range(6)]
+            threads += [
+                threading.Thread(target=resolve, args=(futures[k::4],)) for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[f.task_id for f in futures]] * 6
 
 
 class TestCallbacks:

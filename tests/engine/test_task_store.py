@@ -32,7 +32,7 @@ class TestStateAccounting:
         assert store.state_count(TaskState.PENDING) == 0
         assert store.state_count(TaskState.READY) == 0
         assert store.counts() == {TaskState.COMPLETED.value: 1}
-        assert store.terminal_count() == 1
+        assert store.terminal == 1
 
     def test_rows_in_states_is_insertion_ordered(self):
         store = make_store()

@@ -99,6 +99,18 @@ class TestPersistence:
         assert reopened.task_count() == 1
         reopened.close()
 
+    def test_rows_reach_another_connection_at_flush_not_per_row(self, tmp_path):
+        path = str(tmp_path / "history.db")
+        writer, reader = HistoryStore(path), HistoryStore(path)
+        writer.add_task_record(task_record())
+        writer.add_transfer_record(transfer_record())
+        assert writer.task_count() == 1  # its own reads see the row at once
+        assert reader.task_count() == 0 and reader.transfer_count() == 0
+        writer.flush()
+        assert reader.task_count() == 1 and reader.transfer_count() == 1
+        writer.close()
+        reader.close()
+
     def test_clear(self):
         store = HistoryStore()
         store.add_task_record(task_record())

@@ -4,6 +4,7 @@ import pytest
 
 from tests.serving.serving_env import build_env
 from repro.engine.events import Event, TaskDispatched, TasksDispatched
+from repro.monitor.store import HistoryStore
 from repro.serving import WorkflowManager, jain_index
 from repro.workloads.synthetic import build_stress_workload
 from repro.workloads.spec import TaskTypeSpec, make_task_type
@@ -91,6 +92,38 @@ class TestSharedSubstrate:
             s.transfer_volume_gb * 1024.0 for s in summary.workflows.values()
         )
         assert per_wf == pytest.approx(total)
+
+    def test_file_backed_history_is_durable_when_run_returns(self, tmp_path):
+        # Rows are no longer committed one by one; the run loop flushes.
+        path = str(tmp_path / "history.db")
+        env = build_env()
+        manager = make_manager(env, history_db_path=path)
+        manager.add_workflow("alpha", builder=stress_builder(5))
+        manager.run(max_wall_time_s=60)
+        other_connection = HistoryStore(path)
+        assert other_connection.task_count() == 5
+        other_connection.close()
+
+    def test_file_backed_history_survives_a_run_that_raises(self, tmp_path):
+        path = str(tmp_path / "history.db")
+        env = build_env()
+        manager = make_manager(env, history_db_path=path)
+        manager.add_workflow("alpha", builder=chain_builder(length=6, output_mb=0.0))
+        other_connection = HistoryStore(path)
+        seen_mid_run = []
+
+        def listener(record):
+            # Earlier rounds' rows are already committed while the run goes on.
+            seen_mid_run.append(other_connection.task_count())
+            if len(seen_mid_run) == 4:
+                raise RuntimeError("listener blew up")
+
+        manager.task_monitor.add_task_listener(listener)
+        with pytest.raises(RuntimeError, match="listener blew up"):
+            manager.run(max_wall_time_s=60)
+        assert seen_mid_run == [0, 1, 2, 3]
+        assert other_connection.task_count() == 4
+        other_connection.close()
 
     def test_empty_workflow_is_trivially_complete(self):
         env = build_env()
