@@ -12,7 +12,7 @@ under and the gate refuses to judge under another.
 
 Usage::
 
-    python3 benchmarks/e2e/run.py --workload NAME --reps 3 --trace 0 --out RESULT.json
+    python3 benchmarks/e2e/run.py --workload NAME --seed 1 --reps 3 --trace 0 --out RESULT.json
     python3 benchmarks/check_e2e_calls.py NAME RESULT.json
 """
 

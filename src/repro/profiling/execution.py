@@ -25,7 +25,8 @@ FEATURES = ("input_mb", "cores_per_node", "cpu_freq_ghz", "ram_gb")
 
 ModelFactory = Callable[[], object]
 
-#: Entry cap of the prediction memo; reaching it clears the memo.
+#: Entry cap of the scalar prediction memo and of each function's row table;
+#: reaching it clears the one that reached it.
 _MEMO_CAP = 4096
 
 
@@ -46,6 +47,13 @@ class _FunctionModel:
         #: warm-up sample (an untrained model predicts the running mean of
         #: its samples) and on every (re)train.
         self.stamp = 0
+        #: ``(hardware shape and bytes, input_mb)`` -> the trained forest's
+        #: per-endpoint predictions under the current ``stamp``.  The key is
+        #: the value predicted from, not the task it was predicted for, so
+        #: one table serves every tenant of the federation.
+        self._rows: Dict[Tuple, np.ndarray] = {}
+        self.rows_computed = 0
+        self.rows_reused = 0
 
     def add(
         self, features: Tuple[float, float, float, float], time_s: float, output_mb: float
@@ -56,9 +64,13 @@ class _FunctionModel:
         if self.max_retained is not None and len(self.samples) > self.max_retained:
             del self.samples[: len(self.samples) - self.max_retained]
         if self.trained_on == 0:
-            self.stamp += 1
+            self._predictions_moved()
             return True
         return False
+
+    def _predictions_moved(self) -> None:
+        self.stamp += 1
+        self._rows.clear()
 
     @property
     def sample_count(self) -> int:
@@ -77,7 +89,7 @@ class _FunctionModel:
         self.time_model.fit(X, times)
         self.output_model.fit(X, outputs)
         self.trained_on = self.observed
-        self.stamp += 1
+        self._predictions_moved()
 
     def predict_time(self, features: Sequence[float]) -> Optional[float]:
         if self.trained_on == 0:
@@ -95,8 +107,9 @@ class _FunctionModel:
         result has shape ``(T, E)`` and every cell equals the scalar
         ``predict_time((input_mb[t], *hardware[e]))`` bit for bit — the
         array-backed scheduling context relies on that to make vectorized
-        placement decisions byte-identical to the scalar path.  Duplicate
-        input sizes are predicted once and gathered back.
+        placement decisions byte-identical to the scalar path.  The forest is
+        evaluated only for ``(hardware, input_mb)`` values not yet in this
+        model generation's row table; the result is always a fresh array.
         """
         tasks = len(input_mb)
         endpoints = len(hardware)
@@ -105,12 +118,27 @@ class _FunctionModel:
                 return None
             mean = float(np.mean([r[1] for r in self.samples]))
             return np.full((tasks, endpoints), mean)
-        unique, inverse = np.unique(input_mb, return_inverse=True)
-        X = np.empty((len(unique) * endpoints, 1 + hardware.shape[1]))
-        X[:, 0] = np.repeat(unique, endpoints)
-        X[:, 1:] = np.tile(hardware, (len(unique), 1))
-        predictions = np.maximum(0.0, self.time_model.predict(X))
-        return predictions.reshape(len(unique), endpoints)[inverse]
+        table = self._rows
+        endpoint_set = (hardware.shape, hardware.tobytes())
+        positions: Dict[float, List[int]] = {}
+        for position, value in enumerate(input_mb.tolist()):
+            positions.setdefault(value, []).append(position)
+        if len(table) + len(positions) > _MEMO_CAP:
+            table.clear()
+        missing = [value for value in positions if (endpoint_set, value) not in table]
+        if missing:
+            X = np.empty((len(missing) * endpoints, 1 + hardware.shape[1]))
+            X[:, 0] = np.repeat(missing, endpoints)
+            X[:, 1:] = np.tile(hardware, (len(missing), 1))
+            predictions = np.maximum(0.0, self.time_model.predict(X))
+            for value, row in zip(missing, predictions.reshape(len(missing), endpoints)):
+                table[(endpoint_set, value)] = row
+        self.rows_computed += len(missing)
+        self.rows_reused += tasks - len(missing)
+        result = np.empty((tasks, endpoints))
+        for value, rows in positions.items():
+            result[rows] = table[(endpoint_set, value)]
+        return result
 
     def predict_output(self, features: Sequence[float]) -> Optional[float]:
         if self.trained_on == 0:
@@ -255,6 +283,16 @@ class ExecutionProfiler:
         return model.predict_time_matrix(
             np.asarray(input_mb, dtype=float), np.asarray(hardware, dtype=float)
         )
+
+    @property
+    def rows_computed(self) -> int:
+        """Rows of :meth:`predict_time_matrix` a trained forest was evaluated for."""
+        return sum(model.rows_computed for model in self._models.values())
+
+    @property
+    def rows_reused(self) -> int:
+        """Rows of :meth:`predict_time_matrix` gathered from a function's row table."""
+        return sum(model.rows_reused for model in self._models.values())
 
     def predict_output_mb(
         self,

@@ -30,12 +30,16 @@ __all__ = [
 ]
 
 
-def _as_2d(X) -> np.ndarray:
+def _as_2d(X, n_features: Optional[int] = None) -> np.ndarray:
+    """``X`` as a float matrix — of ``n_features`` columns when a fitted
+    model's ``predict`` says how many it was fitted on."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     if X.ndim != 2:
         raise ValueError(f"X must be 1- or 2-dimensional, got shape {X.shape}")
+    if n_features is not None and X.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} features, got {X.shape[1]}")
     return X
 
 
@@ -222,7 +226,7 @@ class DecisionTreeRegressor:
 
     def predict(self, X) -> np.ndarray:
         _check_fitted(self._root is not None)
-        X = _as_2d(X)
+        X = _as_2d(X, self.n_features_)
         if self._flat is None:
             self._flat = self._compile()
         feature, threshold, value, left, right = self._flat
@@ -275,18 +279,25 @@ class RandomForestRegressor:
         if len(y) == 0:
             raise ValueError("cannot fit on an empty dataset")
         self.n_features_ = X.shape[1]
+        tree_options = dict(
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_features=self._resolve_max_features(self.n_features_),
+        )
+        if (y == y[0]).all():
+            # Every bootstrap sample of a constant target is ``n`` copies of
+            # that value and every tree the single leaf ``sum(y) / n``: the
+            # draws (from a generator local to this fit) would decide nothing.
+            self._trees = [DecisionTreeRegressor(**tree_options).fit(X, y)] * self.n_estimators
+            return self
         rng = np.random.default_rng(self.random_state)
-        max_features = self._resolve_max_features(self.n_features_)
         self._trees = []
         n = len(y)
         for _ in range(self.n_estimators):
             indices = rng.integers(0, n, size=n)
             tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=max_features,
-                random_state=np.random.default_rng(rng.integers(0, 2**31 - 1)),
+                random_state=np.random.default_rng(rng.integers(0, 2**31 - 1)), **tree_options
             )
             tree.fit(X[indices], y[indices])
             self._trees.append(tree)
@@ -294,7 +305,7 @@ class RandomForestRegressor:
 
     def predict(self, X) -> np.ndarray:
         _check_fitted(bool(self._trees))
-        X = _as_2d(X)
+        X = _as_2d(X, self.n_features_)
         # Sequential accumulation over trees: unlike ``stack(...).mean(0)``,
         # whose pairwise reduction order depends on the batch shape, this is
         # per-element identical no matter how many rows are predicted at
@@ -351,11 +362,7 @@ class PolynomialRegression:
 
     def predict(self, X) -> np.ndarray:
         _check_fitted(self._coef is not None)
-        X = _as_2d(X)
-        if X.shape[1] != self.n_features_:
-            raise ValueError(
-                f"expected {self.n_features_} features, got {X.shape[1]}"
-            )
+        X = _as_2d(X, self.n_features_)
         return self._design_matrix(X) @ self._coef
 
 
@@ -396,7 +403,7 @@ class BayesianLinearRegression:
 
     def predict(self, X, return_std: bool = False):
         _check_fitted(self._mean is not None)
-        X = _as_2d(X)
+        X = _as_2d(X, self.n_features_)
         A = self._augment(X)
         mean = A @ self._mean
         if not return_std:

@@ -7,13 +7,19 @@ byte-identical to the scalar reference path:
 * :class:`PredictionIndex` — stable integer ids for tasks (rows) and
   endpoints (columns) plus two float64 matrices holding the predicted
   execution time and predicted staging time of every pair.  Rows are filled
-  lazily and batched (one profiler call per function, deduplicated by input
-  size) and are generation-stamped exactly like the scalar memo cache: a
-  profiler retrain, a hardware change or a transfer observation invalidates
-  lazily via version counters, a replica move invalidates the staging rows
-  of the tasks that read *that* file, and the engine's per-task
-  invalidation clears single rows.  Every cell holds exactly the float the
-  scalar :class:`~repro.sched.base.SchedulingContext` methods would return.
+  lazily and batched, and are generation-stamped exactly like the scalar
+  memo cache: a profiler retrain, a hardware change or a transfer
+  observation invalidates lazily via version counters, a replica move
+  invalidates the staging rows of the tasks that read *that* file, and the
+  engine's per-task invalidation clears single rows.  A row belongs to a
+  task, but what fills it is keyed by the *value* it is predicted from:
+  execution rows come from the federation's execution profiler (one call
+  per function; it evaluates a function's forest once per distinct input
+  size and hardware matrix per model generation, whichever tenant's index
+  asks), staging rows from this index's own tables keyed by the input
+  files' location stamps or, without files, the estimated input volume.
+  Every cell holds exactly the float the scalar
+  :class:`~repro.sched.base.SchedulingContext` methods would return.
 
 * :class:`EndpointStateVectors` — the incremental earliest-finish-time
   index: per-endpoint backlog accumulators (pending work, busy/idle workers
@@ -46,11 +52,23 @@ __all__ = ["EndpointStateVectors", "PredictionIndex"]
 #: Row-capacity growth quantum of the prediction matrices.
 _GROW = 1024
 
+#: Entry cap of each staging-row table; reaching it clears that table.
+_STAGING_ROWS_CAP = 4096
+
 _location_stamp = attrgetter("location_stamp")
 
 
 class PredictionIndex:
-    """Dense, generation-stamped prediction matrices over tasks × endpoints."""
+    """Dense, generation-stamped prediction matrices over tasks × endpoints.
+
+    What bounds each table: the matrices, ``_rows`` and ``_stag_inputs`` by
+    the live rows (:meth:`release_task` recycles a finished task's row and
+    forgets its entries); the two value-keyed staging tables by their
+    stream's generation (dropped when it moves) and by
+    ``_STAGING_ROWS_CAP`` entries (cleared on reaching it).  The
+    execution-row table is not here but on the profiler's function model,
+    bounded by that model's stamp and the profiler's own cap.
+    """
 
     def __init__(self, context: "SchedulingContext") -> None:
         self._context = context
@@ -83,16 +101,28 @@ class PredictionIndex:
         #: row was filled.  A replica move renews only that file's stamp, so
         #: only the rows reading it go stale.
         self._stag_inputs: Dict[int, Tuple[int, ...]] = {}
+        #: Staging rows by the value they were built from, each table valid
+        #: for one generation of its stream: the input files' location stamps
+        #: (unique across files, so the tuple names the files, their order
+        #: and where each lives), or the estimated input volume of a task
+        #: without files.
+        self._file_rows: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._nofile_rows: Dict[float, np.ndarray] = {}
         #: Recycled rows of released (finished) tasks.
         self._free_rows: List[int] = []
         self._default: Optional[float] = None
         self._fallback_row: Optional[np.ndarray] = None
         self._hardware: Optional[np.ndarray] = None
         self._hardware_version = -1
-        #: Matrix cells computed (the vector path's "misses") and matrix rows
+        #: Matrix cells written (the vector path's "misses") and matrix rows
         #: handed to consumers (its "hits") — benchmarks assert on these.
         self.cells_filled = 0
         self.rows_served = 0
+        #: Of the staging rows written: built by :meth:`_staging_row` against
+        #: copied from a table.  (The execution rows' pair of counters is on
+        #: the federation's ``ExecutionProfiler``, where their table lives.)
+        self.staging_rows_built = 0
+        self.staging_rows_reused = 0
 
     # ------------------------------------------------------------ generations
     def _current_exec_gen(self) -> int:
@@ -115,11 +145,13 @@ class PredictionIndex:
             self._stag_nofiles_token = nofiles_token
             self._stag_counter += 1
             self._stag_gen_nofiles = self._stag_counter
+            self._nofile_rows.clear()
         files_token = (transfer_version, context.quarantine_generation())
         if files_token != self._stag_files_token:
             self._stag_files_token = files_token
             self._stag_counter += 1
             self._stag_gen_files = self._stag_counter
+            self._file_rows.clear()
         return self._stag_gen_nofiles, self._stag_gen_files
 
     # ----------------------------------------------------------- invalidation
@@ -144,6 +176,7 @@ class PredictionIndex:
         if row is not None:
             self._exec_stamp[row] = -1
             self._stag_stamp[row] = -1
+            self._stag_inputs.pop(row, None)
             self._free_rows.append(row)
 
     # ---------------------------------------------------------------- queries
@@ -303,10 +336,24 @@ class PredictionIndex:
             self.cells_filled += len(items) * width
 
     def _fill_staging(self, stale: List[Tuple["Task", int, int]]) -> None:
+        estimated_input_mb = self._context.estimated_input_mb
         for task, row, generation in stale:
-            self._stag[row] = self._staging_row(task)
+            if task.input_files:
+                table, key = self._file_rows, self._stag_inputs[row]
+            else:
+                table, key = self._nofile_rows, estimated_input_mb(task)
+            values = table.get(key)
+            if values is None:
+                values = self._staging_row(task)
+                if len(table) >= _STAGING_ROWS_CAP:
+                    table.clear()
+                table[key] = values
+                self.staging_rows_built += 1
+            else:
+                self.staging_rows_reused += 1
+            self._stag[row] = values
             self._stag_stamp[row] = generation
-            self.cells_filled += len(self.endpoint_names)
+        self.cells_filled += len(stale) * len(self.endpoint_names)
 
     def _staging_row(self, task: "Task") -> np.ndarray:
         """One row of predicted staging times, mirroring the scalar method.

@@ -168,6 +168,39 @@ class TestBayesianLinearRegression:
             BayesianLinearRegression(beta=-1)
 
 
+class TestFeatureCountChecked:
+    """A query of another width than the fit is a typed error in every model:
+    a forest used to answer a too-wide one silently (reading the columns it
+    knew) and a too-narrow one with a bare ``IndexError``."""
+
+    MODELS = [
+        lambda: DecisionTreeRegressor(max_depth=3),
+        lambda: RandomForestRegressor(n_estimators=3, max_depth=3),
+        # A constant target is fitted without a bootstrap; same check.
+        lambda: RandomForestRegressor(n_estimators=3, max_depth=3).fit(np.ones((6, 4)), np.ones(6)),
+        lambda: PolynomialRegression(),
+        lambda: BayesianLinearRegression(),
+    ]
+
+    @pytest.mark.parametrize("build", MODELS)
+    @pytest.mark.parametrize("width", [2, 3, 5])
+    def test_wrong_width_is_a_value_error(self, build, width):
+        model = build()
+        if not model.n_features_:
+            rng = np.random.default_rng(3)
+            model.fit(rng.uniform(0, 10, size=(12, 4)), rng.uniform(0, 5, size=12))
+        assert model.predict(np.ones((2, 4))).shape == (2,)
+        with pytest.raises(ValueError, match=f"expected 4 features, got {width}"):
+            model.predict(np.ones((2, width)))
+
+    def test_a_flat_row_is_one_feature_per_sample(self):
+        # 1-D input means samples of a single feature, so a single 4-feature
+        # sample passed flat is refused instead of read as four samples.
+        forest = RandomForestRegressor(n_estimators=2).fit(np.ones((6, 4)), np.arange(6.0))
+        with pytest.raises(ValueError, match="expected 4 features, got 1"):
+            forest.predict([1.0, 2.0, 3.0, 4.0])
+
+
 class TestModelProperties:
     @given(
         st.integers(min_value=10, max_value=60),

@@ -1,7 +1,10 @@
-"""The vectorised split search grows the trees the loop-form search grows.
+"""The vectorised split search grows the trees the loop-form search grows,
+and a forest that skips the bootstrap of a constant target is the forest
+that drew it.
 
 ``==`` throughout: same ``(feature, threshold)`` for any node's data, same
-draws from the tree's RNG, same predictions from whole forests.
+draws from the tree's RNG, same flattened trees, same predictions from whole
+forests.
 """
 
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.profiling.models import DecisionTreeRegressor, RandomForestRegressor
 
-from tests.reference.tree_fit import best_split_loop, loop_form_split
+from tests.reference.tree_fit import best_split_loop, forest_fit_bootstrap, loop_form_split
 
 
 @st.composite
@@ -64,3 +67,49 @@ def test_same_forest_as_the_loop(data, seed):
         reference = RandomForestRegressor(n_estimators=5, random_state=seed).fit(X, y)
     probes = np.vstack([X, X + 0.5 * (X.max() - X.min() + 1.0)])
     assert (forest.predict(probes) == reference.predict(probes)).all()
+
+
+@st.composite
+def profiler_shaped_datasets(draw):
+    """What a profiler refit sees: one to three distinct rows of X (one per
+    endpoint's hardware) and a target that is constant (a zero-output
+    function), two-valued, rounded or continuous."""
+    rows = draw(st.integers(min_value=1, max_value=96))
+    columns = draw(st.integers(min_value=1, max_value=4))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    distinct = rng.uniform(0.0, 200.0, size=(draw(st.integers(min_value=1, max_value=3)), columns))
+    X = distinct[rng.integers(0, len(distinct), size=rows)]
+    target = draw(st.sampled_from(["constant", "zero", "two-valued", "rounded", "continuous"]))
+    if target == "constant":
+        y = np.full(rows, float(rng.uniform(0.0, 64.0)))
+    elif target == "zero":
+        y = np.zeros(rows)
+    elif target == "two-valued":
+        y = rng.integers(0, 2, size=rows) * 12.5
+    elif target == "rounded":
+        y = np.round(rng.uniform(0.0, 3.0, size=rows), 1)
+    else:
+        y = rng.uniform(0.0, 500.0, size=rows)
+    return X, y
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    data=profiler_shaped_datasets(),
+    seed=st.integers(min_value=0, max_value=1000),
+    max_features=st.sampled_from(["sqrt", None, 1]),
+)
+def test_same_forest_as_the_bootstrap_of_every_tree(data, seed, max_features):
+    X, y = data
+    options = dict(n_estimators=4, max_depth=4, max_features=max_features, random_state=seed)
+    forest = RandomForestRegressor(**options).fit(X, y)
+    reference = forest_fit_bootstrap(RandomForestRegressor(**options), X, y)
+    assert len(forest._trees) == len(reference._trees)
+    for tree, expected in zip(forest._trees, reference._trees):
+        for flat, flat_expected in zip(tree._compile(), expected._compile()):
+            assert flat.dtype == flat_expected.dtype
+            assert (flat == flat_expected).all()
+    probes = np.vstack([X, X + 1.0, np.zeros((1, X.shape[1]))])
+    assert (forest.predict(probes) == reference.predict(probes)).all()
+

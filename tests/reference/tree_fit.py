@@ -1,13 +1,16 @@
-"""Loop-form ``DecisionTreeRegressor._best_split`` — the executable
-specification of the split search.
+"""Executable specifications of the tree and forest fitters.
 
-This is the split search as it shipped before it was vectorised: every
-candidate position of every feature scored in turn, and a position accepted
-when it beats the best so far by more than ``1e-12``.  The product
-(``repro.profiling.models``) scores all positions of a feature as one array
-expression and must return the same ``(feature, threshold)`` — and therefore
-grow the same trees — for any input; ``tests/profiling/test_tree_fit.py``
-holds it to that with ``==``.
+``best_split_loop`` is the split search as it shipped before it was
+vectorised: every candidate position of every feature scored in turn, and a
+position accepted when it beats the best so far by more than ``1e-12``.  The
+product (``repro.profiling.models``) scores all positions of a feature as one
+array expression and must return the same ``(feature, threshold)`` — and
+therefore grow the same trees — for any input.
+
+``forest_fit_bootstrap`` is the forest fit as it shipped before constant
+targets skipped the bootstrap: every tree, whatever the target, grown on its
+own resample with its own generator.  The product must end up with the same
+trees.  ``tests/profiling/test_tree_fit.py`` holds it to both with ``==``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.profiling.models import DecisionTreeRegressor
+from repro.profiling.models import DecisionTreeRegressor, RandomForestRegressor
 
 
 def best_split_loop(
@@ -67,3 +70,28 @@ def loop_form_split():
         yield
     finally:
         DecisionTreeRegressor._best_split = shipped
+
+
+def forest_fit_bootstrap(
+    forest: RandomForestRegressor, X: np.ndarray, y: np.ndarray
+) -> RandomForestRegressor:
+    """``forest.fit(X, y)`` with every tree bootstrapped, constant target or not."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    forest.n_features_ = X.shape[1]
+    rng = np.random.default_rng(forest.random_state)
+    max_features = forest._resolve_max_features(forest.n_features_)
+    forest._trees = []
+    n = len(y)
+    for _ in range(forest.n_estimators):
+        indices = rng.integers(0, n, size=n)
+        tree = DecisionTreeRegressor(
+            max_depth=forest.max_depth,
+            min_samples_split=forest.min_samples_split,
+            min_samples_leaf=forest.min_samples_leaf,
+            max_features=max_features,
+            random_state=np.random.default_rng(rng.integers(0, 2**31 - 1)),
+        )
+        tree.fit(X[indices], y[indices])
+        forest._trees.append(tree)
+    return forest
