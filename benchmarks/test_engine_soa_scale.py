@@ -149,7 +149,7 @@ def deliver_scalar(completed, records, now: float):
                 record=records[task.task_id],
             )
         )
-        bus.publish(TaskReady.for_task(task, time=now, via="dependencies"))
+        bus.publish(TaskReady.for_task(task, time=now))
     return log
 
 

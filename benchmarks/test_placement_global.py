@@ -15,9 +15,8 @@ Runs the two presets whose structure the optimizer targets:
 The headline gate, per preset: the plan cuts makespan or bytes-moved by
 ≥ 10 % versus ``--no-placement`` greedy DHA while the other metric regresses
 by no more than 2 % — and the plan runs are byte-deterministic (identical
-determinism digests across repeats; the vector/scalar and columnar/scalar
-mode equivalence is asserted by ``tests/scenarios``'s digest gates and the
-CI ``placement`` job).
+determinism digests across repeats; the vector/scalar mode equivalence is
+asserted by ``tests/scenarios``'s digest gates and the CI ``placement`` job).
 """
 
 import dataclasses

@@ -42,8 +42,8 @@ ENDPOINTS = 4
 WORKERS = 24
 ARRIVALS = int(os.environ.get("REPRO_BENCH_STREAM_ARRIVALS", "500"))
 TASKS_PER_WF = int(os.environ.get("REPRO_BENCH_STREAM_TASKS", "32"))
-#: Set to 0 to skip the extra --no-vector / --no-columnar digest runs (the
-#: full-scale sustain run uses this; the modes stay gated at default scale).
+#: Set to 0 to skip the extra --no-vector digest run (the full-scale sustain
+#: run uses this; the mode stays gated at default scale).
 MODE_GATES = os.environ.get("REPRO_BENCH_STREAM_MODES", "1") != "0"
 TASK_S = 2.0
 MAX_ACTIVE = 12
@@ -72,9 +72,8 @@ def _cluster(name: str) -> ClusterSpec:
 class _IncrementalDigest:
     """Folds one tenant's event log into a digest without retaining it.
 
-    Batch events are expanded to the scalar oracle's per-task entries
-    (:func:`expand_event`), so the digest is defined over the same sequence
-    on the columnar and scalar engine paths.
+    Batch events are expanded to their per-task entries
+    (:func:`expand_event`), the definition of the event log.
     """
 
     def __init__(self) -> None:
@@ -207,9 +206,6 @@ def test_serving_stream_steady_state(benchmark):
             _, mode_digests["no-vector"], _ = _run(
                 "edf", enable_vectorized_scheduling=False
             )
-            _, mode_digests["no-columnar"], _ = _run(
-                "edf", enable_columnar_engine=False
-            )
         return fifo, edf, edf_digest, repeat_digest, mode_digests, peaks
 
     fifo, edf, edf_digest, repeat_digest, mode_digests, peaks = benchmark.pedantic(
@@ -254,8 +250,8 @@ def test_serving_stream_steady_state(benchmark):
     assert abs(edf["throughput_per_s"] - fifo["throughput_per_s"]) <= (
         0.10 * max(fifo["throughput_per_s"], 1e-9)
     )
-    # Byte-determinism across repeats — and across the vectorized and
-    # columnar engine toggles — over every tenant's full event log.
+    # Byte-determinism across repeats — and across the vectorized scheduling
+    # toggle — over every tenant's full event log.
     assert edf_digest == repeat_digest
     for mode, digest in mode_digests.items():
         assert digest == edf_digest, f"{mode} digest diverged"

@@ -12,8 +12,7 @@
   outcomes from the bus (it never publishes or submits during a cascade) and
   materializes newly-enabled jobs in :meth:`drain`, which the engine invokes
   as a growth hook at the top of every pump round.  That boundary is what
-  keeps runtime growth byte-deterministic across the columnar and scalar
-  event paths.
+  keeps runtime growth byte-deterministic however completions are batched.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.authoring.api import Job, WorkflowDefinition
 from repro.core.exceptions import WorkflowError
 from repro.core.futures import UniFuture
 from repro.engine.core import MAX_RETRIES_KWARG
-from repro.engine.events import TaskCompleted, TaskFailed, TasksCompleted
+from repro.engine.events import TaskFailed, TasksCompleted
 from repro.workloads.spec import WorkloadInfo
 
 __all__ = ["JobOutcome", "WorkflowRun"]
@@ -156,7 +155,6 @@ class WorkflowRun:
             raise WorkflowError(f"workflow run {self.definition.name!r} already started")
         self._started = True
         bus = self.engine.bus
-        bus.subscribe(TaskCompleted, self._on_task_completed)
         bus.subscribe(TasksCompleted, self._on_tasks_completed)
         bus.subscribe(TaskFailed, self._on_task_failed)
         for run in self._runs:
@@ -170,11 +168,7 @@ class WorkflowRun:
 
     # --------------------------------------------------------- bus recording
     # Handlers only update counters — submissions happen in drain(), outside
-    # every cascade, so the columnar and scalar paths log identically.
-    def _on_task_completed(self, event: TaskCompleted) -> None:
-        if event.success:
-            self._record_terminal(event.task_id, True)
-
+    # every cascade.
     def _on_tasks_completed(self, event: TasksCompleted) -> None:
         for task in event.tasks:
             self._record_terminal(task.task_id, True)

@@ -82,11 +82,6 @@ class Config:
     #: Run DHA/HEFT on the array-backed vectorized hot path (byte-identical
     #: decisions to the scalar reference; disable to run the reference).
     enable_vectorized_scheduling: bool = True
-    #: Run the engine core on the columnar (struct-of-arrays) path: batched
-    #: event delivery, array-backed state/demand queries and vectorized
-    #: serving arbitration.  Byte-identical event logs to the scalar per-task
-    #: event path; disable (``--no-columnar``) to run the oracle.
-    enable_columnar_engine: bool = True
     #: Route staging through the data-plane subsystem (:mod:`repro.dataplane`):
     #: capacity-bounded replica store, priority/bandwidth-aware transfer
     #: scheduling and pipelined prefetching.  Disable (``--no-dataplane``) to

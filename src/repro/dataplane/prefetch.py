@@ -7,13 +7,13 @@ unfinished predecessors has at least been dispatched — from that moment its
 remaining wait is predecessor execution time, which is exactly the window a
 wide-area transfer can hide inside.
 
-Driven off the engine's EventBus:
+Driven by the engine (:meth:`Prefetcher.on_predecessor_progress`):
 
-* on :class:`~repro.engine.events.TaskDispatched` of a predecessor, the
-  successor's *already available* inputs (workflow-declared files, outputs of
-  predecessors that finished earlier) start moving;
-* on :class:`~repro.engine.events.TaskCompleted` of a predecessor, its fresh
-  outputs join the pipeline while the remaining predecessors still run.
+* when a predecessor is dispatched, the successor's *already available*
+  inputs (workflow-declared files, outputs of predecessors that finished
+  earlier) start moving;
+* when a predecessor completes, its fresh outputs join the pipeline while
+  the remaining predecessors still run.
 
 The destination is a *guess*: the scheduler's placement hint (DHA's
 earliest-finish-time selection over current state) when available, otherwise

@@ -291,8 +291,8 @@ class DurabilityController:
             }
             if self.restore.cut.get("kind") == "oneshot":
                 # Snapshot payload digests cover engine-internal state, which
-                # legitimately differs between the columnar/scalar and
-                # vector/scalar modes; only the explicit snapshot→restore
+                # legitimately differs between the vector and scalar
+                # scheduler modes; only the explicit snapshot→restore
                 # pairing (always same-mode, what check-replay verifies)
                 # reports it.  Checkpoint-recovery payloads stay
                 # byte-identical across modes.

@@ -46,8 +46,9 @@ __all__ = [
     "write_snapshot",
 ]
 
-#: Format version this build writes and the only one it reads.
-SCHEMA_VERSION = 1
+#: Format version this build writes and the only one it reads.  Version 2
+#: dropped the ``columnar`` field from the replay recipe (``scenario``).
+SCHEMA_VERSION = 2
 
 _MAGIC = "repro-snapshot"
 _CKPT_PATTERN = re.compile(r"^ckpt-(\d+)\.snap$")

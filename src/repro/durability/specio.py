@@ -27,7 +27,7 @@ from repro.scenarios.dynamics import (
 from repro.scenarios.spec import EndpointSpec, ScenarioSpec, WorkloadSpec
 from repro.streaming.spec import StreamingSpec
 
-__all__ = ["spec_fingerprint_matches", "spec_from_payload", "spec_to_payload"]
+__all__ = ["spec_from_payload", "spec_to_payload"]
 
 
 def _flat(obj) -> Dict[str, object]:
@@ -99,15 +99,6 @@ def spec_from_payload(payload: Dict[str, object]) -> ScenarioSpec:
         raise SnapshotCorruptError(
             f"snapshot carries an unreadable scenario spec: {exc}"
         ) from exc
-
-
-def spec_fingerprint_matches(spec: ScenarioSpec, payload: Dict[str, object]) -> bool:
-    """True when ``payload`` describes exactly ``spec`` (restore safety check)."""
-    import json
-
-    a = json.dumps(spec_to_payload(spec), sort_keys=True)
-    b = json.dumps(payload, sort_keys=True)
-    return a == b
 
 
 def describe_mismatch(spec: ScenarioSpec, payload: Dict[str, object]) -> List[str]:

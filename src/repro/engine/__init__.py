@@ -16,11 +16,14 @@ from repro.engine.events import (
     Event,
     StagingDone,
     TaskCompleted,
-    TaskDispatched,
     TaskEvent,
     TaskFailed,
     TaskPlaced,
     TaskReady,
+    TasksCompleted,
+    TasksDispatched,
+    TasksReady,
+    expand_event,
 )
 from repro.engine.failure import FailureCoordinator
 from repro.engine.periodic import PeriodicCoordinator
@@ -41,10 +44,13 @@ __all__ = [
     "StagingCoordinator",
     "StagingDone",
     "TaskCompleted",
-    "TaskDispatched",
     "TaskEvent",
     "TaskFailed",
     "TaskIndex",
     "TaskPlaced",
     "TaskReady",
+    "TasksCompleted",
+    "TasksDispatched",
+    "TasksReady",
+    "expand_event",
 ]

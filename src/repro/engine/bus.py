@@ -7,8 +7,7 @@ thread-pool endpoints.  The bus therefore delivers events *synchronously* —
 coordinators rely on:
 
 * **Subscription order** — handlers for an event type run in the order they
-  subscribed.  The engine wires monitors, metrics, the scheduler and its own
-  continuations in the exact order the pre-refactor monolith invoked them.
+  subscribed.
 * **FIFO cascades** — an event published from inside a handler is queued and
   delivered after the current event's remaining handlers, never recursively.
   Cascades of any depth are processed breadth-first in publication order, so
@@ -139,9 +138,8 @@ class EventBus:
 
         Equivalent to a handler publishing each event before any of them is
         delivered: the whole group is queued ahead of any cascade the first
-        event's handlers publish.  The columnar completion path uses this to
-        reproduce the oracle ordering when one completion unlocks several
-        endpoint-pinned successors.
+        event's handlers publish.  The completion path uses this when one
+        completion unlocks several endpoint-pinned successors.
         """
         self._queue.extend(events)
         if not self._draining and self._queue:

@@ -10,15 +10,16 @@ coordinators:
 * :class:`~repro.engine.staging.StagingCoordinator` — placed tasks through
   data staging (:class:`StagingDone`);
 * :class:`~repro.engine.dispatch.DispatchCoordinator` — delay-mechanism
-  gating and fabric submission (:class:`TaskDispatched`);
+  gating and fabric submission (:class:`TasksDispatched`);
 * :class:`~repro.engine.failure.FailureCoordinator` — the retry / reassign /
   fail ladder of §IV-G;
 
 plus the :class:`~repro.engine.periodic.PeriodicCoordinator` for everything
 on a cadence.  The monitors, the metrics collector and the scheduler observe
-the run purely through bus subscriptions — the subscription order reproduces
-the call order of the monolithic client this engine replaced, so scheduling
-outcomes are unchanged.
+a dispatch and a completion by direct call, in one fixed order, at the one
+place each happens (:meth:`~repro.engine.dispatch.DispatchCoordinator.dispatch`,
+:meth:`ExecutionEngine._handle_completions`); the bus then announces the
+round's batch.
 
 An engine is strictly *per-workflow* state.  Everything shared — fabric,
 clock, monitors, profilers, data manager, placement service — belongs to the
@@ -46,7 +47,6 @@ from repro.engine.events import (
     EndpointCrashed,
     EndpointRejoined,
     TaskCompleted,
-    TaskDispatched,
     TaskFailed,
     TaskPlaced,
     TaskReady,
@@ -110,11 +110,7 @@ class ExecutionEngine:
         # Per-workflow state.
         self.graph = TaskGraph()
         self.bus = EventBus()
-        #: Columnar fast path: batched event delivery + array-backed demand
-        #: queries.  Off, the scalar per-task event path (the equivalence
-        #: oracle) runs instead; both produce byte-identical event logs.
-        self._columnar = bool(getattr(config, "enable_columnar_engine", True))
-        self.index = TaskIndex(store=self.graph.store if self._columnar else None)
+        self.index = TaskIndex(self.graph.store)
         #: Workflow namespace prefixing this engine's task ids; "" (the
         #: single-workflow client) keeps the process-global task counter.
         self.namespace = namespace
@@ -147,8 +143,7 @@ class ExecutionEngine:
         self._pending_added: List[Task] = []
         #: Workflow-growth sources (authoring runtimes).  Drained at the top
         #: of every pump round — a deterministic point outside any bus
-        #: cascade — so runtime graph growth is digest-stable across the
-        #: columnar and scalar event paths.
+        #: cascade.
         self._growth_hooks: List[Callable[[], None]] = []
         #: Outstanding consumers per task id — the data plane's output
         #: lifecycle: when the count hits zero the producer's outputs are
@@ -157,32 +152,6 @@ class ExecutionEngine:
         #: the new consumer runs.
         self._consumer_counts: Dict[str, int] = {}
 
-        # Observers first: the subscription order reproduces the inline call
-        # order of the monolithic client (endpoint monitor, task monitor,
-        # metrics, scheduler, then the engine's own continuation).  Wiring
-        # lives here so repro.monitor / repro.metrics never depend upward on
-        # the engine package.
-        self.bus.subscribe(
-            TaskDispatched,
-            lambda e: self.endpoint_monitor.record_dispatch(e.endpoint, cores=e.cores),
-        )
-        self.bus.subscribe(
-            TaskCompleted,
-            lambda e: self.endpoint_monitor.record_completion(e.endpoint, cores=e.cores),
-        )
-        self.bus.subscribe(TaskCompleted, lambda e: self.task_monitor.observe_task(e.record))
-        self.bus.subscribe(
-            TaskCompleted,
-            lambda e: self.metrics.record_completion(
-                e.endpoint, e.record.function_name, e.record.success
-            ),
-        )
-        self.bus.subscribe(
-            TaskDispatched, lambda e: self.scheduler.on_task_dispatched(e.task, e.endpoint)
-        )
-        self.bus.subscribe(
-            TaskCompleted, lambda e: self.scheduler.on_task_completed(e.task, e.record)
-        )
         self.bus.subscribe(CapacityChanged, lambda e: self.scheduler.on_capacity_changed())
 
         # Endpoint dynamics (crash / rejoin / churn) change capacity out from
@@ -200,18 +169,13 @@ class ExecutionEngine:
         self.failure = FailureCoordinator(self)
         self.periodic = PeriodicCoordinator(self)
         self.bus.subscribe(TaskReady, self._on_task_ready)
-        self.bus.subscribe(TaskCompleted, self._on_task_completed)
 
-        # Data-plane wiring: pin lifecycle, crash cleanup and the prefetch
-        # pipeline.  Subscribed after the engine's own continuation so the
-        # prefetcher sees freshly registered outputs and final task states.
+        # Data-plane wiring: pin lifecycle on terminal failure, crash cleanup
+        # and the prefetch pipeline (a successful completion releases its pins
+        # and advances the prefetcher in _handle_completions).
         self.prefetcher: Optional[Prefetcher] = None
         if isinstance(self.data_manager, DataPlane):
             plane = self.data_manager
-            self.bus.subscribe(
-                TaskCompleted,
-                lambda e: plane.release_task(e.task_id) if e.success else None,
-            )
             self.bus.subscribe(TaskFailed, lambda e: plane.release_task(e.task_id))
             # On this workflow's own bus, so the quarantine lands after the
             # synchronous dynamics handlers above (the failure coordinator's
@@ -246,16 +210,6 @@ class ExecutionEngine:
                 self.bus.subscribe(
                     TaskFailed,
                     lambda e: self.prefetcher.on_task_terminal(e.task_id),
-                )
-                self.bus.subscribe(
-                    TaskDispatched,
-                    lambda e: self.prefetcher.on_predecessor_progress(e.task_id),
-                )
-                self.bus.subscribe(
-                    TaskCompleted,
-                    lambda e: self.prefetcher.on_predecessor_progress(e.task_id)
-                    if e.success
-                    else None,
                 )
 
     # ------------------------------------------------------------- submission
@@ -304,7 +258,7 @@ class ExecutionEngine:
 
         ready = task.state == TaskState.READY
         if ready:
-            self.bus.publish(TaskReady.for_task(task, time=self.clock.now(), via="submit"))
+            self.bus.publish(TaskReady.for_task(task, time=self.clock.now()))
         if self._running:
             # Deferred: the scheduler sees every addition of this pump round
             # in one on_tasks_added batch (flushed by drain_growth).
@@ -318,31 +272,11 @@ class ExecutionEngine:
     def finalize(self) -> None:
         """Close out this workflow's metrics (the run loop calls it when the
         workflow completes or is cancelled)."""
-        if self._columnar:
-            # Stream the store's timestamp reduction straight into the
-            # collector's bounded sketch — no intermediate Python list.
-            self.metrics.set_wait_times(self.graph.store.wait_values())
-        else:
-            self.metrics.set_wait_times(self.wait_times())
+        # Per-task ready-to-execution-start wait — the quantity the serving
+        # layer's arbitration policies trade between tenants — streamed from
+        # the store's timestamp columns into the collector's bounded sketch.
+        self.metrics.set_wait_times(self.graph.store.wait_values())
         self.metrics.workflow_finished(self.clock.now())
-
-    def wait_times(self) -> List[float]:
-        """Per-task ready-to-execution-start wait, in task-id order.
-
-        The quantity the serving layer's arbitration policies trade between
-        tenants: how long a runnable task sat in client queues (placement,
-        staging, delay mechanism, dispatch) before a worker started it.
-        """
-        if self._columnar:
-            # One array reduction over the store's timestamp columns; same
-            # values, same order as the scalar scan below.
-            return self.graph.store.wait_times()
-        waits: List[float] = []
-        for task in self.graph:
-            ts = task.timestamps
-            if ts.ready is not None and ts.started is not None:
-                waits.append(max(0.0, ts.started - ts.ready))
-        return waits
 
     def start(self) -> None:
         """Begin execution bookkeeping: scheduling context, scheduler
@@ -372,10 +306,9 @@ class ExecutionEngine:
 
         Hooks run at the top of every pump round — a deterministic point
         *outside* any bus cascade — and may call :meth:`submit`.  Keeping
-        growth out of completion cascades is what makes runtime graph growth
-        digest-stable across the columnar and scalar event paths: both log a
-        round's completions first, then the new tasks' ``TaskReady`` entries
-        in the same order.
+        growth out of completion cascades means the log holds a round's
+        completions first, then the new tasks' ``TaskReady`` entries, however
+        the completions were batched.
         """
         self._growth_hooks.append(hook)
 
@@ -469,45 +402,25 @@ class ExecutionEngine:
                     self.context.invalidate_task(successor.task_id)
 
     def _on_task_ready(self, event: TaskReady) -> None:
-        task = event.task
-        self._prepare_ready(task)
-        if event.via == "submit" or task.assigned_endpoint is None:
-            # Queue for the next scheduling round; endpoint-pinned tasks
-            # submitted up-front join the queue too and bypass the scheduler
-            # when the round runs.
-            self.placement.enqueue(task)
-        else:
-            # Endpoint-pinned task unlocked mid-run: go straight to staging.
-            self.bus.publish(
-                TaskPlaced.for_task(task, time=event.time, endpoint=task.assigned_endpoint)
-            )
-
-    def _handle_completion(self, record: TaskExecutionRecord) -> None:
-        task = self.graph.get(record.task_id)
-        self.bus.publish(
-            TaskCompleted.for_task(
-                task,
-                time=self.clock.now(),
-                endpoint=record.endpoint,
-                cores=task.cores,
-                record=record,
-            )
-        )
+        # Queue for the next scheduling round; endpoint-pinned tasks join the
+        # queue too and bypass the scheduler when the round runs.
+        self._prepare_ready(event.task)
+        self.placement.enqueue(event.task)
 
     def _handle_completions(self, records: List[TaskExecutionRecord]) -> None:
-        """Batched completion delivery — the columnar fast path.
+        """What a completion does — one fabric round's records, in order.
 
-        One fabric round's records are folded into a single
-        :class:`TasksCompleted` and a single :class:`TasksReady` event
-        instead of N per-task bus cascades.  The scalar subscription chain
-        (endpoint monitor, task monitor, metrics, scheduler, engine
-        continuation, data plane, prefetcher) is inlined here *per record, in
-        wiring order*, so every observer sees the identical call sequence the
-        oracle path produces; the batch events' ``scalar_log`` carries the
-        oracle's event-log entries in their exact interleaved order (the
-        digest contract).  Cold paths — failed records and endpoint-pinned
-        successors, which trigger their own bus cascades — flush the pending
-        batch first so cross-event ordering is preserved.
+        Every record, successful or not, first reaches the four observers:
+        endpoint monitor, task monitor, metrics, scheduler.  A successful
+        one then updates the graph, releases its data-plane pins, advances
+        the prefetcher and queues the successors it made ready; the round's
+        successes are announced as a single :class:`TasksCompleted`, whose
+        ``scalar_log`` holds the per-task log entries in the order things
+        happened, and a single :class:`TasksReady`.  A failed attempt is
+        announced on its own, as :class:`TaskCompleted`, whose handler is
+        the §IV-G ladder.  Whatever starts a bus cascade of its own — a
+        failed record, endpoint-pinned successors going straight to staging
+        — flushes the pending batch first, so the log stays in order.
         """
         if not records:
             return
@@ -542,23 +455,27 @@ class ExecutionEngine:
 
         for record in records:
             task = self.graph.get(record.task_id)
-            if not record.success:
-                # Failure ladder: retries / reassignment / terminal failure
-                # publish scalar events of their own — run the oracle path.
-                flush()
-                self._handle_completion(record)
-                continue
-            now = self.clock.now()
-            log.append((round(now, 9), "TaskCompleted", task.name, record.endpoint, True))
-            completed.append(task)
-            completed_records.append(record)
-            # The TaskCompleted subscription chain, in wiring order.
             self.endpoint_monitor.record_completion(record.endpoint, cores=task.cores)
             self.task_monitor.observe_task(record)
             self.metrics.record_completion(
                 record.endpoint, record.function_name, record.success
             )
             self.scheduler.on_task_completed(task, record)
+            now = self.clock.now()
+            if not record.success:
+                flush()
+                self.bus.publish(
+                    TaskCompleted.for_task(
+                        task,
+                        time=now,
+                        endpoint=record.endpoint,
+                        record=record,
+                    )
+                )
+                continue
+            log.append((round(now, 9), "TaskCompleted", task.name, record.endpoint, True))
+            completed.append(task)
+            completed_records.append(record)
             newly_ready = self._apply_success(task, record)
             if plane is not None:
                 plane.release_task(record.task_id)
@@ -576,8 +493,7 @@ class ExecutionEngine:
             if pinned:
                 # Endpoint-pinned successors go straight to staging via
                 # TaskPlaced; their cascade must observe the batch first, and
-                # the whole group is enqueued before any cascade runs —
-                # exactly the oracle's queue order.
+                # the whole group is enqueued before any cascade runs.
                 flush()
                 self.bus.publish_many(
                     TaskPlaced.for_task(t, time=now, endpoint=t.assigned_endpoint)
@@ -585,26 +501,9 @@ class ExecutionEngine:
                 )
         flush()
 
-    def _on_task_completed(self, event: TaskCompleted) -> None:
-        """Engine continuation: runs after every completion observer."""
-        task, record = event.task, event.record
-        if not record.success:
-            self.failure.handle_execution_failure(task, record)
-            return
-        newly_ready = self._apply_success(task, record)
-        for ready_task in newly_ready:
-            self.bus.publish(
-                TaskReady.for_task(ready_task, time=self.clock.now(), via="dependencies")
-            )
-
     def _apply_success(self, task: Task, record: TaskExecutionRecord) -> List[Task]:
-        """State/bookkeeping effects of one successful completion.
-
-        Everything the engine continuation does short of announcing the
-        newly-ready successors (returned instead): the scalar path publishes
-        per-task :class:`TaskReady` events, the columnar path folds them into
-        the round's batch.
-        """
+        """State/bookkeeping effects of one successful completion; returns
+        the successors it made ready (the caller announces them)."""
         task.timestamps.started = record.started_at
         # Register output data produced on the endpoint.
         task.output_files = []

@@ -4,9 +4,10 @@ Staged tasks wait in per-endpoint client queues.  Each pump round the
 coordinator walks every queue head and asks the scheduler whether the task
 may leave (DHA's delay mechanism hooks in through
 :meth:`~repro.sched.base.Scheduler.should_dispatch`); dispatching builds the
-execution request, submits it to the fabric and announces a
-:class:`~repro.engine.events.TaskDispatched` event, which the endpoint
-monitor (mock update) and the scheduler (claim release) subscribe to.
+execution request, submits it to the fabric and tells the endpoint monitor
+(mock update), the scheduler (claim release) and the prefetcher.  The round's
+dispatches are announced as one
+:class:`~repro.engine.events.TasksDispatched` event.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional
 
 from repro.core.dag import Task, TaskState
 from repro.core.exceptions import UniFaaSError
-from repro.engine.events import StagingDone, TaskDispatched, TasksDispatched
+from repro.engine.events import StagingDone, TasksDispatched
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.core import ExecutionEngine
@@ -51,9 +52,8 @@ class DispatchCoordinator:
         """
         engine = self._engine
         dispatched_any = False
-        #: Columnar path: dispatches of the round fold into one
-        #: TasksDispatched event instead of N per-task publishes.
-        batch: Optional[List[Task]] = [] if engine._columnar else None
+        # The round's dispatches fold into one TasksDispatched event.
+        batch: List[Task] = []
         batch_log: List[tuple] = []
         for endpoint, queue in self._staged_queues.items():
             allowance = None if budget is None else budget.get(endpoint, 0)
@@ -72,7 +72,7 @@ class DispatchCoordinator:
                 if not force and not engine.scheduler.should_dispatch(task):
                     break
                 queue.popleft()
-                self.dispatch(task, batch=batch, batch_log=batch_log)
+                self.dispatch(task, batch, batch_log)
                 if allowance is not None:
                     allowance -= task.cores
                 dispatched_any = True
@@ -97,12 +97,9 @@ class DispatchCoordinator:
         """
         return self._engine.graph.store.staged_demand()
 
-    def dispatch(
-        self,
-        task: Task,
-        batch: Optional[List[Task]] = None,
-        batch_log: Optional[List[tuple]] = None,
-    ) -> None:
+    def dispatch(self, task: Task, batch: List[Task], batch_log: List[tuple]) -> None:
+        """Submit ``task`` to the fabric, tell the observers, and add it (and
+        its ``TaskDispatched`` log entry) to the round's batch."""
         engine = self._engine
         endpoint = task.assigned_endpoint
         resolved_args, resolved_kwargs = None, None
@@ -118,19 +115,6 @@ class DispatchCoordinator:
         engine.graph.set_state(task.task_id, TaskState.DISPATCHED, now=engine.clock.now())
         engine.index.clear_undispatched(task.task_id)
         engine.fabric.submit(endpoint, request)
-        if batch is None:
-            engine.bus.publish(
-                TaskDispatched.for_task(
-                    task,
-                    time=engine.clock.now(),
-                    endpoint=endpoint,
-                    cores=task.cores,
-                )
-            )
-            return
-        # Columnar path: run the TaskDispatched subscription chain inline
-        # (same order the bus wiring delivers it) and fold the event into the
-        # round's batch.
         now = engine.clock.now()
         batch_log.append((round(now, 9), "TaskDispatched", task.name, endpoint))
         batch.append(task)

@@ -3,15 +3,17 @@
 Every state transition a task makes through the UniFaaS pipeline (Figs. 2–4)
 is announced as one of these events:
 
-====================  =====================================================
-:class:`TaskReady`    all dependencies completed; the task may be scheduled
-:class:`TaskPlaced`   the scheduler (or a pin / retry) chose an endpoint
-:class:`StagingDone`  the data manager finished staging the task's inputs
-:class:`TaskDispatched`  the task was submitted to the execution fabric
-:class:`TaskCompleted`   the fabric returned an execution record
-:class:`TaskFailed`      the task is terminally failed (§IV-G exhausted)
-:class:`CapacityChanged` the endpoint monitor re-synchronised capacity
-====================  =====================================================
+========================  =================================================
+:class:`TaskReady`        a task was runnable the moment it was submitted
+:class:`TaskPlaced`       the scheduler (or a pin / retry) chose an endpoint
+:class:`StagingDone`      the data manager finished staging the task's inputs
+:class:`TasksDispatched`  a round's tasks were submitted to the fabric
+:class:`TasksCompleted`   a round's execution records came back successful
+:class:`TasksReady`       the successors those completions unlocked
+:class:`TaskCompleted`    an attempt failed (it enters the §IV-G ladder)
+:class:`TaskFailed`       the task is terminally failed (§IV-G exhausted)
+:class:`CapacityChanged`  the endpoint monitor re-synchronised capacity
+========================  =================================================
 
 Endpoint *dynamics* — the real-world behaviours the paper's scheduler is
 built to survive (endpoints crashing and rejoining, worker churn, cold
@@ -47,7 +49,6 @@ __all__ = [
     "StagingDone",
     "StatusStalenessChanged",
     "TaskCompleted",
-    "TaskDispatched",
     "TaskEvent",
     "TaskFailed",
     "TaskPlaced",
@@ -91,11 +92,8 @@ class TaskEvent(Event):
 
 @dataclass(frozen=True)
 class TaskReady(TaskEvent):
-    """All dependencies completed (or the task had none at submission)."""
-
-    #: ``"submit"`` when the task was ready at submission time,
-    #: ``"dependencies"`` when the final dependency just completed.
-    via: str = "submit"
+    """The task had no unfinished dependency at submission.  (Successors a
+    completion unlocks are announced together, as :class:`TasksReady`.)"""
 
 
 @dataclass(frozen=True)
@@ -121,22 +119,17 @@ class StagingDone(TaskEvent):
 
 
 @dataclass(frozen=True)
-class TaskDispatched(TaskEvent):
-    """The task left the client queue for the execution fabric."""
-
-    endpoint: str = ""
-    cores: int = 1
-
-    def describe(self) -> Tuple:
-        return (type(self).__name__, self.name, self.endpoint)
-
-
-@dataclass(frozen=True)
 class TaskCompleted(TaskEvent):
-    """The fabric returned an execution record (successful or not)."""
+    """The fabric returned the execution record of a *failed* attempt.
+
+    Published once per failed record, after the monitors, the metrics
+    collector and the scheduler observed it; the failure coordinator's
+    retry / reassign / fail ladder (§IV-G) is its one engine handler.
+    Successful records travel as :class:`TasksCompleted`, whose log entries
+    share this event's ``("TaskCompleted", name, endpoint, success)`` shape.
+    """
 
     endpoint: str = ""
-    cores: int = 1
     record: Optional[TaskExecutionRecord] = field(default=None, repr=False, compare=False)
 
     @property
@@ -163,13 +156,12 @@ class TaskFailed(TaskEvent):
 class BatchEvent(Event):
     """One event for a whole batch of same-class task transitions.
 
-    The columnar engine core delivers one batch event per transition class
-    per pump round instead of N per-task callbacks.  ``scalar_log`` carries
-    the *scalar-equivalent* event-log entries — the exact
-    ``(round(time, 9), *describe())`` tuples, in the exact interleaved order,
-    that the per-task oracle path would have produced — which is how the
-    scenario determinism digests stay byte-identical with batching on or off
-    (the batch-event digest contract; see :func:`expand_event`).
+    The engine delivers one batch event per transition class per pump round
+    instead of N per-task callbacks.  ``scalar_log`` carries the batch's
+    event-log entries — one ``(round(time, 9), kind, name, ...)`` tuple per
+    task transition, in the order the transitions happened — which is what
+    the scenario determinism digests are computed over (see
+    :func:`expand_event`).
     """
 
     count: int = 0
@@ -181,11 +173,11 @@ class BatchEvent(Event):
 
 @dataclass(frozen=True)
 class TasksCompleted(BatchEvent):
-    """A pump round's batch of successful completions (columnar path).
+    """A pump round's batch of successful completions.
 
-    Its ``scalar_log`` also carries the interleaved ``TaskReady`` entries of
-    the successors those completions unlocked, because that is where the
-    oracle path logs them; the companion :class:`TasksReady` event therefore
+    Its ``scalar_log`` also carries the ``TaskReady`` entries of the
+    successors those completions unlocked, each right after the completion
+    that unlocked it; the companion :class:`TasksReady` event therefore
     contributes no log entries of its own.
     """
 
@@ -202,18 +194,19 @@ class TasksReady(BatchEvent):
 
 @dataclass(frozen=True)
 class TasksDispatched(BatchEvent):
-    """A pump round's batch of fabric submissions (columnar path)."""
+    """A pump round's batch of fabric submissions (one ``TaskDispatched``
+    log entry per task)."""
 
     tasks: Tuple[Task, ...] = field(default=(), repr=False, compare=False)
 
 
 def expand_event(event: Event) -> Tuple[Tuple, ...]:
-    """Scalar-oracle event-log entries for ``event``.
+    """The event-log entries of ``event`` — the definition of the event log.
 
-    Scalar events expand to their own single entry; batch events expand to
-    the per-task entries of the oracle path.  Event-log recorders (and the
-    scenario digest) are defined over this expansion, which is what keeps
-    digests byte-identical across the columnar and scalar paths.
+    A per-task event is its own single entry; a batch event expands to one
+    entry per task transition it carries.  Event-log recorders (and the
+    scenario digest) are defined over this expansion, so the log does not
+    depend on how transitions happen to be batched into events.
     """
     if isinstance(event, BatchEvent):
         return event.scalar_log

@@ -1,6 +1,7 @@
 """Failure coordinator — the fault-tolerance policy of §IV-G.
 
-Execution failures walk a three-step ladder:
+Execution failures (a :class:`~repro.engine.events.TaskCompleted` event: the
+record of a failed attempt) walk a three-step ladder:
 
 1. **retry** — while ``attempts <= max_task_retries`` the task is re-staged
    to the endpoint the scheduler chose (its data is already there);
@@ -30,7 +31,13 @@ from typing import TYPE_CHECKING, List
 
 from repro.core.dag import Task, TaskState
 from repro.core.exceptions import TaskFailedError, TransferFailedError
-from repro.engine.events import EndpointCrashed, StagingDone, TaskFailed, TaskPlaced
+from repro.engine.events import (
+    EndpointCrashed,
+    StagingDone,
+    TaskCompleted,
+    TaskFailed,
+    TaskPlaced,
+)
 from repro.faas.types import TaskExecutionRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -49,6 +56,10 @@ class FailureCoordinator:
         self._engine = engine
         engine.bus.subscribe(StagingDone, self._on_staging_done)
         engine.bus.subscribe(EndpointCrashed, self._on_endpoint_crashed)
+        # A failed attempt, announced after the observers saw its record.
+        engine.bus.subscribe(
+            TaskCompleted, lambda e: self.handle_execution_failure(e.task, e.record)
+        )
 
     # ------------------------------------------------------ staging failures
     def _on_staging_done(self, event: StagingDone) -> None:

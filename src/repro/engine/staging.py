@@ -41,7 +41,7 @@ class StagingCoordinator:
         now = engine.clock.now()
         task.assigned_endpoint = endpoint
         engine.graph.set_state(task.task_id, TaskState.SCHEDULED, now=now)
-        engine.index.mark_undispatched(task.task_id, endpoint)
+        engine.index.mark_undispatched(task.task_id)
         engine.graph.set_state(task.task_id, TaskState.STAGING, now=now)
         # The task's DHA upward rank orders its transfers within the data
         # plane's demand class (the FIFO path ignores the priority).

@@ -12,7 +12,7 @@ old set-based scan depended on hash randomisation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.dag import Task
 from repro.engine.store import TaskStore
@@ -29,22 +29,16 @@ class TaskIndex:
       (insertion-ordered dict, so removing placed tasks is O(placed) instead
       of rebuilding the whole queue), and
     * the **undispatched index** — tasks placed on an endpoint but not yet
-      dispatched (scheduled/staging/staged), with per-endpoint counts kept
-      incrementally for the metrics sampler and the scaling strategy.
+      dispatched (scheduled/staging/staged), in *placement order* (what the
+      re-scheduling pass walks).  Their counts, in total and per endpoint,
+      for the metrics sampler and the scaling strategy, are the running
+      aggregates of the graph's :class:`TaskStore`.
     """
 
-    def __init__(self, store: Optional[TaskStore] = None) -> None:
-        #: Columnar engine core: when the graph's :class:`TaskStore` is
-        #: attached, the undispatched counts are read from its running
-        #: aggregates (tasks in the scheduled / staging / staged band)
-        #: instead of this index's dicts.  The dicts are still
-        #: maintained — they carry the *placement order* the re-scheduling
-        #: pass needs, and they are the scalar oracle the equivalence suite
-        #: compares the arrays against.
+    def __init__(self, store: TaskStore) -> None:
         self._store = store
         self._pending_schedule: Dict[str, Task] = {}
-        self._undispatched: Dict[str, str] = {}  # task_id -> endpoint
-        self._undispatched_counts: Dict[str, int] = {}
+        self._undispatched: Dict[str, None] = {}  # insertion-ordered set of ids
         #: Bumped whenever the undispatched set's *membership* changes; the
         #: periodic re-scheduling pass caches its candidate list keyed by
         #: this instead of re-materialising it every cadence.
@@ -67,23 +61,17 @@ class TaskIndex:
         return len(self._pending_schedule)
 
     # --------------------------------------------------- undispatched index
-    def mark_undispatched(self, task_id: str, endpoint: str) -> None:
-        """Record that ``task_id`` is heading to ``endpoint`` (handles moves)."""
-        previous = self._undispatched.get(task_id)
-        if previous == endpoint:
-            return
-        if previous is not None:
-            self._decrement(previous)
-        else:
-            self.undispatched_epoch += 1  # membership (not target) changed
-        self._undispatched[task_id] = endpoint
-        self._undispatched_counts[endpoint] = self._undispatched_counts.get(endpoint, 0) + 1
+    def mark_undispatched(self, task_id: str) -> None:
+        """Record that ``task_id`` was placed (a move to another endpoint
+        keeps its place in the order and is not a membership change)."""
+        if task_id not in self._undispatched:
+            self.undispatched_epoch += 1
+            self._undispatched[task_id] = None
 
     def clear_undispatched(self, task_id: str) -> None:
         """Forget ``task_id`` (it was dispatched or terminally failed)."""
-        endpoint = self._undispatched.pop(task_id, None)
-        if endpoint is not None:
-            self._decrement(endpoint)
+        if task_id in self._undispatched:
+            del self._undispatched[task_id]
             self.undispatched_epoch += 1
 
     def undispatched_ids(self) -> List[str]:
@@ -92,20 +80,8 @@ class TaskIndex:
 
     @property
     def undispatched_count(self) -> int:
-        if self._store is not None:
-            return self._store.undispatched_count
-        return len(self._undispatched)
+        return self._store.undispatched_count
 
     def undispatched_by_endpoint(self) -> Dict[str, int]:
         """Non-zero per-endpoint counts of tasks awaiting dispatch."""
-        if self._store is not None:
-            return self._store.undispatched_by_endpoint()
-        return {name: count for name, count in self._undispatched_counts.items() if count}
-
-    # -------------------------------------------------------------- internal
-    def _decrement(self, endpoint: str) -> None:
-        count = self._undispatched_counts.get(endpoint, 0) - 1
-        if count > 0:
-            self._undispatched_counts[endpoint] = count
-        else:
-            self._undispatched_counts.pop(endpoint, None)
+        return self._store.undispatched_by_endpoint()

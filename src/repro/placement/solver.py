@@ -21,7 +21,7 @@ The search is plain first-improvement local search over four move kinds —
 with the candidate order shuffled by the dedicated "placement" RNG stream.
 Every tie in the greedy construction breaks on sorted names, so the solve is
 a pure function of (problem, RNG state): byte-identical across repeats and
-across the vector/scalar and columnar/scalar engine modes.
+across the vector and scalar scheduler modes.
 """
 
 from __future__ import annotations

@@ -144,7 +144,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         scale=args.scale,
         vectorized=False if args.no_vector else None,
-        columnar=False if args.no_columnar else None,
         dataplane=False if args.no_dataplane else None,
         placement=False if args.no_placement else None,
         workflows=args.workflows,
@@ -196,7 +195,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 _MODE_OVERRIDES = {
     "default": {},
     "no-vector": {"vectorized": False},
-    "no-columnar": {"columnar": False},
 }
 
 
@@ -272,7 +270,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             scheduler=scheduler,
             seed=args.seed,
             vectorized=False if args.no_vector else None,
-            columnar=False if args.no_columnar else None,
             dataplane=False if args.no_dataplane else None,
             placement=False if args.no_placement else None,
             workflows=args.workflows,
@@ -298,8 +295,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _compare_modes(args: argparse.Namespace, preset) -> int:
-    """``compare NAME --modes default,default,no-vector,no-columnar`` — the
-    byte gate.
+    """``compare NAME --modes default,default,no-vector`` — the byte gate.
 
     Every listed engine mode must produce a byte-identical BENCH artifact
     (the whole ``to_json()`` payload, digest included); any divergence makes
@@ -368,7 +364,6 @@ def _compare_arbitrations(args: argparse.Namespace, preset) -> int:
             scheduler=args.scheduler if hasattr(args, "scheduler") else None,
             seed=args.seed,
             vectorized=False if args.no_vector else None,
-            columnar=False if args.no_columnar else None,
             dataplane=False if args.no_dataplane else None,
             placement=False if args.no_placement else None,
             workflows=args.workflows,
@@ -444,10 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-vector", action="store_true",
                      help="run the scalar reference scheduler instead of the "
                           "array-backed vectorized hot path (byte-identical result)")
-    run.add_argument("--no-columnar", action="store_true",
-                     help="run the scalar per-task event engine instead of the "
-                          "columnar (struct-of-arrays) core with batched event "
-                          "delivery (byte-identical event-log digest)")
     run.add_argument("--no-dataplane", action="store_true",
                      help="stage through the paper's FIFO data manager instead of the "
                           "data-plane subsystem (replica store / transfer scheduler / "
@@ -495,8 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None, help="override the preset's dynamics regime")
     compare.add_argument("--no-vector", action="store_true",
                          help="run the scalar reference schedulers")
-    compare.add_argument("--no-columnar", action="store_true",
-                         help="run the scalar per-task event engine core")
     compare.add_argument("--no-dataplane", action="store_true",
                          help="stage through the paper's FIFO data manager")
     compare.add_argument("--no-placement", action="store_true",
@@ -510,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "preset, or --workflows >= 2")
     compare.add_argument("--modes", default=None,
                          help="comma-separated engine modes to byte-gate "
-                              "(from default,no-vector,no-columnar; repeats "
+                              "(from default,no-vector; repeats "
                               "allowed); exits non-zero unless every run's whole "
                               "artifact is byte-identical")
     compare.add_argument("--out", default=".", help="directory for BENCH artifacts")

@@ -301,12 +301,6 @@ class ScenarioSpec:
     #: byte-identical either way (the equivalence tests gate on it); the CLI's
     #: ``--no-vector`` switches a run to the scalar reference implementation.
     vectorized: bool = True
-    #: Run the engine core on the columnar (struct-of-arrays) path: batched
-    #: event delivery, array-backed state/demand queries, and vectorized
-    #: serving arbitration.  Event-log digests are byte-identical either way
-    #: (the columnar equivalence tests gate on it); the CLI's
-    #: ``--no-columnar`` switches a run to the scalar per-task event oracle.
-    columnar: bool = True
     #: Route staging through the data-plane subsystem (replica store +
     #: priority transfer scheduling + prefetch).  The CLI's ``--no-dataplane``
     #: switches a run to the paper's FIFO staging path, whose event digests
@@ -360,7 +354,6 @@ class ScenarioSpec:
         dynamics: Optional[DynamicsSpec] = None,
         scale: Optional[float] = None,
         vectorized: Optional[bool] = None,
-        columnar: Optional[bool] = None,
         dataplane: Optional[bool] = None,
         placement: Optional[bool] = None,
         workflows: Optional[int] = None,
@@ -374,8 +367,6 @@ class ScenarioSpec:
             spec = dataclasses.replace(spec, checkpoint_interval_s=checkpoint_interval_s)
         if vectorized is not None:
             spec = dataclasses.replace(spec, vectorized=vectorized)
-        if columnar is not None:
-            spec = dataclasses.replace(spec, columnar=columnar)
         if dataplane is not None:
             spec = dataclasses.replace(spec, enable_dataplane=dataplane)
         if placement is not None:
@@ -494,9 +485,7 @@ class _EventLogRecorder:
         self.entries: List[Tuple] = []
 
     def __call__(self, event: Event) -> None:
-        # Batch events expand to the exact per-task entries the scalar event
-        # path would have produced, so the digest is defined over the same
-        # sequence on both engine paths.
+        # A batch event contributes one entry per task transition it carries.
         self.entries.extend(expand_event(event))
 
 
@@ -687,7 +676,6 @@ def _build_environment(spec: ScenarioSpec, seed: int):
         enable_rescheduling=spec.enable_rescheduling,
         enable_scaling=spec.enable_scaling,
         enable_vectorized_scheduling=spec.vectorized,
-        enable_columnar_engine=spec.columnar,
         enable_dataplane=spec.enable_dataplane,
         # The plan amortises over long-lived tenants; open-loop streaming
         # tenants live and die inside one re-solve cadence, so a streaming

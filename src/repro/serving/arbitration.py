@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Mapping, Sequence
 
-import numpy as np
-
 from repro.core.rounding import largest_remainder_split
 
 __all__ = [
@@ -185,24 +183,15 @@ class FairShareArbitration(ArbitrationPolicy):
 
     name = "fair_share"
 
-    def __init__(self, vectorized: bool = False) -> None:
+    def __init__(self) -> None:
         #: Workers *actually granted for dispatch* per workflow across the
         #: run (the deficit tie-break).  Advisory placement allocations
         #: (``record_service=False``) never touch it — their demand is an
         #: upper bound the tenant may not consume, and counting it would
         #: re-introduce exactly the systematic bias the deficit prevents.
         self._served: Dict[str, int] = {}
-        #: Run the deficit round-robin over tenant demand / served / weight
-        #: vectors (columnar serving path).  Allocations are identical to the
-        #: scalar per-tenant-loop reference below, which stays on as the
-        #: equivalence oracle.
-        self.vectorized = vectorized
 
     def allocate(self, free, demands, tenants, *, record_service: bool = True) -> Allocation:
-        if self.vectorized:
-            return self._allocate_vectorized(
-                free, demands, tenants, record_service=record_service
-            )
         weights = {t.workflow_id: max(t.weight, 1e-9) for t in tenants}
         allocation: Allocation = {t.workflow_id: {} for t in tenants}
         for endpoint in sorted(free):
@@ -211,7 +200,7 @@ class FairShareArbitration(ArbitrationPolicy):
                 t.workflow_id: demands.get(t.workflow_id, {}).get(endpoint, 0)
                 for t in tenants
             }
-            while remaining > 0 and any(count > 0 for count in unmet.values()):
+            while remaining > 0 and any(unmet.values()):
                 active = {wid: w for wid, w in weights.items() if unmet[wid] > 0}
                 deficit = {
                     wid: self._served.get(wid, 0) / weights[wid] for wid in active
@@ -235,104 +224,17 @@ class FairShareArbitration(ArbitrationPolicy):
                     break
         return allocation
 
-    # --------------------------------------------------- vectorized fast path
-    def _allocate_vectorized(
-        self, free, demands, tenants, *, record_service: bool
-    ) -> Allocation:
-        """Deficit round-robin over tenant vectors.
-
-        The same water-fill as the scalar path, with the per-round state —
-        unmet demand, cumulative service, weights, deficits, quotas and
-        largest-remainder fractions — held in arrays over the tenant
-        dimension and updated with array ops.  Every floating-point quota is
-        computed with the identical operation order as the scalar reference
-        (including the sequential weight sum), so allocations — and therefore
-        serving digests — are byte-identical.
-        """
-        n = len(tenants)
-        wids = [t.workflow_id for t in tenants]
-        allocation: Allocation = {wid: {} for wid in wids}
-        if n == 0:
-            return allocation
-        weights = np.array([max(t.weight, 1e-9) for t in tenants], dtype=np.float64)
-        served = np.array(
-            [float(self._served.get(wid, 0)) for wid in wids], dtype=np.float64
-        )
-        # Rank of each tenant in sorted-workflow-id order: the final sort key
-        # of the largest-remainder leftover pass.
-        key_rank = np.empty(n, dtype=np.int64)
-        key_rank[sorted(range(n), key=lambda i: wids[i])] = np.arange(n)
-
-        for endpoint in sorted(free):
-            remaining = max(0, free[endpoint])
-            unmet = np.array(
-                [demands.get(wid, {}).get(endpoint, 0) for wid in wids],
-                dtype=np.int64,
-            )
-            while remaining > 0 and bool((unmet > 0).any()):
-                elig = np.nonzero(unmet > 0)[0]
-                caps = unmet[elig]
-                total = min(remaining, int(caps.sum()))
-                # Sequential (left-to-right) sum, matching the scalar path's
-                # Python ``sum`` over the eligible weights byte-for-byte.
-                weight_sum = float(sum(weights[elig].tolist()))
-                quotas = total * weights[elig] / weight_sum
-                floors = np.floor(quotas).astype(np.int64)
-                shares = np.minimum(floors, caps)
-                leftover = total - int(shares.sum())
-                if leftover > 0:
-                    frac = quotas - np.floor(quotas)
-                    deficit = served[elig] / weights[elig]
-                    # sorted(key=(-frac, deficit, wid)) — lexsort's primary
-                    # key is the last array.
-                    order = np.lexsort((key_rank[elig], deficit, -frac)).tolist()
-                    while leftover > 0 and order:
-                        for j in list(order):
-                            if leftover <= 0:
-                                break
-                            if shares[j] >= caps[j]:
-                                order.remove(j)
-                                continue
-                            shares[j] += 1
-                            leftover -= 1
-                granted_total = int(shares.sum())
-                if granted_total <= 0:
-                    break
-                for pos, i in enumerate(elig):
-                    granted = int(shares[pos])
-                    if granted <= 0:
-                        continue
-                    wid = wids[i]
-                    allocation[wid][endpoint] = (
-                        allocation[wid].get(endpoint, 0) + granted
-                    )
-                unmet[elig] -= shares
-                if record_service:
-                    served[elig] += shares
-                remaining -= granted_total
-        if record_service:
-            for i, wid in enumerate(wids):
-                if served[i] > 0.0 and self._served.get(wid) != int(served[i]):
-                    self._served[wid] = int(served[i])
-                    self.state_version += 1
-        return allocation
-
 
 ARBITRATION_POLICIES = ("fifo", "fair_share", "priority", "edf")
 
 
-def create_arbitration(name: str, *, vectorized: bool = False) -> ArbitrationPolicy:
-    """Instantiate an arbitration policy by its configuration name.
-
-    ``vectorized`` selects the columnar serving path's array-based
-    implementation where one exists (fair-share); allocations are identical
-    either way.
-    """
+def create_arbitration(name: str) -> ArbitrationPolicy:
+    """Instantiate an arbitration policy by its configuration name."""
     key = name.lower()
     if key == "fifo":
         return FifoArbitration()
     if key in ("fair_share", "fair-share", "fairshare"):
-        return FairShareArbitration(vectorized=vectorized)
+        return FairShareArbitration()
     if key in ("priority", "strict_priority", "strict-priority"):
         return StrictPriorityArbitration()
     if key in ("edf", "deadline", "earliest_deadline_first"):

@@ -351,14 +351,13 @@ class WorkflowManager:
         #: Control bus: the dynamics injector publishes here; the manager
         #: forwards to every tenant bus.
         self.bus = EventBus()
-        self._columnar = bool(getattr(config, "enable_columnar_engine", True))
         #: Cross-workflow arbitration; ``None`` (the single-workflow client)
         #: hands the one tenant the whole federation — no capacity slice, no
         #: dispatch budget.
         self.policy: Optional[ArbitrationPolicy] = (
             arbitration
             if arbitration is None or isinstance(arbitration, ArbitrationPolicy)
-            else create_arbitration(arbitration, vectorized=self._columnar)
+            else create_arbitration(arbitration)
         )
         self.scaling_check_interval_s = scaling_check_interval_s
 
@@ -780,26 +779,16 @@ class WorkflowManager:
 
     def _deliver(self, records: List) -> None:
         """Hand one fabric round's completion records to their engines."""
-        columnar = self._columnar
         if len(self._ordered) == 1:
             # One registered workflow: every record is its.
-            engine = self._ordered[0].engine
-            if columnar:
-                engine._handle_completions(records)
-            else:
-                for record in records:
-                    engine._handle_completion(record)
+            self._ordered[0].engine._handle_completions(records)
             return
         workflows = self._workflows
         engines = [workflows[task_namespace(r.task_id)].engine for r in records]
-        if not columnar:
-            for engine, record in zip(engines, records):
-                engine._handle_completion(record)
-            return
-        # Columnar path: hand each engine its *consecutive* run of records as
-        # one batch.  Batching only adjacent same-engine records preserves the
-        # global record order every shared, order-sensitive component (task
-        # monitor, profilers) sees.
+        # Each engine gets its *consecutive* run of records as one batch.
+        # Batching only adjacent same-engine records preserves the global
+        # record order every shared, order-sensitive component (task monitor,
+        # profilers) sees.
         start, count = 0, len(records)
         while start < count:
             engine = engines[start]
@@ -821,6 +810,10 @@ class WorkflowManager:
         its namespace's tickets and pins — after which the tenant's whole
         engine is garbage.  The handle itself stays valid (its summary is
         frozen) but is no longer known to the manager.
+
+        A cancelled workflow is finished at once, but its tasks already on
+        the fabric still drain: it can be retired only when their records
+        have come back (they are routed to it by its id).
         """
         if handle.retired:
             return
@@ -830,6 +823,13 @@ class WorkflowManager:
                 "completed workflows can be retired"
             )
         wid = handle.workflow_id
+        # Only cancellation finishes a workflow with tasks still out there.
+        in_flight = handle.cancelled and handle.engine.graph.state_count(TaskState.DISPATCHED)
+        if in_flight:
+            raise ValueError(
+                f"workflow {wid!r} still has {in_flight} task(s) on the fabric; "
+                "retire it once their records have come back"
+            )
         handle._attributed_mb = self.data_manager.volume_by_namespace_mb.get(wid, 0.0)
         handle.retired = True
         self.data_manager.remove_staged_callback(handle.engine.staging._on_ticket_done)

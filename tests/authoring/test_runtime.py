@@ -9,18 +9,16 @@ from repro.core.exceptions import WorkflowError
 from tests.integration.conftest import build_two_site_env
 
 
-def run_workflow(definition, *, columnar=True, params=None):
+def run_workflow(definition, *, params=None):
     env = build_two_site_env()
-    config = env.make_config("DHA", enable_columnar_engine=columnar)
-    client = env.make_client(config)
+    client = env.make_client(env.make_config("DHA"))
     run = WorkflowRun(definition, client, params=params)
     run.start()
     client.run(max_wall_time_s=120.0)
     return run
 
 
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "scalar"])
-def test_failure_edge_fires_after_ladder_exhaustion(columnar):
+def test_failure_edge_fires_after_ladder_exhaustion():
     @workflow
     def wf():
         # Poison pill: fails on every endpoint with the retry budget at zero,
@@ -44,7 +42,7 @@ def test_failure_edge_fires_after_ladder_exhaustion(columnar):
         def publish():
             pass
 
-    run = run_workflow(wf, columnar=columnar)
+    run = run_workflow(wf)
     assert run.outcomes() == {
         "flaky": JobOutcome.FAILURE,
         "happy_path": JobOutcome.SKIPPED,
@@ -168,8 +166,7 @@ def test_loop_exhaustion_is_a_failure():
     assert run.outcome("diverged") == JobOutcome.SUCCESS
 
 
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "scalar"])
-def test_array_fans_out_and_reduces(columnar):
+def test_array_fans_out_and_reduces():
     @workflow
     def wf(width=24):
         @job(duration_s=0.5, output_mb=1.0)
@@ -186,7 +183,7 @@ def test_array_fans_out_and_reduces(columnar):
         def reduce_all():
             pass
 
-    run = run_workflow(wf, columnar=columnar)
+    run = run_workflow(wf)
     assert run.outcome("shard") == JobOutcome.SUCCESS
     assert run.materialized("shard") == 24
     assert run.outcome("reduce_all") == JobOutcome.SUCCESS

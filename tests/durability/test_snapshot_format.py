@@ -14,6 +14,9 @@ from repro.durability import (
 )
 from repro.durability.snapshot import checkpoint_path
 
+#: The magic line this build writes.
+HEADER = f"repro-snapshot {SCHEMA_VERSION}\n".encode()
+
 
 def _empty_snapshot(seed=0):
     """A minimal (pre-run) snapshot: no sections captured yet."""
@@ -73,8 +76,21 @@ class TestTypedErrors:
     def test_unknown_schema_version(self, tmp_path, snapshot):
         path = write_snapshot(snapshot, tmp_path / "s.snap")
         data = path.read_bytes()
-        path.write_bytes(data.replace(b"repro-snapshot 1\n", b"repro-snapshot 99\n", 1))
+        assert data.startswith(HEADER)
+        path.write_bytes(data.replace(HEADER, b"repro-snapshot 99\n", 1))
         with pytest.raises(SnapshotVersionError):
+            read_snapshot(path)
+
+    def test_version_1_file_fails_with_the_formats_own_error(self, tmp_path, snapshot):
+        # Version 1 recipes carry an engine toggle (``columnar``) that
+        # ``ScenarioSpec`` no longer has.  Such a file describes the same
+        # scenario in an older format: it must be refused as a *version*
+        # mismatch, not — field by field — as "a different scenario".
+        snapshot.schema_version = 1
+        snapshot.scenario["columnar"] = True
+        path = write_snapshot(snapshot, tmp_path / "v1.snap")
+        assert path.read_bytes().startswith(b"repro-snapshot 1\n")
+        with pytest.raises(SnapshotVersionError, match="this build reads 2"):
             read_snapshot(path)
 
     def test_bad_magic(self, tmp_path, snapshot):
@@ -86,7 +102,8 @@ class TestTypedErrors:
     def test_malformed_version_token(self, tmp_path, snapshot):
         path = write_snapshot(snapshot, tmp_path / "s.snap")
         data = path.read_bytes()
-        path.write_bytes(data.replace(b"repro-snapshot 1\n", b"repro-snapshot one\n", 1))
+        assert data.startswith(HEADER)
+        path.write_bytes(data.replace(HEADER, b"repro-snapshot one\n", 1))
         with pytest.raises(SnapshotCorruptError):
             read_snapshot(path)
 
@@ -115,10 +132,10 @@ class TestTypedErrors:
         import hashlib
         import json
 
-        body = json.dumps({"schema_version": 1, "seed": 0}).encode()
+        body = json.dumps({"schema_version": SCHEMA_VERSION, "seed": 0}).encode()
         checksum = hashlib.sha256(body).hexdigest()
         path = tmp_path / "s.snap"
-        path.write_bytes(f"repro-snapshot 1\n{checksum}\n".encode() + body)
+        path.write_bytes(HEADER + f"{checksum}\n".encode() + body)
         with pytest.raises(SnapshotCorruptError):
             read_snapshot(path)
 
@@ -144,6 +161,16 @@ class TestLatestValidSnapshot:
         assert path.name == "ckpt-00002.snap"
         assert snap.seed == 2
         assert skipped == ["ckpt-00003.snap"]
+
+    def test_skips_a_checkpoint_of_an_older_format(self, tmp_path):
+        write_snapshot(_empty_snapshot(seed=1), checkpoint_path(tmp_path, 1))
+        old = _empty_snapshot(seed=2)
+        old.schema_version = 1
+        write_snapshot(old, checkpoint_path(tmp_path, 2))
+        path, snap, skipped = latest_valid_snapshot(tmp_path)
+        assert path.name == "ckpt-00001.snap"
+        assert snap.seed == 1
+        assert skipped == ["ckpt-00002.snap"]
 
     def test_empty_or_missing_directory(self, tmp_path):
         assert latest_valid_snapshot(tmp_path) == (None, None, [])

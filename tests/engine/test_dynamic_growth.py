@@ -1,8 +1,7 @@
 """Runtime DAG growth after ``start()``: the batched ``on_tasks_added`` contract.
 
 The authoring runtime grows the graph while the engine is pumping; these
-tests pin the engine-side guarantees that growth relies on, on both the
-columnar and the scalar (``--no-columnar``) paths:
+tests pin the engine-side guarantees that growth relies on:
 
 - tasks submitted mid-run only become visible to the scheduler at the next
   pump round, in a *single* ``on_tasks_added`` batch per round;
@@ -13,9 +12,7 @@ columnar and the scalar (``--no-columnar``) paths:
 - the columnar ``TaskStore`` allocates rows for mid-run tasks.
 """
 
-import pytest
-
-from repro.engine.events import TaskCompleted, TasksCompleted
+from repro.engine.events import TasksCompleted
 from repro.workloads.spec import TaskTypeSpec, make_task_type
 
 from tests.integration.conftest import build_two_site_env
@@ -23,10 +20,9 @@ from tests.integration.conftest import build_two_site_env
 WORK = make_task_type(TaskTypeSpec(name="growth_work", duration_s=0.5, output_mb=1.0))
 
 
-def make_client(columnar):
+def make_client():
     env = build_two_site_env()
-    config = env.make_config("DHA", enable_columnar_engine=columnar)
-    return env.make_client(config)
+    return env.make_client(env.make_config("DHA"))
 
 
 class _AddSpy:
@@ -43,24 +39,18 @@ class _AddSpy:
 
 
 class _CompletionLog:
-    """Terminal completions in delivery order (both event paths)."""
+    """Successful completions in delivery order."""
 
     def __init__(self, bus):
         self.order = []
-        bus.subscribe(TaskCompleted, self._scalar)
-        bus.subscribe(TasksCompleted, self._columnar)
+        bus.subscribe(TasksCompleted, self._on_batch)
 
-    def _scalar(self, event):
-        if event.success:
-            self.order.append(event.task_id)
-
-    def _columnar(self, event):
+    def _on_batch(self, event):
         self.order.extend(task.task_id for task in event.tasks)
 
 
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "scalar"])
-def test_growth_batches_ready_set_and_priorities(columnar):
-    client = make_client(columnar)
+def test_growth_batches_ready_set_and_priorities():
+    client = make_client()
     engine = client.engine
     spy = _AddSpy(engine.scheduler)
     log = _CompletionLog(client.bus)
@@ -109,11 +99,10 @@ def test_growth_batches_ready_set_and_priorities(columnar):
         assert task.priority == priorities[future.task_id]
 
 
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "scalar"])
-def test_pending_additions_defer_until_drain(columnar):
+def test_pending_additions_defer_until_drain():
     # submit() during a run must not touch the scheduler directly; the batch
     # sits in _pending_added until drain_growth() flushes it.
-    client = make_client(columnar)
+    client = make_client()
     engine = client.engine
     spy = _AddSpy(engine.scheduler)
 
@@ -139,7 +128,7 @@ def test_pending_additions_defer_until_drain(columnar):
 
 
 def test_task_store_allocates_rows_mid_run():
-    client = make_client(True)
+    client = make_client()
     engine = client.engine
     store = engine.graph.store
     assert store is not None
@@ -164,7 +153,7 @@ def test_task_store_allocates_rows_mid_run():
 
 
 def test_drain_growth_reports_progress_and_is_idempotent():
-    client = make_client(True)
+    client = make_client()
     engine = client.engine
     fired = []
     engine.add_growth_hook(lambda: fired.append(True))

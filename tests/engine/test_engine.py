@@ -3,9 +3,10 @@ ladder and idle-round skip live in ``tests/serving/test_run_loop.py``)."""
 
 import pytest
 
-from repro.core.dag import Task
+from repro.core.dag import Task, TaskGraph, TaskState
 from repro.core.functions import SimProfile, function
 from repro.engine.state import TaskIndex
+from repro.engine.store import TaskStore
 
 from tests.integration.conftest import build_two_site_env
 from tests.sched.conftest import EndpointSpec, add_task, build_context
@@ -18,7 +19,7 @@ def engine_work(data=None):
 
 class TestTaskIndex:
     def test_queue_preserves_arrival_order(self):
-        index = TaskIndex()
+        index = TaskIndex(TaskStore())
         tasks = [Task(function=engine_work) for _ in range(3)]
         for task in tasks:
             index.enqueue(task)
@@ -29,23 +30,46 @@ class TestTaskIndex:
         assert index.queued_count == 2
 
     def test_undispatched_counts_track_moves(self):
-        index = TaskIndex()
-        index.mark_undispatched("t1", "a")
-        index.mark_undispatched("t2", "a")
-        index.mark_undispatched("t3", "b")
+        # The index keeps the placement order; the counts are the aggregates
+        # of the graph's store, which follow task state and endpoint.
+        graph = TaskGraph()
+        index = TaskIndex(graph.store)
+        t1, t2, t3 = tasks = [Task(function=engine_work) for _ in range(3)]
+        for task in tasks:
+            graph.add_task(task, now=0.0)
+
+        def place(task, endpoint):  # StagingCoordinator.begin_staging
+            task.assigned_endpoint = endpoint
+            graph.set_state(task.task_id, TaskState.SCHEDULED, now=0.0)
+            index.mark_undispatched(task.task_id)
+
+        def dispatch(task):  # DispatchCoordinator.dispatch
+            graph.set_state(task.task_id, TaskState.DISPATCHED, now=0.0)
+            index.clear_undispatched(task.task_id)
+
+        place(t1, "a")
+        place(t2, "a")
+        place(t3, "b")
         assert index.undispatched_by_endpoint() == {"a": 2, "b": 1}
-        # A re-scheduling move shifts the count, O(1).
-        index.mark_undispatched("t1", "b")
+        epoch = index.undispatched_epoch
+        # A re-scheduling move shifts the count, O(1), and keeps t1's place
+        # in the order: the membership (the epoch) did not change.
+        place(t1, "b")
         assert index.undispatched_by_endpoint() == {"a": 1, "b": 2}
-        index.clear_undispatched("t2")
-        index.clear_undispatched("t3")
+        assert index.undispatched_epoch == epoch
+        assert index.undispatched_ids() == [t.task_id for t in tasks]
+        dispatch(t2)
+        dispatch(t3)
         assert index.undispatched_by_endpoint() == {"b": 1}
-        assert index.undispatched_ids() == ["t1"]
+        assert index.undispatched_ids() == [t1.task_id]
+        assert index.undispatched_count == 1
+        assert index.undispatched_epoch == epoch + 2
 
     def test_clear_unknown_task_is_a_noop(self):
-        index = TaskIndex()
+        index = TaskIndex(TaskStore())
         index.clear_undispatched("missing")
         assert index.undispatched_count == 0
+        assert index.undispatched_epoch == 0
 
 
 class TestPredictionMemoization:

@@ -13,7 +13,7 @@ from repro.core.config import Config, ExecutorSpec
 from repro.core.dag import Task
 from repro.core.exceptions import EndpointError
 from repro.core.functions import FederatedFunction, SimProfile, function, set_current_client
-from repro.engine.events import TaskDispatched, TasksDispatched
+from repro.engine.events import TasksDispatched
 from repro.faas.local import LocalEndpoint, LocalFabric
 
 
@@ -50,7 +50,6 @@ class TestLocalDispatchWithoutProfile:
         )
         client = UniFaaSClient(config, fabric)
         dispatched_cores = []
-        client.bus.subscribe(TaskDispatched, lambda e: dispatched_cores.append(e.cores))
         client.bus.subscribe(
             TasksDispatched,
             lambda e: dispatched_cores.extend(t.cores for t in e.tasks),

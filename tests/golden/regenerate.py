@@ -3,10 +3,9 @@
     PYTHONPATH=src python tests/golden/regenerate.py
 
 One SHA-256 per preset over the whole ``ScenarioResult.to_json()`` artifact
-(default modes, preset seed).  ``tests/scenarios/test_columnar_scenarios.py``
-asserts them on the default-mode run it already makes, so a change that moves
-any byte of any preset's artifact shows up as a reviewed diff of the JSON file
-instead of passing because two in-tree implementations still agree.
+(default modes, preset seed).  ``tests/scenarios/test_golden_digests.py``
+asserts them, one run per preset, so a change that moves any byte of any
+preset's artifact shows up as a reviewed diff of the JSON file.
 """
 
 from __future__ import annotations

@@ -63,13 +63,8 @@ class TestSteadyPreset:
         no_vector = run_scenario(
             spec.with_overrides(vectorized=False), max_wall_time_s=120
         )
-        no_columnar = run_scenario(
-            spec.with_overrides(columnar=False), max_wall_time_s=120
-        )
         assert no_vector.determinism_digest == default.determinism_digest
-        assert no_columnar.determinism_digest == default.determinism_digest
         assert no_vector.streaming == default.streaming
-        assert no_columnar.streaming == default.streaming
 
 
 class TestOverloadPreset:

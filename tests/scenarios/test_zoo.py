@@ -2,11 +2,11 @@
 and the zoo-mixed acceptance properties (10k-wide array + a failure-recovery
 edge that actually fires under churn).
 
-The repo-wide columnar and vectorization equivalence matrices
-(``test_columnar_scenarios`` / ``test_vector_scenarios``) parametrize over
+The repo-wide golden-digest and vectorization equivalence matrices
+(``test_golden_digests`` / ``test_vector_scenarios``) parametrize over
 *every* registered preset, so the four ``zoo-*`` presets automatically get
-the columnar-on/off and vector/scalar digest cross-checks there; this module
-covers what those matrices don't.
+the byte-level pin and the vector/scalar digest cross-check there; this
+module covers what those matrices don't.
 """
 
 import dataclasses

@@ -261,9 +261,8 @@ def test_stateless_policy_allocates_once_while_nothing_moves():
     assert all(attempts[h.workflow_id] >= manager.stall_hard_rounds for h in handles)
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_fair_share_state_version_moves_with_served(vectorized):
-    policy = FairShareArbitration(vectorized=vectorized)
+def test_fair_share_state_version_moves_with_served():
+    policy = FairShareArbitration()
     tenants = [TenantShare("a", arrival_index=0), TenantShare("b", arrival_index=1)]
     demands = {"a": {"x": 3}, "b": {"x": 3}}
     before = policy.state_version

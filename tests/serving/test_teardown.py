@@ -10,6 +10,8 @@ ghost workflows — the restore-twice regression these tests pin down.
 import pytest
 
 from tests.serving.serving_env import build_env
+from repro.core.dag import TaskState
+from repro.engine.events import TasksDispatched
 from repro.serving import WorkflowManager
 from repro.workloads.spec import TaskTypeSpec, make_task_type
 from repro.workloads.synthetic import build_stress_workload
@@ -119,6 +121,53 @@ class TestCancellation:
         assert victim.cancelled and victim.finished
         assert not victim.graph.is_complete()  # work was abandoned, not run
         assert other.graph.is_complete()
+
+    @pytest.mark.parametrize("tenants", [2, 3])
+    def test_retire_waits_for_a_cancelled_tenants_tasks_on_the_fabric(self, tenants):
+        """``cancel()`` lets tasks already on the fabric drain; ``retire()``
+        forgets the tenant their records are routed to.  Retiring between
+        the two used to take the whole federation down with the next record
+        (``unknown task`` with one tenant left, ``KeyError`` with two)."""
+        env = build_env()
+        manager = make_manager(env)
+        victim = manager.add_workflow("wf0", builder=stress_builder(count=40))
+        others = [
+            manager.add_workflow(f"wf{i}", builder=stress_builder(count=12))
+            for i in range(1, tenants)
+        ]
+        refusals = []
+
+        def cancel_and_retire():
+            victim.cancel()
+            in_flight = victim.graph.state_count(TaskState.DISPATCHED)
+            try:
+                manager.retire(victim)
+            except ValueError as exc:
+                refusals.append((in_flight, str(exc)))
+
+        def on_first_dispatch(event):
+            victim.bus.unsubscribe(TasksDispatched, on_first_dispatch)
+            env.kernel.schedule_at(event.time + 0.5, cancel_and_retire, label="test-retire")
+
+        victim.bus.subscribe(TasksDispatched, on_first_dispatch)
+        manager.run(max_wall_time_s=60)
+
+        # Retirement was refused, naming what was still out there ...
+        [(in_flight, message)] = refusals
+        assert in_flight > 0 and f"{in_flight} task(s) on the fabric" in message
+        assert victim.cancelled and victim.finished and not victim.retired
+        # ... the run went on and everybody else finished everything ...
+        for other in others:
+            assert other.graph.is_complete()
+            assert other.summary().completed_tasks == 12
+        # ... the victim's records came home (the monitor's outstanding
+        # count is back to zero), and now it can go.
+        assert victim.graph.state_count(TaskState.DISPATCHED) == 0
+        assert victim.summary().completed_tasks >= in_flight
+        for name in env.fabric.endpoint_names():
+            assert manager.endpoint_monitor.mock(name).outstanding_tasks == 0
+        manager.retire(victim)
+        assert victim.retired and manager.retired_count == 1
 
     def test_cancel_is_idempotent_and_safe_after_finish(self):
         env = build_env()

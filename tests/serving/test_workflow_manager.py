@@ -3,7 +3,7 @@
 import pytest
 
 from tests.serving.serving_env import build_env
-from repro.engine.events import Event, TaskDispatched, TasksDispatched
+from repro.engine.events import Event, TasksDispatched
 from repro.monitor.store import HistoryStore
 from repro.serving import WorkflowManager, jain_index
 from repro.workloads.synthetic import build_stress_workload
@@ -219,7 +219,6 @@ class TestStaggeredArrivals:
         manager.add_workflow("early", builder=stress_builder(10))
         late = manager.add_workflow("late", arrival_s=30.0, builder=stress_builder(10))
         dispatch_times = []
-        late.bus.subscribe(TaskDispatched, lambda e: dispatch_times.append(e.time))
         late.bus.subscribe(TasksDispatched, lambda e: dispatch_times.append(e.time))
         manager.run(max_wall_time_s=60)
         # The late workflow's DAG is built at its arrival, not before.
