@@ -1,21 +1,21 @@
 """Benchmark regression gate: fail CI when the pump slows down.
 
-Compares a fresh ``pytest --benchmark-json`` output against the committed
-baseline (``benchmarks/baselines/engine-throughput.json``) and exits
+Compares a fresh ``pytest --benchmark-json`` output against a committed
+baseline (one of ``benchmarks/baselines/*.json``) and exits
 non-zero when any benchmark's mean time regressed by more than the allowed
 fraction — the same check ``pytest-benchmark``'s ``--benchmark-compare-fail``
 performs, reimplemented so the baseline can live in the repository instead
 of the machine-local ``.benchmarks`` storage (CI runners are ephemeral).
 
 Absolute wall-clock means are hardware-sensitive: regenerate the committed
-baseline from a CI-runner artifact (the ``engine-throughput`` job uploads
-one per run) whenever runners change class, and treat a gate failure with
+baseline from a CI-runner artifact (every gated job uploads one per run)
+whenever runners change class, and treat a gate failure with
 no plausible causing commit as a stale-baseline signal before anything
 else.
 
 Usage::
 
-    python benchmarks/compare_to_baseline.py RESULT.json [BASELINE.json] \
+    python benchmarks/compare_to_baseline.py RESULT.json BASELINE.json \
         [--max-regression 0.25]
 """
 
@@ -26,8 +26,6 @@ import json
 import sys
 from pathlib import Path
 
-DEFAULT_BASELINE = Path(__file__).parent / "baselines" / "engine-throughput.json"
-
 
 def load_means(path: Path) -> dict:
     data = json.loads(path.read_text())
@@ -37,7 +35,7 @@ def load_means(path: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("result", type=Path, help="fresh --benchmark-json output")
-    parser.add_argument("baseline", type=Path, nargs="?", default=DEFAULT_BASELINE)
+    parser.add_argument("baseline", type=Path, help="committed baseline to gate against")
     parser.add_argument("--max-regression", type=float, default=0.25,
                         help="allowed fractional mean-time increase (default 0.25)")
     args = parser.parse_args(argv)

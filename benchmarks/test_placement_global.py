@@ -15,8 +15,9 @@ Runs the two presets whose structure the optimizer targets:
 The headline gate, per preset: the plan cuts makespan or bytes-moved by
 ≥ 10 % versus ``--no-placement`` greedy DHA while the other metric regresses
 by no more than 2 % — and the plan runs are byte-deterministic (identical
-determinism digests across repeats; the vector/scalar mode equivalence is
-asserted by ``tests/scenarios``'s digest gates and the CI ``placement`` job).
+determinism digests across repeats; both presets also reproduce their golden
+digests on the scalar reference schedulers in
+``tests/scenarios/test_reference_runs.py``).
 """
 
 import dataclasses

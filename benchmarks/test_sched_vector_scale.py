@@ -1,23 +1,18 @@
-"""Large-scale scheduling benchmark: the vectorized hot path at 50k × 64.
+"""Large-scale scheduling benchmark: the array-backed DHA at 50k × 64.
 
 Drives the DHA scheduler directly (no engine, no simulation kernel) over a
-50 000-task layered DAG and 64 heterogeneous endpoints — the regime the
-ISSUE's tentpole targets — through the full pump sequence: the priority
-sweep, one ``schedule()`` round per layer with dispatch notifications in
-between, and a closing re-scheduling pass.  Both implementations run the
-identical sequence:
+50 000-task layered DAG and 64 heterogeneous endpoints through the full pump
+sequence: the priority sweep, one ``schedule()`` round per layer with
+dispatch notifications in between, and a closing re-scheduling pass, all
+served from the array-backed prediction matrices and the incremental
+estimated-finish index.
 
-* the **scalar reference** path (``vectorized=False``), whose per-task ×
-  per-endpoint Python loops dominated ``BENCH_*`` runs, and
-* the **vectorized** path (the default), which serves the same decisions
-  from the array-backed prediction matrices and the incremental
-  estimated-finish index.
-
-The test asserts the two produce identical placement sequences and that the
-vectorized mean pump time is at least 5× faster; the pytest-benchmark stats
-of the vectorized run are gated against ``benchmarks/baselines/sched-vector.json``
-in CI.  Override ``REPRO_BENCH_VECTOR_TASKS`` / ``REPRO_BENCH_VECTOR_ENDPOINTS``
-for quick local runs.
+The pytest-benchmark stats of the run are gated against
+``benchmarks/baselines/sched-vector.json`` in CI (that file's ``extra_info``
+still records the last comparison with the per task × endpoint loops the
+product used to ship beside the arrays: 17.1× at this scale).  Override
+``REPRO_BENCH_VECTOR_TASKS`` / ``REPRO_BENCH_VECTOR_ENDPOINTS`` for quick
+local runs.
 """
 
 import os
@@ -130,8 +125,7 @@ def build_layers(graph: TaskGraph):
 def seed_profiler() -> ExecutionProfiler:
     """Warm-up regime: a couple of observations, models deliberately
     untrained, so predictions are the running sample mean — the cheapest
-    cost model, which keeps the *scalar* run CI-feasible at this scale
-    (identical work for both paths either way)."""
+    cost model, which keeps the gated time the scheduler's own."""
     profiler = ExecutionProfiler(min_samples_to_train=10_000)
     for repeat, duration in enumerate((1.8, 2.2)):
         profiler.observe(
@@ -153,12 +147,12 @@ def seed_profiler() -> ExecutionProfiler:
     return profiler
 
 
-def prepare_path(vectorized: bool, profiler: ExecutionProfiler):
-    """Build one path's graph, context and scheduler (untimed setup)."""
+def prepare(profiler: ExecutionProfiler):
+    """Build the graph, context and scheduler (untimed setup)."""
     endpoints = build_endpoints()
     context, monitor = build_context(endpoints, profiler)
     layers = build_layers(context.graph)
-    scheduler = DHAScheduler(vectorized=vectorized)
+    scheduler = DHAScheduler()
     scheduler.initialize(context)
     return {
         "context": context,
@@ -209,60 +203,28 @@ def run_pumps(state):
     state["timings"] = timings
     state["placements"] = placements
     state["moves"] = moves
-    state["graph"] = context.graph
     return state
 
 
-def comparable(graph: TaskGraph, placements, moves):
-    """Placements keyed by graph-relative task index (two separate graphs
-    carry different absolute task ids for the same structural task)."""
-    order = {task_id: position for position, task_id in enumerate(graph.task_ids())}
-    return [
-        (order[p.task_id], p.endpoint, p.estimated_finish_s) for p in placements
-    ], [(order[m.task_id], m.endpoint, m.estimated_finish_s) for m in moves]
-
-
 def test_vector_scale_throughput(benchmark):
-    profiler = seed_profiler()
-
-    scalar = run_pumps(prepare_path(False, profiler))
     # Only the pump sequence is timed/gated; graph and context construction
     # stay outside so the CI regression threshold tracks the hot path.
-    vector_state = prepare_path(True, profiler)
-    vector = benchmark.pedantic(lambda: run_pumps(vector_state), rounds=1, iterations=1)
+    state = prepare(seed_profiler())
+    run = benchmark.pedantic(lambda: run_pumps(state), rounds=1, iterations=1)
+    assert len(run["placements"]) == TASK_COUNT
 
-    # Identical decisions, pump for pump — including the re-scheduling moves.
-    assert comparable(scalar["graph"], scalar["placements"], scalar["moves"]) == comparable(
-        vector["graph"], vector["placements"], vector["moves"]
-    )
-    assert len(scalar["placements"]) == TASK_COUNT
-
-    scalar_mean = sum(scalar["timings"]) / len(scalar["timings"])
-    vector_mean = sum(vector["timings"]) / len(vector["timings"])
-    speedup = scalar_mean / vector_mean
-
-    arrays = vector["context"].arrays
+    mean = sum(run["timings"]) / len(run["timings"])
+    arrays = run["context"].arrays
     print()
     print(f"Array-backed scheduling core — {TASK_COUNT} tasks × {ENDPOINT_COUNT} endpoints")
-    print(f"  pumps                  : {len(vector['timings'])} "
+    print(f"  pumps                  : {len(run['timings'])} "
           f"(priorities + {TASK_COUNT // LAYER_WIDTH} layers + reschedule)")
-    print(f"  scalar mean pump time  : {scalar_mean * 1000:8.1f} ms")
-    print(f"  vector mean pump time  : {vector_mean * 1000:8.1f} ms")
-    print(f"  speedup                : {speedup:8.1f}x")
+    print(f"  mean pump time         : {mean * 1000:8.1f} ms")
+    print(f"  re-scheduling moves    : {len(run['moves'])}")
     print(f"  matrix cells filled    : {arrays.cells_filled}")
     print(f"  matrix rows served     : {arrays.rows_served}")
-    benchmark.extra_info["scalar_mean_pump_ms"] = round(scalar_mean * 1000, 3)
-    benchmark.extra_info["vector_mean_pump_ms"] = round(vector_mean * 1000, 3)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
+    benchmark.extra_info["vector_mean_pump_ms"] = round(mean * 1000, 3)
     benchmark.extra_info["cells_filled"] = arrays.cells_filled
 
-    # The tentpole's acceptance bar: ≥5× mean pump-time improvement at the
-    # 50k × 64 scale (measured ≈16–19×).  Scaled-down local runs (the env
-    # overrides) have proportionally more fixed Python overhead per pump, so
-    # they only sanity-check a lower floor.
-    full_scale = TASK_COUNT >= 50_000 and ENDPOINT_COUNT >= 64
-    floor = 5.0 if full_scale else 3.0
-    assert speedup >= floor, f"vectorized path only {speedup:.1f}x faster"
-    # Each (task, endpoint) cell is computed at most once per generation —
-    # the matrices replace the per-call dict memo as the primary path.
+    # Each (task, endpoint) cell is computed at most once per generation.
     assert arrays.cells_filled <= TASK_COUNT * ENDPOINT_COUNT * 2 * 1.05

@@ -42,9 +42,6 @@ ENDPOINTS = 4
 WORKERS = 24
 ARRIVALS = int(os.environ.get("REPRO_BENCH_STREAM_ARRIVALS", "500"))
 TASKS_PER_WF = int(os.environ.get("REPRO_BENCH_STREAM_TASKS", "32"))
-#: Set to 0 to skip the extra --no-vector digest run (the full-scale sustain
-#: run uses this; the mode stays gated at default scale).
-MODE_GATES = os.environ.get("REPRO_BENCH_STREAM_MODES", "1") != "0"
 TASK_S = 2.0
 MAX_ACTIVE = 12
 QUEUE_LIMIT = 32
@@ -87,7 +84,7 @@ class _IncrementalDigest:
         return self._hash.hexdigest()
 
 
-def _run(policy: str, **config_overrides):
+def _run(policy: str):
     names = [f"ep{i}" for i in range(ENDPOINTS)]
     setups = [
         EndpointSetup(
@@ -110,7 +107,6 @@ def _run(policy: str, **config_overrides):
         # Streaming serving takes a manager built without the placement plan.
         enable_placement_plan=False,
         profiler_update_interval_s=3600.0,
-        **config_overrides,
     )
     manager = WorkflowManager(
         config,
@@ -201,14 +197,9 @@ def test_serving_stream_steady_state(benchmark):
         fifo, _, _ = _run("fifo")
         edf, edf_digest, peaks = _run("edf")
         _, repeat_digest, _ = _run("edf")
-        mode_digests = {}
-        if MODE_GATES:
-            _, mode_digests["no-vector"], _ = _run(
-                "edf", enable_vectorized_scheduling=False
-            )
-        return fifo, edf, edf_digest, repeat_digest, mode_digests, peaks
+        return fifo, edf, edf_digest, repeat_digest, peaks
 
-    fifo, edf, edf_digest, repeat_digest, mode_digests, peaks = benchmark.pedantic(
+    fifo, edf, edf_digest, repeat_digest, peaks = benchmark.pedantic(
         comparison, rounds=1, iterations=1
     )
     rss_after_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -250,11 +241,8 @@ def test_serving_stream_steady_state(benchmark):
     assert abs(edf["throughput_per_s"] - fifo["throughput_per_s"]) <= (
         0.10 * max(fifo["throughput_per_s"], 1e-9)
     )
-    # Byte-determinism across repeats — and across the vectorized scheduling
-    # toggle — over every tenant's full event log.
+    # Byte-determinism across repeats over every tenant's full event log.
     assert edf_digest == repeat_digest
-    for mode, digest in mode_digests.items():
-        assert digest == edf_digest, f"{mode} digest diverged"
     # O(active) memory: three full streams ran in this process; growth stays
     # bounded regardless of ARRIVALS (a per-tenant leak scales linearly).
     assert rss_growth_mb <= 500.0, f"peak RSS grew {rss_growth_mb:.0f} MB"

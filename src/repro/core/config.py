@@ -79,9 +79,6 @@ class Config:
     enable_delay_mechanism: bool = True
     #: Enable DHA's re-scheduling / task stealing mechanism.
     enable_rescheduling: bool = True
-    #: Run DHA/HEFT on the array-backed vectorized hot path (byte-identical
-    #: decisions to the scalar reference; disable to run the reference).
-    enable_vectorized_scheduling: bool = True
     #: Route staging through the data-plane subsystem (:mod:`repro.dataplane`):
     #: capacity-bounded replica store, priority/bandwidth-aware transfer
     #: scheduling and pipelined prefetching.  Disable (``--no-dataplane``) to

@@ -290,12 +290,10 @@ class DurabilityController:
                 "tail_entries": entries,
             }
             if self.restore.cut.get("kind") == "oneshot":
-                # Snapshot payload digests cover engine-internal state, which
-                # legitimately differs between the vector and scalar
-                # scheduler modes; only the explicit snapshot→restore
-                # pairing (always same-mode, what check-replay verifies)
-                # reports it.  Checkpoint-recovery payloads stay
-                # byte-identical across modes.
+                # Only the explicit snapshot→restore pairing (what
+                # check-replay verifies) reports which snapshot file it
+                # loaded; a checkpoint-recovery artifact stays free of
+                # engine-internal state digests.
                 payload["restore"]["payload_sha256"] = self.restore.payload_sha256()
         if self.checkpoint_interval_s is not None:
             payload["checkpoints"] = {

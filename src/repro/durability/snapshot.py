@@ -47,8 +47,9 @@ __all__ = [
 ]
 
 #: Format version this build writes and the only one it reads.  Version 2
-#: dropped the ``columnar`` field from the replay recipe (``scenario``).
-SCHEMA_VERSION = 2
+#: dropped the ``columnar`` field from the replay recipe (``scenario``),
+#: version 3 the ``vectorized`` field.
+SCHEMA_VERSION = 3
 
 _MAGIC = "repro-snapshot"
 _CKPT_PATTERN = re.compile(r"^ckpt-(\d+)\.snap$")

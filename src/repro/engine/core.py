@@ -124,10 +124,7 @@ class ExecutionEngine:
                 kwargs = dict(
                     enable_delay_mechanism=config.enable_delay_mechanism,
                     enable_rescheduling=config.enable_rescheduling,
-                    vectorized=config.enable_vectorized_scheduling,
                 )
-            elif config.strategy == "HEFT":
-                kwargs = dict(vectorized=config.enable_vectorized_scheduling)
             self.scheduler = create_scheduler(config.strategy, **kwargs)
         self.metrics = metrics or MetricsCollector()
         if self.plan_service is not None:

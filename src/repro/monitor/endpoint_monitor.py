@@ -116,8 +116,8 @@ class EndpointMonitor:
         self.hardware_version = 0
         #: Bumped whenever any mock's *capacity* state may have changed
         #: (dispatch, completion, registration, a sync that moved a counter).
-        #: The vectorized schedulers' endpoint-state vectors re-read the
-        #: mocks only when this version moves, instead of per task.
+        #: The schedulers' endpoint-state vectors re-read the mocks only
+        #: when this version moves, instead of per task.
         self.state_version = 0
 
     # ----------------------------------------------------------- registration

@@ -20,8 +20,7 @@ The search is plain first-improvement local search over four move kinds —
 ``open`` / ``close`` / ``swap`` on the warm set, ``reassign`` on the roots —
 with the candidate order shuffled by the dedicated "placement" RNG stream.
 Every tie in the greedy construction breaks on sorted names, so the solve is
-a pure function of (problem, RNG state): byte-identical across repeats and
-across the vector and scalar scheduler modes.
+a pure function of (problem, RNG state): byte-identical across repeats.
 """
 
 from __future__ import annotations

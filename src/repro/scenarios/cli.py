@@ -15,10 +15,7 @@ machine-readable artifacts:
 
 ``compare NAME --schedulers dha,heft,locality``
     Run the same scenario once per scheduler and print a comparison table
-    (plus one ``BENCH_*.json`` per run).  ``--modes`` instead runs the same
-    scenario across engine modes and **exits non-zero** unless their
-    whole artifacts are byte-identical (list a mode twice to gate
-    run-to-run determinism too).
+    (plus one ``BENCH_*.json`` per run).
 
 ``check-replay BENCH_A BENCH_B``
     Compare a ``--snapshot-at`` run's artifact against a ``--restore-from``
@@ -143,7 +140,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scheduler=args.scheduler,
         seed=args.seed,
         scale=args.scale,
-        vectorized=False if args.no_vector else None,
         dataplane=False if args.no_dataplane else None,
         placement=False if args.no_placement else None,
         workflows=args.workflows,
@@ -187,15 +183,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if durability is not None and durability.snapshot_path is not None:
         print(f"snapshot            : {durability.snapshot_path}")
     return 0
-
-
-#: Engine-mode override sets whose event digests are byte-identical by
-#: contract.  ``--no-dataplane`` is deliberately absent: FIFO-staging runs
-#: match the *pre-dataplane* engine's digests, not dataplane-enabled ones.
-_MODE_OVERRIDES = {
-    "default": {},
-    "no-vector": {"vectorized": False},
-}
 
 
 def _cmd_check_replay(args: argparse.Namespace) -> int:
@@ -256,8 +243,6 @@ def _cmd_check_replay(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     preset = get_scenario(args.name)
     preset = resolve_dynamics(args.dynamics, preset)
-    if args.modes is not None:
-        return _compare_modes(args, preset)
     if args.arbitrations is not None:
         return _compare_arbitrations(args, preset)
     schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
@@ -269,7 +254,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         spec = preset.with_overrides(
             scheduler=scheduler,
             seed=args.seed,
-            vectorized=False if args.no_vector else None,
             dataplane=False if args.no_dataplane else None,
             placement=False if args.no_placement else None,
             workflows=args.workflows,
@@ -294,60 +278,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_modes(args: argparse.Namespace, preset) -> int:
-    """``compare NAME --modes default,default,no-vector`` — the byte gate.
-
-    Every listed engine mode must produce a byte-identical BENCH artifact
-    (the whole ``to_json()`` payload, digest included); any divergence makes
-    the command exit 1 so CI can gate on it.  Listing a mode twice gates
-    run-to-run determinism.
-    """
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    if not modes:
-        print("error: --modes needs at least one mode", file=sys.stderr)
-        return 2
-    unknown = [m for m in modes if m not in _MODE_OVERRIDES]
-    if unknown:
-        print(
-            f"error: unknown mode(s) {', '.join(unknown)}; expected a subset of "
-            f"{', '.join(_MODE_OVERRIDES)} (no-dataplane runs are digest-compatible "
-            "with the pre-dataplane engine, not with dataplane runs, so they "
-            "cannot join this gate)",
-            file=sys.stderr,
-        )
-        return 2
-    results: List[ScenarioResult] = []
-    for mode in modes:
-        spec = preset.with_overrides(
-            seed=args.seed, workflows=args.workflows, **_MODE_OVERRIDES[mode]
-        )
-        result = run_scenario(spec, max_wall_time_s=args.max_wall_time)
-        scenario_id = _effective_id(args.name, None, args.dynamics, args.workflows)
-        if mode != "default":
-            scenario_id += f"-{mode.replace('-', '')}"
-        _write_bench(result, Path(args.out), scenario_id)
-        results.append(result)
-
-    print(f"scenario: {args.name}   seed: {results[0].seed}")
-    print(f"{'MODE':<14} {'MAKESPAN':>10} {'COMPLETED':>10}  DIGEST")
-    baseline = results[0].to_json()
-    mismatched = False
-    for mode, result in zip(modes, results):
-        match = result.to_json() == baseline
-        mismatched |= not match
-        marker = "" if match else "  <-- DIVERGES"
-        print(
-            f"{mode:<14} {result.makespan_s:>9.1f}s {result.completed_tasks:>10}  "
-            f"{result.determinism_digest[:16]}…{marker}"
-        )
-    if mismatched:
-        print("mode artifacts DIFFER — the engine paths are not byte-equivalent",
-              file=sys.stderr)
-        return 1
-    print(f"all {len(modes)} mode artifacts identical")
-    return 0
-
-
 def _compare_arbitrations(args: argparse.Namespace, preset) -> int:
     """``compare NAME --arbitrations fifo,fair_share`` — policy face-off."""
     policies = [p.strip() for p in args.arbitrations.split(",") if p.strip()]
@@ -363,7 +293,6 @@ def _compare_arbitrations(args: argparse.Namespace, preset) -> int:
         spec = preset.with_overrides(
             scheduler=args.scheduler if hasattr(args, "scheduler") else None,
             seed=args.seed,
-            vectorized=False if args.no_vector else None,
             dataplane=False if args.no_dataplane else None,
             placement=False if args.no_placement else None,
             workflows=args.workflows,
@@ -436,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the preset's dynamics regime")
     run.add_argument("--scale", type=float, default=None,
                      help="override the workload scale fraction")
-    run.add_argument("--no-vector", action="store_true",
-                     help="run the scalar reference scheduler instead of the "
-                          "array-backed vectorized hot path (byte-identical result)")
     run.add_argument("--no-dataplane", action="store_true",
                      help="stage through the paper's FIFO data manager instead of the "
                           "data-plane subsystem (replica store / transfer scheduler / "
@@ -484,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     compare.add_argument("--dynamics", choices=["none", "churn", "crash", "chaos"],
                          default=None, help="override the preset's dynamics regime")
-    compare.add_argument("--no-vector", action="store_true",
-                         help="run the scalar reference schedulers")
     compare.add_argument("--no-dataplane", action="store_true",
                          help="stage through the paper's FIFO data manager")
     compare.add_argument("--no-placement", action="store_true",
@@ -497,11 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(e.g. fifo,fair_share,priority,edf) instead of "
                               "schedulers; needs a multi-workflow or streaming "
                               "preset, or --workflows >= 2")
-    compare.add_argument("--modes", default=None,
-                         help="comma-separated engine modes to byte-gate "
-                              "(from default,no-vector; repeats "
-                              "allowed); exits non-zero unless every run's whole "
-                              "artifact is byte-identical")
     compare.add_argument("--out", default=".", help="directory for BENCH artifacts")
     compare.add_argument("--max-wall-time", type=float, default=600.0,
                          help="wall-clock budget per run (seconds)")

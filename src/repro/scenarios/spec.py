@@ -180,7 +180,7 @@ def _layered_task_type(workload: WorkloadSpec) -> TaskTypeSpec:
 def _build_layered_workload(client: UniFaaSClient, workload: WorkloadSpec) -> WorkloadInfo:
     """A layered DAG: each task depends on two tasks of the previous layer.
 
-    The same shape as the engine-throughput benchmark — wide enough to keep
+    The same shape as the scheduling-scale benchmark's — wide enough to keep
     every endpoint busy, deep enough that crashes hit tasks with successors.
     """
     spec = _layered_task_type(workload)
@@ -297,10 +297,6 @@ class ScenarioSpec:
     rescheduling_interval_s: float = 20.0
     #: Pre-train the profilers with ground truth (the paper's warm regime).
     seed_knowledge: bool = True
-    #: Run DHA/HEFT on the array-backed vectorized hot path.  Placements are
-    #: byte-identical either way (the equivalence tests gate on it); the CLI's
-    #: ``--no-vector`` switches a run to the scalar reference implementation.
-    vectorized: bool = True
     #: Route staging through the data-plane subsystem (replica store +
     #: priority transfer scheduling + prefetch).  The CLI's ``--no-dataplane``
     #: switches a run to the paper's FIFO staging path, whose event digests
@@ -353,7 +349,6 @@ class ScenarioSpec:
         seed: Optional[int] = None,
         dynamics: Optional[DynamicsSpec] = None,
         scale: Optional[float] = None,
-        vectorized: Optional[bool] = None,
         dataplane: Optional[bool] = None,
         placement: Optional[bool] = None,
         workflows: Optional[int] = None,
@@ -365,8 +360,6 @@ class ScenarioSpec:
         spec = self
         if checkpoint_interval_s is not None:
             spec = dataclasses.replace(spec, checkpoint_interval_s=checkpoint_interval_s)
-        if vectorized is not None:
-            spec = dataclasses.replace(spec, vectorized=vectorized)
         if dataplane is not None:
             spec = dataclasses.replace(spec, enable_dataplane=dataplane)
         if placement is not None:
@@ -675,7 +668,6 @@ def _build_environment(spec: ScenarioSpec, seed: int):
         enable_delay_mechanism=spec.enable_delay_mechanism,
         enable_rescheduling=spec.enable_rescheduling,
         enable_scaling=spec.enable_scaling,
-        enable_vectorized_scheduling=spec.vectorized,
         enable_dataplane=spec.enable_dataplane,
         # The plan amortises over long-lived tenants; open-loop streaming
         # tenants live and die inside one re-solve cadence, so a streaming

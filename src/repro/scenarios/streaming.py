@@ -8,8 +8,8 @@ spec's arbitration policy, and are retired on completion.  The result record
 keeps the batch fields (totals are accumulated *at retirement*, before each
 tenant's state is released) and adds a ``streaming`` payload of steady-state
 metrics; the determinism digest covers every tenant's full event log plus
-the dynamics timeline, exactly like the serving path, so the CI mode gate
-(``--no-vector``) compares streaming runs byte-for-byte.
+the dynamics timeline, exactly like the serving path, so CI's repeat-run
+``cmp`` and the golden digests pin streaming runs byte-for-byte.
 """
 
 from __future__ import annotations

@@ -42,16 +42,14 @@ class Placement:
 class SchedulingContext:
     """Everything a scheduler may consult when deciding placements.
 
-    The two prediction entry points the schedulers hammer hardest —
-    :meth:`predicted_execution_time` and :meth:`estimated_input_mb`, which
-    DHA evaluates per task × endpoint on every priority and placement round
-    — are memoized.  Cache entries carry a *generation stamp* derived from
-    the execution profiler's prediction version and the endpoint monitor's
-    hardware version, so a profiler retrain (or warm-up observation) and a
-    hardware-feature change invalidate them lazily without any bookkeeping
-    on the hot path (ordinary capacity syncs do not: predictions only read
-    hardware features); the engine additionally invalidates a task's entries
-    eagerly when its input files change, keeping invalidation O(changed).
+    Per task × endpoint predictions live in :attr:`arrays`, the dense
+    :class:`~repro.sched.vector.PredictionIndex` DHA and HEFT decide from.
+    :meth:`estimated_input_mb`, which fills it, is memoized per task with a
+    *generation stamp* derived from the execution profiler's prediction
+    version and the endpoint monitor's hardware version, so a profiler
+    retrain (or warm-up observation) invalidates an estimate lazily; the
+    engine additionally invalidates a task's entries eagerly when its input
+    files change, keeping invalidation O(changed).
     """
 
     graph: TaskGraph
@@ -66,22 +64,12 @@ class SchedulingContext:
     speed_factors: Dict[str, float]
 
     # Memoization state (see class docstring).
-    _exec_cache: Dict[Tuple[str, str, float], Tuple[float, Tuple[int, int]]] = field(
-        init=False, default_factory=dict, repr=False
-    )
-    _exec_keys_by_task: Dict[str, List[Tuple[str, str, float]]] = field(
-        init=False, default_factory=dict, repr=False
-    )
     _input_cache: Dict[str, Tuple[float, Tuple[int, int]]] = field(
         init=False, default_factory=dict, repr=False
     )
-    #: Hit/miss counters for :meth:`predicted_execution_time` (benchmarks
-    #: assert on the hit rate).
-    exec_cache_hits: int = field(init=False, default=0)
-    exec_cache_misses: int = field(init=False, default=0)
-    #: Array-backed prediction layer (created on demand by the vectorized
-    #: schedulers); holds the same floats the scalar methods return, in
-    #: dense task × endpoint matrices.  See :mod:`repro.sched.vector`.
+    #: Predicted execution and staging time of every task × endpoint pair in
+    #: dense matrices, created on demand by the schedulers that read them.
+    #: See :mod:`repro.sched.vector`.
     arrays: Optional[PredictionIndex] = field(init=False, default=None, repr=False)
 
     # ------------------------------------------------------------ conveniences
@@ -104,8 +92,6 @@ class SchedulingContext:
     def invalidate_task(self, task_id: str) -> None:
         """Drop cached predictions for one task (a dependency completed)."""
         self._input_cache.pop(task_id, None)
-        for key in self._exec_keys_by_task.pop(task_id, ()):
-            self._exec_cache.pop(key, None)
         if self.arrays is not None:
             self.arrays.invalidate_task(task_id)
 
@@ -118,8 +104,6 @@ class SchedulingContext:
 
     def invalidate_predictions(self) -> None:
         """Drop every cached prediction (profiler retrained, hardware changed)."""
-        self._exec_cache.clear()
-        self._exec_keys_by_task.clear()
         self._input_cache.clear()
         if self.arrays is not None:
             self.arrays.invalidate_all()
@@ -149,37 +133,6 @@ class SchedulingContext:
                     )
         self._input_cache[task.task_id] = (total, generation)
         return total
-
-    def predicted_execution_time(self, task: Task, endpoint: str, default: float = 1.0) -> float:
-        """Predicted execution time of ``task`` on ``endpoint`` (seconds)."""
-        # Query the mock before the generation check: with mocking disabled
-        # it re-reads the (possibly changed) service status and bumps the
-        # hardware version, so a stale entry cannot slip past the stamp.
-        # With mocking enabled this is a plain dict lookup.
-        mock = self.endpoint_monitor.mock(endpoint)
-        generation = self._prediction_generation()
-        key = (task.task_id, endpoint, default)
-        cached = self._exec_cache.get(key)
-        if cached is not None and cached[1] == generation:
-            self.exec_cache_hits += 1
-            return cached[0]
-        self.exec_cache_misses += 1
-        predicted = self.execution_profiler.predict_execution_time(
-            task.name,
-            self.estimated_input_mb(task),
-            mock.hardware_features(),
-            default=None,
-        )
-        if predicted is None:
-            # No observations yet: scale the default by relative hardware
-            # speed so heterogeneity-aware decisions remain sensible during
-            # warm-up.
-            speed = self.speed_factors.get(endpoint, 1.0)
-            predicted = default / max(speed, 1e-9)
-        if cached is None:
-            self._exec_keys_by_task.setdefault(task.task_id, []).append(key)
-        self._exec_cache[key] = (predicted, generation)
-        return predicted
 
     def staging_sources(self, file) -> List[str]:
         """Candidate source replicas for a multi-source staging prediction.
@@ -213,9 +166,9 @@ class SchedulingContext:
         scheduler's source selection (including its quarantine of crashed
         endpoints — see :meth:`staging_sources`).  With the plane disabled it
         reads the primary replica only — exactly the paper's §IV-E behaviour,
-        which the ``--no-dataplane`` digest-equivalence guarantee pins.  The
-        vector path (:meth:`~repro.sched.vector.PredictionIndex._staging_row`)
-        mirrors both branches bit-identically.
+        which the ``--no-dataplane`` digest-equivalence guarantee pins.
+        :meth:`~repro.sched.vector.PredictionIndex._staging_row` fills the
+        staging matrix with the same floats, a row at a time.
         """
         multi_source = self.config.enable_dataplane
         total = 0.0
@@ -247,22 +200,6 @@ class SchedulingContext:
                     total = self.transfer_profiler.predict_transfer_time(names[0], endpoint, size)
         return total
 
-    def average_execution_time(self, task: Task, default: float = 1.0) -> float:
-        """Mean predicted execution time across all endpoints (DHA's ``w_i``)."""
-        names = self.endpoint_names()
-        if not names:
-            return default
-        times = [self.predicted_execution_time(task, ep, default=default) for ep in names]
-        return float(sum(times) / len(times))
-
-    def average_staging_time(self, task: Task) -> float:
-        """Mean predicted staging time across all endpoints (DHA's ``d_i``)."""
-        names = self.endpoint_names()
-        if not names:
-            return 0.0
-        times = [self.predicted_staging_time(task, ep) for ep in names]
-        return float(sum(times) / len(times))
-
 
 class Scheduler(ABC):
     """Base class for workflow schedulers."""
@@ -276,10 +213,6 @@ class Scheduler(ABC):
     #: scheduler for re-scheduling.
     supports_rescheduling: bool = False
 
-    #: Whether this scheduler runs the array-backed hot path when possible
-    #: (subclasses expose a ``vectorized`` constructor argument).
-    vectorized: bool = False
-
     def __init__(self) -> None:
         self.context: Optional[SchedulingContext] = None
         #: Tasks assigned per endpoint that have not been dispatched yet
@@ -288,7 +221,7 @@ class Scheduler(ABC):
         #: The federation's per-endpoint sum of its active tenants' claims
         #: (see :meth:`share_claims`); ``None`` while this tenant is not one.
         self._claim_totals: Optional[Dict[str, int]] = None
-        #: Incremental per-endpoint state arrays (vectorized schedulers only).
+        #: Incremental per-endpoint state arrays (DHA's estimated-finish index).
         self._vectors: Optional[EndpointStateVectors] = None
         #: Bumped on every claim change — part of the re-scheduling pass's
         #: nothing-changed fingerprint.
@@ -322,22 +255,6 @@ class Scheduler(ABC):
         # actually consume them (DHA's EFT index); claim mirroring below is
         # a no-op until then.
         self._vectors = None
-
-    def _vector_ready(self) -> bool:
-        """True when the array-backed hot path may be used.
-
-        Requires the mocking mechanism: with mocking disabled every endpoint
-        query re-reads the (stale) service status, which per-event array
-        synchronisation cannot mirror — the scalar reference path handles
-        that ablation regime.
-        """
-        context = self.context
-        return bool(
-            self.vectorized
-            and context is not None
-            and context.endpoint_monitor.mocking_enabled
-            and context.endpoint_names()
-        )
 
     def _require_context(self) -> SchedulingContext:
         if self.context is None:

@@ -27,14 +27,13 @@ Locality scheduler:
    re-examined; tasks are stolen from backlogged endpoints and moved to
    endpoints with idle capacity when that lowers their estimated finish time.
 
-Two implementations share this class.  The default *vectorized* hot path
-runs the priority sweep and endpoint selection over the array-backed
+The priority sweep and endpoint selection run over the array-backed
 :class:`~repro.sched.vector.PredictionIndex` (one reverse-topological sweep
 over dense task × endpoint matrices; an argmin over an incrementally
-maintained per-endpoint estimated-finish vector).  The *scalar* path
-(``vectorized=False``, the CLI's ``--no-vector``) is the reference
-implementation; both produce byte-identical placement decisions, which the
-equivalence tests assert across every scenario preset.
+maintained per-endpoint estimated-finish vector).  The algorithm as the paper
+writes it — one task, one endpoint at a time — is kept as an executable
+specification in ``tests/reference/dha_scalar.py``; the property tests hold
+every decision made here to it, bit for bit.
 """
 
 from __future__ import annotations
@@ -63,13 +62,11 @@ class DHAScheduler(Scheduler):
         enable_delay_mechanism: bool = True,
         enable_rescheduling: bool = True,
         default_execution_time_s: float = 1.0,
-        vectorized: bool = True,
     ) -> None:
         super().__init__()
         self.uses_delay_mechanism = enable_delay_mechanism
         self.supports_rescheduling = enable_rescheduling
         self.default_execution_time_s = default_execution_time_s
-        self.vectorized = vectorized
         self._priorities: Dict[str, float] = {}
         #: Where each not-yet-dispatched task is currently headed.
         self._pending_target: Dict[str, str] = {}
@@ -111,10 +108,7 @@ class DHAScheduler(Scheduler):
             order = self._affected_reverse_topological(graph, new_tasks)
         if not order:
             return
-        if self._vector_ready():
-            self._sweep_vector(context, order)
-        else:
-            self._sweep_scalar(context, order)
+        self._sweep(context, order)
         self._priority_epoch += 1
 
     def _affected_reverse_topological(
@@ -161,29 +155,20 @@ class DHAScheduler(Scheduler):
                         queue.append(dep)
         return order
 
-    def _sweep_scalar(self, context: SchedulingContext, order: Sequence[Task]) -> None:
-        graph = context.graph
-        priorities = self._priorities
-        for task in order:
-            d = context.average_staging_time(task)
-            w = context.average_execution_time(task, default=self.default_execution_time_s)
-            succ = graph.successors(task.task_id)
-            best = max((priorities.get(s.task_id, 0.0) for s in succ), default=0.0)
-            priorities[task.task_id] = d + w + best
-            task.priority = priorities[task.task_id]
+    def _sweep(self, context: SchedulingContext, order: Sequence[Task]) -> None:
+        """Eq. 2 over ``order`` (successors first).
 
-    def _sweep_vector(self, context: SchedulingContext, order: Sequence[Task]) -> None:
-        """The same recursion over the dense prediction matrices.
-
-        ``d`` and ``w`` come from one batched row-mean over the array-backed
-        context instead of 2 × |endpoints| scalar calls per task; the sweep
-        itself reads/writes plain floats so the arithmetic (and hence every
-        priority) is bit-identical to the scalar path.
+        ``d`` and ``w`` of the whole slice come from one batched row-mean
+        over the dense prediction matrices; the recursion itself reads and
+        writes plain floats.
         """
-        arrays = context.ensure_arrays()
-        rows = arrays.rows(order, self.default_execution_time_s)
-        w, d = arrays.row_means(rows)
-        base = (d + w).tolist()
+        if context.endpoint_names():
+            arrays = context.ensure_arrays()
+            w, d = arrays.row_means(arrays.rows(order, self.default_execution_time_s))
+            base = (d + w).tolist()
+        else:
+            # No endpoint is monitored yet: there is nothing to average over.
+            base = [self.default_execution_time_s] * len(order)
         graph = context.graph
         priorities = self._priorities
         for position, task in enumerate(order):
@@ -216,27 +201,13 @@ class DHAScheduler(Scheduler):
 
     # -------------------------------------------------------------- scheduling
     def schedule(self, ready_tasks: Sequence[Task]) -> List[Placement]:
-        self._require_context()
+        context = self._require_context()
         missing = [t for t in ready_tasks if t.task_id not in self._priorities]
         if missing:
             self._compute_priorities(missing)
+        if not context.endpoint_names():
+            return []
         ordered = self._ordered_by_priority(ready_tasks, "schedule")
-        if self._vector_ready():
-            return self._schedule_vector(ordered)
-        placements: List[Placement] = []
-        for task in ordered:
-            endpoint, finish = self._select_endpoint(task)
-            if endpoint is None:
-                continue
-            self.claim(endpoint, 1)
-            self._pending_target[task.task_id] = endpoint
-            placements.append(
-                Placement(task_id=task.task_id, endpoint=endpoint, estimated_finish_s=finish)
-            )
-        return placements
-
-    def _schedule_vector(self, ordered: Sequence[Task]) -> List[Placement]:
-        context = self.context
         arrays = context.ensure_arrays()
         # rows() first: it rebuilds the index when the endpoint set changed,
         # and the state vectors must be validated against the rebuilt columns.
@@ -274,9 +245,9 @@ class DHAScheduler(Scheduler):
         """The plan replica roots of ``task``'s input files (may be empty).
 
         A task reading hot datasets the plan rooted somewhere runs cheapest
-        next to those replicas: the selection paths restrict the EFT sweep to
-        these endpoints while at least one survives the warm/exclude filters,
-        which is what turns the plan's per-file roots into co-located
+        next to those replicas: selection restricts the EFT sweep to these
+        endpoints while at least one survives the plan-warm filter, which is
+        what turns the plan's per-file roots into co-located
         consumers (the split-penalty term of the solver objective assumes
         shared consumers follow the roots).
         """
@@ -293,11 +264,13 @@ class DHAScheduler(Scheduler):
         names: Sequence[str],
         warm_mask: Optional[np.ndarray],
     ) -> Optional[np.ndarray]:
-        """Per-task candidate mask for the vector paths (None = all).
+        """Per-task candidate mask over ``names`` (None = every endpoint).
 
-        Mirrors the scalar filter order exactly: the plan-warm restriction
-        first, then the root-affinity restriction while it leaves at least
-        one candidate — so both implementations pick the same endpoint.
+        With a placement plan live the global optimizer already paid the
+        opening costs of the warm set, so greedy EFT only arbitrates *within*
+        it.  Filter order: the plan-warm restriction (``warm_mask``) first,
+        then the root-affinity restriction (:meth:`_input_roots`) while it
+        leaves at least one candidate.
         """
         roots = self._input_roots(plan, task)
         if not roots:
@@ -311,12 +284,12 @@ class DHAScheduler(Scheduler):
         return combined if combined.any() else warm_mask
 
     def _warm_mask(self, names: Sequence[str]) -> Optional[np.ndarray]:
-        """Boolean plan-warm mask over ``names`` for the vector paths.
+        """Boolean plan-warm mask over ``names``.
 
         Returns None when there is no plan, when no listed endpoint is warm
-        (the scalar fallback to the full sweep), or when every endpoint is
-        warm (the restriction is a no-op) — the caller then takes the plain
-        argmin, bit-identical to the scalar candidate filtering.
+        (selection falls back to the plain paper EFT sweep over all of them),
+        or when every endpoint is warm (the restriction is a no-op) — the
+        caller then takes the plain argmin.
         """
         plan = self._current_plan()
         if plan is None or not plan.warm_endpoints:
@@ -342,80 +315,39 @@ class DHAScheduler(Scheduler):
             self._vectors = vectors
         return vectors
 
-    def _select_endpoint(
-        self, task: Task, exclude: Sequence[str] = ()
-    ) -> tuple[Optional[str], float]:
-        """Greedy earliest-estimated-finish-time selection (scalar reference).
-
-        With a placement plan live, the candidate set is restricted to the
-        plan-warm endpoints while at least one of them survives ``exclude``
-        — the global optimizer already paid the opening costs for the warm
-        set, so greedy EFT only arbitrates *within* it.  With no plan (or no
-        warm candidate left) the selection is the plain paper EFT sweep.
-        """
-        context = self._require_context()
-        candidates = [n for n in context.endpoint_names() if n not in exclude]
-        plan = self._current_plan()
-        if plan is not None and plan.warm_endpoints:
-            warm = [n for n in candidates if plan.is_warm(n)]
-            if warm:
-                candidates = warm
-        roots = self._input_roots(plan, task)
-        if roots:
-            rooted = [n for n in candidates if n in roots]
-            if rooted:
-                candidates = rooted
-        best_endpoint: Optional[str] = None
-        best_finish = float("inf")
-        for endpoint in candidates:
-            finish = self._estimated_finish(context, task, endpoint)
-            if finish < best_finish:
-                best_finish = finish
-                best_endpoint = endpoint
-        return best_endpoint, best_finish
-
-    def _estimated_finish(self, context: SchedulingContext, task: Task, endpoint: str) -> float:
-        mock = context.endpoint_monitor.mock(endpoint)
-        staging = context.predicted_staging_time(task, endpoint)
-        execution = context.predicted_execution_time(
-            task, endpoint, default=self.default_execution_time_s
-        )
-        workers = max(1, mock.active_workers)
-        idle = mock.idle_workers
-        backlog = mock.pending_tasks + self.claimed(endpoint) - idle
-        wait = max(0, backlog) * execution / workers
-        if idle <= 0:
-            # Every worker is busy: expect to wait about half a task's service
-            # time for one to free up before the backlog even starts draining.
-            wait += 0.5 * execution
-        return max(staging, wait) + execution
-
     def placement_hint(
         self, task: Task, virtual_claims: Optional[Dict[str, int]] = None
     ) -> Optional[str]:
         """EFT selection over current state, without taking a real claim.
 
-        Runs the scalar reference selection (identical floats to the vector
-        path) so the data plane's prefetcher aims where ``schedule`` would
-        most likely send the task.  ``virtual_claims`` are overlaid on the
-        scheduler's claim table for the duration of the query — the same
-        claim-as-you-go backlog ``schedule`` itself applies over a batch —
-        and restored before returning.
+        The same estimated-finish argmin as :meth:`schedule`, so the data
+        plane's prefetcher aims where ``schedule`` would most likely send the
+        task.  ``virtual_claims`` are overlaid on the endpoint-state vectors'
+        claim column for the duration of the query — the same claim-as-you-go
+        backlog ``schedule`` itself applies over a batch — and taken off
+        again before returning; the scheduler's own claim table is not
+        touched.
         """
-        if self.context is None or not self.context.endpoint_names():
+        context = self.context
+        if context is None or not context.endpoint_names():
             return None
-        overlaid = []
-        if virtual_claims:
-            for endpoint, count in virtual_claims.items():
-                if count:
-                    self._claims[endpoint] = self._claims.get(endpoint, 0) + count
-                    overlaid.append((endpoint, count))
+        arrays = context.ensure_arrays()
+        row = arrays.rows((task,), self.default_execution_time_s)[0]
+        vectors = self._endpoint_vectors(arrays)
+        vectors.sync(context.endpoint_monitor)
+        overlaid = [(name, count) for name, count in (virtual_claims or {}).items() if count]
+        for name, count in overlaid:
+            vectors.add_claim(name, count)
         try:
-            endpoint, _ = self._select_endpoint(task)
+            finish = vectors.finish_row(arrays.exec_matrix[row], arrays.staging_matrix[row])
         finally:
             for name, count in overlaid:
-                self._claims[name] -= count
-        return endpoint
+                vectors.add_claim(name, -count)
+        names = arrays.endpoint_names
+        mask = self._selection_mask(self._current_plan(), task, names, self._warm_mask(names))
+        if mask is not None:
+            finish = np.where(mask, finish, np.inf)
+        return names[int(np.argmin(finish))]
 
     # --------------------------------------------------------- delay mechanism
     def should_dispatch(self, task: Task) -> bool:
@@ -450,13 +382,12 @@ class DHAScheduler(Scheduler):
         if not self.supports_rescheduling or not pending_tasks:
             return []
         context = self._require_context()
+        if not context.endpoint_names():
+            return []
         fingerprint = self._reschedule_fingerprint(context, pending_tasks)
         if fingerprint == self._resched_noop_fingerprint:
             return []
-        if self._vector_ready():
-            moves = self._reschedule_vector(context, pending_tasks)
-        else:
-            moves = self._reschedule_scalar(context, pending_tasks)
+        moves = self._reschedule_pass(context, pending_tasks)
         self._resched_noop_fingerprint = None if moves else fingerprint
         return moves
 
@@ -479,63 +410,7 @@ class DHAScheduler(Scheduler):
             None if plan is None else (plan.generation, plan.solved_at),
         )
 
-    def _reschedule_scalar(
-        self, context: SchedulingContext, pending_tasks: Sequence[Task]
-    ) -> List[Placement]:
-        moves: List[Placement] = []
-        # Spare capacity per endpoint beyond what is already heading there.
-        spare: Dict[str, int] = {
-            name: self.unclaimed_free_capacity(name) for name in context.endpoint_names()
-        }
-        if not any(count > 0 for count in spare.values()):
-            return []
-
-        plan = self._current_plan()
-        ordered = self._ordered_by_priority(pending_tasks, "reschedule")
-        for task in ordered:
-            current = task.assigned_endpoint
-            if current is None:
-                continue
-            # Only steal tasks whose current endpoint cannot start them now.
-            if context.endpoint_monitor.free_capacity(current) >= task.cores:
-                continue
-            candidates = [name for name, free in spare.items() if free > 0 and name != current]
-            if not candidates:
-                break
-            if plan is not None and plan.warm_endpoints:
-                warm = [name for name in candidates if plan.is_warm(name)]
-                if warm:
-                    candidates = warm
-            roots = self._input_roots(plan, task)
-            if roots:
-                if current in roots:
-                    # Already next to a planned replica of its inputs:
-                    # stealing it away forfeits the warm copy the plan paid
-                    # to establish for a purely local queueing gain.
-                    continue
-                rooted = [name for name in candidates if name in roots]
-                if rooted:
-                    candidates = rooted
-            current_finish = self._estimated_finish(context, task, current)
-            best = min(
-                candidates,
-                key=lambda name: self._estimated_finish(context, task, name),
-            )
-            best_finish = self._estimated_finish(context, task, best)
-            if best_finish >= current_finish:
-                continue
-            spare[best] -= 1
-            # Release the claim on the old endpoint and take one on the new.
-            self.release_claim(current)
-            self.claim(best, 1)
-            self._pending_target[task.task_id] = best
-            self.rescheduled_count += 1
-            moves.append(
-                Placement(task_id=task.task_id, endpoint=best, estimated_finish_s=best_finish)
-            )
-        return moves
-
-    def _reschedule_vector(
+    def _reschedule_pass(
         self, context: SchedulingContext, pending_tasks: Sequence[Task]
     ) -> List[Placement]:
         monitor = context.endpoint_monitor
@@ -547,12 +422,13 @@ class DHAScheduler(Scheduler):
         vectors = self._endpoint_vectors(arrays)
         vectors.sync(monitor)
         free = vectors.free_capacity()
-        # Snapshot at pass start, decremented per move — exactly the scalar
-        # pass's ``spare`` dict (claims released mid-pass do not re-open it).
+        # Spare capacity per endpoint beyond what is already heading there:
+        # a snapshot at pass start, decremented per move (claims released
+        # mid-pass do not re-open it).
         spare = np.maximum(free - vectors.claimed, 0)
         if self._capacity_slice is not None:
-            # Serving-layer slice: the scalar pass reads it through
-            # unclaimed_free_capacity; clip the vectorized snapshot the same.
+            # Serving-layer slice: the same bound ``unclaimed_free_capacity``
+            # applies, over the whole snapshot.
             bounds = np.array(
                 [self.capacity_slice_for(name) for name in arrays.endpoint_names],
                 dtype=spare.dtype,
@@ -572,10 +448,10 @@ class DHAScheduler(Scheduler):
                 continue
             column = arrays.endpoint_index(current)
             if column is None:
-                # Unknown endpoint: surface the same EndpointError the scalar
-                # path's monitor lookup would raise.
+                # Unknown endpoint: surface the monitor's own EndpointError.
                 monitor.free_capacity(current)
                 continue
+            # Only steal tasks whose current endpoint cannot start them now.
             if free[column] >= task.cores:
                 continue
             candidates = spare > 0
@@ -587,8 +463,9 @@ class DHAScheduler(Scheduler):
             roots = self._input_roots(plan, task)
             if roots:
                 if current in roots:
-                    # Same skip as the scalar pass: a task already at a plan
-                    # root of its inputs is where the plan wants it.
+                    # Already next to a planned replica of its inputs:
+                    # stealing it away forfeits the warm copy the plan paid
+                    # to establish for a purely local queueing gain.
                     continue
                 rmask = np.fromiter(
                     (name in roots for name in names), dtype=bool, count=len(names)

@@ -13,11 +13,9 @@ endpoint is a pool of workers, so the "processor availability" term is the
 endpoint's estimated ready time assuming its workers drain the backlog of
 already-assigned work evenly.
 
-Like DHA, the offline pass has two implementations: the default vectorized
-one runs rank computation and the assignment sweep over the array-backed
-prediction matrices, and the scalar reference (``vectorized=False``)
-re-derives every term per task × endpoint.  Both produce byte-identical
-assignments.
+Like DHA, the offline pass runs rank computation and the assignment sweep as
+row operations over the array-backed prediction matrices; the per task ×
+endpoint form is the reference in ``tests/reference/dha_scalar.py``.
 """
 
 from __future__ import annotations
@@ -39,12 +37,9 @@ class HEFTScheduler(Scheduler):
     uses_delay_mechanism = False
     supports_rescheduling = False
 
-    def __init__(
-        self, default_execution_time_s: float = 1.0, *, vectorized: bool = True
-    ) -> None:
+    def __init__(self, default_execution_time_s: float = 1.0) -> None:
         super().__init__()
         self.default_execution_time_s = default_execution_time_s
-        self.vectorized = vectorized
         self._ranks: Dict[str, float] = {}
         self._assignment: Dict[str, str] = {}
         #: Estimated time at which each endpoint's workers become free.
@@ -58,81 +53,22 @@ class HEFTScheduler(Scheduler):
         self._plan()
 
     def _plan(self) -> None:
-        if self._vector_ready():
-            self._plan_vector()
-        else:
-            self._plan_scalar()
-
-    def _plan_scalar(self) -> None:
         context = self._require_context()
         graph = context.graph
         order = graph.topological_order()
+        reverse = list(reversed(order))
+        endpoints = context.endpoint_names()
+        if endpoints:
+            arrays = context.ensure_arrays()
+            rows = arrays.rows(reverse, self.default_execution_time_s)
+            w, d = arrays.row_means(rows)
+            base = (w + d).tolist()
+        else:
+            # No endpoint is monitored yet: there is nothing to average over
+            # and, below, nothing to assign to.
+            base = [self.default_execution_time_s] * len(reverse)
 
         # Upward ranks (same recursion as DHA priorities).
-        ranks: Dict[str, float] = {}
-        for task in reversed(order):
-            w = context.average_execution_time(task, default=self.default_execution_time_s)
-            d = context.average_staging_time(task)
-            succ = [ranks[s.task_id] for s in graph.successors(task.task_id)]
-            ranks[task.task_id] = w + d + (max(succ) if succ else 0.0)
-        self._ranks = ranks
-
-        endpoints = context.endpoint_names()
-        if not endpoints:
-            return
-        workers = {
-            name: max(1, context.endpoint_monitor.active_workers(name)) for name in endpoints
-        }
-        ready = {name: 0.0 for name in endpoints}
-        finish_time: Dict[str, float] = {}
-
-        for task in sorted(order, key=lambda t: (-ranks[t.task_id], t.task_id)):
-            if task.task_id in self._assignment:
-                continue
-            best_endpoint = None
-            best_finish = float("inf")
-            preds = graph.predecessors(task.task_id)
-            for endpoint in endpoints:
-                execution = context.predicted_execution_time(
-                    task, endpoint, default=self.default_execution_time_s
-                )
-                staging = context.predicted_staging_time(task, endpoint)
-                pred_ready = max(
-                    (finish_time.get(p.task_id, 0.0) for p in preds), default=0.0
-                )
-                start = max(ready[endpoint], pred_ready + staging)
-                finish = start + execution
-                if finish < best_finish:
-                    best_finish = finish
-                    best_endpoint = endpoint
-            assert best_endpoint is not None
-            self._assignment[task.task_id] = best_endpoint
-            finish_time[task.task_id] = best_finish
-            # A pool of W workers absorbs a task's execution time at 1/W of a
-            # single processor's occupancy.
-            execution = context.predicted_execution_time(
-                task, best_endpoint, default=self.default_execution_time_s
-            )
-            ready[best_endpoint] += execution / workers[best_endpoint]
-        self._endpoint_ready = ready
-
-    def _plan_vector(self) -> None:
-        """The same offline pass over the dense prediction matrices.
-
-        Rank recursion and the per-task endpoint scan become row operations
-        on the array-backed context; the arithmetic mirrors the scalar pass
-        operation for operation, so ranks, assignments and ready times are
-        bit-identical.
-        """
-        context = self._require_context()
-        graph = context.graph
-        order = graph.topological_order()
-        arrays = context.ensure_arrays()
-        reverse = list(reversed(order))
-        rows = arrays.rows(reverse, self.default_execution_time_s)
-        w, d = arrays.row_means(rows)
-        base = (w + d).tolist()
-
         ranks: Dict[str, float] = {}
         for position, task in enumerate(reverse):
             succ = graph.successors(task.task_id)
@@ -140,7 +76,6 @@ class HEFTScheduler(Scheduler):
             ranks[task.task_id] = base[position] + best
         self._ranks = ranks
 
-        endpoints = context.endpoint_names()
         if not endpoints:
             return
         monitor = context.endpoint_monitor
@@ -163,6 +98,8 @@ class HEFTScheduler(Scheduler):
             column = int(np.argmin(finish))
             self._assignment[task.task_id] = endpoints[column]
             finish_time[task.task_id] = float(finish[column])
+            # A pool of W workers absorbs a task's execution time at 1/W of a
+            # single processor's occupancy.
             ready[column] += exec_matrix[row, column] / workers[column]
         self._endpoint_ready = dict(zip(endpoints, ready.tolist()))
 

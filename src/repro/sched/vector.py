@@ -1,25 +1,26 @@
-"""Array-backed scheduling structures — the vectorized DHA/HEFT hot path.
+"""Array-backed scheduling structures — what DHA and HEFT decide from.
 
-Two data structures turn the per-task × per-endpoint Python loops of the
-scalar schedulers into dense array operations while keeping every decision
-byte-identical to the scalar reference path:
+Two data structures replace per-task × per-endpoint Python loops with dense
+array operations:
 
 * :class:`PredictionIndex` — stable integer ids for tasks (rows) and
   endpoints (columns) plus two float64 matrices holding the predicted
   execution time and predicted staging time of every pair.  Rows are filled
-  lazily and batched, and are generation-stamped exactly like the scalar
-  memo cache: a profiler retrain, a hardware change or a transfer
-  observation invalidates lazily via version counters, a replica move
-  invalidates the staging rows of the tasks that read *that* file, and the
-  engine's per-task invalidation clears single rows.  A row belongs to a
-  task, but what fills it is keyed by the *value* it is predicted from:
-  execution rows come from the federation's execution profiler (one call
-  per function; it evaluates a function's forest once per distinct input
-  size and hardware matrix per model generation, whichever tenant's index
-  asks), staging rows from this index's own tables keyed by the input
-  files' location stamps or, without files, the estimated input volume.
-  Every cell holds exactly the float the scalar
-  :class:`~repro.sched.base.SchedulingContext` methods would return.
+  lazily and batched, and are generation-stamped: a profiler retrain, a
+  hardware change or a transfer observation invalidates lazily via version
+  counters, a replica move invalidates the staging rows of the tasks that
+  read *that* file, and the engine's per-task invalidation clears single
+  rows.  A row belongs to a task, but what fills it is keyed by the *value*
+  it is predicted from: execution rows come from the federation's execution
+  profiler (one call per function; it evaluates a function's forest once per
+  distinct input size and hardware matrix per model generation, whichever
+  tenant's index asks), staging rows from this index's own tables keyed by
+  the input files' location stamps or, without files, the estimated input
+  volume.  An execution cell holds exactly the float
+  ``ExecutionProfiler.predict_execution_time`` returns for that task's input
+  volume on that endpoint's hardware (the speed-factor fallback while the
+  function is unknown), a staging cell exactly
+  :meth:`~repro.sched.base.SchedulingContext.predicted_staging_time`.
 
 * :class:`EndpointStateVectors` — the incremental earliest-finish-time
   index: per-endpoint backlog accumulators (pending work, busy/idle workers
@@ -29,9 +30,11 @@ byte-identical to the scalar reference path:
   endpoint selection then reduces to an argmin over one estimated-finish
   vector per task.
 
-The vectorized path requires the endpoint monitor's mocking mechanism (with
-mocking disabled every query re-reads the service, which arrays cannot
-mirror); schedulers fall back to the scalar reference automatically.
+Both serve the §IV-B mocking-off ablation too: there the service's (stale)
+status, not the local mock, is what a scheduler sees, so
+:meth:`PredictionIndex.rows` re-reads it for every endpoint before it reads
+any version stamp, and :meth:`EndpointStateVectors.sync` re-reads the mocks
+whenever the monitor's state version moved — which is then every call.
 """
 
 from __future__ import annotations
@@ -168,9 +171,8 @@ class PredictionIndex:
     def release_task(self, task_id: str) -> None:
         """Forget a finished task and recycle its row.
 
-        Keeps the matrices bounded by the live task set (the same invariant
-        the scalar memo caches maintain through completion-time eviction)
-        instead of growing with every task ever seen.
+        Keeps the matrices bounded by the live task set instead of growing
+        with every task ever seen.
         """
         row = self._rows.pop(task_id, None)
         if row is not None:
@@ -193,13 +195,20 @@ class PredictionIndex:
 
     def rows(self, tasks: Sequence["Task"], default: float) -> np.ndarray:
         """Row indices for ``tasks`` with both matrices filled and fresh."""
-        if list(self._context.endpoint_names()) != self.endpoint_names:
+        monitor = self._context.endpoint_monitor
+        if not monitor.mocking_enabled:
+            # §IV-B ablation: every query sees the service's own status, so
+            # read it (``mock`` re-synchronises, moving the hardware and
+            # state versions with it) before any stamp below is compared.
+            for name in monitor.endpoint_names():
+                monitor.mock(name)
+        if monitor.endpoint_names() != self.endpoint_names:
             self._rebuild()
         if self._default is None:
             self._default = default
         elif default != self._default:
-            # A different scalar default parameterises the warm-up fallback
-            # and the profiler query; treat it as a full exec invalidation.
+            # A different default parameterises the warm-up fallback and the
+            # profiler query; treat it as a full exec invalidation.
             self._default = default
             self._fallback_row = None
             self._exec_stamp[: self._row_count] = -1
@@ -239,9 +248,11 @@ class PredictionIndex:
     def row_means(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row mean execution time ``w`` and mean staging time ``d``.
 
-        Accumulates column by column (left to right, in endpoint order), the
-        exact summation order of the scalar ``sum(times) / len(times)`` —
-        pairwise-summation shortcuts would break bit-identity.
+        Accumulates column by column (left to right, in endpoint order) —
+        the summation order of ``sum(times) / len(times)`` over the endpoint
+        list, which the reference in ``tests/reference/dha_scalar.py`` is
+        compared with bit for bit; numpy's pairwise summation would differ
+        in the last digits.
         """
         count = len(self.endpoint_names)
         w = np.zeros(len(indices))
@@ -356,7 +367,7 @@ class PredictionIndex:
         self.cells_filled += len(stale) * len(self.endpoint_names)
 
     def _staging_row(self, task: "Task") -> np.ndarray:
-        """One row of predicted staging times, mirroring the scalar method.
+        """One row of predicted staging times, an endpoint per cell.
 
         The accumulation order (files outer, endpoints inner, contributions
         added in file order) matches
@@ -454,9 +465,13 @@ class EndpointStateVectors:
     def finish_row(self, exec_row: np.ndarray, stag_row: np.ndarray) -> np.ndarray:
         """Estimated finish time per endpoint for one task.
 
-        Operation-for-operation the scalar ``DHAScheduler._estimated_finish``:
-        ``max(staging, wait) + execution`` with the backlog wait term, so the
-        argmin picks exactly the endpoint the scalar loop would.
+        ``max(staging, wait) + execution``, where ``wait`` is the backlog
+        heading to the endpoint beyond its idle workers (``pending + claimed
+        - idle``, floored at 0) drained at ``execution / workers`` per task
+        (``workers`` = active workers, at least 1), plus half a task's
+        service time when no worker is idle: every worker is busy, so expect
+        to wait about that long for one to free up before the backlog even
+        starts draining.
         """
         idle = self._idle
         backlog = self.pending + self.claimed - idle

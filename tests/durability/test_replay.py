@@ -28,10 +28,8 @@ def _snapshot_then_restore(spec, tmp_path, at_s):
     return captured, restored
 
 
-@pytest.mark.parametrize("mode", ["default", "no-vector"])
-def test_ci_smoke_replay_proof_across_modes(tmp_path, mode):
-    overrides = {"default": {}, "no-vector": {"vectorized": False}}[mode]
-    spec = get_scenario("ci-smoke").with_overrides(**overrides)
+def test_ci_smoke_replay_proof(tmp_path):
+    spec = get_scenario("ci-smoke")
     captured, restored = _snapshot_then_restore(spec, tmp_path, at_s=11.0)
 
     snap = captured.durability["snapshot"]

@@ -81,16 +81,20 @@ class TestTypedErrors:
         with pytest.raises(SnapshotVersionError):
             read_snapshot(path)
 
-    def test_version_1_file_fails_with_the_formats_own_error(self, tmp_path, snapshot):
-        # Version 1 recipes carry an engine toggle (``columnar``) that
-        # ``ScenarioSpec`` no longer has.  Such a file describes the same
-        # scenario in an older format: it must be refused as a *version*
-        # mismatch, not — field by field — as "a different scenario".
-        snapshot.schema_version = 1
-        snapshot.scenario["columnar"] = True
-        path = write_snapshot(snapshot, tmp_path / "v1.snap")
-        assert path.read_bytes().startswith(b"repro-snapshot 1\n")
-        with pytest.raises(SnapshotVersionError, match="this build reads 2"):
+    @pytest.mark.parametrize("version, toggle", [(1, "columnar"), (2, "vectorized")])
+    def test_older_version_file_fails_with_the_formats_own_error(
+        self, tmp_path, snapshot, version, toggle
+    ):
+        # Version 1 and 2 recipes carry an engine toggle (``columnar``,
+        # ``vectorized``) that ``ScenarioSpec`` no longer has.  Such a file
+        # describes the same scenario in an older format: it must be refused
+        # as a *version* mismatch, not — field by field — as "a different
+        # scenario".
+        snapshot.schema_version = version
+        snapshot.scenario[toggle] = True
+        path = write_snapshot(snapshot, tmp_path / "old.snap")
+        assert path.read_bytes().startswith(f"repro-snapshot {version}\n".encode())
+        with pytest.raises(SnapshotVersionError, match="this build reads 3"):
             read_snapshot(path)
 
     def test_bad_magic(self, tmp_path, snapshot):
@@ -162,10 +166,11 @@ class TestLatestValidSnapshot:
         assert snap.seed == 2
         assert skipped == ["ckpt-00003.snap"]
 
-    def test_skips_a_checkpoint_of_an_older_format(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_skips_a_checkpoint_of_an_older_format(self, tmp_path, version):
         write_snapshot(_empty_snapshot(seed=1), checkpoint_path(tmp_path, 1))
         old = _empty_snapshot(seed=2)
-        old.schema_version = 1
+        old.schema_version = version
         write_snapshot(old, checkpoint_path(tmp_path, 2))
         path, snap, skipped = latest_valid_snapshot(tmp_path)
         assert path.name == "ckpt-00001.snap"

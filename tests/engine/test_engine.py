@@ -1,4 +1,4 @@
-"""Engine internals: indexed state and memoization (the run loop's stall
+"""Engine internals: indexed state and invalidation (the run loop's stall
 ladder and idle-round skip live in ``tests/serving/test_run_loop.py``)."""
 
 import pytest
@@ -9,7 +9,6 @@ from repro.engine.state import TaskIndex
 from repro.engine.store import TaskStore
 
 from tests.integration.conftest import build_two_site_env
-from tests.sched.conftest import EndpointSpec, add_task, build_context
 
 
 @function(sim_profile=SimProfile(base_time_s=1.0, output_base_mb=1.0))
@@ -72,91 +71,7 @@ class TestTaskIndex:
         assert index.undispatched_epoch == 0
 
 
-class TestPredictionMemoization:
-    def test_repeat_lookups_hit_the_cache(self):
-        bundle = build_context({"a": EndpointSpec(), "b": EndpointSpec()})
-        task = add_task(bundle.graph)
-        context = bundle.context
-        first = context.predicted_execution_time(task, "a")
-        again = context.predicted_execution_time(task, "a")
-        assert first == again
-        assert context.exec_cache_hits == 1
-        assert context.exec_cache_misses == 1
-
-    def test_profiler_warmup_observation_invalidates(self):
-        bundle = build_context({"a": EndpointSpec()})
-        task = add_task(bundle.graph)
-        context = bundle.context
-        context.predicted_execution_time(task, "a")
-        # A warm-up observation changes the (mean-of-samples) prediction, so
-        # the next lookup must recompute.
-        from tests.sched.test_dha import observe, QIMING_HW
-
-        observe(bundle, "generic_work", "a", 123.0, QIMING_HW)
-        value = context.predicted_execution_time(task, "a")
-        assert value == pytest.approx(123.0)
-        assert context.exec_cache_misses == 2
-
-    def test_retrain_invalidates(self):
-        from tests.sched.test_dha import observe, QIMING_HW
-
-        bundle = build_context({"a": EndpointSpec()})
-        task = add_task(bundle.graph)
-        context = bundle.context
-        for _ in range(4):
-            observe(bundle, "generic_work", "a", 50.0, QIMING_HW)
-        before = context.predicted_execution_time(task, "a")
-        assert before == pytest.approx(50.0)
-        for _ in range(8):
-            observe(bundle, "generic_work", "a", 10.0, QIMING_HW)
-        bundle.execution_profiler.update_models(force=True)
-        after = context.predicted_execution_time(task, "a")
-        assert after < before
-
-    def test_hardware_change_invalidates_but_plain_sync_does_not(self):
-        bundle = build_context({"a": EndpointSpec()})
-        task = add_task(bundle.graph)
-        context = bundle.context
-        context.predicted_execution_time(task, "a")
-        misses = context.exec_cache_misses
-        # A sync that only refreshes capacity counters keeps the cache warm.
-        bundle.monitor.synchronize(force=True)
-        context.predicted_execution_time(task, "a")
-        assert context.exec_cache_misses == misses
-        # A sync that changes the hardware features must invalidate.
-        bundle.statuses["a"].cores = 48
-        bundle.monitor.synchronize(force=True)
-        context.predicted_execution_time(task, "a")
-        assert context.exec_cache_misses == misses + 1
-
-    def test_ablation_mode_sees_hardware_changes_immediately(self):
-        # With mocking disabled every mock() query re-reads the service
-        # status; the cache must notice a hardware change on the very next
-        # lookup (one recompute), then serve the fresh value from cache.
-        bundle = build_context({"a": EndpointSpec()})
-        bundle.monitor.mocking_enabled = False
-        task = add_task(bundle.graph)
-        context = bundle.context
-        context.predicted_execution_time(task, "a")
-        bundle.statuses["a"].cores = 96
-        misses = context.exec_cache_misses
-        context.predicted_execution_time(task, "a")
-        context.predicted_execution_time(task, "a")
-        assert context.exec_cache_misses == misses + 1
-
-    def test_invalidate_task_drops_only_that_task(self):
-        bundle = build_context({"a": EndpointSpec()})
-        t1 = add_task(bundle.graph)
-        t2 = add_task(bundle.graph)
-        context = bundle.context
-        context.predicted_execution_time(t1, "a")
-        context.predicted_execution_time(t2, "a")
-        context.invalidate_task(t1.task_id)
-        context.predicted_execution_time(t2, "a")  # still cached
-        assert context.exec_cache_hits == 1
-        context.predicted_execution_time(t1, "a")  # recomputed
-        assert context.exec_cache_misses == 3
-
+class TestInputEstimate:
     def test_input_estimate_tracks_parent_completion_through_engine(self):
         # End-to-end: once the parent completes, the child's estimated input
         # must reflect the real output file, not a stale cached estimate.

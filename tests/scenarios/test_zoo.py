@@ -2,11 +2,9 @@
 and the zoo-mixed acceptance properties (10k-wide array + a failure-recovery
 edge that actually fires under churn).
 
-The repo-wide golden-digest and vectorization equivalence matrices
-(``test_golden_digests`` / ``test_vector_scenarios``) parametrize over
-*every* registered preset, so the four ``zoo-*`` presets automatically get
-the byte-level pin and the vector/scalar digest cross-check there; this
-module covers what those matrices don't.
+The repo-wide golden-digest matrix (``test_golden_digests``) parametrizes
+over *every* registered preset, so the four ``zoo-*`` presets automatically
+get the byte-level pin there; this module covers what that matrix doesn't.
 """
 
 import dataclasses

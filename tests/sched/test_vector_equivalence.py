@@ -1,13 +1,15 @@
-"""Property-style equivalence: the vectorized schedulers are bit-identical.
+"""Property-style equivalence: the array schedulers are the paper's, bit for bit.
 
-The array-backed hot path of DHA and HEFT must produce *byte-identical*
-decisions to the scalar reference implementation — same priorities/ranks,
-same placement sequences (including the estimated-finish diagnostics), same
-re-scheduling moves — across randomized DAG shapes, endpoint topologies and
-profiler knowledge regimes (unknown functions, warm-up sample means, trained
-forests).  Equality is asserted exactly, never approximately: one ULP of
-drift in a finish-time estimate can flip an argmin tie and diverge a whole
-scenario.
+DHA and HEFT decide over dense arrays; §IV-D as written — one task, one
+endpoint at a time — is the executable specification in
+``tests/reference/dha_scalar.py``.  The product must produce *byte-identical*
+decisions to it — same priorities/ranks, same placement sequences (including
+the estimated-finish diagnostics), same placement hints, same re-scheduling
+moves — across randomized DAG shapes, endpoint topologies, profiler knowledge
+regimes (unknown functions, warm-up sample means, trained forests) and both
+sides of the §IV-B mocking switch.  Equality is asserted exactly, never
+approximately: one ULP of drift in a finish-time estimate can flip an argmin
+tie and diverge a whole scenario.
 """
 
 import dataclasses
@@ -16,10 +18,17 @@ import random
 import pytest
 
 from repro.core.dag import TaskGraph, TaskState
+from repro.faas.types import EndpointStatus
+from repro.monitor.endpoint_monitor import EndpointMonitor
 from repro.sched.dha import DHAScheduler
 from repro.sched.heft import HEFTScheduler
 
 from tests.profiling.test_profilers import transfer_result
+from tests.reference.dha_scalar import (
+    ReferenceDHAScheduler,
+    ReferenceHEFTScheduler,
+    predicted_execution_time,
+)
 from tests.sched.conftest import EndpointSpec, add_task, build_context, input_file
 from tests.sched.test_dha import observe
 from tests.sched.test_staging_quarantine import bundle_with_plane
@@ -43,7 +52,12 @@ def random_bundle(rng: random.Random):
     }
     bundle = build_context(endpoints)
     for _ in range(rng.randint(0, 8)):
-        observe(bundle, "generic_work", rng.choice(list(endpoints)), rng.uniform(5, 120), HW)
+        # Observed on the endpoint's own hardware, so a trained forest's
+        # predictions move when an endpoint's hardware does.
+        name = rng.choice(list(endpoints))
+        spec = endpoints[name]
+        hardware = (float(spec.cores), spec.freq, spec.ram)
+        observe(bundle, "generic_work", name, rng.uniform(5, 120), hardware)
     if rng.random() < 0.5:
         # Half the trials run on a trained random forest, half on the
         # warm-up sample-mean predictor (or, with no observations, on the
@@ -52,9 +66,10 @@ def random_bundle(rng: random.Random):
     return bundle, list(endpoints)
 
 
-def random_dag(bundle, names, rng: random.Random):
-    """A random DAG; ~30% of tasks carry an input file pinned to a site."""
-    tasks = []
+def random_dag(bundle, names, rng: random.Random, tasks=()):
+    """A random DAG (grown from ``tasks``); ~30% of tasks carry an input file
+    pinned to a site."""
+    tasks = list(tasks)
     for _ in range(rng.randint(10, 60)):
         deps = rng.sample(tasks, min(len(tasks), rng.randint(0, 3))) if tasks else []
         files = (
@@ -66,99 +81,281 @@ def random_dag(bundle, names, rng: random.Random):
     return tasks
 
 
+def change_service_status(bundle, names, rng: random.Random):
+    """The service's view moves: capacity everywhere, hardware at one site."""
+    for name in names:
+        status = bundle.statuses[name]
+        status.workers = rng.randint(1, 8)
+        status.busy = rng.randint(0, status.workers)
+        status.pending = rng.randint(0, 4)
+    bundle.statuses[rng.choice(names)].cores = rng.choice([8, 16, 24, 40, 96])
+
+
+@pytest.mark.parametrize("mocking", [True, False], ids=["mocking-on", "mocking-off"])
 @pytest.mark.parametrize("seed", range(12))
-def test_dha_vector_matches_scalar(seed):
+def test_dha_matches_the_reference(seed, mocking):
     rng = random.Random(seed)
     bundle, names = random_bundle(rng)
     tasks = random_dag(bundle, names, rng)
+    bundle.monitor.mocking_enabled = mocking
 
-    scalar = DHAScheduler(vectorized=False)
-    vector = DHAScheduler(vectorized=True)
-    scalar.initialize(bundle.context)
-    vector.initialize(bundle.context)
-    assert not scalar._vector_ready() and vector._vector_ready()
+    reference = ReferenceDHAScheduler()
+    product = DHAScheduler()
+    reference.initialize(bundle.context)
+    product.initialize(bundle.context)
 
-    scalar.on_workflow_submitted(tasks)
-    vector.on_workflow_submitted(tasks)
+    reference.on_workflow_submitted(tasks)
+    product.on_workflow_submitted(tasks)
     for task in tasks:
-        assert scalar.priority(task.task_id) == vector.priority(task.task_id)
+        assert reference.priority(task.task_id) == product.priority(task.task_id)
 
     ready = [t for t in tasks if t.state == TaskState.READY]
-    placed_scalar = scalar.schedule(ready)
-    placed_vector = vector.schedule(ready)
-    assert placed_scalar == placed_vector  # exact, including estimated_finish_s
+    # Hints under virtual claims (the prefetcher's batch model) agree and
+    # leave the scheduler's own claim table alone.
+    claims = (dict(product._claims), product._claims_version)
+    for task in rng.sample(ready, min(len(ready), 6)):
+        virtual = {name: rng.randint(0, 5) for name in rng.sample(names, rng.randint(0, len(names)))}
+        assert reference.placement_hint(task, virtual) == product.placement_hint(task, virtual)
+    assert (product._claims, product._claims_version) == claims
+    assert not product._vectors.claimed.any()
 
-    # Stage the placements and churn the mocked state, then compare the
+    placed_reference = reference.schedule(ready)
+    placed_product = product.schedule(ready)
+    assert placed_reference == placed_product  # exact, including estimated_finish_s
+
+    # Stage the placements and churn the endpoint state, then compare the
     # re-scheduling moves (the delay-mechanism pool the paper steals from).
-    for placement in placed_scalar:
+    for placement in placed_reference:
         task = bundle.graph.get(placement.task_id)
         task.assigned_endpoint = placement.endpoint
         bundle.graph.set_state(task.task_id, TaskState.STAGED)
-    for name in names[: rng.randint(1, len(names))]:
-        for _ in range(rng.randint(0, 4)):
-            bundle.monitor.record_dispatch(name)
-    moves_scalar = scalar.reschedule(ready)
-    moves_vector = vector.reschedule(ready)
-    assert moves_scalar == moves_vector
+    if mocking:
+        for name in names[: rng.randint(1, len(names))]:
+            for _ in range(rng.randint(0, 4)):
+                bundle.monitor.record_dispatch(name)
+    else:
+        # Without the mocks a scheduler sees what the service reports, and
+        # sees it on the very next decision — no synchronisation in between.
+        change_service_status(bundle, names, rng)
+    # The product goes first: the reference's per-query re-read of the
+    # service must not be what brings the shared monitor up to date.
+    moves_product = product.reschedule(ready)
+    moves_reference = reference.reschedule(ready)
+    assert moves_reference == moves_product
+    for task in rng.sample(ready, min(len(ready), 3)):
+        assert reference.placement_hint(task) == product.placement_hint(task)
 
-    # With nothing changed since a no-move pass, both skip identically.
-    if not moves_scalar:
-        assert scalar.reschedule(ready) == vector.reschedule(ready) == []
+    # With nothing changed since a no-move pass, both answer identically
+    # (with mocking on, by skipping the pass).
+    if not moves_reference:
+        assert reference.reschedule(ready) == product.reschedule(ready) == []
 
 
+@pytest.mark.parametrize("mocking", [True, False], ids=["mocking-on", "mocking-off"])
 @pytest.mark.parametrize("seed", range(12))
-def test_heft_vector_matches_scalar(seed):
+def test_heft_matches_the_reference(seed, mocking):
     rng = random.Random(1000 + seed)
     bundle, names = random_bundle(rng)
     tasks = random_dag(bundle, names, rng)
+    bundle.monitor.mocking_enabled = mocking
 
-    scalar = HEFTScheduler(vectorized=False)
-    vector = HEFTScheduler(vectorized=True)
-    scalar.initialize(bundle.context)
-    vector.initialize(bundle.context)
+    reference = ReferenceHEFTScheduler()
+    product = HEFTScheduler()
+    reference.initialize(bundle.context)
+    product.initialize(bundle.context)
 
-    scalar.on_workflow_submitted(tasks)
-    vector.on_workflow_submitted(tasks)
-    assert scalar._ranks == vector._ranks  # exact float equality
-    assert scalar.assignment() == vector.assignment()
-    assert scalar._endpoint_ready == vector._endpoint_ready
+    def plans_match():
+        assert reference._ranks == product._ranks  # exact float equality
+        assert reference.assignment() == product.assignment()
+        assert reference._endpoint_ready == product._endpoint_ready
 
+    reference.on_workflow_submitted(tasks)
+    product.on_workflow_submitted(tasks)
+    plans_match()
     ready = [t for t in tasks if t.state == TaskState.READY]
-    assert scalar.schedule(ready) == vector.schedule(ready)
+    assert reference.schedule(ready) == product.schedule(ready)
+
+    # The DAG grows after the service's view moved (seen only without mocks).
+    change_service_status(bundle, names, rng)
+    grown = random_dag(bundle, names, rng, tasks)[len(tasks):]
+    product.on_tasks_added(grown)  # first, see the DHA property
+    reference.on_tasks_added(grown)
+    plans_match()
 
 
-def test_vector_falls_back_when_mocking_disabled():
-    # The ablation regime re-reads the (stale) service status per query;
-    # arrays cannot mirror that, so the vectorized scheduler must run the
-    # scalar reference there instead of silently diverging.
+def test_mocking_off_is_served_from_the_arrays_and_equals_the_reference():
+    # The ablation regime re-reads the (stale) service status per decision;
+    # the arrays do the same re-read once per call, before any stamp.
     bundle = build_context({"a": EndpointSpec(), "b": EndpointSpec()})
     bundle.monitor.mocking_enabled = False
-    scheduler = DHAScheduler(vectorized=True)
-    scheduler.initialize(bundle.context)
-    assert not scheduler._vector_ready()
-    task = add_task(bundle.graph)
-    scheduler.on_workflow_submitted([task])
-    assert scheduler.schedule([task])  # scalar path serves the decision
+    reference, product = ReferenceDHAScheduler(), DHAScheduler()
+    for scheduler in (reference, product):
+        scheduler.initialize(bundle.context)
+    first, second = add_task(bundle.graph), add_task(bundle.graph)
+    for scheduler in (reference, product):
+        scheduler.on_workflow_submitted([first, second])
+    placed = product.schedule([first])
+    assert placed and placed == reference.schedule([first])
+    index = bundle.context.arrays
+    assert index is not None and index.rows_served > 0
+
+    # The service reports "a" saturated: the next decision avoids it although
+    # no dispatch was recorded locally and no synchronisation ran.
+    bundle.statuses["a"].busy, bundle.statuses["a"].pending = 4, 6
+    placed = product.schedule([second])
+    assert placed == reference.schedule([second])
+    assert placed[0].endpoint == "b"
 
 
-def test_vector_tracks_profiler_and_hardware_invalidation():
+@pytest.mark.parametrize("scheduler_class", [DHAScheduler, HEFTScheduler])
+def test_a_scheduler_without_monitored_endpoints_answers(scheduler_class, recwarn):
+    # Asked before any endpoint is registered, a scheduler ranks by the
+    # default execution time alone and places nothing; once endpoints are
+    # monitored the same instance places normally.
+    bundle = build_context({"a": EndpointSpec(), "b": EndpointSpec()})
+    monitor = EndpointMonitor(
+        lambda name: EndpointStatus(
+            endpoint=name, online=True, active_workers=4, busy_workers=0, idle_workers=4,
+            pending_tasks=0, max_workers=16, cores_per_node=24, cpu_freq_ghz=2.6, ram_gb=64.0,
+        ),
+        bundle.kernel.clock,
+    )
+    context = dataclasses.replace(bundle.context, endpoint_monitor=monitor)
+    scheduler = scheduler_class(default_execution_time_s=3.0)
+    scheduler.initialize(context)
+    root = add_task(bundle.graph)
+    child = add_task(bundle.graph, deps=[root])
+
+    scheduler.on_workflow_submitted([root, child])
+    rank = scheduler.priority if scheduler_class is DHAScheduler else scheduler.rank
+    assert (rank(child.task_id), rank(root.task_id)) == (3.0, 6.0)
+    assert scheduler.schedule([root]) == []
+    assert scheduler.reschedule([root]) == []
+    assert scheduler.placement_hint(root) is None
+    assert context.arrays is None
+    assert not recwarn.list  # no division by a zero endpoint count
+
+    for name in ("a", "b"):
+        monitor.register(name)
+    placed = scheduler.schedule([root])
+    assert [p.task_id for p in placed] == [root.task_id]
+    assert placed[0].endpoint in ("a", "b")
+
+
+def test_arrays_track_profiler_and_hardware_invalidation():
     # Matrix rows are generation-stamped: a warm-up observation (prediction
     # version) and a hardware change (hardware version) must both refill.
     bundle = build_context({"a": EndpointSpec(), "b": EndpointSpec()})
-    scalar = DHAScheduler(vectorized=False)
-    vector = DHAScheduler(vectorized=True)
-    scalar.initialize(bundle.context)
-    vector.initialize(bundle.context)
+    reference, product = ReferenceDHAScheduler(), DHAScheduler()
     task = add_task(bundle.graph)
-    scalar.on_workflow_submitted([task])
-    vector.on_workflow_submitted([task])
+    for scheduler in (reference, product):
+        scheduler.initialize(bundle.context)
+        scheduler.on_workflow_submitted([task])
 
     observe(bundle, "generic_work", "a", 77.0, HW)  # warm-up shift
     bundle.statuses["a"].cores = 48  # hardware change picked up on sync
     bundle.monitor.synchronize(force=True)
 
     ready = [task]
-    assert scalar.schedule(ready) == vector.schedule(ready)
+    assert reference.schedule(ready) == product.schedule(ready)
+
+
+# ------------------------------------------------ execution rows, by stamp
+def assert_exec_rows_exact(index, context, tasks):
+    """Every served execution cell is the profiler's own scalar prediction."""
+    rows = index.rows(tasks, default=1.0)
+    for task, row in zip(tasks, rows):
+        for column, name in enumerate(index.endpoint_names):
+            assert index.exec_matrix[row, column] == predicted_execution_time(
+                context, task, name
+            )
+
+
+def _nothing(bundle, tasks):
+    pass
+
+
+def _warm_up_observation(bundle, tasks):
+    observe(bundle, "generic_work", "a", 123.0, HW)
+
+
+def _retrain(bundle, tasks):
+    for _ in range(8):
+        observe(bundle, "generic_work", "a", 10.0, HW)
+    bundle.execution_profiler.update_models(force=True)
+
+
+def _plain_sync(bundle, tasks):
+    bundle.statuses["a"].busy = 2  # capacity counters only
+    bundle.monitor.synchronize(force=True)
+
+
+def _hardware_change(bundle, tasks):
+    bundle.statuses["a"].cores = 48
+    bundle.monitor.synchronize(force=True)
+
+
+def _invalidate_first_task(bundle, tasks):
+    bundle.context.invalidate_task(tasks[0].task_id)
+
+
+@pytest.mark.parametrize(
+    "event, exec_rows, staging_rows",
+    [
+        (_nothing, 0, 0),  # a repeated lookup is served from the matrix
+        (_warm_up_observation, 3, 0),  # the sample mean moved
+        (_retrain, 3, 0),
+        (_plain_sync, 0, 0),  # predictions only read hardware features
+        (_hardware_change, 3, 0),
+        (_invalidate_first_task, 1, 1),  # that task's rows, nobody else's
+    ],
+)
+def test_exec_rows_refill_exactly_when_a_stamp_they_carry_moved(event, exec_rows, staging_rows):
+    bundle = build_context({"a": EndpointSpec(), "b": EndpointSpec()})
+    context = bundle.context
+    index = context.ensure_arrays()
+    # File-bearing tasks: their staging rows do not read the execution
+    # profiler, so every cell counted below is attributable.
+    tasks = [add_task(bundle.graph, input_files=[input_file(40.0, "a")]) for _ in range(3)]
+    for _ in range(4):
+        observe(bundle, "generic_work", "a", 50.0, HW)
+    width = len(index.endpoint_names)
+
+    assert_exec_rows_exact(index, context, tasks)
+    filled = index.cells_filled
+    event(bundle, tasks)
+    assert_exec_rows_exact(index, context, tasks)
+    assert index.cells_filled == filled + (exec_rows + staging_rows) * width
+    index.rows(tasks, default=1.0)
+    assert index.cells_filled == filled + (exec_rows + staging_rows) * width
+
+
+def test_mocking_off_sees_a_service_side_hardware_change_on_the_very_next_call():
+    # With mocking disabled a scheduler sees the service's status, hardware
+    # included; rows() must re-read it before it compares generation stamps,
+    # or the change is served one call late.
+    bundle = build_context({"a": EndpointSpec(cores=16), "b": EndpointSpec(cores=16)})
+    for _ in range(6):
+        observe(bundle, "generic_work", "a", 40.0, (16.0, 2.6, 64.0))
+        observe(bundle, "generic_work", "a", 10.0, (96.0, 2.6, 64.0))
+    bundle.execution_profiler.update_models(force=True)
+    bundle.monitor.mocking_enabled = False
+    context = bundle.context
+    index = context.ensure_arrays()
+    task = add_task(bundle.graph, input_files=[input_file(40.0, "a")])
+    width = len(index.endpoint_names)
+
+    row = index.rows([task], default=1.0)[0]
+    before = float(index.exec_matrix[row, 0])
+    filled = index.cells_filled
+
+    bundle.statuses["a"].cores = 96
+    row = index.rows([task], default=1.0)[0]
+    after = float(index.exec_matrix[row, 0])
+    assert after == predicted_execution_time(context, task, "a") < before
+    assert index.cells_filled == filled + width  # one execution row
+    index.rows([task], default=1.0)
+    assert index.cells_filled == filled + width  # then served from the matrix
 
 
 def test_a_moved_file_refills_only_the_rows_that_read_it():
@@ -310,16 +507,8 @@ def test_two_tenants_indexes_evaluate_the_forest_once_per_value():
         for context in tenants
     ]
 
-    def exec_rows_match_scalar(context, tasks):
-        index = context.ensure_arrays()
-        for task, row in zip(tasks, index.rows(tasks, default=1.0)):
-            for column, name in enumerate(index.endpoint_names):
-                assert index.exec_matrix[row, column] == context.predicted_execution_time(
-                    task, name
-                )
-
     for context, tasks in zip(tenants, workloads):
-        exec_rows_match_scalar(context, tasks)
+        assert_exec_rows_exact(context.ensure_arrays(), context, tasks)
     assert tenants[0].arrays is not tenants[1].arrays
     # Ten rows asked, two distinct (function, stamp, hardware, input_mb).
     assert (profiler.rows_computed, profiler.rows_reused) == (2, 8)
@@ -329,5 +518,5 @@ def test_two_tenants_indexes_evaluate_the_forest_once_per_value():
     observe(bundle, "generic_work", "b", 80.0, (40.0, 2.4, 192.0))
     profiler.update_models()
     for context, tasks in zip(reversed(tenants), reversed(workloads)):
-        exec_rows_match_scalar(context, tasks)
+        assert_exec_rows_exact(context.ensure_arrays(), context, tasks)
     assert (profiler.rows_computed, profiler.rows_reused) == (4, 16)
