@@ -11,14 +11,17 @@ counters incrementally up to date instead of recomputing them.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from enum import Enum
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.core.exceptions import WorkflowError
 from repro.core.functions import FederatedFunction, SimProfile
 from repro.core.futures import UniFuture
 
-__all__ = ["TIMESTAMP_FIELDS", "Task", "TaskGraph", "TaskState", "TaskTimestamps"]
+__all__ = ["STATE_CODES", "TIMESTAMP_FIELDS", "Task", "TaskGraph", "TaskState",
+           "TaskTimestamps", "state_codes"]
 
 
 class TaskState(str, Enum):
@@ -46,10 +49,16 @@ class TaskState(str, Enum):
 #: States from which a task can never run again.
 TERMINAL_STATES = frozenset({TaskState.COMPLETED, TaskState.FAILED, TaskState.CANCELLED})
 
-#: States in which the task has been placed on an endpoint but not finished.
-IN_FLIGHT_STATES = frozenset(
-    {TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED, TaskState.DISPATCHED, TaskState.RUNNING}
-)
+#: Int code per state (declaration order): the TaskStore's state column.
+STATE_CODES: Dict[TaskState, int] = {state: code for code, state in enumerate(TaskState)}
+_STATES: Tuple[TaskState, ...] = tuple(TaskState)
+_PENDING = STATE_CODES[TaskState.PENDING]
+_COMPLETED = STATE_CODES[TaskState.COMPLETED]
+
+
+def state_codes(*states: TaskState) -> FrozenSet[int]:
+    """The store codes of ``states``, for membership tests on column reads."""
+    return frozenset(STATE_CODES[state] for state in states)
 
 
 #: Timestamp field names, in life-cycle order.  The columnar
@@ -71,10 +80,9 @@ class TaskTimestamps:
     """Timeline of a task, filled in by the orchestration engine.
 
     Plain per-instance values until the owning task is inserted into a
-    :class:`TaskGraph`; from then on the instance is a *view* onto the
-    graph's columnar :class:`~repro.engine.store.TaskStore` — every read and
-    write goes to the task's row in the store's timestamp arrays, so bulk
-    scans (wait times, latency breakdowns) can run as array reductions.
+    :class:`TaskGraph`, which hands them to its columnar
+    :class:`~repro.engine.store.TaskStore` and drops them: from then on every
+    read and write goes to the task's row of the store's timestamp columns.
     """
 
     __slots__ = ("_store", "_row", "_local")
@@ -92,7 +100,8 @@ class TaskTimestamps:
     ) -> None:
         self._store = None
         self._row = -1
-        self._local: Dict[str, Optional[float]] = {
+        #: The values while detached (``None`` once the store owns them).
+        self._local: Optional[Dict[str, Optional[float]]] = {
             "created": created,
             "ready": ready,
             "scheduled": scheduled,
@@ -102,13 +111,6 @@ class TaskTimestamps:
             "started": started,
             "completed": completed,
         }
-
-    def _attach(self, store, row: int) -> None:
-        """Copy the local values into ``store`` and become a view of them."""
-        for name, value in self._local.items():
-            store.set_timestamp(row, name, value)
-        self._store = store
-        self._row = row
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in TIMESTAMP_FIELDS)
@@ -134,17 +136,21 @@ class TaskTimestamps:
         return self.started - self.dispatched
 
 
+_NAN = float("nan")
+
+
 def _timestamp_property(name: str) -> property:
     def getter(self: TaskTimestamps) -> Optional[float]:
         if self._store is None:
             return self._local[name]
-        return self._store.get_timestamp(self._row, name)
+        value = self._store.timestamps[name][self._row]
+        return None if value != value else float(value)
 
     def setter(self: TaskTimestamps, value: Optional[float]) -> None:
         if self._store is None:
             self._local[name] = value
         else:
-            self._store.set_timestamp(self._row, name, value)
+            self._store.timestamps[name][self._row] = _NAN if value is None else value
 
     return property(getter, setter)
 
@@ -152,6 +158,22 @@ def _timestamp_property(name: str) -> property:
 for _name in TIMESTAMP_FIELDS:
     setattr(TaskTimestamps, _name, _timestamp_property(_name))
 del _name
+
+#: The timestamp a state transition stamps (PENDING stamps none).
+_STAMP_OF_STATE: Dict[TaskState, str] = {
+    TaskState.READY: "ready",
+    TaskState.SCHEDULED: "scheduled",
+    TaskState.STAGING: "staging_started",
+    TaskState.STAGED: "staging_done",
+    TaskState.DISPATCHED: "dispatched",
+    TaskState.RUNNING: "started",
+    TaskState.COMPLETED: "completed",
+    TaskState.FAILED: "completed",
+    TaskState.CANCELLED: "completed",
+}
+
+#: Adjacency lists stay in task-id order by bisect-insertion on this key.
+_task_id = attrgetter("task_id")
 
 
 _task_counter = itertools.count()
@@ -162,13 +184,13 @@ def _next_task_id() -> str:
 
 
 class Task:
-    """One invocation of a federated function.
+    """One invocation of a federated function — the authoring view of a node.
 
-    Inside a :class:`TaskGraph`, a task is a lazy *view* over the graph's
-    columnar :class:`~repro.engine.store.TaskStore`: writes to ``state``,
-    ``assigned_endpoint``, ``priority`` and the timestamps are mirrored into
-    the store's arrays (the Python attribute stays the fast scalar read
-    path), so the engine's bulk queries never have to touch task objects.
+    ``state``, ``assigned_endpoint``, ``priority`` and the timestamps live on
+    the task only while it is detached; a :class:`TaskGraph` moves them into
+    its columnar :class:`~repro.engine.store.TaskStore`, whose row the
+    properties then read and write.  :attr:`predecessors` / :attr:`successors`
+    are the neighbour tasks in task-id order, kept by the graph (read-only).
     """
 
     def __init__(
@@ -197,10 +219,9 @@ class Task:
         self.task_id = _next_task_id() if task_id is None else task_id
         #: Task ids this task depends on (edges into this node).
         self.dependencies: Set[str] = set() if dependencies is None else dependencies
-        self._state = state
+        self.predecessors: List[Task] = []
+        self.successors: List[Task] = []
         self.future = future if future is not None else UniFuture(task_id=self.task_id)
-        #: Endpoint the scheduler placed this task on (None until scheduled).
-        self._assigned_endpoint = assigned_endpoint
         #: Endpoints on which this task already failed (used for reassignment).
         self.failed_endpoints: List[str] = (
             [] if failed_endpoints is None else failed_endpoints
@@ -212,52 +233,63 @@ class Task:
         #: Files this task produced (filled when the task completes).
         self.output_files: List[Any] = [] if output_files is None else output_files
         self.result = result
-        #: DHA rank; larger means more urgent (§IV-D, eq. 2).
-        self._priority = priority
         #: Number of times the re-scheduling mechanism moved this task.
         self.reschedule_count = reschedule_count
         #: Per-task override of ``Config.max_task_retries`` on the §IV-G
         #: failure ladder (``None`` = use the config default).  Set by the
         #: authoring API's ``@job(retries=...)``.
         self.max_retries: Optional[int] = max_retries
+        #: Store-owned fields while detached (``None`` once attached); the
+        #: ``priority`` is the DHA rank, larger = more urgent (§IV-D, eq. 2).
+        self._local: Optional[Dict[str, Any]] = dict(
+            state=state, assigned_endpoint=assigned_endpoint, priority=priority
+        )
         self._store = None
         self._row = -1
 
     # ------------------------------------------------------------ store view
     def _attach(self, store, row: int) -> None:
-        """Become a view over ``store``'s arrays at ``row``."""
-        self._store = store
-        self._row = row
-        self.timestamps._attach(store, row)
+        """Read and write ``store``'s ``row`` (already holding the fields)."""
+        for view in (self, self.timestamps):
+            view._store, view._row, view._local = store, row, None
 
     @property
     def state(self) -> TaskState:
-        return self._state
+        store = self._store
+        return self._local["state"] if store is None else _STATES[store.state[self._row]]
 
     @state.setter
     def state(self, value: TaskState) -> None:
-        self._state = value
-        if self._store is not None:
+        if self._store is None:
+            self._local["state"] = value
+        else:
             self._store.set_state(self._row, value)
 
     @property
     def assigned_endpoint(self) -> Optional[str]:
-        return self._assigned_endpoint
+        store = self._store
+        if store is None:
+            return self._local["assigned_endpoint"]
+        index = store.endpoint[self._row]
+        return None if index < 0 else store.endpoint_names[index]
 
     @assigned_endpoint.setter
     def assigned_endpoint(self, value: Optional[str]) -> None:
-        self._assigned_endpoint = value
-        if self._store is not None:
+        if self._store is None:
+            self._local["assigned_endpoint"] = value
+        else:
             self._store.set_endpoint(self._row, value)
 
     @property
     def priority(self) -> float:
-        return self._priority
+        store = self._store
+        return self._local["priority"] if store is None else float(store.priority[self._row])
 
     @priority.setter
     def priority(self, value: float) -> None:
-        self._priority = value
-        if self._store is not None:
+        if self._store is None:
+            self._local["priority"] = value
+        else:
             self._store.priority[self._row] = value
 
     # ---------------------------------------------------------------- helpers
@@ -284,18 +316,6 @@ class Task:
     def input_size_mb(self) -> float:
         """Total size of this task's file inputs in MB."""
         return float(sum(getattr(f, "size_mb", 0.0) for f in self.input_files))
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
-
-    def unresolved_dependencies(self, graph: "TaskGraph") -> Set[str]:
-        """Dependencies that have not completed yet."""
-        return {
-            dep
-            for dep in self.dependencies
-            if graph.get(dep).state != TaskState.COMPLETED
-        }
 
     def resolved_args(self, graph: "TaskGraph") -> Tuple[tuple, Dict[str, Any]]:
         """Arguments with future placeholders replaced by their results."""
@@ -324,7 +344,8 @@ class TaskGraph:
     decorated functions are invoked, and may continue to grow while earlier
     tasks execute.  Edges always point from producer to consumer; cycles are
     impossible by construction (a future can only be passed to a task created
-    after its producer) but :meth:`add_dependency` still validates.
+    after its producer) but :meth:`add_dependency` still validates.  Each
+    task holds its neighbours in task-id order: no traversal sorts.
     """
 
     def __init__(self) -> None:
@@ -336,9 +357,8 @@ class TaskGraph:
         #: Tasks by store row (insertion order) — the object side of the
         #: columnar store's stable int keys.
         self._by_row: List[Task] = []
-        self._successors: Dict[str, Set[str]] = {}
         self._unfinished_dependency_count: Dict[str, int] = {}
-        #: Columnar (struct-of-arrays) mirror of every task's hot state.
+        #: Columnar (struct-of-arrays) owner of every task's hot state.
         #: State counts, ready-set extraction and per-endpoint demand live
         #: here as array aggregates instead of per-object scans.
         self.store = TaskStore()
@@ -366,16 +386,13 @@ class TaskGraph:
         return list(self._tasks.keys())
 
     def successors(self, task_id: str) -> List[Task]:
-        # Sorted for the same reason as predecessors(): consumers that act
-        # per successor (the data plane's prefetcher) must see a
-        # deterministic order regardless of hash randomisation.
-        self.get(task_id)
-        return [self._tasks[t] for t in sorted(self._successors.get(task_id, ()))]
+        """The consumers of ``task_id`` in task-id order: the task's own list,
+        which callers must not mutate nor grow the graph while iterating."""
+        return self.get(task_id).successors
 
     def predecessors(self, task_id: str) -> List[Task]:
-        # Sorted so consumers (input-file augmentation, input-size estimates)
-        # see a deterministic order regardless of hash randomisation.
-        return [self._tasks[d] for d in sorted(self.get(task_id).dependencies)]
+        """The producers of ``task_id`` in task-id order (read-only too)."""
+        return self.get(task_id).predecessors
 
     def state_count(self, state: TaskState) -> int:
         return self.store.state_count(state)
@@ -401,37 +418,33 @@ class TaskGraph:
     # ------------------------------------------------------------ mutation
     def add_task(self, task: Task, now: float = 0.0) -> Task:
         """Insert ``task`` and wire edges from its future-dependencies."""
-        if task.task_id in self._tasks:
-            raise WorkflowError(f"duplicate task id {task.task_id!r}")
-        self._tasks[task.task_id] = task
-        self._successors.setdefault(task.task_id, set())
-        task.timestamps.created = now
-
+        task_id = task.task_id
+        tasks = self._tasks
+        if task_id in tasks or task._store is not None:
+            raise WorkflowError(f"duplicate task id {task_id!r}")
+        unknown = task.dependencies.difference(tasks)
+        if unknown:
+            raise WorkflowError(f"task {task_id} depends on unknown task {min(unknown)!r}")
+        task.predecessors = list(map(tasks.__getitem__, sorted(task.dependencies)))
+        store = self.store
         unresolved = 0
-        for dep_id in sorted(task.dependencies):
-            if dep_id not in self._tasks:
-                raise WorkflowError(
-                    f"task {task.task_id} depends on unknown task {dep_id!r}"
-                )
-            self._successors[dep_id].add(task.task_id)
-            if self._tasks[dep_id].state != TaskState.COMPLETED:
+        for dep in task.predecessors:
+            insort(dep.successors, task, key=_task_id)
+            if store.state[dep._row] != _COMPLETED:
                 unresolved += 1
-        self._unfinished_dependency_count[task.task_id] = unresolved
+        self._unfinished_dependency_count[task_id] = unresolved
 
-        if unresolved == 0:
-            task.state = TaskState.READY
-            task.timestamps.ready = now
-        else:
-            task.state = TaskState.PENDING
-        row = self.store.add(
-            task.task_id,
-            state=task.state,
-            cores=task.cores,
-            input_mb=task.input_size_mb,
-            priority=task.priority,
-            endpoint=task.assigned_endpoint,
+        local, stamps = task._local, task.timestamps._local
+        stamps["created"] = now
+        if not unresolved:
+            stamps["ready"] = now
+        row = store.add(
+            state=TaskState.PENDING if unresolved else TaskState.READY,
+            cores=task.cores, input_mb=task.input_size_mb, priority=local["priority"],
+            endpoint=local["assigned_endpoint"], timestamps=stamps,
         )
-        task._attach(self.store, row)
+        task._attach(store, row)
+        tasks[task_id] = task
         self._by_row.append(task)
         return task
 
@@ -445,85 +458,73 @@ class TaskGraph:
             raise WorkflowError(
                 f"cannot add dependency to task {downstream_id} in state {downstream.state.value}"
             )
-        if downstream_id in downstream.dependencies:
+        if upstream_id in downstream.dependencies:
             return
-        if self._would_create_cycle(upstream_id, downstream_id):
+        if self._would_create_cycle(upstream, downstream):
             raise WorkflowError(
                 f"dependency {upstream_id} -> {downstream_id} would create a cycle"
             )
-        if downstream_id in self._successors[upstream_id]:
-            return
         downstream.dependencies.add(upstream_id)
-        self._successors[upstream_id].add(downstream_id)
+        insort(downstream.predecessors, upstream, key=_task_id)
+        insort(upstream.successors, downstream, key=_task_id)
         if upstream.state != TaskState.COMPLETED:
             self._unfinished_dependency_count[downstream_id] += 1
             if downstream.state == TaskState.READY:
-                self._set_state(downstream, TaskState.PENDING)
+                self.set_state(downstream, TaskState.PENDING)
 
-    def set_state(self, task_id: str, state: TaskState, now: Optional[float] = None) -> Task:
-        """Move a task to ``state``, updating counters and timestamps."""
-        task = self.get(task_id)
-        self._set_state(task, state)
-        if now is not None:
-            ts = task.timestamps
-            if state == TaskState.READY:
-                ts.ready = now
-            elif state == TaskState.SCHEDULED:
-                ts.scheduled = now
-            elif state == TaskState.STAGING:
-                ts.staging_started = now
-            elif state == TaskState.STAGED:
-                ts.staging_done = now
-            elif state == TaskState.DISPATCHED:
-                ts.dispatched = now
-            elif state == TaskState.RUNNING:
-                ts.started = now
-            elif state in (TaskState.COMPLETED, TaskState.FAILED, TaskState.CANCELLED):
-                ts.completed = now
+    def set_state(self, task: Task, state: TaskState, now: Optional[float] = None) -> Task:
+        """Move ``task`` to ``state``, updating counters and, when ``now`` is
+        given, the timestamp the transition stamps."""
+        store = self.store
+        if task._store is not store:
+            raise WorkflowError(f"unknown task {task.task_id!r}")
+        store.set_state(task._row, state)
+        if now is not None and state in _STAMP_OF_STATE:
+            store.timestamps[_STAMP_OF_STATE[state]][task._row] = now
         return task
 
-    def mark_completed(self, task_id: str, now: Optional[float] = None) -> List[Task]:
-        """Complete a task and return successors that just became ready."""
-        task = self.get(task_id)
-        if task.state == TaskState.COMPLETED:
+    def mark_completed(self, task: Task, now: Optional[float] = None) -> List[Task]:
+        """Complete ``task`` and return the successors that just became
+        ready, in task-id order."""
+        state = self.store.state
+        if task._store is self.store and state[task._row] == _COMPLETED:
             return []
-        self.set_state(task_id, TaskState.COMPLETED, now)
+        self.set_state(task, TaskState.COMPLETED, now)
+        remaining = self._unfinished_dependency_count
         newly_ready: List[Task] = []
-        for succ_id in sorted(self._successors.get(task_id, ())):
-            remaining = self._unfinished_dependency_count[succ_id] - 1
-            self._unfinished_dependency_count[succ_id] = remaining
-            succ = self._tasks[succ_id]
-            if remaining == 0 and succ.state == TaskState.PENDING:
-                self.set_state(succ_id, TaskState.READY, now)
+        for succ in task.successors:
+            count = remaining[succ.task_id] - 1
+            remaining[succ.task_id] = count
+            if count == 0 and state[succ._row] == _PENDING:
+                self.set_state(succ, TaskState.READY, now)
                 newly_ready.append(succ)
         return newly_ready
 
     # ------------------------------------------------------------ analysis
     def roots(self) -> List[Task]:
         """Tasks with no dependencies."""
-        return [t for t in self._tasks.values() if not t.dependencies]
+        return [t for t in self._tasks.values() if not t.predecessors]
 
     def leaves(self) -> List[Task]:
         """Tasks with no successors."""
-        return [t for t in self._tasks.values() if not self._successors.get(t.task_id)]
+        return [t for t in self._tasks.values() if not t.successors]
 
     def topological_order(self) -> List[Task]:
-        """Tasks in an order where producers precede consumers."""
-        in_degree = {tid: len(t.dependencies) for tid, t in self._tasks.items()}
-        queue = sorted(tid for tid, deg in in_degree.items() if deg == 0)
-        order: List[Task] = []
+        """Tasks in an order where producers precede consumers (Kahn's
+        algorithm, roots and each task's successors in task-id order)."""
+        in_degree = {tid: len(t.predecessors) for tid, t in self._tasks.items()}
+        queue = sorted(self.roots(), key=_task_id)
         idx = 0
         while idx < len(queue):
-            tid = queue[idx]
+            task = queue[idx]
             idx += 1
-            order.append(self._tasks[tid])
-            for succ in sorted(self._successors.get(tid, ())):
-                in_degree[succ] -= 1
-                if in_degree[succ] == 0:
+            for succ in task.successors:
+                in_degree[succ.task_id] -= 1
+                if in_degree[succ.task_id] == 0:
                     queue.append(succ)
-        if len(order) != len(self._tasks):
+        if len(queue) != len(self._tasks):
             raise WorkflowError("task graph contains a cycle")
-        return order
+        return queue
 
     def dfs_order(self, key=None) -> List[Task]:
         """Depth-first order over the DAG from its roots.
@@ -533,29 +534,26 @@ class TaskGraph:
         """
         visited: Set[str] = set()
         order: List[Task] = []
-        roots = sorted(self.roots(), key=key or (lambda t: t.task_id))
+        roots = sorted(self.roots(), key=key or _task_id)
 
         for root in roots:
-            stack = [root.task_id]
+            stack = [root]
             while stack:
-                tid = stack.pop()
-                if tid in visited:
+                task = stack.pop()
+                if task.task_id in visited:
                     continue
-                task = self._tasks[tid]
                 if any(dep not in visited for dep in task.dependencies):
                     # Defer until all predecessors have been emitted so the
                     # order stays a valid topological order.
                     continue
-                visited.add(tid)
+                visited.add(task.task_id)
                 order.append(task)
-                children = sorted(self._successors.get(tid, ()), reverse=True)
-                stack.extend(children)
+                stack.extend(reversed(task.successors))
         # Tasks unreachable through the DFS (e.g. deferred joins) are emitted
         # in topological order at the end.
         if len(order) != len(self._tasks):
-            emitted = {t.task_id for t in order}
             for task in self.topological_order():
-                if task.task_id not in emitted:
+                if task.task_id not in visited:
                     order.append(task)
         return order
 
@@ -564,28 +562,21 @@ class TaskGraph:
         weight = weight or (lambda task: 1.0)
         longest: Dict[str, float] = {}
         for task in self.topological_order():
-            best_pred = max(
-                (longest[d] for d in task.dependencies), default=0.0
-            )
+            best_pred = max((longest[d] for d in task.dependencies), default=0.0)
             longest[task.task_id] = best_pred + weight(task)
         return max(longest.values(), default=0.0)
 
     # ------------------------------------------------------------- internal
-    def _set_state(self, task: Task, state: TaskState) -> None:
-        # The Task.state property mirrors the write into the store, which
-        # maintains the per-state counts and per-endpoint aggregates.
-        task.state = state
-
-    def _would_create_cycle(self, upstream_id: str, downstream_id: str) -> bool:
-        """True if ``downstream_id`` can already reach ``upstream_id``."""
-        stack = [downstream_id]
-        seen = set()
+    def _would_create_cycle(self, upstream: Task, downstream: Task) -> bool:
+        """True if ``downstream`` can already reach ``upstream``."""
+        stack = [downstream]
+        seen: Set[str] = set()
         while stack:
             node = stack.pop()
-            if node == upstream_id:
+            if node is upstream:
                 return True
-            if node in seen:
+            if node.task_id in seen:
                 continue
-            seen.add(node)
-            stack.extend(self._successors.get(node, ()))
+            seen.add(node.task_id)
+            stack.extend(node.successors)
         return False

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.core.dag import TERMINAL_STATES, Task, TaskGraph, TaskState
+from repro.core.dag import STATE_CODES, TERMINAL_STATES, Task, TaskGraph, TaskState, state_codes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataplane.plane import DataPlane
@@ -43,7 +43,9 @@ __all__ = ["Prefetcher"]
 
 #: Predecessor states that make a successor "ready-soon": nothing left ahead
 #: of it but execution (and the successor itself is still pending).
-_IN_FLIGHT = (TaskState.DISPATCHED, TaskState.RUNNING, TaskState.COMPLETED)
+_IN_FLIGHT = state_codes(TaskState.DISPATCHED, TaskState.RUNNING, TaskState.COMPLETED)
+_PENDING = STATE_CODES[TaskState.PENDING]
+_COMPLETED = STATE_CODES[TaskState.COMPLETED]
 
 
 class Prefetcher:
@@ -86,11 +88,9 @@ class Prefetcher:
         self.guesses_missed = 0
 
     # ---------------------------------------------------------------- events
-    def on_predecessor_progress(self, task_id: str) -> None:
-        """A task was dispatched or completed: feed its ready-soon successors."""
-        if task_id not in self._graph:
-            return
-        for successor in self._graph.successors(task_id):
+    def on_predecessor_progress(self, task: Task) -> None:
+        """``task`` was dispatched or completed: feed its ready-soon successors."""
+        for successor in task.successors:
             self.consider(successor)
 
     def on_task_placed(self, task_id: str, endpoint: str) -> None:
@@ -149,7 +149,7 @@ class Prefetcher:
     # ------------------------------------------------------------------ logic
     def consider(self, task: Task) -> int:
         """Prefetch ``task``'s currently available inputs; returns count issued."""
-        if task.state != TaskState.PENDING:
+        if self._graph.store.state[task._row] != _PENDING:
             return 0  # ready or beyond: demand staging owns it now
         if not self._ready_soon(task):
             return 0
@@ -170,8 +170,8 @@ class Prefetcher:
         return issued
 
     def _ready_soon(self, task: Task) -> bool:
-        for parent in self._graph.predecessors(task.task_id):
-            if parent.state not in _IN_FLIGHT:
+        for parent in task.predecessors:
+            if self._graph.store.state[parent._row] not in _IN_FLIGHT:
                 return False
         return True
 
@@ -183,8 +183,8 @@ class Prefetcher:
             if file.size_mb > 0 and file.locations and file.file_id not in seen:
                 seen.add(file.file_id)
                 files.append(file)
-        for parent in self._graph.predecessors(task.task_id):
-            if parent.state != TaskState.COMPLETED:
+        for parent in task.predecessors:
+            if self._graph.store.state[parent._row] != _COMPLETED:
                 continue
             for file in parent.output_files:
                 if file.size_mb > 0 and file.locations and file.file_id not in seen:

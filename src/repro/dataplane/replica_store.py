@@ -206,7 +206,7 @@ class ReplicaStore:
         if file.size_mb <= 0:
             return
         for endpoint in sorted(file.locations):
-            if self.replica(file.file_id, endpoint) is None:
+            if file.file_id not in self._replicas.get(endpoint, ()):
                 self._insert(file, endpoint, prefetched=prefetched)
                 if endpoint not in self._offline:
                     self._enforce_budget(endpoint, protect=file.file_id)
@@ -247,8 +247,9 @@ class ReplicaStore:
         recomputed; once nothing will ever read the file again, holding the
         last copy is pure budget waste.
         """
-        self._expendable.add(file.file_id)
-        self._refresh_file(file)
+        if file.file_id not in self._expendable:
+            self._expendable.add(file.file_id)
+            self._refresh_file(file)
 
     def is_expendable(self, file_id: str) -> bool:
         return file_id in self._expendable
@@ -290,8 +291,9 @@ class ReplicaStore:
         Closes the window from re-submission onward; a sole replica already
         evicted before the new consumer was submitted is genuinely gone.
         """
-        self._expendable.discard(file.file_id)
-        self._refresh_file(file)
+        if file.file_id in self._expendable:
+            self._expendable.discard(file.file_id)
+            self._refresh_file(file)
 
     # ------------------------------------------------------------------- pins
     def pin(self, file: RemoteFile, endpoint: str, task_id: str) -> None:
@@ -416,7 +418,7 @@ class ReplicaStore:
         (it may no longer be listed there) and every other copy's backup.
         """
         for endpoint in {*file.locations, moved_at}:
-            replica = self.replica(file.file_id, endpoint)
+            replica = self._replicas.get(endpoint, {}).get(file.file_id)
             if replica is not None:
                 self._refresh(replica)
 
@@ -435,10 +437,11 @@ class ReplicaStore:
         the only reachable one — until the crash site rejoins, that copy
         cannot serve a re-stage.
         """
-        return any(
-            loc != endpoint and loc not in self._offline
-            for loc in replica.file.locations
-        )
+        offline = self._offline
+        for location in replica.file.locations:
+            if location != endpoint and location not in offline:
+                return True
+        return False
 
     def _evict(self, replica: Replica) -> None:
         self._replicas[replica.endpoint].pop(replica.file.file_id, None)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
-from repro.core.dag import Task, TaskGraph, TaskState
+from repro.core.dag import STATE_CODES, Task, TaskGraph, TaskState
 from repro.core.functions import FederatedFunction
 from repro.core.futures import UniFuture
 from repro.data.remote_file import GlobusFile, RemoteFile, RsyncFile
@@ -76,6 +76,8 @@ ENDPOINT_HINT_KWARG = "unifaas_endpoint"
 #: Reserved keyword argument that overrides the §IV-G retry budget for one
 #: task (the authoring API's ``@job(retries=...)``).
 MAX_RETRIES_KWARG = "unifaas_max_retries"
+
+_READY = STATE_CODES[TaskState.READY]
 
 
 class ExecutionEngine:
@@ -240,22 +242,24 @@ class ExecutionEngine:
         else:
             task = Task(function=fn, args=args, kwargs=kwargs, dependencies=dependencies)
         task.input_files = input_files
-        for dep in dependencies:
-            self._consumer_counts[dep] = self._consumer_counts.get(dep, 0) + 1
-            if isinstance(self.data_manager, DataPlane) and dep in self.graph:
-                # Dynamic DAG: a new consumer re-protects outputs the
-                # lifecycle hook may already have marked expendable.
-                for file in self.graph.get(dep).output_files:
-                    self.data_manager.store.reclaim(file)
         if endpoint_hint is not None:
             task.assigned_endpoint = str(endpoint_hint)
         if max_retries is not None:
             task.max_retries = int(max_retries)
-        self.graph.add_task(task, now=self.clock.now())
+        now = self.clock.now()
+        self.graph.add_task(task, now=now)
+        for dep in dependencies:
+            self._consumer_counts[dep] = self._consumer_counts.get(dep, 0) + 1
+        if isinstance(self.data_manager, DataPlane):
+            # Dynamic DAG: a new consumer re-protects outputs the lifecycle
+            # hook may already have marked expendable.
+            for parent in task.predecessors:
+                for file in parent.output_files:
+                    self.data_manager.store.reclaim(file)
 
-        ready = task.state == TaskState.READY
+        ready = self.graph.store.state[task._row] == _READY
         if ready:
-            self.bus.publish(TaskReady.for_task(task, time=self.clock.now()))
+            self.bus.publish(TaskReady.for_task(task, time=now))
         if self._running:
             # Deferred: the scheduler sees every addition of this pump round
             # in one on_tasks_added batch (flushed by drain_growth).
@@ -395,7 +399,7 @@ class ExecutionEngine:
             self.graph.store.input_mb[task._row] = task.input_size_mb
             if self.context is not None:
                 self.context.invalidate_task(task.task_id)
-                for successor in self.graph.successors(task.task_id):
+                for successor in task.successors:
                     self.context.invalidate_task(successor.task_id)
 
     def _on_task_ready(self, event: TaskReady) -> None:
@@ -426,11 +430,12 @@ class ExecutionEngine:
         ready: List[Task] = []
         log: List[tuple] = []
         plane = self.data_manager if isinstance(self.data_manager, DataPlane) else None
+        now = self.clock.now()
+        stamp = round(now, 9)
 
         def flush() -> None:
             if not completed and not ready:
                 return
-            now = self.clock.now()
             if completed:
                 self.bus.publish(
                     TasksCompleted(
@@ -452,13 +457,13 @@ class ExecutionEngine:
 
         for record in records:
             task = self.graph.get(record.task_id)
-            self.endpoint_monitor.record_completion(record.endpoint, cores=task.cores)
+            cores = int(self.graph.store.cores[task._row])
+            self.endpoint_monitor.record_completion(record.endpoint, cores=cores)
             self.task_monitor.observe_task(record)
             self.metrics.record_completion(
                 record.endpoint, record.function_name, record.success
             )
             self.scheduler.on_task_completed(task, record)
-            now = self.clock.now()
             if not record.success:
                 flush()
                 self.bus.publish(
@@ -470,20 +475,20 @@ class ExecutionEngine:
                     )
                 )
                 continue
-            log.append((round(now, 9), "TaskCompleted", task.name, record.endpoint, True))
+            log.append((stamp, "TaskCompleted", task.name, record.endpoint, True))
             completed.append(task)
             completed_records.append(record)
             newly_ready = self._apply_success(task, record)
             if plane is not None:
                 plane.release_task(record.task_id)
             if self.prefetcher is not None:
-                self.prefetcher.on_predecessor_progress(record.task_id)
+                self.prefetcher.on_predecessor_progress(task)
             pinned: List[Task] = []
             for ready_task in newly_ready:
-                log.append((round(now, 9), "TaskReady", ready_task.name))
+                log.append((stamp, "TaskReady", ready_task.name))
                 ready.append(ready_task)
                 self._prepare_ready(ready_task)
-                if ready_task.assigned_endpoint is None:
+                if self.graph.store.endpoint[ready_task._row] < 0:
                     self.placement.enqueue(ready_task)
                 else:
                     pinned.append(ready_task)
@@ -501,7 +506,7 @@ class ExecutionEngine:
     def _apply_success(self, task: Task, record: TaskExecutionRecord) -> List[Task]:
         """State/bookkeeping effects of one successful completion; returns
         the successors it made ready (the caller announces them)."""
-        task.timestamps.started = record.started_at
+        self.graph.store.timestamps["started"][task._row] = record.started_at
         # Register output data produced on the endpoint.
         task.output_files = []
         result_value: Any = record.result
@@ -532,11 +537,11 @@ class ExecutionEngine:
                 # input-size estimates (they now see real files instead of
                 # predictions); a task without output leaves them on the
                 # prediction path, whose cached value is still exact.
-                for successor in self.graph.successors(task.task_id):
+                for successor in task.successors:
                     self.context.invalidate_task(successor.task_id)
-        newly_ready = self.graph.mark_completed(task.task_id, now=record.completed_at)
+        newly_ready = self.graph.mark_completed(task, now=record.completed_at)
         task.future.set_result(result_value)
-        if task.dependencies:
+        if task.predecessors:
             # Output lifecycle: this completion may have been the last read
             # of its parents' outputs — release their storage protection,
             # and *prune* fully-consumed entries so the live consumer map
@@ -546,13 +551,14 @@ class ExecutionEngine:
                 if isinstance(self.data_manager, DataPlane)
                 else None
             )
-            for dep in sorted(task.dependencies):
+            for parent in task.predecessors:
+                dep = parent.task_id
                 remaining = self._consumer_counts.get(dep, 0) - 1
                 if remaining > 0:
                     self._consumer_counts[dep] = remaining
                 else:
                     self._consumer_counts.pop(dep, None)
-                if plane_store is not None and remaining <= 0 and dep in self.graph:
-                    for file in self.graph.get(dep).output_files:
+                if plane_store is not None and remaining <= 0:
+                    for file in parent.output_files:
                         plane_store.mark_expendable(file)
         return newly_ready

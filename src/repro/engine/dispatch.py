@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional
 
-from repro.core.dag import Task, TaskState
+from repro.core.dag import STATE_CODES, Task, TaskState
 from repro.core.exceptions import UniFaaSError
 from repro.engine.events import StagingDone, TasksDispatched
 
@@ -24,20 +24,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["DispatchCoordinator"]
 
+_STAGED = STATE_CODES[TaskState.STAGED]
+
 
 class DispatchCoordinator:
     """Owns the per-endpoint staged queues and the fabric hand-off."""
 
     def __init__(self, engine: "ExecutionEngine") -> None:
         self._engine = engine
-        self._staged_queues: Dict[str, Deque[str]] = defaultdict(deque)
+        self._staged_queues: Dict[str, Deque[Task]] = defaultdict(deque)
         engine.bus.subscribe(StagingDone, self._on_staging_done)
 
     # ---------------------------------------------------------------- events
     def _on_staging_done(self, event: StagingDone) -> None:
         if event.failed:
             return  # the failure coordinator owns this outcome
-        self._staged_queues[event.endpoint].append(event.task_id)
+        self._staged_queues[event.endpoint].append(event.task)
 
     # ------------------------------------------------------------------ pump
     def dispatch_staged(
@@ -51,6 +53,9 @@ class DispatchCoordinator:
         from the budget get nothing; ``None`` (single-workflow) is unbounded.
         """
         engine = self._engine
+        store = engine.graph.store
+        names = store.endpoint_names
+        now = engine.clock.now()
         dispatched_any = False
         # The round's dispatches fold into one TasksDispatched event.
         batch: List[Task] = []
@@ -58,28 +63,26 @@ class DispatchCoordinator:
         for endpoint, queue in self._staged_queues.items():
             allowance = None if budget is None else budget.get(endpoint, 0)
             while queue:
-                task_id = queue[0]
-                if task_id not in engine.graph:
+                task = queue[0]
+                row = task._row
+                # Moved elsewhere or already handled (STAGED implies placed).
+                if store.state[row] != _STAGED or names[store.endpoint[row]] != endpoint:
                     queue.popleft()
                     continue
-                task = engine.graph.get(task_id)
-                if task.state != TaskState.STAGED or task.assigned_endpoint != endpoint:
-                    # Task was re-scheduled elsewhere or already handled.
-                    queue.popleft()
-                    continue
-                if allowance is not None and allowance < task.cores:
+                cores = int(store.cores[row])
+                if allowance is not None and allowance < cores:
                     break
                 if not force and not engine.scheduler.should_dispatch(task):
                     break
                 queue.popleft()
-                self.dispatch(task, batch, batch_log)
+                self.dispatch(task, endpoint, now, batch, batch_log)
                 if allowance is not None:
-                    allowance -= task.cores
+                    allowance -= cores
                 dispatched_any = True
         if batch:
             engine.bus.publish(
                 TasksDispatched(
-                    time=engine.clock.now(),
+                    time=now,
                     count=len(batch),
                     scalar_log=tuple(batch_log),
                     tasks=tuple(batch),
@@ -97,11 +100,12 @@ class DispatchCoordinator:
         """
         return self._engine.graph.store.staged_demand()
 
-    def dispatch(self, task: Task, batch: List[Task], batch_log: List[tuple]) -> None:
-        """Submit ``task`` to the fabric, tell the observers, and add it (and
+    def dispatch(
+        self, task: Task, endpoint: str, now: float, batch: List[Task], batch_log: List[tuple]
+    ) -> None:
+        """Submit ``task`` to ``endpoint``, tell the observers, and add it (and
         its ``TaskDispatched`` log entry) to the round's batch."""
         engine = self._engine
-        endpoint = task.assigned_endpoint
         resolved_args, resolved_kwargs = None, None
         if task.function.callable is not None:
             # Resolve future arguments for real (local) execution; harmless in
@@ -112,13 +116,14 @@ class DispatchCoordinator:
                 resolved_args, resolved_kwargs = task.args, dict(task.kwargs)
         request = engine.fabric.build_request(task, resolved_args, resolved_kwargs)
         task.attempts += 1
-        engine.graph.set_state(task.task_id, TaskState.DISPATCHED, now=engine.clock.now())
+        engine.graph.set_state(task, TaskState.DISPATCHED, now=now)
         engine.index.clear_undispatched(task.task_id)
         engine.fabric.submit(endpoint, request)
-        now = engine.clock.now()
         batch_log.append((round(now, 9), "TaskDispatched", task.name, endpoint))
         batch.append(task)
-        engine.endpoint_monitor.record_dispatch(endpoint, cores=task.cores)
+        engine.endpoint_monitor.record_dispatch(
+            endpoint, cores=int(engine.graph.store.cores[task._row])
+        )
         engine.scheduler.on_task_dispatched(task, endpoint)
         if engine.prefetcher is not None:
-            engine.prefetcher.on_predecessor_progress(task.task_id)
+            engine.prefetcher.on_predecessor_progress(task)

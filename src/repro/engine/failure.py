@@ -70,7 +70,7 @@ class FailureCoordinator:
         engine.index.clear_undispatched(task.task_id)
         if engine.context is not None:
             engine.context.release_task(task.task_id)
-        engine.graph.set_state(task.task_id, TaskState.FAILED, now=engine.clock.now())
+        engine.graph.set_state(task, TaskState.FAILED, now=engine.clock.now())
         error = TransferFailedError(
             event.ticket_id, "unknown", event.endpoint, engine.config.max_transfer_retries
         )
@@ -111,10 +111,7 @@ class FailureCoordinator:
         # pile-on onto one survivor is deliberate — the next scheduling /
         # re-scheduling pass rebalances with full capacity knowledge.
         target = engine.task_monitor.most_reliable_endpoint(survivors)
-        for task_id in list(engine.index.undispatched_ids()):
-            if task_id not in engine.graph:
-                continue
-            task = engine.graph.get(task_id)
+        for task in engine.index.undispatched_tasks():
             if task.assigned_endpoint != crashed or task.state not in _REASSIGNABLE:
                 continue
             # The task's placement claim follows it off the dead endpoint;
@@ -159,7 +156,7 @@ class FailureCoordinator:
             if not candidates:
                 if engine.context is not None:
                     engine.context.release_task(task.task_id)
-                engine.graph.set_state(task.task_id, TaskState.FAILED, now=engine.clock.now())
+                engine.graph.set_state(task, TaskState.FAILED, now=engine.clock.now())
                 error = TaskFailedError(
                     task.task_id, record.error or "unknown error", task.attempts
                 )

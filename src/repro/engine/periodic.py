@@ -42,7 +42,7 @@ import time as _time
 from math import isfinite
 from typing import TYPE_CHECKING
 
-from repro.core.dag import TaskState
+from repro.core.dag import TaskState, state_codes
 from repro.engine.events import CapacityChanged, TaskPlaced
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["PeriodicCoordinator"]
 
 #: Undispatched states eligible for a re-scheduling pass.
-_RESCHEDULABLE = (TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
+_RESCHEDULABLE = state_codes(TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
 
 #: ``due_at`` is set this much (relatively) before the first instant a timer's
 #: own ``now - last >= interval`` test can pass, so rounding in ``last +
@@ -126,10 +126,9 @@ class PeriodicCoordinator:
         graph = engine.graph
         if self._resched_cache_epoch != index.undispatched_epoch:
             self._resched_cache_epoch = index.undispatched_epoch
-            self._resched_cache = [
-                graph.get(task_id) for task_id in index.undispatched_ids() if task_id in graph
-            ]
-        candidates = [t for t in self._resched_cache if t.state in _RESCHEDULABLE]
+            self._resched_cache = index.undispatched_tasks()
+        state = graph.store.state
+        candidates = [t for t in self._resched_cache if state[t._row] in _RESCHEDULABLE]
         if not candidates:
             return
         t0 = _time.perf_counter()

@@ -15,13 +15,15 @@ from __future__ import annotations
 import time as _time
 from typing import TYPE_CHECKING
 
-from repro.core.dag import Task, TaskState
+from repro.core.dag import STATE_CODES, Task, TaskState
 from repro.engine.events import TaskPlaced
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.core import ExecutionEngine
 
 __all__ = ["PlacementCoordinator"]
+
+_READY = STATE_CODES[TaskState.READY]
 
 
 class PlacementCoordinator:
@@ -39,16 +41,15 @@ class PlacementCoordinator:
         index = engine.index
         if not index.queued_count:
             return False
-        candidates = [t for t in index.queued_tasks() if t.state == TaskState.READY]
+        store = engine.graph.store
+        candidates = [t for t in index.queued_tasks() if store.state[t._row] == _READY]
         if not candidates:
             return False
 
         # Endpoint-pinned tasks bypass the scheduler entirely (the common
         # case has none, so skip the second scan then).
-        pinned = [t for t in candidates if t.assigned_endpoint is not None]
-        unpinned = (
-            candidates if not pinned else [t for t in candidates if t.assigned_endpoint is None]
-        )
+        pinned = [t for t in candidates if store.endpoint[t._row] >= 0]
+        unpinned = candidates if not pinned else [t for t in candidates if store.endpoint[t._row] < 0]
 
         placements = []
         if unpinned:
@@ -61,8 +62,9 @@ class PlacementCoordinator:
         placed = 0
         now = engine.clock.now()
         placed_ids = set()
+        by_id = {t.task_id: t for t in unpinned} if placements else {}
         for placement in placements:
-            task = engine.graph.get(placement.task_id)
+            task = by_id[placement.task_id]
             index.remove_queued(task.task_id)
             placed_ids.add(task.task_id)
             engine.bus.publish(TaskPlaced.for_task(task, time=now, endpoint=placement.endpoint))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.dag import Task, TaskState
+from repro.core.dag import Task, TaskState, state_codes
 from repro.data.manager import StagingTicket
 from repro.engine.events import StagingDone, TaskPlaced
 
@@ -21,6 +21,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.core import ExecutionEngine
 
 __all__ = ["StagingCoordinator"]
+
+#: States in which a finished staging ticket can still matter.
+_STAGING = state_codes(TaskState.STAGING, TaskState.SCHEDULED)
 
 
 class StagingCoordinator:
@@ -38,34 +41,37 @@ class StagingCoordinator:
     def begin_staging(self, task: Task, endpoint: str) -> None:
         """Assign ``task`` to ``endpoint`` and start staging its inputs."""
         engine = self._engine
+        store = engine.graph.store
         now = engine.clock.now()
-        task.assigned_endpoint = endpoint
-        engine.graph.set_state(task.task_id, TaskState.SCHEDULED, now=now)
-        engine.index.mark_undispatched(task.task_id)
-        engine.graph.set_state(task.task_id, TaskState.STAGING, now=now)
+        store.set_endpoint(task._row, endpoint)
+        engine.graph.set_state(task, TaskState.SCHEDULED, now=now)
+        engine.index.mark_undispatched(task)
+        engine.graph.set_state(task, TaskState.STAGING, now=now)
         # The task's DHA upward rank orders its transfers within the data
         # plane's demand class (the FIFO path ignores the priority).
         engine.data_manager.stage(
-            task.task_id, task.input_files, endpoint, priority=task.priority
+            task.task_id, task.input_files, endpoint, priority=float(store.priority[task._row])
         )
 
     def _on_ticket_done(self, ticket: StagingTicket) -> None:
         engine = self._engine
-        if ticket.task_id not in engine.graph:
+        graph = engine.graph
+        if ticket.task_id not in graph:
             return
-        task = engine.graph.get(ticket.task_id)
-        if task.state not in (TaskState.STAGING, TaskState.SCHEDULED):
+        task = graph.get(ticket.task_id)
+        if graph.store.state[task._row] not in _STAGING:
             return
         if engine.data_manager.ticket_for_task(task.task_id) is not ticket:
             # A re-scheduling move or retry opened a newer ticket for this
             # task; this one belongs to an abandoned destination.
             return
+        now = engine.clock.now()
         if not ticket.failed:
-            engine.graph.set_state(task.task_id, TaskState.STAGED, now=engine.clock.now())
+            graph.set_state(task, TaskState.STAGED, now=now)
         engine.bus.publish(
             StagingDone.for_task(
                 task,
-                time=engine.clock.now(),
+                time=now,
                 endpoint=ticket.destination,
                 failed=ticket.failed,
                 ticket_id=ticket.ticket_id,
@@ -81,7 +87,7 @@ class StagingCoordinator:
         """
         seen = {f.file_id for f in task.input_files}
         added = False
-        for parent in self._engine.graph.predecessors(task.task_id):
+        for parent in task.predecessors:
             for file in parent.output_files:
                 if file.file_id not in seen:
                     task.input_files.append(file)

@@ -38,7 +38,7 @@ class TaskIndex:
     def __init__(self, store: TaskStore) -> None:
         self._store = store
         self._pending_schedule: Dict[str, Task] = {}
-        self._undispatched: Dict[str, None] = {}  # insertion-ordered set of ids
+        self._undispatched: Dict[str, Task] = {}  # insertion-ordered
         #: Bumped whenever the undispatched set's *membership* changes; the
         #: periodic re-scheduling pass caches its candidate list keyed by
         #: this instead of re-materialising it every cadence.
@@ -61,12 +61,12 @@ class TaskIndex:
         return len(self._pending_schedule)
 
     # --------------------------------------------------- undispatched index
-    def mark_undispatched(self, task_id: str) -> None:
-        """Record that ``task_id`` was placed (a move to another endpoint
-        keeps its place in the order and is not a membership change)."""
-        if task_id not in self._undispatched:
+    def mark_undispatched(self, task: Task) -> None:
+        """Record that ``task`` was placed (a move to another endpoint keeps
+        its place in the order and is not a membership change)."""
+        if task.task_id not in self._undispatched:
             self.undispatched_epoch += 1
-            self._undispatched[task_id] = None
+            self._undispatched[task.task_id] = task
 
     def clear_undispatched(self, task_id: str) -> None:
         """Forget ``task_id`` (it was dispatched or terminally failed)."""
@@ -74,9 +74,9 @@ class TaskIndex:
             del self._undispatched[task_id]
             self.undispatched_epoch += 1
 
-    def undispatched_ids(self) -> List[str]:
-        """Undispatched task ids in placement order (deterministic)."""
-        return list(self._undispatched)
+    def undispatched_tasks(self) -> List[Task]:
+        """Undispatched tasks in placement order (deterministic)."""
+        return list(self._undispatched.values())
 
     @property
     def undispatched_count(self) -> int:

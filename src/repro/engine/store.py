@@ -5,11 +5,11 @@ prediction matrices keyed by stable int rows); this module applies the same
 treatment to the *engine's* task state.  A :class:`TaskStore` keeps every
 task's state code, life-cycle timestamps, core count, input size, priority
 and assigned endpoint in flat numpy arrays keyed by a stable integer row
-minted at insertion.  :class:`~repro.core.dag.Task` objects stay around as
-the object API, but become lazy views: their state/endpoint/priority setters
-and their :class:`~repro.core.dag.TaskTimestamps` mirror every write into
-the arrays, so bulk queries — ready-set extraction, wait-time scans — are
-array reductions instead of Python loops over task objects.
+minted at insertion.  It is the only copy of those fields: a
+:class:`~repro.core.dag.Task` in a graph reads and writes its row (the task
+keeps the row index, the graph the task), and the engine's hot path reads the
+columns directly, so bulk queries are array reductions.  :meth:`TaskStore.add`
+reallocates the arrays as they grow: never hold a column across it.
 
 Endpoints are interned to small ints; the aggregates the run loop reads every
 round — staged workers' worth of tasks and tasks awaiting dispatch per
@@ -19,36 +19,24 @@ costs an attribute access, not an array reduction.
 
 Rows are never recycled: a task graph only grows (tasks reach terminal
 states but are not removed), so the arrays are bounded by the all-time task
-count of one workflow, exactly like the object dict they shadow.
+count of one workflow, exactly like the graph's task dict.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.core.dag import TIMESTAMP_FIELDS, TaskState
+from repro.core.dag import STATE_CODES, TERMINAL_STATES, TIMESTAMP_FIELDS, TaskState, state_codes
 
 __all__ = ["TaskStore"]
 
-#: Stable int code per state, in declaration order.
-STATE_CODES: Dict[TaskState, int] = {state: i for i, state in enumerate(TaskState)}
 _STATES: List[TaskState] = list(TaskState)
 
-_PENDING_DISPATCH = frozenset(
-    {
-        STATE_CODES[TaskState.SCHEDULED],
-        STATE_CODES[TaskState.STAGING],
-        STATE_CODES[TaskState.STAGED],
-    }
-)
+_PENDING_DISPATCH = state_codes(TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
 _STAGED = STATE_CODES[TaskState.STAGED]
-_TERMINAL_CODES = (
-    STATE_CODES[TaskState.COMPLETED],
-    STATE_CODES[TaskState.FAILED],
-    STATE_CODES[TaskState.CANCELLED],
-)
+_TERMINAL_CODES = state_codes(*TERMINAL_STATES)
 
 _GROW = 1024
 
@@ -63,7 +51,7 @@ def _add(counts: Dict[str, int], key: str, delta: int) -> None:
 
 
 class TaskStore:
-    """Columnar (struct-of-arrays) mirror of one task graph's task state."""
+    """Columnar (struct-of-arrays) owner of one task graph's task state."""
 
     def __init__(self) -> None:
         self._capacity = _GROW
@@ -79,11 +67,9 @@ class TaskStore:
             for name in TIMESTAMP_FIELDS
         }
 
-        self._ids: List[str] = []
-        self._rows: Dict[str, int] = {}
 
-        # Endpoint interning.
-        self._endpoint_names: List[str] = []
+        #: Interned endpoint names, by index (read-only outside the store).
+        self.endpoint_names: List[str] = []
         self._endpoint_index: Dict[str, int] = {}
 
         # Running aggregates, updated where state and endpoint change
@@ -106,18 +92,12 @@ class TaskStore:
     def __len__(self) -> int:
         return self._size
 
-    def row_of(self, task_id: str) -> int:
-        return self._rows[task_id]
-
-    def task_id_of(self, row: int) -> str:
-        return self._ids[row]
-
     def intern_endpoint(self, name: str) -> int:
         idx = self._endpoint_index.get(name)
         if idx is None:
-            idx = len(self._endpoint_names)
+            idx = len(self.endpoint_names)
             self._endpoint_index[name] = idx
-            self._endpoint_names.append(name)
+            self.endpoint_names.append(name)
         return idx
 
     def _grow(self) -> None:
@@ -135,15 +115,14 @@ class TaskStore:
         self._capacity = new_capacity
 
     # ------------------------------------------------------------- mutation
-    def add(self, task_id: str, *, state: TaskState, cores: int, input_mb: float,
-            priority: float, endpoint: Optional[str]) -> int:
-        """Register a task and return its stable row index."""
+    def add(self, *, state: TaskState, cores: int, input_mb: float, priority: float,
+            endpoint: Optional[str], timestamps: Optional[Mapping] = None) -> int:
+        """Register a task (``timestamps`` by field name, ``None`` or absent =
+        unset) and return its stable row index."""
         if self._size == self._capacity:
             self._grow()
         row = self._size
         self._size += 1
-        self._ids.append(task_id)
-        self._rows[task_id] = row
         code = STATE_CODES[state]
         self.state[row] = code
         self.cores[row] = cores
@@ -151,6 +130,9 @@ class TaskStore:
         self.priority[row] = priority
         ep = -1 if endpoint is None else self.intern_endpoint(endpoint)
         self.endpoint[row] = ep
+        for name, value in (timestamps or {}).items():
+            if value is not None:
+                self.timestamps[name][row] = value
         self._state_counts[code] += 1
         if code in _TERMINAL_CODES:
             self.terminal += 1
@@ -184,7 +166,7 @@ class TaskStore:
     def _account(self, row: int, old_code: int, new_code: int, old_ep: int, new_ep: int) -> None:
         """Incrementally maintain the per-endpoint demand aggregates."""
         if old_ep >= 0:
-            name = self._endpoint_names[old_ep]
+            name = self.endpoint_names[old_ep]
             if old_code in _PENDING_DISPATCH:
                 _add(self._pending_dispatch, name, -1)
                 self.undispatched_count -= 1
@@ -192,20 +174,13 @@ class TaskStore:
                 _add(self.staged_cores, name, -int(self.cores[row]))
                 self.staged_version += 1
         if new_ep >= 0:
-            name = self._endpoint_names[new_ep]
+            name = self.endpoint_names[new_ep]
             if new_code in _PENDING_DISPATCH:
                 _add(self._pending_dispatch, name, 1)
                 self.undispatched_count += 1
             if new_code == _STAGED:
                 _add(self.staged_cores, name, int(self.cores[row]))
                 self.staged_version += 1
-
-    def set_timestamp(self, row: int, name: str, value: Optional[float]) -> None:
-        self.timestamps[name][row] = np.nan if value is None else value
-
-    def get_timestamp(self, row: int, name: str) -> Optional[float]:
-        value = self.timestamps[name][row]
-        return None if np.isnan(value) else float(value)
 
     # -------------------------------------------------------------- queries
     def state_count(self, state: TaskState) -> int:
@@ -254,4 +229,4 @@ class TaskStore:
 
     def _in_intern_order(self, counts: Dict[str, int]) -> Dict[str, int]:
         # A stable key order whatever order the entries came and went in.
-        return {name: counts[name] for name in self._endpoint_names if name in counts}
+        return {name: counts[name] for name in self.endpoint_names if name in counts}

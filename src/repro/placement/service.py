@@ -26,6 +26,7 @@ service:
 from __future__ import annotations
 
 import copy
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -59,6 +60,8 @@ _PENDING_STATES = (
     TaskState.STAGING,
     TaskState.STAGED,
 )
+
+_task_id = attrgetter("task_id")
 
 
 class PlacementService:
@@ -216,10 +219,7 @@ class PlacementService:
 
         for engine in engines:
             ctx = engine.context
-            pending = sorted(
-                (t for t in engine.graph if t.state in _PENDING_STATES),
-                key=lambda t: t.task_id,
-            )
+            pending = sorted(engine.graph.in_state(*_PENDING_STATES), key=_task_id)
             demand += len(pending)
             if not pending:
                 continue

@@ -119,17 +119,18 @@ class SchedulingContext:
         cached = self._input_cache.get(task.task_id)
         if cached is not None and cached[1] == generation:
             return cached[0]
+        store = task._store  # its input-size column is kept current by the engine
         if task.input_files:
-            total = task.input_size_mb
+            total = task.input_size_mb if store is None else float(store.input_mb[task._row])
         else:
             total = 0.0
-            for parent in self.graph.predecessors(task.task_id):
+            for parent in task.predecessors:
                 if parent.output_files:
                     total += sum(getattr(f, "size_mb", 0.0) for f in parent.output_files)
                 else:
                     hardware = (1.0, 1.0, 1.0)
                     total += self.execution_profiler.predict_output_mb(
-                        parent.name, parent.input_size_mb, hardware, default=0.0
+                        parent.name, float(store.input_mb[parent._row]), hardware, default=0.0
                     )
         self._input_cache[task.task_id] = (total, generation)
         return total

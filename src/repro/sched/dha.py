@@ -38,6 +38,8 @@ every decision made here to it, bit for bit.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +49,8 @@ from repro.data import remote_file as _remote_file
 from repro.sched.base import Placement, Scheduler, SchedulingContext
 
 __all__ = ["DHAScheduler"]
+
+_task_id = attrgetter("task_id")
 
 
 class DHAScheduler(Scheduler):
@@ -78,6 +82,8 @@ class DHAScheduler(Scheduler):
         #: "reschedule"): re-sorting is skipped while the task set and the
         #: priorities are unchanged (the dirty flag is the epoch moving).
         self._order_cache: Dict[str, Tuple[Tuple, List[Task]]] = {}
+        #: Running ``max`` of each task's successors' priorities (:meth:`_sweep`).
+        self._best_successor: Dict[str, float] = {}
         #: Sorts actually performed (tests assert the cache short-circuits).
         self.sort_count = 0
         #: Fingerprint of the inputs of the last re-scheduling pass that
@@ -101,9 +107,10 @@ class DHAScheduler(Scheduler):
         if new_tasks is None:
             order = graph.topological_order()
             order.reverse()
-            # A full sweep starts from a fresh map so entries for tasks no
+            # A full sweep starts from fresh maps so entries for tasks no
             # longer in the graph cannot accumulate across workflows.
             self._priorities = {}
+            self._best_successor = {}
         else:
             order = self._affected_reverse_topological(graph, new_tasks)
         if not order:
@@ -121,38 +128,41 @@ class DHAScheduler(Scheduler):
         must exist before the seeds' maxima are taken — traversal stops at
         descendants that already carry a priority, which are reused as-is),
         and every ancestor of all of those (their maxima may rise).
+        While every unprioritised task is a seed (the engine hands over each
+        growth window whole) no successor can join, so the walk follows
+        predecessor edges only: O(slice), not O(successors of the slice).
         """
-        affected = {t.task_id for t in new_tasks if t.task_id in graph}
-        stack = list(affected)
+        priorities = self._priorities
+        affected = {t.task_id: t for t in new_tasks if t._store is graph.store}
+        unprioritised_seeds = sum(1 for task_id in affected if task_id not in priorities)
+        scan_successors = len(graph) - len(priorities) > unprioritised_seeds
+        stack = list(affected.values())
         while stack:
-            task_id = stack.pop()
-            for successor in graph.successors(task_id):
-                succ_id = successor.task_id
-                if succ_id not in affected and succ_id not in self._priorities:
-                    affected.add(succ_id)
-                    stack.append(succ_id)
-            for dep in graph.get(task_id).dependencies:
-                if dep not in affected:
-                    affected.add(dep)
-                    stack.append(dep)
-        out_degree = {
-            task_id: sum(
-                1 for s in graph.successors(task_id) if s.task_id in affected
-            )
-            for task_id in affected
-        }
-        queue = sorted(task_id for task_id, degree in out_degree.items() if degree == 0)
-        order: List[Task] = []
-        head = 0
-        while head < len(queue):
-            task_id = queue[head]
-            head += 1
-            order.append(graph.get(task_id))
-            for dep in sorted(graph.get(task_id).dependencies):
-                if dep in affected:
-                    out_degree[dep] -= 1
-                    if out_degree[dep] == 0:
-                        queue.append(dep)
+            task = stack.pop()
+            if scan_successors:
+                for successor in task.successors:
+                    if successor.task_id not in affected and successor.task_id not in priorities:
+                        affected[successor.task_id] = successor
+                        stack.append(successor)
+            for parent in task.predecessors:
+                if parent.task_id not in affected:
+                    affected[parent.task_id] = parent
+                    stack.append(parent)
+        out_degree = dict.fromkeys(affected, 0)
+        for task in affected.values():
+            for parent in task.predecessors:
+                if parent.task_id in out_degree:
+                    out_degree[parent.task_id] += 1
+        order = sorted(
+            (affected[task_id] for task_id, degree in out_degree.items() if not degree),
+            key=_task_id,
+        )
+        for task in order:
+            for parent in task.predecessors:
+                if parent.task_id in out_degree:
+                    out_degree[parent.task_id] -= 1
+                    if out_degree[parent.task_id] == 0:
+                        order.append(parent)
         return order
 
     def _sweep(self, context: SchedulingContext, order: Sequence[Task]) -> None:
@@ -160,7 +170,8 @@ class DHAScheduler(Scheduler):
 
         ``d`` and ``w`` of the whole slice come from one batched row-mean
         over the dense prediction matrices; the recursion itself reads and
-        writes plain floats.
+        writes plain floats.  Each task's ``max`` over its successors is kept
+        running; only a successor that held it and went down forces a rescan.
         """
         if context.endpoint_names():
             arrays = context.ensure_arrays()
@@ -169,14 +180,29 @@ class DHAScheduler(Scheduler):
         else:
             # No endpoint is monitored yet: there is nothing to average over.
             base = [self.default_execution_time_s] * len(order)
-        graph = context.graph
         priorities = self._priorities
+        running = self._best_successor
+        store_priority = context.graph.store.priority
         for position, task in enumerate(order):
-            succ = graph.successors(task.task_id)
-            best = max((priorities.get(s.task_id, 0.0) for s in succ), default=0.0)
+            task_id = task.task_id
+            best = running.get(task_id)
+            if best is None:
+                best = max(
+                    map(priorities.get, map(_task_id, task.successors), repeat(0.0)),
+                    default=0.0,
+                )
+                if task.successors:
+                    running[task_id] = best
             value = base[position] + best
-            priorities[task.task_id] = value
-            task.priority = value
+            previous = priorities.get(task_id, 0.0)
+            priorities[task_id] = value
+            store_priority[task._row] = value
+            for parent in task.predecessors:
+                held = running.get(parent.task_id, value)
+                if value > held:
+                    running[parent.task_id] = value
+                elif value < held <= previous:  # held the maximum, went down
+                    del running[parent.task_id]
 
     def priority(self, task_id: str) -> float:
         return self._priorities.get(task_id, 0.0)
@@ -354,11 +380,13 @@ class DHAScheduler(Scheduler):
         if not self.uses_delay_mechanism:
             return True
         context = self._require_context()
-        endpoint = task.assigned_endpoint
-        if endpoint is None:
+        store = context.graph.store
+        column = store.endpoint[task._row]
+        if column < 0:
             return False
         # Dispatch only when the (mocked) endpoint can start the task now.
-        return context.endpoint_monitor.free_capacity(endpoint) >= task.cores
+        free = context.endpoint_monitor.free_capacity(store.endpoint_names[column])
+        return free >= int(store.cores[task._row])
 
     def on_task_dispatched(self, task: Task, endpoint: str) -> None:
         super().on_task_dispatched(task, endpoint)
@@ -396,8 +424,9 @@ class DHAScheduler(Scheduler):
     ) -> Tuple:
         monitor = context.endpoint_monitor
         plan = self._current_plan()
+        endpoint = context.graph.store.endpoint
         return (
-            tuple((t.task_id, t.assigned_endpoint) for t in pending_tasks),
+            tuple((t.task_id, endpoint[t._row]) for t in pending_tasks),
             self._priority_epoch,
             self._claims_version,
             monitor.state_version,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 __all__ = [
@@ -77,37 +77,29 @@ class SimClock(Clock):
         self._now = t
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-    daemon: bool = field(compare=False, default=False)
-    fired: bool = field(compare=False, default=False)
-    label: str = field(compare=False, default="")
-
-
-@dataclass
+@dataclass(eq=False)
 class EventHandle:
-    """Handle returned by :meth:`SimulationKernel.schedule` for cancellation."""
+    """A scheduled ``callback(*args)``, returned by
+    :meth:`SimulationKernel.schedule` for cancellation.
 
-    _event: _ScheduledEvent
+    The kernel's heap holds it as ``(time, seq, handle)``: the unique ``seq``
+    settles ties in C, so handles themselves are never compared.
+    """
+
+    time: float
+    callback: Callable[..., None]
+    args: tuple
     _kernel: "SimulationKernel"
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
+    daemon: bool = False
+    label: str = ""
+    cancelled: bool = False
+    fired: bool = False
 
     def cancel(self) -> None:
-        if not self._event.cancelled and not self._event.fired:
-            self._event.cancelled = True
-            self._kernel._on_event_removed(self._event)
+        if not self.cancelled and not self.fired:
+            self.cancelled = True
+            if not self.daemon:
+                self._kernel._non_daemon_pending -= 1
 
 
 @dataclass
@@ -128,8 +120,9 @@ class PeriodicHandle:
 class SimulationKernel:
     """Minimal but complete discrete-event simulation engine.
 
-    Events are ``(time, callback, args)`` triples kept in a binary heap.
-    Insertion order breaks ties so that the simulation is deterministic.
+    Events are ``(time, seq, handle)`` tuples kept in a binary heap.  The
+    insertion sequence number breaks ties so that the simulation is
+    deterministic.
 
     The kernel is intentionally free of any UniFaaS-specific knowledge: the
     FaaS fabric, data manager and schedulers register callbacks on it, which
@@ -138,14 +131,14 @@ class SimulationKernel:
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self._queue: list[_ScheduledEvent] = []
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._events_processed = 0
         self._non_daemon_pending = 0
 
     # ------------------------------------------------------------------ time
     def now(self) -> float:
-        return self.clock.now()
+        return self.clock._now
 
     @property
     def events_processed(self) -> int:
@@ -159,7 +152,7 @@ class SimulationKernel:
     @property
     def pending_events_total(self) -> int:
         """All pending events, including daemon housekeeping."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     # -------------------------------------------------------------- schedule
     def schedule(
@@ -173,7 +166,8 @@ class SimulationKernel:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        return self.schedule_at(self.now() + delay, callback, *args, daemon=daemon, label=label)
+        when = self.clock._now + delay
+        return self.schedule_at(when, callback, *args, daemon=daemon, label=label)
 
     def schedule_at(
         self,
@@ -184,20 +178,14 @@ class SimulationKernel:
         label: str = "",
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulation time ``when``."""
-        if when < self.now():
-            raise ValueError(f"cannot schedule in the past ({when} < {self.now()})")
-        event = _ScheduledEvent(
-            time=when,
-            seq=next(self._seq),
-            callback=callback,
-            args=args,
-            daemon=daemon,
-            label=label,
-        )
-        heapq.heappush(self._queue, event)
+        now = self.clock._now
+        if when < now:
+            raise ValueError(f"cannot schedule in the past ({when} < {now})")
+        handle = EventHandle(when, callback, args, self, daemon, label)
+        heapq.heappush(self._queue, (when, next(self._seq), handle))
         if not daemon:
             self._non_daemon_pending += 1
-        return EventHandle(event, self)
+        return handle
 
     def schedule_periodic(
         self,
@@ -229,13 +217,14 @@ class SimulationKernel:
     def step(self) -> bool:
         """Process the next non-cancelled event.  Returns ``False`` if idle."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            when, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self.clock._advance_to(event.time)
+            self.clock._advance_to(when)
             self._events_processed += 1
             event.fired = True
-            self._on_event_removed(event)
+            if not event.daemon:
+                self._non_daemon_pending -= 1
             event.callback(*event.args)
             return True
         return False
@@ -287,13 +276,9 @@ class SimulationKernel:
         return self.now()
 
     # ------------------------------------------------------------- internal
-    def _on_event_removed(self, event: _ScheduledEvent) -> None:
-        if not event.daemon:
-            self._non_daemon_pending -= 1
-
     def _peek_time(self) -> Optional[float]:
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][2].cancelled:
             heapq.heappop(self._queue)
         if not self._queue:
             return None
-        return self._queue[0].time
+        return self._queue[0][0]

@@ -54,7 +54,7 @@ class TestTask:
         producer = make_task()
         graph.add_task(producer)
         producer.future.set_result(99)
-        graph.mark_completed(producer.task_id)
+        graph.mark_completed(producer)
 
         consumer = make_task(deps=[producer.task_id])
         consumer.args = (producer.future, 1)
@@ -114,7 +114,7 @@ class TestGraphConstruction:
     def test_dependency_on_completed_task_is_ready(self):
         graph = TaskGraph()
         a = graph.add_task(make_task())
-        graph.mark_completed(a.task_id)
+        graph.mark_completed(a)
         b = graph.add_task(make_task(deps=[a.task_id]))
         assert b.state == TaskState.READY
 
@@ -122,7 +122,7 @@ class TestGraphConstruction:
 class TestCompletion:
     def test_mark_completed_releases_successors(self):
         graph, tasks = chain_graph(3)
-        newly = graph.mark_completed(tasks[0].task_id, now=1.0)
+        newly = graph.mark_completed(tasks[0], now=1.0)
         assert newly == [tasks[1]]
         assert tasks[1].state == TaskState.READY
         assert tasks[2].state == TaskState.PENDING
@@ -132,21 +132,21 @@ class TestCompletion:
         a = graph.add_task(make_task())
         b = graph.add_task(make_task())
         join = graph.add_task(make_task(deps=[a.task_id, b.task_id]))
-        assert graph.mark_completed(a.task_id) == []
+        assert graph.mark_completed(a) == []
         assert join.state == TaskState.PENDING
-        assert graph.mark_completed(b.task_id) == [join]
+        assert graph.mark_completed(b) == [join]
 
     def test_mark_completed_idempotent(self):
         graph, tasks = chain_graph(2)
-        graph.mark_completed(tasks[0].task_id)
-        assert graph.mark_completed(tasks[0].task_id) == []
+        graph.mark_completed(tasks[0])
+        assert graph.mark_completed(tasks[0]) == []
         assert graph.state_count(TaskState.COMPLETED) == 1
 
     def test_is_complete(self):
         graph, tasks = chain_graph(2)
         assert not graph.is_complete()
-        graph.mark_completed(tasks[0].task_id)
-        graph.mark_completed(tasks[1].task_id)
+        graph.mark_completed(tasks[0])
+        graph.mark_completed(tasks[1])
         assert graph.is_complete()
         assert graph.unfinished_count() == 0
 
@@ -155,7 +155,7 @@ class TestCompletion:
 
     def test_failed_task_counts_as_terminal(self):
         graph, tasks = chain_graph(1)
-        graph.set_state(tasks[0].task_id, TaskState.FAILED, now=2.0)
+        graph.set_state(tasks[0], TaskState.FAILED, now=2.0)
         assert graph.is_complete()
         assert tasks[0].timestamps.completed == 2.0
 
@@ -164,12 +164,12 @@ class TestStateTracking:
     def test_set_state_updates_counts_and_timestamps(self):
         graph, tasks = chain_graph(1)
         t = tasks[0]
-        graph.set_state(t.task_id, TaskState.SCHEDULED, now=1.0)
-        graph.set_state(t.task_id, TaskState.STAGING, now=2.0)
-        graph.set_state(t.task_id, TaskState.STAGED, now=5.0)
-        graph.set_state(t.task_id, TaskState.DISPATCHED, now=6.0)
-        graph.set_state(t.task_id, TaskState.RUNNING, now=7.0)
-        graph.set_state(t.task_id, TaskState.COMPLETED, now=10.0)
+        graph.set_state(t, TaskState.SCHEDULED, now=1.0)
+        graph.set_state(t, TaskState.STAGING, now=2.0)
+        graph.set_state(t, TaskState.STAGED, now=5.0)
+        graph.set_state(t, TaskState.DISPATCHED, now=6.0)
+        graph.set_state(t, TaskState.RUNNING, now=7.0)
+        graph.set_state(t, TaskState.COMPLETED, now=10.0)
         ts = t.timestamps
         assert ts.scheduled == 1.0
         assert ts.staging_time == pytest.approx(3.0)
@@ -189,7 +189,7 @@ class TestDependencies:
         b = graph.add_task(make_task())
         graph.add_dependency(a.task_id, b.task_id)
         assert b.state == TaskState.PENDING
-        graph.mark_completed(a.task_id)
+        graph.mark_completed(a)
         assert b.state == TaskState.READY
 
     def test_self_dependency_rejected(self):
@@ -203,10 +203,24 @@ class TestDependencies:
         with pytest.raises(WorkflowError):
             graph.add_dependency(tasks[2].task_id, tasks[0].task_id)
 
+    def test_repeated_late_edge_links_once(self):
+        graph = TaskGraph()
+        a = graph.add_task(make_task())
+        b = graph.add_task(make_task())
+        graph.add_dependency(a.task_id, b.task_id)
+        graph.add_dependency(a.task_id, b.task_id)
+        assert b.dependencies == {a.task_id}
+        assert graph.successors(a.task_id) == [b]
+        assert graph.predecessors(b.task_id) == [a]
+        assert graph.mark_completed(a) == [b]
+        assert graph.mark_completed(a) == []
+        assert b.state == TaskState.READY
+        assert graph.counts() == {"ready": 1, "completed": 1}
+
     def test_dependency_on_completed_upstream_keeps_ready(self):
         graph = TaskGraph()
         a = graph.add_task(make_task())
-        graph.mark_completed(a.task_id)
+        graph.mark_completed(a)
         b = graph.add_task(make_task())
         graph.add_dependency(a.task_id, b.task_id)
         assert b.state == TaskState.READY
@@ -289,7 +303,7 @@ class TestGraphProperties:
         assert sum(graph.state_count(s) for s in TaskState) == n
 
         for task in graph.topological_order():
-            graph.mark_completed(task.task_id)
+            graph.mark_completed(task)
         assert graph.is_complete()
         assert graph.state_count(TaskState.COMPLETED) == n
 
@@ -298,3 +312,98 @@ class TestGraphProperties:
     def test_chain_critical_path_equals_length(self, n):
         graph, _ = chain_graph(n)
         assert graph.critical_path_length() == float(n)
+
+
+# Explicit ids whose arrival order differs from their sort order: plain and
+# workflow-namespaced ("wf1/task-00000007" sorts before "wf2/task-00000001").
+EXPLICIT_IDS = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=999).map(lambda k: f"task-{k:08d}"),
+        st.tuples(st.integers(0, 3), st.integers(0, 99)).map(
+            lambda p: f"wf{p[0]}/task-{p[1]:08d}"
+        ),
+    ),
+    min_size=1,
+    max_size=25,
+    unique=True,
+)
+
+
+def _reference_topological(ids, succ, pred):
+    """Kahn's algorithm over id sets, ``sorted()`` wherever order matters."""
+    in_degree = {i: len(pred[i]) for i in ids}
+    queue = sorted(i for i in ids if in_degree[i] == 0)
+    head = 0
+    while head < len(queue):
+        for s in sorted(succ[queue[head]]):
+            in_degree[s] -= 1
+            if in_degree[s] == 0:
+                queue.append(s)
+        head += 1
+    return queue
+
+
+def _reference_dfs(ids, succ, pred):
+    visited, order = set(), []
+    for root in sorted(i for i in ids if not pred[i]):
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node in visited or any(p not in visited for p in pred[node]):
+                continue
+            visited.add(node)
+            order.append(node)
+            stack.extend(sorted(succ[node], reverse=True))
+    return order + [i for i in _reference_topological(ids, succ, pred) if i not in visited]
+
+
+class TestAdjacencyOrder:
+    """Adjacency lists are kept in task-id order by construction: exactly the
+    order a ``sorted()`` over id sets gives, whatever order ids arrive in."""
+
+    @given(EXPLICIT_IDS, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_adjacency_and_traversals_follow_sorted_ids(self, ids, data):
+        graph = TaskGraph()
+        succ = {i: set() for i in ids}
+        pred = {i: set() for i in ids}
+        tasks = {}
+        for position, task_id in enumerate(ids):
+            earlier = ids[:position]
+            deps = data.draw(st.sets(st.sampled_from(earlier), max_size=3)) if earlier else set()
+            tasks[task_id] = graph.add_task(make_task(deps=deps, task_id=task_id))
+            for dep in deps:
+                succ[dep].add(task_id)
+                pred[task_id].add(dep)
+        # Late edges, always from an earlier to a later arrival (acyclic),
+        # some of them repeats.
+        if len(ids) > 1:
+            late = data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, len(ids) - 2), st.integers(1, len(ids) - 1)),
+                    max_size=8,
+                )
+            )
+            for a, b in late:
+                if a < b:
+                    graph.add_dependency(ids[a], ids[b])
+                    succ[ids[a]].add(ids[b])
+                    pred[ids[b]].add(ids[a])
+
+        for task_id in ids:
+            assert graph.successors(task_id) == [tasks[s] for s in sorted(succ[task_id])]
+            assert graph.predecessors(task_id) == [tasks[p] for p in sorted(pred[task_id])]
+        expected_topo = _reference_topological(ids, succ, pred)
+        assert [t.task_id for t in graph.topological_order()] == expected_topo
+        assert [t.task_id for t in graph.dfs_order()] == _reference_dfs(ids, succ, pred)
+
+        # Completing in topological order releases each successor whose
+        # last predecessor just finished, in task-id order.
+        completed = set()
+        for task_id in expected_topo:
+            completed.add(task_id)
+            released = [
+                s for s in sorted(succ[task_id]) if pred[s] <= completed and s not in completed
+            ]
+            assert graph.mark_completed(tasks[task_id]) == [tasks[s] for s in released]
+        assert graph.is_complete()

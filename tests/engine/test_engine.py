@@ -39,11 +39,11 @@ class TestTaskIndex:
 
         def place(task, endpoint):  # StagingCoordinator.begin_staging
             task.assigned_endpoint = endpoint
-            graph.set_state(task.task_id, TaskState.SCHEDULED, now=0.0)
-            index.mark_undispatched(task.task_id)
+            graph.set_state(task, TaskState.SCHEDULED, now=0.0)
+            index.mark_undispatched(task)
 
         def dispatch(task):  # DispatchCoordinator.dispatch
-            graph.set_state(task.task_id, TaskState.DISPATCHED, now=0.0)
+            graph.set_state(task, TaskState.DISPATCHED, now=0.0)
             index.clear_undispatched(task.task_id)
 
         place(t1, "a")
@@ -56,11 +56,11 @@ class TestTaskIndex:
         place(t1, "b")
         assert index.undispatched_by_endpoint() == {"a": 1, "b": 2}
         assert index.undispatched_epoch == epoch
-        assert index.undispatched_ids() == [t.task_id for t in tasks]
+        assert index.undispatched_tasks() == tasks
         dispatch(t2)
         dispatch(t3)
         assert index.undispatched_by_endpoint() == {"b": 1}
-        assert index.undispatched_ids() == [t1.task_id]
+        assert index.undispatched_tasks() == [t1]
         assert index.undispatched_count == 1
         assert index.undispatched_epoch == epoch + 2
 

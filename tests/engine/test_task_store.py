@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.dag import Task, TaskGraph, TaskState
+from repro.core.exceptions import WorkflowError
 from repro.core.functions import FederatedFunction
 from repro.engine.store import TaskStore
 
@@ -11,21 +12,21 @@ def make_store():
     return TaskStore()
 
 
-def add(store, task_id, state=TaskState.PENDING, cores=1, endpoint=None, priority=0.0):
+def add(store, state=TaskState.PENDING, cores=1, endpoint=None, priority=0.0, timestamps=None):
     return store.add(
-        task_id,
         state=state,
         cores=cores,
         input_mb=0.0,
         priority=priority,
         endpoint=endpoint,
+        timestamps=timestamps,
     )
 
 
 class TestStateAccounting:
     def test_counts_follow_transitions(self):
         store = make_store()
-        row = add(store, "t1")
+        row = add(store)
         assert store.state_count(TaskState.PENDING) == 1
         store.set_state(row, TaskState.READY)
         store.set_state(row, TaskState.COMPLETED)
@@ -36,7 +37,7 @@ class TestStateAccounting:
 
     def test_rows_in_states_is_insertion_ordered(self):
         store = make_store()
-        rows = [add(store, f"t{i}") for i in range(5)]
+        rows = [add(store) for _ in range(5)]
         store.set_state(rows[1], TaskState.READY)
         store.set_state(rows[3], TaskState.READY)
         store.set_state(rows[4], TaskState.FAILED)
@@ -50,22 +51,19 @@ class TestStateAccounting:
     def test_growth_beyond_the_quantum_preserves_rows(self):
         store = make_store()
         n = 3000  # > initial capacity, forces at least one grow
-        for i in range(n):
-            row = add(store, f"t{i}", cores=i % 4 + 1)
-            store.set_timestamp(row, "created", float(i))
+        rows = [add(store, cores=i % 4 + 1, timestamps={"created": float(i)}) for i in range(n)]
         assert len(store) == n
-        assert store.row_of("t2999") == 2999
-        assert store.task_id_of(17) == "t17"
-        assert store.get_timestamp(1500, "created") == 1500.0
+        assert rows == list(range(n))
+        assert store.timestamps["created"][1500] == 1500.0
         assert int(store.cores[2999]) == (2999 % 4) + 1
 
 
 class TestEndpointAggregates:
     def test_staged_demand_tracks_cores(self):
         store = make_store()
-        a = add(store, "a", cores=2, endpoint="ep1")
-        b = add(store, "b", cores=3, endpoint="ep1")
-        add(store, "c", cores=5, endpoint="ep2")
+        a = add(store, cores=2, endpoint="ep1")
+        b = add(store, cores=3, endpoint="ep1")
+        add(store, cores=5, endpoint="ep2")
         assert store.staged_demand() == {}
         store.set_state(a, TaskState.STAGED)
         store.set_state(b, TaskState.STAGED)
@@ -78,8 +76,8 @@ class TestEndpointAggregates:
 
     def test_undispatched_spans_the_scheduled_to_staged_band(self):
         store = make_store()
-        a = add(store, "a", endpoint="ep1", state=TaskState.SCHEDULED)
-        b = add(store, "b", endpoint="ep1")
+        a = add(store, endpoint="ep1", state=TaskState.SCHEDULED)
+        b = add(store, endpoint="ep1")
         assert store.undispatched_by_endpoint() == {"ep1": 1}
         store.set_state(b, TaskState.STAGING)
         assert store.undispatched_by_endpoint() == {"ep1": 2}
@@ -94,25 +92,21 @@ class TestEndpointAggregates:
 
 class TestTimestamps:
     def test_nan_is_none(self):
-        store = make_store()
-        row = add(store, "t")
-        assert store.get_timestamp(row, "ready") is None
-        store.set_timestamp(row, "ready", 4.25)
-        value = store.get_timestamp(row, "ready")
-        assert value == 4.25 and type(value) is float
-        store.set_timestamp(row, "ready", None)
-        assert store.get_timestamp(row, "ready") is None
+        graph = TaskGraph()
+        task = graph.add_task(Task(function=FederatedFunction(lambda: None, name="fn")))
+        stamps = task.timestamps
+        assert stamps.scheduled is None
+        stamps.scheduled = 4.25
+        assert stamps.scheduled == 4.25 and type(stamps.scheduled) is float
+        assert graph.store.timestamps["scheduled"][task._row] == 4.25
+        stamps.scheduled = None
+        assert stamps.scheduled is None
 
     def test_wait_values_need_both_stamps(self):
         store = make_store()
-        a = add(store, "a")
-        b = add(store, "b")
-        c = add(store, "c")
-        store.set_timestamp(a, "ready", 1.0)
-        store.set_timestamp(a, "started", 3.5)
-        store.set_timestamp(b, "ready", 2.0)  # never started
-        store.set_timestamp(c, "ready", 9.0)
-        store.set_timestamp(c, "started", 8.0)  # clock skew clamps to 0
+        add(store, timestamps={"ready": 1.0, "started": 3.5})
+        add(store, timestamps={"ready": 2.0, "started": None})  # never started
+        add(store, timestamps={"ready": 9.0, "started": 8.0})  # clock skew clamps to 0
         assert store.wait_times() == [2.5, 0.0]
 
 
@@ -121,7 +115,7 @@ class TestTaskViews:
         graph = TaskGraph()
         task = Task(function=FederatedFunction(lambda: None, name="fn"))
         graph.add_task(task)
-        row = graph.store.row_of(task.task_id)
+        row = task._row
 
         task.state = TaskState.READY
         assert TaskState(graph.store.counts()["ready"] and task.state) == TaskState.READY
@@ -132,11 +126,14 @@ class TestTaskViews:
         assert graph.store.staged_demand() == {"ep9": task.cores}
 
         task.timestamps.ready = 5.0
-        assert graph.store.get_timestamp(row, "ready") == 5.0
+        assert graph.store.timestamps["ready"][row] == 5.0
         assert task.timestamps.ready == 5.0
 
         task.priority = 7.5
         assert graph.store.priority[row] == 7.5
+        assert task.priority == 7.5 and task.assigned_endpoint == "ep9"
+        # The store row is the one copy: the task keeps none of its own.
+        assert task._local is None and task.timestamps._local is None
 
     def test_graph_queries_delegate_to_the_store(self):
         graph = TaskGraph()
@@ -167,7 +164,8 @@ class TestInternment:
         assert store.intern_endpoint("a") == 0
 
     def test_duplicate_add_rejected_by_row_map(self):
-        store = make_store()
-        add(store, "t")
-        with pytest.raises(KeyError):
-            store.row_of("missing")
+        graph = TaskGraph()
+        task = graph.add_task(Task(function=FederatedFunction(lambda: None, name="fn")))
+        with pytest.raises(WorkflowError):
+            graph.add_task(task)
+        assert len(graph.store) == 1

@@ -1,6 +1,8 @@
 """Tests for the DHA scheduler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dag import TaskState
 from repro.faas.types import TaskExecutionRecord
@@ -37,6 +39,58 @@ def observe(bundle, fn_name, endpoint, duration, hw):
             ram_gb=hw[2],
         )
     )
+
+
+def reference_slice(graph, priorities, new_tasks):
+    """DHA's recompute slice as first written: every affected task's
+    successors scanned, out-degrees counted over successor lists, ids
+    sorted wherever order matters."""
+    affected = {t.task_id for t in new_tasks if t.task_id in graph}
+    stack = list(affected)
+    while stack:
+        task_id = stack.pop()
+        for successor in graph.successors(task_id):
+            if successor.task_id not in affected and successor.task_id not in priorities:
+                affected.add(successor.task_id)
+                stack.append(successor.task_id)
+        for dep in graph.get(task_id).dependencies:
+            if dep not in affected:
+                affected.add(dep)
+                stack.append(dep)
+    out_degree = {
+        task_id: sum(1 for s in graph.successors(task_id) if s.task_id in affected)
+        for task_id in affected
+    }
+    queue = sorted(task_id for task_id, degree in out_degree.items() if degree == 0)
+    head = 0
+    while head < len(queue):
+        task_id = queue[head]
+        head += 1
+        for dep in sorted(graph.get(task_id).dependencies):
+            if dep in affected:
+                out_degree[dep] -= 1
+                if out_degree[dep] == 0:
+                    queue.append(dep)
+    return queue
+
+
+class TestRecomputeSlice:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_slice_is_the_full_scan_slice(self, data):
+        # Whether or not some task outside the seeds still lacks a priority
+        # (then a prioritised ancestor's successors must be scanned too).
+        bundle, scheduler = build({"a": EndpointSpec()})
+        graph = bundle.graph
+        tasks = []
+        for _ in range(data.draw(st.integers(1, 30))):
+            deps = data.draw(st.sets(st.sampled_from(tasks), max_size=3)) if tasks else set()
+            tasks.append(add_task(graph, deps=sorted(deps, key=lambda t: t.task_id)))
+        prioritised = data.draw(st.sets(st.sampled_from(tasks)))
+        scheduler._priorities = {t.task_id: 1.0 for t in prioritised}
+        seeds = data.draw(st.lists(st.sampled_from(tasks), min_size=1, max_size=5))
+        got = scheduler._affected_reverse_topological(graph, seeds)
+        assert [t.task_id for t in got] == reference_slice(graph, scheduler._priorities, seeds)
 
 
 class TestPriorities:
@@ -254,7 +308,7 @@ class TestRescheduling:
         scheduler.on_workflow_submitted([task])
         placement = scheduler.schedule([task])[0]
         task.assigned_endpoint = placement.endpoint
-        bundle.graph.set_state(task.task_id, TaskState.STAGED)
+        bundle.graph.set_state(task, TaskState.STAGED)
         return task
 
     def test_steals_tasks_to_idle_endpoint(self):
@@ -266,7 +320,7 @@ class TestRescheduling:
         scheduler.on_workflow_submitted([task])
         task.assigned_endpoint = "busy"
         scheduler.claim("busy", 1)
-        bundle.graph.set_state(task.task_id, TaskState.STAGED)
+        bundle.graph.set_state(task, TaskState.STAGED)
 
         moves = scheduler.reschedule([task])
         assert len(moves) == 1
@@ -332,6 +386,6 @@ class TestRescheduling:
         scheduler.on_workflow_submitted([task])
         task.assigned_endpoint = "busy"
         scheduler.claim("busy", 1)
-        bundle.graph.set_state(task.task_id, TaskState.STAGED)
+        bundle.graph.set_state(task, TaskState.STAGED)
         moves = scheduler.reschedule([task])
         assert moves and moves[0].endpoint == "near"

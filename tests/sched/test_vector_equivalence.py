@@ -128,7 +128,7 @@ def test_dha_matches_the_reference(seed, mocking):
     for placement in placed_reference:
         task = bundle.graph.get(placement.task_id)
         task.assigned_endpoint = placement.endpoint
-        bundle.graph.set_state(task.task_id, TaskState.STAGED)
+        bundle.graph.set_state(task, TaskState.STAGED)
     if mocking:
         for name in names[: rng.randint(1, len(names))]:
             for _ in range(rng.randint(0, 4)):
@@ -149,6 +149,39 @@ def test_dha_matches_the_reference(seed, mocking):
     # (with mocking on, by skipping the pass).
     if not moves_reference:
         assert reference.reschedule(ready) == product.reschedule(ready) == []
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dha_growth_windows_match_the_reference(seed):
+    """Priorities stay the reference's across growth windows whose
+    predictions move in between — a re-ranked successor that held its
+    parent's maximum can go down — including a ready task scheduled before
+    its window is announced (the missing-priority path)."""
+    rng = random.Random(3000 + seed)
+    bundle, names = random_bundle(rng)
+    tasks = random_dag(bundle, names, rng)
+    reference = ReferenceDHAScheduler()
+    product = DHAScheduler()
+    reference.initialize(bundle.context)
+    product.initialize(bundle.context)
+    reference.on_workflow_submitted(tasks)
+    product.on_workflow_submitted(tasks)
+    for window in range(4):
+        for _ in range(rng.randint(1, 4)):
+            name = rng.choice(names)
+            spec = bundle.statuses[name]
+            hardware = (float(spec.cores), spec.freq, spec.ram)
+            observe(bundle, "generic_work", name, rng.uniform(0.5, 150.0), hardware)
+        bundle.execution_profiler.update_models(force=True)
+        grown = random_dag(bundle, names, rng, tasks)[len(tasks):]
+        tasks += grown
+        if window % 2:
+            early = [t for t in grown if t.state == TaskState.READY][:2]
+            assert product.schedule(early) == reference.schedule(early)
+        product.on_tasks_added(grown)
+        reference.on_tasks_added(grown)
+        for task in tasks:
+            assert product.priority(task.task_id) == reference.priority(task.task_id)
 
 
 @pytest.mark.parametrize("mocking", [True, False], ids=["mocking-on", "mocking-off"])

@@ -132,6 +132,70 @@ class TestSchedule:
         assert kernel.events_processed == 1
 
 
+class TestHeapEntries:
+    """The heap holds ``(time, seq, event)`` tuples; ``seq`` decides ties."""
+
+    def test_cancelled_head_then_same_time_schedule_keeps_fifo(self):
+        kernel = SimulationKernel()
+        order = []
+        head = kernel.schedule(1.0, order.append, "a")
+        kernel.schedule(1.0, order.append, "b")
+        kernel.schedule(1.0, order.append, "c")
+        head.cancel()
+        kernel.schedule_at(1.0, order.append, "d")
+        kernel.run()
+        assert order == ["b", "c", "d"]
+
+    def test_equal_times_never_compare_events(self):
+        # Scheduling at one instant from inside a callback at that instant
+        # pushes entries whose time ties with the head's.
+        kernel = SimulationKernel()
+        order = []
+
+        def spawn():
+            order.append("spawn")
+            for name in ("x", "y"):
+                kernel.schedule(0.0, order.append, name)
+
+        kernel.schedule(1.0, spawn)
+        kernel.schedule(1.0, order.append, "sibling")
+        kernel.run()
+        assert order == ["spawn", "sibling", "x", "y"]
+
+    def test_total_and_peek_skip_cancelled_entries(self):
+        kernel = SimulationKernel()
+        first = kernel.schedule(1.0, lambda: None)
+        kernel.schedule(2.0, lambda: None, daemon=True)
+        assert kernel.pending_events_total == 2
+        assert kernel._peek_time() == 1.0
+        first.cancel()
+        assert kernel.pending_events_total == 1
+        assert kernel._peek_time() == 2.0
+
+    def test_peek_time_of_empty_and_fully_cancelled_queue(self):
+        kernel = SimulationKernel()
+        assert kernel._peek_time() is None
+        kernel.schedule(1.0, lambda: None).cancel()
+        assert kernel._peek_time() is None
+        assert kernel.pending_events_total == 0
+
+    def test_handle_time_and_cancelled(self):
+        kernel = SimulationKernel()
+        kernel.run(until=2.0)
+        fired = kernel.schedule(0.5, lambda: None)
+        dropped = kernel.schedule_at(4.0, lambda: None)
+        assert (fired.time, dropped.time) == (2.5, 4.0)
+        assert not fired.cancelled and not dropped.cancelled
+        dropped.cancel()
+        dropped.cancel()  # idempotent
+        assert dropped.cancelled
+        kernel.run()
+        fired.cancel()  # already fired: a no-op
+        assert not fired.cancelled
+        assert kernel.now() == 2.5
+        assert kernel.pending_events == 0
+
+
 class TestDaemonEvents:
     def test_run_stops_when_only_daemon_events_remain(self):
         kernel = SimulationKernel()
