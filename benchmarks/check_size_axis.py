@@ -5,27 +5,31 @@ size per workload, so a per-task cost that grows with the number of tasks —
 a scan over everything seen so far, repeated per growth window — passes its
 ceiling unseen.  This gate counts the same quantity (``benchmarks/e2e``'s
 worker rule: every Python-level call under ``sys.setprofile``, after one
-warm-up run) at two sizes of one workload and fails when the larger size
-costs more than ``--limit`` times the smaller per task.
+warm-up run) on ``WORKLOAD`` at the two task counts of ``SIZES`` and fails
+when the larger size costs more than ``LIMIT`` times the smaller per task.
 
 Like ``check_e2e_calls.py`` it judges a count, not a timing, so it is exact
-under one Python version on any host.
+under one Python version on any host.  The workload, sizes, limit and seed
+are constants: loosening the gate is a code change, like lowering a ceiling.
 
 Usage::
 
-    python3 benchmarks/check_size_axis.py                # fanout-array, 6 000 vs 24 000 tasks
-    python3 benchmarks/check_size_axis.py --sizes 6000 96000 --limit 1.02
+    python3 benchmarks/check_size_axis.py
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+
+WORKLOAD = "fanout-array"
+SIZES = (6000, 24000)
+LIMIT = 1.01
+SEED = 1
 
 
 def calls_per_task(run_scenario, spec, seed: int) -> float:
@@ -42,33 +46,24 @@ def calls_per_task(run_scenario, spec, seed: int) -> float:
     return rep["py_calls"] / outcome["total_tasks"]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", default="fanout-array")
-    parser.add_argument("--sizes", type=int, nargs=2, default=(6000, 24000),
-                        metavar=("SMALL", "LARGE"), help="task counts to compare")
-    parser.add_argument("--limit", type=float, default=1.01,
-                        help="largest allowed ratio of LARGE's to SMALL's calls per task")
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-
+def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(HERE / "e2e"))
     from repro.scenarios.spec import run_scenario
     from workloads import build_spec
 
-    base = build_spec(args.workload)
+    base = build_spec(WORKLOAD)
     counts = []
-    for size in args.sizes:
+    for size in SIZES:
         spec = dataclasses.replace(
             base, workload=dataclasses.replace(base.workload, task_count=size)
         )
-        counts.append(calls_per_task(run_scenario, spec, args.seed))
-        print(f"{args.workload} at {size} tasks: {counts[-1]:.2f} calls/task")
+        counts.append(calls_per_task(run_scenario, spec, SEED))
+        print(f"{WORKLOAD} at {size} tasks: {counts[-1]:.2f} calls/task")
     ratio = counts[1] / counts[0]
-    ok = ratio <= args.limit
-    print(f"{'OK' if ok else 'EXCEEDED':<9} {args.workload}: {args.sizes[1]} / {args.sizes[0]} "
-          f"tasks cost {ratio:.4f}x the calls per task (limit {args.limit:.2f}x)")
+    ok = ratio <= LIMIT
+    print(f"{'OK' if ok else 'EXCEEDED':<9} {WORKLOAD}: {SIZES[1]} / {SIZES[0]} "
+          f"tasks cost {ratio:.4f}x the calls per task (limit {LIMIT:.2f}x)")
     return 0 if ok else 1
 
 

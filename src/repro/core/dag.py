@@ -20,8 +20,9 @@ from repro.core.exceptions import WorkflowError
 from repro.core.functions import FederatedFunction, SimProfile
 from repro.core.futures import UniFuture
 
-__all__ = ["STATE_CODES", "TIMESTAMP_FIELDS", "Task", "TaskGraph", "TaskState",
-           "TaskTimestamps", "state_codes"]
+__all__ = ["COMPLETED_CODE", "PENDING_CODE", "READY_CODE", "STAGED_CODE", "STATES",
+           "STATE_CODES", "TIMESTAMP_FIELDS", "Task", "TaskGraph", "TaskState",
+           "TaskTimestamps", "state_codes", "task_id_of"]
 
 
 class TaskState(str, Enum):
@@ -51,9 +52,13 @@ TERMINAL_STATES = frozenset({TaskState.COMPLETED, TaskState.FAILED, TaskState.CA
 
 #: Int code per state (declaration order): the TaskStore's state column.
 STATE_CODES: Dict[TaskState, int] = {state: code for code, state in enumerate(TaskState)}
-_STATES: Tuple[TaskState, ...] = tuple(TaskState)
-_PENDING = STATE_CODES[TaskState.PENDING]
-_COMPLETED = STATE_CODES[TaskState.COMPLETED]
+#: The state of each code: ``STATES[STATE_CODES[state]] is state``.
+STATES: Tuple[TaskState, ...] = tuple(TaskState)
+#: The codes column reads on the hot path compare against one at a time.
+PENDING_CODE = STATE_CODES[TaskState.PENDING]
+READY_CODE = STATE_CODES[TaskState.READY]
+STAGED_CODE = STATE_CODES[TaskState.STAGED]
+COMPLETED_CODE = STATE_CODES[TaskState.COMPLETED]
 
 
 def state_codes(*states: TaskState) -> FrozenSet[int]:
@@ -172,8 +177,8 @@ _STAMP_OF_STATE: Dict[TaskState, str] = {
     TaskState.CANCELLED: "completed",
 }
 
-#: Adjacency lists stay in task-id order by bisect-insertion on this key.
-_task_id = attrgetter("task_id")
+#: The key of every task-id order (adjacency lists bisect-insert on it).
+task_id_of = attrgetter("task_id")
 
 
 _task_counter = itertools.count()
@@ -217,8 +222,9 @@ class Task:
         self.args = args
         self.kwargs: Dict[str, Any] = {} if kwargs is None else kwargs
         self.task_id = _next_task_id() if task_id is None else task_id
-        #: Task ids this task depends on (edges into this node).
-        self.dependencies: Set[str] = set() if dependencies is None else dependencies
+        #: Ids of the producers while detached: the graph builds
+        #: :attr:`predecessors` from them, then drops them.
+        self._dependencies: Optional[Set[str]] = set() if dependencies is None else dependencies
         self.predecessors: List[Task] = []
         self.successors: List[Task] = []
         self.future = future if future is not None else UniFuture(task_id=self.task_id)
@@ -229,6 +235,8 @@ class Task:
         self.attempts = attempts
         self.timestamps = timestamps if timestamps is not None else TaskTimestamps()
         #: Files this task reads (RemoteFile objects), discovered from arguments.
+        #: In a graph, a change must also write :attr:`input_size_mb` to the
+        #: store's ``input_mb`` column (as ``ExecutionEngine._prepare_ready`` does).
         self.input_files: List[Any] = [] if input_files is None else input_files
         #: Files this task produced (filled when the task completes).
         self.output_files: List[Any] = [] if output_files is None else output_files
@@ -252,11 +260,20 @@ class Task:
         """Read and write ``store``'s ``row`` (already holding the fields)."""
         for view in (self, self.timestamps):
             view._store, view._row, view._local = store, row, None
+        self._dependencies = None
+
+    @property
+    def dependencies(self) -> Set[str]:
+        """Ids of the tasks this one depends on (once in a graph, a new set
+        built from :attr:`predecessors`, the only copy of the edges)."""
+        if self._store is None:
+            return self._dependencies
+        return set(map(task_id_of, self.predecessors))
 
     @property
     def state(self) -> TaskState:
         store = self._store
-        return self._local["state"] if store is None else _STATES[store.state[self._row]]
+        return self._local["state"] if store is None else STATES[store.state[self._row]]
 
     @state.setter
     def state(self, value: TaskState) -> None:
@@ -422,15 +439,15 @@ class TaskGraph:
         tasks = self._tasks
         if task_id in tasks or task._store is not None:
             raise WorkflowError(f"duplicate task id {task_id!r}")
-        unknown = task.dependencies.difference(tasks)
+        unknown = task._dependencies.difference(tasks)
         if unknown:
             raise WorkflowError(f"task {task_id} depends on unknown task {min(unknown)!r}")
-        task.predecessors = list(map(tasks.__getitem__, sorted(task.dependencies)))
+        task.predecessors = list(map(tasks.__getitem__, sorted(task._dependencies)))
         store = self.store
         unresolved = 0
         for dep in task.predecessors:
-            insort(dep.successors, task, key=_task_id)
-            if store.state[dep._row] != _COMPLETED:
+            insort(dep.successors, task, key=task_id_of)
+            if store.state[dep._row] != COMPLETED_CODE:
                 unresolved += 1
         self._unfinished_dependency_count[task_id] = unresolved
 
@@ -458,15 +475,14 @@ class TaskGraph:
             raise WorkflowError(
                 f"cannot add dependency to task {downstream_id} in state {downstream.state.value}"
             )
-        if upstream_id in downstream.dependencies:
+        if upstream in downstream.predecessors:
             return
         if self._would_create_cycle(upstream, downstream):
             raise WorkflowError(
                 f"dependency {upstream_id} -> {downstream_id} would create a cycle"
             )
-        downstream.dependencies.add(upstream_id)
-        insort(downstream.predecessors, upstream, key=_task_id)
-        insort(upstream.successors, downstream, key=_task_id)
+        insort(downstream.predecessors, upstream, key=task_id_of)
+        insort(upstream.successors, downstream, key=task_id_of)
         if upstream.state != TaskState.COMPLETED:
             self._unfinished_dependency_count[downstream_id] += 1
             if downstream.state == TaskState.READY:
@@ -487,7 +503,7 @@ class TaskGraph:
         """Complete ``task`` and return the successors that just became
         ready, in task-id order."""
         state = self.store.state
-        if task._store is self.store and state[task._row] == _COMPLETED:
+        if task._store is self.store and state[task._row] == COMPLETED_CODE:
             return []
         self.set_state(task, TaskState.COMPLETED, now)
         remaining = self._unfinished_dependency_count
@@ -495,7 +511,7 @@ class TaskGraph:
         for succ in task.successors:
             count = remaining[succ.task_id] - 1
             remaining[succ.task_id] = count
-            if count == 0 and state[succ._row] == _PENDING:
+            if count == 0 and state[succ._row] == PENDING_CODE:
                 self.set_state(succ, TaskState.READY, now)
                 newly_ready.append(succ)
         return newly_ready
@@ -513,7 +529,7 @@ class TaskGraph:
         """Tasks in an order where producers precede consumers (Kahn's
         algorithm, roots and each task's successors in task-id order)."""
         in_degree = {tid: len(t.predecessors) for tid, t in self._tasks.items()}
-        queue = sorted(self.roots(), key=_task_id)
+        queue = sorted(self.roots(), key=task_id_of)
         idx = 0
         while idx < len(queue):
             task = queue[idx]
@@ -534,7 +550,7 @@ class TaskGraph:
         """
         visited: Set[str] = set()
         order: List[Task] = []
-        roots = sorted(self.roots(), key=key or _task_id)
+        roots = sorted(self.roots(), key=key or task_id_of)
 
         for root in roots:
             stack = [root]
@@ -542,7 +558,7 @@ class TaskGraph:
                 task = stack.pop()
                 if task.task_id in visited:
                     continue
-                if any(dep not in visited for dep in task.dependencies):
+                if any(dep.task_id not in visited for dep in task.predecessors):
                     # Defer until all predecessors have been emitted so the
                     # order stays a valid topological order.
                     continue
@@ -562,7 +578,7 @@ class TaskGraph:
         weight = weight or (lambda task: 1.0)
         longest: Dict[str, float] = {}
         for task in self.topological_order():
-            best_pred = max((longest[d] for d in task.dependencies), default=0.0)
+            best_pred = max((longest[d.task_id] for d in task.predecessors), default=0.0)
             longest[task.task_id] = best_pred + weight(task)
         return max(longest.values(), default=0.0)
 

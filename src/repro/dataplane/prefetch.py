@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.core.dag import STATE_CODES, TERMINAL_STATES, Task, TaskGraph, TaskState, state_codes
+from repro.core.dag import (COMPLETED_CODE, PENDING_CODE, TERMINAL_STATES, Task, TaskGraph,
+                            TaskState, state_codes)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataplane.plane import DataPlane
@@ -44,8 +45,6 @@ __all__ = ["Prefetcher"]
 #: Predecessor states that make a successor "ready-soon": nothing left ahead
 #: of it but execution (and the successor itself is still pending).
 _IN_FLIGHT = state_codes(TaskState.DISPATCHED, TaskState.RUNNING, TaskState.COMPLETED)
-_PENDING = STATE_CODES[TaskState.PENDING]
-_COMPLETED = STATE_CODES[TaskState.COMPLETED]
 
 
 class Prefetcher:
@@ -149,7 +148,7 @@ class Prefetcher:
     # ------------------------------------------------------------------ logic
     def consider(self, task: Task) -> int:
         """Prefetch ``task``'s currently available inputs; returns count issued."""
-        if self._graph.store.state[task._row] != _PENDING:
+        if self._graph.store.state[task._row] != PENDING_CODE:
             return 0  # ready or beyond: demand staging owns it now
         if not self._ready_soon(task):
             return 0
@@ -184,7 +183,7 @@ class Prefetcher:
                 seen.add(file.file_id)
                 files.append(file)
         for parent in task.predecessors:
-            if self._graph.store.state[parent._row] != _COMPLETED:
+            if self._graph.store.state[parent._row] != COMPLETED_CODE:
                 continue
             for file in parent.output_files:
                 if file.size_mb > 0 and file.locations and file.file_id not in seen:

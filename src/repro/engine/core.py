@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
-from repro.core.dag import STATE_CODES, Task, TaskGraph, TaskState
+from repro.core.dag import READY_CODE, Task, TaskGraph
 from repro.core.functions import FederatedFunction
 from repro.core.futures import UniFuture
 from repro.data.remote_file import GlobusFile, RemoteFile, RsyncFile
@@ -76,8 +76,6 @@ ENDPOINT_HINT_KWARG = "unifaas_endpoint"
 #: Reserved keyword argument that overrides the §IV-G retry budget for one
 #: task (the authoring API's ``@job(retries=...)``).
 MAX_RETRIES_KWARG = "unifaas_max_retries"
-
-_READY = STATE_CODES[TaskState.READY]
 
 
 class ExecutionEngine:
@@ -257,7 +255,7 @@ class ExecutionEngine:
                 for file in parent.output_files:
                     self.data_manager.store.reclaim(file)
 
-        ready = self.graph.store.state[task._row] == _READY
+        ready = self.graph.store.state[task._row] == READY_CODE
         if ready:
             self.bus.publish(TaskReady.for_task(task, time=now))
         if self._running:

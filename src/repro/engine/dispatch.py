@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional
 
-from repro.core.dag import STATE_CODES, Task, TaskState
+from repro.core.dag import STAGED_CODE, Task, TaskState
 from repro.core.exceptions import UniFaaSError
 from repro.engine.events import StagingDone, TasksDispatched
 
@@ -23,8 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.core import ExecutionEngine
 
 __all__ = ["DispatchCoordinator"]
-
-_STAGED = STATE_CODES[TaskState.STAGED]
 
 
 class DispatchCoordinator:
@@ -66,7 +64,7 @@ class DispatchCoordinator:
                 task = queue[0]
                 row = task._row
                 # Moved elsewhere or already handled (STAGED implies placed).
-                if store.state[row] != _STAGED or names[store.endpoint[row]] != endpoint:
+                if store.state[row] != STAGED_CODE or names[store.endpoint[row]] != endpoint:
                     queue.popleft()
                     continue
                 cores = int(store.cores[row])

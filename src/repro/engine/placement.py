@@ -15,15 +15,13 @@ from __future__ import annotations
 import time as _time
 from typing import TYPE_CHECKING
 
-from repro.core.dag import STATE_CODES, Task, TaskState
+from repro.core.dag import READY_CODE, Task
 from repro.engine.events import TaskPlaced
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.core import ExecutionEngine
 
 __all__ = ["PlacementCoordinator"]
-
-_READY = STATE_CODES[TaskState.READY]
 
 
 class PlacementCoordinator:
@@ -42,7 +40,7 @@ class PlacementCoordinator:
         if not index.queued_count:
             return False
         store = engine.graph.store
-        candidates = [t for t in index.queued_tasks() if store.state[t._row] == _READY]
+        candidates = [t for t in index.queued_tasks() if store.state[t._row] == READY_CODE]
         if not candidates:
             return False
 

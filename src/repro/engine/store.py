@@ -28,14 +28,12 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.core.dag import STATE_CODES, TERMINAL_STATES, TIMESTAMP_FIELDS, TaskState, state_codes
+from repro.core.dag import (PENDING_CODE, STAGED_CODE, STATE_CODES, STATES, TERMINAL_STATES,
+                            TIMESTAMP_FIELDS, TaskState, state_codes)
 
 __all__ = ["TaskStore"]
 
-_STATES: List[TaskState] = list(TaskState)
-
 _PENDING_DISPATCH = state_codes(TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
-_STAGED = STATE_CODES[TaskState.STAGED]
 _TERMINAL_CODES = state_codes(*TERMINAL_STATES)
 
 _GROW = 1024
@@ -56,7 +54,7 @@ class TaskStore:
     def __init__(self) -> None:
         self._capacity = _GROW
         self._size = 0
-        self.state = np.full(self._capacity, STATE_CODES[TaskState.PENDING], dtype=np.int8)
+        self.state = np.full(self._capacity, PENDING_CODE, dtype=np.int8)
         self.cores = np.ones(self._capacity, dtype=np.int32)
         self.input_mb = np.zeros(self._capacity, dtype=np.float64)
         self.priority = np.zeros(self._capacity, dtype=np.float64)
@@ -86,7 +84,7 @@ class TaskStore:
         self.undispatched_count = 0
         #: Tasks in a terminal state.
         self.terminal = 0
-        self._state_counts = [0] * len(_STATES)
+        self._state_counts = [0] * len(STATES)
 
     # --------------------------------------------------------------- basics
     def __len__(self) -> int:
@@ -170,7 +168,7 @@ class TaskStore:
             if old_code in _PENDING_DISPATCH:
                 _add(self._pending_dispatch, name, -1)
                 self.undispatched_count -= 1
-            if old_code == _STAGED:
+            if old_code == STAGED_CODE:
                 _add(self.staged_cores, name, -int(self.cores[row]))
                 self.staged_version += 1
         if new_ep >= 0:
@@ -178,7 +176,7 @@ class TaskStore:
             if new_code in _PENDING_DISPATCH:
                 _add(self._pending_dispatch, name, 1)
                 self.undispatched_count += 1
-            if new_code == _STAGED:
+            if new_code == STAGED_CODE:
                 _add(self.staged_cores, name, int(self.cores[row]))
                 self.staged_version += 1
 
@@ -189,7 +187,7 @@ class TaskStore:
     def counts(self) -> Dict[str, int]:
         """Non-zero task counts per state value, in state declaration order."""
         return {
-            _STATES[code].value: count
+            STATES[code].value: count
             for code, count in enumerate(self._state_counts)
             if count
         }

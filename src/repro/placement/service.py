@@ -26,12 +26,11 @@ service:
 from __future__ import annotations
 
 import copy
-from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.dag import TaskState
+from repro.core.dag import TaskState, task_id_of
 from repro.placement.plan import PlacementPlan
 from repro.placement.solver import HotFile, PlacementProblem, solve_placement
 from repro.sim.rng import derive_stream
@@ -60,8 +59,6 @@ _PENDING_STATES = (
     TaskState.STAGING,
     TaskState.STAGED,
 )
-
-_task_id = attrgetter("task_id")
 
 
 class PlacementService:
@@ -219,7 +216,7 @@ class PlacementService:
 
         for engine in engines:
             ctx = engine.context
-            pending = sorted(engine.graph.in_state(*_PENDING_STATES), key=_task_id)
+            pending = sorted(engine.graph.in_state(*_PENDING_STATES), key=task_id_of)
             demand += len(pending)
             if not pending:
                 continue

@@ -119,7 +119,7 @@ class SchedulingContext:
         cached = self._input_cache.get(task.task_id)
         if cached is not None and cached[1] == generation:
             return cached[0]
-        store = task._store  # its input-size column is kept current by the engine
+        store = task._store  # its input_mb column is rewritten with any input_files change
         if task.input_files:
             total = task.input_size_mb if store is None else float(store.input_mb[task._row])
         else:

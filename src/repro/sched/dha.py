@@ -39,18 +39,15 @@ every decision made here to it, bit for bit.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dag import Task, TaskGraph
+from repro.core.dag import Task, TaskGraph, task_id_of
 from repro.data import remote_file as _remote_file
 from repro.sched.base import Placement, Scheduler, SchedulingContext
 
 __all__ = ["DHAScheduler"]
-
-_task_id = attrgetter("task_id")
 
 
 class DHAScheduler(Scheduler):
@@ -155,7 +152,7 @@ class DHAScheduler(Scheduler):
                     out_degree[parent.task_id] += 1
         order = sorted(
             (affected[task_id] for task_id, degree in out_degree.items() if not degree),
-            key=_task_id,
+            key=task_id_of,
         )
         for task in order:
             for parent in task.predecessors:
@@ -188,7 +185,7 @@ class DHAScheduler(Scheduler):
             best = running.get(task_id)
             if best is None:
                 best = max(
-                    map(priorities.get, map(_task_id, task.successors), repeat(0.0)),
+                    map(priorities.get, map(task_id_of, task.successors), repeat(0.0)),
                     default=0.0,
                 )
                 if task.successors:

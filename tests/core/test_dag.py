@@ -217,6 +217,19 @@ class TestDependencies:
         assert b.state == TaskState.READY
         assert graph.counts() == {"ready": 1, "completed": 1}
 
+    def test_edges_are_kept_once_as_predecessor_lists(self):
+        # The authoring id set is dropped at insertion; a late edge reaches
+        # every reader of the in-edges through the predecessor list alone.
+        graph = TaskGraph()
+        a = graph.add_task(make_task())
+        b = graph.add_task(make_task(deps=[a.task_id]))
+        c = graph.add_task(make_task())
+        assert b._dependencies is None and c._dependencies is None
+        graph.add_dependency(b.task_id, c.task_id)
+        assert c.dependencies == {b.task_id}
+        assert graph.critical_path_length() == 3.0
+        assert graph.dfs_order() == [a, b, c]
+
     def test_dependency_on_completed_upstream_keeps_ready(self):
         graph = TaskGraph()
         a = graph.add_task(make_task())

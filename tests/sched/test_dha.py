@@ -109,10 +109,10 @@ class TestPriorities:
         bundle, scheduler = build({"a": EndpointSpec(), "b": EndpointSpec()})
         root = add_task(bundle.graph)
         light = add_task(bundle.graph, deps=[root])
-        heavy = add_task(bundle.graph, deps=[root])
         # Heavy's input sits on "a" only, so its average staging time over the
         # two endpoints is non-zero while light's stays zero.
-        heavy.input_files = [input_file(500.0, "a")]
+        heavy = add_task(bundle.graph, deps=[root], input_files=[input_file(500.0, "a")])
+        assert bundle.graph.store.input_mb[heavy._row] == 500.0
         scheduler.on_workflow_submitted([root, light, heavy])
         assert scheduler.priority(root.task_id) >= scheduler.priority(heavy.task_id)
         assert scheduler.priority(heavy.task_id) > scheduler.priority(light.task_id)

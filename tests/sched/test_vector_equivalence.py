@@ -425,8 +425,10 @@ def test_a_moved_file_refills_only_the_rows_that_read_it():
 
     # Swapping a task's inputs for other files is seen without any eager
     # invalidation: the stamps identify the files, not just their versions.
+    # The swap goes the way the engine's does: files and size column together.
     filled = index.cells_filled
     reads_a.input_files = [file_b]
+    bundle.graph.store.input_mb[reads_a._row] = reads_a.input_size_mb
     staging_matches_scalar()
     assert index.cells_filled == filled + width
 
