@@ -22,7 +22,7 @@ from repro.experiments.case_studies import (
 #: Fraction of the paper's workload/deployment sizes used by default.
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
 #: The dynamic study needs a slightly larger scale for the re-scheduling pool
-#: to be non-trivial (see EXPERIMENTS.md).
+#: to be non-trivial (README.md, "Tests and benchmarks", lists the scales).
 DYNAMIC_BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE_DYNAMIC", "0.08"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 

@@ -1,6 +1,7 @@
 """Ablation — DHA's delay mechanism.
 
-Not a paper table, but a design choice DESIGN.md calls out: DHA selects an
+Not a paper table, but a design choice of §IV-D (the ``should_dispatch()``
+gate of README.md's "Architecture" diagram): DHA selects an
 endpoint early (so staging can start immediately) yet delays the dispatch
 until the endpoint has idle workers, keeping staged tasks in the client
 queue where the re-scheduling mechanism can still move them.  Disabling the

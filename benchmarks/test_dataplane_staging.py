@@ -12,8 +12,9 @@ of iterative scientific apps):
   endpoint (a per-wave permutation, so every wave puts exactly one transfer
   on each link) and emit a 10 MB result.
 
-With the FIFO data manager a consumer's input only starts moving once the
-gate completes, so every wave pays gate + staging + execute in sequence.
+Under the published (FIFO) staging policy a consumer's input only starts
+moving once the gate completes, so every wave pays gate + staging + execute
+in sequence.
 The data plane's prefetcher starts the same transfers when the gate is
 *dispatched*, hiding staging inside the gate's execution — the
 compute/transfer overlap the paper motivates — and must cut the end-to-end

@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.core.config import Config, ExecutorSpec
 from repro.core.dag import Task, TaskGraph
-from repro.data.manager import DataManager
 from repro.data.transfer import SimulatedTransferBackend
+from repro.dataplane.plane import DataPlane
 from repro.faas.types import EndpointStatus, TaskExecutionRecord
 from repro.monitor.endpoint_monitor import EndpointMonitor
 from repro.profiling.execution import ExecutionProfiler
@@ -91,7 +91,9 @@ def build_context(endpoints, profiler):
         endpoint_monitor=monitor,
         execution_profiler=profiler,
         transfer_profiler=TransferProfiler(),
-        data_manager=DataManager(SimulatedTransferBackend(kernel, network), kernel.clock),
+        data_manager=DataPlane(
+            SimulatedTransferBackend(kernel, network), kernel.clock, published=True
+        ),
         config=config,
         clock=kernel.clock,
         speed_factors={name: spec["speed"] for name, spec in endpoints.items()},

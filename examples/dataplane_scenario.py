@@ -2,8 +2,8 @@
 """The data-plane subsystem: replica store, transfer scheduler, prefetcher.
 
 Runs a data-plane preset (``storage-pressure`` or ``hot-dataset``) twice —
-once through the data plane and once through the paper's plain FIFO staging
-path (``--no-dataplane``) — and prints what the subsystem did: bytes moved,
+once under the data plane's full policy and once under its published one,
+the paper's FIFO staging (``--no-dataplane``) — and prints what the subsystem did: bytes moved,
 cache hit rate, evictions under the per-endpoint storage budgets, and how
 much of the prefetch pipeline's speculation demand staging actually used.
 

@@ -19,8 +19,9 @@ paper's programming model:
 ...     future.result()
 5
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-reproduction of every table and figure in the paper's evaluation.
+See ``README.md`` — "Architecture" for the system inventory, "Tests and
+benchmarks" for the reproduction of the tables and figures of the paper's
+evaluation.
 """
 
 from repro.core.client import UniFaaSClient

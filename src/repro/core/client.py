@@ -108,9 +108,7 @@ class UniFaaSClient:
     # ----------------------------------------------------------------- status
     def summary(self):
         """Workflow summary (makespan, transfer volume, utilisation, ...)."""
-        stats = getattr(self.data_manager, "stats_dict", None)
-        if stats is not None:
-            self.metrics.set_dataplane_stats(stats())
+        self.metrics.set_dataplane_stats(self.data_manager.stats_dict())
         return self.metrics.summary(self.data_manager.total_transferred_mb)
 
     def task_states(self) -> Dict[str, int]:

@@ -79,10 +79,10 @@ class Config:
     enable_delay_mechanism: bool = True
     #: Enable DHA's re-scheduling / task stealing mechanism.
     enable_rescheduling: bool = True
-    #: Route staging through the data-plane subsystem (:mod:`repro.dataplane`):
+    #: Run the data plane (:mod:`repro.dataplane`) under its full policy:
     #: capacity-bounded replica store, priority/bandwidth-aware transfer
     #: scheduling and pipelined prefetching.  Disable (``--no-dataplane``) to
-    #: run the paper's plain FIFO staging path (§IV-E) byte-identically.
+    #: run its published policy — the paper's FIFO staging (§IV-E).
     enable_dataplane: bool = True
     #: Per-endpoint staging-storage budget in GB used by the replica store
     #: (``None`` means unbounded; :attr:`ExecutorSpec.storage_gb` overrides

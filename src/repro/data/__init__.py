@@ -1,4 +1,4 @@
-"""Wide-area data management (§IV-E).
+"""Wide-area data: files, transfer mechanisms and staging tickets (§IV-E).
 
 UniFaaS passes small Python objects between tasks through futures, but large
 files must be staged across the federated resource pool.  This package
@@ -8,8 +8,11 @@ provides:
   (``GlobusFile``/``RsyncFile``/``RemoteDirectory``) users wrap their data in;
 * :mod:`repro.data.transfer` — transfer backends (simulated Globus and rsync
   over the network model, and a local-copy backend for local mode);
-* :mod:`repro.data.manager` — the data manager: per-endpoint-pair staging
-  queues with bounded concurrency, transparent retries and a replica catalog.
+* :mod:`repro.data.manager` — the :class:`StagingTicket` a staging request
+  returns.
+
+The data layer that stages, retries and keeps the replica catalog is
+:class:`repro.dataplane.plane.DataPlane`.
 """
 
 from repro.data.remote_file import GlobusFile, RemoteDirectory, RemoteFile, RsyncFile
@@ -20,10 +23,9 @@ from repro.data.transfer import (
     TransferRequest,
     TransferResult,
 )
-from repro.data.manager import DataManager, StagingTicket
+from repro.data.manager import StagingTicket
 
 __all__ = [
-    "DataManager",
     "GlobusFile",
     "LocalCopyTransferBackend",
     "RemoteDirectory",

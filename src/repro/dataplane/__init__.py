@@ -1,8 +1,8 @@
-"""The data-plane subsystem: replica store, transfer scheduler, prefetcher.
+"""The data-plane subsystem: the system's one data layer (§IV-E).
 
-A first-class data layer behind the staging interface of
-:class:`~repro.data.manager.DataManager`:
-
+* :class:`~repro.dataplane.plane.DataPlane` — stages task inputs, retries
+  failed transfers and keeps the replica catalog and transfer-volume
+  counters, composing the components below;
 * :class:`~repro.dataplane.replica_store.ReplicaStore` — per-endpoint storage
   budgets, pinning for in-flight task inputs, pluggable eviction (LRU and
   size-aware cost/benefit);
@@ -10,12 +10,11 @@ A first-class data layer behind the staging interface of
   priority queues with demand/prefetch service classes, cross-ticket
   coalescing and cancellation;
 * :class:`~repro.dataplane.prefetch.Prefetcher` — pipelines staging of
-  ready-soon tasks' inputs behind their predecessors' execution;
-* :class:`~repro.dataplane.plane.DataPlane` — the facade composing them,
-  drop-in compatible with the legacy FIFO manager.
+  ready-soon tasks' inputs behind their predecessors' execution.
 
-Gated by ``Config.enable_dataplane`` (default on); ``--no-dataplane`` runs
-the paper's plain §IV-E staging path byte-identically.
+``Config.enable_dataplane`` (default on) selects the plane's policy:
+``--no-dataplane`` runs it under the paper's published §IV-E policy (an
+unbounded store, FIFO links, no prefetch).
 """
 
 from repro.dataplane.plane import DataPlane

@@ -1,37 +1,46 @@
-"""The data plane — capacity-bounded, priority-scheduled staging (§IV-E++).
+"""The data plane — the data layer of the system (§IV-E).
 
-:class:`DataPlane` is a drop-in replacement for
-:class:`~repro.data.manager.DataManager` (same staging interface, same
-aggregate counters) that routes every file movement through the subsystem's
-three components:
+For every task the scheduler places on an endpoint, :class:`DataPlane` works
+out which input files are missing there, moves them, retries failed
+attempts (§IV-G) and notifies the orchestration engine when the task's
+staging is complete.  It keeps the replica catalog the schedulers query and
+the aggregate transfer-volume counters of Tables IV and V, and routes every
+file movement through the subsystem's components:
 
 * a :class:`~repro.dataplane.replica_store.ReplicaStore` giving each endpoint
   a storage budget with pinning and pluggable eviction;
-* a :class:`~repro.dataplane.transfer_scheduler.TransferScheduler` replacing
-  the per-link FIFO with priority queues, multi-source selection and
-  class-aware concurrency shaping;
+* a :class:`~repro.dataplane.transfer_scheduler.TransferScheduler`: per-link
+  queues with bounded concurrency, demand/prefetch service classes and
+  cross-ticket coalescing of duplicate ``(file, destination)`` requests;
 * a :class:`~repro.dataplane.prefetch.Prefetcher` (wired by the engine) that
   pipelines ready-soon tasks' inputs behind their predecessors' execution.
 
-Beyond the legacy manager it also:
+``published=True`` selects the paper's policy — what ``--no-dataplane`` and
+the paper case studies run: an unbounded store, FIFO link queues, the source
+with the cheapest estimated transfer, a failed attempt retried from another
+replica at the tail of its link, a superseded ticket merely marked, no
+prefetch and no reaction to endpoint crashes.  The default policy adds:
 
-* picks transfer sources *bandwidth-aware*: the replica whose link promises
-  the cheapest arrival, discounted by the pressure already queued on it;
-* coalesces duplicate ``(file, destination)`` requests across tickets and
-  upgrades in-queue prefetches that a demand request catches up with;
-* supersedes a task's previous ticket when the task is re-placed, cancelling
-  queued transfers nobody else is waiting on;
-* cancels queued transfers toward crashed endpoints instead of letting them
-  waste link capacity;
-* attributes per-ticket transfer volume to *live* tickets only, so the Table
-  IV/V aggregates cannot double-count a failed-then-retried transfer.
+* bandwidth-aware sources: the replica whose link promises the cheapest
+  arrival, discounted by the pressure already queued on it, skipping crashed
+  endpoints and preferring the placement plan's replica root;
+* priority order within the demand class (the task's DHA upward rank), and
+  upgrades of in-queue prefetches that a demand request catches up with;
+* supersede cancels queued transfers nobody else is waiting on;
+* a crash cancels queued transfers toward the endpoint and quarantines its
+  replicas until it rejoins;
+* storage budgets with eviction, and prefetching.
+
+Under both policies per-ticket transfer volume goes to *live* tickets only,
+so the Table IV/V aggregates cannot double-count a retried transfer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from collections import defaultdict
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.data.manager import DataManager, StagingTicket, task_namespace
+from repro.data.manager import StagingTicket, task_namespace
 from repro.data.remote_file import RemoteFile
 from repro.data.transfer import TransferBackend, TransferRequest, TransferResult
 from repro.dataplane.replica_store import ReplicaStore, create_eviction_policy
@@ -51,9 +60,11 @@ __all__ = ["DataPlane"]
 #: link-pressure differences between equivalent replicas.
 _ROOT_PREFERENCE_FACTOR = 1.25
 
+StagedCallback = Callable[[StagingTicket], None]
 
-class DataPlane(DataManager):
-    """Replica store + transfer scheduler behind the DataManager interface."""
+
+class DataPlane:
+    """Stages task inputs through a replica store and a transfer scheduler."""
 
     def __init__(
         self,
@@ -66,14 +77,19 @@ class DataPlane(DataManager):
         storage_budget_mb: Optional[Dict[str, Optional[float]]] = None,
         default_storage_mb: Optional[float] = None,
         eviction_policy: str = "lru",
+        published: bool = False,
     ) -> None:
-        super().__init__(
-            backend,
-            clock,
-            mechanism=mechanism,
-            max_concurrent_transfers=max_concurrent_transfers,
-            max_retries=max_retries,
-        )
+        if max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
+        self.backend = backend
+        self.clock = clock
+        self.mechanism = mechanism
+        self.max_retries = max_retries
+        #: The paper's §IV-E policy (see the module docstring); its store
+        #: ignores the budgets and never evicts.
+        self.published = published
+        if published:
+            storage_budget_mb = default_storage_mb = None
         self.store = ReplicaStore(
             storage_budget_mb,
             policy=create_eviction_policy(eviction_policy),
@@ -87,10 +103,32 @@ class DataPlane(DataManager):
             on_done=self._on_job_done,
         )
 
+        self._tickets: Dict[str, StagingTicket] = {}
+        self._tickets_by_task: Dict[str, StagingTicket] = {}
+        #: Tickets grouped by workflow namespace, maintained incrementally so
+        #: :meth:`release_namespace` (streaming-tenant retirement) never scans
+        #: every ticket ever issued.
+        self._tickets_by_namespace: Dict[str, List[StagingTicket]] = defaultdict(list)
+        #: Tickets created but not yet done — kept as a counter so the
+        #: metrics sampler's :meth:`active_staging_tasks` is O(1).
+        self._open_ticket_count = 0
+        self._staged_callbacks: List[StagedCallback] = []
+        self._transfer_callbacks: List[Callable[[TransferResult, int], None]] = []
         #: Zero-arg callable returning the current placement plan (or None);
         #: multi-source selection prefers a file's plan replica root while
         #: its cost stays within a small factor of the true cheapest source.
         self._plan_provider = None
+
+        # Aggregate statistics (Tables IV/V and Fig. 10).
+        self.total_transferred_mb = 0.0
+        #: Transfer attempts finished (successful or not).
+        self.transfer_count = 0
+        self.failed_transfer_count = 0
+        self.retry_count = 0
+        self.volume_by_pair_mb: Dict[Tuple[str, str], float] = defaultdict(float)
+        #: Transfer volume attributed per workflow namespace (multi-tenant
+        #: serving; the single-workflow path accumulates under "").
+        self.volume_by_namespace_mb: Dict[str, float] = defaultdict(float)
 
         # Data-plane counters (metrics collector / benchmarks).
         self.cache_hits = 0
@@ -103,9 +141,55 @@ class DataPlane(DataManager):
         self.prefetch_joined = 0
         self.superseded_tickets = 0
 
+    # -------------------------------------------------------------- callbacks
+    def add_staged_callback(self, callback: StagedCallback) -> None:
+        """Register a callback invoked when a ticket finishes (or fails)."""
+        self._staged_callbacks.append(callback)
+
+    def remove_staged_callback(self, callback: StagedCallback) -> None:
+        """Unregister a staged callback (a retired tenant's staging coordinator).
+
+        Without this, a long streaming run accumulates one dead callback per
+        all-time tenant on the shared plane and every ticket notification
+        fans out to all of them.
+        """
+        try:
+            self._staged_callbacks.remove(callback)
+        except ValueError:
+            pass
+
+    def add_transfer_callback(self, callback: Callable[[TransferResult, int], None]) -> None:
+        """Register a callback invoked per transfer attempt result.
+
+        The callback receives ``(result, concurrency)`` where concurrency is
+        the number of transfers that were in flight on the same endpoint pair
+        — the feature the transfer profiler trains on.
+        """
+        self._transfer_callbacks.append(callback)
+
     def set_plan_provider(self, provider) -> None:
         """Wire the placement service's plan into multi-source selection."""
         self._plan_provider = provider
+
+    # ------------------------------------------------------------------ query
+    def missing_files(self, files: Iterable[RemoteFile], endpoint: str) -> List[RemoteFile]:
+        """Input files that are not yet present on ``endpoint``."""
+        return [f for f in files if f.size_mb > 0 and not f.available_at(endpoint)]
+
+    def bytes_to_move_mb(self, files: Iterable[RemoteFile], endpoint: str) -> float:
+        """Data volume that running a task on ``endpoint`` would transfer.
+
+        This is the quantity Locality minimises when it selects an endpoint
+        (§IV-D, Fig. 3).
+        """
+        return float(sum(f.size_mb for f in self.missing_files(files, endpoint)))
+
+    def active_staging_tasks(self) -> int:
+        """Number of tasks currently waiting on data staging (Fig. 10)."""
+        return self._open_ticket_count
+
+    def ticket_for_task(self, task_id: str) -> Optional[StagingTicket]:
+        return self._tickets_by_task.get(task_id)
 
     # ------------------------------------------------------------------ stats
     @property
@@ -122,7 +206,10 @@ class DataPlane(DataManager):
         return useful / self.prefetch_issued if self.prefetch_issued else 0.0
 
     def stats_dict(self) -> Dict[str, float]:
-        """Snapshot of the data-plane counters (metrics collector payload)."""
+        """Snapshot of the data-plane counters (metrics collector payload);
+        empty under the published policy, which reports none."""
+        if self.published:
+            return {}
         return {
             "bytes_moved_mb": round(self.total_transferred_mb, 6),
             "cache_hits": self.cache_hits,
@@ -150,9 +237,13 @@ class DataPlane(DataManager):
     ) -> StagingTicket:
         """Ensure ``files`` are present on ``destination`` for ``task_id``.
 
+        Returns a ticket that is already ``done`` when nothing needs to move.
         ``priority`` (the task's DHA upward rank) orders the resulting
-        transfers within the demand class.
+        transfers within the demand class; the published policy's links are
+        FIFO and ignore it.
         """
+        if self.published:
+            priority = 0.0
         previous = self._tickets_by_task.get(task_id)
         if previous is not None and previous.completed_at is None:
             self._supersede(previous)
@@ -200,7 +291,11 @@ class DataPlane(DataManager):
         return ticket
 
     def prefetch(self, file: RemoteFile, destination: str, priority: float = 0.0) -> bool:
-        """Speculatively move ``file`` toward ``destination``; True if issued."""
+        """Speculatively move ``file`` toward ``destination``; True if issued.
+
+        The published policy never speculates."""
+        if self.published:
+            return False
         if file.size_mb <= 0 or file.available_at(destination) or not file.locations:
             return False
         if self.store.is_offline(destination):
@@ -234,16 +329,31 @@ class DataPlane(DataManager):
 
     def register_output(self, file: RemoteFile, endpoint: str) -> None:
         """Record a produced output and charge it against the endpoint budget."""
-        super().register_output(file, endpoint)
+        file.add_location(endpoint)
         self.store.admit(file, endpoint)
 
     def release_task(self, task_id: str) -> None:
         """The task reached a terminal state: its input pins are released."""
         self.store.release_task(task_id)
 
-    def _release_task_state(self, task_id: str) -> None:
-        """Tenant retirement: make sure no pin of the retired task survives."""
-        self.store.release_task(task_id)
+    # ------------------------------------------------------------- retirement
+    def release_namespace(self, namespace: str) -> int:
+        """Drop a retired workflow's staging records; returns tickets released.
+
+        Called by the serving layer when a streaming tenant retires: every
+        ticket it ever opened (all terminal by then), its per-task indices,
+        its pins and its attributed-volume entry are released so live memory
+        stays O(active tenants), not O(all-time tasks).  The aggregate Table
+        IV/V counters are untouched.
+        """
+        tickets = self._tickets_by_namespace.pop(namespace, [])
+        for ticket in tickets:
+            self._tickets.pop(ticket.ticket_id, None)
+            if self._tickets_by_task.get(ticket.task_id) is ticket:
+                del self._tickets_by_task[ticket.task_id]
+            self.store.release_task(ticket.task_id)
+        self.volume_by_namespace_mb.pop(namespace, None)
+        return len(tickets)
 
     # --------------------------------------------------------------- dynamics
     def on_endpoint_crashed(self, endpoint: str) -> None:
@@ -261,9 +371,10 @@ class DataPlane(DataManager):
         Queued demand jobs are only cancelled once no *authoritative* ticket
         waits on them (the failure coordinator re-places the stranded tasks,
         whose new tickets supersede the old ones); prefetch jobs are
-        speculative and are dropped outright.
+        speculative and are dropped outright.  The published policy does
+        none of this.
         """
-        if self.store.is_offline(endpoint):
+        if self.published or self.store.is_offline(endpoint):
             return  # every tenant's bus forwards the same crash; the first one acted
         self.store.mark_offline(endpoint)
         for job in self.transfers.queued_jobs():
@@ -326,15 +437,9 @@ class DataPlane(DataManager):
         if not self.transfers.cancel(job):
             return False
         self.transfers.cancelled_count -= 1  # an internal re-route, not a cancel
-        fresh = TransferRequest(
-            file=request.file, src=new_src, dst=request.dst, mechanism=self.mechanism
-        )
-        for ticket in job.tickets:
-            ticket.pending_transfers.discard(request.transfer_id)
-            ticket.pending_transfers.add(fresh.transfer_id)
         self.transfers.submit(
             TransferJob(
-                request=fresh,
+                request=self._moved_request(job, new_src),
                 klass=job.klass,
                 priority=job.priority,
                 tickets=job.tickets,
@@ -345,6 +450,17 @@ class DataPlane(DataManager):
             )
         )
         return True
+
+    def _moved_request(self, job: TransferJob, src: str) -> TransferRequest:
+        """``job``'s request copied from ``src``; its waiting tickets follow."""
+        request = job.request
+        fresh = TransferRequest(
+            file=request.file, src=src, dst=request.dst, mechanism=self.mechanism
+        )
+        for ticket in job.tickets:
+            ticket.pending_transfers.discard(request.transfer_id)
+            ticket.pending_transfers.add(fresh.transfer_id)
+        return fresh
 
     def _authoritative(self, ticket: StagingTicket) -> bool:
         return self._tickets_by_task.get(ticket.task_id) is ticket and not ticket.failed
@@ -364,24 +480,29 @@ class DataPlane(DataManager):
         )
 
     def _pick_source(
-        self, file: RemoteFile, destination: str, exclude: Iterable[str] = ()
+        self, file: RemoteFile, destination: str, exclude: Tuple[str, ...] = ()
     ) -> str:
-        """Cheapest *online* replica over the network, discounted by link
-        pressure.  When every replica sits on a crashed endpoint, demand
-        deliberately falls back to a quarantined copy — degrading to the
-        legacy permissive behavior rather than failing the workflow — so the
-        quarantine only shapes the choice while an online replica exists.
-        ``exclude`` (interface parity with the legacy manager's retry path)
-        drops just-failed replicas, falling back to the full set."""
+        """The replica to copy ``file`` from; it must have one.
+
+        ``exclude`` drops replicas that just failed to serve (the published
+        retry), falling back to the full set.  The published policy takes the
+        cheapest estimated transfer.  Otherwise the choice is the cheapest
+        *online* replica discounted by link pressure, with the plan root
+        preferred within a bounded premium; when every replica sits on a
+        crashed endpoint, demand deliberately falls back to a quarantined
+        copy rather than failing the workflow, so the quarantine only shapes
+        the choice while an online replica exists.
+        """
         sources = sorted(file.locations)
-        if not sources:
-            raise ValueError(
-                f"file {file.name!r} has no replica to stage to {destination!r} from"
+        if exclude:
+            sources = [s for s in sources if s not in exclude] or sources
+        if self.published:
+            return min(
+                sources,
+                key=lambda src: self.backend.estimate_duration(
+                    src, destination, file.size_mb, mechanism=self.mechanism
+                ),
             )
-        excluded = set(exclude)
-        if excluded:
-            remaining = [s for s in sources if s not in excluded]
-            sources = remaining or sources
         online = [s for s in sources if not self.store.is_offline(s)]
         sources = online or sources
         if len(sources) == 1:
@@ -446,9 +567,18 @@ class DataPlane(DataManager):
         self.transfers.submit(job)
 
     def _supersede(self, ticket: StagingTicket) -> None:
-        """A newer placement replaced ``ticket``: release what only it needs."""
+        """A newer placement replaced ``ticket``: release what only it needs.
+
+        The published policy only marks the ticket: its transfers land
+        (another ticket may wait on the same copy), and it is skipped when
+        they complete or run out of retries.
+        """
         self.superseded_tickets += 1
         ticket.superseded = True
+        ticket.completed_at = self.clock.now()
+        self._open_ticket_count -= 1
+        if self.published:
+            return
         # Cancels and demotes are events: walk the ticket's jobs in the
         # order active_jobs() would.
         for job in self.transfers.jobs_for(ticket.pending_transfers):
@@ -471,9 +601,6 @@ class DataPlane(DataManager):
                     # finish and their replica stays available for re-use).
                     self.transfers.cancel(job)
         ticket.pending_transfers.clear()
-        if ticket.completed_at is None:
-            ticket.completed_at = self.clock.now()
-            self._open_ticket_count -= 1
 
     def _detach_tickets(self, job: TransferJob) -> None:
         """Complete (superseded) tickets of a cancelled job."""
@@ -489,7 +616,7 @@ class DataPlane(DataManager):
     def _on_job_done(self, job: TransferJob, result: TransferResult, concurrency: int) -> None:
         for callback in self._transfer_callbacks:
             callback(result, concurrency)
-        self.transfer_count += 1  # attempts, like the legacy manager
+        self.transfer_count += 1
 
         if result.success:
             self.transfers.release(job)
@@ -522,12 +649,23 @@ class DataPlane(DataManager):
         self.failed_transfer_count += 1
         if job.attempts <= self.max_retries:
             self.retry_count += 1
-            self.transfers.requeue(job)
+            if not self.published:
+                self.transfers.requeue(job)
+                return
+            # §IV-E: under crash/brownout dynamics the failed replica's link
+            # may be dead while another replica is reachable, so the retry
+            # re-picks its source and goes to the tail of that link.
+            request = job.request
+            if len(request.file.locations) > 1:
+                src = self._pick_source(request.file, request.dst, exclude=(request.src,))
+                if src != request.src:
+                    request = self._moved_request(job, src)
+            self.transfers.requeue(job, request)
             return
         self.transfers.release(job)
         now = self.clock.now()
         for ticket in job.tickets:
-            if ticket.failed:
+            if ticket.failed or ticket.superseded:
                 continue
             ticket.failed = True
             ticket.pending_transfers.discard(job.request.transfer_id)
@@ -535,3 +673,7 @@ class DataPlane(DataManager):
                 ticket.completed_at = now
                 self._open_ticket_count -= 1
             self._notify(ticket)
+
+    def _notify(self, ticket: StagingTicket) -> None:
+        for callback in self._staged_callbacks:
+            callback(ticket)

@@ -1,11 +1,11 @@
 """Priority- and bandwidth-aware transfer scheduling — the data plane's queue.
 
-Replaces the data manager's per-link FIFO deques with per-link *priority*
-queues:
+Per-link queues of :class:`TransferJob` with bounded concurrency per link:
 
 * **priority order** — demand transfers are ordered by the priority of the
   downstream task waiting on them (DHA's upward rank), so critical-path
-  staging jumps the queue;
+  staging jumps the queue; with every priority equal (the published §IV-E
+  policy) a link's queue is FIFO;
 * **two service classes** — prefetch transfers ride a strictly lower class
   than demand transfers and are capped to a fraction of each link's
   concurrency slots, so speculation can never delay a task that is actually
@@ -110,9 +110,6 @@ class TransferScheduler:
         self._active: Dict[Tuple[str, str], TransferJob] = {}
         #: The same live jobs by the transfer id waiting tickets hold.
         self._by_transfer_id: Dict[str, TransferJob] = {}
-
-        # Counters (attempts, like the legacy manager's ``transfer_count``).
-        self.dispatched_attempts = 0
         self.cancelled_count = 0
 
     # ----------------------------------------------------------------- lookup
@@ -197,8 +194,18 @@ class TransferScheduler:
         self.cancelled_count += 1
         return True
 
-    def requeue(self, job: TransferJob) -> None:
-        """Put a failed job back in its queue for another attempt."""
+    def requeue(self, job: TransferJob, request: Optional[TransferRequest] = None) -> None:
+        """Put a failed job back in a queue for another attempt.
+
+        Without ``request`` the job keeps its place in its link's queue.
+        Given one (the published policy's retry, possibly from another
+        replica), the job takes that request's link and the tail of its queue.
+        """
+        if request is not None:
+            del self._by_transfer_id[job.request.transfer_id]
+            job.request = request
+            self._by_transfer_id[request.transfer_id] = job
+            job.seq = next(self._seq)
         job.started = False
         self._queued_count[job.link] = self._queued_count.get(job.link, 0) + 1
         self._push(job)
@@ -249,7 +256,6 @@ class TransferScheduler:
         self._in_flight[link] = self._in_flight.get(link, 0) + 1
         if job.klass == PREFETCH:
             self._in_flight_prefetch[link] = self._in_flight_prefetch.get(link, 0) + 1
-        self.dispatched_attempts += 1
         self.backend.start(job.request, lambda result, j=job: self._finish(j, result))
 
     def _finish(self, job: TransferJob, result: TransferResult) -> None:

@@ -120,13 +120,7 @@ def _columns_digest(store) -> str:
 
 # ---------------------------------------------------------------- dataplane
 def _capture_data_manager(dm) -> Dict[str, object]:
-    store = getattr(dm, "store", None)
-    if store is None:
-        # The paper's FIFO staging path: volume counters are the state.
-        return {
-            "type": type(dm).__name__,
-            "total_transferred_mb": _r(dm.total_transferred_mb),
-        }
+    store = dm.store
     replicas: List[List[object]] = []
     for endpoint in sorted(store.endpoints()):
         for file_id in sorted(store._replicas.get(endpoint, {})):
@@ -156,7 +150,6 @@ def _capture_data_manager(dm) -> Dict[str, object]:
         for job in dm.transfers.active_jobs()
     ]
     return {
-        "type": type(dm).__name__,
         "replicas": len(replicas),
         "replicas_sha256": _sha(repr(replicas)),
         "usage_mb": {

@@ -39,7 +39,7 @@ from repro.core.dag import READY_CODE, Task, TaskGraph
 from repro.core.functions import FederatedFunction
 from repro.core.futures import UniFuture
 from repro.data.remote_file import GlobusFile, RemoteFile, RsyncFile
-from repro.dataplane import DataPlane, Prefetcher
+from repro.dataplane import Prefetcher
 from repro.engine.bus import EventBus
 from repro.engine.dispatch import DispatchCoordinator
 from repro.engine.events import (
@@ -170,44 +170,39 @@ class ExecutionEngine:
         # Data-plane wiring: pin lifecycle on terminal failure, crash cleanup
         # and the prefetch pipeline (a successful completion releases its pins
         # and advances the prefetcher in _handle_completions).
+        plane = self.data_manager
+        self.bus.subscribe(TaskFailed, lambda e: plane.release_task(e.task_id))
+        # On this workflow's own bus, so the quarantine lands after the
+        # synchronous dynamics handlers above (the failure coordinator's
+        # re-placements are still deferred in the bus cascade) and before
+        # any re-placed task stages — never from a replica on the dead
+        # endpoint.  Every tenant forwards the same event; the plane
+        # ignores the repeats.
+        self.bus.subscribe(EndpointCrashed, lambda e: plane.on_endpoint_crashed(e.endpoint))
+        self.bus.subscribe(EndpointRejoined, lambda e: plane.on_endpoint_rejoined(e.endpoint))
         self.prefetcher: Optional[Prefetcher] = None
-        if isinstance(self.data_manager, DataPlane):
-            plane = self.data_manager
-            self.bus.subscribe(TaskFailed, lambda e: plane.release_task(e.task_id))
-            # On this workflow's own bus, so the quarantine lands after the
-            # synchronous dynamics handlers above (the failure coordinator's
-            # re-placements are still deferred in the bus cascade) and before
-            # any re-placed task stages — never from a replica on the dead
-            # endpoint.  Every tenant forwards the same event; the plane
-            # ignores the repeats.
-            self.bus.subscribe(
-                EndpointCrashed, lambda e: plane.on_endpoint_crashed(e.endpoint)
+        if config.enable_prefetch and not plane.published:
+            self.prefetcher = Prefetcher(
+                plane,
+                self.graph,
+                placement_hint=lambda task, claims=None: self.scheduler.placement_hint(
+                    task, claims
+                ),
+                endpoint_names=lambda: self.fabric.endpoint_names(),
+                plan_provider=(
+                    self.plan_service.current_plan
+                    if self.plan_service is not None
+                    else None
+                ),
             )
             self.bus.subscribe(
-                EndpointRejoined, lambda e: plane.on_endpoint_rejoined(e.endpoint)
+                TaskPlaced,
+                lambda e: self.prefetcher.on_task_placed(e.task_id, e.endpoint),
             )
-            if config.enable_prefetch:
-                self.prefetcher = Prefetcher(
-                    plane,
-                    self.graph,
-                    placement_hint=lambda task, claims=None: self.scheduler.placement_hint(
-                        task, claims
-                    ),
-                    endpoint_names=lambda: self.fabric.endpoint_names(),
-                    plan_provider=(
-                        self.plan_service.current_plan
-                        if self.plan_service is not None
-                        else None
-                    ),
-                )
-                self.bus.subscribe(
-                    TaskPlaced,
-                    lambda e: self.prefetcher.on_task_placed(e.task_id, e.endpoint),
-                )
-                self.bus.subscribe(
-                    TaskFailed,
-                    lambda e: self.prefetcher.on_task_terminal(e.task_id),
-                )
+            self.bus.subscribe(
+                TaskFailed,
+                lambda e: self.prefetcher.on_task_terminal(e.task_id),
+            )
 
     # ------------------------------------------------------------- submission
     def submit(self, fn: FederatedFunction, args: tuple, kwargs: Dict[str, Any]) -> UniFuture:
@@ -248,12 +243,11 @@ class ExecutionEngine:
         self.graph.add_task(task, now=now)
         for dep in dependencies:
             self._consumer_counts[dep] = self._consumer_counts.get(dep, 0) + 1
-        if isinstance(self.data_manager, DataPlane):
-            # Dynamic DAG: a new consumer re-protects outputs the lifecycle
-            # hook may already have marked expendable.
-            for parent in task.predecessors:
-                for file in parent.output_files:
-                    self.data_manager.store.reclaim(file)
+        # Dynamic DAG: a new consumer re-protects outputs the lifecycle hook
+        # may already have marked expendable.
+        for parent in task.predecessors:
+            for file in parent.output_files:
+                self.data_manager.store.reclaim(file)
 
         ready = self.graph.store.state[task._row] == READY_CODE
         if ready:
@@ -427,7 +421,7 @@ class ExecutionEngine:
         completed_records: List[TaskExecutionRecord] = []
         ready: List[Task] = []
         log: List[tuple] = []
-        plane = self.data_manager if isinstance(self.data_manager, DataPlane) else None
+        plane = self.data_manager
         now = self.clock.now()
         stamp = round(now, 9)
 
@@ -477,8 +471,7 @@ class ExecutionEngine:
             completed.append(task)
             completed_records.append(record)
             newly_ready = self._apply_success(task, record)
-            if plane is not None:
-                plane.release_task(record.task_id)
+            plane.release_task(record.task_id)
             if self.prefetcher is not None:
                 self.prefetcher.on_predecessor_progress(task)
             pinned: List[Task] = []
@@ -513,9 +506,8 @@ class ExecutionEngine:
             output = file_cls(
                 f"{task.task_id}.out", size_mb=record.output_mb, location=record.endpoint
             )
-            # Register the produced replica with the data layer: a no-op for
-            # the FIFO manager (the location is already set), but the data
-            # plane charges it against the endpoint's storage budget.
+            # Register the produced replica with the data plane, which
+            # charges it against the endpoint's storage budget.
             self.data_manager.register_output(output, record.endpoint)
             task.output_files.append(output)
             if result_value is None:
@@ -544,11 +536,7 @@ class ExecutionEngine:
             # of its parents' outputs — release their storage protection,
             # and *prune* fully-consumed entries so the live consumer map
             # stays O(active tasks), not O(all-time tasks).
-            plane_store = (
-                self.data_manager.store
-                if isinstance(self.data_manager, DataPlane)
-                else None
-            )
+            plane_store = self.data_manager.store
             for parent in task.predecessors:
                 dep = parent.task_id
                 remaining = self._consumer_counts.get(dep, 0) - 1
@@ -556,7 +544,6 @@ class ExecutionEngine:
                     self._consumer_counts[dep] = remaining
                 else:
                     self._consumer_counts.pop(dep, None)
-                if plane_store is not None and remaining <= 0:
                     for file in parent.output_files:
                         plane_store.mark_expendable(file)
         return newly_ready

@@ -48,7 +48,7 @@ class StagingCoordinator:
         engine.index.mark_undispatched(task)
         engine.graph.set_state(task, TaskState.STAGING, now=now)
         # The task's DHA upward rank orders its transfers within the data
-        # plane's demand class (the FIFO path ignores the priority).
+        # plane's demand class (the published policy ignores the priority).
         engine.data_manager.stage(
             task.task_id, task.input_files, endpoint, priority=float(store.priority[task._row])
         )

@@ -1,8 +1,8 @@
 """Plain-text reporting helpers for the experiment harnesses.
 
 The benchmark suite prints the same rows/series the paper reports so that a
-reader can compare shapes side by side (EXPERIMENTS.md records a snapshot of
-these outputs next to the paper's numbers).
+reader can compare shapes side by side (``README.md``, "Tests and
+benchmarks", says how to run it).
 """
 
 from __future__ import annotations

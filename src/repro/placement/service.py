@@ -179,8 +179,7 @@ class PlacementService:
         file first so the scarce prefetch bandwidth goes to the datasets
         whose WAN pull would hurt the most.
         """
-        prefetch = getattr(data_manager, "prefetch", None)
-        if prefetch is None or not plan.replica_roots:
+        if not plan.replica_roots:
             return
         rooted = [
             (file, plan.replica_roots[file.file_id])
@@ -189,7 +188,9 @@ class PlacementService:
         ]
         rooted.sort(key=lambda pair: (-pair[0].size_mb, pair[0].file_id))
         for file, root in rooted:
-            if prefetch(file, root, priority=float(len(self._consumers[file.file_id]))):
+            if data_manager.prefetch(
+                file, root, priority=float(len(self._consumers[file.file_id]))
+            ):
                 self.replications_issued += 1
 
     # -------------------------------------------------------- problem building
@@ -325,12 +326,9 @@ class PlacementService:
 
     @staticmethod
     def _remaining_capacity(data_manager, names) -> Dict[str, Optional[float]]:
-        store = getattr(data_manager, "store", None)
+        store = data_manager.store
         capacity: Dict[str, Optional[float]] = {}
         for name in names:
-            if store is None:
-                capacity[name] = None
-                continue
             budget = store.capacity_mb(name)
             if budget is None:
                 capacity[name] = None

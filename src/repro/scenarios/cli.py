@@ -366,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", type=float, default=None,
                      help="override the workload scale fraction")
     run.add_argument("--no-dataplane", action="store_true",
-                     help="stage through the paper's FIFO data manager instead of the "
-                          "data-plane subsystem (replica store / transfer scheduler / "
-                          "prefetcher); event digests match the pre-data-plane engine")
+                     help="run the data plane under the paper's published staging "
+                          "policy (unbounded store, FIFO links, no prefetch); event "
+                          "digests match the pre-data-plane engine")
     run.add_argument("--no-placement", action="store_true",
                      help="run without the global placement plan (greedy scheduler / "
                           "scaler / data plane only); determinism digests match the "
@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--dynamics", choices=["none", "churn", "crash", "chaos"],
                          default=None, help="override the preset's dynamics regime")
     compare.add_argument("--no-dataplane", action="store_true",
-                         help="stage through the paper's FIFO data manager")
+                         help="run the data plane under the paper's published policy")
     compare.add_argument("--no-placement", action="store_true",
                          help="run without the global placement plan")
     compare.add_argument("--workflows", type=int, default=None,

@@ -297,10 +297,10 @@ class ScenarioSpec:
     rescheduling_interval_s: float = 20.0
     #: Pre-train the profilers with ground truth (the paper's warm regime).
     seed_knowledge: bool = True
-    #: Route staging through the data-plane subsystem (replica store +
-    #: priority transfer scheduling + prefetch).  The CLI's ``--no-dataplane``
-    #: switches a run to the paper's FIFO staging path, whose event digests
-    #: are unchanged from the pre-data-plane engine.
+    #: Run the data plane's full policy (storage budgets + priority transfer
+    #: scheduling + prefetch).  The CLI's ``--no-dataplane`` switches a run
+    #: to its published §IV-E policy, whose event digests are unchanged from
+    #: the pre-data-plane engine.
     enable_dataplane: bool = True
     #: Run the periodic global placement optimizer (capacitated facility
     #: location) and let the scheduler / scaler / data plane steer by its
@@ -822,9 +822,7 @@ def _run_batch_scenario(
         if per_wf_summaries
         else 0.0
     )
-    dataplane_stats: Dict[str, object] = {}
-    if hasattr(manager.data_manager, "stats_dict"):
-        dataplane_stats = manager.data_manager.stats_dict()
+    dataplane_stats = manager.data_manager.stats_dict()
 
     result = ScenarioResult(
         scenario=spec.name,

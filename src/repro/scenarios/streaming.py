@@ -169,9 +169,7 @@ def run_streaming_scenario(
         getattr(env.fabric.endpoint(name), "crash_count", 0)
         for name in env.fabric.endpoint_names()
     )
-    dataplane_stats: Dict[str, object] = {}
-    if hasattr(manager.data_manager, "stats_dict"):
-        dataplane_stats = manager.data_manager.stats_dict()
+    dataplane_stats = manager.data_manager.stats_dict()
 
     result = ScenarioResult(
         scenario=spec.name,

@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import Config
 from repro.core.dag import Task, TaskGraph
-from repro.data.manager import DataManager
+from repro.dataplane.plane import DataPlane
 from repro.faas.types import TaskExecutionRecord
 from repro.monitor.endpoint_monitor import EndpointMonitor
 from repro.profiling.execution import ExecutionProfiler
@@ -56,7 +56,7 @@ class SchedulingContext:
     endpoint_monitor: EndpointMonitor
     execution_profiler: ExecutionProfiler
     transfer_profiler: TransferProfiler
-    data_manager: DataManager
+    data_manager: DataPlane
     config: Config
     clock: Clock
     #: Relative hardware speed per endpoint (used as a fallback ordering when
@@ -147,17 +147,14 @@ class SchedulingContext:
         sources = sorted(file.locations)
         if not sources:
             return sources
-        store = getattr(self.data_manager, "store", None)
-        if store is None:
-            return sources
+        store = self.data_manager.store
         online = [s for s in sources if not store.is_offline(s)]
         return online or sources
 
     def quarantine_generation(self) -> int:
         """Moves whenever :meth:`staging_sources` may answer differently for
         an unchanged replica set (an endpoint crashed or rejoined)."""
-        store = getattr(self.data_manager, "store", None)
-        return 0 if store is None else store.offline_generation
+        return self.data_manager.store.offline_generation
 
     def predicted_staging_time(self, task: Task, endpoint: str) -> float:
         """Predicted time to stage the task's missing inputs onto ``endpoint``.

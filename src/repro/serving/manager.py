@@ -44,7 +44,7 @@ from repro.core.config import Config
 from repro.core.dag import TaskState
 from repro.core.exceptions import SchedulingError
 from repro.core.functions import FederatedFunction, set_current_client
-from repro.data.manager import DataManager, task_namespace
+from repro.data.manager import task_namespace
 from repro.data.transfer import LocalCopyTransferBackend, TransferBackend
 from repro.dataplane import DataPlane
 from repro.elastic.scaling import (
@@ -282,32 +282,24 @@ class ServingSummary:
         }
 
 
-def _build_data_manager(config: Config, backend: TransferBackend, clock) -> DataManager:
-    """The data layer ``config`` asks for: the data-plane subsystem (replica
-    store + priority transfer scheduling + prefetch) or, with the plane
-    disabled, the paper's plain FIFO staging path, byte-identically."""
-    if config.enable_dataplane:
-        default_storage = (
-            config.storage_capacity_gb * 1024.0
-            if config.storage_capacity_gb is not None
-            else None
-        )
-        return DataPlane(
-            backend,
-            clock,
-            mechanism=config.transfer_mechanism,
-            max_concurrent_transfers=config.max_concurrent_transfers,
-            max_retries=config.max_transfer_retries,
-            storage_budget_mb=config.storage_budget_mb(),
-            default_storage_mb=default_storage,
-            eviction_policy=config.eviction_policy,
-        )
-    return DataManager(
+def _build_data_manager(config: Config, backend: TransferBackend, clock) -> DataPlane:
+    """The data plane ``config`` asks for; with the plane disabled it runs the
+    paper's published §IV-E policy (no budget, FIFO links, no prefetch)."""
+    default_storage = (
+        config.storage_capacity_gb * 1024.0
+        if config.storage_capacity_gb is not None
+        else None
+    )
+    return DataPlane(
         backend,
         clock,
         mechanism=config.transfer_mechanism,
         max_concurrent_transfers=config.max_concurrent_transfers,
         max_retries=config.max_transfer_retries,
+        storage_budget_mb=config.storage_budget_mb(),
+        default_storage_mb=default_storage,
+        eviction_policy=config.eviction_policy,
+        published=not config.enable_dataplane,
     )
 
 
@@ -399,8 +391,7 @@ class WorkflowManager:
             self.plan_service = PlacementService(config)
             if hasattr(self.scaling_strategy, "plan_provider"):
                 self.scaling_strategy.plan_provider = self.plan_service.current_plan
-            if isinstance(self.data_manager, DataPlane):
-                self.data_manager.set_plan_provider(self.plan_service.current_plan)
+            self.data_manager.set_plan_provider(self.plan_service.current_plan)
 
         # Dynamics are forwarded to every tenant bus, where each engine's own
         # handlers (monitor re-sync, failure coordinator, data-plane

@@ -1,10 +1,15 @@
-"""Tests for the data manager."""
+"""The published §IV-E staging policy of the data plane, as a spec.
+
+``DataPlane(..., published=True)`` is what ``--no-dataplane`` and the paper
+case studies run: FIFO link queues, the cheapest replica by estimated
+transfer time, retries from another replica, an unbounded store.
+"""
 
 import pytest
 
-from repro.data.manager import DataManager
 from repro.data.remote_file import GlobusFile
 from repro.data.transfer import SimulatedTransferBackend
+from repro.dataplane.plane import DataPlane
 from repro.sim.kernel import SimulationKernel
 from repro.sim.network import NetworkModel
 
@@ -22,11 +27,12 @@ def build_manager(
         endpoints, bandwidth_mbps=bandwidth, jitter=0.0, failure_rate=failure_rate, seed=seed
     )
     backend = SimulatedTransferBackend(kernel, net)
-    manager = DataManager(
+    manager = DataPlane(
         backend,
         kernel.clock,
         max_concurrent_transfers=max_concurrent,
         max_retries=max_retries,
+        published=True,
     )
     return kernel, net, manager
 
@@ -106,10 +112,13 @@ class TestStaging:
         assert manager.volume_by_pair_mb[("c", "b")] == pytest.approx(100.0)
         assert manager.volume_by_pair_mb[("a", "b")] == 0.0
 
-    def test_stage_unplaced_file_raises(self):
+    def test_stage_unplaced_file_fails_the_ticket(self):
         _, _, manager = build_manager()
-        with pytest.raises(ValueError):
-            manager.stage("t1", [GlobusFile("ghost", size_mb=5.0)], "b")
+        staged = []
+        manager.add_staged_callback(staged.append)
+        ticket = manager.stage("t1", [GlobusFile("ghost", size_mb=5.0)], "b")
+        assert ticket.failed and staged == [ticket]
+        assert manager.active_staging_tasks() == 0
 
     def test_register_output(self):
         _, _, manager = build_manager()
@@ -278,6 +287,58 @@ class TestValidation:
         net = NetworkModel.uniform(["a", "b"])
         backend = SimulatedTransferBackend(kernel, net)
         with pytest.raises(ValueError):
-            DataManager(backend, kernel.clock, max_concurrent_transfers=0)
+            DataPlane(backend, kernel.clock, max_concurrent_transfers=0, published=True)
         with pytest.raises(ValueError):
-            DataManager(backend, kernel.clock, max_retries=-1)
+            DataPlane(backend, kernel.clock, max_retries=-1, published=True)
+
+
+class TestPublishedPolicy:
+    """What the published policy leaves out of the data plane."""
+
+    def test_links_are_fifo_whatever_the_priority(self):
+        kernel, _, manager = build_manager(max_concurrent=1)
+        first = manager.stage("t1", [file_at("x", 100.0, "a")], "b", priority=0.0)
+        second = manager.stage("t2", [file_at("y", 100.0, "a")], "b", priority=0.0)
+        urgent = manager.stage("t3", [file_at("z", 100.0, "a")], "b", priority=9.0)
+        kernel.run()
+        assert first.completed_at < second.completed_at < urgent.completed_at
+
+    def test_a_superseded_tickets_queued_transfer_still_lands(self):
+        kernel, _, manager = build_manager(max_concurrent=1)
+        manager.stage("busy", [file_at("w", 100.0, "a")], "b")
+        file = file_at("x", 100.0, "a")
+        old = manager.stage("t1", [file], "b")  # queued behind w
+        new = manager.stage("t1", [file], "c")
+        kernel.run()
+        assert old.superseded and not old.failed and old.transferred_mb == 0.0
+        assert new.done and not new.failed
+        assert file.available_at("b") and file.available_at("c")
+        assert manager.total_transferred_mb == pytest.approx(300.0)
+
+    def test_no_prefetch_no_stats_no_crash_reaction(self):
+        kernel, _, manager = build_manager(max_concurrent=1)
+        manager.stage("busy", [file_at("w", 100.0, "a")], "b")
+        queued = manager.stage("t1", [file_at("x", 100.0, "a")], "b")
+        assert not manager.prefetch(file_at("y", 10.0, "a"), "c")
+        manager.on_endpoint_crashed("b")
+        assert not manager.store.is_offline("b")
+        kernel.run()
+        assert queued.done and not queued.failed
+        assert manager.stats_dict() == {}
+
+    def test_the_store_ignores_budgets_and_never_evicts(self):
+        kernel = SimulationKernel()
+        net = NetworkModel.uniform(["a", "b"], jitter=0.0)
+        manager = DataPlane(
+            SimulatedTransferBackend(kernel, net),
+            kernel.clock,
+            storage_budget_mb={"b": 1.0},
+            default_storage_mb=1.0,
+            published=True,
+        )
+        assert manager.store.capacity_mb("b") is None
+        files = [file_at(f"f{i}", 50.0, "a") for i in range(3)]
+        manager.stage("t1", files, "b")
+        kernel.run()
+        assert all(f.available_at("b") for f in files)
+        assert manager.store.eviction_count == 0

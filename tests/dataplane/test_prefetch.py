@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.client import ENDPOINT_HINT_KWARG
 from repro.core.functions import set_current_client
+from repro.data.remote_file import GlobusFile
 from repro.dataplane.plane import DataPlane
 from repro.experiments.environment import EndpointSetup, build_simulation
 from repro.faas.types import ServiceLatencyModel
@@ -106,6 +107,19 @@ class TestEndToEndOverlap:
         client.run()
         fifo_makespan = client.summary().makespan_s
         assert plane_makespan < fifo_makespan
+
+
+@pytest.mark.parametrize("enable_dataplane", [True, False])
+def test_a_replica_less_input_fails_its_task_cleanly(enable_dataplane):
+    # Under the published policy this used to raise out of client.run()
+    # ("file 'orphan' has no replica to stage to 'site_a' from").
+    env, client = build_env(enable_dataplane=enable_dataplane)
+    consume = make_task_type(CONSUME)
+    with client:
+        consume(GlobusFile("orphan", size_mb=10.0, location=None),
+                **{ENDPOINT_HINT_KWARG: "site_a"})
+    client.run()
+    assert client.task_states() == {"failed": 1}
 
 
 class TestLifecycle:

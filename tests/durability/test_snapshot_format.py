@@ -81,20 +81,25 @@ class TestTypedErrors:
         with pytest.raises(SnapshotVersionError):
             read_snapshot(path)
 
-    @pytest.mark.parametrize("version, toggle", [(1, "columnar"), (2, "vectorized")])
+    @pytest.mark.parametrize(
+        "version, toggle", [(1, "columnar"), (2, "vectorized"), (3, None)]
+    )
     def test_older_version_file_fails_with_the_formats_own_error(
         self, tmp_path, snapshot, version, toggle
     ):
         # Version 1 and 2 recipes carry an engine toggle (``columnar``,
-        # ``vectorized``) that ``ScenarioSpec`` no longer has.  Such a file
+        # ``vectorized``) that ``ScenarioSpec`` no longer has; a version 3
+        # file's data section has another shape (a ``type`` field, and only
+        # a volume counter for a ``--no-dataplane`` run).  Such a file
         # describes the same scenario in an older format: it must be refused
         # as a *version* mismatch, not — field by field — as "a different
-        # scenario".
+        # scenario" or "a diverged state".
         snapshot.schema_version = version
-        snapshot.scenario[toggle] = True
+        if toggle is not None:
+            snapshot.scenario[toggle] = True
         path = write_snapshot(snapshot, tmp_path / "old.snap")
         assert path.read_bytes().startswith(f"repro-snapshot {version}\n".encode())
-        with pytest.raises(SnapshotVersionError, match="this build reads 3"):
+        with pytest.raises(SnapshotVersionError, match=f"this build reads {SCHEMA_VERSION}"):
             read_snapshot(path)
 
     def test_bad_magic(self, tmp_path, snapshot):
@@ -166,7 +171,7 @@ class TestLatestValidSnapshot:
         assert snap.seed == 2
         assert skipped == ["ckpt-00003.snap"]
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_skips_a_checkpoint_of_an_older_format(self, tmp_path, version):
         write_snapshot(_empty_snapshot(seed=1), checkpoint_path(tmp_path, 1))
         old = _empty_snapshot(seed=2)

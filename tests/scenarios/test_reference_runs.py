@@ -1,4 +1,4 @@
-"""Whole runs on the executable specification of §IV-D.
+"""Whole runs on the executable specifications of §IV-D and §IV-E.
 
 With the scalar reference schedulers of ``tests/reference/dha_scalar.py``
 patched into the scheduler registry, full scenarios — workload generation,
@@ -6,12 +6,21 @@ staging, delay mechanism, re-scheduling, placement plan, prefetch hints,
 capacity slices — reproduce the committed golden digests of the product's
 array schedulers.  A single diverging placement anywhere in a run would
 cascade into a different event log and a different digest.
+
+Likewise, with the paper's FIFO data manager of
+``tests/reference/fifo_staging.py`` in place of the data plane, a
+``--no-dataplane`` run writes exactly the artifact the plane's published
+policy writes.
 """
+
+import dataclasses
 
 import pytest
 
 import repro.sched
+import repro.serving.manager
 from repro.core.client import UniFaaSClient
+from repro.dataplane.replica_store import ReplicaStore
 from repro.durability.runtime import reset_global_id_counters
 from repro.engine.events import expand_event
 from repro.experiments.case_studies import DRUG_STATIC_DEPLOYMENT, run_case_study
@@ -20,6 +29,7 @@ from repro.scenarios.spec import run_scenario
 
 from tests.golden.regenerate import artifact_sha256
 from tests.reference.dha_scalar import ReferenceDHAScheduler, ReferenceHEFTScheduler
+from tests.reference.fifo_staging import DataManager
 from tests.scenarios.test_golden_digests import GOLDEN
 
 
@@ -78,3 +88,63 @@ def test_mocking_off_case_study_logs_the_same_events_on_the_reference(monkeypatc
     assert product.completed_tasks == reference.completed_tasks == product.task_count
     assert product.makespan_s == reference.makespan_s
     assert product.rescheduled_tasks == reference.rescheduled_tasks > 0
+
+
+class ReferenceStaging(DataManager):
+    """The paper's manager behind the hooks the engine calls on the plane.
+
+    Pins and the output lifecycle land in an unbounded store nobody reads
+    for staging; speculation, crash reactions and stats are absent.
+    """
+
+    published = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.store = ReplicaStore()
+
+    def release_task(self, task_id):
+        self.store.release_task(task_id)
+
+    def set_plan_provider(self, provider):
+        pass
+
+    def on_endpoint_crashed(self, endpoint):
+        pass
+
+    def on_endpoint_rejoined(self, endpoint):
+        pass
+
+    def prefetch(self, file, destination, priority=0.0):
+        return False
+
+    def stats_dict(self):
+        return {}
+
+
+# ci-smoke: the plain path; chaos-crash-rejoin: staging around a crash and a
+# rejoin; hot-dataset: the placement plan's replication requests the published
+# policy declines; multi-tenant: four tenants' namespaced tickets on one manager.
+@pytest.mark.parametrize(
+    "name", ["ci-smoke", "chaos-crash-rejoin", "hot-dataset", "multi-tenant"]
+)
+def test_published_run_on_the_fifo_reference_writes_the_same_artifact(name, monkeypatch):
+    spec = dataclasses.replace(SCENARIOS[name], enable_dataplane=False)
+    product = run_scenario(spec).to_json()
+    built = []
+
+    def build_reference(config, backend, clock):
+        built.append(
+            ReferenceStaging(
+                backend,
+                clock,
+                mechanism=config.transfer_mechanism,
+                max_concurrent_transfers=config.max_concurrent_transfers,
+                max_retries=config.max_transfer_retries,
+            )
+        )
+        return built[-1]
+
+    monkeypatch.setattr(repro.serving.manager, "_build_data_manager", build_reference)
+    assert run_scenario(spec).to_json() == product
+    assert built  # the run really staged through the reference

@@ -2,8 +2,8 @@
 
 Covers the serving presets' determinism, the serving payload of the BENCH
 artifact, and — under the ``churn`` dynamics timeline — the elasticity and
-legacy-staging bugfix regressions this PR batches (proportional scale-out
-requests and the FIFO data manager's retry / supersede behaviour).
+staging bugfix regressions (proportional scale-out requests and the
+published staging policy's retry / supersede behaviour).
 """
 
 import dataclasses
@@ -111,9 +111,9 @@ class TestBugfixesUnderChurn:
         assert first.determinism_digest == second.determinism_digest
 
     def test_legacy_fifo_staging_under_churn_completes_deterministically(self):
-        # --no-dataplane routes staging through the legacy FIFO manager whose
-        # retry re-pick and supersede suppression this PR fixed; churn plus
-        # DHA re-scheduling exercises re-placement (ticket supersede) paths.
+        # --no-dataplane runs the data plane's published (FIFO) policy, with
+        # its retry re-pick and supersede suppression; churn plus DHA
+        # re-scheduling exercises re-placement (ticket supersede) paths.
         base = get_scenario("chaos-churn-dha")
         spec = dataclasses.replace(
             base, name="churn-fifo-staging", enable_dataplane=False

@@ -8,9 +8,9 @@ import pytest
 from repro.core.config import Config, ExecutorSpec
 from repro.core.dag import Task, TaskGraph
 from repro.core.functions import SimProfile, function
-from repro.data.manager import DataManager
 from repro.data.remote_file import GlobusFile
 from repro.data.transfer import SimulatedTransferBackend
+from repro.dataplane.plane import DataPlane
 from repro.faas.types import EndpointStatus
 from repro.monitor.endpoint_monitor import EndpointMonitor
 from repro.profiling.execution import ExecutionProfiler
@@ -46,7 +46,7 @@ class ContextBundle:
     kernel: SimulationKernel
     graph: TaskGraph
     monitor: EndpointMonitor
-    data_manager: DataManager
+    data_manager: DataPlane
     execution_profiler: ExecutionProfiler
     transfer_profiler: TransferProfiler
     statuses: Dict[str, EndpointSpec] = field(default_factory=dict)
@@ -77,7 +77,9 @@ def build_context(endpoints: Dict[str, EndpointSpec], bandwidth=100.0) -> Contex
         monitor.register(name)
 
     network = NetworkModel.uniform(specs, bandwidth_mbps=bandwidth, jitter=0.0)
-    data_manager = DataManager(SimulatedTransferBackend(kernel, network), kernel.clock)
+    data_manager = DataPlane(
+        SimulatedTransferBackend(kernel, network), kernel.clock, published=True
+    )
     graph = TaskGraph()
     execution_profiler = ExecutionProfiler()
     transfer_profiler = TransferProfiler(default_bandwidth_mbps=bandwidth)
