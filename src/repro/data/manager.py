@@ -39,6 +39,9 @@ class StagingTicket:
 
     task_id: str
     destination: str
+    #: The owning workflow's namespace (:func:`task_namespace` of
+    #: ``task_id``): the data layer notifies that tenant alone.
+    namespace: str = ""
     ticket_id: str = field(default_factory=lambda: f"stage-{next(_ticket_counter):08d}")
     pending_transfers: Set[str] = field(default_factory=set)
     failed: bool = False

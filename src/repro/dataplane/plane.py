@@ -112,7 +112,9 @@ class DataPlane:
         #: Tickets created but not yet done — kept as a counter so the
         #: metrics sampler's :meth:`active_staging_tasks` is O(1).
         self._open_ticket_count = 0
-        self._staged_callbacks: List[StagedCallback] = []
+        #: Staged callbacks by workflow namespace: a finished ticket reaches
+        #: its owner's callbacks only.
+        self._staged_callbacks: Dict[str, List[StagedCallback]] = defaultdict(list)
         self._transfer_callbacks: List[Callable[[TransferResult, int], None]] = []
         #: Zero-arg callable returning the current placement plan (or None);
         #: multi-source selection prefers a file's plan replica root while
@@ -142,21 +144,10 @@ class DataPlane:
         self.superseded_tickets = 0
 
     # -------------------------------------------------------------- callbacks
-    def add_staged_callback(self, callback: StagedCallback) -> None:
-        """Register a callback invoked when a ticket finishes (or fails)."""
-        self._staged_callbacks.append(callback)
-
-    def remove_staged_callback(self, callback: StagedCallback) -> None:
-        """Unregister a staged callback (a retired tenant's staging coordinator).
-
-        Without this, a long streaming run accumulates one dead callback per
-        all-time tenant on the shared plane and every ticket notification
-        fans out to all of them.
-        """
-        try:
-            self._staged_callbacks.remove(callback)
-        except ValueError:
-            pass
+    def add_staged_callback(self, callback: StagedCallback, namespace: str = "") -> None:
+        """Register a callback invoked when a ticket of workflow ``namespace``
+        finishes (or fails); :meth:`release_namespace` drops it."""
+        self._staged_callbacks[namespace].append(callback)
 
     def add_transfer_callback(self, callback: Callable[[TransferResult, int], None]) -> None:
         """Register a callback invoked per transfer attempt result.
@@ -249,12 +240,16 @@ class DataPlane:
             self._supersede(previous)
         self.store.release_task(task_id)
 
+        namespace = task_namespace(task_id)
         ticket = StagingTicket(
-            task_id=task_id, destination=destination, created_at=self.clock.now()
+            task_id=task_id,
+            destination=destination,
+            namespace=namespace,
+            created_at=self.clock.now(),
         )
         self._tickets[ticket.ticket_id] = ticket
         self._tickets_by_task[task_id] = ticket
-        self._tickets_by_namespace[task_namespace(task_id)].append(ticket)
+        self._tickets_by_namespace[namespace].append(ticket)
 
         sized = [f for f in files if f.size_mb > 0]
         # Pin every input before tracking: track() enforces the destination
@@ -342,10 +337,12 @@ class DataPlane:
 
         Called by the serving layer when a streaming tenant retires: every
         ticket it ever opened (all terminal by then), its per-task indices,
-        its pins and its attributed-volume entry are released so live memory
-        stays O(active tenants), not O(all-time tasks).  The aggregate Table
-        IV/V counters are untouched.
+        its pins, its staged callbacks and its attributed-volume entry are
+        released so live memory stays O(active tenants), not O(all-time
+        tasks); a transfer of its that lands later notifies nobody.  The
+        aggregate Table IV/V counters are untouched.
         """
+        self._staged_callbacks.pop(namespace, None)
         tickets = self._tickets_by_namespace.pop(namespace, [])
         for ticket in tickets:
             self._tickets.pop(ticket.ticket_id, None)
@@ -638,7 +635,7 @@ class DataPlane:
                 # successful transfer — retries never double-count.
                 share = size / len(live)
                 ticket.transferred_mb += share
-                self.volume_by_namespace_mb[task_namespace(ticket.task_id)] += share
+                self.volume_by_namespace_mb[ticket.namespace] += share
                 ticket.pending_transfers.discard(job.request.transfer_id)
                 if ticket.done and ticket.completed_at is None:
                     ticket.completed_at = now
@@ -675,5 +672,5 @@ class DataPlane:
             self._notify(ticket)
 
     def _notify(self, ticket: StagingTicket) -> None:
-        for callback in self._staged_callbacks:
+        for callback in self._staged_callbacks.get(ticket.namespace, ()):
             callback(ticket)

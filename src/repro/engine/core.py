@@ -167,11 +167,12 @@ class ExecutionEngine:
         self.periodic = PeriodicCoordinator(self)
         self.bus.subscribe(TaskReady, self._on_task_ready)
 
-        # Data-plane wiring: pin lifecycle on terminal failure, crash cleanup
-        # and the prefetch pipeline (a successful completion releases its pins
-        # and advances the prefetcher in _handle_completions).
+        # Data-plane wiring: pin lifecycle on terminal failure (which the
+        # metrics count), crash cleanup and the prefetch pipeline (a
+        # successful completion releases its pins and advances the prefetcher
+        # in _handle_completions).
         plane = self.data_manager
-        self.bus.subscribe(TaskFailed, lambda e: plane.release_task(e.task_id))
+        self.bus.subscribe(TaskFailed, self._on_task_failed)
         # On this workflow's own bus, so the quarantine lands after the
         # synchronous dynamics handlers above (the failure coordinator's
         # re-placements are still deferred in the bus cascade) and before
@@ -393,6 +394,10 @@ class ExecutionEngine:
                 self.context.invalidate_task(task.task_id)
                 for successor in task.successors:
                     self.context.invalidate_task(successor.task_id)
+
+    def _on_task_failed(self, event: TaskFailed) -> None:
+        self.metrics.record_failure()
+        self.data_manager.release_task(event.task_id)
 
     def _on_task_ready(self, event: TaskReady) -> None:
         # Queue for the next scheduling round; endpoint-pinned tasks join the

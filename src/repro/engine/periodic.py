@@ -6,8 +6,6 @@ identically under the simulated and wall clocks:
 * **endpoint sync** — re-synchronise the endpoint monitor's mocks with the
   (possibly stale) service view and announce
   :class:`~repro.engine.events.CapacityChanged`;
-* **profiler refresh** — retrain the execution/transfer models on the
-  observations streamed in since the last refresh;
 * **placement re-solve** — let the global placement service refresh its
   facility-location plan when its cadence elapsed or dynamics invalidated
   the current generation (the service gates itself);
@@ -16,24 +14,22 @@ identically under the simulated and wall clocks:
 
 plus the metrics sampler, which reads the per-endpoint pending counts
 straight from the incremental :class:`~repro.engine.state.TaskIndex` instead
-of re-scanning every undispatched task.  Elastic scaling (§IV-H) is a
-federation-level cadence and lives in the run loop
-(:meth:`~repro.serving.manager.WorkflowManager.scale_now`).
+of re-scanning every undispatched task.  Work on the shared substrate is
+not a tenant's: elastic scaling (§IV-H) and the profiler refresh (§IV-C,
+retraining the execution / transfer models every
+``profiler_update_interval_s`` on what the whole federation observed) are
+federation cadences of the run loop
+(:meth:`~repro.serving.manager.WorkflowManager.run`), paid once however many
+tenants are active.  A retrain needs no eviction here: every cached
+prediction is stamped with the profiler's ``prediction_version`` and a stale
+one is rejected where it is read.
 
 The run loop does not poll :meth:`PeriodicCoordinator.check` every round: the
 coordinator publishes :attr:`~PeriodicCoordinator.due_at`, the earliest clock
 time any of its timers can fire, and the loop calls ``check`` once the clock
-reaches it (the minimum over its active tenants is the federation's one
-cadence deadline).  ``check`` itself still tests every timer, so calling it
-early or needlessly is a no-op.
-
-Every timer starts at ``0.0``, not at the workflow's arrival.  A tenant
-admitted at ``t >= profiler_update_interval_s`` therefore refits the shared
-profilers on its very first check, whatever the other tenants just did: 338 of
-the ``update_models`` calls of a 150-arrival open-loop stream are such
-first-check refits.  Moving the refit to one federation-level cadence changes
-refit *times*, hence predictions and event order, so it waits for the PR that
-re-baselines the golden digests (ROADMAP item 2(c) / 3(b)).
+reaches it (the minimum over its active tenants, and the federation's refit
+deadline, is the loop's one cadence deadline).  ``check`` itself still tests
+every timer, so calling it early or needlessly is a no-op.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ _RESCHEDULABLE = state_codes(TaskState.SCHEDULED, TaskState.STAGING, TaskState.S
 #: ``due_at`` is set this much (relatively) before the first instant a timer's
 #: own ``now - last >= interval`` test can pass, so rounding in ``last +
 #: interval`` can only make the run loop call ``check`` early, never late.
-_EARLY = 1e-9
+EARLY = 1e-9
 
 
 class PeriodicCoordinator:
@@ -64,7 +60,6 @@ class PeriodicCoordinator:
 
     def __init__(self, engine: "ExecutionEngine") -> None:
         self._engine = engine
-        self._last_profiler_update = 0.0
         self._last_endpoint_sync = 0.0
         self._last_reschedule = 0.0
         self._last_metrics_sample = 0.0
@@ -84,14 +79,6 @@ class PeriodicCoordinator:
             self._last_endpoint_sync = now
             engine.endpoint_monitor.synchronize()
             engine.bus.publish(CapacityChanged(time=now))
-        if now - self._last_profiler_update >= engine.config.profiler_update_interval_s:
-            self._last_profiler_update = now
-            retrained = engine.execution_profiler.update_models()
-            engine.transfer_profiler.update_models()
-            if retrained and engine.context is not None:
-                # Stale entries would be rejected lazily by their generation
-                # stamp anyway; dropping them eagerly frees the memory.
-                engine.context.invalidate_predictions()
         if engine.plan_service is not None:
             # Before re-scheduling: it steers by the plan, so a due re-solve
             # (cadence elapsed or generation invalidated) must land first.
@@ -108,14 +95,13 @@ class PeriodicCoordinator:
         config = engine.config
         due = min(
             self._last_endpoint_sync + config.endpoint_sync_interval_s,
-            self._last_profiler_update + config.profiler_update_interval_s,
             self._last_metrics_sample + engine.metrics.sample_interval_s,
         )
         if engine.scheduler.supports_rescheduling:
             due = min(due, self._last_reschedule + config.rescheduling_interval_s)
         if engine.plan_service is not None:
             due = min(due, engine.plan_service.next_resolve_at())
-        self.due_at = due - _EARLY * max(1.0, abs(due)) if isfinite(due) else due
+        self.due_at = due - EARLY * max(1.0, abs(due)) if isfinite(due) else due
 
     # ---------------------------------------------------------- re-scheduling
     def run_rescheduling(self) -> None:

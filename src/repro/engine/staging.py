@@ -32,7 +32,7 @@ class StagingCoordinator:
     def __init__(self, engine: "ExecutionEngine") -> None:
         self._engine = engine
         engine.bus.subscribe(TaskPlaced, self._on_task_placed)
-        engine.data_manager.add_staged_callback(self._on_ticket_done)
+        engine.data_manager.add_staged_callback(self._on_ticket_done, engine.namespace)
 
     # ---------------------------------------------------------------- events
     def _on_task_placed(self, event: TaskPlaced) -> None:

@@ -246,12 +246,18 @@ class MetricsCollector:
         self.finished_at = now
 
     def record_completion(self, endpoint: str, function_name: str, success: bool) -> None:
+        """An attempt's record came back.  A failed attempt is no outcome: it
+        re-enters the §IV-G ladder, and only a terminal failure counts
+        (:meth:`record_failure`)."""
         if success:
             self.completed_count += 1
             self.tasks_completed_by_endpoint[endpoint] += 1
             self.tasks_by_function[function_name] += 1
-        else:
-            self.failed_count += 1
+
+    def record_failure(self) -> None:
+        """A task failed terminally (§IV-G exhausted, or its staging failed);
+        a failed attempt that is retried or reassigned is not counted."""
+        self.failed_count += 1
 
     def record_reschedule(self, count: int = 1) -> None:
         self.rescheduled_count += count

@@ -30,7 +30,6 @@ from repro.authoring.api import WorkflowDefinition
 from repro.authoring.registry import get_workflow, is_registered, unique_task_types
 from repro.authoring.runtime import WorkflowRun
 from repro.core.client import UniFaaSClient
-from repro.core.dag import TaskState
 from repro.engine.events import Event, expand_event
 from repro.experiments.environment import EndpointSetup, SimulationEnvironment, build_simulation
 from repro.faas.types import ServiceLatencyModel
@@ -805,17 +804,6 @@ def _run_batch_scenario(
             "failed_tasks": summary.failed_tasks,
             "event_digest": wf_digest,
         }
-    if multi:
-        # Published multi-workflow artifacts count execution *attempts* (a
-        # retried task's failed attempt is a failure) where single-workflow
-        # ones count terminal task states; unifying the two moves
-        # zoo-mixed's digest, so it waits for a re-baselining PR.
-        completed, failed = serving.completed_tasks, serving.failed_tasks
-    else:
-        graph = manager.workflow("").graph
-        completed = graph.state_count(TaskState.COMPLETED)
-        failed = graph.state_count(TaskState.FAILED)
-
     per_wf_summaries = list(serving.workflows.values())
     utilization = (
         sum(s.mean_worker_utilization for s in per_wf_summaries) / len(per_wf_summaries)
@@ -830,8 +818,8 @@ def _run_batch_scenario(
         seed=seed,
         makespan_s=serving.makespan_s,
         total_tasks=sum(info.task_count for info in infos.values()),
-        completed_tasks=completed,
-        failed_tasks=failed,
+        completed_tasks=serving.completed_tasks,
+        failed_tasks=serving.failed_tasks,
         staged_mb=manager.data_manager.total_transferred_mb,
         retries=retries,
         rescheduled_tasks=sum(s.rescheduled_tasks for s in per_wf_summaries),

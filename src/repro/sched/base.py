@@ -102,12 +102,6 @@ class SchedulingContext:
         if self.arrays is not None:
             self.arrays.release_task(task_id)
 
-    def invalidate_predictions(self) -> None:
-        """Drop every cached prediction (profiler retrained, hardware changed)."""
-        self._input_cache.clear()
-        if self.arrays is not None:
-            self.arrays.invalidate_all()
-
     def estimated_input_mb(self, task: Task) -> float:
         """Best estimate of a task's input data volume.
 

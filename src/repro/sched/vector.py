@@ -164,10 +164,6 @@ class PredictionIndex:
             self._exec_stamp[row] = -1
             self._stag_stamp[row] = -1
 
-    def invalidate_all(self) -> None:
-        self._exec_stamp[: self._row_count] = -1
-        self._stag_stamp[: self._row_count] = -1
-
     def release_task(self, task_id: str) -> None:
         """Forget a finished task and recycle its row.
 

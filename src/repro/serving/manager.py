@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
+from math import isfinite
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
@@ -64,6 +65,7 @@ from repro.engine.events import (
     StatusStalenessChanged,
     WorkerChurn,
 )
+from repro.engine.periodic import EARLY
 from repro.faas.fabric import ExecutionFabric
 from repro.metrics.collector import MetricsCollector, WorkflowSummary, percentile
 from repro.monitor.endpoint_monitor import EndpointMonitor
@@ -441,8 +443,13 @@ class WorkflowManager:
         self._slices: Dict[str, Dict[str, int]] = {}
         self._dispatch_fingerprint: Optional[tuple] = None
         self._budgeted: List[Tuple[WorkflowHandle, Dict[str, int]]] = []
-        #: Earliest clock time any active tenant's periodic duty can fire.
+        #: Earliest clock time any active tenant's periodic duty, or the
+        #: federation's profiler refit, can fire.
         self._cadence_at = float("-inf")
+        # When the shared profilers were last refit (one federation cadence,
+        # however many tenants are active) and when the next refit can come
+        # due: ``_last_refit`` / ``_refit_at``.
+        self._start_refit_interval(0.0)
         #: The active set changed, or a dispatch grant went unconsumed, since
         #: the last pump: the next round must pump.
         self._dirty = False
@@ -565,13 +572,16 @@ class WorkflowManager:
         the tenants that are due.  Its cost follows what moved, not how many
         tenants are active:
 
-        * **Cadences.**  ``_cadence_at`` is the minimum over the active
-          tenants of ``PeriodicCoordinator.due_at`` — itself the minimum of
-          that tenant's sync, refit, re-schedule and metrics-sample timers
-          and the placement service's own gate.  Until the clock reaches it
-          no ``check()`` is called; then only the tenants whose own
-          ``due_at`` has come are checked, in arrival order.  A control-bus
-          event (dynamics may leave the plan stale) checks every tenant.
+        * **Cadences.**  ``_cadence_at`` is the minimum of the federation's
+          refit deadline and, over the active tenants, of
+          ``PeriodicCoordinator.due_at`` — itself the minimum of that
+          tenant's sync, re-schedule and metrics-sample timers and the
+          placement service's own gate.  Until the clock reaches it nothing
+          periodic runs; then, while some tenant is active, the shared
+          profilers are refit once if ``profiler_update_interval_s`` has
+          passed since the last refit, and the tenants whose own ``due_at``
+          has come are checked, in arrival order.  A control-bus event
+          (dynamics may leave the plan stale) checks every tenant.
         * **Due set.**  A tenant is visited by the pump when its bus
           delivered an event since its last growth drain — completion
           records, a staging ticket, a forwarded dynamics event, its own
@@ -637,12 +647,16 @@ class WorkflowManager:
                 active = self._active
                 now = self.clock.now()
                 control = self.bus.published_count != self._control_settled
-                if control or now >= self._cadence_at:
+                if active and (control or now >= self._cadence_at):
+                    if now - self._last_refit >= self.config.profiler_update_interval_s:
+                        self._start_refit_interval(now)
+                        self.execution_profiler.update_models()
+                        self.transfer_profiler.update_models()
                     for handle in active:
                         periodic = handle.engine.periodic
                         if control or now >= periodic.due_at:
                             periodic.check()
-                    self._cadence_at = min(map(_PERIODIC_DUE_AT, active), default=float("inf"))
+                    self._cadence_at = min(min(map(_PERIODIC_DUE_AT, active)), self._refit_at)
                 if now - self._last_scaling_check >= self.scaling_check_interval_s:
                     self._last_scaling_check = now
                     self.scale_now()
@@ -732,6 +746,14 @@ class WorkflowManager:
         self._cadence_at = float("-inf")
         self._dirty = True
 
+    def _start_refit_interval(self, now: float) -> None:
+        """The shared profilers were refit at ``now``.  ``_refit_at`` is when
+        the interval ends, set early like a tenant's ``due_at`` (see
+        :data:`~repro.engine.periodic.EARLY`)."""
+        self._last_refit = now
+        due = now + self.config.profiler_update_interval_s
+        self._refit_at = due - EARLY * max(1.0, abs(due)) if isfinite(due) else due
+
     def _activate(self, handle: WorkflowHandle) -> None:
         if handle.started or handle.cancelled or self._shut_down:
             return
@@ -796,11 +818,11 @@ class WorkflowManager:
         Open-loop serving admits workflows forever; without retirement every
         completed tenant keeps its task graph, columnar store, event bus,
         scheduler and staging records alive and the run is O(all-time tasks)
-        in memory.  Retiring drops the manager's references, unhooks the
-        tenant's staged callback from the shared data manager and releases
-        its namespace's tickets and pins — after which the tenant's whole
-        engine is garbage.  The handle itself stays valid (its summary is
-        frozen) but is no longer known to the manager.
+        in memory.  Retiring drops the manager's references and releases the
+        tenant's namespace on the shared data manager (its tickets, pins and
+        staged callback) — after which the tenant's whole engine is garbage.
+        The handle itself stays valid (its summary is frozen) but is no
+        longer known to the manager.
 
         A cancelled workflow is finished at once, but its tasks already on
         the fabric still drain: it can be retired only when their records
@@ -823,7 +845,6 @@ class WorkflowManager:
             )
         handle._attributed_mb = self.data_manager.volume_by_namespace_mb.get(wid, 0.0)
         handle.retired = True
-        self.data_manager.remove_staged_callback(handle.engine.staging._on_ticket_done)
         self.data_manager.release_namespace(wid)
         if self.plan_service is not None:
             self.plan_service.detach(handle.engine)

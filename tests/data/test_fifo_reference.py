@@ -22,6 +22,9 @@ from repro.sim.network import LinkSpec, NetworkModel
 from tests.reference.fifo_staging import DataManager
 
 ENDPOINTS = ("a", "b", "c")
+#: Workflow namespaces of the staged tasks ("" is the single-workflow path);
+#: every ticket notifies its own namespace's callback and no other.
+NAMESPACES = ("", "wf0", "wf1")
 
 
 class RecordingBackend(SimulatedTransferBackend):
@@ -103,7 +106,10 @@ def replay(build, case):
         max_retries=case["max_retries"],
     )
     notified = []
-    manager.add_staged_callback(notified.append)
+    for namespace in NAMESPACES:
+        manager.add_staged_callback(
+            lambda ticket, owner=namespace: notified.append((owner, ticket)), namespace
+        )
     files = []
     for index, (size_mb, replicas) in enumerate(case["files"]):
         file = GlobusFile(f"f{index}", size_mb=size_mb, location=replicas[0])
@@ -132,9 +138,12 @@ def replay(build, case):
     return {
         "starts": starts,
         "tickets": [
-            (t.completed_at, t.failed, t.superseded, t.transferred_mb) for t in tickets
+            (t.namespace, t.completed_at, t.failed, t.superseded, t.transferred_mb)
+            for t in tickets
         ],
-        "notified": [next(i for i, t in enumerate(tickets) if t is n) for n in notified],
+        "notified": [
+            (owner, next(i for i, t in enumerate(tickets) if t is n)) for owner, n in notified
+        ],
         "volume_by_namespace_mb": dict(manager.volume_by_namespace_mb),
         "total_transferred_mb": manager.total_transferred_mb,
         "transfer_count": manager.transfer_count,

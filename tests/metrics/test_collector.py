@@ -53,7 +53,11 @@ class TestMetricsCollector:
         collector = MetricsCollector()
         collector.record_completion("a", "fn", success=True)
         collector.record_completion("a", "fn", success=True)
+        # A failed attempt is retried or reassigned: not a failed task ...
         collector.record_completion("b", "fn", success=False)
+        assert collector.failed_count == 0
+        # ... until the ladder gives up on it.
+        collector.record_failure()
         assert collector.completed_count == 2
         assert collector.failed_count == 1
         assert collector.tasks_completed_by_endpoint == {"a": 2}

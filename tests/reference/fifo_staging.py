@@ -75,7 +75,8 @@ class DataManager:
         #: metrics sampler's :meth:`active_staging_tasks` is O(1) instead of
         #: re-scanning every ticket ever issued.
         self._open_ticket_count = 0
-        self._staged_callbacks: List[StagedCallback] = []
+        #: ``(namespace, callback)`` pairs: a ticket notifies its workflow's.
+        self._staged_callbacks: List[Tuple[str, StagedCallback]] = []
         self._transfer_callbacks: List[Callable[[TransferResult, int], None]] = []
 
         # Aggregate statistics (Tables IV/V and Fig. 10).
@@ -89,21 +90,10 @@ class DataManager:
         self.volume_by_namespace_mb: Dict[str, float] = defaultdict(float)
 
     # -------------------------------------------------------------- callbacks
-    def add_staged_callback(self, callback: StagedCallback) -> None:
-        """Register a callback invoked when a ticket finishes (or fails)."""
-        self._staged_callbacks.append(callback)
-
-    def remove_staged_callback(self, callback: StagedCallback) -> None:
-        """Unregister a staged callback (a retired tenant's staging coordinator).
-
-        Without this, a long streaming run accumulates one dead callback per
-        all-time tenant on the shared manager and every ticket notification
-        fans out to all of them.
-        """
-        try:
-            self._staged_callbacks.remove(callback)
-        except ValueError:
-            pass
+    def add_staged_callback(self, callback: StagedCallback, namespace: str = "") -> None:
+        """Register a callback invoked when a ticket of workflow ``namespace``
+        finishes (or fails)."""
+        self._staged_callbacks.append((namespace, callback))
 
     def add_transfer_callback(self, callback: Callable[[TransferResult, int], None]) -> None:
         """Register a callback invoked per transfer attempt result.
@@ -160,11 +150,14 @@ class DataManager:
             previous.completed_at = self.clock.now()
             self._open_ticket_count -= 1
         ticket = StagingTicket(
-            task_id=task_id, destination=destination, created_at=self.clock.now()
+            task_id=task_id,
+            destination=destination,
+            namespace=task_namespace(task_id),
+            created_at=self.clock.now(),
         )
         self._tickets[ticket.ticket_id] = ticket
         self._tickets_by_task[task_id] = ticket
-        self._tickets_by_namespace[task_namespace(task_id)].append(ticket)
+        self._tickets_by_namespace[ticket.namespace].append(ticket)
 
         missing = self.missing_files(files, destination)
         if not missing:
@@ -203,11 +196,14 @@ class DataManager:
         """Drop a retired workflow's staging records; returns tickets released.
 
         Called by the serving layer when a streaming tenant retires: every
-        ticket it ever opened (all terminal by then), its per-task indices and
-        its attributed-volume entry are released so live memory stays
-        O(active tenants), not O(all-time tasks).  The aggregate Table IV/V
-        counters are untouched.
+        ticket it ever opened (all terminal by then), its per-task indices,
+        its staged callbacks and its attributed-volume entry are released so
+        live memory stays O(active tenants), not O(all-time tasks).  The
+        aggregate Table IV/V counters are untouched.
         """
+        self._staged_callbacks = [
+            (owner, callback) for owner, callback in self._staged_callbacks if owner != namespace
+        ]
         tickets = self._tickets_by_namespace.pop(namespace, [])
         for ticket in tickets:
             self._tickets.pop(ticket.ticket_id, None)
@@ -338,5 +334,6 @@ class DataManager:
         return retry_pair
 
     def _notify(self, ticket: StagingTicket) -> None:
-        for callback in self._staged_callbacks:
-            callback(ticket)
+        for namespace, callback in self._staged_callbacks:
+            if namespace == ticket.namespace:
+                callback(ticket)

@@ -3,9 +3,13 @@
 ``tests/golden/digests.json`` holds one SHA-256 per preset over the whole
 ``ScenarioResult.to_json()`` payload — outcome metrics and the digest over
 the complete expanded event log — at the commit that generated it.  A single
-reordered or dropped per-task event anywhere in a run changes it.  Regenerate
-only for an intended behaviour change, with
-``PYTHONPATH=src python tests/golden/regenerate.py``, and review the diff.
+reordered or dropped per-task event anywhere in a run changes it.
+``tests/golden/outcomes.json`` holds the same payloads without their
+event-order digests, so a change that reorders events while leaving every
+outcome equal (the one kind of re-baseline the roadmap's ground rules allow)
+is told apart from one that moves an outcome.  Regenerate both only for an
+intended behaviour change, with ``PYTHONPATH=src python
+tests/golden/regenerate.py``, and review the diff.
 """
 
 import json
@@ -15,21 +19,25 @@ import pytest
 from repro.scenarios.presets import SCENARIOS, scenario_names
 from repro.scenarios.spec import run_scenario
 
-from tests.golden.regenerate import GOLDEN_PATH, artifact_sha256
+from tests.golden.regenerate import GOLDEN_PATH, OUTCOMES_PATH, artifact_sha256, outcomes
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+OUTCOMES = json.loads(OUTCOMES_PATH.read_text())
 
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_preset_reproduces_its_golden_digest(name):
-    assert artifact_sha256(run_scenario(SCENARIOS[name])) == GOLDEN[name]
+    result = run_scenario(SCENARIOS[name])
+    # Outcomes first: when both moved, the outcome diff is the one to read.
+    assert outcomes(result) == OUTCOMES[name]
+    assert artifact_sha256(result) == GOLDEN[name]
 
 
 def test_presets_cover_the_full_registry():
-    # The parametrization tracks the registry, and the golden file tracks the
+    # The parametrization tracks the registry, and the golden files track the
     # parametrization: a new preset needs a regenerated digest to pass.
     assert len(scenario_names()) >= 9
-    assert set(GOLDEN) == set(scenario_names())
+    assert set(GOLDEN) == set(OUTCOMES) == set(scenario_names())
 
 
 def test_multi_tenant_presets_are_in_the_matrix():

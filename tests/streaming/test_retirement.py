@@ -106,7 +106,6 @@ class TestRetirementFreesState:
         manager = make_manager(env)
         dm = manager.data_manager
         base_handlers = manager.bus.handler_count()
-        base_callbacks = len(dm._staged_callbacks)
 
         service, samples = run_stream(
             manager, tasks_per_wf=4, max_arrivals=12, max_active=3
@@ -119,9 +118,9 @@ class TestRetirementFreesState:
         assert manager._workflows == {}
         assert manager._arrival_handles == {}
         # The control bus and the shared data manager are back at baseline —
-        # no per-tenant handler or staged-callback leak.
+        # no per-tenant handler leak, and no namespace keeps a staged callback.
         assert manager.bus.handler_count() == base_handlers
-        assert len(dm._staged_callbacks) == base_callbacks
+        assert dict(dm._staged_callbacks) == {}
         assert dm._tickets_by_namespace == {}
         assert dict(dm.volume_by_namespace_mb) == {}
         # Peak live footprint sampled at every admission: never more handles
