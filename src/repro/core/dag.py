@@ -22,7 +22,7 @@ from repro.core.futures import UniFuture
 
 __all__ = ["COMPLETED_CODE", "PENDING_CODE", "READY_CODE", "STAGED_CODE", "STATES",
            "STATE_CODES", "TIMESTAMP_FIELDS", "Task", "TaskGraph", "TaskState",
-           "TaskTimestamps", "state_codes", "task_id_of"]
+           "TaskTimestamps", "files_size_mb", "state_codes", "task_id_of"]
 
 
 class TaskState(str, Enum):
@@ -181,6 +181,12 @@ _STAMP_OF_STATE: Dict[TaskState, str] = {
 task_id_of = attrgetter("task_id")
 
 
+def files_size_mb(files) -> float:
+    """Total ``size_mb`` of ``files`` (0 for an object without one): what an
+    attached task's store row keeps in its ``input_mb`` column."""
+    return float(sum(getattr(f, "size_mb", 0.0) for f in files))
+
+
 _task_counter = itertools.count()
 
 
@@ -219,6 +225,8 @@ class Task:
         max_retries: Optional[int] = None,
     ) -> None:
         self.function = function
+        #: The function's name, copied once (``function`` is never reassigned).
+        self.name: str = function.name
         self.args = args
         self.kwargs: Dict[str, Any] = {} if kwargs is None else kwargs
         self.task_id = _next_task_id() if task_id is None else task_id
@@ -235,8 +243,9 @@ class Task:
         self.attempts = attempts
         self.timestamps = timestamps if timestamps is not None else TaskTimestamps()
         #: Files this task reads (RemoteFile objects), discovered from arguments.
-        #: In a graph, a change must also write :attr:`input_size_mb` to the
-        #: store's ``input_mb`` column (as ``ExecutionEngine._prepare_ready`` does).
+        #: In a graph, a change must also write ``files_size_mb(input_files)``
+        #: to the store's ``input_mb`` column (as ``ExecutionEngine._prepare_ready``
+        #: does): that column is what :attr:`input_size_mb` reads.
         self.input_files: List[Any] = [] if input_files is None else input_files
         #: Files this task produced (filled when the task completes).
         self.output_files: List[Any] = [] if output_files is None else output_files
@@ -311,10 +320,6 @@ class Task:
 
     # ---------------------------------------------------------------- helpers
     @property
-    def name(self) -> str:
-        return self.function.name
-
-    @property
     def sim_profile(self) -> Optional[SimProfile]:
         return self.function.sim_profile
 
@@ -331,10 +336,14 @@ class Task:
 
     @property
     def input_size_mb(self) -> float:
-        """Total size of this task's file inputs in MB."""
-        return float(sum(getattr(f, "size_mb", 0.0) for f in self.input_files))
+        """Total size of this task's file inputs in MB (in a graph, its store
+        row's ``input_mb`` column rather than a re-sum over the files)."""
+        store = self._store
+        if store is None:
+            return files_size_mb(self.input_files)
+        return float(store.input_mb[self._row])
 
-    def resolved_args(self, graph: "TaskGraph") -> Tuple[tuple, Dict[str, Any]]:
+    def resolved_args(self) -> Tuple[tuple, Dict[str, Any]]:
         """Arguments with future placeholders replaced by their results."""
 
         def resolve(value: Any) -> Any:
@@ -457,7 +466,8 @@ class TaskGraph:
             stamps["ready"] = now
         row = store.add(
             state=TaskState.PENDING if unresolved else TaskState.READY,
-            cores=task.cores, input_mb=task.input_size_mb, priority=local["priority"],
+            cores=task.cores, input_mb=files_size_mb(task.input_files),
+            priority=local["priority"],
             endpoint=local["assigned_endpoint"], timestamps=stamps,
         )
         task._attach(store, row)

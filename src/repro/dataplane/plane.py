@@ -241,11 +241,12 @@ class DataPlane:
         self.store.release_task(task_id)
 
         namespace = task_namespace(task_id)
+        now = self.clock.now()
         ticket = StagingTicket(
             task_id=task_id,
             destination=destination,
             namespace=namespace,
-            created_at=self.clock.now(),
+            created_at=now,
         )
         self._tickets[ticket.ticket_id] = ticket
         self._tickets_by_task[task_id] = ticket
@@ -274,7 +275,7 @@ class DataPlane:
             self.store.touch(file, destination)
 
         if not missing:
-            ticket.completed_at = self.clock.now()
+            ticket.completed_at = now
             self._notify(ticket)
             return ticket
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
-from repro.core.dag import READY_CODE, Task, TaskGraph
+from repro.core.dag import READY_CODE, Task, TaskGraph, files_size_mb
 from repro.core.functions import FederatedFunction
 from repro.core.futures import UniFuture
 from repro.data.remote_file import GlobusFile, RemoteFile, RsyncFile
@@ -367,7 +367,7 @@ class ExecutionEngine:
             elif isinstance(event, EndpointRejoined):
                 self.plan_service.mark_online(event.endpoint)
             else:
-                self.plan_service.bump()
+                self.plan_service.bump(event)
         if self._running:
             if self.plan_service is not None:
                 # Re-solve before the reactions below so the scaler and the
@@ -389,7 +389,7 @@ class ExecutionEngine:
             # — while this task has no outputs yet, their estimates predict
             # its output *from its input size*
             # (SchedulingContext.estimated_input_mb's fallback path).
-            self.graph.store.input_mb[task._row] = task.input_size_mb
+            self.graph.store.input_mb[task._row] = files_size_mb(task.input_files)
             if self.context is not None:
                 self.context.invalidate_task(task.task_id)
                 for successor in task.successors:

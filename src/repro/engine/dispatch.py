@@ -16,7 +16,6 @@ from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional
 
 from repro.core.dag import STAGED_CODE, Task, TaskState
-from repro.core.exceptions import UniFaaSError
 from repro.engine.events import StagingDone, TasksDispatched
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -104,15 +103,7 @@ class DispatchCoordinator:
         """Submit ``task`` to ``endpoint``, tell the observers, and add it (and
         its ``TaskDispatched`` log entry) to the round's batch."""
         engine = self._engine
-        resolved_args, resolved_kwargs = None, None
-        if task.function.callable is not None:
-            # Resolve future arguments for real (local) execution; harmless in
-            # simulation mode where the callable is never invoked.
-            try:
-                resolved_args, resolved_kwargs = task.resolved_args(engine.graph)
-            except UniFaaSError:
-                resolved_args, resolved_kwargs = task.args, dict(task.kwargs)
-        request = engine.fabric.build_request(task, resolved_args, resolved_kwargs)
+        request = engine.fabric.build_request(task)
         task.attempts += 1
         engine.graph.set_state(task, TaskState.DISPATCHED, now=now)
         engine.index.clear_undispatched(task.task_id)

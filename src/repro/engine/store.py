@@ -39,15 +39,6 @@ _TERMINAL_CODES = state_codes(*TERMINAL_STATES)
 _GROW = 1024
 
 
-def _add(counts: Dict[str, int], key: str, delta: int) -> None:
-    """``counts[key] += delta``, keeping only non-zero entries."""
-    value = counts.get(key, 0) + delta
-    if value:
-        counts[key] = value
-    else:
-        del counts[key]
-
-
 class TaskStore:
     """Columnar (struct-of-arrays) owner of one task graph's task state."""
 
@@ -162,22 +153,36 @@ class TaskStore:
         self._account(row, code, code, old, new)
 
     def _account(self, row: int, old_code: int, new_code: int, old_ep: int, new_ep: int) -> None:
-        """Incrementally maintain the per-endpoint demand aggregates."""
+        """Incrementally maintain the per-endpoint demand aggregates.
+
+        Both dicts keep non-zero entries only (``staged_cores`` readers rely
+        on it): a decrement that reaches zero deletes the entry, and an
+        increment never reaches zero (counts and cores are >= 1).
+        """
+        pending, staged = self._pending_dispatch, self.staged_cores
         if old_ep >= 0:
             name = self.endpoint_names[old_ep]
             if old_code in _PENDING_DISPATCH:
-                _add(self._pending_dispatch, name, -1)
+                left = pending.get(name, 0) - 1
+                if left:
+                    pending[name] = left
+                else:
+                    del pending[name]
                 self.undispatched_count -= 1
             if old_code == STAGED_CODE:
-                _add(self.staged_cores, name, -int(self.cores[row]))
+                left = staged.get(name, 0) - int(self.cores[row])
+                if left:
+                    staged[name] = left
+                else:
+                    del staged[name]
                 self.staged_version += 1
         if new_ep >= 0:
             name = self.endpoint_names[new_ep]
             if new_code in _PENDING_DISPATCH:
-                _add(self._pending_dispatch, name, 1)
+                pending[name] = pending.get(name, 0) + 1
                 self.undispatched_count += 1
             if new_code == STAGED_CODE:
-                _add(self.staged_cores, name, int(self.cores[row]))
+                staged[name] = staged.get(name, 0) + int(self.cores[row])
                 self.staged_version += 1
 
     # -------------------------------------------------------------- queries

@@ -457,7 +457,8 @@ class SimulatedEndpoint:
         running = self._running.pop(task_id)
         request = running.request
         self._busy_workers -= request.cores
-        self._last_activity_at = self.kernel.now()
+        now = self.kernel.now()
+        self._last_activity_at = now
 
         # Retire workers earmarked for removal by a capacity decrease.
         if self._pending_removals > 0:
@@ -470,8 +471,7 @@ class SimulatedEndpoint:
         # rate is set, so zero-rate runs keep their exact random streams.
         rate = max(self.failure_rate, request.sim_failure_rate)
         failed = rate > 0 and bool(self.rng.random() < rate)
-        completed_at = self.kernel.now()
-        self.busy_core_seconds += (completed_at - running.started_at) * request.cores
+        self.busy_core_seconds += (now - running.started_at) * request.cores
         if failed:
             self.failed_count += 1
         else:
@@ -485,7 +485,7 @@ class SimulatedEndpoint:
             success=not failed,
             submitted_at=running.submitted_at,
             started_at=running.started_at,
-            completed_at=completed_at,
+            completed_at=now,
             input_mb=request.input_mb,
             output_mb=request.sim_output_mb if not failed else 0.0,
             result=None,

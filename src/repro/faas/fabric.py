@@ -50,9 +50,9 @@ class ExecutionFabric(ABC):
 
     # ------------------------------------------------------------ execution
     @abstractmethod
-    def build_request(self, task: Task, resolved_args: Optional[tuple] = None,
-                      resolved_kwargs: Optional[dict] = None) -> TaskExecutionRequest:
-        """Create the execution request for ``task``."""
+    def build_request(self, task: Task) -> TaskExecutionRequest:
+        """Create the execution request for ``task``; a fabric that runs the
+        callable resolves the task's future arguments here."""
 
     @abstractmethod
     def submit(self, endpoint_name: str, request: TaskExecutionRequest) -> None:
@@ -133,12 +133,7 @@ class SimulatedFabric(ExecutionFabric):
         return self.service.endpoint(name).speed_factor
 
     # ------------------------------------------------------------ execution
-    def build_request(
-        self,
-        task: Task,
-        resolved_args: Optional[tuple] = None,
-        resolved_kwargs: Optional[dict] = None,
-    ) -> TaskExecutionRequest:
+    def build_request(self, task: Task) -> TaskExecutionRequest:
         profile = task.sim_profile
         if profile is None:
             raise EndpointError(
@@ -170,29 +165,26 @@ class SimulatedFabric(ExecutionFabric):
         self.faas_client.flush()
 
     def process(self, timeout_s: Optional[float] = None) -> List[TaskExecutionRecord]:
-        # Make sure batched submissions are not stuck waiting for a full batch
-        # while the kernel runs out of other events.
-        if self.faas_client.queued_requests and self.kernel.pending_events == 0:
+        kernel = self.kernel
+        if kernel._non_daemon_pending == 0:
+            # Batched submissions must not wait for a full batch while the
+            # kernel runs out of other events (a no-op when none is queued).
             self.faas_client.flush()
-        if self.kernel.pending_events == 0 and self._outstanding == 0:
-            # Quiescent: only daemon housekeeping remains in the queue.
-            # Stepping now would warp the clock across the idle gap before
-            # the pump has had a chance to dispatch work (most visibly at
-            # run start, when nothing is scheduled yet).
-            return self.drain_completions()
-        self.kernel.step()
-        return self.drain_completions()
-
-    def drain_completions(self) -> List[TaskExecutionRecord]:
-        out = self._completions
+        # Quiescent otherwise: only daemon housekeeping remains in the queue.
+        # Stepping then would warp the clock across the idle gap before the
+        # pump has had a chance to dispatch work (most visibly at run start,
+        # when nothing is scheduled yet).
+        if kernel._non_daemon_pending or self._outstanding:
+            kernel.step()
+        completions = self._completions
         self._completions = []
-        return out
+        return completions
 
     def pending_work(self) -> bool:
         return (
-            self.kernel.pending_events > 0
-            or self.faas_client.queued_requests > 0
+            self.kernel._non_daemon_pending > 0
             or self._outstanding > 0
+            or self.faas_client.queued_requests > 0
         )
 
     def _on_result(self, record: TaskExecutionRecord) -> None:

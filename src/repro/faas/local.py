@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
 
 from repro.core.dag import Task
-from repro.core.exceptions import EndpointError
+from repro.core.exceptions import EndpointError, UniFaaSError
 from repro.faas.fabric import ExecutionFabric
 from repro.faas.types import EndpointStatus, TaskExecutionRecord, TaskExecutionRequest
 from repro.sim.kernel import WallClock
@@ -164,20 +164,21 @@ class LocalFabric(ExecutionFabric):
         return self.endpoint(name).speed_factor
 
     # ------------------------------------------------------------ execution
-    def build_request(
-        self,
-        task: Task,
-        resolved_args: Optional[tuple] = None,
-        resolved_kwargs: Optional[dict] = None,
-    ) -> TaskExecutionRequest:
+    def build_request(self, task: Task) -> TaskExecutionRequest:
+        # The callable really runs here: its future arguments become their
+        # results (passed through as they are when one cannot be resolved).
+        try:
+            args, kwargs = task.resolved_args()
+        except UniFaaSError:
+            args, kwargs = task.args, dict(task.kwargs)
         return TaskExecutionRequest(
             task_id=task.task_id,
             function_name=task.name,
             cores=task.cores,
             input_mb=task.input_size_mb,
             callable_=task.function.callable,
-            args=resolved_args if resolved_args is not None else task.args,
-            kwargs=resolved_kwargs if resolved_kwargs is not None else dict(task.kwargs),
+            args=args,
+            kwargs=kwargs,
         )
 
     def submit(self, endpoint_name: str, request: TaskExecutionRequest) -> None:

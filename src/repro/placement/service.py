@@ -78,6 +78,8 @@ class PlacementService:
         self._solved_generation = -1
         self._last_solved: Optional[float] = None
         self._offline: set = set()
+        #: The dynamics event behind the last :meth:`bump` (dedup).
+        self._bumped_for: object = None
         #: Hot-file bookkeeping of the latest solve (drives replication).
         self._consumers: Dict[str, List] = {}
         self._hot_file_objects: List = []
@@ -129,8 +131,17 @@ class PlacementService:
         self._offline.discard(endpoint)
         self._generation += 1
 
-    def bump(self) -> None:
-        """Capacity changed (worker churn, scaling): invalidate the plan."""
+    def bump(self, cause: object = None) -> None:
+        """Capacity changed (worker churn, scaling): invalidate the plan.
+
+        Every tenant engine forwards the same ``cause`` event, and only the
+        first arrival bumps (``mark_offline`` dedups the same way); without
+        a cause every call bumps.
+        """
+        if cause is not None:
+            if cause is self._bumped_for:
+                return
+            self._bumped_for = cause
         self._generation += 1
 
     def offline_endpoints(self) -> List[str]:

@@ -782,10 +782,10 @@ def _run_batch_scenario(
     tasks_per_endpoint: Dict[str, int] = {}
     for handle in manager.workflows():
         wid = handle.workflow_id
-        entries = recorders[wid].entries
+        log = repr(recorders[wid].entries).encode()
         digest.update(wid.encode())
-        digest.update(repr(entries).encode())
-        wf_digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+        digest.update(log)
+        wf_digest = hashlib.sha256(log).hexdigest()
         summary = serving.workflows[wid]
         for task in handle.graph:
             if task.attempts > 1:

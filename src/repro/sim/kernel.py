@@ -166,8 +166,14 @@ class SimulationKernel:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
+        # schedule_at's body, inlined (one Python call per scheduled event):
+        # a non-negative delay is never in the past.
         when = self.clock._now + delay
-        return self.schedule_at(when, callback, *args, daemon=daemon, label=label)
+        handle = EventHandle(when, callback, args, self, daemon, label)
+        heapq.heappush(self._queue, (when, next(self._seq), handle))
+        if not daemon:
+            self._non_daemon_pending += 1
+        return handle
 
     def schedule_at(
         self,
@@ -216,11 +222,16 @@ class SimulationKernel:
     # ------------------------------------------------------------------- run
     def step(self) -> bool:
         """Process the next non-cancelled event.  Returns ``False`` if idle."""
-        while self._queue:
-            when, _, event = heapq.heappop(self._queue)
+        queue = self._queue
+        clock = self.clock
+        while queue:
+            when, _, event = heapq.heappop(queue)
             if event.cancelled:
                 continue
-            self.clock._advance_to(when)
+            # SimClock._advance_to, inlined (one Python call per event).
+            if when < clock._now:
+                raise ValueError(f"cannot move simulation time backwards ({when} < {clock._now})")
+            clock._now = when
             self._events_processed += 1
             event.fired = True
             if not event.daemon:

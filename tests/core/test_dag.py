@@ -60,7 +60,7 @@ class TestTask:
         consumer.args = (producer.future, 1)
         consumer.kwargs = {"x": producer.future}
         graph.add_task(consumer)
-        args, kwargs = consumer.resolved_args(graph)
+        args, kwargs = consumer.resolved_args()
         assert args == (99, 1)
         assert kwargs == {"x": 99}
 
@@ -72,7 +72,7 @@ class TestTask:
         consumer.args = (producer.future,)
         graph.add_task(consumer)
         with pytest.raises(WorkflowError):
-            consumer.resolved_args(graph)
+            consumer.resolved_args()
 
 
 class TestGraphConstruction:

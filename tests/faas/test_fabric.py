@@ -8,6 +8,7 @@ import pytest
 from repro.core.dag import Task
 from repro.core.exceptions import EndpointError
 from repro.core.functions import SimProfile, function
+from repro.core.futures import UniFuture
 from repro.faas.endpoint import SimulatedEndpoint
 from repro.faas.fabric import SimulatedFabric
 from repro.faas.local import LocalEndpoint, LocalFabric
@@ -120,7 +121,7 @@ class TestLocalFabric:
     def test_real_execution(self):
         fabric = LocalFabric([LocalEndpoint("local", max_workers=2)])
         task = Task(function=real_add, args=(2, 3))
-        fabric.submit("local", fabric.build_request(task, resolved_args=(2, 3), resolved_kwargs={}))
+        fabric.submit("local", fabric.build_request(task))
         records = []
         deadline = time.time() + 5.0
         while not records and time.time() < deadline:
@@ -134,7 +135,7 @@ class TestLocalFabric:
     def test_failure_captured(self):
         fabric = LocalFabric([LocalEndpoint("local", max_workers=1)])
         task = Task(function=real_fail)
-        fabric.submit("local", fabric.build_request(task, resolved_args=(), resolved_kwargs={}))
+        fabric.submit("local", fabric.build_request(task))
         records = []
         deadline = time.time() + 5.0
         while not records and time.time() < deadline:
@@ -143,6 +144,19 @@ class TestLocalFabric:
         assert not records[0].success
         assert "intentional failure" in records[0].error
         fabric.shutdown()
+
+    def test_build_request_resolves_future_arguments(self):
+        fabric = LocalFabric([LocalEndpoint("local", max_workers=1)])
+        done, pending = UniFuture(task_id="done"), UniFuture(task_id="pending")
+        done.set_result(2)
+        try:
+            request = fabric.build_request(Task(function=real_add, args=(done,), kwargs={"b": 3}))
+            assert (request.args, request.kwargs) == ((2,), {"b": 3})
+            # A future without a result yet is passed through as it is.
+            request = fabric.build_request(Task(function=real_add, args=(pending, 3)))
+            assert request.args == (pending, 3)
+        finally:
+            fabric.shutdown()
 
     def test_local_request_requires_callable(self):
         endpoint = LocalEndpoint("local", max_workers=1)

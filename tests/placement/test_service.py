@@ -7,6 +7,8 @@ from repro.data.remote_file import GlobusFile
 from repro.engine.events import EndpointCrashed, EndpointRejoined, WorkerChurn
 
 from tests.integration.conftest import build_two_site_env
+from tests.serving.serving_env import build_env
+from tests.serving.test_workflow_manager import make_manager, stress_builder
 
 
 @function(sim_profile=SimProfile(base_time_s=3.0, output_base_mb=0.0))
@@ -104,6 +106,26 @@ def test_churn_invalidates_without_touching_the_offline_set():
     )
     assert service.generation == generation + 1
     assert service.offline_endpoints() == []
+
+
+def test_one_churn_event_forwarded_by_every_tenant_bumps_and_solves_once():
+    env = build_env()
+    manager = make_manager(env)
+    for i in range(4):
+        manager.add_workflow(f"wf{i}", builder=stress_builder(30, duration=4.0))
+    service = manager.plan_service
+    seen = []
+
+    def churn():
+        before = (service.generation, service.solve_count)
+        # The control bus forwards the one event object to all four tenants.
+        manager.bus.publish(WorkerChurn(time=env.kernel.now(), endpoint="a", delta_workers=-1))
+        seen.append((before, (service.generation, service.solve_count)))
+
+    env.kernel.schedule(1.0, churn)
+    manager.run(max_wall_time_s=60)
+    [((generation, solves), after)] = seen
+    assert after == (generation + 1, solves + 1)
 
 
 def test_maybe_resolve_honours_cadence_and_generation():

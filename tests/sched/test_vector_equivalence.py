@@ -428,7 +428,7 @@ def test_a_moved_file_refills_only_the_rows_that_read_it():
     # The swap goes the way the engine's does: files and size column together.
     filled = index.cells_filled
     reads_a.input_files = [file_b]
-    bundle.graph.store.input_mb[reads_a._row] = reads_a.input_size_mb
+    bundle.graph.store.input_mb[reads_a._row] = sum(f.size_mb for f in reads_a.input_files)
     staging_matches_scalar()
     assert index.cells_filled == filled + width
 
