@@ -135,18 +135,15 @@ def _run(policy: str):
     )
     fn = make_task_type(STREAM_TASK)
 
-    def builder_factory(arrival):
-        def build(handle):
-            with handle:
-                for _ in range(TASKS_PER_WF):
-                    fn()
-
-        return build
+    def build(handle):
+        with handle:
+            for _ in range(TASKS_PER_WF):
+                fn()
 
     digests = {}
     peaks = {"handles": 0, "rows": 0, "callbacks": 0}
 
-    def on_admit(handle, arrival):
+    def on_admit(handle):
         recorder = _IncrementalDigest()
         handle.bus.subscribe_all(recorder)
         digests[handle.workflow_id] = recorder
@@ -162,7 +159,7 @@ def _run(policy: str):
         spec,
         arrivals_rng=np.random.default_rng(1),
         admission_rng=np.random.default_rng(2),
-        builder_factory=builder_factory,
+        builder=build,
         on_admit=on_admit,
     )
     service.install()

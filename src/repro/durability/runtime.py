@@ -2,7 +2,8 @@
 
 One :class:`DurabilityController` is wired into a scenario attempt by
 :func:`repro.scenarios.spec.run_scenario` at a **fixed call-site** (right
-after the dynamics timeline is installed, before the workload is built).
+after the dynamics timeline is installed, before an open-loop stream opens
+and the run starts).
 That fixed position matters: every kernel event the controller schedules
 consumes a sequence number, and the capture run and the restore run must
 consume them at identical positions for their event logs to stay
@@ -91,21 +92,32 @@ class RunContext:
     """The live objects of one scenario attempt the controller captures.
 
     ``manager`` is the attempt's federation
-    (:class:`~repro.serving.manager.WorkflowManager`); ``engines`` and
-    ``recorders`` are keyed by workflow id ("" for the single-workflow
-    client's lone tenant).
+    (:class:`~repro.serving.manager.WorkflowManager`); ``engines`` (tenants
+    not yet retired) and ``recorders`` (every tenant's event log) are the
+    runner's live dicts, keyed by workflow id ("" for the single-workflow
+    client's lone tenant); ``streaming`` is the open-loop
+    :class:`~repro.streaming.service.StreamingService` the tenants arrive
+    through, if they do.
     """
 
-    def __init__(self, env, spec, seed: int, manager) -> None:
+    def __init__(
+        self,
+        env,
+        spec,
+        seed: int,
+        manager,
+        *,
+        engines: Dict[str, object],
+        recorders: Dict[str, object],
+        streaming=None,
+    ) -> None:
         self.env = env
         self.spec = spec
         self.seed = int(seed)
         self.manager = manager
-        self.engines: Dict[str, object] = {}
-        self.recorders: Dict[str, object] = {}
-        #: The open-loop :class:`~repro.streaming.service.StreamingService`
-        #: of a streaming attempt (``None`` on batch paths).
-        self.streaming = None
+        self.engines = engines
+        self.recorders = recorders
+        self.streaming = streaming
 
 
 class DurabilityController:

@@ -74,6 +74,17 @@ def _write_bench(result: ScenarioResult, out_dir: Path, scenario_id: str) -> Pat
     return path
 
 
+class _Refused(Exception):
+    """The preset refuses an override (e.g. ``--workflows`` on a stream)."""
+
+
+def _overridden(preset, **overrides):
+    try:
+        return preset.with_overrides(**overrides)
+    except ValueError as exc:
+        raise _Refused(str(exc)) from None
+
+
 def _print_result(result: ScenarioResult, path: Optional[Path] = None) -> None:
     print(f"scenario            : {result.scenario}")
     print(f"scheduler           : {result.scheduler}")
@@ -136,7 +147,8 @@ def _cmd_list_workflows(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     preset = get_scenario(args.name)
     preset = resolve_dynamics(args.dynamics, preset)
-    preset = preset.with_overrides(
+    preset = _overridden(
+        preset,
         scheduler=args.scheduler,
         seed=args.seed,
         scale=args.scale,
@@ -251,7 +263,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return 2
     results: List[ScenarioResult] = []
     for scheduler in schedulers:
-        spec = preset.with_overrides(
+        spec = _overridden(
+            preset,
             scheduler=scheduler,
             seed=args.seed,
             dataplane=False if args.no_dataplane else None,
@@ -290,7 +303,8 @@ def _compare_arbitrations(args: argparse.Namespace, preset) -> int:
         return 2
     results: List[ScenarioResult] = []
     for policy in policies:
-        spec = preset.with_overrides(
+        spec = _overridden(
+            preset,
             scheduler=args.scheduler if hasattr(args, "scheduler") else None,
             seed=args.seed,
             dataplane=False if args.no_dataplane else None,
@@ -441,6 +455,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:
+    except (KeyError, _Refused) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2

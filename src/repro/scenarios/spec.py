@@ -11,8 +11,10 @@ A :class:`ScenarioSpec` composes the four axes of an experiment —
   wrong, and when —
 
 into one reproducible unit.  :func:`run_scenario` builds the simulated
-federation, installs the dynamics timeline, executes the workflow and
-returns a :class:`ScenarioResult` whose :meth:`~ScenarioResult.to_json`
+federation, lets its tenants arrive — a closed cohort of ``workflows``
+instances of the workload, or an open-loop stream (``streaming``) through
+bounded admission — installs the dynamics timeline, runs the one run loop
+and returns a :class:`ScenarioResult` whose :meth:`~ScenarioResult.to_json`
 payload is byte-identical across runs with the same spec and seed (the
 property CI's determinism digest gates on): every field is derived from
 simulated time, never from wall-clock measurements.
@@ -23,6 +25,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -30,12 +34,15 @@ from repro.authoring.api import WorkflowDefinition
 from repro.authoring.registry import get_workflow, is_registered, unique_task_types
 from repro.authoring.runtime import WorkflowRun
 from repro.core.client import UniFaaSClient
+from repro.data.remote_file import GlobusFile
 from repro.engine.events import Event, expand_event
 from repro.experiments.environment import EndpointSetup, SimulationEnvironment, build_simulation
 from repro.faas.types import ServiceLatencyModel
 from repro.scenarios.dynamics import DynamicsInjector, DynamicsSpec
+from repro.serving import WorkflowManager
 from repro.sim.hardware import ClusterSpec, testbed_clusters
 from repro.sim.network import NetworkModel
+from repro.streaming import StreamingService
 from repro.streaming.spec import StreamingSpec
 from repro.workloads.drug_screening import DRUG_SCREENING_TYPES, build_drug_screening_workflow
 from repro.workloads.montage import MONTAGE_TYPES, build_montage_workflow
@@ -223,8 +230,6 @@ def _build_hot_dataset_workload(client: UniFaaSClient, workload: WorkloadSpec) -
     re-used replicas are what the capacity-bounded store must keep (or
     cheaply re-stage) under eviction pressure.
     """
-    from repro.data.remote_file import GlobusFile
-
     prepare_spec, consume_spec = _hot_dataset_task_types(workload)
     prepare_fn = make_task_type(prepare_spec)
     consume_fn = make_task_type(consume_spec)
@@ -334,12 +339,24 @@ class ScenarioSpec:
     #: layer; ``None`` disables checkpointing.  Orchestrator-crash recovery
     #: restores from the latest checkpoint that validates.
     checkpoint_interval_s: Optional[float] = None
-    #: Open-loop streaming regime.  When set, the scenario stops being a
-    #: closed batch: ``workload`` describes one tenant's DAG, tenants arrive
-    #: continuously from a seeded Poisson process, pass through bounded
-    #: admission, run under per-tenant SLO deadlines, and are retired on
-    #: completion (``workflows`` is ignored on this path).
+    #: Open-loop streaming regime.  When set, the tenants arrive from the
+    #: stream instead of as a closed cohort: ``workload`` describes one
+    #: tenant's DAG, tenants arrive continuously from a seeded Poisson
+    #: process, pass through bounded admission, run under per-tenant SLO
+    #: deadlines, and are retired on completion.  The cohort's fields
+    #: (``workflows``, ``workflow_stagger_s``, ``tenant_weights``) must then
+    #: stay at their defaults.
     streaming: Optional[StreamingSpec] = None
+
+    def __post_init__(self) -> None:
+        if self.streaming is not None and (
+            self.workflows != 1 or self.workflow_stagger_s or self.tenant_weights
+        ):
+            raise ValueError(
+                f"scenario {self.name!r}: its tenants arrive from the stream, so "
+                "workflows / workflow_stagger_s / tenant_weights (a closed "
+                "cohort's arrivals) cannot be set"
+            )
 
     def with_overrides(
         self,
@@ -481,6 +498,71 @@ class _EventLogRecorder:
         self.entries.extend(expand_event(event))
 
 
+class _Tenants:
+    """Every tenant of one run, however it arrived.
+
+    The runner registers a closed cohort up front; an open-loop stream
+    registers each tenant as admission lets it in.  Either way the tenant's
+    DAG is composed by :meth:`build`, its event log is recorded from
+    :meth:`admit` on, and its outcome is folded into the run's totals by
+    :meth:`absorb` — when it retires (its graph and metrics are released
+    right after) or, if it is still registered, at the end of the run.
+    """
+
+    def __init__(self, workload: WorkloadSpec) -> None:
+        self.workload = workload
+        #: workflow id -> event log, kept to the end: the digests cover every
+        #: tenant's full log, retired or not ...
+        self.recorders: Dict[str, _EventLogRecorder] = {}
+        #: ... -> arrival time, the digests' order ...
+        self.arrivals: Dict[str, float] = {}
+        #: ... -> engine, while the tenant is registered (what durability
+        #: captures) ...
+        self.engines: Dict[str, object] = {}
+        #: ... and -> what its builder composed, until it is totalled.
+        self.infos: Dict[str, WorkloadInfo] = {}
+        self.total_tasks = 0
+        self.completed_tasks = 0
+        self.failed_tasks = 0
+        self.retries = 0
+        self.rescheduled_tasks = 0
+        self.tasks_per_endpoint: Dict[str, int] = {}
+        self.utilization_sum = 0.0
+        self.absorbed = 0
+
+    def build(self, handle) -> None:
+        self.infos[handle.workflow_id] = self.workload.build(handle)
+
+    def admit(self, handle) -> None:
+        wid = handle.workflow_id
+        recorder = _EventLogRecorder()
+        handle.bus.subscribe_all(recorder)
+        self.recorders[wid] = recorder
+        self.arrivals[wid] = handle.arrival_s
+        self.engines[wid] = handle.engine
+
+    def retire(self, handle) -> None:
+        self.absorb(handle, handle.summary())
+        del self.engines[handle.workflow_id]
+
+    def absorb(self, handle, summary) -> None:
+        self.total_tasks += self.infos.pop(handle.workflow_id).task_count
+        self.completed_tasks += summary.completed_tasks
+        self.failed_tasks += summary.failed_tasks
+        self.rescheduled_tasks += summary.rescheduled_tasks
+        self.utilization_sum += summary.mean_worker_utilization
+        self.absorbed += 1
+        for endpoint, count in summary.tasks_per_endpoint.items():
+            self.tasks_per_endpoint[endpoint] = self.tasks_per_endpoint.get(endpoint, 0) + count
+        for task in handle.graph:
+            if task.attempts > 1:
+                self.retries += task.attempts - 1
+
+    def in_arrival_order(self) -> List[str]:
+        """Every tenant's id in the manager's order: arrival time, then id."""
+        return sorted(self.recorders, key=lambda wid: (self.arrivals[wid], wid))
+
+
 def run_scenario(
     spec: ScenarioSpec,
     *,
@@ -523,7 +605,17 @@ def _run_attempt(
     max_wall_time_s: float,
     controller_factory,
 ):
-    """One full execution of ``spec`` (the unit crash recovery retries)."""
+    """One full execution of ``spec`` (the unit crash recovery retries).
+
+    Every run is one federation (``WorkflowManager``) and its tenants; the
+    spec only says how the tenants arrive.  A closed cohort of
+    ``spec.workflows`` instances of the workload is registered up front,
+    ``workflow_stagger_s`` apart (one is the paper's single-workflow client:
+    namespace ``""``, no arbitration).  With ``spec.streaming`` they arrive
+    open-loop instead, through bounded admission, and retire as they
+    finish.  Either way one :class:`_Tenants` ledger builds, records and
+    totals them, and the result is assembled once.
+    """
     if controller_factory is not None:
         # Durability snapshots pin raw task/file/ticket ids, which come from
         # process-global counters: restart them so an in-process replay
@@ -532,13 +624,151 @@ def _run_attempt(
 
         reset_global_id_counters()
     env, config = _build_environment(spec, seed)
-    if spec.streaming is not None:
-        from repro.scenarios.streaming import run_streaming_scenario
+    cohort = spec.workflows if spec.streaming is None else 0
+    manager = WorkflowManager(
+        config,
+        env.fabric,
+        transfer_backend=env.transfer_backend,
+        arbitration=spec.arbitration if cohort != 1 else None,
+    )
+    if spec.seed_knowledge:
+        env.seed_full_knowledge(manager)
+        env.seed_execution_knowledge(manager, spec.workload.task_types())
 
-        return run_streaming_scenario(
-            spec, seed, env, config, max_wall_time_s, controller_factory
+    tenants = _Tenants(spec.workload)
+    for index in range(cohort):
+        weight = spec.tenant_weights[index] if index < len(spec.tenant_weights) else 1.0
+        tenants.admit(
+            manager.add_workflow(
+                f"wf{index}" if cohort > 1 else "",
+                owner=f"tenant-{index}" if cohort > 1 else "",
+                weight=weight,
+                # Earlier arrivals outrank later ones under strict priority.
+                priority=cohort - index,
+                arrival_s=index * spec.workflow_stagger_s,
+                builder=tenants.build,
+            )
         )
-    return _run_batch_scenario(spec, seed, env, config, max_wall_time_s, controller_factory)
+
+    timeline = spec.dynamics.compile(
+        [e.name for e in spec.topology], env.rng.stream("dynamics")
+    )
+    injector = DynamicsInjector(env, manager)
+    injector.install(timeline)
+
+    stream = None
+    if spec.streaming is not None:
+        stream = StreamingService(
+            manager,
+            spec.streaming,
+            arrivals_rng=env.rng.stream("arrivals"),
+            admission_rng=env.rng.stream("admission"),
+            builder=tenants.build,
+            on_admit=tenants.admit,
+            on_retire=tenants.retire,
+        )
+
+    controller = None
+    if controller_factory is not None:
+        # Fixed call-site: the controller's kernel events must be scheduled
+        # at the same sequence positions in capture and restore runs — armed
+        # after the dynamics timeline, before the stream opens and the run.
+        from repro.durability.runtime import RunContext
+
+        ctx = RunContext(
+            env, spec, seed, manager,
+            engines=tenants.engines, recorders=tenants.recorders, streaming=stream,
+        )
+        controller = controller_factory(ctx)
+        controller.install()
+    if stream is not None:
+        stream.install()
+    if controller is None:
+        manager.run(max_wall_time_s=max_wall_time_s)
+    else:
+        from repro.durability.errors import OrchestratorCrashed
+
+        try:
+            manager.run(max_wall_time_s=max_wall_time_s)
+        except OrchestratorCrashed:
+            # The crashed attempt must release its shared-kernel footprint
+            # (arrival and abandonment events, control-bus subscriptions)
+            # before the recovery driver builds its successor.
+            if stream is not None:
+                stream.shutdown()
+            manager.shutdown()
+            raise
+
+    serving = manager.summary()
+    for handle in manager.workflows():
+        # Tenants still registered at the end: a closed cohort, or a stream
+        # cut short.
+        tenants.absorb(handle, serving.workflows[handle.workflow_id])
+    digest = hashlib.sha256()
+    digest.update(repr([e.as_dict() for e in timeline]).encode())
+    event_digests: Dict[str, str] = {}
+    for wid in tenants.in_arrival_order():
+        log = repr(tenants.recorders[wid].entries).encode()
+        digest.update(wid.encode())
+        digest.update(log)
+        if cohort > 1:
+            event_digests[wid] = hashlib.sha256(log).hexdigest()
+    crashes = sum(
+        getattr(env.fabric.endpoint(name), "crash_count", 0)
+        for name in env.fabric.endpoint_names()
+    )
+    result = ScenarioResult(
+        scenario=spec.name,
+        scheduler=spec.scheduler,
+        seed=seed,
+        # An open stream has no makespan: this is the simulated span of the
+        # run, up to the last event drained.
+        makespan_s=serving.makespan_s,
+        total_tasks=tenants.total_tasks,
+        completed_tasks=tenants.completed_tasks,
+        failed_tasks=tenants.failed_tasks,
+        staged_mb=manager.data_manager.total_transferred_mb,
+        retries=tenants.retries,
+        rescheduled_tasks=tenants.rescheduled_tasks,
+        mean_utilization_pct=(
+            tenants.utilization_sum / tenants.absorbed if tenants.absorbed else 0.0
+        ),
+        tasks_per_endpoint=dict(sorted(tenants.tasks_per_endpoint.items())),
+        dynamics_fired=[e.as_dict() for e in injector.fired],
+        determinism_digest=digest.hexdigest(),
+        endpoint_crashes=crashes,
+        dataplane=manager.data_manager.stats_dict(),
+    )
+    if stream is not None:
+        result.streaming = stream.payload()
+    elif cohort > 1:
+        # Only multi-workflow runs carry the key, so single-workflow
+        # artifacts stay byte-identical to earlier releases.
+        workflows: Dict[str, object] = {}
+        for handle in manager.workflows():
+            wid = handle.workflow_id
+            summary = serving.workflows[wid]
+            workflows[wid] = {
+                "owner": summary.tenant,
+                "weight": round(handle.weight, 6),
+                "arrival_s": round(handle.arrival_s, 6),
+                "makespan_s": round(summary.makespan_s, 6),
+                "wait_mean_s": round(summary.wait_time_mean_s, 6),
+                "wait_p95_s": round(summary.wait_time_p95_s, 6),
+                "staged_mb": round(summary.transfer_volume_gb * 1024.0, 6),
+                "completed_tasks": summary.completed_tasks,
+                "failed_tasks": summary.failed_tasks,
+                "event_digest": event_digests[wid],
+            }
+        result.serving = {
+            "policy": serving.policy,
+            "workflow_count": cohort,
+            "stagger_s": round(spec.workflow_stagger_s, 6),
+            "jain_fairness": round(serving.jain_fairness, 6),
+            "wait_p95_s": round(serving.wait_time_p95_s, 6),
+            "workflows": workflows,
+        }
+    return result, controller
 
 
 def _run_durable(
@@ -549,9 +779,6 @@ def _run_durable(
     crashes,
 ) -> ScenarioResult:
     """The durability driver: snapshot / restore / checkpoint / recovery."""
-    import shutil
-    import tempfile
-
     from repro.durability.errors import OrchestratorCrashed, SnapshotError
     from repro.durability.runtime import (
         DurabilityController,
@@ -685,160 +912,3 @@ def _build_environment(spec: ScenarioSpec, seed: int):
         random_seed=seed,
     )
     return env, config
-
-
-def _run_batch_scenario(
-    spec: ScenarioSpec,
-    seed: int,
-    env: SimulationEnvironment,
-    config,
-    max_wall_time_s: float,
-    controller_factory=None,
-):
-    """``spec.workflows`` instances of the workload through one federation.
-
-    One workflow is the paper's client: namespace ``""``, no arbitration.
-    """
-    from repro.serving import WorkflowManager
-
-    multi = spec.workflows > 1
-    manager = WorkflowManager(
-        config,
-        env.fabric,
-        transfer_backend=env.transfer_backend,
-        arbitration=spec.arbitration if multi else None,
-    )
-    if spec.seed_knowledge:
-        env.seed_full_knowledge(manager)
-        env.seed_execution_knowledge(manager, spec.workload.task_types())
-
-    recorders: Dict[str, _EventLogRecorder] = {}
-    infos: Dict[str, WorkloadInfo] = {}
-
-    def make_builder(wid: str):
-        def build(handle) -> None:
-            infos[wid] = spec.workload.build(handle)
-
-        return build
-
-    for index in range(spec.workflows):
-        wid = f"wf{index}" if multi else ""
-        weight = (
-            spec.tenant_weights[index] if index < len(spec.tenant_weights) else 1.0
-        )
-        handle = manager.add_workflow(
-            wid,
-            owner=f"tenant-{index}" if multi else "",
-            weight=weight,
-            # Earlier arrivals outrank later ones under strict priority.
-            priority=spec.workflows - index,
-            arrival_s=index * spec.workflow_stagger_s,
-            builder=make_builder(wid),
-        )
-        recorder = _EventLogRecorder()
-        handle.bus.subscribe_all(recorder)
-        recorders[wid] = recorder
-
-    timeline = spec.dynamics.compile(
-        [e.name for e in spec.topology], env.rng.stream("dynamics")
-    )
-    injector = DynamicsInjector(env, manager)
-    injector.install(timeline)
-
-    controller = None
-    if controller_factory is not None:
-        # Fixed call-site: the controller's kernel events must be scheduled
-        # at the same sequence positions in capture and restore runs — armed
-        # after the dynamics timeline, before the run.
-        from repro.durability.errors import OrchestratorCrashed
-        from repro.durability.runtime import RunContext
-
-        ctx = RunContext(env, spec, seed, manager)
-        for handle in manager.workflows():
-            ctx.engines[handle.workflow_id] = handle.engine
-            ctx.recorders[handle.workflow_id] = recorders[handle.workflow_id]
-        controller = controller_factory(ctx)
-        controller.install()
-        try:
-            manager.run(max_wall_time_s=max_wall_time_s)
-        except OrchestratorCrashed:
-            # The crashed attempt's manager must release its shared-kernel
-            # footprint (arrival events, control-bus subscriptions) before
-            # the recovery driver builds its successor.
-            manager.shutdown()
-            raise
-    else:
-        manager.run(max_wall_time_s=max_wall_time_s)
-    serving = manager.summary()
-
-    digest = hashlib.sha256()
-    digest.update(repr([e.as_dict() for e in timeline]).encode())
-    workflow_payload: Dict[str, object] = {}
-    retries = 0
-    crashes = sum(
-        getattr(env.fabric.endpoint(name), "crash_count", 0)
-        for name in env.fabric.endpoint_names()
-    )
-    tasks_per_endpoint: Dict[str, int] = {}
-    for handle in manager.workflows():
-        wid = handle.workflow_id
-        log = repr(recorders[wid].entries).encode()
-        digest.update(wid.encode())
-        digest.update(log)
-        wf_digest = hashlib.sha256(log).hexdigest()
-        summary = serving.workflows[wid]
-        for task in handle.graph:
-            if task.attempts > 1:
-                retries += task.attempts - 1
-        for endpoint, count in summary.tasks_per_endpoint.items():
-            tasks_per_endpoint[endpoint] = tasks_per_endpoint.get(endpoint, 0) + count
-        workflow_payload[wid] = {
-            "owner": summary.tenant,
-            "weight": round(handle.weight, 6),
-            "arrival_s": round(handle.arrival_s, 6),
-            "makespan_s": round(summary.makespan_s, 6),
-            "wait_mean_s": round(summary.wait_time_mean_s, 6),
-            "wait_p95_s": round(summary.wait_time_p95_s, 6),
-            "staged_mb": round(summary.transfer_volume_gb * 1024.0, 6),
-            "completed_tasks": summary.completed_tasks,
-            "failed_tasks": summary.failed_tasks,
-            "event_digest": wf_digest,
-        }
-    per_wf_summaries = list(serving.workflows.values())
-    utilization = (
-        sum(s.mean_worker_utilization for s in per_wf_summaries) / len(per_wf_summaries)
-        if per_wf_summaries
-        else 0.0
-    )
-    dataplane_stats = manager.data_manager.stats_dict()
-
-    result = ScenarioResult(
-        scenario=spec.name,
-        scheduler=spec.scheduler,
-        seed=seed,
-        makespan_s=serving.makespan_s,
-        total_tasks=sum(info.task_count for info in infos.values()),
-        completed_tasks=serving.completed_tasks,
-        failed_tasks=serving.failed_tasks,
-        staged_mb=manager.data_manager.total_transferred_mb,
-        retries=retries,
-        rescheduled_tasks=sum(s.rescheduled_tasks for s in per_wf_summaries),
-        mean_utilization_pct=utilization,
-        tasks_per_endpoint=tasks_per_endpoint,
-        dynamics_fired=[e.as_dict() for e in injector.fired],
-        determinism_digest=digest.hexdigest(),
-        endpoint_crashes=crashes,
-        dataplane=dataplane_stats,
-    )
-    if multi:
-        # Only multi-workflow runs carry the key, so single-workflow
-        # artifacts stay byte-identical to earlier releases.
-        result.serving = {
-            "policy": serving.policy,
-            "workflow_count": spec.workflows,
-            "stagger_s": round(spec.workflow_stagger_s, 6),
-            "jain_fairness": round(serving.jain_fairness, 6),
-            "wait_p95_s": round(serving.wait_time_p95_s, 6),
-            "workflows": workflow_payload,
-        }
-    return result, controller

@@ -32,10 +32,6 @@ from repro.streaming.spec import StreamingSpec
 
 __all__ = ["StreamingService"]
 
-#: ``builder_factory(arrival)`` returns the DAG-building closure the managed
-#: workflow is created with (or None for an eagerly-empty workflow).
-BuilderFactory = Callable[[StreamArrival], Optional[Callable[[WorkflowHandle], object]]]
-
 
 class StreamingService:
     """Drives continuous tenant arrivals through a :class:`WorkflowManager`."""
@@ -47,9 +43,9 @@ class StreamingService:
         *,
         arrivals_rng,
         admission_rng,
-        builder_factory: BuilderFactory,
-        on_admit: Optional[Callable[[WorkflowHandle, StreamArrival], None]] = None,
-        on_retire: Optional[Callable[[WorkflowHandle, StreamArrival], None]] = None,
+        builder: Callable[[WorkflowHandle], object],
+        on_admit: Optional[Callable[[WorkflowHandle], None]] = None,
+        on_retire: Optional[Callable[[WorkflowHandle], None]] = None,
     ) -> None:
         kernel = getattr(manager.fabric, "kernel", None)
         if kernel is None:
@@ -68,7 +64,9 @@ class StreamingService:
                 "streaming serving needs a manager built without the placement "
                 "plan (Config.enable_placement_plan=False)"
             )
-        self.builder_factory = builder_factory
+        #: Composes an admitted tenant's DAG when its arrival comes due (the
+        #: same ``builder`` a closed-loop ``add_workflow`` takes).
+        self.builder = builder
         self.on_admit = on_admit
         self.on_retire = on_retire
 
@@ -150,16 +148,15 @@ class StreamingService:
         self.metrics.record_admission(now - arrival.arrival_s)
         handle = self.manager.add_workflow(
             arrival.workflow_id,
-            owner=arrival.workflow_id,
             arrival_s=now,
             deadline_s=arrival.deadline_s,
-            builder=self.builder_factory(arrival),
+            builder=self.builder,
         )
         self._live[arrival.workflow_id] = arrival
         self.active += 1
         self.active_peak = max(self.active_peak, self.active)
         if self.on_admit is not None:
-            self.on_admit(handle, arrival)
+            self.on_admit(handle)
 
     def _on_finished(self, handle: WorkflowHandle) -> None:
         arrival = self._live.pop(handle.workflow_id, None)
@@ -170,7 +167,7 @@ class StreamingService:
             now, now - arrival.arrival_s, missed=now > arrival.deadline_s
         )
         if self.on_retire is not None:
-            self.on_retire(handle, arrival)
+            self.on_retire(handle)
         self.manager.retire(handle)
         self.active -= 1
         # A slot freed: the head of the pending queue gets it immediately.

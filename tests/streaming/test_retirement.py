@@ -78,7 +78,7 @@ def run_stream(
     )
     samples = []
 
-    def on_admit(handle, arrival):
+    def on_admit(handle):
         samples.append(
             (
                 len(manager.workflows()),
@@ -91,8 +91,8 @@ def run_stream(
         spec,
         arrivals_rng=np.random.default_rng(seed),
         admission_rng=np.random.default_rng(seed + 1),
-        builder_factory=builder
-        or (lambda arrival: (lambda h: build_stress_workload(h, tasks_per_wf, 1.0, output_mb=0.0))),
+        builder=builder
+        or (lambda h: build_stress_workload(h, tasks_per_wf, 1.0, output_mb=0.0)),
         on_admit=on_admit,
     )
     service.install()
@@ -140,7 +140,7 @@ class TestRetirementFreesState:
             manager,
             max_arrivals=6,
             max_active=2,
-            builder=lambda arrival: fanin_builder(width=6, output_mb=8.0),
+            builder=fanin_builder(width=6, output_mb=8.0),
         )
         assert manager.retired_count == 6
         assert dm._tickets_by_namespace == {}
@@ -167,8 +167,8 @@ class TestRetirementFreesState:
             spec,
             arrivals_rng=np.random.default_rng(0),
             admission_rng=np.random.default_rng(1),
-            builder_factory=lambda arrival: chain_builder(length=3, output_mb=6.0),
-            on_retire=lambda handle, arrival: retired.append(handle),
+            builder=chain_builder(length=3, output_mb=6.0),
+            on_retire=retired.append,
         )
         service.install()
         manager.run(max_wall_time_s=60)
