@@ -12,6 +12,7 @@ so the algorithm lives here, once.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Mapping, Optional
 
 __all__ = ["largest_remainder_split"]
@@ -35,30 +36,29 @@ def largest_remainder_split(
     scaler's shortfall split, the serving layer's fair-share arbitration and
     the placement optimizer's worker-target apportionment.
     """
-    out = {key: 0 for key in weights}
-    eligible = {
-        key: w
-        for key, w in weights.items()
-        if w > 0 and (caps is None or caps.get(key, 0) > 0)
-    }
+    # Loop form, no comprehension or sort-key lambda: this runs several times
+    # per fair-share round, and Python 3.11 gives each of those a frame.
+    out = dict.fromkeys(weights, 0)
+    eligible = {}
+    for key, w in weights.items():
+        if w > 0 and (caps is None or caps.get(key, 0) > 0):
+            eligible[key] = w
     if total <= 0 or not eligible:
         return out
     if caps is not None:
-        total = min(total, sum(caps[key] for key in eligible))
+        total = min(total, sum(map(caps.__getitem__, eligible)))
     weight_sum = sum(eligible.values())
-    quotas = {key: total * w / weight_sum for key, w in eligible.items()}
-    for key in eligible:
-        floor = int(quotas[key])
+    ranked = []
+    for key, w in eligible.items():
+        quota = total * w / weight_sum
+        floor = int(quota)
         out[key] = floor if caps is None else min(floor, caps[key])
+        ranked.append(
+            (-(quota - floor), 0.0 if tiebreak is None else tiebreak.get(key, 0.0), key)
+        )
     leftover = total - sum(out.values())
-    order = sorted(
-        eligible,
-        key=lambda key: (
-            -(quotas[key] - int(quotas[key])),
-            tiebreak.get(key, 0.0) if tiebreak is not None else 0.0,
-            key,
-        ),
-    )
+    ranked.sort()
+    order = list(map(itemgetter(2), ranked))
     while leftover > 0 and order:
         for key in list(order):
             if leftover <= 0:

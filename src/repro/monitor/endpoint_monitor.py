@@ -187,6 +187,20 @@ class EndpointMonitor:
     def free_capacity(self, endpoint_name: str) -> int:
         return self.mock(endpoint_name).free_capacity
 
+    def free_capacities(self) -> Dict[str, int]:
+        """``{name: free_capacity(name)}`` for every monitored endpoint.
+
+        With mocking on, one pass over the mocks' counters; with it off,
+        the per-name path, so every read re-synchronises as it must.
+        """
+        if not self.mocking_enabled:
+            return {name: self.free_capacity(name) for name in self.endpoint_names()}
+        free = {}
+        for name, mock in self._mocks.items():
+            count = mock.active_workers - mock.busy_workers - mock.pending_tasks
+            free[name] = count if count > 0 else 0
+        return free
+
     def active_workers(self, endpoint_name: str) -> int:
         return self.mock(endpoint_name).active_workers
 

@@ -86,6 +86,9 @@ class DHAScheduler(Scheduler):
         #: Fingerprint of the inputs of the last re-scheduling pass that
         #: moved nothing; an identical fingerprint proves an identical no-op.
         self._resched_noop_fingerprint: Optional[Tuple] = None
+        #: ``(plan, endpoint names, mask)`` of the last :meth:`_warm_mask`: a
+        #: plan is immutable, so the mask is derived once per plan object.
+        self._warm_cache: Optional[Tuple] = None
 
     # ------------------------------------------------------------- priorities
     def on_workflow_submitted(self, tasks: Sequence[Task]) -> None:
@@ -248,9 +251,9 @@ class DHAScheduler(Scheduler):
             finish = vectors.finish_row(exec_matrix[row], stag_matrix[row])
             mask = self._selection_mask(plan, task, names, warm_mask)
             if mask is not None:
-                column = int(np.argmin(np.where(mask, finish, np.inf)))
+                column = int(np.where(mask, finish, np.inf).argmin())
             else:
-                column = int(np.argmin(finish))
+                column = int(finish.argmin())
             endpoint = names[column]
             self.claim(endpoint, 1)
             self._pending_target[task.task_id] = endpoint
@@ -312,16 +315,23 @@ class DHAScheduler(Scheduler):
         Returns None when there is no plan, when no listed endpoint is warm
         (selection falls back to the plain paper EFT sweep over all of them),
         or when every endpoint is warm (the restriction is a no-op) — the
-        caller then takes the plain argmin.
+        caller then takes the plain argmin.  The mask is cached per plan
+        object and endpoint list and is read-only: callers combine it into
+        new arrays, never in place.
         """
         plan = self._current_plan()
         if plan is None or not plan.warm_endpoints:
             return None
-        mask = np.fromiter(
-            (plan.is_warm(name) for name in names), dtype=bool, count=len(names)
-        )
+        cached = self._warm_cache
+        if cached is not None and cached[0] is plan and cached[1] == names:
+            return cached[2]
+        warm = plan.warm_endpoints
+        mask = np.fromiter((name in warm for name in names), dtype=bool, count=len(names))
         if not mask.any() or mask.all():
-            return None
+            mask = None
+        else:
+            mask.flags.writeable = False
+        self._warm_cache = (plan, list(names), mask)
         return mask
 
     def _endpoint_vectors(self, arrays):
@@ -370,7 +380,7 @@ class DHAScheduler(Scheduler):
         mask = self._selection_mask(self._current_plan(), task, names, self._warm_mask(names))
         if mask is not None:
             finish = np.where(mask, finish, np.inf)
-        return names[int(np.argmin(finish))]
+        return names[int(finish.argmin())]
 
     # --------------------------------------------------------- delay mechanism
     def should_dispatch(self, task: Task) -> bool:
@@ -501,7 +511,7 @@ class DHAScheduler(Scheduler):
             row = rows[position]
             finish = vectors.finish_row(exec_matrix[row], stag_matrix[row])
             current_finish = finish[column]
-            best_column = int(np.argmin(np.where(candidates, finish, np.inf)))
+            best_column = int(np.where(candidates, finish, np.inf).argmin())
             best_finish = finish[best_column]
             if best_finish >= current_finish:
                 continue

@@ -66,9 +66,9 @@ class PredictionIndex:
 
     What bounds each table: the matrices, ``_rows`` and ``_stag_inputs`` by
     the live rows (:meth:`release_task` recycles a finished task's row and
-    forgets its entries); the two value-keyed staging tables by their
-    stream's generation (dropped when it moves) and by
-    ``_STAGING_ROWS_CAP`` entries (cleared on reaching it).  The
+    forgets its entries); the two value-keyed staging tables and the
+    per-file cost rows by their stream's generation (dropped when it moves)
+    and by ``_STAGING_ROWS_CAP`` entries each (cleared on reaching it).  The
     execution-row table is not here but on the profiler's function model,
     bounded by that model's stamp and the profiler's own cap.
     """
@@ -111,6 +111,10 @@ class PredictionIndex:
         #: without files.
         self._file_rows: Dict[Tuple[int, ...], np.ndarray] = {}
         self._nofile_rows: Dict[float, np.ndarray] = {}
+        #: One file's contribution to a staging row, by its location stamp
+        #: (valid for the same generation as ``_file_rows``): consumers of
+        #: different file sets that share a file cost it once.
+        self._file_costs: Dict[int, np.ndarray] = {}
         #: Recycled rows of released (finished) tasks.
         self._free_rows: List[int] = []
         self._default: Optional[float] = None
@@ -155,6 +159,7 @@ class PredictionIndex:
             self._stag_counter += 1
             self._stag_gen_files = self._stag_counter
             self._file_rows.clear()
+            self._file_costs.clear()
         return self._stag_gen_nofiles, self._stag_gen_files
 
     # ----------------------------------------------------------- invalidation
@@ -365,49 +370,68 @@ class PredictionIndex:
     def _staging_row(self, task: "Task") -> np.ndarray:
         """One row of predicted staging times, an endpoint per cell.
 
-        The accumulation order (files outer, endpoints inner, contributions
-        added in file order) matches
+        A file-bearing row is the sum, from zeros and in file order, of its
+        files' cost rows (:meth:`_file_cost_row`); a cell a file does not
+        cost holds ``0.0``, which adds nothing.  That is the accumulation of
         :meth:`~repro.sched.base.SchedulingContext.predicted_staging_time`
-        exactly so the cells are bit-identical — including the data-plane
-        gate: multi-source (cheapest replica) predictions when the plane is
-        enabled, primary-replica predictions when it is not.
+        exactly, so the cells are bit-identical to it.
         """
-        context = self._context
         names = self.endpoint_names
         row = np.zeros(len(names))
-        transfer = context.transfer_profiler
-        multi_source = context.config.enable_dataplane
-        if task.input_files:
-            for file in task.input_files:
-                size = file.size_mb
-                if size <= 0:
-                    continue
-                if multi_source:
-                    sources = context.staging_sources(file)
-                    if not sources:
-                        continue
-                    for column, name in enumerate(names):
-                        if file.available_at(name):
-                            continue
-                        row[column] += min(
-                            transfer.predict_transfer_time(src, name, size)
-                            for src in sources
-                        )
-                    continue
-                source = file.primary_location
-                if source is None:
-                    continue
-                for column, name in enumerate(names):
-                    if file.available_at(name):
-                        continue
-                    row[column] += transfer.predict_transfer_time(source, name, size)
+        files = task.input_files
+        if files:
+            costs = self._file_costs
+            for file in files:
+                cost = costs.get(file.location_stamp)
+                if cost is None:
+                    cost = self._file_cost_row(file)
+                row += cost
             return row
+        context = self._context
         size = context.estimated_input_mb(task)
         if size > 0 and len(names) > 1:
+            predict = context.transfer_profiler.predict_transfer_time
             for column, name in enumerate(names):
                 source = names[0] if names[0] != name else names[1]
-                row[column] = transfer.predict_transfer_time(source, name, size)
+                row[column] = predict(source, name, size)
         return row
+
+    def _file_cost_row(self, file) -> np.ndarray:
+        """Predicted time to stage ``file`` onto each endpoint, cached.
+
+        Honours the data-plane gate the way
+        :meth:`~repro.sched.base.SchedulingContext.predicted_staging_time`
+        does: the cheapest replica among :meth:`staging_sources` when the
+        plane is enabled, the primary replica when it is not; ``0.0`` where
+        the file already is, or when it is empty or has nowhere to come from.
+        """
+        names = self.endpoint_names
+        cost = np.zeros(len(names))
+        size = file.size_mb
+        if size > 0:
+            context = self._context
+            predict = context.transfer_profiler.predict_transfer_time
+            locations = file.locations
+            if context.config.enable_dataplane:
+                sources = context.staging_sources(file)
+            else:
+                primary = file.primary_location
+                sources = [] if primary is None else [primary]
+            if sources:
+                for column, name in enumerate(names):
+                    if name in locations:
+                        continue
+                    best = None
+                    for source in sources:
+                        seconds = predict(source, name, size)
+                        if best is None or seconds < best:
+                            best = seconds
+                    cost[column] = best
+        costs = self._file_costs
+        if len(costs) >= _STAGING_ROWS_CAP:
+            costs.clear()
+        costs[file.location_stamp] = cost
+        return cost
 
 
 class EndpointStateVectors:

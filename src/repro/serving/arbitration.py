@@ -192,19 +192,28 @@ class FairShareArbitration(ArbitrationPolicy):
         self._served: Dict[str, int] = {}
 
     def allocate(self, free, demands, tenants, *, record_service: bool = True) -> Allocation:
-        weights = {t.workflow_id: max(t.weight, 1e-9) for t in tenants}
-        allocation: Allocation = {t.workflow_id: {} for t in tenants}
+        # Loop form (no comprehensions): it runs on most pump rounds.
+        weights: Dict[str, float] = {}
+        allocation: Allocation = {}
+        for tenant in tenants:
+            weights[tenant.workflow_id] = max(tenant.weight, 1e-9)
+            allocation[tenant.workflow_id] = {}
+        served = self._served
+        nothing: Dict[str, int] = {}
         for endpoint in sorted(free):
             remaining = max(0, free[endpoint])
-            unmet = {
-                t.workflow_id: demands.get(t.workflow_id, {}).get(endpoint, 0)
-                for t in tenants
-            }
+            unmet: Dict[str, int] = {}
+            for tenant in tenants:
+                unmet[tenant.workflow_id] = demands.get(tenant.workflow_id, nothing).get(
+                    endpoint, 0
+                )
             while remaining > 0 and any(unmet.values()):
-                active = {wid: w for wid, w in weights.items() if unmet[wid] > 0}
-                deficit = {
-                    wid: self._served.get(wid, 0) / weights[wid] for wid in active
-                }
+                active: Dict[str, float] = {}
+                deficit: Dict[str, float] = {}
+                for wid, weight in weights.items():
+                    if unmet[wid] > 0:
+                        active[wid] = weight
+                        deficit[wid] = served.get(wid, 0) / weight
                 shares = largest_remainder_split(
                     remaining, active, caps=unmet, tiebreak=deficit
                 )
@@ -215,7 +224,7 @@ class FairShareArbitration(ArbitrationPolicy):
                         continue
                     allocation[wid][endpoint] = allocation[wid].get(endpoint, 0) + granted
                     if record_service:
-                        self._served[wid] = self._served.get(wid, 0) + granted
+                        served[wid] = served.get(wid, 0) + granted
                         self.state_version += 1
                     unmet[wid] -= granted
                     remaining -= granted

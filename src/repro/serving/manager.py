@@ -860,7 +860,7 @@ class WorkflowManager:
         """Mocked free workers per endpoint (shared: read, never written)."""
         monitor = self.endpoint_monitor
         if monitor.state_version != self._free_version or not monitor.mocking_enabled:
-            free = {name: monitor.free_capacity(name) for name in monitor.endpoint_names()}
+            free = monitor.free_capacities()
             if free.keys() != self._free.keys():
                 self._demand = {
                     wid: dict.fromkeys(free, size) for wid, size in self._demand_size.items()

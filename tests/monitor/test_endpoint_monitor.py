@@ -152,3 +152,34 @@ class TestEndpointMonitor:
     def test_invalid_interval(self, provider, clock):
         with pytest.raises(ValueError):
             EndpointMonitor(provider, clock, sync_interval_s=0.0)
+
+    @pytest.mark.parametrize("mocking", [True, False])
+    def test_free_capacities_equals_the_per_name_reads(self, provider, clock, mocking):
+        provider.snapshots["ep2"] = status(name="ep2", active=2, busy=2, pending=3)
+        provider.snapshots["ep3"] = status(name="ep3", active=6, busy=1, pending=2)
+        monitor = EndpointMonitor(provider, clock, mocking_enabled=mocking)
+        for name in ("ep1", "ep2", "ep3"):
+            monitor.register(name)
+        steps = [
+            lambda: monitor.record_dispatch("ep1"),
+            lambda: monitor.record_dispatch("ep3", cores=4),
+            lambda: monitor.record_completion("ep2"),
+            lambda: provider.snapshots.update(ep1=status(active=1, busy=1, pending=5)),
+            lambda: monitor.synchronize(force=True),
+            lambda: monitor.record_completion("ep1"),
+        ]
+        for step in [lambda: None] + steps:
+            step()
+            free = monitor.free_capacities()
+            assert free == {name: monitor.free_capacity(name) for name in monitor.endpoint_names()}
+            assert list(free) == monitor.endpoint_names()
+            assert all(count >= 0 for count in free.values())
+
+    def test_free_capacities_without_mocking_resynchronises_every_read(self, provider, clock):
+        monitor = EndpointMonitor(provider, clock, mocking_enabled=False)
+        monitor.register("ep1")
+        monitor.record_dispatch("ep1")
+        calls, version = provider.calls, monitor.state_version
+        assert monitor.free_capacities() == {"ep1": 4}  # the dispatch is forgotten
+        assert provider.calls == calls + 1
+        assert monitor.state_version > version
