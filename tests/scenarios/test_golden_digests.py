@@ -1,6 +1,7 @@
 """Every scenario preset reproduces its committed artifact, byte for byte.
 
-``tests/golden/digests.json`` holds one SHA-256 per preset over the whole
+``tests/golden/digests.json`` holds one SHA-256 per preset — and per
+variant, ``ci-smoke`` under the schedulers no preset runs — over the whole
 ``ScenarioResult.to_json()`` payload — outcome metrics and the digest over
 the complete expanded event log — at the commit that generated it.  A single
 reordered or dropped per-task event anywhere in a run changes it.
@@ -19,15 +20,23 @@ import pytest
 from repro.scenarios.presets import SCENARIOS, scenario_names
 from repro.scenarios.spec import run_scenario
 
-from tests.golden.regenerate import GOLDEN_PATH, OUTCOMES_PATH, artifact_sha256, outcomes
+from tests.golden.regenerate import (
+    GOLDEN_PATH,
+    OUTCOMES_PATH,
+    VARIANTS,
+    artifact_sha256,
+    outcomes,
+    pinned_specs,
+)
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 OUTCOMES = json.loads(OUTCOMES_PATH.read_text())
+PINNED = pinned_specs()
 
 
-@pytest.mark.parametrize("name", scenario_names())
+@pytest.mark.parametrize("name", list(PINNED))
 def test_preset_reproduces_its_golden_digest(name):
-    result = run_scenario(SCENARIOS[name])
+    result = run_scenario(PINNED[name])
     # Outcomes first: when both moved, the outcome diff is the one to read.
     assert outcomes(result) == OUTCOMES[name]
     assert artifact_sha256(result) == GOLDEN[name]
@@ -35,9 +44,11 @@ def test_preset_reproduces_its_golden_digest(name):
 
 def test_presets_cover_the_full_registry():
     # The parametrization tracks the registry, and the golden files track the
-    # parametrization: a new preset needs a regenerated digest to pass.
+    # parametrization: a new preset needs a regenerated digest to pass.  The
+    # variants pin Locality and HEFT under both data-plane policies.
     assert len(scenario_names()) >= 9
-    assert set(GOLDEN) == set(OUTCOMES) == set(scenario_names())
+    assert len(VARIANTS) == 4
+    assert set(GOLDEN) == set(OUTCOMES) == set(scenario_names()) | set(VARIANTS)
 
 
 def test_multi_tenant_presets_are_in_the_matrix():
