@@ -92,7 +92,9 @@ def build_context(endpoints, profiler):
         execution_profiler=profiler,
         transfer_profiler=TransferProfiler(),
         data_manager=DataPlane(
-            SimulatedTransferBackend(kernel, network), kernel.clock, published=True
+            SimulatedTransferBackend(kernel, network),
+            kernel.clock,
+            published=not config.enable_dataplane,
         ),
         config=config,
         clock=kernel.clock,

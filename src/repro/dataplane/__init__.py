@@ -12,9 +12,11 @@
 * :class:`~repro.dataplane.prefetch.Prefetcher` — pipelines staging of
   ready-soon tasks' inputs behind their predecessors' execution.
 
-``Config.enable_dataplane`` (default on) selects the plane's policy:
-``--no-dataplane`` runs it under the paper's published §IV-E policy (an
-unbounded store, FIFO links, no prefetch).
+``DataPlane(published=...)`` selects the plane's policy: ``--no-dataplane``
+runs it under the paper's published §IV-E policy (an unbounded store, FIFO
+links, no prefetch).  The plane also names the replicas a staging
+prediction prices (``DataPlane.staging_sources``), so every scheduler reads
+the policy from the plane, never from the config.
 """
 
 from repro.dataplane.plane import DataPlane

@@ -477,32 +477,49 @@ class DataPlane:
             for src in sources
         )
 
+    def staging_sources(self, file: RemoteFile) -> List[str]:
+        """The replicas a staging prediction prices ``file`` from.
+
+        The published policy prices the primary replica (``[]`` when the
+        file has none).  Otherwise these are the sorted replicas at online
+        endpoints, or all of them when none is online: the candidates
+        :meth:`_pick_source` chooses among, so a placement is never costed
+        against a fast replica sitting on a crashed endpoint.
+        """
+        if self.published:
+            primary = file.primary_location
+            return [] if primary is None else [primary]
+        sources = sorted(file.locations)
+        if not sources:
+            return sources
+        online = [s for s in sources if not self.store.is_offline(s)]
+        return online or sources
+
     def _pick_source(
         self, file: RemoteFile, destination: str, exclude: Tuple[str, ...] = ()
     ) -> str:
         """The replica to copy ``file`` from; it must have one.
 
-        ``exclude`` drops replicas that just failed to serve (the published
-        retry), falling back to the full set.  The published policy takes the
-        cheapest estimated transfer.  Otherwise the choice is the cheapest
-        *online* replica discounted by link pressure, with the plan root
-        preferred within a bounded premium; when every replica sits on a
-        crashed endpoint, demand deliberately falls back to a quarantined
-        copy rather than failing the workflow, so the quarantine only shapes
-        the choice while an online replica exists.
+        The published policy takes the cheapest estimated transfer among all
+        replicas; ``exclude`` drops those that just failed to serve (its
+        retry), falling back to the full set.  Otherwise the choice is the
+        cheapest of :meth:`staging_sources` discounted by link pressure,
+        with the plan root preferred within a bounded premium; when every
+        replica sits on a crashed endpoint, demand deliberately falls back
+        to a quarantined copy rather than failing the workflow, so the
+        quarantine only shapes the choice while an online replica exists.
         """
-        sources = sorted(file.locations)
-        if exclude:
-            sources = [s for s in sources if s not in exclude] or sources
         if self.published:
+            sources = sorted(file.locations)
+            if exclude:
+                sources = [s for s in sources if s not in exclude] or sources
             return min(
                 sources,
                 key=lambda src: self.backend.estimate_duration(
                     src, destination, file.size_mb, mechanism=self.mechanism
                 ),
             )
-        online = [s for s in sources if not self.store.is_offline(s)]
-        sources = online or sources
+        sources = self.staging_sources(file)
         if len(sources) == 1:
             return sources[0]
         limit = self.transfers.max_concurrent_per_link

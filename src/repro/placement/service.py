@@ -266,10 +266,11 @@ class PlacementService:
             exec_rows = arrays.exec_matrix[rows]
             serve: Dict[str, float] = {}
             pull: Dict[str, float] = {}
-            for name in names:
+            # Replication costs what staging the file there would.
+            for name, seconds in zip(names, ctx.file_staging_costs(file, names)):
                 column = arrays.endpoint_index(name)
                 serve[name] = float(exec_rows[:, column].mean()) * len(consumers)
-                pull[name] = self._pull_cost(ctx, file, name)
+                pull[name] = float(seconds)
             hot_files.append(
                 HotFile(
                     file_id=fid,
@@ -294,35 +295,6 @@ class PlacementService:
             hot_files=hot_files,
             co_access=dict(sorted(co_access.items())),
         )
-
-    @staticmethod
-    def _pull_cost(ctx, file, endpoint: str) -> float:
-        """Seconds to establish a replica of ``file`` at ``endpoint``.
-
-        Mirrors the per-file branch of
-        :meth:`~repro.sched.base.SchedulingContext.predicted_staging_time`:
-        zero where a replica is already resident, otherwise the cheapest
-        online source (multi-source with the data plane, primary replica
-        without), so the solver costs replication against the same candidate
-        set the transfer scheduler will actually use.
-        """
-        if file.available_at(endpoint) or file.size_mb <= 0:
-            return 0.0
-        profiler = ctx.transfer_profiler
-        if ctx.config.enable_dataplane:
-            sources = ctx.staging_sources(file)
-            if not sources:
-                return 0.0
-            return float(
-                min(
-                    profiler.predict_transfer_time(src, endpoint, file.size_mb)
-                    for src in sources
-                )
-            )
-        source = file.primary_location
-        if source is None:
-            return 0.0
-        return float(profiler.predict_transfer_time(source, endpoint, file.size_mb))
 
     def _perf_means(self, names, perf_rows, context) -> Dict[str, float]:
         if not perf_rows:

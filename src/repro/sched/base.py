@@ -129,67 +129,61 @@ class SchedulingContext:
         self._input_cache[task.task_id] = (total, generation)
         return total
 
-    def staging_sources(self, file) -> List[str]:
-        """Candidate source replicas for a multi-source staging prediction.
+    def file_staging_costs(self, file, endpoints: Sequence[str]) -> List[float]:
+        """Predicted seconds to stage ``file`` onto each of ``endpoints``.
 
-        Mirrors ``DataPlane._pick_source``'s candidate set: replicas at
-        online endpoints, falling back to the full (quarantined) set only
-        when no online replica is left.  Keeping predictions on the same
-        candidates as the transfer scheduler stops placements from being
-        costed against a fast replica sitting on a crashed endpoint.
+        The one per-file staging-cost rule: the cheapest transfer from the
+        data plane's :meth:`~repro.dataplane.plane.DataPlane.staging_sources`
+        (whose policy decides the candidates), ``0.0`` where the file is
+        resident, empty, or has nowhere to come from.
         """
-        sources = sorted(file.locations)
-        if not sources:
-            return sources
-        store = self.data_manager.store
-        online = [s for s in sources if not store.is_offline(s)]
-        return online or sources
+        costs = [0.0] * len(endpoints)
+        size = file.size_mb
+        sources = self.data_manager.staging_sources(file) if size > 0 else None
+        if sources:
+            predict = self.transfer_profiler.predict_transfer_time
+            locations = file.locations
+            for column, name in enumerate(endpoints):
+                if name in locations:
+                    continue
+                best = None
+                for source in sources:
+                    seconds = predict(source, name, size)
+                    if best is None or seconds < best:
+                        best = seconds
+                costs[column] = best
+        return costs
 
-    def quarantine_generation(self) -> int:
-        """Moves whenever :meth:`staging_sources` may answer differently for
-        an unchanged replica set (an endpoint crashed or rejoined)."""
-        return self.data_manager.store.offline_generation
+    def estimated_staging_costs(self, task: Task, endpoints: Sequence[str]) -> List[float]:
+        """Predicted seconds to stage the inputs of a task whose input files
+        do not exist yet onto each of ``endpoints``: its estimated input
+        volume, moved from the first other endpoint of the federation (an
+        arbitrary peer, so an average link)."""
+        costs = [0.0] * len(endpoints)
+        size = self.estimated_input_mb(task)
+        names = self.endpoint_monitor.endpoint_names() if size > 0 else None
+        if names:
+            predict = self.transfer_profiler.predict_transfer_time
+            first = names[0]
+            second = names[1] if len(names) > 1 else None
+            for column, name in enumerate(endpoints):
+                source = first if first != name else second
+                if source is not None:
+                    costs[column] = predict(source, name, size)
+        return costs
 
     def predicted_staging_time(self, task: Task, endpoint: str) -> float:
-        """Predicted time to stage the task's missing inputs onto ``endpoint``.
-
-        With the data plane enabled the prediction is *multi-source*: each
-        file is costed from its cheapest replica, matching the transfer
-        scheduler's source selection (including its quarantine of crashed
-        endpoints — see :meth:`staging_sources`).  With the plane disabled it
-        reads the primary replica only — exactly the paper's §IV-E behaviour,
-        which the ``--no-dataplane`` digest-equivalence guarantee pins.
+        """Predicted time to stage the task's missing inputs onto ``endpoint``:
+        the sum of its files' :meth:`file_staging_costs`, or
+        :meth:`estimated_staging_costs` while it has none.
         :meth:`~repro.sched.vector.PredictionIndex._staging_row` fills the
         staging matrix with the same floats, a row at a time.
         """
-        multi_source = self.config.enable_dataplane
+        if not task.input_files:
+            return self.estimated_staging_costs(task, (endpoint,))[0]
         total = 0.0
         for file in task.input_files:
-            if file.available_at(endpoint) or file.size_mb <= 0:
-                continue
-            if multi_source:
-                sources = self.staging_sources(file)
-                if not sources:
-                    continue
-                total += min(
-                    self.transfer_profiler.predict_transfer_time(src, endpoint, file.size_mb)
-                    for src in sources
-                )
-                continue
-            source = file.primary_location
-            if source is None:
-                continue
-            total += self.transfer_profiler.predict_transfer_time(
-                source, endpoint, file.size_mb
-            )
-        if not task.input_files:
-            # Inputs not produced yet: approximate with the estimated volume
-            # moved from an arbitrary peer (average bandwidth).
-            size = self.estimated_input_mb(task)
-            if size > 0:
-                names = [n for n in self.endpoint_names() if n != endpoint]
-                if names:
-                    total = self.transfer_profiler.predict_transfer_time(names[0], endpoint, size)
+            total += self.file_staging_costs(file, (endpoint,))[0]
         return total
 
 

@@ -65,14 +65,14 @@ class LocalityScheduler(Scheduler):
     ) -> str:
         """Pick the candidate endpoint minimising the data moved (Fig. 3).
 
-        With the data plane enabled the metric is *bandwidth-aware*: the
-        predicted multi-source staging time replaces raw bytes, so a replica
-        behind a fat link beats a marginally closer one behind a slow WAN
-        path.  With the plane disabled the paper's plain bytes-moved rule is
-        preserved byte-identically.
+        Under the data plane's default policy the metric is
+        *bandwidth-aware*: the predicted multi-source staging time replaces
+        raw bytes, so a replica behind a fat link beats a marginally closer
+        one behind a slow WAN path.  Under the published policy the paper's
+        plain bytes-moved rule is preserved byte-identically.
         """
         context = self._require_context()
-        bandwidth_aware = context.config.enable_dataplane
+        bandwidth_aware = not context.data_manager.published
 
         def cost(endpoint: str) -> tuple:
             if bandwidth_aware:

@@ -153,7 +153,7 @@ class PredictionIndex:
             self._stag_counter += 1
             self._stag_gen_nofiles = self._stag_counter
             self._nofile_rows.clear()
-        files_token = (transfer_version, context.quarantine_generation())
+        files_token = (transfer_version, context.data_manager.store.offline_generation)
         if files_token != self._stag_files_token:
             self._stag_files_token = files_token
             self._stag_counter += 1
@@ -377,56 +377,22 @@ class PredictionIndex:
         exactly, so the cells are bit-identical to it.
         """
         names = self.endpoint_names
-        row = np.zeros(len(names))
         files = task.input_files
-        if files:
-            costs = self._file_costs
-            for file in files:
-                cost = costs.get(file.location_stamp)
-                if cost is None:
-                    cost = self._file_cost_row(file)
-                row += cost
-            return row
-        context = self._context
-        size = context.estimated_input_mb(task)
-        if size > 0 and len(names) > 1:
-            predict = context.transfer_profiler.predict_transfer_time
-            for column, name in enumerate(names):
-                source = names[0] if names[0] != name else names[1]
-                row[column] = predict(source, name, size)
+        if not files:
+            return np.array(self._context.estimated_staging_costs(task, names), dtype=float)
+        row = np.zeros(len(names))
+        costs = self._file_costs
+        for file in files:
+            cost = costs.get(file.location_stamp)
+            if cost is None:
+                cost = self._file_cost_row(file)
+            row += cost
         return row
 
     def _file_cost_row(self, file) -> np.ndarray:
-        """Predicted time to stage ``file`` onto each endpoint, cached.
-
-        Honours the data-plane gate the way
-        :meth:`~repro.sched.base.SchedulingContext.predicted_staging_time`
-        does: the cheapest replica among :meth:`staging_sources` when the
-        plane is enabled, the primary replica when it is not; ``0.0`` where
-        the file already is, or when it is empty or has nowhere to come from.
-        """
-        names = self.endpoint_names
-        cost = np.zeros(len(names))
-        size = file.size_mb
-        if size > 0:
-            context = self._context
-            predict = context.transfer_profiler.predict_transfer_time
-            locations = file.locations
-            if context.config.enable_dataplane:
-                sources = context.staging_sources(file)
-            else:
-                primary = file.primary_location
-                sources = [] if primary is None else [primary]
-            if sources:
-                for column, name in enumerate(names):
-                    if name in locations:
-                        continue
-                    best = None
-                    for source in sources:
-                        seconds = predict(source, name, size)
-                        if best is None or seconds < best:
-                            best = seconds
-                    cost[column] = best
+        """``file``'s :meth:`~repro.sched.base.SchedulingContext.file_staging_costs`
+        over the endpoints, cached by its location stamp."""
+        cost = np.array(self._context.file_staging_costs(file, self.endpoint_names), dtype=float)
         costs = self._file_costs
         if len(costs) >= _STAGING_ROWS_CAP:
             costs.clear()

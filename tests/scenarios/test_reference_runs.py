@@ -109,6 +109,11 @@ class ReferenceStaging(DataManager):
     def set_plan_provider(self, provider):
         pass
 
+    def staging_sources(self, file):
+        # The paper prices the primary replica.
+        primary = file.primary_location
+        return [] if primary is None else [primary]
+
     def on_endpoint_crashed(self, endpoint):
         pass
 

@@ -77,16 +77,19 @@ def build_context(endpoints: Dict[str, EndpointSpec], bandwidth=100.0) -> Contex
         monitor.register(name)
 
     network = NetworkModel.uniform(specs, bandwidth_mbps=bandwidth, jitter=0.0)
-    data_manager = DataPlane(
-        SimulatedTransferBackend(kernel, network), kernel.clock, published=True
-    )
-    graph = TaskGraph()
-    execution_profiler = ExecutionProfiler()
-    transfer_profiler = TransferProfiler(default_bandwidth_mbps=bandwidth)
     config = Config(
         executors=[ExecutorSpec(label=name, endpoint=name) for name in specs],
         scheduling_strategy="DHA",
     )
+    # The plane's policy follows the config, as the serving layer builds it.
+    data_manager = DataPlane(
+        SimulatedTransferBackend(kernel, network),
+        kernel.clock,
+        published=not config.enable_dataplane,
+    )
+    graph = TaskGraph()
+    execution_profiler = ExecutionProfiler()
+    transfer_profiler = TransferProfiler(default_bandwidth_mbps=bandwidth)
     context = SchedulingContext(
         graph=graph,
         endpoint_monitor=monitor,

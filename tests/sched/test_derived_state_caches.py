@@ -146,11 +146,10 @@ def assert_cells_exact(index, context, tasks):
             assert index.staging_matrix[row, column] == context.predicted_staging_time(task, name)
 
 
-@pytest.mark.parametrize("multi_source", [False, True], ids=["published", "multi-source"])
-def test_cost_rows_are_recomputed_exactly_when_their_inputs_move(multi_source):
-    bundle, plane = bundle_with_plane()
+@pytest.mark.parametrize("published", [True, False], ids=["published", "multi-source"])
+def test_cost_rows_are_recomputed_exactly_when_their_inputs_move(published):
+    bundle, plane = bundle_with_plane(published=published)
     context = bundle.context
-    context.config.enable_dataplane = multi_source
     index = context.ensure_arrays()
     shared, own_a, own_b = input_file(96.0, "a"), input_file(250.0, "b"), input_file(40.0, "c")
     shared.add_location("c")
@@ -169,11 +168,13 @@ def test_cost_rows_are_recomputed_exactly_when_their_inputs_move(multi_source):
     assert built == [own_a.file_id]
 
     # A crash and a rejoin move the quarantine generation: everything again.
+    # The published policy keeps no quarantine, so nothing moves there.
     for change in (plane.on_endpoint_crashed, plane.on_endpoint_rejoined):
         del built[:]
         change("c")
         assert_cells_exact(index, context, tasks)
-        assert sorted(built) == sorted([shared.file_id, own_a.file_id, own_b.file_id])
+        expected = [] if published else [shared.file_id, own_a.file_id, own_b.file_id]
+        assert sorted(built) == sorted(expected)
 
     # A transfer observation (and a refit) moves every transfer prediction.
     refits = 0

@@ -2,8 +2,8 @@
 
 The transfer scheduler prefers online source replicas; the scalar and
 vector staging predictions must cost transfers over the same candidate set
-(``SchedulingContext.staging_sources``), and a quarantine change must bump
-the replica-set generation so location-stamped caches invalidate.
+(``DataPlane.staging_sources``), and a quarantine change must bump the
+replica-set generation so location-stamped caches invalidate.
 """
 
 from repro.data import remote_file
@@ -14,7 +14,7 @@ from repro.sim.network import NetworkModel
 from tests.sched.conftest import EndpointSpec, build_context, input_file
 
 
-def bundle_with_plane():
+def bundle_with_plane(published=False):
     bundle = build_context(
         {"a": EndpointSpec(), "b": EndpointSpec(), "c": EndpointSpec()}
     )
@@ -22,7 +22,9 @@ def bundle_with_plane():
         ["a", "b", "c"], bandwidth_mbps=100.0, jitter=0.0, seed=0
     )
     plane = DataPlane(
-        SimulatedTransferBackend(bundle.kernel, network), bundle.kernel.clock
+        SimulatedTransferBackend(bundle.kernel, network),
+        bundle.kernel.clock,
+        published=published,
     )
     bundle.context.data_manager = plane
     return bundle, plane
@@ -33,28 +35,36 @@ class TestStagingSources:
         bundle = build_context({"a": EndpointSpec(), "b": EndpointSpec()})
         f = input_file(100.0, "a")
         f.add_location("b")
-        assert bundle.context.staging_sources(f) == ["a", "b"]
+        assert bundle.data_manager.staging_sources(f) == ["a", "b"]
 
     def test_quarantined_replicas_are_not_prediction_sources(self):
-        bundle, plane = bundle_with_plane()
+        _, plane = bundle_with_plane()
         f = input_file(100.0, "a")
         f.add_location("c")
-        context = bundle.context
-        assert context.staging_sources(f) == ["a", "c"]
+        assert plane.staging_sources(f) == ["a", "c"]
         plane.on_endpoint_crashed("c")
-        assert context.staging_sources(f) == ["a"]
+        assert plane.staging_sources(f) == ["a"]
         plane.on_endpoint_rejoined("c")
-        assert context.staging_sources(f) == ["a", "c"]
+        assert plane.staging_sources(f) == ["a", "c"]
 
     def test_all_replicas_offline_falls_back_to_the_full_set(self):
-        # Mirrors DataPlane._pick_source: demand degrades to a quarantined
-        # copy when nothing online remains, so predictions must too.
-        bundle, plane = bundle_with_plane()
+        # Like DataPlane._pick_source: demand degrades to a quarantined copy
+        # when nothing online remains, so predictions must too.
+        _, plane = bundle_with_plane()
         f = input_file(100.0, "a")
         f.add_location("c")
         plane.on_endpoint_crashed("a")
         plane.on_endpoint_crashed("c")
-        assert bundle.context.staging_sources(f) == ["a", "c"]
+        assert plane.staging_sources(f) == ["a", "c"]
+
+    def test_the_published_policy_prices_the_primary_replica(self):
+        _, plane = bundle_with_plane(published=True)
+        f = input_file(100.0, "c")
+        f.add_location("a")
+        assert plane.staging_sources(f) == ["a"]
+        f.remove_location("a")
+        f.remove_location("c")
+        assert plane.staging_sources(f) == []
 
 
 class TestQuarantineInvalidation:
