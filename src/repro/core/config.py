@@ -107,8 +107,6 @@ class Config:
     #: invalidation — crash / rejoin / churn — forces a re-solve at the next
     #: periodic check regardless of the cadence).
     placement_interval_s: float = 30.0
-    #: Batch size used when submitting tasks / polling results (§IV-H).
-    batch_size: int = 64
     #: Period (s) at which the durability layer writes a checkpoint snapshot
     #: of the full serving state (``None`` disables periodic checkpointing).
     #: Crash recovery restores from the latest checkpoint that validates.
@@ -147,12 +145,8 @@ class Config:
         ):
             if value < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
-        for name, value in (
-            ("max_concurrent_transfers", self.max_concurrent_transfers),
-            ("batch_size", self.batch_size),
-        ):
-            if value <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+        if self.max_concurrent_transfers <= 0:
+            raise ConfigurationError("max_concurrent_transfers must be positive")
         if self.eviction_policy not in ("lru", "cost_benefit"):
             raise ConfigurationError(
                 f"unknown eviction policy {self.eviction_policy!r}; "

@@ -2,7 +2,7 @@
 
 The orchestrator is the federation's single point of failure — this package
 removes it.  A snapshot is a versioned, checksummed file pairing (a) the
-*replay recipe* (the serialized scenario spec + seed + cut position) with
+*replay recipe* (the scenario spec's payload dict + seed + cut position) with
 (b) *state sections* captured from the live run: kernel counters, every
 named RNG stream's bit-generator state, per-tenant task graphs and columnar
 ``TaskStore`` columns, the dataplane's replica catalog and in-flight
@@ -25,7 +25,12 @@ from repro.durability.errors import (
     SnapshotStateMismatch,
     SnapshotVersionError,
 )
-from repro.durability.runtime import DurabilityController, DurabilityOptions
+from repro.durability.runtime import (
+    DurabilityController,
+    DurabilityOptions,
+    load_restore_snapshot,
+    reset_global_id_counters,
+)
 from repro.durability.snapshot import (
     SCHEMA_VERSION,
     Snapshot,
@@ -33,7 +38,6 @@ from repro.durability.snapshot import (
     read_snapshot,
     write_snapshot,
 )
-from repro.durability.specio import spec_from_payload, spec_to_payload
 
 __all__ = [
     "DurabilityController",
@@ -46,8 +50,8 @@ __all__ = [
     "SnapshotStateMismatch",
     "SnapshotVersionError",
     "latest_valid_snapshot",
+    "load_restore_snapshot",
     "read_snapshot",
-    "spec_from_payload",
-    "spec_to_payload",
+    "reset_global_id_counters",
     "write_snapshot",
 ]

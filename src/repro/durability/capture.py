@@ -1,12 +1,13 @@
 """Capture and verify the live state sections of a running scenario.
 
-Capture walks every layer the ISSUE names — kernel clock + event counters,
-named RNG streams, per-tenant task graphs and columnar ``TaskStore``
-columns, scheduler claims, the dataplane's replica catalog and in-flight
-transfer jobs, and the serving layer's arbitration/admission state — into a
-JSON-native dict.  Large per-task detail is folded into SHA-256 digests so a
-checkpoint of a 20k-task run stays small while still pinning every byte of
-state.
+Capture walks every layer of the serving state into a JSON-native dict:
+the simulation kernel (clock + event counters), the named RNG streams, each
+live tenant's engine (task graph, columnar ``TaskStore`` columns, bus count,
+scheduler claims), the dataplane (replica catalog, storage usage, in-flight
+transfer jobs and staging tickets), the serving layer's arbitration state,
+the open-loop stream's arrival/admission state and the placement plan.
+Large per-task detail is folded into SHA-256 digests so a checkpoint of a
+20k-task run stays small while still pinning every byte of state.
 
 All capture functions are **read-only**: the snapshot-point kernel event
 runs them mid-simulation in both the capture run and the restore run, so
@@ -41,9 +42,14 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def capture_sections(ctx) -> Dict[str, object]:
-    """The full verification manifest of a live run (JSON-native)."""
-    kernel = ctx.env.kernel
+def capture_sections(env, manager, engines, streaming=None) -> Dict[str, object]:
+    """The full verification manifest of a live run (JSON-native).
+
+    ``engines`` maps each registered tenant's workflow id to its engine;
+    ``streaming`` is the open-loop stream the tenants arrive through, if any.
+    """
+    kernel = env.kernel
+    endpoints = sorted(env.fabric.endpoint_names())
     sections: Dict[str, object] = {
         "kernel": {
             "now": _r(kernel.now()),
@@ -51,28 +57,28 @@ def capture_sections(ctx) -> Dict[str, object]:
             "pending_events": kernel.pending_events,
             "pending_total": kernel.pending_events_total,
         },
-        "rng": ctx.env.rng.get_state(),
+        "rng": env.rng.get_state(),
         "workflows": {
-            key: _capture_engine(engine, ctx)
-            for key, engine in sorted(ctx.engines.items())
+            key: _capture_engine(engine, endpoints)
+            for key, engine in sorted(engines.items())
         },
-        "dataplane": _capture_data_manager(ctx.manager.data_manager),
+        "dataplane": _capture_data_manager(manager.data_manager),
     }
-    if ctx.manager.policy is not None:
+    if manager.policy is not None:
         # Arbitration state exists only where workflows are arbitrated (the
         # single-workflow client's lone tenant is not).
-        sections["serving"] = _capture_serving(ctx.manager)
-    if ctx.streaming is not None:
-        sections["streaming"] = _capture_streaming(ctx.streaming)
-    if ctx.manager.plan_service is not None:
+        sections["serving"] = _capture_serving(manager)
+    if streaming is not None:
+        sections["streaming"] = _capture_streaming(streaming)
+    if manager.plan_service is not None:
         # Plan state plus the dedicated "placement" RNG stream: the replay
         # proof requires the restored run's solves to continue bit-identically.
-        sections["placement"] = ctx.manager.plan_service.capture_state()
+        sections["placement"] = manager.plan_service.capture_state()
     return sections
 
 
 # ------------------------------------------------------------------ engines
-def _capture_engine(engine, ctx) -> Dict[str, object]:
+def _capture_engine(engine, endpoints: List[str]) -> Dict[str, object]:
     graph = engine.graph
     rows: List[List[object]] = []
     for task_id in sorted(t.task_id for t in graph):
@@ -94,8 +100,7 @@ def _capture_engine(engine, ctx) -> Dict[str, object]:
         "scheduler": {
             "type": type(engine.scheduler).__name__,
             "claims": {
-                name: int(engine.scheduler.claimed(name))
-                for name in sorted(ctx.env.fabric.endpoint_names())
+                name: int(engine.scheduler.claimed(name)) for name in endpoints
             },
         },
     }

@@ -1,9 +1,12 @@
 """The durability controller: snapshot points, checkpoints, crash recovery.
 
-One :class:`DurabilityController` is wired into a scenario attempt by
-:func:`repro.scenarios.spec.run_scenario` at a **fixed call-site** (right
-after the dynamics timeline is installed, before an open-loop stream opens
-and the run starts).
+The scenario runner (``run_scenario``) builds one :class:`DurabilityController`
+per attempt from the spec's payload dict.  The attempt hands it its live
+objects — environment, federation, tenant engines and event logs, open-loop
+stream — through :meth:`~DurabilityController.install` at a **fixed
+call-site** (right after the dynamics timeline is installed, before an
+open-loop stream opens and the run starts).  This package never sees a
+scenario spec: it stores, and compares, the payload its caller encoded.
 That fixed position matters: every kernel event the controller schedules
 consumes a sequence number, and the capture run and the restore run must
 consume them at identical positions for their event logs to stay
@@ -22,9 +25,13 @@ start.  The tail digest over the remaining event log is the replay proof.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.core import dag
+from repro.data import manager as data_manager_module
+from repro.data import remote_file, transfer
 from repro.durability.capture import (
     capture_sections,
     make_cut,
@@ -32,13 +39,16 @@ from repro.durability.capture import (
     verify_sections,
 )
 from repro.durability.errors import OrchestratorCrashed, SnapshotError
-from repro.durability.snapshot import Snapshot, checkpoint_path, write_snapshot
-from repro.durability.specio import describe_mismatch, spec_to_payload
+from repro.durability.snapshot import (
+    Snapshot,
+    checkpoint_path,
+    read_snapshot,
+    write_snapshot,
+)
 
 __all__ = [
     "DurabilityController",
     "DurabilityOptions",
-    "RunContext",
     "load_restore_snapshot",
     "reset_global_id_counters",
 ]
@@ -53,12 +63,6 @@ def reset_global_id_counters() -> None:
     attempt starts the counters from zero, making a replay in the *same*
     process produce the same ids a fresh process would.
     """
-    import itertools
-
-    from repro.core import dag
-    from repro.data import manager as data_manager_module
-    from repro.data import remote_file, transfer
-
     dag._task_counter = itertools.count()
     remote_file._file_counter = itertools.count()
     data_manager_module._ticket_counter = itertools.count()
@@ -88,44 +92,13 @@ class DurabilityOptions:
         )
 
 
-class RunContext:
-    """The live objects of one scenario attempt the controller captures.
-
-    ``manager`` is the attempt's federation
-    (:class:`~repro.serving.manager.WorkflowManager`); ``engines`` (tenants
-    not yet retired) and ``recorders`` (every tenant's event log) are the
-    runner's live dicts, keyed by workflow id ("" for the single-workflow
-    client's lone tenant); ``streaming`` is the open-loop
-    :class:`~repro.streaming.service.StreamingService` the tenants arrive
-    through, if they do.
-    """
-
-    def __init__(
-        self,
-        env,
-        spec,
-        seed: int,
-        manager,
-        *,
-        engines: Dict[str, object],
-        recorders: Dict[str, object],
-        streaming=None,
-    ) -> None:
-        self.env = env
-        self.spec = spec
-        self.seed = int(seed)
-        self.manager = manager
-        self.engines = engines
-        self.recorders = recorders
-        self.streaming = streaming
-
-
 class DurabilityController:
     """Arms the durability events of one attempt and owns its cut state."""
 
     def __init__(
         self,
-        ctx: RunContext,
+        scenario: Dict[str, object],
+        seed: int,
         *,
         snapshot_at: Optional[float] = None,
         snapshot_path: Optional[str] = None,
@@ -135,11 +108,9 @@ class DurabilityController:
         crashes: Sequence = (),
         crashes_fired: int = 0,
     ) -> None:
-        if snapshot_at is not None and restore is not None:
-            raise SnapshotError(
-                "snapshot_at and restore are mutually exclusive within one attempt"
-            )
-        self.ctx = ctx
+        #: The scenario's replay recipe, embedded verbatim in every snapshot.
+        self.scenario = scenario
+        self.seed = int(seed)
         self.snapshot_at = snapshot_at
         self.snapshot_path = snapshot_path
         self.checkpoint_interval_s = checkpoint_interval_s
@@ -147,7 +118,6 @@ class DurabilityController:
         self.restore = restore
         self.crashes = tuple(crashes)
         self.crashes_fired = int(crashes_fired)
-        self._spec_payload = spec_to_payload(ctx.spec)
         #: Event-log lengths at the cut; the tail digest starts here.
         self.tail_marks: Optional[Dict[str, int]] = None
         #: The one-shot snapshot captured by this attempt (if any).
@@ -157,9 +127,23 @@ class DurabilityController:
         self.last_checkpoint_s: Optional[float] = None
 
     # ----------------------------------------------------------------- arm
-    def install(self) -> None:
-        """Schedule the attempt's durability events (fixed shape per spec)."""
-        kernel = self.ctx.env.kernel
+    def install(self, env, manager, *, engines, recorders, streaming=None) -> None:
+        """Bind the attempt's live objects and schedule its durability events.
+
+        ``manager`` is the attempt's federation
+        (:class:`~repro.serving.manager.WorkflowManager`); ``engines``
+        (tenants not yet retired) and ``recorders`` (every tenant's event
+        log) are the runner's live dicts, keyed by workflow id ("" for the
+        single-workflow client's lone tenant); ``streaming`` is the open-loop
+        :class:`~repro.streaming.service.StreamingService` the tenants arrive
+        through, if they do.  The events armed have a fixed shape per spec.
+        """
+        self.env = env
+        self.manager = manager
+        self.engines = engines
+        self.recorders = recorders
+        self.streaming = streaming
+        kernel = env.kernel
         if self.snapshot_at is not None:
             kernel.schedule_at(
                 self.snapshot_at, self._oneshot_point, daemon=True,
@@ -201,8 +185,8 @@ class DurabilityController:
             if self.checkpoint_dir is not None:
                 write_snapshot(snapshot, checkpoint_path(self.checkpoint_dir, index))
             self.checkpoints_written += 1
-            self.last_checkpoint_s = self.ctx.env.kernel.now()
-        self.ctx.env.kernel.schedule_at(
+            self.last_checkpoint_s = self.env.kernel.now()
+        self.env.kernel.schedule_at(
             (index + 1) * self.checkpoint_interval_s, self._ckpt_tick, index + 1,
             daemon=True, label="durability-ckpt",
         )
@@ -213,30 +197,33 @@ class DurabilityController:
 
     # -------------------------------------------------------------- capture
     def _make_snapshot(self, kind: str, index: int) -> Snapshot:
-        kernel = self.ctx.env.kernel
+        kernel = self.env.kernel
         log_counts = {
             key: len(recorder.entries)
-            for key, recorder in sorted(self.ctx.recorders.items())
+            for key, recorder in sorted(self.recorders.items())
         }
         log_prefixes = {
             key: recorder_prefix_digest(recorder.entries)
-            for key, recorder in sorted(self.ctx.recorders.items())
+            for key, recorder in sorted(self.recorders.items())
         }
         return Snapshot(
-            scenario=self._spec_payload,
-            seed=self.ctx.seed,
+            scenario=self.scenario,
+            seed=self.seed,
             cut=make_cut(
                 kind, index, kernel.now(), kernel.events_processed,
                 log_counts, log_prefixes,
             ),
-            sections=capture_sections(self.ctx),
+            sections=self._capture(),
         )
+
+    def _capture(self) -> Dict[str, object]:
+        return capture_sections(self.env, self.manager, self.engines, self.streaming)
 
     def _verify_cut(self, context: str) -> None:
         snapshot = self.restore
         cut = snapshot.cut
         for key, count in cut["log_counts"].items():
-            recorder = self.ctx.recorders.get(key)
+            recorder = self.recorders.get(key)
             if recorder is None:
                 raise SnapshotError(
                     f"{context}: snapshot references unknown workflow {key!r}"
@@ -252,7 +239,7 @@ class DurabilityController:
                     f"{context}: replayed event-log prefix diverged for "
                     f"{key or 'the workflow'}"
                 )
-        verify_sections(snapshot.sections, capture_sections(self.ctx), context)
+        verify_sections(snapshot.sections, self._capture(), context)
         self.verified = True
         self.tail_marks = dict(cut["log_counts"])
 
@@ -263,9 +250,9 @@ class DurabilityController:
             raise SnapshotError("no cut was reached; there is no tail to digest")
         digest = hashlib.sha256()
         total = 0
-        for key in sorted(self.ctx.recorders):
+        for key in sorted(self.recorders):
             mark = self.tail_marks.get(key, 0)
-            entries = self.ctx.recorders[key].entries
+            entries = self.recorders[key].entries
             digest.update(key.encode())
             digest.update(repr(entries[mark:]).encode())
             total += max(0, len(entries) - mark)
@@ -318,20 +305,20 @@ class DurabilityController:
         return payload
 
 
-def load_restore_snapshot(path: str, spec, seed: int) -> Snapshot:
-    """Read a snapshot and check it matches the scenario about to replay."""
-    from repro.durability.snapshot import read_snapshot
-
+def load_restore_snapshot(path: str, scenario: Dict[str, object], seed: int) -> Snapshot:
+    """Read a snapshot and check it matches the scenario payload about to replay."""
     snapshot = read_snapshot(path)
     if snapshot.seed != int(seed):
         raise SnapshotError(
             f"snapshot {path} was taken with seed {snapshot.seed}, "
             f"this run uses {seed}"
         )
-    diffs = describe_mismatch(spec, snapshot.scenario)
+    theirs = snapshot.scenario
+    diffs = [key for key in sorted({*scenario, *theirs}) if scenario.get(key) != theirs.get(key)]
     if diffs:
         raise SnapshotError(
             f"snapshot {path} was taken from a different scenario "
             f"(differs at: {', '.join(diffs[:6])})"
         )
     return snapshot
+

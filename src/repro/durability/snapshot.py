@@ -60,10 +60,12 @@ _CKPT_PATTERN = re.compile(r"^ckpt-(\d+)\.snap$")
 class Snapshot:
     """One captured cut of a scenario run.
 
-    ``scenario`` is the serialized :class:`~repro.scenarios.spec.ScenarioSpec`
-    (the replay recipe), ``cut`` pins where in the run the capture happened
-    (kind, time, per-recorder event-log counts and prefix digests), and
-    ``sections`` holds the verification manifest of live state.
+    ``scenario`` is the replay recipe: the JSON-native payload the caller
+    encoded its scenario into (``ScenarioSpec.to_payload()``), stored
+    verbatim and only compared, never decoded.  ``cut`` pins where in the
+    run the capture happened (kind, time, per-recorder event-log counts and
+    prefix digests), and ``sections`` holds the verification manifest of
+    live state.
     """
 
     scenario: Dict[str, object]

@@ -176,7 +176,6 @@ def run_case_study(
         enable_scaling=False,
         rescheduling_interval_s=30.0,
         endpoint_sync_interval_s=30.0,
-        batch_size=128,
         # The case studies reproduce the published system, whose data layer
         # is the plain §IV-E FIFO: the data plane's multi-source staging and
         # prefetching would (deliberately) break Table IV/V invariants such

@@ -84,7 +84,7 @@ def _run_one(n_endpoints: int, task_count: int, task_duration_s: float, seed: in
         endpoint_overhead_s=0.01,
     )
     env = build_simulation(setups, network=network, latency=latency, seed=seed, batch_size=256)
-    client = env.make_client(env.make_config("CAPACITY", batch_size=256))
+    client = env.make_client(env.make_config("CAPACITY"))
     build_stress_workload(client, task_count, task_duration_s)
     client.run()
     return client.summary().makespan_s

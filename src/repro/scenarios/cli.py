@@ -32,6 +32,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.authoring.registry import get_workflow, registered_names
+from repro.durability import DurabilityOptions, SnapshotError
 from repro.scenarios.presets import (
     get_scenario,
     resolve_dynamics,
@@ -134,8 +136,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_workflows(args: argparse.Namespace) -> int:
-    from repro.authoring.registry import get_workflow, registered_names
-
     names = registered_names()
     width = max(len(name) for name in names)
     print(f"{'NAME':<{width}}  DESCRIPTION")
@@ -162,38 +162,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scenario_id = _effective_id(
         args.name, args.scheduler, args.dynamics, args.workflows, args.arbitration
     )
-    durability = None
-    if (
-        args.snapshot_at is not None
-        or args.restore_from is not None
-        or args.checkpoint_dir is not None
-    ):
-        from repro.durability import DurabilityOptions
-
-        if args.snapshot_at is not None and args.restore_from is not None:
-            print("error: --snapshot-at and --restore-from are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        snapshot_path = args.snapshot_path
-        if args.snapshot_at is not None and snapshot_path is None:
-            snapshot_path = str(Path(args.out) / f"SNAP_{scenario_id}.snap")
-        durability = DurabilityOptions(
-            snapshot_at=args.snapshot_at,
-            snapshot_path=snapshot_path,
-            restore_from=args.restore_from,
-            checkpoint_dir=args.checkpoint_dir,
-        )
-        if args.restore_from is not None:
-            # The restored run writes its own artifact next to the capture
-            # run's so check-replay can compare the two.
-            scenario_id += "-restored"
+    snapshot_path = None
+    if args.snapshot_at is not None:
+        snapshot_path = args.snapshot_path or str(Path(args.out) / f"SNAP_{scenario_id}.snap")
+    durability = DurabilityOptions(
+        snapshot_at=args.snapshot_at,
+        snapshot_path=snapshot_path,
+        restore_from=args.restore_from,
+        checkpoint_dir=args.checkpoint_dir,
+    )
+    if args.restore_from is not None:
+        # The restored run writes its own artifact next to the capture run's
+        # so check-replay can compare the two.
+        scenario_id += "-restored"
     result = run_scenario(
         preset, max_wall_time_s=args.max_wall_time, durability=durability
     )
     path = _write_bench(result, Path(args.out), scenario_id)
     _print_result(result, path)
-    if durability is not None and durability.snapshot_path is not None:
-        print(f"snapshot            : {durability.snapshot_path}")
+    if snapshot_path is not None:
+        print(f"snapshot            : {snapshot_path}")
     return 0
 
 
@@ -455,6 +443,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KeyError, _Refused) as exc:
+    except (KeyError, SnapshotError, _Refused) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2

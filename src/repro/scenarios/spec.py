@@ -35,6 +35,15 @@ from repro.authoring.registry import get_workflow, is_registered, unique_task_ty
 from repro.authoring.runtime import WorkflowRun
 from repro.core.client import UniFaaSClient
 from repro.data.remote_file import GlobusFile
+from repro.durability import (
+    DurabilityController,
+    DurabilityOptions,
+    OrchestratorCrashed,
+    SnapshotError,
+    latest_valid_snapshot,
+    load_restore_snapshot,
+    reset_global_id_counters,
+)
 from repro.engine.events import Event, expand_event
 from repro.experiments.environment import EndpointSetup, SimulationEnvironment, build_simulation
 from repro.faas.types import ServiceLatencyModel
@@ -405,6 +414,36 @@ class ScenarioSpec:
             )
         return spec
 
+    def to_payload(self) -> Dict[str, object]:
+        """The JSON-native replay recipe a durability snapshot embeds.
+
+        A field walk over the nested spec dataclasses (tuples become lists),
+        so every field of every spec rides along without being listed.  The
+        one thing that cannot is an inline authored workflow ``definition``
+        (a live object graph of closures): such runs must register the
+        workflow under a name, and snapshotting them raises.
+        """
+        if self.workload.definition is not None:
+            raise SnapshotError(
+                "inline workflow definitions cannot be snapshotted; register the "
+                "workflow under a name (authoring registry) and reference it by kind"
+            )
+        return _payload(self)
+
+
+def _payload(value):
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _payload(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.name != "definition"  # WorkloadSpec's inline workflow, refused above
+        }
+    if isinstance(value, (tuple, list)):
+        return [_payload(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _payload(item) for key, item in value.items()}
+    return value
+
 
 @dataclass
 class ScenarioResult:
@@ -568,7 +607,7 @@ def run_scenario(
     *,
     seed: Optional[int] = None,
     max_wall_time_s: float = 600.0,
-    durability=None,
+    durability: Optional[DurabilityOptions] = None,
 ) -> ScenarioResult:
     """Execute ``spec`` and return its deterministic result record.
 
@@ -577,25 +616,33 @@ def run_scenario(
     under the spec's arbitration policy; 1 is the paper's single-workflow
     client, a lone unarbitrated tenant.
 
-    ``durability`` (a :class:`~repro.durability.runtime.DurabilityOptions`)
-    arms snapshot capture, restore-with-verification replay, or periodic
-    checkpointing; a spec with :attr:`ScenarioSpec.checkpoint_interval_s` or
-    orchestrator-crash dynamics engages the durability driver on its own.
-    Runs without any of these keep the classic path — and its artifacts —
-    byte-identically.
+    ``durability`` arms snapshot capture, restore-with-verification replay,
+    or periodic checkpointing; a spec with
+    :attr:`ScenarioSpec.checkpoint_interval_s` or orchestrator-crash dynamics
+    engages the durability driver on its own.  Runs without any of these
+    keep the classic path — and its artifacts — byte-identically.  A
+    snapshot capture cannot share a run with a restore, nor with
+    orchestrator crashes (whose recovery restores); both raise
+    :class:`SnapshotError` before any attempt starts.
     """
     seed = spec.seed if seed is None else seed
     crashes = tuple(
         sorted(spec.dynamics.orchestrator, key=lambda c: (c.at_s, c.restart_delay_s))
     )
+    if durability is not None and durability.snapshot_at is not None and (
+        durability.restore_from is not None or crashes
+    ):
+        raise SnapshotError(
+            "snapshot capture is mutually exclusive with a restore and with "
+            "orchestrator crashes (their recovery restores from a checkpoint)"
+        )
     engaged = (
         (durability is not None and durability.engaged)
         or bool(crashes)
         or spec.checkpoint_interval_s is not None
     )
     if not engaged:
-        result, _ = _run_attempt(spec, seed, max_wall_time_s, None)
-        return result
+        return _run_attempt(spec, seed, max_wall_time_s)
     return _run_durable(spec, seed, max_wall_time_s, durability, crashes)
 
 
@@ -603,8 +650,8 @@ def _run_attempt(
     spec: ScenarioSpec,
     seed: int,
     max_wall_time_s: float,
-    controller_factory,
-):
+    controller: Optional[DurabilityController] = None,
+) -> ScenarioResult:
     """One full execution of ``spec`` (the unit crash recovery retries).
 
     Every run is one federation (``WorkflowManager``) and its tenants; the
@@ -614,14 +661,13 @@ def _run_attempt(
     namespace ``""``, no arbitration).  With ``spec.streaming`` they arrive
     open-loop instead, through bounded admission, and retire as they
     finish.  Either way one :class:`_Tenants` ledger builds, records and
-    totals them, and the result is assembled once.
+    totals them, and the result is assembled once.  ``controller``, when
+    given, is armed on this attempt's live objects.
     """
-    if controller_factory is not None:
+    if controller is not None:
         # Durability snapshots pin raw task/file/ticket ids, which come from
         # process-global counters: restart them so an in-process replay
         # produces the same ids a fresh process would.
-        from repro.durability.runtime import reset_global_id_counters
-
         reset_global_id_counters()
     env, config = _build_environment(spec, seed)
     cohort = spec.workflows if spec.streaming is None else 0
@@ -668,36 +714,26 @@ def _run_attempt(
             on_retire=tenants.retire,
         )
 
-    controller = None
-    if controller_factory is not None:
+    if controller is not None:
         # Fixed call-site: the controller's kernel events must be scheduled
         # at the same sequence positions in capture and restore runs — armed
         # after the dynamics timeline, before the stream opens and the run.
-        from repro.durability.runtime import RunContext
-
-        ctx = RunContext(
-            env, spec, seed, manager,
+        controller.install(
+            env, manager,
             engines=tenants.engines, recorders=tenants.recorders, streaming=stream,
         )
-        controller = controller_factory(ctx)
-        controller.install()
     if stream is not None:
         stream.install()
-    if controller is None:
+    try:
         manager.run(max_wall_time_s=max_wall_time_s)
-    else:
-        from repro.durability.errors import OrchestratorCrashed
-
-        try:
-            manager.run(max_wall_time_s=max_wall_time_s)
-        except OrchestratorCrashed:
-            # The crashed attempt must release its shared-kernel footprint
-            # (arrival and abandonment events, control-bus subscriptions)
-            # before the recovery driver builds its successor.
-            if stream is not None:
-                stream.shutdown()
-            manager.shutdown()
-            raise
+    except OrchestratorCrashed:
+        # The crashed attempt must release its shared-kernel footprint
+        # (arrival and abandonment events, control-bus subscriptions)
+        # before the recovery driver builds its successor.
+        if stream is not None:
+            stream.shutdown()
+        manager.shutdown()
+        raise
 
     serving = manager.summary()
     for handle in manager.workflows():
@@ -768,32 +804,21 @@ def _run_attempt(
             "wait_p95_s": round(serving.wait_time_p95_s, 6),
             "workflows": workflows,
         }
-    return result, controller
+    return result
 
 
 def _run_durable(
     spec: ScenarioSpec,
     seed: int,
     max_wall_time_s: float,
-    options,
+    options: Optional[DurabilityOptions],
     crashes,
 ) -> ScenarioResult:
     """The durability driver: snapshot / restore / checkpoint / recovery."""
-    from repro.durability.errors import OrchestratorCrashed, SnapshotError
-    from repro.durability.runtime import (
-        DurabilityController,
-        DurabilityOptions,
-        load_restore_snapshot,
-    )
-    from repro.durability.snapshot import latest_valid_snapshot
-
     options = options or DurabilityOptions()
-    if options.snapshot_at is not None and options.restore_from is not None:
-        raise SnapshotError(
-            "snapshot capture and restore are mutually exclusive in one run"
-        )
+    scenario = spec.to_payload()
     restore = (
-        load_restore_snapshot(options.restore_from, spec, seed)
+        load_restore_snapshot(options.restore_from, scenario, seed)
         if options.restore_from is not None
         else None
     )
@@ -811,21 +836,19 @@ def _run_durable(
     skipped: List[str] = []
     try:
         while True:
-
-            def factory(ctx, _restore=restore, _fired=fired):
-                return DurabilityController(
-                    ctx,
-                    snapshot_at=options.snapshot_at,
-                    snapshot_path=options.snapshot_path,
-                    checkpoint_interval_s=spec.checkpoint_interval_s,
-                    checkpoint_dir=checkpoint_dir,
-                    restore=_restore,
-                    crashes=crashes,
-                    crashes_fired=_fired,
-                )
-
+            controller = DurabilityController(
+                scenario,
+                seed,
+                snapshot_at=options.snapshot_at,
+                snapshot_path=options.snapshot_path,
+                checkpoint_interval_s=spec.checkpoint_interval_s,
+                checkpoint_dir=checkpoint_dir,
+                restore=restore,
+                crashes=crashes,
+                crashes_fired=fired,
+            )
             try:
-                result, controller = _run_attempt(spec, seed, max_wall_time_s, factory)
+                result = _run_attempt(spec, seed, max_wall_time_s, controller)
                 break
             except OrchestratorCrashed as crash:
                 fired += 1

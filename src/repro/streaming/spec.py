@@ -4,8 +4,8 @@
 seeded Poisson :class:`~repro.streaming.arrivals.ArrivalProcess`, the bounded
 admission queue, the per-tenant SLOs feeding earliest-deadline-first
 arbitration, and the sliding steady-state metrics window.  It lives in its
-own module (not :mod:`repro.scenarios.spec`) so the durability layer's spec
-serialization can rebuild it without importing the scenario runner.
+own module (not :mod:`repro.scenarios.spec`) so the streaming layer can read
+it without importing the scenario runner.
 """
 
 from __future__ import annotations

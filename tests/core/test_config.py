@@ -81,7 +81,6 @@ class TestConfig:
             ("max_transfer_retries", -1),
             ("max_task_retries", -1),
             ("max_concurrent_transfers", 0),
-            ("batch_size", 0),
             ("endpoint_sync_interval_s", 0.0),
             ("profiler_update_interval_s", -1.0),
             ("rescheduling_interval_s", 0.0),

@@ -1,7 +1,5 @@
 """The deterministic replay proof: snapshot, restore, byte-identical tail."""
 
-import json
-
 import pytest
 
 from repro.durability import (
@@ -9,8 +7,6 @@ from repro.durability import (
     SnapshotError,
     SnapshotStateMismatch,
     read_snapshot,
-    spec_from_payload,
-    spec_to_payload,
     write_snapshot,
 )
 from repro.scenarios.presets import get_scenario
@@ -118,13 +114,16 @@ def test_snapshot_and_restore_are_mutually_exclusive(tmp_path):
         )
 
 
-def test_spec_payload_round_trip():
-    """The replay recipe embedded in a snapshot rebuilds the same spec."""
-    for name in ("ci-smoke", "multi-tenant", "orch-crash-storm", "hot-dataset"):
-        spec = get_scenario(name)
-        payload = spec_to_payload(spec)
-        json.dumps(payload)  # must be JSON-native
-        assert spec_from_payload(payload) == spec
+def test_snapshot_capture_refuses_orchestrator_crashes_before_running(tmp_path):
+    # Recovery from a crash restores from a checkpoint, which a capture run
+    # cannot do: the options are refused before the first attempt writes
+    # anything, not at the first recovery.
+    with pytest.raises(SnapshotError, match="mutually exclusive"):
+        run_scenario(
+            get_scenario("orch-crash-storm"),
+            durability=DurabilityOptions(snapshot_at=5.0, checkpoint_dir=str(tmp_path)),
+        )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_durability_key_absent_without_durability():

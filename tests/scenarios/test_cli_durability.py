@@ -50,12 +50,24 @@ class TestSnapshotRestoreFlow:
         missing = tmp_path / "nope.json"
         assert run_cli("check-replay", str(missing), str(missing)) == 2
 
-    def test_snapshot_and_restore_flags_are_mutually_exclusive(self, tmp_path):
+    def test_snapshot_and_restore_flags_are_mutually_exclusive(self, tmp_path, capsys):
         assert run_cli(
             "run-scenario", "ci-smoke",
             "--snapshot-at", "5", "--restore-from", str(tmp_path / "x.snap"),
             "--out", str(tmp_path),
         ) == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+
+    def test_corrupt_restore_file_is_an_error_line_not_a_traceback(self, tmp_path, capsys):
+        garbage = tmp_path / "garbage.snap"
+        garbage.write_text("not a snapshot\n")
+        assert run_cli(
+            "run-scenario", "ci-smoke", "--restore-from", str(garbage),
+            "--out", str(tmp_path),
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.glob("BENCH_*")) == []
 
     def test_checkpoint_flags_write_checkpoint_files(self, tmp_path):
         ckpt_dir = tmp_path / "ckpts"

@@ -2,19 +2,13 @@
 
 Covers the ``stream-steady`` / ``stream-overload`` presets end to end: the
 steady-state BENCH payload, byte determinism, the EDF-vs-FIFO deadline gate
-on the overload preset, arrivals landing inside an orchestrator-crash restart window, the
-durability replay proof with the streaming section, and the snapshot spec
-round trip.
+on the overload preset, arrivals landing inside an orchestrator-crash restart
+window, and the durability replay proof with the streaming section.
 """
 
 import dataclasses
 
-from repro.durability import (
-    DurabilityOptions,
-    read_snapshot,
-    spec_from_payload,
-    spec_to_payload,
-)
+from repro.durability import DurabilityOptions, read_snapshot
 from repro.scenarios.dynamics import DynamicsSpec, OrchestratorCrash
 from repro.scenarios.presets import get_scenario
 from repro.scenarios.spec import run_scenario
@@ -165,24 +159,3 @@ class TestReplayProof:
         assert streaming["active"] >= 0
         # Engine sections exist only for live (unretired) tenants.
         assert len(snapshot.sections["workflows"]) == streaming["active"]
-
-
-class TestSpecRoundTrip:
-    def test_stream_presets_round_trip(self):
-        for name in ("stream-steady", "stream-overload"):
-            spec = get_scenario(name)
-            assert spec_from_payload(spec_to_payload(spec)) == spec
-
-    def test_streaming_tuples_survive_the_round_trip(self):
-        spec = dataclasses.replace(
-            get_scenario("stream-steady"),
-            streaming=dataclasses.replace(
-                get_scenario("stream-steady").streaming,
-                scripted_arrivals=(3.0, 9.5),
-                slo_choices=(40.0, 80.0),
-            ),
-        )
-        rebuilt = spec_from_payload(spec_to_payload(spec))
-        assert rebuilt == spec
-        assert rebuilt.streaming.scripted_arrivals == (3.0, 9.5)
-        assert rebuilt.streaming.slo_choices == (40.0, 80.0)
