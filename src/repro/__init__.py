@@ -30,8 +30,10 @@ from repro.core.dag import Task, TaskGraph, TaskState
 from repro.core.exceptions import (
     ConfigurationError,
     EndpointError,
+    NoReplicaError,
     SchedulingError,
     SerializationLimitExceeded,
+    StagingFailedError,
     TaskFailedError,
     TransferFailedError,
     UniFaaSError,
@@ -50,12 +52,14 @@ __all__ = [
     "ExecutorSpec",
     "FederatedFunction",
     "GlobusFile",
+    "NoReplicaError",
     "RemoteDirectory",
     "RemoteFile",
     "RsyncFile",
     "SchedulingError",
     "SerializationLimitExceeded",
     "SimProfile",
+    "StagingFailedError",
     "Task",
     "TaskFailedError",
     "TaskGraph",

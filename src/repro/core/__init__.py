@@ -12,8 +12,10 @@ from repro.core.dag import Task, TaskGraph, TaskState
 from repro.core.exceptions import (
     ConfigurationError,
     EndpointError,
+    NoReplicaError,
     SchedulingError,
     SerializationLimitExceeded,
+    StagingFailedError,
     TaskFailedError,
     TransferFailedError,
     UniFaaSError,
@@ -29,9 +31,11 @@ __all__ = [
     "EndpointError",
     "ExecutorSpec",
     "FederatedFunction",
+    "NoReplicaError",
     "SchedulingError",
     "SerializationLimitExceeded",
     "SimProfile",
+    "StagingFailedError",
     "Task",
     "TaskFailedError",
     "TaskGraph",

@@ -164,19 +164,6 @@ for _name in TIMESTAMP_FIELDS:
     setattr(TaskTimestamps, _name, _timestamp_property(_name))
 del _name
 
-#: The timestamp a state transition stamps (PENDING stamps none).
-_STAMP_OF_STATE: Dict[TaskState, str] = {
-    TaskState.READY: "ready",
-    TaskState.SCHEDULED: "scheduled",
-    TaskState.STAGING: "staging_started",
-    TaskState.STAGED: "staging_done",
-    TaskState.DISPATCHED: "dispatched",
-    TaskState.RUNNING: "started",
-    TaskState.COMPLETED: "completed",
-    TaskState.FAILED: "completed",
-    TaskState.CANCELLED: "completed",
-}
-
 #: The key of every task-id order (adjacency lists bisect-insert on it).
 task_id_of = attrgetter("task_id")
 
@@ -405,6 +392,10 @@ class TaskGraph:
         except KeyError:
             raise WorkflowError(f"unknown task {task_id!r}") from None
 
+    def find(self, task_id: str) -> Optional[Task]:
+        """The task with ``task_id``, or ``None`` when the graph has none."""
+        return self._tasks.get(task_id)
+
     def tasks(self) -> List[Task]:
         return list(self._tasks.values())
 
@@ -500,29 +491,32 @@ class TaskGraph:
 
     def set_state(self, task: Task, state: TaskState, now: Optional[float] = None) -> Task:
         """Move ``task`` to ``state``, updating counters and, when ``now`` is
-        given, the timestamp the transition stamps."""
+        given, the timestamp the transition stamps (the store's
+        :meth:`~repro.engine.store.TaskStore.set_state`, which the engine's
+        hot path calls on the task's row directly)."""
         store = self.store
         if task._store is not store:
             raise WorkflowError(f"unknown task {task.task_id!r}")
-        store.set_state(task._row, state)
-        if now is not None and state in _STAMP_OF_STATE:
-            store.timestamps[_STAMP_OF_STATE[state]][task._row] = now
+        store.set_state(task._row, state, now)
         return task
 
     def mark_completed(self, task: Task, now: Optional[float] = None) -> List[Task]:
         """Complete ``task`` and return the successors that just became
         ready, in task-id order."""
-        state = self.store.state
-        if task._store is self.store and state[task._row] == COMPLETED_CODE:
+        store = self.store
+        if task._store is not store:
+            raise WorkflowError(f"unknown task {task.task_id!r}")
+        state = store.state
+        if state[task._row] == COMPLETED_CODE:
             return []
-        self.set_state(task, TaskState.COMPLETED, now)
+        store.set_state(task._row, TaskState.COMPLETED, now)
         remaining = self._unfinished_dependency_count
         newly_ready: List[Task] = []
         for succ in task.successors:
             count = remaining[succ.task_id] - 1
             remaining[succ.task_id] = count
             if count == 0 and state[succ._row] == PENDING_CODE:
-                self.set_state(succ, TaskState.READY, now)
+                store.set_state(succ._row, TaskState.READY, now)
                 newly_ready.append(succ)
         return newly_ready
 

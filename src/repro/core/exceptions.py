@@ -13,7 +13,9 @@ __all__ = [
     "ConfigurationError",
     "SerializationLimitExceeded",
     "TaskFailedError",
+    "StagingFailedError",
     "TransferFailedError",
+    "NoReplicaError",
     "EndpointError",
     "SchedulingError",
     "WorkflowError",
@@ -56,16 +58,40 @@ class TaskFailedError(UniFaaSError):
         super().__init__(f"task {task_id} failed after {attempts} attempt(s): {message}")
 
 
-class TransferFailedError(UniFaaSError):
+class StagingFailedError(UniFaaSError):
+    """A task input could not be staged onto its endpoint (§IV-G): the task
+    fails terminally.  The subclass names the cause."""
+
+    def __init__(self, message: str, file_id: str, dst: str) -> None:
+        self.file_id = file_id
+        self.dst = dst
+        super().__init__(message)
+
+
+class TransferFailedError(StagingFailedError):
     """A data transfer failed after exhausting its retries (§IV-G)."""
 
-    def __init__(self, transfer_id: str, src: str, dst: str, attempts: int) -> None:
+    def __init__(
+        self, transfer_id: str, src: str, dst: str, attempts: int, file_id: str = ""
+    ) -> None:
         self.transfer_id = transfer_id
         self.src = src
-        self.dst = dst
         self.attempts = attempts
+        of_file = f" of {file_id}" if file_id else ""
         super().__init__(
-            f"transfer {transfer_id} ({src} -> {dst}) failed after {attempts} attempt(s)"
+            f"transfer {transfer_id}{of_file} ({src} -> {dst}) failed after "
+            f"{attempts} attempt(s)",
+            file_id,
+            dst,
+        )
+
+
+class NoReplicaError(StagingFailedError):
+    """A task input had no replica left to copy, so no transfer ran."""
+
+    def __init__(self, file_id: str, dst: str) -> None:
+        super().__init__(
+            f"input {file_id} has no replica to stage to {dst} from", file_id, dst
         )
 
 

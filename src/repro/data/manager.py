@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Set
 
+from repro.core.exceptions import StagingFailedError
+
 __all__ = ["StagingTicket", "task_namespace"]
 
 _ticket_counter = itertools.count()
@@ -54,6 +56,16 @@ class StagingTicket:
     completed_at: Optional[float] = None
     #: Data volume this ticket moved across endpoints (MB).
     transferred_mb: float = 0.0
+    #: Why a failed ticket failed, as the error the task's future raises: a
+    #: :class:`~repro.core.exceptions.TransferFailedError` (the input, the
+    #: transfer that ran out of retries, its source and attempt count) or a
+    #: :class:`~repro.core.exceptions.NoReplicaError` (no transfer ran).
+    error: Optional[StagingFailedError] = None
+
+    def fail(self, error: StagingFailedError) -> None:
+        """Mark the ticket failed for the cause ``error`` names."""
+        self.failed = True
+        self.error = error
 
     @property
     def done(self) -> bool:

@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.exceptions import NoReplicaError, TransferFailedError
 from repro.data.manager import StagingTicket, task_namespace
 from repro.data.remote_file import RemoteFile
 from repro.data.transfer import TransferBackend, TransferRequest, TransferResult
@@ -556,7 +557,7 @@ class DataPlane:
             # evicted before this — dynamic-DAG — consumer appeared, or the
             # file was never located).  Fail the ticket so the §IV-G ladder
             # fails the task cleanly instead of crashing the engine run.
-            ticket.failed = True
+            ticket.fail(NoReplicaError(file.file_id, destination))
             if ticket.completed_at is None:
                 ticket.completed_at = self.clock.now()
                 self._open_ticket_count -= 1
@@ -679,11 +680,17 @@ class DataPlane:
             return
         self.transfers.release(job)
         now = self.clock.now()
+        request = job.request
         for ticket in job.tickets:
             if ticket.failed or ticket.superseded:
                 continue
-            ticket.failed = True
-            ticket.pending_transfers.discard(job.request.transfer_id)
+            ticket.fail(
+                TransferFailedError(
+                    request.transfer_id, request.src, request.dst, job.attempts,
+                    file_id=request.file.file_id,
+                )
+            )
+            ticket.pending_transfers.discard(request.transfer_id)
             if ticket.completed_at is None:
                 ticket.completed_at = now
                 self._open_ticket_count -= 1

@@ -310,6 +310,6 @@ def make_cut(
 
 
 def recorder_prefix_digest(entries: List, count: Optional[int] = None) -> str:
-    """Digest of a recorder's first ``count`` entries (all when ``None``)."""
+    """Digest of an event log's first ``count`` entries (all when ``None``)."""
     view = entries if count is None else entries[:count]
     return _sha(repr(view))

@@ -17,7 +17,7 @@ and only the callbacks differ between capture and verify mode.  All capture
 callbacks are read-only with respect to the simulation.
 
 Restore is deterministic replay: the run re-executes from t=0; at the cut
-the controller checks the recorders' event-log counts and prefix digests
+the controller checks the tenants' event-log counts and prefix digests
 and every captured state section against the live run, then marks the tail
 start.  The tail digest over the remaining event log is the replay proof.
 """
@@ -127,13 +127,13 @@ class DurabilityController:
         self.last_checkpoint_s: Optional[float] = None
 
     # ----------------------------------------------------------------- arm
-    def install(self, env, manager, *, engines, recorders, streaming=None) -> None:
+    def install(self, env, manager, *, engines, logs, streaming=None) -> None:
         """Bind the attempt's live objects and schedule its durability events.
 
         ``manager`` is the attempt's federation
         (:class:`~repro.serving.manager.WorkflowManager`); ``engines``
-        (tenants not yet retired) and ``recorders`` (every tenant's event
-        log) are the runner's live dicts, keyed by workflow id ("" for the
+        (tenants not yet retired) and ``logs`` (every tenant's event-log
+        entry list) are the runner's live dicts, keyed by workflow id ("" for the
         single-workflow client's lone tenant); ``streaming`` is the open-loop
         :class:`~repro.streaming.service.StreamingService` the tenants arrive
         through, if they do.  The events armed have a fixed shape per spec.
@@ -141,7 +141,7 @@ class DurabilityController:
         self.env = env
         self.manager = manager
         self.engines = engines
-        self.recorders = recorders
+        self.logs = logs
         self.streaming = streaming
         kernel = env.kernel
         if self.snapshot_at is not None:
@@ -198,13 +198,10 @@ class DurabilityController:
     # -------------------------------------------------------------- capture
     def _make_snapshot(self, kind: str, index: int) -> Snapshot:
         kernel = self.env.kernel
-        log_counts = {
-            key: len(recorder.entries)
-            for key, recorder in sorted(self.recorders.items())
-        }
+        log_counts = {key: len(entries) for key, entries in sorted(self.logs.items())}
         log_prefixes = {
-            key: recorder_prefix_digest(recorder.entries)
-            for key, recorder in sorted(self.recorders.items())
+            key: recorder_prefix_digest(entries)
+            for key, entries in sorted(self.logs.items())
         }
         return Snapshot(
             scenario=self.scenario,
@@ -223,17 +220,17 @@ class DurabilityController:
         snapshot = self.restore
         cut = snapshot.cut
         for key, count in cut["log_counts"].items():
-            recorder = self.recorders.get(key)
-            if recorder is None:
+            entries = self.logs.get(key)
+            if entries is None:
                 raise SnapshotError(
                     f"{context}: snapshot references unknown workflow {key!r}"
                 )
-            if len(recorder.entries) != count:
+            if len(entries) != count:
                 raise SnapshotError(
-                    f"{context}: replay produced {len(recorder.entries)} events for "
+                    f"{context}: replay produced {len(entries)} events for "
                     f"{key or 'the workflow'}, snapshot recorded {count}"
                 )
-            prefix = recorder_prefix_digest(recorder.entries, count)
+            prefix = recorder_prefix_digest(entries, count)
             if prefix != cut["log_prefix_sha256"].get(key):
                 raise SnapshotError(
                     f"{context}: replayed event-log prefix diverged for "
@@ -245,14 +242,14 @@ class DurabilityController:
 
     # --------------------------------------------------------------- report
     def tail_digest(self) -> Tuple[str, int]:
-        """SHA-256 over every recorder's post-cut entries, and their count."""
+        """SHA-256 over every event log's post-cut entries, and their count."""
         if self.tail_marks is None:
             raise SnapshotError("no cut was reached; there is no tail to digest")
         digest = hashlib.sha256()
         total = 0
-        for key in sorted(self.recorders):
+        for key in sorted(self.logs):
             mark = self.tail_marks.get(key, 0)
-            entries = self.recorders[key].entries
+            entries = self.logs[key]
             digest.update(key.encode())
             digest.update(repr(entries[mark:]).encode())
             total += max(0, len(entries) - mark)

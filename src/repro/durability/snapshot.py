@@ -63,7 +63,7 @@ class Snapshot:
     ``scenario`` is the replay recipe: the JSON-native payload the caller
     encoded its scenario into (``ScenarioSpec.to_payload()``), stored
     verbatim and only compared, never decoded.  ``cut`` pins where in the
-    run the capture happened (kind, time, per-recorder event-log counts and
+    run the capture happened (kind, time, per-tenant event-log counts and
     prefix digests), and ``sections`` holds the verification manifest of
     live state.
     """

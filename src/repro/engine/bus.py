@@ -12,6 +12,12 @@ coordinators rely on:
   delivered after the current event's remaining handlers, never recursively.
   Cascades of any depth are processed breadth-first in publication order, so
   a run's event sequence is a deterministic function of its inputs.
+
+The bus also writes the event log.  A list attached with
+:meth:`EventBus.record_to` receives every delivered event's log entries —
+what :func:`~repro.engine.events.expand_event`, the definition of the log,
+makes of it — at the point an any-event handler would have run, so a
+recorder costs no handler call per event.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Type
 
-from repro.engine.events import Event
+from repro.engine.events import BatchEvent, Event
 
 __all__ = ["EventBus"]
 
@@ -52,6 +58,8 @@ class EventBus:
         #: Activity watcher (see :meth:`watch`).
         self._activity: Optional[Set[Hashable]] = None
         self._token: Hashable = None
+        #: Event-log sink (see :meth:`record_to`).
+        self._log: Optional[List[Tuple]] = None
 
     # ---------------------------------------------------------- subscription
     def subscribe(self, event_type: Type[Event], handler: Handler) -> Handler:
@@ -104,6 +112,18 @@ class EventBus:
         self._snapshots[event_type] = tuple(handlers)
         return True
 
+    # ------------------------------------------------------------- event log
+    def record_to(self, entries: Optional[List[Tuple]]) -> None:
+        """Append the event-log entries of every event delivered from now on
+        to ``entries`` (``None`` detaches the log).
+
+        A batch event contributes its ``scalar_log``, any other event the
+        one entry ``(round(time, 9),) + describe()`` — entry for entry what
+        :func:`~repro.engine.events.expand_event` returns — appended before
+        the event's handlers run.
+        """
+        self._log = entries
+
     # -------------------------------------------------------------- activity
     def watch(self, activity: Set[Hashable], token: Hashable) -> None:
         """Add ``token`` to ``activity`` whenever this bus delivers an event.
@@ -153,6 +173,13 @@ class EventBus:
             while self._queue:
                 current = self._queue.popleft()
                 self.published_count += 1
+                log = self._log
+                if log is not None:
+                    # expand_event(current), without its call.
+                    if isinstance(current, BatchEvent):
+                        log.extend(current.scalar_log)
+                    else:
+                        log.append((round(current.time, 9),) + current.describe())
                 for handler in self._any_snapshot:
                     handler(current)
                 for handler in self._snapshots.get(type(current), _EMPTY):

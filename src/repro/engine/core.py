@@ -167,10 +167,11 @@ class ExecutionEngine:
         self.periodic = PeriodicCoordinator(self)
         self.bus.subscribe(TaskReady, self._on_task_ready)
 
-        # Data-plane wiring: pin lifecycle on terminal failure (which the
-        # metrics count), crash cleanup and the prefetch pipeline (a
-        # successful completion releases its pins and advances the prefetcher
-        # in _handle_completions).
+        # Data-plane wiring: pin lifecycle and prefetch guesses on terminal
+        # failure (which the metrics count), crash cleanup and the prefetch
+        # pipeline (a successful completion releases its pins and advances
+        # the prefetcher in _handle_completions; the staging coordinator
+        # tells it about placements).
         plane = self.data_manager
         self.bus.subscribe(TaskFailed, self._on_task_failed)
         # On this workflow's own bus, so the quarantine lands after the
@@ -195,14 +196,6 @@ class ExecutionEngine:
                     if self.plan_service is not None
                     else None
                 ),
-            )
-            self.bus.subscribe(
-                TaskPlaced,
-                lambda e: self.prefetcher.on_task_placed(e.task_id, e.endpoint),
-            )
-            self.bus.subscribe(
-                TaskFailed,
-                lambda e: self.prefetcher.on_task_terminal(e.task_id),
             )
 
     # ------------------------------------------------------------- submission
@@ -398,12 +391,14 @@ class ExecutionEngine:
     def _on_task_failed(self, event: TaskFailed) -> None:
         self.metrics.record_failure()
         self.data_manager.release_task(event.task_id)
+        if self.prefetcher is not None:
+            self.prefetcher.on_task_terminal(event.task_id)
 
     def _on_task_ready(self, event: TaskReady) -> None:
         # Queue for the next scheduling round; endpoint-pinned tasks join the
         # queue too and bypass the scheduler when the round runs.
         self._prepare_ready(event.task)
-        self.placement.enqueue(event.task)
+        self.index.enqueue(event.task)
 
     def _handle_completions(self, records: List[TaskExecutionRecord]) -> None:
         """What a completion does — one fabric round's records, in order.
@@ -477,7 +472,7 @@ class ExecutionEngine:
             completed_records.append(record)
             newly_ready = self._apply_success(task, record)
             plane.release_task(record.task_id)
-            if self.prefetcher is not None:
+            if self.prefetcher is not None and task.successors:
                 self.prefetcher.on_predecessor_progress(task)
             pinned: List[Task] = []
             for ready_task in newly_ready:
@@ -485,7 +480,7 @@ class ExecutionEngine:
                 ready.append(ready_task)
                 self._prepare_ready(ready_task)
                 if self.graph.store.endpoint[ready_task._row] < 0:
-                    self.placement.enqueue(ready_task)
+                    self.index.enqueue(ready_task)
                 else:
                     pinned.append(ready_task)
             if pinned:

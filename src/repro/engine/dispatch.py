@@ -1,13 +1,14 @@
 """Dispatch coordinator — delay-mechanism gating and fabric submission.
 
-Staged tasks wait in per-endpoint client queues.  Each pump round the
-coordinator walks every queue head and asks the scheduler whether the task
-may leave (DHA's delay mechanism hooks in through
-:meth:`~repro.sched.base.Scheduler.should_dispatch`); dispatching builds the
-execution request, submits it to the fabric and tells the endpoint monitor
-(mock update), the scheduler (claim release) and the prefetcher.  The round's
-dispatches are announced as one
-:class:`~repro.engine.events.TasksDispatched` event.
+The one handler of :class:`~repro.engine.events.StagingDone`: a staged task
+joins its endpoint's client queue, and a failed ticket goes to the failure
+coordinator (§IV-G).  Each pump round the coordinator walks every queue head
+and asks the scheduler whether the task may leave (DHA's delay mechanism
+hooks in through :meth:`~repro.sched.base.Scheduler.should_dispatch`);
+dispatching builds the execution request, submits it to the fabric and tells
+the endpoint monitor (mock update), the scheduler (claim release) and — when
+the task has successors to feed — the prefetcher.  The round's dispatches
+are announced as one :class:`~repro.engine.events.TasksDispatched` event.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class DispatchCoordinator:
     # ---------------------------------------------------------------- events
     def _on_staging_done(self, event: StagingDone) -> None:
         if event.failed:
-            return  # the failure coordinator owns this outcome
+            self._engine.failure.fail_staging(event)
+            return
         self._staged_queues[event.endpoint].append(event.task)
 
     # ------------------------------------------------------------------ pump
@@ -103,16 +105,15 @@ class DispatchCoordinator:
         """Submit ``task`` to ``endpoint``, tell the observers, and add it (and
         its ``TaskDispatched`` log entry) to the round's batch."""
         engine = self._engine
+        store = engine.graph.store
         request = engine.fabric.build_request(task)
         task.attempts += 1
-        engine.graph.set_state(task, TaskState.DISPATCHED, now=now)
+        store.set_state(task._row, TaskState.DISPATCHED, now)
         engine.index.clear_undispatched(task.task_id)
         engine.fabric.submit(endpoint, request)
         batch_log.append((round(now, 9), "TaskDispatched", task.name, endpoint))
         batch.append(task)
-        engine.endpoint_monitor.record_dispatch(
-            endpoint, cores=int(engine.graph.store.cores[task._row])
-        )
+        engine.endpoint_monitor.record_dispatch(endpoint, cores=int(store.cores[task._row]))
         engine.scheduler.on_task_dispatched(task, endpoint)
-        if engine.prefetcher is not None:
+        if engine.prefetcher is not None and task.successors:
             engine.prefetcher.on_predecessor_progress(task)

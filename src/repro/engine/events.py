@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.core.dag import Task
+from repro.data.manager import StagingTicket
 from repro.faas.types import TaskExecutionRecord
 
 __all__ = [
@@ -108,11 +109,16 @@ class TaskPlaced(TaskEvent):
 
 @dataclass(frozen=True)
 class StagingDone(TaskEvent):
-    """The data manager finished (or abandoned) staging the task's inputs."""
+    """The data manager finished (or abandoned) staging the task's inputs.
+
+    Its one handler is the dispatch coordinator's: a staged task joins its
+    endpoint's queue, a failed ticket (whose cause the ticket records) goes
+    to the failure coordinator.
+    """
 
     endpoint: str = ""
     failed: bool = False
-    ticket_id: str = ""
+    ticket: Optional[StagingTicket] = field(default=None, repr=False, compare=False)
 
     def describe(self) -> Tuple:
         return (type(self).__name__, self.name, self.endpoint, self.failed)
@@ -204,9 +210,10 @@ def expand_event(event: Event) -> Tuple[Tuple, ...]:
     """The event-log entries of ``event`` — the definition of the event log.
 
     A per-task event is its own single entry; a batch event expands to one
-    entry per task transition it carries.  Event-log recorders (and the
-    scenario digest) are defined over this expansion, so the log does not
-    depend on how transitions happen to be batched into events.
+    entry per task transition it carries.  The event log the bus writes
+    (:meth:`~repro.engine.bus.EventBus.record_to`, which the scenario digest
+    is computed over) is held to this expansion, so the log does not depend
+    on how transitions happen to be batched into events.
     """
     if isinstance(event, BatchEvent):
         return event.scalar_log

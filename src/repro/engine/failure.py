@@ -10,9 +10,14 @@ record of a failed attempt) walk a three-step ladder:
 3. **fail** — when every endpoint failed it, the task is terminal and its
    future carries a :class:`~repro.core.exceptions.TaskFailedError`.
 
-Staging failures (the data manager exhausted its transfer retries) are
-terminal immediately and carry a
-:class:`~repro.core.exceptions.TransferFailedError`.
+Staging failures are terminal immediately.  The dispatch coordinator, the
+one handler of :class:`~repro.engine.events.StagingDone`, hands a failed
+ticket to :meth:`FailureCoordinator.fail_staging`; the task's future carries
+the :class:`~repro.core.exceptions.StagingFailedError` the ticket recorded
+as its cause — a :class:`~repro.core.exceptions.TransferFailedError` (the
+transfer, its source and its real attempt count) when a transfer ran out of
+retries, a :class:`~repro.core.exceptions.NoReplicaError` when the input
+had no replica left to copy.
 
 Either terminal outcome is announced as a
 :class:`~repro.engine.events.TaskFailed` event.
@@ -30,7 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.core.dag import Task, TaskState
-from repro.core.exceptions import TaskFailedError, TransferFailedError
+from repro.core.exceptions import TaskFailedError
 from repro.engine.events import (
     EndpointCrashed,
     StagingDone,
@@ -54,7 +59,6 @@ class FailureCoordinator:
 
     def __init__(self, engine: "ExecutionEngine") -> None:
         self._engine = engine
-        engine.bus.subscribe(StagingDone, self._on_staging_done)
         engine.bus.subscribe(EndpointCrashed, self._on_endpoint_crashed)
         # A failed attempt, announced after the observers saw its record.
         engine.bus.subscribe(
@@ -62,18 +66,15 @@ class FailureCoordinator:
         )
 
     # ------------------------------------------------------ staging failures
-    def _on_staging_done(self, event: StagingDone) -> None:
-        if not event.failed:
-            return
+    def fail_staging(self, event: StagingDone) -> None:
+        """Terminally fail the task of a failed :class:`StagingDone`."""
         engine = self._engine
         task = event.task
         engine.index.clear_undispatched(task.task_id)
         if engine.context is not None:
             engine.context.release_task(task.task_id)
         engine.graph.set_state(task, TaskState.FAILED, now=engine.clock.now())
-        error = TransferFailedError(
-            event.ticket_id, "unknown", event.endpoint, engine.config.max_transfer_retries
-        )
+        error = event.ticket.error
         task.future.set_exception(error)
         engine.bus.publish(
             TaskFailed.for_task(

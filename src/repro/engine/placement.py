@@ -15,7 +15,7 @@ from __future__ import annotations
 import time as _time
 from typing import TYPE_CHECKING
 
-from repro.core.dag import READY_CODE, Task
+from repro.core.dag import READY_CODE
 from repro.engine.events import TaskPlaced
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -29,9 +29,6 @@ class PlacementCoordinator:
 
     def __init__(self, engine: "ExecutionEngine") -> None:
         self._engine = engine
-
-    def enqueue(self, task: Task) -> None:
-        self._engine.index.enqueue(task)
 
     def schedule_ready(self) -> bool:
         """Offer queued ready tasks to the scheduler; True when any placed."""

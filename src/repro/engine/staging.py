@@ -1,12 +1,15 @@
 """Staging coordinator — the staged-queue / data-manager interplay (§IV-E).
 
-Listens for :class:`~repro.engine.events.TaskPlaced` events, walks the task
-through ``SCHEDULED -> STAGING`` and hands its input files to the data
-manager.  When the data manager reports a ticket done the coordinator
-validates it (the task may have been re-scheduled or re-assigned since, in
-which case a *newer* ticket is authoritative) and announces the outcome as a
-:class:`~repro.engine.events.StagingDone` event — success feeds the dispatch
-coordinator's staged queues, failure feeds the failure coordinator.
+The one handler of :class:`~repro.engine.events.TaskPlaced`: it walks the
+task through ``SCHEDULED -> STAGING``, hands its input files to the data
+manager, and then tells the prefetcher the real placement landed (which
+releases a guessed placement's virtual claim).  When the data manager
+reports a ticket done the coordinator validates it (the task may have been
+re-scheduled or re-assigned since, in which case a *newer* ticket is
+authoritative) and announces the outcome as a
+:class:`~repro.engine.events.StagingDone` event, whose one handler — the
+dispatch coordinator's — queues a staged task and hands a failed ticket to
+the failure coordinator.
 """
 
 from __future__ import annotations
@@ -37,44 +40,46 @@ class StagingCoordinator:
     # ---------------------------------------------------------------- events
     def _on_task_placed(self, event: TaskPlaced) -> None:
         self.begin_staging(event.task, event.endpoint)
+        prefetcher = self._engine.prefetcher
+        if prefetcher is not None:
+            prefetcher.on_task_placed(event.task_id, event.endpoint)
 
     def begin_staging(self, task: Task, endpoint: str) -> None:
         """Assign ``task`` to ``endpoint`` and start staging its inputs."""
         engine = self._engine
         store = engine.graph.store
+        row = task._row
         now = engine.clock.now()
-        store.set_endpoint(task._row, endpoint)
-        engine.graph.set_state(task, TaskState.SCHEDULED, now=now)
+        store.set_endpoint(row, endpoint)
+        store.set_state(row, TaskState.SCHEDULED, now)
         engine.index.mark_undispatched(task)
-        engine.graph.set_state(task, TaskState.STAGING, now=now)
+        store.set_state(row, TaskState.STAGING, now)
         # The task's DHA upward rank orders its transfers within the data
         # plane's demand class (the published policy ignores the priority).
         engine.data_manager.stage(
-            task.task_id, task.input_files, endpoint, priority=float(store.priority[task._row])
+            task.task_id, task.input_files, endpoint, priority=float(store.priority[row])
         )
 
     def _on_ticket_done(self, ticket: StagingTicket) -> None:
         engine = self._engine
         graph = engine.graph
-        if ticket.task_id not in graph:
+        task = graph.find(ticket.task_id)
+        if task is None or graph.store.state[task._row] not in _STAGING:
             return
-        task = graph.get(ticket.task_id)
-        if graph.store.state[task._row] not in _STAGING:
-            return
-        if engine.data_manager.ticket_for_task(task.task_id) is not ticket:
+        if engine.data_manager.ticket_for_task(ticket.task_id) is not ticket:
             # A re-scheduling move or retry opened a newer ticket for this
             # task; this one belongs to an abandoned destination.
             return
         now = engine.clock.now()
         if not ticket.failed:
-            graph.set_state(task, TaskState.STAGED, now=now)
+            graph.store.set_state(task._row, TaskState.STAGED, now)
         engine.bus.publish(
             StagingDone.for_task(
                 task,
                 time=now,
                 endpoint=ticket.destination,
                 failed=ticket.failed,
-                ticket_id=ticket.ticket_id,
+                ticket=ticket,
             )
         )
 

@@ -36,6 +36,23 @@ __all__ = ["TaskStore"]
 _PENDING_DISPATCH = state_codes(TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
 _TERMINAL_CODES = state_codes(*TERMINAL_STATES)
 
+#: The timestamp column a transition into each state stamps, by state code
+#: (``None``: PENDING stamps none).
+_STAMP_OF_CODE = tuple(
+    {
+        TaskState.READY: "ready",
+        TaskState.SCHEDULED: "scheduled",
+        TaskState.STAGING: "staging_started",
+        TaskState.STAGED: "staging_done",
+        TaskState.DISPATCHED: "dispatched",
+        TaskState.RUNNING: "started",
+        TaskState.COMPLETED: "completed",
+        TaskState.FAILED: "completed",
+        TaskState.CANCELLED: "completed",
+    }.get(state)
+    for state in STATES
+)
+
 _GROW = 1024
 
 
@@ -125,23 +142,32 @@ class TaskStore:
         self._state_counts[code] += 1
         if code in _TERMINAL_CODES:
             self.terminal += 1
-        if ep >= 0:
-            self._account(row, 0, code, -1, ep)
+        if ep >= 0 and code in _PENDING_DISPATCH:
+            self._account(row, PENDING_CODE, code, -1, ep)
         return row
 
-    def set_state(self, row: int, state: TaskState) -> None:
-        """Move a row to ``state``, updating counts and endpoint aggregates."""
-        old = int(self.state[row])
+    def set_state(self, row: int, state: TaskState, now: Optional[float] = None) -> None:
+        """Move a row to ``state``, updating counts and endpoint aggregates,
+        and, when ``now`` is given, stamp the timestamp the transition stamps
+        (also when the row already is in ``state``)."""
         new = STATE_CODES[state]
+        if now is not None:
+            stamp = _STAMP_OF_CODE[new]
+            if stamp is not None:
+                self.timestamps[stamp][row] = now
+        old = int(self.state[row])
         if old == new:
             return
         self.state[row] = new
         self._state_counts[old] -= 1
         self._state_counts[new] += 1
         self.terminal += (new in _TERMINAL_CODES) - (old in _TERMINAL_CODES)
-        ep = int(self.endpoint[row])
-        if ep >= 0:
-            self._account(row, old, new, ep, ep)
+        # Only the pending-dispatch states (STAGED among them) feed the
+        # endpoint aggregates.
+        if old in _PENDING_DISPATCH or new in _PENDING_DISPATCH:
+            ep = int(self.endpoint[row])
+            if ep >= 0:
+                self._account(row, old, new, ep, ep)
 
     def set_endpoint(self, row: int, endpoint: Optional[str]) -> None:
         old = int(self.endpoint[row])
@@ -150,10 +176,13 @@ class TaskStore:
             return
         self.endpoint[row] = new
         code = int(self.state[row])
-        self._account(row, code, code, old, new)
+        if code in _PENDING_DISPATCH:
+            self._account(row, code, code, old, new)
 
     def _account(self, row: int, old_code: int, new_code: int, old_ep: int, new_ep: int) -> None:
-        """Incrementally maintain the per-endpoint demand aggregates.
+        """Incrementally maintain the per-endpoint demand aggregates (a no-op
+        unless ``old_code`` or ``new_code`` is a pending-dispatch state, so
+        callers skip it then).
 
         Both dicts keep non-zero entries only (``staged_cores`` readers rely
         on it): a decrement that reaches zero deletes the entry, and an

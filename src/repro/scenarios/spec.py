@@ -44,7 +44,6 @@ from repro.durability import (
     load_restore_snapshot,
     reset_global_id_counters,
 )
-from repro.engine.events import Event, expand_event
 from repro.experiments.environment import EndpointSetup, SimulationEnvironment, build_simulation
 from repro.faas.types import ServiceLatencyModel
 from repro.scenarios.dynamics import DynamicsInjector, DynamicsSpec
@@ -526,17 +525,6 @@ class ScenarioResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-class _EventLogRecorder:
-    """Collects every bus event's identity tuple for the determinism digest."""
-
-    def __init__(self) -> None:
-        self.entries: List[Tuple] = []
-
-    def __call__(self, event: Event) -> None:
-        # A batch event contributes one entry per task transition it carries.
-        self.entries.extend(expand_event(event))
-
-
 class _Tenants:
     """Every tenant of one run, however it arrived.
 
@@ -550,9 +538,9 @@ class _Tenants:
 
     def __init__(self, workload: WorkloadSpec) -> None:
         self.workload = workload
-        #: workflow id -> event log, kept to the end: the digests cover every
-        #: tenant's full log, retired or not ...
-        self.recorders: Dict[str, _EventLogRecorder] = {}
+        #: workflow id -> event log (the tenant bus writes it), kept to the
+        #: end: the digests cover every tenant's full log, retired or not ...
+        self.logs: Dict[str, List[Tuple]] = {}
         #: ... -> arrival time, the digests' order ...
         self.arrivals: Dict[str, float] = {}
         #: ... -> engine, while the tenant is registered (what durability
@@ -574,9 +562,9 @@ class _Tenants:
 
     def admit(self, handle) -> None:
         wid = handle.workflow_id
-        recorder = _EventLogRecorder()
-        handle.bus.subscribe_all(recorder)
-        self.recorders[wid] = recorder
+        log: List[Tuple] = []
+        handle.bus.record_to(log)
+        self.logs[wid] = log
         self.arrivals[wid] = handle.arrival_s
         self.engines[wid] = handle.engine
 
@@ -599,7 +587,7 @@ class _Tenants:
 
     def in_arrival_order(self) -> List[str]:
         """Every tenant's id in the manager's order: arrival time, then id."""
-        return sorted(self.recorders, key=lambda wid: (self.arrivals[wid], wid))
+        return sorted(self.logs, key=lambda wid: (self.arrivals[wid], wid))
 
 
 def run_scenario(
@@ -720,7 +708,7 @@ def _run_attempt(
         # after the dynamics timeline, before the stream opens and the run.
         controller.install(
             env, manager,
-            engines=tenants.engines, recorders=tenants.recorders, streaming=stream,
+            engines=tenants.engines, logs=tenants.logs, streaming=stream,
         )
     if stream is not None:
         stream.install()
@@ -744,7 +732,7 @@ def _run_attempt(
     digest.update(repr([e.as_dict() for e in timeline]).encode())
     event_digests: Dict[str, str] = {}
     for wid in tenants.in_arrival_order():
-        log = repr(tenants.recorders[wid].entries).encode()
+        log = repr(tenants.logs[wid]).encode()
         digest.update(wid.encode())
         digest.update(log)
         if cohort > 1:

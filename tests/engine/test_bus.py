@@ -1,10 +1,17 @@
-"""EventBus semantics: ordering, cascades, and run-to-run determinism."""
+"""EventBus semantics: ordering, cascades, run-to-run determinism, and the
+event log the bus writes."""
 
 import pytest
 
 from repro.core.functions import SimProfile, function
 from repro.engine.bus import EventBus
-from repro.engine.events import CapacityChanged, TaskReady, expand_event
+from repro.engine.events import (
+    CapacityChanged,
+    EndpointCrashed,
+    TaskReady,
+    TasksDispatched,
+    expand_event,
+)
 
 from tests.integration.conftest import build_two_site_env
 
@@ -219,3 +226,39 @@ class TestCopyOnWriteSnapshots:
             bus.publish(CapacityChanged(time=float(t)))
         # Same tuple object throughout: rebuilt on subscription change only.
         assert bus._snapshots[CapacityChanged] is snapshot
+
+
+class TestEventLog:
+    def test_log_entries_are_written_before_the_handlers_run(self):
+        bus = EventBus()
+        log = []
+        seen = []
+        bus.record_to(log)
+        bus.subscribe(CapacityChanged, lambda e: seen.append(len(log)))
+        bus.publish(CapacityChanged(time=1.0000000004))
+        assert log == [(1.0, "CapacityChanged")] == list(expand_event(CapacityChanged(time=1.0)))
+        assert seen == [1]
+
+    def test_a_batch_event_logs_its_scalar_entries(self):
+        bus = EventBus()
+        log = []
+        bus.record_to(log)
+        entries = ((2.0, "TaskDispatched", "f", "site_a"), (2.0, "TaskDispatched", "g", "site_b"))
+        bus.publish(TasksDispatched(time=2.0, count=2, scalar_log=entries))
+        assert log == list(entries)
+
+    def test_cascaded_events_are_logged_in_delivery_order(self):
+        bus = EventBus()
+        log = []
+        bus.record_to(log)
+        bus.subscribe(
+            EndpointCrashed, lambda e: bus.publish(CapacityChanged(time=e.time))
+        )
+        bus.subscribe_all(lambda e: log.append("handler"))
+        bus.publish(EndpointCrashed(time=3.0, endpoint="site_a", lost_tasks=2))
+        assert log == [
+            (3.0, "EndpointCrashed", "site_a", 2),
+            "handler",
+            (3.0, "CapacityChanged"),
+            "handler",
+        ]

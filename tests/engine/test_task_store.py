@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.dag import Task, TaskGraph, TaskState
+from repro.core.dag import STATE_CODES, Task, TaskGraph, TaskState
 from repro.core.exceptions import WorkflowError
 from repro.core.functions import FederatedFunction
 from repro.engine.store import TaskStore
@@ -90,7 +90,42 @@ class TestEndpointAggregates:
         assert store.undispatched_count == 0
 
 
+    def test_only_pending_dispatch_transitions_touch_the_aggregates(self, monkeypatch):
+        store = make_store()
+        row = add(store, endpoint="ep1", state=TaskState.READY)
+        accounted = []
+        account = store._account
+        monkeypatch.setattr(
+            store, "_account", lambda *args: accounted.append(args[1:3]) or account(*args)
+        )
+        store.set_endpoint(row, "ep2")  # READY: nothing awaits dispatch yet
+        for state in (TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED,
+                      TaskState.DISPATCHED, TaskState.COMPLETED):
+            store.set_state(row, state)
+        codes = STATE_CODES
+        assert accounted == [
+            (codes[TaskState.READY], codes[TaskState.SCHEDULED]),
+            (codes[TaskState.SCHEDULED], codes[TaskState.STAGING]),
+            (codes[TaskState.STAGING], codes[TaskState.STAGED]),
+            (codes[TaskState.STAGED], codes[TaskState.DISPATCHED]),
+        ]
+        assert store.undispatched_count == 0 and store.staged_demand() == {}
+
+
 class TestTimestamps:
+    def test_set_state_stamps_its_transition(self):
+        store = make_store()
+        row = add(store)
+        store.set_state(row, TaskState.READY, 1.5)
+        store.set_state(row, TaskState.STAGED)  # no ``now``: no stamp
+        store.set_state(row, TaskState.STAGED, 2.5)  # same state: still stamps
+        store.set_state(row, TaskState.FAILED, 4.0)
+        assert store.timestamps["ready"][row] == 1.5
+        assert store.timestamps["staging_done"][row] == 2.5
+        assert store.timestamps["completed"][row] == 4.0
+        store.set_state(row, TaskState.PENDING, 5.0)  # PENDING stamps nothing
+        assert [store.timestamps[name][row] for name in ("ready", "completed")] == [1.5, 4.0]
+
     def test_nan_is_none(self):
         graph = TaskGraph()
         task = graph.add_task(Task(function=FederatedFunction(lambda: None, name="fn")))
@@ -148,6 +183,22 @@ class TestTaskViews:
             t.state = TaskState.COMPLETED
         assert graph.is_complete()
         assert graph.unfinished_count() == 0
+
+    def test_graph_state_changes_keep_the_ownership_check(self):
+        graph, other = TaskGraph(), TaskGraph()
+        task = graph.add_task(Task(function=FederatedFunction(lambda: None, name="fn")))
+        stranger = other.add_task(Task(function=FederatedFunction(lambda: None, name="fn")))
+        assert graph.find(task.task_id) is task
+        assert graph.find(stranger.task_id) is None
+        with pytest.raises(WorkflowError):
+            graph.set_state(stranger, TaskState.SCHEDULED, now=1.0)
+        with pytest.raises(WorkflowError):
+            graph.mark_completed(stranger, now=1.0)
+        assert stranger.state == TaskState.READY
+        graph.set_state(task, TaskState.SCHEDULED, now=1.0)
+        assert task.timestamps.scheduled == 1.0
+        assert graph.mark_completed(task, now=2.0) == []
+        assert task.timestamps.completed == 2.0
 
     def test_detached_task_keeps_local_timestamps(self):
         task = Task(function=FederatedFunction(lambda: None, name="fn"))

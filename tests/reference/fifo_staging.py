@@ -19,6 +19,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.exceptions import TransferFailedError
 from repro.data.manager import StagingTicket, task_namespace
 from repro.data.remote_file import RemoteFile
 from repro.data.transfer import TransferBackend, TransferRequest, TransferResult
@@ -302,8 +303,14 @@ class DataManager:
                 for ticket in queued.tickets:
                     if ticket.failed or ticket.superseded:
                         continue
-                    ticket.failed = True
-                    ticket.pending_transfers.discard(queued.request.transfer_id)
+                    request = queued.request
+                    ticket.fail(
+                        TransferFailedError(
+                            request.transfer_id, request.src, request.dst, queued.attempts,
+                            file_id=request.file.file_id,
+                        )
+                    )
+                    ticket.pending_transfers.discard(request.transfer_id)
                     ticket.completed_at = self.clock.now()
                     self._open_ticket_count -= 1
                     self._notify(ticket)
