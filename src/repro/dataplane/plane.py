@@ -295,9 +295,10 @@ class DataPlane:
             return False
         if file.size_mb <= 0 or file.available_at(destination) or not file.locations:
             return False
-        if self.store.is_offline(destination):
+        offline = self.store.offline
+        if destination in offline:
             return False  # never speculate toward a crashed endpoint
-        if all(self.store.is_offline(s) for s in file.locations):
+        if file.locations <= offline:
             # Every replica is quarantined.  Demand staging falls back to an
             # offline copy because the task cannot proceed otherwise;
             # speculation has no such excuse and simply declines.

@@ -237,12 +237,14 @@ class Prefetcher:
         plan = provider() if provider is not None else None
         if plan is None:
             return None
-        rooted = [
-            (file, plan.root_for(file.file_id))
-            for file in task.input_files
-            if plan.root_for(file.file_id) is not None
-        ]
-        if not rooted:
-            return None
-        rooted.sort(key=lambda pair: (-pair[0].size_mb, pair[0].file_id))
-        return rooted[0][1]
+        root_of = plan.replica_roots.get
+        best = None
+        for file in task.input_files:
+            root = root_of(file.file_id)
+            if root is None:
+                continue
+            # The largest input wins; equal sizes go to the smaller file id.
+            size = file.size_mb
+            if best is None or size > best_size or (size == best_size and file.file_id < best_id):
+                best, best_size, best_id = root, size, file.file_id
+        return best

@@ -150,8 +150,10 @@ class ReplicaStore:
         #: Endpoints currently crashed: their replicas survive on disk (a
         #: rejoin brings them back) but are quarantined — they count neither
         #: as eviction backups nor as re-staging sources while down.
-        self._offline: Set[str] = set()
-        #: Bumped whenever :attr:`_offline` changes: replica *reachability*
+        #: Read-only outside the store (:meth:`mark_offline` /
+        #: :meth:`mark_online` change it).
+        self.offline: Set[str] = set()
+        #: Bumped whenever :attr:`offline` changes: replica *reachability*
         #: moved although no file's replica set did.
         self.offline_generation = 0
         #: endpoint -> file_id -> replica, for exactly the replicas eviction
@@ -208,7 +210,7 @@ class ReplicaStore:
         for endpoint in sorted(file.locations):
             if file.file_id not in self._replicas.get(endpoint, ()):
                 self._insert(file, endpoint, prefetched=prefetched)
-                if endpoint not in self._offline:
+                if endpoint not in self.offline:
                     self._enforce_budget(endpoint, protect=file.file_id)
 
     def admit(self, file: RemoteFile, endpoint: str, *, prefetched: bool = False) -> List[Replica]:
@@ -225,7 +227,7 @@ class ReplicaStore:
             existing.last_touch = next(self._touch_seq)
             return []
         self._insert(file, endpoint, prefetched=prefetched)
-        if endpoint in self._offline:
+        if endpoint in self.offline:
             # An in-flight arrival landing on a crashed disk must not evict
             # quarantined replicas promised to survive until rejoin; the
             # budget is settled by mark_online().
@@ -263,9 +265,9 @@ class ReplicaStore:
         nothing-moved fingerprint via the global replica-set generation,
         exactly like a catalog change would.
         """
-        if endpoint in self._offline:
+        if endpoint in self.offline:
             return
-        self._offline.add(endpoint)
+        self.offline.add(endpoint)
         self._reachability_changed()
 
     def mark_online(self, endpoint: str) -> None:
@@ -276,14 +278,14 @@ class ReplicaStore:
         dead machine does not reshape the catalog), so the rejoin settles
         any excess with full knowledge of what is reachable.
         """
-        if endpoint not in self._offline:
+        if endpoint not in self.offline:
             return
-        self._offline.discard(endpoint)
+        self.offline.discard(endpoint)
         self._reachability_changed()
         self._enforce_budget(endpoint, protect=None)
 
     def is_offline(self, endpoint: str) -> bool:
-        return endpoint in self._offline
+        return endpoint in self.offline
 
     def reclaim(self, file: RemoteFile) -> None:
         """A new consumer appeared (dynamic DAG): re-protect the file.
@@ -437,7 +439,7 @@ class ReplicaStore:
         the only reachable one — until the crash site rejoins, that copy
         cannot serve a re-stage.
         """
-        offline = self._offline
+        offline = self.offline
         for location in replica.file.locations:
             if location != endpoint and location not in offline:
                 return True

@@ -161,7 +161,7 @@ def _capture_data_manager(dm) -> Dict[str, object]:
             endpoint: _r(store.usage_mb(endpoint))
             for endpoint in sorted(store.endpoints())
         },
-        "offline": sorted(store._offline),
+        "offline": sorted(store.offline),
         "transfer_jobs": len(jobs),
         "transfer_jobs_sha256": _sha(repr(jobs)),
         "tickets": {

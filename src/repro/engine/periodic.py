@@ -66,10 +66,13 @@ class PeriodicCoordinator:
         #: Earliest clock time a timer above can fire (see the module
         #: docstring); re-derived whenever one of them is reset.
         self.due_at = 0.0
-        #: Re-scheduling candidates cached against the undispatched-set epoch
-        #: (membership changes bump it; targets and states are re-checked).
-        self._resched_cache_epoch = -1
-        self._resched_cache: list = []
+        #: Re-scheduling candidates, re-derived only when the undispatched
+        #: set's membership (``TaskIndex.undispatched_epoch``) or a row's
+        #: target or pending-dispatch membership (``TaskStore.pending_version``)
+        #: moved.  An unchanged pool is handed to the scheduler as the very
+        #: same tuple, which its no-op fingerprint recognises in O(1).
+        self._resched_key = None
+        self._resched_candidates: tuple = ()
 
     # ------------------------------------------------------------------ tick
     def check(self) -> None:
@@ -110,11 +113,15 @@ class PeriodicCoordinator:
         if not index.undispatched_count:
             return
         graph = engine.graph
-        if self._resched_cache_epoch != index.undispatched_epoch:
-            self._resched_cache_epoch = index.undispatched_epoch
-            self._resched_cache = index.undispatched_tasks()
-        state = graph.store.state
-        candidates = [t for t in self._resched_cache if state[t._row] in _RESCHEDULABLE]
+        store = graph.store
+        key = (index.undispatched_epoch, store.pending_version)
+        if key != self._resched_key:
+            self._resched_key = key
+            state = store.state
+            self._resched_candidates = tuple(
+                [t for t in index.undispatched_tasks() if state[t._row] in _RESCHEDULABLE]
+            )
+        candidates = self._resched_candidates
         if not candidates:
             return
         t0 = _time.perf_counter()

@@ -93,6 +93,11 @@ class TaskStore:
         #: Tasks in a terminal state.
         self.terminal = 0
         self._state_counts = [0] * len(STATES)
+        #: Bumped whenever a row's endpoint changes or a row enters or leaves
+        #: the pending-dispatch states: with the engine index's
+        #: ``undispatched_epoch``, what the re-scheduling candidates and their
+        #: targets are keyed on (see :mod:`repro.engine.periodic`).
+        self.pending_version = 0
 
     # --------------------------------------------------------------- basics
     def __len__(self) -> int:
@@ -164,7 +169,11 @@ class TaskStore:
         self.terminal += (new in _TERMINAL_CODES) - (old in _TERMINAL_CODES)
         # Only the pending-dispatch states (STAGED among them) feed the
         # endpoint aggregates.
-        if old in _PENDING_DISPATCH or new in _PENDING_DISPATCH:
+        was_pending = old in _PENDING_DISPATCH
+        is_pending = new in _PENDING_DISPATCH
+        if was_pending or is_pending:
+            if was_pending != is_pending:
+                self.pending_version += 1
             ep = int(self.endpoint[row])
             if ep >= 0:
                 self._account(row, old, new, ep, ep)
@@ -175,6 +184,7 @@ class TaskStore:
         if old == new:
             return
         self.endpoint[row] = new
+        self.pending_version += 1
         code = int(self.state[row])
         if code in _PENDING_DISPATCH:
             self._account(row, code, code, old, new)

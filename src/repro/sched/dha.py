@@ -39,6 +39,7 @@ every decision made here to it, bit for bit.
 from __future__ import annotations
 
 from itertools import repeat
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,6 +49,12 @@ from repro.data import remote_file as _remote_file
 from repro.sched.base import Placement, Scheduler, SchedulingContext
 
 __all__ = ["DHAScheduler"]
+
+_file_id = attrgetter("file_id")
+_NO_ROOTS: frozenset = frozenset()
+#: Entry cap of each per-plan memo (input roots, root masks); reaching it
+#: clears that memo.
+_PLAN_MEMO_CAP = 4096
 
 
 class DHAScheduler(Scheduler):
@@ -76,8 +83,8 @@ class DHAScheduler(Scheduler):
         #: Generation of the priority map; part of the sort-cache key.
         self._priority_epoch = 0
         #: Last priority-sorted orderings per consumer ("schedule" /
-        #: "reschedule"): re-sorting is skipped while the task set and the
-        #: priorities are unchanged (the dirty flag is the epoch moving).
+        #: "reschedule"): re-sorting is skipped while the offered tasks and
+        #: the priorities are unchanged (the dirty flag is the epoch moving).
         self._order_cache: Dict[str, Tuple[Tuple, List[Task]]] = {}
         #: Running ``max`` of each task's successors' priorities (:meth:`_sweep`).
         self._best_successor: Dict[str, float] = {}
@@ -86,9 +93,12 @@ class DHAScheduler(Scheduler):
         #: Fingerprint of the inputs of the last re-scheduling pass that
         #: moved nothing; an identical fingerprint proves an identical no-op.
         self._resched_noop_fingerprint: Optional[Tuple] = None
-        #: ``(plan, endpoint names, mask)`` of the last :meth:`_warm_mask`: a
-        #: plan is immutable, so the mask is derived once per plan object.
+        #: ``(plan, endpoint names, warm mask, root masks by root set)`` of the
+        #: last :meth:`_plan_masks`, and ``(plan, roots by input file ids)`` of
+        #: the last :meth:`_input_roots`: a plan is immutable, so what is
+        #: derived from it is derived once per plan object.
         self._warm_cache: Optional[Tuple] = None
+        self._roots_cache: Optional[Tuple] = None
 
     # ------------------------------------------------------------- priorities
     def on_workflow_submitted(self, tasks: Sequence[Task]) -> None:
@@ -208,20 +218,36 @@ class DHAScheduler(Scheduler):
         return self._priorities.get(task_id, 0.0)
 
     def _ordered_by_priority(self, tasks: Sequence[Task], slot: str) -> List[Task]:
-        """Priority order with a dirty-flag cache.
+        """``tasks`` by descending priority, then task id, with a dirty-flag
+        cache.
 
-        The sort is skipped while the offered task set and the priority map
-        are both unchanged (same ids, same epoch) — re-scheduling passes and
-        repeated pumps over an unchanged ready set hit this constantly.
+        The sort is skipped while the offered tasks and the priority map are
+        both unchanged (same task objects in the same order, same epoch) —
+        re-scheduling passes and repeated pumps over an unchanged ready set
+        hit this constantly.  The key holds the tasks as a tuple, compared
+        element by element by identity: an unchanged re-scheduling pool
+        arrives as the very tuple cached last time and compares in O(1).
+
+        The order is the stable sort on ``(-priority, task_id)``, built as
+        a stable sort by id and then, unless every priority is equal (tasks
+        of one kind often are), a stable descending sort by priority (which
+        ``reverse=True`` keeps stable; priorities are finite).  Their keys
+        are read by C-level callables, not a Python frame per task.
         """
-        key = (tuple(t.task_id for t in tasks), self._priority_epoch)
+        members = tuple(tasks)
+        key = (members, self._priority_epoch)
         cached = self._order_cache.get(slot)
         if cached is not None and cached[0] == key:
             return cached[1]
         self.sort_count += 1
-        ordered = sorted(
-            tasks, key=lambda t: (-self._priorities.get(t.task_id, 0.0), t.task_id)
-        )
+        ordered = sorted(members, key=task_id_of)
+        if len(ordered) > 1:
+            priorities = list(map(self._priorities.get, map(task_id_of, ordered), repeat(0.0)))
+            if min(priorities) != max(priorities):
+                by_priority = sorted(
+                    range(len(ordered)), key=priorities.__getitem__, reverse=True
+                )
+                ordered = list(map(ordered.__getitem__, by_priority))
         self._order_cache[slot] = (key, ordered)
         return ordered
 
@@ -266,8 +292,7 @@ class DHAScheduler(Scheduler):
             )
         return placements
 
-    @staticmethod
-    def _input_roots(plan, task: Task) -> frozenset:
+    def _input_roots(self, plan, task: Task) -> frozenset:
         """The plan replica roots of ``task``'s input files (may be empty).
 
         A task reading hot datasets the plan rooted somewhere runs cheapest
@@ -276,12 +301,27 @@ class DHAScheduler(Scheduler):
         what turns the plan's per-file roots into co-located
         consumers (the split-penalty term of the solver objective assumes
         shared consumers follow the roots).
+
+        Memoised per plan object and input file ids: the consumers of one
+        hot dataset share one entry, and a new plan object starts afresh.
         """
-        if plan is None or not plan.replica_roots or not task.input_files:
-            return frozenset()
-        roots = {plan.root_for(f.file_id) for f in task.input_files}
-        roots.discard(None)
-        return frozenset(roots)
+        files = task.input_files
+        if plan is None or not plan.replica_roots or not files:
+            return _NO_ROOTS
+        cached = self._roots_cache
+        if cached is None or cached[0] is not plan:
+            cached = self._roots_cache = (plan, {})
+        memo = cached[1]
+        key = tuple(map(_file_id, files))
+        roots = memo.get(key)
+        if roots is None:
+            found = set(map(plan.replica_roots.get, key))
+            found.discard(None)
+            roots = frozenset(found)
+            if len(memo) >= _PLAN_MEMO_CAP:
+                memo.clear()
+            memo[key] = roots
+        return roots
 
     def _selection_mask(
         self,
@@ -294,20 +334,36 @@ class DHAScheduler(Scheduler):
 
         With a placement plan live the global optimizer already paid the
         opening costs of the warm set, so greedy EFT only arbitrates *within*
-        it.  Filter order: the plan-warm restriction (``warm_mask``) first,
-        then the root-affinity restriction (:meth:`_input_roots`) while it
-        leaves at least one candidate.
+        it.  Filter order: the plan-warm restriction (``warm_mask``, which
+        is :meth:`_warm_mask` of ``names`` under ``plan``) first, then the
+        root-affinity restriction (:meth:`_input_roots`) while it leaves at
+        least one candidate; the combined masks come from the same per-plan
+        cache as ``warm_mask``.
         """
         roots = self._input_roots(plan, task)
         if not roots:
             return warm_mask
-        rmask = np.fromiter(
-            (name in roots for name in names), dtype=bool, count=len(names)
-        )
-        if warm_mask is None:
-            return rmask if rmask.any() else None
-        combined = warm_mask & rmask
-        return combined if combined.any() else warm_mask
+        return self._root_masks(plan, roots, names)[1]
+
+    def _plan_masks(self, plan, names: Sequence[str]) -> Optional[Tuple]:
+        """``(plan, names, warm mask, root masks)`` of ``plan`` over
+        ``names`` (None without a plan), derived once per plan object and
+        endpoint list; the masks in it are read-only."""
+        if plan is None:
+            return None
+        cached = self._warm_cache
+        if cached is not None and cached[0] is plan and cached[1] == names:
+            return cached
+        mask = None
+        warm = plan.warm_endpoints
+        if warm:
+            mask = np.fromiter((name in warm for name in names), dtype=bool, count=len(names))
+            if not mask.any() or mask.all():
+                mask = None
+            else:
+                mask.flags.writeable = False
+        cached = self._warm_cache = (plan, list(names), mask, {})
+        return cached
 
     def _warm_mask(self, names: Sequence[str]) -> Optional[np.ndarray]:
         """Boolean plan-warm mask over ``names``.
@@ -319,20 +375,32 @@ class DHAScheduler(Scheduler):
         object and endpoint list and is read-only: callers combine it into
         new arrays, never in place.
         """
-        plan = self._current_plan()
-        if plan is None or not plan.warm_endpoints:
-            return None
-        cached = self._warm_cache
-        if cached is not None and cached[0] is plan and cached[1] == names:
-            return cached[2]
-        warm = plan.warm_endpoints
-        mask = np.fromiter((name in warm for name in names), dtype=bool, count=len(names))
-        if not mask.any() or mask.all():
-            mask = None
-        else:
-            mask.flags.writeable = False
-        self._warm_cache = (plan, list(names), mask)
-        return mask
+        cached = self._plan_masks(self._current_plan(), names)
+        return None if cached is None else cached[2]
+
+    def _root_masks(self, plan, roots: frozenset, names: Sequence[str]) -> Tuple:
+        """``(root mask, selection mask)`` of a task whose inputs ``plan``
+        roots at ``roots``: which of ``names`` are roots, and what
+        :meth:`_selection_mask` restricts selection to.  Cached with the
+        plan-warm mask (same plan object, same endpoint list); read-only.
+        """
+        warm_mask, memo = self._plan_masks(plan, names)[2:]
+        masks = memo.get(roots)
+        if masks is None:
+            rmask = np.fromiter((name in roots for name in names), dtype=bool, count=len(names))
+            rmask.flags.writeable = False
+            if warm_mask is None:
+                selection = rmask if rmask.any() else None
+            else:
+                selection = warm_mask & rmask
+                if selection.any():
+                    selection.flags.writeable = False
+                else:
+                    selection = warm_mask
+            if len(memo) >= _PLAN_MEMO_CAP:
+                memo.clear()
+            masks = memo[roots] = (rmask, selection)
+        return masks
 
     def _endpoint_vectors(self, arrays):
         """The incremental endpoint-state arrays, rebuilt on topology change."""
@@ -413,6 +481,11 @@ class DHAScheduler(Scheduler):
         moves, the pass is provably another no-op and is skipped outright.
         Endpoint-dynamics events (crash / rejoin / churn) bump the monitor's
         state version, so changed endpoints re-open the pass immediately.
+        Every input but the pending set is a version counter; the pending set
+        is the offered tasks as a tuple, and the engine hands an unchanged
+        pool over as the very tuple it offered last time (see
+        :mod:`repro.engine.periodic`), so checking a no-op costs O(1), not
+        O(pending).
         """
         if not self.supports_rescheduling or not pending_tasks:
             return []
@@ -431,9 +504,11 @@ class DHAScheduler(Scheduler):
     ) -> Tuple:
         monitor = context.endpoint_monitor
         plan = self._current_plan()
-        endpoint = context.graph.store.endpoint
         return (
-            tuple((t.task_id, endpoint[t._row]) for t in pending_tasks),
+            # The offered tasks, in order (compared by identity), and every
+            # change of a task's target (``TaskStore.set_endpoint``).
+            tuple(pending_tasks),
+            context.graph.store.pending_version,
             self._priority_epoch,
             self._claims_version,
             monitor.state_version,
@@ -449,12 +524,20 @@ class DHAScheduler(Scheduler):
     def _reschedule_pass(
         self, context: SchedulingContext, pending_tasks: Sequence[Task]
     ) -> List[Placement]:
+        """One walk of the pending tasks in priority order (§IV-D).
+
+        A task is examined — its prediction rows resolved and its finish
+        times compared — only once its current endpoint cannot start it and
+        another endpoint has spare capacity for it; most of a large delay
+        pool never gets that far, so its rows are never filled.
+        """
         monitor = context.endpoint_monitor
         arrays = context.ensure_arrays()
+        default = self.default_execution_time_s
         ordered = self._ordered_by_priority(pending_tasks, "reschedule")
         # rows() first: it rebuilds the index when the endpoint set changed,
         # and the state vectors must be validated against the rebuilt columns.
-        rows = arrays.rows(ordered, self.default_execution_time_s)
+        arrays.rows((), default)
         vectors = self._endpoint_vectors(arrays)
         vectors.sync(monitor)
         free = vectors.free_capacity()
@@ -472,13 +555,11 @@ class DHAScheduler(Scheduler):
             spare = np.minimum(spare, bounds)
         if not (spare > 0).any():
             return []
-        exec_matrix = arrays.exec_matrix
-        stag_matrix = arrays.staging_matrix
         names = arrays.endpoint_names
         plan = self._current_plan()
         warm_mask = self._warm_mask(names)
         moves: List[Placement] = []
-        for position, task in enumerate(ordered):
+        for task in ordered:
             current = task.assigned_endpoint
             if current is None:
                 continue
@@ -503,13 +584,13 @@ class DHAScheduler(Scheduler):
                     # stealing it away forfeits the warm copy the plan paid
                     # to establish for a purely local queueing gain.
                     continue
-                rmask = np.fromiter(
-                    (name in roots for name in names), dtype=bool, count=len(names)
-                )
+                rmask = self._root_masks(plan, roots, names)[0]
                 if (candidates & rmask).any():
                     candidates = candidates & rmask
-            row = rows[position]
-            finish = vectors.finish_row(exec_matrix[row], stag_matrix[row])
+            # Resolved per examined task: a row added here may grow the
+            # matrices, so they are read after it.
+            row = arrays.rows((task,), default)[0]
+            finish = vectors.finish_row(arrays.exec_matrix[row], arrays.staging_matrix[row])
             current_finish = finish[column]
             best_column = int(np.where(candidates, finish, np.inf).argmin())
             best_finish = finish[best_column]

@@ -40,7 +40,7 @@ whenever the monitor's state version moved — which is then every call.
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,6 +59,7 @@ _GROW = 1024
 _STAGING_ROWS_CAP = 4096
 
 _location_stamp = attrgetter("location_stamp")
+_row_of = itemgetter(1)
 
 
 class PredictionIndex:
@@ -336,7 +337,7 @@ class PredictionIndex:
             inputs = np.array(
                 [context.estimated_input_mb(task) for task, _ in items], dtype=float
             )
-            rows = np.fromiter((row for _, row in items), dtype=np.intp, count=len(items))
+            rows = np.fromiter(map(_row_of, items), dtype=np.intp, count=len(items))
             matrix = context.execution_profiler.predict_time_matrix(
                 function_name, inputs, hardware
             )

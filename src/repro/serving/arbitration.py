@@ -36,7 +36,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
 from repro.core.rounding import largest_remainder_split
 
@@ -69,6 +69,13 @@ class TenantShare:
 
 Allocation = Dict[str, Dict[str, int]]
 
+_FIFO_ORDER = attrgetter("arrival_index", "workflow_id")
+_EDF_ORDER = attrgetter("deadline", "arrival_index", "workflow_id")
+
+
+def _priority_order(tenant: TenantShare) -> tuple:
+    return (-tenant.priority, tenant.arrival_index, tenant.workflow_id)
+
 
 class ArbitrationPolicy(ABC):
     """Splits per-endpoint free capacity between competing workflows."""
@@ -80,6 +87,8 @@ class ArbitrationPolicy(ABC):
     #: leaves it alone, a stateful one (fair-share's cumulative service) must
     #: bump it with every such change.
     state_version: int = 0
+    #: ``(tenants, tenants in drain order)`` of the last :meth:`_ordered_drain`.
+    _drain_order = None
 
     @abstractmethod
     def allocate(
@@ -105,24 +114,45 @@ class ArbitrationPolicy(ABC):
         """
 
     # ------------------------------------------------------------- helpers
-    @staticmethod
     def _ordered_drain(
+        self,
         free: Mapping[str, int],
         demands: Mapping[str, Mapping[str, int]],
-        ordered: List[TenantShare],
+        tenants: Sequence[TenantShare],
+        order,
     ) -> Allocation:
-        """Give each workflow, in order, everything it wants that is left."""
-        remaining = {endpoint: max(0, count) for endpoint, count in free.items()}
+        """Give each workflow, in ``order`` (a sort key), everything it wants
+        that is left, endpoint by endpoint in name order.
+
+        The tenants are sorted once per share list (the serving layer keeps
+        one list until its membership changes), and the walk stops granting
+        once every endpoint is spent: the tenants after that get ``{}``.
+        """
+        members = tuple(tenants)
+        cached = self._drain_order
+        if cached is None or cached[0] != members:
+            cached = self._drain_order = (members, sorted(members, key=order))
+        remaining: Dict[str, int] = {}
+        for endpoint in sorted(free):
+            count = free[endpoint]
+            if count > 0:
+                remaining[endpoint] = count
         allocation: Allocation = {}
-        for tenant in ordered:
-            demand = demands.get(tenant.workflow_id, {})
+        for tenant in cached[1]:
             slice_: Dict[str, int] = {}
-            for endpoint in sorted(demand):
-                granted = min(demand[endpoint], remaining.get(endpoint, 0))
-                if granted > 0:
-                    slice_[endpoint] = granted
-                    remaining[endpoint] -= granted
             allocation[tenant.workflow_id] = slice_
+            demand = demands.get(tenant.workflow_id) if remaining else None
+            if not demand:
+                continue
+            for endpoint, left in list(remaining.items()):
+                wanted = demand.get(endpoint, 0)
+                if wanted > 0:
+                    granted = min(wanted, left)
+                    slice_[endpoint] = granted
+                    if granted < left:
+                        remaining[endpoint] = left - granted
+                    else:
+                        del remaining[endpoint]
         return allocation
 
 
@@ -132,8 +162,7 @@ class FifoArbitration(ArbitrationPolicy):
     name = "fifo"
 
     def allocate(self, free, demands, tenants, *, record_service: bool = True) -> Allocation:
-        ordered = sorted(tenants, key=attrgetter("arrival_index", "workflow_id"))
-        return self._ordered_drain(free, demands, ordered)
+        return self._ordered_drain(free, demands, tenants, _FIFO_ORDER)
 
 
 class StrictPriorityArbitration(ArbitrationPolicy):
@@ -142,10 +171,7 @@ class StrictPriorityArbitration(ArbitrationPolicy):
     name = "priority"
 
     def allocate(self, free, demands, tenants, *, record_service: bool = True) -> Allocation:
-        ordered = sorted(
-            tenants, key=lambda t: (-t.priority, t.arrival_index, t.workflow_id)
-        )
-        return self._ordered_drain(free, demands, ordered)
+        return self._ordered_drain(free, demands, tenants, _priority_order)
 
 
 class EdfArbitration(ArbitrationPolicy):
@@ -162,10 +188,7 @@ class EdfArbitration(ArbitrationPolicy):
     name = "edf"
 
     def allocate(self, free, demands, tenants, *, record_service: bool = True) -> Allocation:
-        ordered = sorted(
-            tenants, key=attrgetter("deadline", "arrival_index", "workflow_id")
-        )
-        return self._ordered_drain(free, demands, ordered)
+        return self._ordered_drain(free, demands, tenants, _EDF_ORDER)
 
 
 class FairShareArbitration(ArbitrationPolicy):

@@ -3,7 +3,8 @@
 * :mod:`repro.workloads.drug_screening` — the drug-screening pipeline
   (24 001 functions, ~220 s average task, 480 GB of data; Fig. 8 left).
 * :mod:`repro.workloads.montage` — the Montage mosaic workflow (11 340
-  functions, ~6.4 s average task, 673 GB of data; Fig. 8 right).
+  functions; the paper's 108 h and 673 GB, the generator's 18.3 h and
+  652.9 GB of outputs; Fig. 8 right).
 * :mod:`repro.workloads.synthetic` — CPU-stress tasks and random DAGs used by
   the scalability and elasticity experiments (Figs. 6 and 7).
 """

@@ -2,7 +2,14 @@
 
 Montage builds a science-grade sky mosaic from many input images.  The
 paper's instance has 11 340 functions, 108 hours of total computation
-(≈6.4 s per task on average) and touches 673.49 GB of data.
+(34.3 s per task on average) and touches 673.49 GB of data.
+
+The task-type constants below are lighter than that.  At full scale their
+durations sum to 65 722 s (18.3 h, 5.80 s per task), and their outputs
+total 652.9 GB, on top of 170.0 GB of raw input images.  So the generator
+has about a sixth of the paper's compute for more bytes than the paper
+moves.  Item 1(b) of ``ROADMAP.md`` is the calibration meant to fix this;
+the constants stay as they are until it lands.
 
 The generator follows the canonical Montage structure:
 
@@ -29,7 +36,8 @@ __all__ = ["MONTAGE_TYPES", "build_montage_workflow", "FULL_SCALE_IMAGES"]
 #: Number of input images at scale 1.0 (gives exactly 11 340 tasks).
 FULL_SCALE_IMAGES = 2834
 
-#: Durations average ≈6.4 s per task; output volumes total ≈673 GB.
+#: At full scale: durations sum to 65 722 s (5.80 s per task), outputs to
+#: 652.9 GB (see the module docstring).
 MONTAGE_TYPES = {
     "project_image": TaskTypeSpec(name="project_image", duration_s=9.0, output_mb=90.0),
     "diff_fit": TaskTypeSpec(name="diff_fit", duration_s=3.5, output_mb=25.0),

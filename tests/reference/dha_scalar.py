@@ -2,7 +2,11 @@
 
 One task and one endpoint at a time: upward-rank priorities from per-endpoint
 averages, greedy earliest-estimated-finish selection, the re-scheduling pass
-over a spare-capacity table, HEFT's offline list schedule.  The product
+over a spare-capacity table, HEFT's offline list schedule.  The bookkeeping
+around the pass is the product's as it was before it went to version
+counters: the no-op fingerprint is a tuple over every pending task's id and
+target, the priority order a sort keyed by a lambda and cached by id tuple,
+and plan roots are re-derived per task.  The product
 (``repro.sched.dha`` / ``repro.sched.heft``) decides the same things over
 dense arrays; the property tests in ``tests/sched/test_vector_equivalence.py``
 and the whole runs in ``tests/scenarios/test_reference_runs.py`` hold it to
@@ -15,9 +19,10 @@ by value themselves), so with mocking disabled every estimate re-reads the
 service through ``EndpointMonitor.mock`` — the §IV-B ablation's definition.
 """
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dag import Task
+from repro.data import remote_file as _remote_file
 from repro.sched.base import Placement, SchedulingContext
 from repro.sched.dha import DHAScheduler
 from repro.sched.heft import HEFTScheduler
@@ -78,6 +83,46 @@ class ReferenceDHAScheduler(DHAScheduler):
             best = max((priorities.get(s.task_id, 0.0) for s in succ), default=0.0)
             priorities[task.task_id] = d + w + best
             task.priority = priorities[task.task_id]
+
+    def _ordered_by_priority(self, tasks: Sequence[Task], slot: str) -> List[Task]:
+        key = (tuple(t.task_id for t in tasks), self._priority_epoch)
+        cached = self._order_cache.get(slot)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        self.sort_count += 1
+        ordered = sorted(
+            tasks, key=lambda t: (-self._priorities.get(t.task_id, 0.0), t.task_id)
+        )
+        self._order_cache[slot] = (key, ordered)
+        return ordered
+
+    def _reschedule_fingerprint(
+        self, context: SchedulingContext, pending_tasks: Sequence[Task]
+    ) -> Tuple:
+        monitor = context.endpoint_monitor
+        plan = self._current_plan()
+        endpoint = context.graph.store.endpoint
+        return (
+            tuple((t.task_id, endpoint[t._row]) for t in pending_tasks),
+            self._priority_epoch,
+            self._claims_version,
+            monitor.state_version,
+            monitor.hardware_version,
+            context.execution_profiler.prediction_version,
+            getattr(context.transfer_profiler, "prediction_version", 0),
+            _remote_file.location_version(),
+            None if plan is None else (plan.generation, plan.solved_at),
+        )
+
+    @staticmethod
+    def _input_roots(plan, task: Task) -> frozenset:
+        """The plan replica roots of ``task``'s input files, re-derived on
+        every call (the product memoises them per plan object)."""
+        if plan is None or not plan.replica_roots or not task.input_files:
+            return frozenset()
+        roots = {plan.root_for(f.file_id) for f in task.input_files}
+        roots.discard(None)
+        return frozenset(roots)
 
     # -------------------------------------------------------------- scheduling
     def schedule(self, ready_tasks: Sequence[Task]) -> List[Placement]:
