@@ -8,9 +8,17 @@ paper-sized workloads.
 
 The static and dynamic case studies are executed once per session and shared
 between the Table IV/V benchmarks and the Figs. 9–13 benchmarks.
+
+At the default scales and seed, the Table IV/V and ablation benchmarks also
+hold every run they make to ``tests/golden/case_studies.json``: makespan,
+GB moved, tasks per endpoint, rescheduled count and a SHA-256 over each
+metric time series, recorded once and never edited.
 """
 
+import hashlib
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +33,11 @@ BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
 #: to be non-trivial (README.md, "Tests and benchmarks", lists the scales).
 DYNAMIC_BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE_DYNAMIC", "0.08"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
+#: The pins hold only at the default scales and seed.
+PINNED = not any(
+    name.startswith("REPRO_BENCH_SCALE") or name == "REPRO_BENCH_SEED" for name in os.environ
+)
+PIN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "case_studies.json"
 
 _static_cache = {}
 _dynamic_cache = {}
@@ -46,6 +59,42 @@ def dynamic_study(workflow: str):
             workflow, scale=DYNAMIC_BENCH_SCALE, seed=BENCH_SEED
         )
     return _dynamic_cache[workflow]
+
+
+def _series_sha256(series) -> str:
+    return hashlib.sha256(repr(list(zip(series.times, series.values))).encode()).hexdigest()
+
+
+def case_study_pin(result) -> dict:
+    """What the pin file records of one case-study run."""
+    series = {
+        "utilization": result.utilization,
+        "staging_tasks": result.staging_tasks,
+        "rescheduled": result.rescheduled_series,
+    }
+    for endpoint in sorted(result.active_workers):
+        series[f"active_workers/{endpoint}"] = result.active_workers[endpoint]
+    return {
+        "makespan_s": result.makespan_s,
+        "transfer_size_gb": result.transfer_size_gb,
+        "tasks_per_endpoint": dict(sorted(result.tasks_per_endpoint.items())),
+        "rescheduled_tasks": result.rescheduled_tasks,
+        "series_sha256": {name: _series_sha256(s) for name, s in series.items()},
+    }
+
+
+def _pins() -> dict:
+    return json.loads(PIN_PATH.read_text())
+
+
+def assert_pinned(group: str, results) -> None:
+    """Each of ``results`` (name -> case-study result) equals its pin."""
+    if not PINNED:
+        return
+    pins = _pins()
+    for name, result in results.items():
+        key = f"{group}/{name}"
+        assert case_study_pin(result) == pins[key], key
 
 
 @pytest.fixture(scope="session")

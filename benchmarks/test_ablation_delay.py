@@ -12,7 +12,7 @@ re-schedulable pool.
 from repro.experiments.case_studies import DRUG_DYNAMIC_CHANGES, DRUG_DYNAMIC_DEPLOYMENT, run_case_study
 from repro.experiments.reporting import format_table
 
-from benchmarks.conftest import BENCH_SEED, DYNAMIC_BENCH_SCALE
+from benchmarks.conftest import BENCH_SEED, DYNAMIC_BENCH_SCALE, assert_pinned
 
 
 def test_ablation_delay_mechanism(benchmark):
@@ -37,6 +37,7 @@ def test_ablation_delay_mechanism(benchmark):
         return {"DHA (delay)": with_delay, "DHA (no delay)": without_delay}
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    assert_pinned("ablation-delay", results)
 
     print()
     print("Ablation — DHA delay mechanism (drug screening, dynamic capacity)")

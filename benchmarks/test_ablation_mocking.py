@@ -10,7 +10,7 @@ operate on out-of-date worker counts.
 from repro.experiments.case_studies import DRUG_STATIC_DEPLOYMENT, run_case_study
 from repro.experiments.reporting import format_table
 
-from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
+from benchmarks.conftest import BENCH_SCALE, BENCH_SEED, assert_pinned
 
 
 def test_ablation_local_mocking(benchmark):
@@ -30,6 +30,7 @@ def test_ablation_local_mocking(benchmark):
         return {"mocking on": with_mocking, "mocking off": without_mocking}
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    assert_pinned("ablation-mocking", results)
 
     print()
     print("Ablation — endpoint monitor local mocking (drug screening, static)")

@@ -27,7 +27,7 @@ federating clusters improves the makespan).
 
 from repro.experiments.reporting import format_case_study_table
 
-from benchmarks.conftest import static_study
+from benchmarks.conftest import assert_pinned, static_study
 
 
 def _record(benchmark, results):
@@ -48,6 +48,7 @@ def test_table4_drug_screening_static(benchmark):
     print("Table IV (drug screening, scaled) — static resource capacity")
     print(format_case_study_table(results))
     _record(benchmark, results)
+    assert_pinned("table4/drug_screening", results)
 
     federated = {k: v for k, v in results.items() if not k.startswith("Baseline")}
     baseline = results["Baseline: Only Taiyi"]
@@ -72,6 +73,7 @@ def test_table4_montage_static(benchmark):
     print("Table IV (montage, scaled) — static resource capacity")
     print(format_case_study_table(results))
     _record(benchmark, results)
+    assert_pinned("table4/montage", results)
 
     federated = {k: v for k, v in results.items() if not k.startswith("Baseline")}
     baseline = results["Baseline: Only Qiming"]

@@ -27,7 +27,7 @@ costs DHA part of its advantage.
 
 from repro.experiments.reporting import format_case_study_table
 
-from benchmarks.conftest import dynamic_study
+from benchmarks.conftest import assert_pinned, dynamic_study
 
 
 def _record(benchmark, results):
@@ -49,6 +49,7 @@ def test_table5_drug_screening_dynamic(benchmark):
     print("Table V (drug screening, scaled) — dynamic resource capacity")
     print(format_case_study_table(results))
     _record(benchmark, results)
+    assert_pinned("table5/drug_screening", results)
 
     # Capacity, an offline scheduler, cannot adapt and is the slowest by far.
     assert results["CAPACITY"].makespan_s == max(r.makespan_s for r in results.values())
@@ -66,6 +67,7 @@ def test_table5_montage_dynamic(benchmark):
     print("Table V (montage, scaled) — dynamic resource capacity")
     print(format_case_study_table(results))
     _record(benchmark, results)
+    assert_pinned("table5/montage", results)
 
     # DHA is (at worst within a few percent of) the fastest configuration
     # under dynamic capacity and beats the offline Capacity scheduler.
