@@ -9,32 +9,24 @@ delay pushes tasks into endpoint queues immediately, shrinking the
 re-schedulable pool.
 """
 
-from repro.experiments.case_studies import DRUG_DYNAMIC_CHANGES, DRUG_DYNAMIC_DEPLOYMENT, run_case_study
+import dataclasses
+
+from repro.experiments.case_studies import run_spec
 from repro.experiments.reporting import format_table
+from repro.scenarios.presets import paper_spec
 
 from benchmarks.conftest import BENCH_SEED, DYNAMIC_BENCH_SCALE, assert_pinned
 
 
 def test_ablation_delay_mechanism(benchmark):
     def run_both():
-        common = dict(
-            scale=DYNAMIC_BENCH_SCALE,
-            capacity_changes=DRUG_DYNAMIC_CHANGES,
-            workflow_fraction=0.5,
-            seed=BENCH_SEED,
-        )
-        with_delay = run_case_study(
-            "drug_screening", "DHA", DRUG_DYNAMIC_DEPLOYMENT, label="DHA (delay)", **common
-        )
-        without_delay = run_case_study(
-            "drug_screening",
-            "DHA",
-            DRUG_DYNAMIC_DEPLOYMENT,
-            enable_delay_mechanism=False,
-            label="DHA (no delay)",
-            **common,
-        )
-        return {"DHA (delay)": with_delay, "DHA (no delay)": without_delay}
+        spec = paper_spec("drug_screening", "dynamic", scale=DYNAMIC_BENCH_SCALE, seed=BENCH_SEED)
+        return {
+            "DHA (delay)": run_spec(spec, "DHA (delay)"),
+            "DHA (no delay)": run_spec(
+                dataclasses.replace(spec, enable_delay_mechanism=False), "DHA (no delay)"
+            ),
+        }
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)
     assert_pinned("ablation-delay", results)

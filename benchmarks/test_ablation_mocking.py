@@ -7,27 +7,24 @@ the stale service view only) makes the delay mechanism and endpoint selection
 operate on out-of-date worker counts.
 """
 
-from repro.experiments.case_studies import DRUG_STATIC_DEPLOYMENT, run_case_study
+import dataclasses
+
+from repro.experiments.case_studies import run_spec
 from repro.experiments.reporting import format_table
+from repro.scenarios.presets import paper_spec
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED, assert_pinned
 
 
 def test_ablation_local_mocking(benchmark):
     def run_both():
-        common = dict(scale=min(BENCH_SCALE, 0.03), seed=BENCH_SEED)
-        with_mocking = run_case_study(
-            "drug_screening", "DHA", DRUG_STATIC_DEPLOYMENT, label="mocking on", **common
-        )
-        without_mocking = run_case_study(
-            "drug_screening",
-            "DHA",
-            DRUG_STATIC_DEPLOYMENT,
-            disable_endpoint_mocking=True,
-            label="mocking off",
-            **common,
-        )
-        return {"mocking on": with_mocking, "mocking off": without_mocking}
+        spec = paper_spec("drug_screening", scale=min(BENCH_SCALE, 0.03), seed=BENCH_SEED)
+        return {
+            "mocking on": run_spec(spec, "mocking on"),
+            "mocking off": run_spec(
+                dataclasses.replace(spec, endpoint_mocking=False), "mocking off"
+            ),
+        }
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)
     assert_pinned("ablation-mocking", results)

@@ -5,8 +5,8 @@ t=120 s, EP1 −280 workers at t=540 s) and DHA's re-scheduling mechanism moves
 pending tasks promptly when the capacity changes.
 """
 
-from repro.experiments.case_studies import DRUG_DYNAMIC_CHANGES
 from repro.experiments.reporting import format_timeseries
+from repro.scenarios.presets import DRUG_DYNAMIC_CHANGES
 
 from benchmarks.conftest import dynamic_study
 

@@ -5,8 +5,8 @@ DHA re-schedules pending tasks when the capacity changes and its active
 worker counts follow the schedule.
 """
 
-from repro.experiments.case_studies import MONTAGE_DYNAMIC_CHANGES
 from repro.experiments.reporting import format_timeseries
+from repro.scenarios.presets import MONTAGE_DYNAMIC_CHANGES
 
 from benchmarks.conftest import dynamic_study
 

@@ -13,12 +13,9 @@ Run with::
 
 import argparse
 
-from repro.experiments.case_studies import (
-    DRUG_BASELINE_DEPLOYMENT,
-    DRUG_STATIC_DEPLOYMENT,
-    run_case_study,
-)
+from repro.experiments.case_studies import run_spec
 from repro.experiments.reporting import format_case_study_table, format_timeseries
+from repro.scenarios.presets import paper_spec
 
 
 def main() -> None:
@@ -30,16 +27,13 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"Running drug screening at scale {args.scale} with {args.scheduler} ...")
-    federated = run_case_study(
-        "drug_screening", args.scheduler, DRUG_STATIC_DEPLOYMENT, scale=args.scale
+    federated = run_spec(
+        paper_spec("drug_screening", "static", args.scheduler, scale=args.scale)
     )
     print("Running the single-cluster baseline (Taiyi only) ...")
-    baseline = run_case_study(
-        "drug_screening",
-        "CAPACITY",
-        DRUG_BASELINE_DEPLOYMENT,
-        scale=args.scale,
-        label="Baseline: Only Taiyi",
+    baseline = run_spec(
+        paper_spec("drug_screening", "baseline", "CAPACITY", scale=args.scale),
+        "Baseline: Only Taiyi",
     )
 
     results = {args.scheduler: federated, "Baseline: Only Taiyi": baseline}

@@ -79,6 +79,10 @@ class Config:
     enable_delay_mechanism: bool = True
     #: Enable DHA's re-scheduling / task stealing mechanism.
     enable_rescheduling: bool = True
+    #: Keep the endpoint monitor's local mocks (§IV-B), which mirror every
+    #: dispatch and completion at once.  Disable (an ablation) to schedule
+    #: from the service's periodically refreshed status only.
+    enable_endpoint_mocking: bool = True
     #: Run the data plane (:mod:`repro.dataplane`) under its full policy:
     #: capacity-bounded replica store, priority/bandwidth-aware transfer
     #: scheduling and pipelined prefetching.  Disable (``--no-dataplane``) to
@@ -111,6 +115,9 @@ class Config:
     #: of the full serving state (``None`` disables periodic checkpointing).
     #: Crash recovery restores from the latest checkpoint that validates.
     checkpoint_interval_s: Optional[float] = None
+    #: Period (s) at which each workflow's metrics collector samples the
+    #: worker, staging and re-scheduling time series.
+    metrics_sample_interval_s: float = 5.0
     #: Path of the historical task database ("" disables persistence).
     history_db_path: str = ""
     #: Random seed for all stochastic components of the simulation substrate.
@@ -159,6 +166,7 @@ class Config:
             ("profiler_update_interval_s", self.profiler_update_interval_s),
             ("rescheduling_interval_s", self.rescheduling_interval_s),
             ("placement_interval_s", self.placement_interval_s),
+            ("metrics_sample_interval_s", self.metrics_sample_interval_s),
         ):
             if value <= 0:
                 raise ConfigurationError(f"{name} must be positive")

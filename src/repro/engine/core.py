@@ -126,7 +126,7 @@ class ExecutionEngine:
                     enable_rescheduling=config.enable_rescheduling,
                 )
             self.scheduler = create_scheduler(config.strategy, **kwargs)
-        self.metrics = metrics or MetricsCollector()
+        self.metrics = metrics or MetricsCollector(config.metrics_sample_interval_s)
         if self.plan_service is not None:
             self.plan_service.attach(self)
             self.scheduler.plan_provider = self.plan_service.current_plan

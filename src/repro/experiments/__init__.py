@@ -8,44 +8,15 @@ Each module regenerates one table or figure:
 * :mod:`repro.experiments.elasticity` — Fig. 7 multi-endpoint elasticity.
 * :mod:`repro.experiments.overhead` — Table III scheduler overhead.
 * :mod:`repro.experiments.case_studies` — Tables IV/V and Figs. 9–13.
+
+Table III and Tables IV/V / Figs. 9–13 are scenario specs on the
+``"paper"`` substrate (:func:`repro.scenarios.presets.paper_spec`), run by
+:func:`repro.scenarios.spec.run_scenario` like every preset.  Figs. 5–7
+drive :func:`~repro.experiments.environment.build_simulation` directly,
+because each would need substrate settings only it uses: Fig. 5 a 2 MB/s
+workstation link and its own latency model, Fig. 6 0.05 s latencies and
+batches of 256, Fig. 7 a workers-per-node override, a kernel-driven sampler
+and phased runs.  The package imports none of its modules, so the scenario
+layer can use :mod:`~repro.experiments.environment` while the case studies
+use the scenario layer.
 """
-
-from repro.experiments.environment import (
-    EndpointSetup,
-    SimulationEnvironment,
-    build_simulation,
-    paper_testbed_network,
-    paper_testbed_setups,
-    single_cluster_environment,
-)
-from repro.experiments.case_studies import (
-    CaseStudyResult,
-    run_case_study,
-    run_dynamic_capacity_study,
-    run_static_capacity_study,
-)
-from repro.experiments.elasticity import ElasticityResult, run_elasticity_experiment
-from repro.experiments.latency import LatencyExperimentResult, run_latency_experiment
-from repro.experiments.overhead import OverheadResult, run_overhead_experiment
-from repro.experiments.scaling import ScalingResult, run_scaling_experiment
-
-__all__ = [
-    "CaseStudyResult",
-    "ElasticityResult",
-    "EndpointSetup",
-    "LatencyExperimentResult",
-    "OverheadResult",
-    "ScalingResult",
-    "SimulationEnvironment",
-    "build_simulation",
-    "paper_testbed_network",
-    "paper_testbed_setups",
-    "run_case_study",
-    "run_dynamic_capacity_study",
-    "run_elasticity_experiment",
-    "run_latency_experiment",
-    "run_overhead_experiment",
-    "run_scaling_experiment",
-    "run_static_capacity_study",
-    "single_cluster_environment",
-]

@@ -11,7 +11,7 @@ facade, the execution fabric, a wide-area network and a transfer backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.client import UniFaaSClient
 from repro.core.config import Config, ExecutorSpec
@@ -20,11 +20,12 @@ from repro.elastic.scaling import ScalingStrategy
 from repro.faas.endpoint import CapacityChange, SimulatedEndpoint
 from repro.faas.fabric import SimulatedFabric
 from repro.faas.service import FederatedFaaSService
-from repro.faas.types import ServiceLatencyModel
+from repro.faas.types import ServiceLatencyModel, TaskExecutionRecord
 from repro.metrics.collector import MetricsCollector
 from repro.monitor.store import HistoryStore
 from repro.sched.base import Scheduler
-from repro.sim.hardware import ClusterSpec, QIMING, testbed_clusters
+from repro.serving.manager import WorkflowManager
+from repro.sim.hardware import ClusterSpec, QIMING
 from repro.sim.kernel import SimulationKernel
 from repro.sim.network import NetworkModel
 from repro.sim.rng import RngRegistry
@@ -33,7 +34,7 @@ __all__ = [
     "EndpointSetup",
     "SimulationEnvironment",
     "build_simulation",
-    "paper_testbed_network",
+    "single_cluster_environment",
 ]
 
 
@@ -121,12 +122,14 @@ class SimulationEnvironment:
             metrics=metrics,
         )
 
-    def seed_full_knowledge(self, client: UniFaaSClient) -> None:
-        """Give a client's transfer profiler the true pairwise bandwidths.
+    def seed_full_knowledge(self, federation: Union[WorkflowManager, UniFaaSClient]) -> None:
+        """Give a federation's transfer profiler the true pairwise bandwidths.
 
-        The paper's DHA experiments assume "full knowledge can be retrieved
-        from the profilers"; this mirrors the probing transfers that would
-        provide it.
+        ``federation`` is the :class:`WorkflowManager` that owns the shared
+        profilers (what the scenario runner passes) or a client, which
+        exposes its manager's.  The paper's DHA experiments assume "full
+        knowledge can be retrieved from the profilers"; this mirrors the
+        probing transfers that would provide it.
         """
         names = list(self.endpoints)
         for src in names:
@@ -134,26 +137,26 @@ class SimulationEnvironment:
                 if src == dst:
                     continue
                 bandwidth = self.network.effective_bandwidth(src, dst, concurrency=1)
-                client.transfer_profiler.seed_bandwidth(src, dst, bandwidth)
-        client.transfer_profiler.update_models(force=True)
+                federation.transfer_profiler.seed_bandwidth(src, dst, bandwidth)
+        federation.transfer_profiler.update_models(force=True)
 
-    def seed_execution_knowledge(self, client: UniFaaSClient, task_types) -> None:
-        """Pre-train the execution profiler with per-cluster task durations.
+    def seed_execution_knowledge(
+        self, federation: Union[WorkflowManager, UniFaaSClient], task_types
+    ) -> None:
+        """Pre-train a federation's execution profiler with per-cluster durations.
 
-        ``task_types`` is an iterable of
-        :class:`~repro.workloads.spec.TaskTypeSpec`; for each (type, endpoint)
-        pair a few synthetic observations are generated from the cluster's
-        speed factor, standing in for the historical database a production
-        deployment would load (§IV-B).
+        ``federation`` is as for :meth:`seed_full_knowledge`.  ``task_types``
+        is an iterable of :class:`~repro.workloads.spec.TaskTypeSpec`; for
+        each (type, endpoint) pair a few synthetic observations are generated
+        from the cluster's speed factor, standing in for the historical
+        database a production deployment would load (§IV-B).
         """
-        from repro.faas.types import TaskExecutionRecord
-
         for spec in task_types:
             for name, endpoint in self.endpoints.items():
                 hw = endpoint.cluster.hardware
                 duration = spec.duration_s / endpoint.speed_factor
                 for repeat in range(3):
-                    client.execution_profiler.observe(
+                    federation.execution_profiler.observe(
                         TaskExecutionRecord(
                             task_id=f"seed-{spec.name}-{name}-{repeat}",
                             endpoint=name,
@@ -169,12 +172,7 @@ class SimulationEnvironment:
                             ram_gb=hw.ram_gb,
                         )
                     )
-        client.execution_profiler.update_models(force=True)
-
-
-def paper_testbed_network(seed: int = 0) -> NetworkModel:
-    """The wide-area network connecting the Table II clusters."""
-    return NetworkModel.testbed(seed=seed)
+        federation.execution_profiler.update_models(force=True)
 
 
 def build_simulation(
@@ -244,32 +242,3 @@ def single_cluster_environment(
     )
     return build_simulation([setup], seed=seed)
 
-
-def paper_testbed_setups(
-    workers: Dict[str, int],
-    *,
-    auto_scale: bool = False,
-    capacity_changes: Optional[Dict[str, List[CapacityChange]]] = None,
-) -> List[EndpointSetup]:
-    """EndpointSetups for the Table II clusters with given worker deployments.
-
-    ``workers`` maps cluster name (taiyi/qiming/dept/lab) to the number of
-    workers launched before the experiment, mirroring §VI-A.
-    """
-    clusters = testbed_clusters()
-    changes = capacity_changes or {}
-    setups = []
-    for name, count in workers.items():
-        if name not in clusters:
-            raise ValueError(f"unknown cluster {name!r}")
-        setups.append(
-            EndpointSetup(
-                name=name,
-                cluster=clusters[name],
-                initial_workers=count,
-                max_workers=None,
-                auto_scale=auto_scale,
-                capacity_changes=changes.get(name, []),
-            )
-        )
-    return setups

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.experiments.case_studies import DRUG_STATIC_DEPLOYMENT, run_case_study
+from repro.scenarios.presets import paper_spec
+from repro.scenarios.spec import run_scenario
 
 __all__ = ["OverheadResult", "run_overhead_experiment"]
 
@@ -49,9 +50,8 @@ def run_overhead_experiment(
     overheads: Dict[str, float] = {}
     task_count = 0
     for scheduler in schedulers:
-        result = run_case_study(
-            "drug_screening", scheduler, DRUG_STATIC_DEPLOYMENT, scale=scale, seed=seed
-        )
-        overheads[scheduler] = result.scheduler_overhead_per_task_s
-        task_count = result.task_count
+        spec = paper_spec("drug_screening", "static", scheduler, scale=scale, seed=seed)
+        result = run_scenario(spec)
+        overheads[scheduler] = result.metrics.scheduler_overhead_per_task_s()
+        task_count = result.total_tasks
     return OverheadResult(overhead_per_task_s=overheads, task_count=task_count)

@@ -1,18 +1,20 @@
 """Named scenario presets: the paper's regimes plus new chaos regimes.
 
 Each preset is a fully declarative :class:`~repro.scenarios.spec.ScenarioSpec`
-the CLI can run by name (``python -m repro run-scenario <name>``).  The
-``paper-*`` presets reproduce the regime behind one figure or table of
-conf_ipps_LiCBCFL24 at benchmark scale; the ``chaos-*`` presets go beyond
-the paper, exercising the dynamics the schedulers are supposed to survive:
-endpoint crash/rejoin, stochastic worker churn, cold starts, wide-area
-brownouts and status-staleness spikes.
+the CLI can run by name (``python -m repro run-scenario <name>``).
+:func:`paper_spec` builds every run of the paper's §VI case studies (Tables
+IV-V, Figs. 9-13) on the ``"paper"`` substrate; ``paper-static-montage`` and
+``paper-dynamic-drug`` are two of them at benchmark scale.  The ``chaos-*``
+presets go beyond the paper, exercising the dynamics the schedulers are
+supposed to survive: endpoint crash/rejoin, stochastic worker churn, cold
+starts, wide-area brownouts and status-staleness spikes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.faas.endpoint import CapacityChange
 from repro.scenarios.dynamics import (
     ChurnProcess,
     CrashRejoinCycle,
@@ -26,6 +28,7 @@ from repro.streaming.spec import StreamingSpec
 __all__ = [
     "SCENARIOS",
     "get_scenario",
+    "paper_spec",
     "resolve_dynamics",
     "scenario_names",
     "standard_dynamics",
@@ -69,41 +72,97 @@ def standard_dynamics(kind: str) -> DynamicsSpec:
     raise ValueError(f"unknown dynamics regime {kind!r}; expected none/churn/crash/chaos")
 
 
+#: §VI-A worker deployments (full scale).
+DRUG_STATIC_DEPLOYMENT = {"taiyi": 2000, "qiming": 384, "dept": 48, "lab": 52}
+MONTAGE_STATIC_DEPLOYMENT = {"taiyi": 120, "qiming": 240, "dept": 48, "lab": 52}
+DRUG_BASELINE_DEPLOYMENT = {"taiyi": 2000}
+MONTAGE_BASELINE_DEPLOYMENT = {"qiming": 240}
+
+#: §VI-B initial deployments and capacity-change schedules (full scale):
+#: endpoint -> (time s, worker delta) pairs.
+DRUG_DYNAMIC_DEPLOYMENT = {"taiyi": 400, "qiming": 600, "dept": 48, "lab": 52}
+DRUG_DYNAMIC_CHANGES = {"qiming": [(120.0, +600)], "taiyi": [(540.0, -280)]}
+MONTAGE_DYNAMIC_DEPLOYMENT = {"taiyi": 40, "qiming": 240, "dept": 48, "lab": 52}
+MONTAGE_DYNAMIC_CHANGES = {"taiyi": [(120.0, +80)], "qiming": [(300.0, -168)]}
+
+#: (workflow, regime) -> deployment, capacity changes and the fraction of
+#: the paper's workflow run (drug screening uses 12 001 of its 24 001
+#: functions in §VI-B).
+_CASE_STUDIES = {
+    ("drug_screening", "static"): (DRUG_STATIC_DEPLOYMENT, {}, 1.0),
+    ("drug_screening", "baseline"): (DRUG_BASELINE_DEPLOYMENT, {}, 1.0),
+    ("drug_screening", "dynamic"): (DRUG_DYNAMIC_DEPLOYMENT, DRUG_DYNAMIC_CHANGES, 0.5),
+    ("montage", "static"): (MONTAGE_STATIC_DEPLOYMENT, {}, 1.0),
+    ("montage", "baseline"): (MONTAGE_BASELINE_DEPLOYMENT, {}, 1.0),
+    ("montage", "dynamic"): (MONTAGE_DYNAMIC_DEPLOYMENT, MONTAGE_DYNAMIC_CHANGES, 1.0),
+}
+_REGIMES = {
+    "static": "static resource capacity (Table IV / Figs. 9-11)",
+    "baseline": "the single-cluster baseline (Table IV)",
+    "dynamic": "mid-run capacity changes (Table V / Figs. 12-13)",
+}
+
+
+def paper_spec(
+    workflow: str, regime: str = "static", scheduler: str = "DHA", *,
+    scale: float = 0.05, seed: int = 0,
+) -> ScenarioSpec:
+    """One run of the paper's §VI case studies, on the ``"paper"`` substrate.
+
+    ``workflow`` is "drug_screening" or "montage"; ``regime`` is "static",
+    "baseline" or "dynamic".  ``scale`` shrinks the workflow, the worker
+    deployment and the capacity changes by the same ratio, preserving the
+    task-per-worker pressure.  The published system's pins hold (no data
+    plane, no placement plan, 30 s cadences), and only DHA / HEFT start
+    with full profiler knowledge (§VI-A).  Ablations are field flips:
+    ``enable_rescheduling``, ``enable_delay_mechanism``, ``endpoint_mocking``.
+    """
+    try:
+        deployment, changes, fraction = _CASE_STUDIES[workflow, regime]
+    except KeyError:
+        raise ValueError(
+            f"unknown case study {workflow!r} / {regime!r}; expected drug_screening or "
+            "montage, and static, baseline or dynamic"
+        ) from None
+    topology = tuple(
+        EndpointSpec(
+            name=site,
+            cluster=site,
+            workers=max(1, int(round(count * scale))),
+            capacity_changes=tuple(
+                CapacityChange(at, int(round(delta * scale)) or (1 if delta > 0 else -1))
+                for at, delta in changes.get(site, ())
+            ),
+        )
+        for site, count in deployment.items()
+    )
+    short = "drug" if workflow == "drug_screening" else workflow
+    return ScenarioSpec(
+        name=f"paper-{regime}-{short}",
+        description=f"{workflow} on the paper's four-site testbed, {_REGIMES[regime]}",
+        workload=WorkloadSpec(kind=workflow),
+        topology=topology,
+        scheduler=scheduler,
+        seed=seed,
+        endpoint_sync_interval_s=30.0,
+        rescheduling_interval_s=30.0,
+        seed_knowledge=scheduler.upper() in ("DHA", "HEFT"),
+        enable_dataplane=False,
+        enable_placement=False,
+        substrate="paper",
+    ).with_overrides(scale=scale * fraction)
+
+
 def _build_registry() -> Dict[str, ScenarioSpec]:
     presets: List[ScenarioSpec] = [
         # ------------------------------------------------- paper regimes
-        ScenarioSpec(
-            name="paper-static-montage",
-            description="Montage on the static four-site testbed regime (Table IV / Figs. 9-11)",
-            workload=WorkloadSpec(kind="montage", scale=0.01),
-            topology=(
-                EndpointSpec(name="taiyi", cluster="taiyi", workers=12),
-                EndpointSpec(name="qiming", cluster="qiming", workers=24),
-                EndpointSpec(name="dept", cluster="dept", workers=8),
-                EndpointSpec(name="lab", cluster="lab", workers=8),
-            ),
-            scheduler="DHA",
-        ),
-        ScenarioSpec(
-            name="paper-dynamic-drug",
-            description="Drug screening with mid-run capacity changes (Table V / Fig. 12 regime)",
-            workload=WorkloadSpec(kind="drug_screening", scale=0.008),
-            topology=(
-                EndpointSpec(name="taiyi", cluster="taiyi", workers=16, max_workers=64),
-                EndpointSpec(name="qiming", cluster="qiming", workers=24, max_workers=64),
-                EndpointSpec(name="lab", cluster="lab", workers=8, max_workers=16),
-            ),
-            scheduler="DHA",
-            dynamics=DynamicsSpec(
-                scripted=(
-                    TimelineEvent(at_s=120.0, action="churn", endpoint="qiming", value=24.0),
-                    TimelineEvent(at_s=540.0, action="churn", endpoint="taiyi", value=-10.0),
-                ),
-            ),
-        ),
+        # Two of the Table IV-V runs, at the benchmarks' default scales.
+        paper_spec("montage", "static", scale=0.05),
+        paper_spec("drug_screening", "dynamic", scale=0.08),
         ScenarioSpec(
             name="paper-elastic-stress",
-            description="Stress tasks with elastic scale-out enabled (Fig. 7 regime)",
+            description="Stress tasks with elastic scale-out enabled on the scenario "
+                        "substrate (Fig. 7's mechanism, not its testbed)",
             workload=WorkloadSpec(kind="stress", task_count=240, duration_s=6.0, output_mb=0.0),
             topology=(
                 EndpointSpec(name="taiyi", cluster="taiyi", workers=4, max_workers=48,

@@ -5,7 +5,9 @@ A :class:`ScenarioSpec` composes the four axes of an experiment —
 * **workload** (:class:`WorkloadSpec`): which DAG generator runs, at what
   scale;
 * **topology** (:class:`EndpointSpec` list): which endpoints exist, on which
-  Table II cluster class, with how many workers;
+  Table II cluster class, with how many workers, wired on which substrate
+  (:attr:`ScenarioSpec.substrate`: the scenario default or the paper's §VI
+  testbed);
 * **scheduler**: strategy name plus the DHA mechanism toggles;
 * **dynamics** (:class:`~repro.scenarios.dynamics.DynamicsSpec`): what goes
   wrong, and when —
@@ -45,7 +47,9 @@ from repro.durability import (
     reset_global_id_counters,
 )
 from repro.experiments.environment import EndpointSetup, SimulationEnvironment, build_simulation
+from repro.faas.endpoint import CapacityChange
 from repro.faas.types import ServiceLatencyModel
+from repro.metrics.collector import MetricsCollector
 from repro.scenarios.dynamics import DynamicsInjector, DynamicsSpec
 from repro.serving import WorkflowManager
 from repro.sim.hardware import ClusterSpec, testbed_clusters
@@ -64,6 +68,9 @@ __all__ = [
     "WorkloadSpec",
     "run_scenario",
 ]
+
+#: The four Table II sites of the paper's testbed (the ``"paper"`` substrate).
+PAPER_SITES = ("taiyi", "qiming", "dept", "lab")
 
 #: Scheduler names the CLI accepts, mapped to Config strategy names.
 SCHEDULER_ALIASES = {
@@ -92,27 +99,38 @@ class EndpointSpec:
     #: Staging-storage budget of this endpoint in GB (``None`` falls back to
     #: the scenario-wide :attr:`ScenarioSpec.storage_gb`).
     storage_gb: Optional[float] = None
+    #: Capacity changes the endpoint itself applies on schedule (another
+    #: user's allocation starting or ending, §VI-B).  Unlike the dynamics
+    #: layer's ``churn`` action they publish no event.
+    capacity_changes: Tuple[CapacityChange, ...] = ()
 
-    def to_setup(self) -> EndpointSetup:
+    def to_setup(self, substrate: str = "scenario") -> EndpointSetup:
         clusters = testbed_clusters()
         if self.cluster not in clusters:
             raise ValueError(
                 f"unknown cluster {self.cluster!r}; expected one of {sorted(clusters)}"
             )
         cluster: ClusterSpec = clusters[self.cluster]
-        # Scenario runs are latency-focused, not queue-delay-focused: drop
-        # the batch-queue delays so small scenarios stay fast and exact.
-        cluster = cluster.with_overrides(queue_delay_mean_s=0.0, queue_delay_std_s=0.0)
+        paper = substrate == "paper"
+        if not paper:
+            # Scenario runs are latency-focused, not queue-delay-focused: drop
+            # the batch-queue delays so small scenarios stay fast and exact.
+            cluster = cluster.with_overrides(queue_delay_mean_s=0.0, queue_delay_std_s=0.0)
         return EndpointSetup(
             name=self.name,
             cluster=cluster,
             initial_workers=self.workers,
-            max_workers=self.max_workers or max(self.workers, cluster.workers_per_node),
+            max_workers=(
+                self.max_workers if paper
+                else self.max_workers or max(self.workers, cluster.workers_per_node)
+            ),
             auto_scale=self.auto_scale,
             failure_rate=self.failure_rate,
-            duration_jitter=0.0,
-            execution_overhead_s=0.0,
+            # §VI's testbed: 2 % duration jitter, the 0.062 s endpoint overhead.
+            duration_jitter=0.02 if paper else 0.0,
+            execution_overhead_s=0.062 if paper else 0.0,
             cold_start_penalty_s=self.cold_start_penalty_s,
+            capacity_changes=list(self.capacity_changes),
         )
 
 
@@ -355,8 +373,37 @@ class ScenarioSpec:
     #: (``workflows``, ``workflow_stagger_s``, ``tenant_weights``) must then
     #: stay at their defaults.
     streaming: Optional[StreamingSpec] = None
+    #: What the federation is wired on besides its topology.  ``"scenario"``:
+    #: jitter-free ``network_profile`` links at ``bandwidth_mbps``, default
+    #: service latencies, no batch-queue delays, duration jitter or endpoint
+    #: overhead, capped workers, fabric batches of 64, 5 s metric samples.
+    #: ``"paper"``: the §VI testbed of Tables IV-V and Figs. 9-13 —
+    #: ``NetworkModel.testbed`` (jittered 150 / 60 / 25 MB/s links), §VI's
+    #: latency model, Table II's queue delays, 2 % duration jitter, 0.062 s
+    #: endpoint overhead, uncapped workers, batches of 128, 20 s samples.
+    #: Its endpoints are Table II's four sites, and the network fields above
+    #: stay at their defaults.
+    substrate: str = "scenario"
+    #: The endpoint monitor's local mocks (§IV-B).  Off, every scheduling
+    #: query re-reads the service's periodically refreshed status instead:
+    #: the mocking ablation.
+    endpoint_mocking: bool = True
 
     def __post_init__(self) -> None:
+        if self.substrate == "paper":
+            strays = [e.name for e in self.topology if e.name not in PAPER_SITES
+                      or e.cluster != e.name]
+            if strays:
+                raise ValueError(
+                    f"scenario {self.name!r}: the paper substrate runs Table II's sites "
+                    f"{PAPER_SITES}, each endpoint named for its cluster; not {strays}"
+                )
+            defaults = {f.name: f.default for f in dataclasses.fields(self)}
+            if any(getattr(self, n) != defaults[n] for n in ("network_profile", "bandwidth_mbps")):
+                raise ValueError(
+                    f"scenario {self.name!r}: the paper substrate's network is the "
+                    "testbed's, so network_profile / bandwidth_mbps cannot be set"
+                )
         if self.streaming is not None and (
             self.workflows != 1 or self.workflow_stagger_s or self.tenant_weights
         ):
@@ -408,6 +455,8 @@ class ScenarioSpec:
         if dynamics is not None:
             spec = dataclasses.replace(spec, dynamics=dynamics)
         if scale is not None:
+            if not 0 < scale <= 1.0:
+                raise ValueError("--scale must be in (0, 1]")
             spec = dataclasses.replace(
                 spec, workload=dataclasses.replace(spec.workload, scale=scale)
             )
@@ -466,7 +515,7 @@ class ScenarioResult:
     dynamics_fired: List[Dict[str, object]]
     #: SHA-256 over the engine's full event log + the dynamics timeline.
     determinism_digest: str
-    #: Simulated makespan per extra diagnostic (endpoint crash count etc.).
+    #: Endpoint crashes during the run, summed over the endpoints.
     endpoint_crashes: int = 0
     #: Data-plane counters (empty when the subsystem is disabled).
     dataplane: Dict[str, object] = field(default_factory=dict)
@@ -480,6 +529,11 @@ class ScenarioResult:
     #: Open-loop streaming report (empty on batch runs): admission counters,
     #: steady-state throughput / tail-wait / deadline-miss metrics.
     streaming: Dict[str, object] = field(default_factory=dict)
+    #: The lone tenant's metrics collector (``None`` unless one workflow ran
+    #: as a closed cohort): the time series Figs. 9-13 plot and the
+    #: wall-clock scheduler overhead of Table III, which ``to_json`` never
+    #: reads.
+    metrics: Optional[MetricsCollector] = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> str:
         """Canonical, byte-stable JSON payload (sorted keys, fixed floats)."""
@@ -762,6 +816,7 @@ def _run_attempt(
         determinism_digest=digest.hexdigest(),
         endpoint_crashes=crashes,
         dataplane=manager.data_manager.stats_dict(),
+        metrics=manager.workflow("").engine.metrics if cohort == 1 else None,
     )
     if stream is not None:
         result.streaming = stream.payload()
@@ -876,10 +931,15 @@ def _run_durable(
 
 
 def _build_environment(spec: ScenarioSpec, seed: int):
-    """The simulated federation + config shared by both run paths."""
-    setups = [endpoint.to_setup() for endpoint in spec.topology]
+    """The simulated federation + config of one attempt, on the spec's substrate."""
+    setups = [endpoint.to_setup(spec.substrate) for endpoint in spec.topology]
     names = [s.name for s in setups]
-    if spec.network_profile == "tiered":
+    paper = spec.substrate == "paper"
+    if paper:
+        network = NetworkModel.testbed(seed=seed)
+    elif spec.substrate != "scenario":
+        raise ValueError(f"unknown substrate {spec.substrate!r}; expected scenario/paper")
+    elif spec.network_profile == "tiered":
         network = NetworkModel.tiered(
             names,
             core_count=max(1, (len(names) + 1) // 2),
@@ -896,9 +956,18 @@ def _build_environment(spec: ScenarioSpec, seed: int):
         raise ValueError(
             f"unknown network profile {spec.network_profile!r}; expected uniform/tiered"
         )
-    latency = ServiceLatencyModel()
+    latency = (
+        ServiceLatencyModel(
+            submit_latency_s=0.004,
+            dispatch_latency_s=0.1,
+            result_poll_latency_s=0.1,
+            endpoint_overhead_s=0.062,
+        )
+        if paper
+        else ServiceLatencyModel()
+    )
     env: SimulationEnvironment = build_simulation(
-        setups, network=network, latency=latency, seed=seed
+        setups, network=network, latency=latency, seed=seed, batch_size=128 if paper else 64
     )
     config = env.make_config(
         spec.scheduler,
@@ -906,6 +975,8 @@ def _build_environment(spec: ScenarioSpec, seed: int):
         enable_rescheduling=spec.enable_rescheduling,
         enable_scaling=spec.enable_scaling,
         enable_dataplane=spec.enable_dataplane,
+        enable_endpoint_mocking=spec.endpoint_mocking,
+        metrics_sample_interval_s=20.0 if paper else 5.0,
         # The plan amortises over long-lived tenants; open-loop streaming
         # tenants live and die inside one re-solve cadence, so a streaming
         # federation is built without it.

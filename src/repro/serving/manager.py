@@ -366,6 +366,7 @@ class WorkflowManager:
             lambda name: fabric.endpoint_status(name),
             self.clock,
             sync_interval_s=config.endpoint_sync_interval_s,
+            mocking_enabled=config.enable_endpoint_mocking,
         )
         # Profilers, warm-started from history when available.
         self.execution_profiler = ExecutionProfiler(

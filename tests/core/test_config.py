@@ -84,6 +84,7 @@ class TestConfig:
             ("endpoint_sync_interval_s", 0.0),
             ("profiler_update_interval_s", -1.0),
             ("rescheduling_interval_s", 0.0),
+            ("metrics_sample_interval_s", 0.0),
         ],
     )
     def test_invalid_numeric_fields_rejected(self, field, value):

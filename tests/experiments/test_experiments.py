@@ -9,8 +9,6 @@ import pytest
 
 from repro.core.functions import set_current_client
 from repro.experiments.case_studies import (
-    DRUG_STATIC_DEPLOYMENT,
-    run_case_study,
     run_dynamic_capacity_study,
     run_static_capacity_study,
 )
@@ -25,6 +23,7 @@ from repro.experiments.reporting import (
 )
 from repro.experiments.scaling import run_scaling_experiment
 from repro.metrics.collector import TimeSeries
+from repro.scenarios.presets import paper_spec
 
 
 @pytest.fixture(autouse=True)
@@ -108,9 +107,9 @@ class TestOverheadExperiment:
 
 class TestCaseStudies:
     def test_single_case_study_result_fields(self):
-        result = run_case_study(
-            "drug_screening", "DHA", DRUG_STATIC_DEPLOYMENT, scale=0.005
-        )
+        (result,) = run_static_capacity_study(
+            "drug_screening", scale=0.005, schedulers=("DHA",), include_baseline=False
+        ).values()
         assert result.completed_tasks == result.task_count
         assert result.makespan_s > 0
         assert result.transfer_size_gb >= 0
@@ -134,11 +133,11 @@ class TestCaseStudies:
 
     def test_unknown_workflow_rejected(self):
         with pytest.raises(ValueError):
-            run_case_study("protein_folding", "DHA", DRUG_STATIC_DEPLOYMENT, scale=0.01)
+            paper_spec("protein_folding", scale=0.01)
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
-            run_case_study("montage", "DHA", DRUG_STATIC_DEPLOYMENT, scale=0.0)
+            paper_spec("montage", scale=0.0)
 
 
 class TestReporting:

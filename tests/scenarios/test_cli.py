@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.scenarios.cli import main
 
 
@@ -48,6 +50,13 @@ class TestRunScenario:
     def test_unknown_scenario_fails(self, capsys):
         assert main(["run-scenario", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["0", "1.5"])
+    def test_scale_outside_unit_interval_is_a_clean_error(self, scale, tmp_path, capsys):
+        argv = ["run-scenario", "paper-static-montage", "--scale", scale, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --scale must be in (0, 1]\n"
+        assert not list(tmp_path.iterdir())
 
     def test_workflows_override_runs_serving_layer(self, tmp_path, capsys):
         assert main([

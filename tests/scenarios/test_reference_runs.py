@@ -19,12 +19,10 @@ import pytest
 
 import repro.sched
 import repro.serving.manager
-from repro.core.client import UniFaaSClient
 from repro.dataplane.replica_store import ReplicaStore
 from repro.durability.runtime import reset_global_id_counters
-from repro.engine.events import expand_event
-from repro.experiments.case_studies import DRUG_STATIC_DEPLOYMENT, run_case_study
-from repro.scenarios.presets import SCENARIOS
+from repro.engine.bus import EventBus
+from repro.scenarios.presets import SCENARIOS, paper_spec
 from repro.scenarios.spec import run_scenario
 
 from tests.golden.regenerate import artifact_sha256
@@ -62,30 +60,29 @@ def test_mocking_off_case_study_logs_the_same_events_on_the_reference(monkeypatc
     # The §IV-B ablation: a scheduler that only ever sees the service's
     # stale status.  The arrays serve it (re-reading the service once per
     # call) exactly as the reference's per-query re-read does.
-    log = []
-    run = UniFaaSClient.run
+    logs = []
+    record_to = EventBus.record_to
 
-    def recorded_run(self, *args, **kwargs):
-        self.bus.subscribe_all(lambda event: log.extend(expand_event(event)))
-        return run(self, *args, **kwargs)
+    def recorded(self, log):
+        logs.append(log)
+        return record_to(self, log)
 
-    monkeypatch.setattr(UniFaaSClient, "run", recorded_run)
+    monkeypatch.setattr(EventBus, "record_to", recorded)
+    spec = dataclasses.replace(paper_spec("drug_screening", scale=0.03), endpoint_mocking=False)
 
     def case_study():
-        del log[:]
+        del logs[:]
         reset_global_id_counters()  # task ids are process-global
-        result = run_case_study(
-            "drug_screening", "DHA", DRUG_STATIC_DEPLOYMENT,
-            scale=0.03, seed=0, disable_endpoint_mocking=True,
-        )
-        return result, list(log)
+        result = run_scenario(spec)
+        (log,) = logs
+        return result, log
 
     product, product_log = case_study()
     batches = use_reference_schedulers(monkeypatch)
     reference, reference_log = case_study()
     assert batches
     assert product_log == reference_log and len(product_log) > 3000
-    assert product.completed_tasks == reference.completed_tasks == product.task_count
+    assert product.completed_tasks == reference.completed_tasks == product.total_tasks
     assert product.makespan_s == reference.makespan_s
     assert product.rescheduled_tasks == reference.rescheduled_tasks > 0
 
