@@ -83,15 +83,11 @@ def case_study_pin(result) -> dict:
     }
 
 
-def _pins() -> dict:
-    return json.loads(PIN_PATH.read_text())
-
-
 def assert_pinned(group: str, results) -> None:
     """Each of ``results`` (name -> case-study result) equals its pin."""
     if not PINNED:
         return
-    pins = _pins()
+    pins = json.loads(PIN_PATH.read_text())
     for name, result in results.items():
         key = f"{group}/{name}"
         assert case_study_pin(result) == pins[key], key
