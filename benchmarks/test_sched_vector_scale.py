@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from repro.core.config import Config, ExecutorSpec
-from repro.core.dag import Task, TaskGraph
+from repro.core.dag import Task, TaskGraph, TaskState
 from repro.data.transfer import SimulatedTransferBackend
 from repro.dataplane.plane import DataPlane
 from repro.faas.types import EndpointStatus, TaskExecutionRecord
@@ -172,6 +172,7 @@ def run_pumps(state):
     monitor = state["monitor"]
     layers = state["layers"]
     scheduler = state["scheduler"]
+    store = context.graph.store
     all_tasks = [task for layer in layers for task in layer]
 
     timings = []
@@ -188,15 +189,17 @@ def run_pumps(state):
         placed = scheduler.schedule(layer)
         timings.append(time.perf_counter() - start)
         placements.extend(placed)
-        # Acknowledge most placements as dispatched (mock update + claim
-        # release, exactly the notifications the engine's bus delivers); the
-        # rest stay pending for the closing re-scheduling pass.
+        # Apply the placements the way the engine does (endpoint, then a
+        # placed-but-undispatched state: the store's claim) and dispatch most
+        # of them (mock update; leaving STAGED releases the claim); the rest
+        # stay pending for the closing re-scheduling pass.
         for placement in placed:
             task = context.graph.get(placement.task_id)
-            task.assigned_endpoint = placement.endpoint
+            store.set_endpoint(task._row, placement.endpoint)
+            store.set_state(task._row, TaskState.STAGED)
             if rng.random() < DISPATCH_FRACTION:
                 monitor.record_dispatch(placement.endpoint)
-                scheduler.on_task_dispatched(task, placement.endpoint)
+                store.set_state(task._row, TaskState.DISPATCHED)
             else:
                 pending.append(task)
 

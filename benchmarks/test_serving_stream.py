@@ -31,7 +31,6 @@ import numpy as np
 from repro.engine.events import Event, expand_event
 from repro.experiments.environment import EndpointSetup, build_simulation
 from repro.faas.types import ServiceLatencyModel
-from repro.monitor.store import NullHistoryStore
 from repro.serving import WorkflowManager
 from repro.sim.hardware import ClusterSpec, HardwareSpec
 from repro.sim.network import NetworkModel
@@ -113,9 +112,8 @@ def _run(policy: str):
         env.fabric,
         transfer_backend=env.transfer_backend,
         arbitration=policy,
-        # Unbounded-growth guards: no per-observation history rows, and a
-        # bounded profiler sample window.
-        history_store=NullHistoryStore(),
+        # Unbounded-growth guard: a bounded profiler sample window (with no
+        # history path the manager keeps no per-observation history rows).
         profiler_sample_window=256,
     )
     env.seed_full_knowledge(manager)

@@ -118,7 +118,8 @@ class Config:
     #: Period (s) at which each workflow's metrics collector samples the
     #: worker, staging and re-scheduling time series.
     metrics_sample_interval_s: float = 5.0
-    #: Path of the historical task database ("" disables persistence).
+    #: Path of the historical task database ("" keeps no history: no store
+    #: is built and nothing is written).
     history_db_path: str = ""
     #: Random seed for all stochastic components of the simulation substrate.
     random_seed: int = 0

@@ -6,7 +6,7 @@ removes it.  A snapshot is a versioned, checksummed file pairing (a) the
 (b) *state sections* captured from the live run: kernel counters, every
 named RNG stream's bit-generator state, per-tenant task graphs and columnar
 ``TaskStore`` columns, the dataplane's replica catalog and in-flight
-transfer jobs, scheduler claims and the serving layer's arbitration state.
+transfer jobs, claims per endpoint and the serving layer's arbitration state.
 
 Restore is a **deterministic replay**: the spec is re-executed from t=0 in a
 fresh process with the snapshot point armed in *verify* mode; at the cut the

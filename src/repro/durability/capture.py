@@ -3,7 +3,7 @@
 Capture walks every layer of the serving state into a JSON-native dict:
 the simulation kernel (clock + event counters), the named RNG streams, each
 live tenant's engine (task graph, columnar ``TaskStore`` columns, bus count,
-scheduler claims), the dataplane (replica catalog, storage usage, in-flight
+claims per endpoint), the dataplane (replica catalog, storage usage, in-flight
 transfer jobs and staging tickets), the serving layer's arbitration state,
 the open-loop stream's arrival/admission state and the placement plan.
 Large per-task detail is folded into SHA-256 digests so a checkpoint of a
@@ -99,9 +99,7 @@ def _capture_engine(engine, endpoints: List[str]) -> Dict[str, object]:
         "bus_published": engine.bus.published_count,
         "scheduler": {
             "type": type(engine.scheduler).__name__,
-            "claims": {
-                name: int(engine.scheduler.claimed(name)) for name in endpoints
-            },
+            "claims": {name: graph.store.pending_on(name) for name in endpoints},
         },
     }
     if len(rows) <= _INLINE_TASK_LIMIT:

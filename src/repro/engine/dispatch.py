@@ -6,9 +6,11 @@ coordinator (§IV-G).  Each pump round the coordinator walks every queue head
 and asks the scheduler whether the task may leave (DHA's delay mechanism
 hooks in through :meth:`~repro.sched.base.Scheduler.should_dispatch`);
 dispatching builds the execution request, submits it to the fabric and tells
-the endpoint monitor (mock update), the scheduler (claim release) and — when
-the task has successors to feed — the prefetcher.  The round's dispatches
-are announced as one :class:`~repro.engine.events.TasksDispatched` event.
+the endpoint monitor (mock update) and — when the task has successors to
+feed — the prefetcher.  Leaving STAGED releases the task's claim: the task
+store's pending-dispatch count is the one claim count.  The round's
+dispatches are announced as one :class:`~repro.engine.events.TasksDispatched`
+event.
 """
 
 from __future__ import annotations
@@ -114,6 +116,5 @@ class DispatchCoordinator:
         batch_log.append((round(now, 9), "TaskDispatched", task.name, endpoint))
         batch.append(task)
         engine.endpoint_monitor.record_dispatch(endpoint, cores=int(store.cores[task._row]))
-        engine.scheduler.on_task_dispatched(task, endpoint)
         if engine.prefetcher is not None and task.successors:
             engine.prefetcher.on_predecessor_progress(task)

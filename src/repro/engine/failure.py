@@ -115,10 +115,6 @@ class FailureCoordinator:
         for task in engine.index.undispatched_tasks():
             if task.assigned_endpoint != crashed or task.state not in _REASSIGNABLE:
                 continue
-            # The task's placement claim follows it off the dead endpoint;
-            # a claim left behind would keep the endpoint's rejoined
-            # capacity looking spoken-for to every later scheduling pass.
-            engine.scheduler.transfer_claim(crashed, target)
             engine.bus.publish(TaskPlaced.for_task(task, time=now, endpoint=target))
 
     # ---------------------------------------------------- execution failures
@@ -173,10 +169,6 @@ class FailureCoordinator:
                 )
                 return
             retry_endpoint = engine.task_monitor.most_reliable_endpoint(candidates)
-        # The failed attempt's dispatch already released the task's claim;
-        # re-placing makes it undispatched again, so take a fresh one the
-        # retry's own dispatch will release.
-        engine.scheduler.transfer_claim(None, retry_endpoint)
         engine.bus.publish(
             TaskPlaced.for_task(task, time=engine.clock.now(), endpoint=retry_endpoint)
         )

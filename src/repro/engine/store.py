@@ -13,9 +13,10 @@ reallocates the arrays as they grow: never hold a column across it.
 
 Endpoints are interned to small ints; the aggregates the run loop reads every
 round — staged workers' worth of tasks and tasks awaiting dispatch per
-endpoint, the undispatched total, the terminal total — are plain Python ints
-and dicts maintained in O(1) per state or endpoint change, so reading them
-costs an attribute access, not an array reduction.
+endpoint (the one claim count every scheduler reads), the undispatched total,
+the terminal total — are plain Python ints and dicts maintained in O(1) per
+state or endpoint change, so reading them costs an attribute access, not an
+array reduction.
 
 Rows are never recycled: a task graph only grows (tasks reach terminal
 states but are not removed), so the arrays are bounded by the all-time task
@@ -24,7 +25,8 @@ count of one workflow, exactly like the graph's task dict.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from itertools import repeat
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -86,17 +88,23 @@ class TaskStore:
         self.staged_cores: Dict[str, int] = {}
         #: Bumped whenever :attr:`staged_cores` changes.
         self.staged_version = 0
-        #: Tasks placed but not yet dispatched, per endpoint (non-zero) ...
+        #: Tasks placed but not yet dispatched, per endpoint (non-zero):
+        #: the schedulers' claims (:meth:`pending_on`) ...
         self._pending_dispatch: Dict[str, int] = {}
+        #: ... written through to a federation-wide per-endpoint sum while
+        #: the serving layer counts this store in it (:meth:`share_pending`) ...
+        self._shared_pending: Optional[Dict[str, int]] = None
         #: ... and in total.
         self.undispatched_count = 0
         #: Tasks in a terminal state.
         self.terminal = 0
         self._state_counts = [0] * len(STATES)
         #: Bumped whenever a row's endpoint changes or a row enters or leaves
-        #: the pending-dispatch states: with the engine index's
-        #: ``undispatched_epoch``, what the re-scheduling candidates and their
-        #: targets are keyed on (see :mod:`repro.engine.periodic`).
+        #: the pending-dispatch states, so every change of :meth:`pending_on`
+        #: moves it: with the engine index's ``undispatched_epoch``, what the
+        #: re-scheduling candidates and their targets are keyed on (see
+        #: :mod:`repro.engine.periodic`), and what DHA's claim column is
+        #: refilled on (:class:`~repro.sched.vector.EndpointStateVectors`).
         self.pending_version = 0
 
     # --------------------------------------------------------------- basics
@@ -148,6 +156,7 @@ class TaskStore:
         if code in _TERMINAL_CODES:
             self.terminal += 1
         if ep >= 0 and code in _PENDING_DISPATCH:
+            self.pending_version += 1
             self._account(row, PENDING_CODE, code, -1, ep)
         return row
 
@@ -199,6 +208,7 @@ class TaskStore:
         increment never reaches zero (counts and cores are >= 1).
         """
         pending, staged = self._pending_dispatch, self.staged_cores
+        shared = self._shared_pending
         if old_ep >= 0:
             name = self.endpoint_names[old_ep]
             if old_code in _PENDING_DISPATCH:
@@ -208,6 +218,8 @@ class TaskStore:
                 else:
                     del pending[name]
                 self.undispatched_count -= 1
+                if shared is not None:
+                    shared[name] -= 1
             if old_code == STAGED_CODE:
                 left = staged.get(name, 0) - int(self.cores[row])
                 if left:
@@ -220,6 +232,8 @@ class TaskStore:
             if new_code in _PENDING_DISPATCH:
                 pending[name] = pending.get(name, 0) + 1
                 self.undispatched_count += 1
+                if shared is not None:
+                    shared[name] = shared.get(name, 0) + 1
             if new_code == STAGED_CODE:
                 staged[name] = staged.get(name, 0) + int(self.cores[row])
                 self.staged_version += 1
@@ -264,6 +278,29 @@ class TaskStore:
     def staged_demand(self) -> Dict[str, int]:
         """Workers' worth of STAGED tasks per endpoint (non-zero entries)."""
         return self._in_intern_order(self.staged_cores)
+
+    def pending_on(self, endpoint: str) -> int:
+        """Tasks placed on ``endpoint`` but not yet dispatched."""
+        return self._pending_dispatch.get(endpoint, 0)
+
+    def pending_counts(self, endpoints: Sequence[str]) -> List[int]:
+        """:meth:`pending_on` of each of ``endpoints``, in order."""
+        return list(map(self._pending_dispatch.get, endpoints, repeat(0)))
+
+    def share_pending(self, totals: Optional[Dict[str, int]]) -> None:
+        """Keep ``totals`` — a per-endpoint sum over several stores — current
+        with this store's placed-but-undispatched counts.
+
+        The serving layer calls this when the tenant joins its active set
+        (the counts held now are added, every later change writes through)
+        and with ``None`` when it leaves (they are taken out again).  Sharing
+        the dict already shared is a no-op, so a re-join never counts twice.
+        """
+        for sign, target in ((-1, self._shared_pending), (1, totals)):
+            if target is not None:
+                for name, count in self._pending_dispatch.items():
+                    target[name] = target.get(name, 0) + sign * count
+        self._shared_pending = totals
 
     def undispatched_by_endpoint(self) -> Dict[str, int]:
         """Tasks placed but not yet dispatched, per endpoint (non-zero)."""

@@ -1,25 +1,26 @@
 """Client-side interface to the federated FaaS service.
 
 UniFaaS's task executor talks to the service exclusively through this client
-(§IV-F): it wraps task submission (with batching, §IV-H), result polling and
-endpoint-status queries.  Keeping the client thin makes it obvious which
-latencies belong to the client/service boundary (Fig. 5) and gives tests a
-single seam for failure injection.
+(§IV-F): it wraps task submission (with batching, §IV-H) and endpoint-status
+queries; results come back through the service's result callbacks.  Keeping
+the client thin makes it obvious which latencies belong to the
+client/service boundary (Fig. 5) and gives tests a single seam for failure
+injection.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.faas.service import FederatedFaaSService
-from repro.faas.types import EndpointStatus, TaskExecutionRecord, TaskExecutionRequest
+from repro.faas.types import EndpointStatus, TaskExecutionRequest
 
 __all__ = ["FaaSClient"]
 
 
 class FaaSClient:
-    """Batched submit/poll client for the federated FaaS service."""
+    """Batched submit client for the federated FaaS service."""
 
     def __init__(self, service: FederatedFaaSService, batch_size: int = 64) -> None:
         if batch_size <= 0:
@@ -56,11 +57,6 @@ class FaaSClient:
     @property
     def queued_requests(self) -> int:
         return sum(len(v) for v in self._pending.values())
-
-    # --------------------------------------------------------------- results
-    def poll_results(self, max_items: Optional[int] = None) -> List[TaskExecutionRecord]:
-        """Retrieve results that have reached the service."""
-        return self.service.fetch_results(max_items)
 
     # ---------------------------------------------------------------- status
     def endpoint_status(self, name: str, force_refresh: bool = False) -> EndpointStatus:

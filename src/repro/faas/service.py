@@ -41,7 +41,6 @@ class FederatedFaaSService:
         self._endpoint_uuids: Dict[str, str] = {}
         self._status_cache: Dict[str, EndpointStatus] = {}
         self._result_callbacks: List[ResultCallback] = []
-        self._available_results: List[TaskExecutionRecord] = []
         self._uuid_counter = itertools.count(1)
         #: Cumulative count of tasks routed through the service.
         self.submitted_count = 0
@@ -105,16 +104,6 @@ class FederatedFaaSService:
         """Register a push-style callback for results arriving at the client."""
         self._result_callbacks.append(callback)
 
-    def fetch_results(self, max_items: Optional[int] = None) -> List[TaskExecutionRecord]:
-        """Pull-style result retrieval (used by tests and the FaaS client)."""
-        if max_items is None or max_items >= len(self._available_results):
-            out = self._available_results
-            self._available_results = []
-            return out
-        out = self._available_results[:max_items]
-        self._available_results = self._available_results[max_items:]
-        return out
-
     def _on_endpoint_completion(self, record: TaskExecutionRecord) -> None:
         # The result becomes visible to the client after the polling latency.
         self.kernel.schedule(
@@ -122,7 +111,6 @@ class FederatedFaaSService:
         )
 
     def _deliver_result(self, record: TaskExecutionRecord) -> None:
-        self._available_results.append(record)
         for callback in self._result_callbacks:
             callback(record)
 

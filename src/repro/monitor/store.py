@@ -13,7 +13,7 @@ import sqlite3
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-__all__ = ["HistoryStore", "NullHistoryStore", "TaskRecord", "TransferRecord"]
+__all__ = ["HistoryStore", "TaskRecord", "TransferRecord"]
 
 
 @dataclass(frozen=True)
@@ -256,51 +256,3 @@ class HistoryStore:
     def close(self) -> None:
         self.flush()
         self._conn.close()
-
-
-class NullHistoryStore(HistoryStore):
-    """A history store that records nothing.
-
-    Open-ended streaming runs (10k+ tenants, ~1M tasks) would otherwise grow
-    the in-memory SQLite store by one row per observation forever; the
-    monitors keep their interface but every write is a no-op and every read
-    returns empty.  Profilers see zero counts and fall back to live-only
-    training, exactly as with no store at all.
-    """
-
-    def __init__(self) -> None:
-        self.path = ":memory:"
-        self._conn = None  # never opened; every accessor below is overridden
-
-    def add_task_record(self, record: TaskRecord) -> None:
-        pass
-
-    def add_transfer_record(self, record: TransferRecord) -> None:
-        pass
-
-    def task_records(self, *args, **kwargs) -> List[TaskRecord]:
-        return []
-
-    def transfer_records(self, *args, **kwargs) -> List[TransferRecord]:
-        return []
-
-    def task_count(self, function_name: Optional[str] = None) -> int:
-        return 0
-
-    def transfer_count(self) -> int:
-        return 0
-
-    def function_names(self) -> List[str]:
-        return []
-
-    def endpoint_pairs(self) -> List[Tuple[str, str]]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass

@@ -2,9 +2,10 @@
 
 Tracks task execution information — state transitions, completion times,
 input/output sizes and which endpoint ran the task — and streams it into the
-local history store and to any registered listeners (the profilers).  It also
-maintains the per-endpoint success-rate statistics used by the fault
-tolerance layer when reassigning repeatedly failing tasks (§IV-G).
+local history store, when there is one, and to any registered listeners (the
+profilers).  It also maintains the per-endpoint success-rate statistics used
+by the fault tolerance layer when reassigning repeatedly failing tasks
+(§IV-G).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ class TaskMonitor:
     """Collects execution and transfer observations."""
 
     def __init__(self, store: Optional[HistoryStore] = None) -> None:
-        self.store = store or HistoryStore()
+        #: Where observations are persisted; ``None`` keeps none.
+        self.store = store
         self._task_listeners: List[RecordListener] = []
         self._transfer_listeners: List[TransferListener] = []
         self._success_by_endpoint: Dict[str, int] = defaultdict(int)
@@ -54,37 +56,39 @@ class TaskMonitor:
         else:
             self._failure_by_endpoint[record.endpoint] += 1
 
-        self.store.add_task_record(
-            TaskRecord(
-                function_name=record.function_name,
-                endpoint=record.endpoint,
-                input_mb=record.input_mb,
-                output_mb=record.output_mb,
-                execution_time_s=record.execution_time_s,
-                cores_per_node=record.cores_per_node,
-                cpu_freq_ghz=record.cpu_freq_ghz,
-                ram_gb=record.ram_gb,
-                success=record.success,
-                timestamp=record.completed_at,
+        if self.store is not None:
+            self.store.add_task_record(
+                TaskRecord(
+                    function_name=record.function_name,
+                    endpoint=record.endpoint,
+                    input_mb=record.input_mb,
+                    output_mb=record.output_mb,
+                    execution_time_s=record.execution_time_s,
+                    cores_per_node=record.cores_per_node,
+                    cpu_freq_ghz=record.cpu_freq_ghz,
+                    ram_gb=record.ram_gb,
+                    success=record.success,
+                    timestamp=record.completed_at,
+                )
             )
-        )
         for listener in self._task_listeners:
             listener(record)
 
     def observe_transfer(self, result: TransferResult, concurrency: int = 1) -> None:
         """Ingest one transfer result."""
-        self.store.add_transfer_record(
-            TransferRecord(
-                src=result.request.src,
-                dst=result.request.dst,
-                size_mb=result.request.size_mb,
-                duration_s=result.duration_s,
-                mechanism=result.request.mechanism,
-                concurrency=concurrency,
-                success=result.success,
-                timestamp=result.completed_at,
+        if self.store is not None:
+            self.store.add_transfer_record(
+                TransferRecord(
+                    src=result.request.src,
+                    dst=result.request.dst,
+                    size_mb=result.request.size_mb,
+                    duration_s=result.duration_s,
+                    mechanism=result.request.mechanism,
+                    concurrency=concurrency,
+                    success=result.success,
+                    timestamp=result.completed_at,
+                )
             )
-        )
         for listener in self._transfer_listeners:
             listener(result)
 

@@ -201,17 +201,11 @@ class Scheduler(ABC):
 
     def __init__(self) -> None:
         self.context: Optional[SchedulingContext] = None
-        #: Tasks assigned per endpoint that have not been dispatched yet
-        #: (claims against the mocked free capacity).
-        self._claims: Dict[str, int] = {}
-        #: The federation's per-endpoint sum of its active tenants' claims
-        #: (see :meth:`share_claims`); ``None`` while this tenant is not one.
-        self._claim_totals: Optional[Dict[str, int]] = None
         #: Incremental per-endpoint state arrays (DHA's estimated-finish index).
         self._vectors: Optional[EndpointStateVectors] = None
-        #: Bumped on every claim change — part of the re-scheduling pass's
-        #: nothing-changed fingerprint.
-        self._claims_version = 0
+        #: Bumped on every capacity-slice change — part of the re-scheduling
+        #: pass's nothing-changed fingerprint.
+        self._slice_version = 0
         #: Cross-workflow capacity slice (multi-tenant serving): an upper
         #: bound per endpoint on the free capacity this scheduler may treat
         #: as its own this round.  ``None`` (single-workflow) = unbounded.
@@ -230,16 +224,8 @@ class Scheduler(ABC):
     def initialize(self, context: SchedulingContext) -> None:
         """Bind the scheduler to a workflow run."""
         self.context = context
-        # A re-initialize while the federation sums this scheduler's claims
-        # (restore, restart) takes the old claims out of that sum first.
-        totals = self._claim_totals
-        if totals is not None:
-            self.share_claims(None)
-        self._claims = {name: 0 for name in context.endpoint_names()}
-        self._claim_totals = totals
         # Endpoint-state vectors are created lazily by the schedulers that
-        # actually consume them (DHA's EFT index); claim mirroring below is
-        # a no-op until then.
+        # actually consume them (DHA's EFT index).
         self._vectors = None
 
     def _require_context(self) -> SchedulingContext:
@@ -279,19 +265,15 @@ class Scheduler(ABC):
     ) -> Optional[str]:
         """Best guess of where ``task`` would be placed right now.
 
-        Side-effect free (no claims are taken).  ``virtual_claims`` lets the
-        caller model a batch the way :meth:`schedule` would — capacity its
-        own earlier guesses already spoken for.  The data plane's prefetcher
-        uses this to pick destinations for ready-soon tasks; ``None`` lets
-        the caller fall back to a locality guess.
+        Side-effect free.  ``virtual_claims`` lets the caller model a batch
+        the way :meth:`schedule` would — capacity its own earlier guesses
+        already spoken for.  The data plane's prefetcher uses this to pick
+        destinations for ready-soon tasks; ``None`` lets the caller fall
+        back to a locality guess.
         """
         return None
 
     # ----------------------------------------------------------- notifications
-    def on_task_dispatched(self, task: Task, endpoint: str) -> None:
-        """Engine notification: the task left the client queue."""
-        self.release_claim(endpoint)
-
     def on_task_completed(self, task: Task, record: TaskExecutionRecord) -> None:
         """Engine notification: the task finished (successfully or not)."""
 
@@ -299,59 +281,11 @@ class Scheduler(ABC):
         """Engine notification: endpoint capacity changed (sync happened)."""
 
     # --------------------------------------------------------------- helpers
-    def claim(self, endpoint: str, count: int = 1) -> None:
-        self._claims[endpoint] = self._claims.get(endpoint, 0) + count
-        self._claims_version += 1
-        totals = self._claim_totals
-        if totals is not None:
-            totals[endpoint] = totals.get(endpoint, 0) + count
-        if self._vectors is not None:
-            self._vectors.add_claim(endpoint, count)
-
-    def release_claim(self, endpoint: str) -> None:
-        """Drop one claim on ``endpoint`` (a re-scheduling move left it)."""
-        if self._claims.get(endpoint, 0) > 0:
-            self._claims[endpoint] -= 1
-            self._claims_version += 1
-            if self._claim_totals is not None:
-                self._claim_totals[endpoint] -= 1
-            if self._vectors is not None:
-                self._vectors.add_claim(endpoint, -1)
-
-    def share_claims(self, totals: Optional[Dict[str, int]]) -> None:
-        """Keep ``totals`` — the federation's per-endpoint sum over its active
-        tenants' schedulers — current with this scheduler's claims.
-
-        The serving layer calls this when the tenant joins its active set
-        (the claims held now are added, every later :meth:`claim` /
-        :meth:`release_claim` writes through) and with ``None`` when it
-        leaves (they are taken out again), so the run loop reads the sum in
-        O(endpoints) instead of asking every tenant every round.
-        """
-        for sign, target in ((-1, self._claim_totals), (1, totals)):
-            if target is not None:
-                for endpoint, count in self._claims.items():
-                    if count:
-                        target[endpoint] = target.get(endpoint, 0) + sign * count
-        self._claim_totals = totals
-
-    def transfer_claim(self, old: Optional[str], new: str) -> None:
-        """Move one undispatched-task claim between endpoints.
-
-        The failure coordinator re-places tasks by publishing ``TaskPlaced``
-        directly, outside any scheduling pass; the claim the original
-        placement took must follow the task or the old endpoint stays
-        claimed forever and the eventual dispatch steals a claim the new
-        endpoint never took.  ``old=None`` covers re-placement of a task
-        whose dispatch already released its claim (execution-failure retry):
-        only the new claim is taken, balancing the next dispatch's release.
-        """
-        if old is not None:
-            self.release_claim(old)
-        self.claim(new, 1)
-
     def claimed(self, endpoint: str) -> int:
-        return self._claims.get(endpoint, 0)
+        """Tasks placed on ``endpoint`` but not yet dispatched: the task
+        store's count, whoever placed them (this scheduler, an endpoint pin,
+        the failure coordinator)."""
+        return self._require_context().graph.store.pending_on(endpoint)
 
     def set_capacity_slice(self, capacity_slice: Optional[Mapping[str, int]]) -> None:
         """Bound the free capacity this scheduler may consume per endpoint.
@@ -368,7 +302,7 @@ class Scheduler(ABC):
             self._capacity_slice = normalized
             # The slice is part of what a re-scheduling pass may consume, so
             # an identical pass under a different slice is not a proven no-op.
-            self._claims_version += 1
+            self._slice_version += 1
 
     def capacity_slice_for(self, endpoint: str) -> Optional[int]:
         """The current slice bound for ``endpoint`` (None = unbounded)."""
@@ -376,12 +310,13 @@ class Scheduler(ABC):
             return None
         return max(0, self._capacity_slice.get(endpoint, 0))
 
-    def unclaimed_free_capacity(self, endpoint: str) -> int:
-        """Mocked free workers minus placements not yet dispatched,
-        bounded by the serving layer's capacity slice when one is set."""
+    def unclaimed_free_capacity(self, endpoint: str, placing: int = 0) -> int:
+        """Mocked free workers minus placements not yet dispatched (and
+        ``placing`` more decided but not yet applied), bounded by the serving
+        layer's capacity slice when one is set."""
         context = self._require_context()
         free = context.endpoint_monitor.free_capacity(endpoint)
-        free = max(0, free - self.claimed(endpoint))
+        free = max(0, free - self.claimed(endpoint) - placing)
         bound = self.capacity_slice_for(endpoint)
         return free if bound is None else min(free, bound)
 

@@ -47,6 +47,7 @@ import numpy as np
 from repro.core.dag import Task, TaskGraph, task_id_of
 from repro.data import remote_file as _remote_file
 from repro.sched.base import Placement, Scheduler, SchedulingContext
+from repro.sched.vector import EndpointStateVectors
 
 __all__ = ["DHAScheduler"]
 
@@ -76,8 +77,6 @@ class DHAScheduler(Scheduler):
         self.supports_rescheduling = enable_rescheduling
         self.default_execution_time_s = default_execution_time_s
         self._priorities: Dict[str, float] = {}
-        #: Where each not-yet-dispatched task is currently headed.
-        self._pending_target: Dict[str, str] = {}
         #: Number of placements moved by the re-scheduling mechanism.
         self.rescheduled_count = 0
         #: Generation of the priority map; part of the sort-cache key.
@@ -280,13 +279,13 @@ class DHAScheduler(Scheduler):
                 column = int(np.where(mask, finish, np.inf).argmin())
             else:
                 column = int(finish.argmin())
-            endpoint = names[column]
-            self.claim(endpoint, 1)
-            self._pending_target[task.task_id] = endpoint
+            # Claim as you go: the placement reaches the store only when the
+            # engine applies it, after this batch.
+            vectors.claimed[column] += 1
             placements.append(
                 Placement(
                     task_id=task.task_id,
-                    endpoint=endpoint,
+                    endpoint=names[column],
                     estimated_finish_s=float(finish[column]),
                 )
             )
@@ -406,28 +405,24 @@ class DHAScheduler(Scheduler):
         """The incremental endpoint-state arrays, rebuilt on topology change."""
         vectors = self._vectors
         if vectors is None or vectors.names != arrays.endpoint_names:
-            from repro.sched.vector import EndpointStateVectors
-
-            monitor = self.context.endpoint_monitor
-            vectors = EndpointStateVectors(monitor, arrays.endpoint_names)
-            for name, count in self._claims.items():
-                if count:
-                    vectors.add_claim(name, count)
+            context = self.context
+            vectors = EndpointStateVectors(
+                context.endpoint_monitor, context.graph.store, arrays.endpoint_names
+            )
             self._vectors = vectors
         return vectors
 
     def placement_hint(
         self, task: Task, virtual_claims: Optional[Dict[str, int]] = None
     ) -> Optional[str]:
-        """EFT selection over current state, without taking a real claim.
+        """EFT selection over current state, without claiming anything.
 
         The same estimated-finish argmin as :meth:`schedule`, so the data
         plane's prefetcher aims where ``schedule`` would most likely send the
         task.  ``virtual_claims`` are overlaid on the endpoint-state vectors'
         claim column for the duration of the query — the same claim-as-you-go
         backlog ``schedule`` itself applies over a batch — and taken off
-        again before returning; the scheduler's own claim table is not
-        touched.
+        again before returning.
         """
         context = self.context
         if context is None or not context.endpoint_names():
@@ -462,10 +457,6 @@ class DHAScheduler(Scheduler):
         # Dispatch only when the (mocked) endpoint can start the task now.
         free = context.endpoint_monitor.free_capacity(store.endpoint_names[column])
         return free >= int(store.cores[task._row])
-
-    def on_task_dispatched(self, task: Task, endpoint: str) -> None:
-        super().on_task_dispatched(task, endpoint)
-        self._pending_target.pop(task.task_id, None)
 
     # ------------------------------------------------------------ rescheduling
     def reschedule(self, pending_tasks: Sequence[Task]) -> List[Placement]:
@@ -510,7 +501,7 @@ class DHAScheduler(Scheduler):
             tuple(pending_tasks),
             context.graph.store.pending_version,
             self._priority_epoch,
-            self._claims_version,
+            self._slice_version,
             monitor.state_version,
             monitor.hardware_version,
             context.execution_profiler.prediction_version,
@@ -597,15 +588,15 @@ class DHAScheduler(Scheduler):
             if best_finish >= current_finish:
                 continue
             spare[best_column] -= 1
-            best = names[best_column]
-            self.release_claim(current)
-            self.claim(best, 1)
-            self._pending_target[task.task_id] = best
+            # The claim moves with the task; the store sees the move when
+            # the engine applies it, after this pass.
+            vectors.claimed[column] -= 1
+            vectors.claimed[best_column] += 1
             self.rescheduled_count += 1
             moves.append(
                 Placement(
                     task_id=task.task_id,
-                    endpoint=best,
+                    endpoint=names[best_column],
                     estimated_finish_s=float(best_finish),
                 )
             )

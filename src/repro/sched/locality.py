@@ -31,19 +31,22 @@ class LocalityScheduler(Scheduler):
         placements: List[Placement] = []
         # With mocking enabled the mocked endpoint state cannot change while
         # this round runs, so read each endpoint's free capacity once and
-        # track the effect of this round's own claims incrementally instead
-        # of re-deriving ``unclaimed_free_capacity`` per task × endpoint.
-        # The mocking-disabled ablation re-reads the live service status per
-        # query, which a snapshot must not hide — re-derive per task there.
+        # track the effect of this round's own placements incrementally
+        # instead of re-deriving ``unclaimed_free_capacity`` per task ×
+        # endpoint.  The mocking-disabled ablation re-reads the live service
+        # status per query, which a snapshot must not hide — re-derive per
+        # task there, minus the round's placements (the store counts them
+        # only once the engine applies them, after this round).
         names = context.endpoint_names()
         monitor = context.endpoint_monitor
         snapshot = monitor.mocking_enabled
+        placed = dict.fromkeys(names, 0)
 
         def free_map() -> dict:
             # unclaimed_free_capacity = free - claims, additionally bounded
             # by the serving layer's cross-workflow capacity slice (a no-op
             # on the single-workflow path, where no slice is set).
-            return {name: self.unclaimed_free_capacity(name) for name in names}
+            return {name: self.unclaimed_free_capacity(name, placed[name]) for name in names}
 
         unclaimed = free_map()
         # Level/arrival order: the engine hands tasks in ready order already.
@@ -54,7 +57,7 @@ class LocalityScheduler(Scheduler):
             if not candidates:
                 break  # no idle resources anywhere; try again on the next pump
             endpoint = self._locality_selection(task, candidates, unclaimed)
-            self.claim(endpoint, 1)
+            placed[endpoint] += 1
             if snapshot:
                 unclaimed[endpoint] = max(0, unclaimed[endpoint] - 1)
             placements.append(Placement(task_id=task.task_id, endpoint=endpoint))

@@ -24,9 +24,9 @@ array operations:
 
 * :class:`EndpointStateVectors` — the incremental earliest-finish-time
   index: per-endpoint backlog accumulators (pending work, busy/idle workers
-  and the scheduler's own not-yet-dispatched claims) that are updated on
-  claim / dispatch / complete / capacity-change instead of being re-read
-  from the mock endpoints for every candidate of every task.  DHA's
+  and the claims: tasks placed on the endpoint but not yet dispatched) that
+  are re-read when the monitor's state or the task store's pending-dispatch
+  counts moved instead of for every candidate of every task.  DHA's
   endpoint selection then reduces to an argmin over one estimated-finish
   vector per task.
 
@@ -47,6 +47,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.dag import Task
+    from repro.engine.store import TaskStore
     from repro.monitor.endpoint_monitor import EndpointMonitor
     from repro.sched.base import SchedulingContext
 
@@ -404,22 +405,34 @@ class PredictionIndex:
 class EndpointStateVectors:
     """Incremental per-endpoint backlog accumulators for EFT selection."""
 
-    def __init__(self, monitor: "EndpointMonitor", endpoint_names: Sequence[str]) -> None:
+    def __init__(
+        self, monitor: "EndpointMonitor", store: "TaskStore", endpoint_names: Sequence[str]
+    ) -> None:
         self.names: List[str] = list(endpoint_names)
         self._index = {name: column for column, name in enumerate(self.names)}
         count = len(self.names)
         self.active = np.zeros(count, dtype=np.int64)
         self.busy = np.zeros(count, dtype=np.int64)
         self.pending = np.zeros(count, dtype=np.int64)
+        #: The task store's placed-but-undispatched count per endpoint, plus
+        #: whatever a caller added on top (:meth:`add_claim`) since the last
+        #: refill.
         self.claimed = np.zeros(count, dtype=np.int64)
         self._idle = np.zeros(count, dtype=np.int64)
         self._workers = np.ones(count, dtype=np.int64)
+        self._store = store
         self._seen_state_version = -1
+        self._seen_pending_version = -1
         self.sync(monitor, force=True)
 
     # ----------------------------------------------------------------- update
     def sync(self, monitor: "EndpointMonitor", force: bool = False) -> None:
-        """Re-read the mocks, but only when the monitor's state moved."""
+        """Re-read the claims, but only when the store's pending-dispatch
+        counts moved, and the mocks, only when the monitor's state moved."""
+        store = self._store
+        if force or store.pending_version != self._seen_pending_version:
+            self._seen_pending_version = store.pending_version
+            self.claimed[:] = store.pending_counts(self.names)
         if not force and monitor.state_version == self._seen_state_version:
             return
         self._seen_state_version = monitor.state_version
@@ -440,6 +453,9 @@ class EndpointStateVectors:
             np.maximum(self.active, 1, out=self._workers)
 
     def add_claim(self, endpoint: str, count: int) -> None:
+        """Add ``count`` claims on ``endpoint`` until the next refill: a
+        placement or move decided but not yet applied to the store, or a
+        caller's virtual claim."""
         column = self._index.get(endpoint)
         if column is not None:
             self.claimed[column] += count

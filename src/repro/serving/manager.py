@@ -356,12 +356,16 @@ class WorkflowManager:
         self.scaling_check_interval_s = scaling_check_interval_s
 
         # Shared substrate: one of each, federation-wide, built only here.
-        store = history_store or HistoryStore(config.history_db_path or ":memory:")
+        # History is kept only where someone can read it back: a store the
+        # caller handed over, or the configured file ("" keeps none).
+        store = history_store
+        if store is None and config.history_db_path:
+            store = HistoryStore(config.history_db_path)
         self.task_monitor = TaskMonitor(store)
         #: A file-backed history is committed once per delivered record batch
         #: (another connection can read it mid-run; a crash loses one round at
         #: most).  A ``:memory:`` store has no other reader and never commits.
-        self._history_on_disk = store.path != ":memory:"
+        self._history_on_disk = store is not None and store.path != ":memory:"
         self.endpoint_monitor = EndpointMonitor(
             lambda name: fabric.endpoint_status(name),
             self.clock,
@@ -370,10 +374,12 @@ class WorkflowManager:
         )
         # Profilers, warm-started from history when available.
         self.execution_profiler = ExecutionProfiler(
-            store if store.task_count() else None,
+            store if store is not None and store.task_count() else None,
             max_samples_retained=profiler_sample_window,
         )
-        self.transfer_profiler = TransferProfiler(store if store.transfer_count() else None)
+        self.transfer_profiler = TransferProfiler(
+            store if store is not None and store.transfer_count() else None
+        )
         self.task_monitor.add_task_listener(self.execution_profiler.observe)
         backend = transfer_backend or LocalCopyTransferBackend(clock=self.clock)
         self.data_manager = _build_data_manager(config, backend, self.clock)
@@ -422,8 +428,8 @@ class WorkflowManager:
         # Running aggregates over the active set — what arbitration reads
         # instead of asking every tenant every round.  Tenants enter and
         # leave in ``_membership_changed``.
-        #: endpoint -> Σ scheduler claims; the schedulers write through
-        #: (``Scheduler.share_claims``).
+        #: endpoint -> Σ placed-but-undispatched tasks (the claims); the
+        #: tenant stores write through (``TaskStore.share_pending``).
         self._claims: Dict[str, int] = {}
         #: workflow id -> queued + placed-but-undispatched tasks as of the
         #: tenant's last visit (every change of either is announced on the
@@ -594,9 +600,9 @@ class WorkflowManager:
         * **Incremental aggregates.**  Nothing is summed over the tenants per
           round.  Each tenant's ``TaskStore`` keeps its terminal count, its
           undispatched count and its staged cores per endpoint as plain
-          values, updated where task state and endpoint change; every
-          ``Scheduler.claim`` / ``release_claim`` of an active tenant writes
-          through to ``_claims``; ``_demand`` is refreshed for visited
+          values, updated where task state and endpoint change; an active
+          tenant's store writes its placed-but-undispatched counts through
+          to ``_claims``; ``_demand`` is refreshed for visited
           tenants only; ``_staged`` holds the stores' live dicts.  Tenants
           enter and leave all of them in ``_membership_changed``.
         * **Arbitration fingerprint.**  ``policy.allocate`` is re-run only
@@ -685,7 +691,8 @@ class WorkflowManager:
         finally:
             # However the loop ends (stall, wall-time budget, a builder's
             # exception, Ctrl-C), the rows observed so far stay.
-            self.task_monitor.store.flush()
+            if self.task_monitor.store is not None:
+                self.task_monitor.store.flush()
         self._finished_at = self.clock.now()
         self.fabric.flush()
 
@@ -718,7 +725,7 @@ class WorkflowManager:
         for handle in self._active:
             if handle not in staying:
                 handle.active = False
-                handle.engine.scheduler.share_claims(None)
+                handle.engine.graph.store.share_pending(None)
                 del self._demand_size[handle.workflow_id]
                 del self._demand[handle.workflow_id]
                 del self._staged[handle.workflow_id]
@@ -726,7 +733,7 @@ class WorkflowManager:
         for handle in active:
             if not handle.active:
                 handle.active = True
-                handle.engine.scheduler.share_claims(self._claims)
+                handle.engine.graph.store.share_pending(self._claims)
                 # Demand is read at the tenant's first visit, which is next.
                 self._demand_size[handle.workflow_id] = 0
                 self._demand[handle.workflow_id] = {}

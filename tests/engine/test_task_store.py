@@ -112,6 +112,39 @@ class TestEndpointAggregates:
         assert store.undispatched_count == 0 and store.staged_demand() == {}
 
 
+class TestSharedPending:
+    """``share_pending``: the serving layer's federation-wide claim sum."""
+
+    def test_join_adds_leave_subtracts_and_rejoin_does_not_count_twice(self):
+        store = make_store()
+        a, b = add(store, endpoint="a"), add(store, endpoint="b")
+        store.set_state(a, TaskState.SCHEDULED)
+        totals = {"a": 5}  # another tenant's placed-but-undispatched tasks
+        store.share_pending(totals)  # join: the counts held now are added
+        assert totals == {"a": 6}
+        store.set_state(b, TaskState.STAGED)  # later changes write through
+        store.set_endpoint(a, "b")
+        assert totals == {"a": 5, "b": 2}
+        store.share_pending(totals)  # joining again (a restore) is a no-op
+        assert totals == {"a": 5, "b": 2}
+        store.share_pending(None)  # leave: taken out again
+        assert totals == {"a": 5, "b": 0}
+        store.set_state(a, TaskState.DISPATCHED)  # no longer written through
+        assert totals == {"a": 5, "b": 0}
+        store.share_pending(totals)
+        assert totals == {"a": 5, "b": 1}
+        assert store.pending_on("b") == 1 and store.pending_on("a") == 0
+
+    def test_a_pending_row_added_moves_the_pending_version(self):
+        store = make_store()
+        version = store.pending_version
+        add(store, endpoint="a", state=TaskState.READY)
+        assert store.pending_version == version
+        add(store, endpoint="a", state=TaskState.STAGED)
+        assert store.pending_version == version + 1
+        assert store.pending_on("a") == 1
+
+
 class TestTimestamps:
     def test_set_state_stamps_its_transition(self):
         store = make_store()

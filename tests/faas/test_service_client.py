@@ -6,8 +6,11 @@ import pytest
 from repro.core.exceptions import EndpointError
 from repro.faas.client import FaaSClient
 from repro.faas.endpoint import SimulatedEndpoint
+from repro.faas.fabric import SimulatedFabric
 from repro.faas.service import FederatedFaaSService
-from repro.faas.types import ServiceLatencyModel
+from repro.faas.types import ServiceLatencyModel, TaskExecutionRecord
+from repro.scenarios.presets import SCENARIOS
+from repro.scenarios.spec import run_scenario
 from repro.sim.kernel import SimulationKernel
 
 from tests.faas.conftest import make_request, small_cluster
@@ -38,6 +41,13 @@ def add_endpoint(service, kernel, name="ep1", workers=4):
     return ep, uuid
 
 
+def collect(service):
+    """The results the service pushes to its callbacks, as they arrive."""
+    delivered = []
+    service.add_result_callback(delivered.append)
+    return delivered
+
+
 class TestRegistration:
     def test_register_returns_uuid(self):
         kernel = SimulationKernel()
@@ -66,9 +76,9 @@ class TestSubmissionPath:
         kernel = SimulationKernel()
         service = make_service(kernel, submit_latency_s=0.004, dispatch_latency_s=0.174)
         add_endpoint(service, kernel)
+        results = collect(service)
         service.submit("ep1", make_request(duration=1.0))
         kernel.run()
-        results = service.fetch_results()
         assert len(results) == 1
         assert results[0].started_at == pytest.approx(0.178)
         # submitted_at records the client-side submission time.
@@ -93,22 +103,47 @@ class TestSubmissionPath:
         kernel = SimulationKernel()
         service = make_service(kernel)
         add_endpoint(service, kernel, workers=8)
+        results = collect(service)
         service.submit_batch("ep1", [make_request(task_id=f"t{i}", duration=1.0) for i in range(5)])
         kernel.run()
-        assert len(service.fetch_results()) == 5
+        assert len(results) == 5
         assert service.submitted_count == 5
 
-    def test_fetch_results_max_items(self):
+    def test_every_callback_sees_every_result_once(self):
         kernel = SimulationKernel()
         service = make_service(kernel)
         add_endpoint(service, kernel, workers=8)
+        first, second = collect(service), collect(service)
         for i in range(4):
             service.submit("ep1", make_request(task_id=f"t{i}", duration=1.0))
         kernel.run()
-        first = service.fetch_results(max_items=3)
-        rest = service.fetch_results()
-        assert len(first) == 3
-        assert len(rest) == 1
+        assert sorted(r.task_id for r in first) == ["t0", "t1", "t2", "t3"]
+        assert first == second
+
+
+def test_a_streaming_run_leaves_the_service_holding_no_record(monkeypatch):
+    # Results reach the fabric by callback; the service keeps none of them.
+    services = []
+    init = SimulatedFabric.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        services.append(self.service)
+
+    monkeypatch.setattr(SimulatedFabric, "__init__", spy)
+    result = run_scenario(SCENARIOS["stream-steady"])
+    assert result.completed_tasks > 0
+    (service,) = services
+    assert isinstance(service, FederatedFaaSService)
+
+    def holds_a_record(value):
+        if isinstance(value, TaskExecutionRecord):
+            return True
+        if isinstance(value, dict):
+            value = list(value.values())
+        return isinstance(value, (list, tuple, set)) and any(map(holds_a_record, value))
+
+    assert not any(map(holds_a_record, vars(service).values()))
 
 
 class TestStatusStaleness:
@@ -154,24 +189,26 @@ class TestFaaSClient:
         service = make_service(kernel)
         add_endpoint(service, kernel, workers=16)
         client = FaaSClient(service, batch_size=4)
+        results = collect(service)
         for i in range(8):
             client.submit("ep1", make_request(task_id=f"t{i}", duration=1.0))
         assert client.submit_calls == 2
         assert client.queued_requests == 0
         kernel.run()
-        assert len(client.poll_results()) == 8
+        assert len(results) == 8
 
     def test_flush_sends_partial_batches(self):
         kernel = SimulationKernel()
         service = make_service(kernel)
         add_endpoint(service, kernel)
         client = FaaSClient(service, batch_size=100)
+        results = collect(service)
         client.submit("ep1", make_request(duration=1.0))
         assert client.queued_requests == 1
         client.flush()
         assert client.queued_requests == 0
         kernel.run()
-        assert len(client.poll_results()) == 1
+        assert len(results) == 1
 
     def test_batches_kept_per_endpoint(self):
         kernel = SimulationKernel()

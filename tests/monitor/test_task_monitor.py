@@ -5,6 +5,7 @@ import pytest
 from repro.data.remote_file import GlobusFile
 from repro.data.transfer import TransferRequest, TransferResult
 from repro.faas.types import TaskExecutionRecord
+from repro.monitor.store import HistoryStore
 from repro.monitor.task_monitor import TaskMonitor
 
 
@@ -33,7 +34,7 @@ def transfer_result(src="a", dst="b", size=10.0, success=True):
 
 class TestTaskObservation:
     def test_records_streamed_to_store_and_listeners(self):
-        monitor = TaskMonitor()
+        monitor = TaskMonitor(HistoryStore())
         seen = []
         monitor.add_task_listener(seen.append)
         monitor.observe_task(record())
@@ -78,7 +79,7 @@ class TestSuccessRates:
 
 class TestTransferObservation:
     def test_transfer_records_stored(self):
-        monitor = TaskMonitor()
+        monitor = TaskMonitor(HistoryStore())
         seen = []
         monitor.add_transfer_listener(seen.append)
         monitor.observe_transfer(transfer_result(), concurrency=2)
@@ -87,3 +88,16 @@ class TestTransferObservation:
         stored = monitor.store.transfer_records()[0]
         assert stored.concurrency == 2
         assert stored.duration_s == pytest.approx(2.0)
+
+
+class TestNoStore:
+    def test_without_a_store_observations_reach_listeners_only(self):
+        monitor = TaskMonitor(None)
+        seen = []
+        monitor.add_task_listener(seen.append)
+        monitor.add_transfer_listener(seen.append)
+        monitor.observe_task(record())
+        monitor.observe_transfer(transfer_result())
+        assert monitor.store is None
+        assert len(seen) == 2 and monitor.records_seen == 1
+        assert monitor.completed_task_count() == 1

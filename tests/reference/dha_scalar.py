@@ -14,6 +14,14 @@ these loops bit for bit.  Nothing under ``src/`` imports this module: tests
 inject the classes through the engine's ``scheduler=`` argument or by
 patching ``repro.sched._REGISTRY``.
 
+The claims — tasks placed on an endpoint and not yet dispatched — are a
+table kept by hand, as §IV-D describes them: taken when the scheduler places
+a task, moved with a re-scheduling move, and told about every placement and
+dispatch it did not make itself (:meth:`ReferenceDHAScheduler.note_placed`
+and :meth:`~ReferenceDHAScheduler.note_left`, which
+:meth:`~ReferenceDHAScheduler.observe` wires into an engine).  The product reads the task store's count instead; the
+differential tests assert the two agree.
+
 Predictions are read straight from the profilers on every query (they memoize
 by value themselves), so with mocking disabled every estimate re-reads the
 service through ``EndpointMonitor.mock`` — the §IV-B ablation's definition.
@@ -23,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dag import Task
 from repro.data import remote_file as _remote_file
+from repro.engine.events import TaskFailed, TaskPlaced
 from repro.sched.base import Placement, SchedulingContext
 from repro.sched.dha import DHAScheduler
 from repro.sched.heft import HEFTScheduler
@@ -70,7 +79,65 @@ def average_staging_time(context: SchedulingContext, task: Task) -> float:
 
 
 class ReferenceDHAScheduler(DHAScheduler):
-    """DHA's decisions as scalar loops; everything else is the product's."""
+    """DHA's decisions as scalar loops over a hand-kept claim table;
+    everything else is the product's."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        #: Claims per endpoint, and the endpoint each claimed task is headed to.
+        self._claims: Dict[str, int] = {}
+        self._headed: Dict[str, str] = {}
+        #: Bumped on every claim change (part of the no-op fingerprint).
+        self._claims_version = 0
+        #: Set by :meth:`observe`: the table is then complete, and every
+        #: scheduling pass first checks it against the task store.
+        self._observing = False
+
+    # ----------------------------------------------------------------- claims
+    def claimed(self, endpoint: str) -> int:
+        return self._claims.get(endpoint, 0)
+
+    def note_placed(self, task_id: str, endpoint: str) -> None:
+        """``task_id`` is headed to ``endpoint`` now: its claim moves there
+        (or is taken, for a task that held none)."""
+        previous = self._headed.get(task_id)
+        if previous == endpoint:
+            return
+        if previous is not None:
+            self._claims[previous] -= 1
+        self._headed[task_id] = endpoint
+        self._claims[endpoint] = self._claims.get(endpoint, 0) + 1
+        self._claims_version += 1
+
+    def note_left(self, task_id: str) -> None:
+        """``task_id`` was dispatched, or failed before it was: release its
+        claim."""
+        endpoint = self._headed.pop(task_id, None)
+        if endpoint is not None:
+            self._claims[endpoint] -= 1
+            self._claims_version += 1
+
+    def observe(self, engine) -> None:
+        """Keep the table from ``engine``: its placements and terminal
+        failures as announced on its bus, and each dispatch as it happens
+        (the prefetcher asks for hints within a dispatch round, before the
+        round's ``TasksDispatched`` is announced)."""
+        engine.bus.subscribe(TaskPlaced, lambda e: self.note_placed(e.task_id, e.endpoint))
+        engine.bus.subscribe(TaskFailed, lambda e: self.note_left(e.task_id))
+        dispatch = engine.dispatch.dispatch
+
+        def dispatched(task, *args):
+            self.note_left(task.task_id)
+            dispatch(task, *args)
+
+        engine.dispatch.dispatch = dispatched
+        self._observing = True
+
+    def _check_claims(self) -> None:
+        if self._observing:
+            store = self._require_context().graph.store
+            table = {name: count for name, count in self._claims.items() if count}
+            assert table == store.undispatched_by_endpoint(), (table, store.undispatched_by_endpoint())
 
     # ------------------------------------------------------------- priorities
     def _sweep(self, context: SchedulingContext, order: Sequence[Task]) -> None:
@@ -106,6 +173,7 @@ class ReferenceDHAScheduler(DHAScheduler):
             tuple((t.task_id, endpoint[t._row]) for t in pending_tasks),
             self._priority_epoch,
             self._claims_version,
+            self._slice_version,
             monitor.state_version,
             monitor.hardware_version,
             context.execution_profiler.prediction_version,
@@ -127,6 +195,7 @@ class ReferenceDHAScheduler(DHAScheduler):
     # -------------------------------------------------------------- scheduling
     def schedule(self, ready_tasks: Sequence[Task]) -> List[Placement]:
         self._require_context()
+        self._check_claims()
         missing = [t for t in ready_tasks if t.task_id not in self._priorities]
         if missing:
             self._compute_priorities(missing)
@@ -135,8 +204,7 @@ class ReferenceDHAScheduler(DHAScheduler):
             endpoint, finish = self._select_endpoint(task)
             if endpoint is None:
                 continue
-            self.claim(endpoint, 1)
-            self._pending_target[task.task_id] = endpoint
+            self.note_placed(task.task_id, endpoint)
             placements.append(
                 Placement(task_id=task.task_id, endpoint=endpoint, estimated_finish_s=finish)
             )
@@ -211,6 +279,7 @@ class ReferenceDHAScheduler(DHAScheduler):
     def _reschedule_pass(
         self, context: SchedulingContext, pending_tasks: Sequence[Task]
     ) -> List[Placement]:
+        self._check_claims()
         moves: List[Placement] = []
         # Spare capacity per endpoint beyond what is already heading there.
         spare: Dict[str, int] = {
@@ -254,9 +323,7 @@ class ReferenceDHAScheduler(DHAScheduler):
                 continue
             spare[best] -= 1
             # Release the claim on the old endpoint and take one on the new.
-            self.release_claim(current)
-            self.claim(best, 1)
-            self._pending_target[task.task_id] = best
+            self.note_placed(task.task_id, best)
             self.rescheduled_count += 1
             moves.append(
                 Placement(task_id=task.task_id, endpoint=best, estimated_finish_s=best_finish)

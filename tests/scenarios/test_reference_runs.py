@@ -5,7 +5,9 @@ patched into the scheduler registry, full scenarios — workload generation,
 staging, delay mechanism, re-scheduling, placement plan, prefetch hints,
 capacity slices — reproduce the committed golden digests of the product's
 array schedulers.  A single diverging placement anywhere in a run would
-cascade into a different event log and a different digest.
+cascade into a different event log and a different digest.  The reference
+keeps its claims by hand from the engine's events, and checks them against
+the task store's count before every scheduling pass.
 
 Likewise, with the paper's FIFO data manager of
 ``tests/reference/fifo_staging.py`` in place of the data plane, a
@@ -22,6 +24,7 @@ import repro.serving.manager
 from repro.dataplane.replica_store import ReplicaStore
 from repro.durability.runtime import reset_global_id_counters
 from repro.engine.bus import EventBus
+from repro.engine.core import ExecutionEngine
 from repro.scenarios.presets import SCENARIOS, paper_spec
 from repro.scenarios.spec import run_scenario
 
@@ -35,6 +38,14 @@ def use_reference_schedulers(monkeypatch):
     """Patch the reference classes in; returns the batch sizes they placed."""
     monkeypatch.setitem(repro.sched._REGISTRY, "DHA", ReferenceDHAScheduler)
     monkeypatch.setitem(repro.sched._REGISTRY, "HEFT", ReferenceHEFTScheduler)
+    init = ExecutionEngine.__init__
+
+    def observed(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if isinstance(self.scheduler, ReferenceDHAScheduler):
+            self.scheduler.observe(self)
+
+    monkeypatch.setattr(ExecutionEngine, "__init__", observed)
     batches = []
     schedule = ReferenceDHAScheduler.schedule
 

@@ -6,7 +6,7 @@ from typing import Dict
 import pytest
 
 from repro.core.config import Config, ExecutorSpec
-from repro.core.dag import Task, TaskGraph
+from repro.core.dag import Task, TaskGraph, TaskState
 from repro.core.functions import SimProfile, function
 from repro.data.remote_file import GlobusFile
 from repro.data.transfer import SimulatedTransferBackend
@@ -117,6 +117,13 @@ def add_task(graph: TaskGraph, deps=(), input_files=(), fn=generic_work) -> Task
     task.input_files = list(input_files)
     graph.add_task(task)
     return task
+
+
+def place(graph: TaskGraph, task: Task, endpoint: str, state=TaskState.SCHEDULED) -> None:
+    """Apply a placement the way the engine does: the endpoint, then a
+    placed-but-undispatched state (the task store then counts the claim)."""
+    graph.store.set_endpoint(task._row, endpoint)
+    graph.set_state(task, state)
 
 
 def input_file(size_mb: float, location: str) -> GlobusFile:

@@ -92,17 +92,3 @@ class TestPartitioning:
         scheduler = CapacityScheduler()
         with pytest.raises(RuntimeError):
             scheduler.schedule([])
-
-
-class TestSharedClaims:
-    def test_reinitialize_takes_old_claims_out_of_the_shared_totals(self):
-        bundle, scheduler = build({"a": EndpointSpec(workers=4), "b": EndpointSpec(workers=4)})
-        totals = {"a": 5}  # another tenant's claims
-        scheduler.claim("a", 2)
-        scheduler.share_claims(totals)
-        scheduler.claim("b", 1)
-        assert totals == {"a": 7, "b": 1}
-        scheduler.initialize(bundle.context)
-        assert totals == {"a": 5, "b": 0}
-        scheduler.claim("a", 1)  # still written through
-        assert totals == {"a": 6, "b": 0}

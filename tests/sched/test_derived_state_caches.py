@@ -21,7 +21,7 @@ from repro.placement.plan import PlacementPlan
 from repro.sched import vector
 from repro.sched.dha import DHAScheduler
 from tests.profiling.test_profilers import transfer_result
-from tests.sched.conftest import EndpointSpec, add_task, build_context, input_file
+from tests.sched.conftest import EndpointSpec, add_task, build_context, input_file, place
 from tests.sched.test_staging_quarantine import bundle_with_plane
 
 
@@ -111,10 +111,7 @@ def test_schedule_reschedule_and_hints_never_mutate_the_cached_mask():
 
     # Pin every task on the saturated endpoint and let the pass steal them.
     for task in tasks:
-        scheduler.release_claim(scheduler._pending_target[task.task_id])
-        task.assigned_endpoint = "a"
-        scheduler.claim("a", 1)
-        graph.set_state(task, TaskState.STAGED)
+        place(graph, task, "a", TaskState.STAGED)
     moves = scheduler.reschedule(tasks)
     # Warm candidates first; the overflow past their spare may go cold.
     assert moves and moves[0].endpoint in {"b", "d"}

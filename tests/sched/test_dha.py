@@ -8,7 +8,7 @@ from repro.core.dag import TaskState
 from repro.faas.types import TaskExecutionRecord
 from repro.sched.dha import DHAScheduler
 
-from tests.sched.conftest import EndpointSpec, add_task, build_context, input_file
+from tests.sched.conftest import EndpointSpec, add_task, build_context, input_file, place
 
 QIMING_HW = (24.0, 2.6, 64.0)
 TAIYI_HW = (40.0, 2.4, 192.0)
@@ -279,12 +279,13 @@ class TestDelayMechanism:
         t2 = add_task(bundle.graph)
         scheduler.on_workflow_submitted([t1, t2])
         for p in scheduler.schedule([t1, t2]):
-            bundle.graph.get(p.task_id).assigned_endpoint = p.endpoint
+            place(bundle.graph, bundle.graph.get(p.task_id), p.endpoint, TaskState.STAGED)
 
         assert scheduler.should_dispatch(t1)
         # Occupy the single worker.
         bundle.monitor.record_dispatch("a")
-        scheduler.on_task_dispatched(t1, "a")
+        bundle.graph.set_state(t1, TaskState.DISPATCHED)
+        assert scheduler.claimed("a") == 1
         assert not scheduler.should_dispatch(t2)
         # Worker frees up -> dispatch allowed again.
         bundle.monitor.record_completion("a")
@@ -318,9 +319,7 @@ class TestRescheduling:
         # Force the pending task onto the busy endpoint to simulate a stale decision.
         task = add_task(bundle.graph)
         scheduler.on_workflow_submitted([task])
-        task.assigned_endpoint = "busy"
-        scheduler.claim("busy", 1)
-        bundle.graph.set_state(task, TaskState.STAGED)
+        place(bundle.graph, task, "busy", TaskState.STAGED)
 
         moves = scheduler.reschedule([task])
         assert len(moves) == 1
@@ -333,8 +332,7 @@ class TestRescheduling:
         )
         task = add_task(bundle.graph)
         scheduler.on_workflow_submitted([task])
-        task.assigned_endpoint = "busy"
-        scheduler.claim("busy", 1)
+        place(bundle.graph, task, "busy")
         assert scheduler.reschedule([task]) == []
 
     def test_no_move_when_current_endpoint_can_start_task(self):
@@ -384,8 +382,6 @@ class TestRescheduling:
         )
         task = add_task(bundle.graph, input_files=[input_file(2000.0, "near")])
         scheduler.on_workflow_submitted([task])
-        task.assigned_endpoint = "busy"
-        scheduler.claim("busy", 1)
-        bundle.graph.set_state(task, TaskState.STAGED)
+        place(bundle.graph, task, "busy", TaskState.STAGED)
         moves = scheduler.reschedule([task])
         assert moves and moves[0].endpoint == "near"

@@ -1,8 +1,9 @@
 """Tests for the Locality scheduler."""
 
+from repro.core.dag import TaskState
 from repro.sched.locality import LocalityScheduler
 
-from tests.sched.conftest import EndpointSpec, add_task, build_context, input_file
+from tests.sched.conftest import EndpointSpec, add_task, build_context, input_file, place
 
 
 def build(endpoints):
@@ -40,10 +41,16 @@ class TestLocalitySelection:
         placements = scheduler.schedule(tasks)
         # Only two idle workers -> only two tasks placed this round.
         assert len(placements) == 2
-        # After the claims are released (dispatch), more tasks can be placed.
         for p in placements:
-            scheduler.on_task_dispatched(bundle.graph.get(p.task_id), p.endpoint)
+            place(bundle.graph, bundle.graph.get(p.task_id), p.endpoint)
+        # Placed but not dispatched: both workers are claimed.
+        assert scheduler.unclaimed_free_capacity("a") == 0
+        assert scheduler.schedule(tasks[2:]) == []
+        # Dispatch releases the claims, but the workers are now busy.
+        for p in placements:
+            bundle.graph.set_state(bundle.graph.get(p.task_id), TaskState.DISPATCHED)
             bundle.monitor.record_dispatch(p.endpoint)
+        assert scheduler.claimed("a") == 0
         more = scheduler.schedule(tasks[2:])
         assert len(more) == 0  # workers are now busy in the mocked view
 

@@ -8,15 +8,16 @@ steering (input roots, root masks) once per plan object.
 tuple over every pending task's id and target, a lambda-keyed sort cached by
 id tuple, roots re-derived per task — inside ``ReferenceDHAScheduler``.
 
-Over random operation sequences (placements, re-targets with and without a
-claim transfer, dispatches, completions, staging failures and re-placement,
-state changes outside the engine's flow, claims, capacity slices, plan swaps,
-profiler refits, replica moves) every pass asserts that:
+Over random operation sequences (placements, endpoint-pinned placements,
+re-targets through the engine and bare ones, dispatches, completions, staging
+failures and re-placement, state changes outside the engine's flow, capacity
+slices, plan swaps, profiler refits, replica moves) every pass asserts that:
 
 * the engine's candidate tuple is the parent's candidate list;
 * the product's fingerprint moves whenever the parent's tuple would;
 * the cached order equals the parent's sort;
-* the product's moves, claims and ``_pending_target`` equal the reference's.
+* the product's moves equal the reference's, and its claims (the task
+  store's count) the reference's hand-kept table.
 """
 
 import random
@@ -109,12 +110,13 @@ class World:
 
     # ------------------------------------------------------------ engine
     def placed(self, event):
-        """``StagingCoordinator.begin_staging``."""
+        """``StagingCoordinator.begin_staging``, and the reference told."""
         store, row = self.store, event.task._row
         store.set_endpoint(row, event.endpoint)
         store.set_state(row, TaskState.SCHEDULED)
         self.index.mark_undispatched(event.task)
         store.set_state(row, TaskState.STAGING)
+        self.reference.note_placed(event.task_id, event.endpoint)
 
     def both(self, method, *args):
         for scheduler in (self.product, self.reference):
@@ -154,7 +156,7 @@ class World:
                 store.set_state(task._row, TaskState.DISPATCHED)
                 self.index.clear_undispatched(task.task_id)
                 self.bundle.monitor.record_dispatch(endpoint)
-                self.both("on_task_dispatched", task, endpoint)
+                self.reference.note_left(task.task_id)
         elif kind == "complete":
             task = self.pick(state_codes(TaskState.DISPATCHED), a)
             if task is not None:
@@ -164,7 +166,6 @@ class World:
             # An execution failure re-placed (the failure ladder's publish).
             task = self.pick(state_codes(TaskState.DISPATCHED), a)
             if task is not None:
-                self.both("transfer_claim", None, NAMES[b % len(NAMES)])
                 self.placed(TaskPlaced.for_task(task, time=now, endpoint=NAMES[b % len(NAMES)]))
         elif kind == "stage_fail":
             task = self.pick(_PENDING, a, undispatched=True)
@@ -172,28 +173,31 @@ class World:
                 self.index.clear_undispatched(task.task_id)
                 self.context.release_task(task.task_id)
                 self.graph.set_state(task, TaskState.FAILED, now=now)
+                self.reference.note_left(task.task_id)
         elif kind == "retarget":
             task = self.pick(_PENDING, a, undispatched=True)
             if task is not None:
                 new = NAMES[b % len(NAMES)]
                 if b % 2:
-                    # The crash path: the claim follows the task.
-                    self.both("transfer_claim", task.assigned_endpoint, new)
+                    # The crash path: the failure coordinator re-places it.
                     self.placed(TaskPlaced.for_task(task, time=now, endpoint=new))
                 else:
-                    # A bare target change: no claim, no other version moves.
+                    # A bare target change: the claim follows the task, no
+                    # other version moves.
                     task.assigned_endpoint = new
+                    self.reference.note_placed(task.task_id, new)
         elif kind == "unstage":
             # A state change outside the engine's flow: the task stays in the
             # index but is no longer a candidate.
             task = self.pick(_PENDING, a, undispatched=True)
             if task is not None:
                 self.graph.set_state(task, TaskState.READY)
-        elif kind == "claim":
-            if b % 2:
-                self.both("claim", NAMES[a % len(NAMES)], 1)
-            else:
-                self.both("release_claim", NAMES[a % len(NAMES)])
+                self.reference.note_left(task.task_id)
+        elif kind == "pin":
+            # An endpoint-pinned task placed without the scheduler.
+            task = self.pick(state_codes(TaskState.READY), a)
+            if task is not None:
+                self.placed(TaskPlaced.for_task(task, time=now, endpoint=NAMES[b % len(NAMES)]))
         elif kind == "slice":
             capacity = None if a % 4 == 0 else {n: (a >> i) % 3 for i, n in enumerate(NAMES)}
             self.both("set_capacity_slice", capacity)
@@ -261,15 +265,14 @@ class World:
         else:
             assert not seen and reference_moves == []
             self.last = None
-        assert {k: v for k, v in product._claims.items() if v} == {
-            k: v for k, v in reference._claims.items() if v
-        }
-        assert product._pending_target == reference._pending_target
+        assert [product.claimed(name) for name in NAMES] == [
+            reference.claimed(name) for name in NAMES
+        ]
 
 
 KINDS = (
     "add", "add", "place", "place", "staged", "dispatch", "complete", "retry", "stage_fail",
-    "retarget", "retarget", "unstage", "claim", "slice", "plan", "refit", "capacity", "capacity",
+    "retarget", "retarget", "unstage", "pin", "slice", "plan", "refit", "capacity", "capacity",
     "replica", "pass", "pass", "pass",
 )
 OPS = st.lists(
@@ -308,12 +311,11 @@ def test_random_sequences_exercise_moves_and_skips():
 
 
 # --------------------------------------------------------- fingerprint
-def pending_on(bundle, scheduler, endpoint, count=1, files=()):
+def staged_on(bundle, scheduler, endpoint, count=1, files=()):
     tasks = [add_task(bundle.graph, input_files=files) for _ in range(count)]
     scheduler.on_workflow_submitted(tasks)
     for task in tasks:
         task.assigned_endpoint = endpoint
-        scheduler.claim(endpoint, 1)
         bundle.graph.set_state(task, TaskState.STAGED)
     return tasks
 
@@ -322,10 +324,10 @@ def test_a_bare_target_change_reopens_a_noop_pass():
     bundle = build_context({"current": EndpointSpec(workers=4), "other": EndpointSpec(workers=4)})
     scheduler = DHAScheduler()
     scheduler.initialize(bundle.context)
-    task = pending_on(bundle, scheduler, "current")[0]
+    task = staged_on(bundle, scheduler, "current")[0]
     assert scheduler.reschedule((task,)) == []
     noop = scheduler._resched_noop_fingerprint
-    task.assigned_endpoint = "other"  # no claim moved, no other version either
+    task.assigned_endpoint = "other"  # the store's version moves, nothing else
     assert scheduler._reschedule_fingerprint(bundle.context, (task,)) != noop
 
 
@@ -333,7 +335,7 @@ def test_an_unchanged_pool_is_recognised_by_identity():
     bundle = build_context({"current": EndpointSpec(workers=4), "other": EndpointSpec(workers=4)})
     scheduler = DHAScheduler()
     scheduler.initialize(bundle.context)
-    pool = tuple(pending_on(bundle, scheduler, "current", count=3))
+    pool = tuple(staged_on(bundle, scheduler, "current", count=3))
     assert scheduler.reschedule(pool) == []
     assert scheduler._resched_noop_fingerprint[0] is pool
     sorts = scheduler.sort_count
@@ -351,8 +353,8 @@ def test_a_pass_fills_rows_only_for_the_tasks_it_examines(monkeypatch):
     scheduler = DHAScheduler()
     scheduler.initialize(bundle.context)
     hot = input_file(80.0, "busy")
-    startable = pending_on(bundle, scheduler, "idle", count=2)
-    stuck = pending_on(bundle, scheduler, "busy", count=8, files=[hot])
+    startable = staged_on(bundle, scheduler, "idle", count=2)
+    stuck = staged_on(bundle, scheduler, "busy", count=8, files=[hot])
     index = bundle.context.ensure_arrays()
 
     requested = []

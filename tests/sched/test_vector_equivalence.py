@@ -29,11 +29,12 @@ from tests.reference.dha_scalar import (
     ReferenceHEFTScheduler,
     predicted_execution_time,
 )
-from tests.sched.conftest import EndpointSpec, add_task, build_context, input_file
+from tests.sched.conftest import EndpointSpec, add_task, build_context, input_file, place
 from tests.sched.test_dha import observe
 from tests.sched.test_staging_quarantine import bundle_with_plane
 
 HW = (24.0, 2.6, 64.0)
+STAGED = TaskState.STAGED
 
 
 def random_bundle(rng: random.Random):
@@ -81,6 +82,13 @@ def random_dag(bundle, names, rng: random.Random, tasks=()):
     return tasks
 
 
+def assert_claims_match(reference, product, names):
+    """The reference's hand-kept claims are the store's count."""
+    assert [reference.claimed(name) for name in names] == [
+        product.claimed(name) for name in names
+    ]
+
+
 def change_service_status(bundle, names, rng: random.Random):
     """The service's view moves: capacity everywhere, hardware at one site."""
     for name in names:
@@ -111,12 +119,11 @@ def test_dha_matches_the_reference(seed, mocking):
 
     ready = [t for t in tasks if t.state == TaskState.READY]
     # Hints under virtual claims (the prefetcher's batch model) agree and
-    # leave the scheduler's own claim table alone.
-    claims = (dict(product._claims), product._claims_version)
+    # claim nothing.
     for task in rng.sample(ready, min(len(ready), 6)):
         virtual = {name: rng.randint(0, 5) for name in rng.sample(names, rng.randint(0, len(names)))}
         assert reference.placement_hint(task, virtual) == product.placement_hint(task, virtual)
-    assert (product._claims, product._claims_version) == claims
+    assert_claims_match(reference, product, names)
     assert not product._vectors.claimed.any()
 
     placed_reference = reference.schedule(ready)
@@ -126,9 +133,8 @@ def test_dha_matches_the_reference(seed, mocking):
     # Stage the placements and churn the endpoint state, then compare the
     # re-scheduling moves (the delay-mechanism pool the paper steals from).
     for placement in placed_reference:
-        task = bundle.graph.get(placement.task_id)
-        task.assigned_endpoint = placement.endpoint
-        bundle.graph.set_state(task, TaskState.STAGED)
+        place(bundle.graph, bundle.graph.get(placement.task_id), placement.endpoint, STAGED)
+    assert_claims_match(reference, product, names)
     if mocking:
         for name in names[: rng.randint(1, len(names))]:
             for _ in range(rng.randint(0, 4)):
@@ -144,6 +150,9 @@ def test_dha_matches_the_reference(seed, mocking):
     assert moves_reference == moves_product
     for task in rng.sample(ready, min(len(ready), 3)):
         assert reference.placement_hint(task) == product.placement_hint(task)
+    for move in moves_product:
+        place(bundle.graph, bundle.graph.get(move.task_id), move.endpoint, STAGED)
+    assert_claims_match(reference, product, names)
 
     # With nothing changed since a no-move pass, both answer identically
     # (with mocking on, by skipping the pass).

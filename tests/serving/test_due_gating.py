@@ -20,8 +20,10 @@ from repro.engine.events import CapacityChanged
 from repro.engine.periodic import PeriodicCoordinator
 from repro.engine.placement import PlacementCoordinator
 from repro.scenarios.dynamics import DynamicsInjector, TimelineEvent
+from repro.scenarios.presets import SCENARIOS
 from repro.scenarios.spec import EndpointSpec, ScenarioSpec, WorkloadSpec, run_scenario
 from repro.serving.arbitration import FairShareArbitration, TenantShare
+from repro.serving.manager import WorkflowManager
 from repro.streaming.spec import StreamingSpec
 
 from tests.serving.serving_env import build_env
@@ -83,12 +85,14 @@ def rebuild(manager):
     names = manager.endpoint_monitor.endpoint_names()
     active = [h for h in manager.workflows() if h.started and not h.finished and not h.paused]
     demand, staged, terminal, undispatched = {}, {}, {}, {}
+    placed = Counter()
     for handle in active:
         cores = Counter()
         waiting = done = 0
         for task in handle.graph:
             if task.state in _UNDISPATCHED and task.assigned_endpoint is not None:
                 waiting += 1
+                placed[task.assigned_endpoint] += 1
             if task.state == TaskState.STAGED:
                 cores[task.assigned_endpoint] += task.cores
             if task.state in _TERMINAL:
@@ -98,7 +102,7 @@ def rebuild(manager):
         demand[wid] = len(handle.engine.index.queued_tasks()) + waiting
         staged[wid] = dict(cores)
         terminal[wid] = done
-    claims = {name: sum(h.scheduler.claimed(name) for h in active) for name in names}
+    claims = {name: placed[name] for name in names}
     free = {name: manager.endpoint_monitor.free_capacity(name) for name in names}
     return active, demand, staged, terminal, undispatched, claims, free
 
@@ -190,6 +194,23 @@ def test_incremental_aggregates_equal_a_brute_force_rebuild(policy, tenants, dyn
     assert all(h.finished for h in handles)
     assert checks["pump"] and checks["allocate"]
     assert nonzero(manager._claims) == {} and manager._staged == {} and not manager._due
+
+
+def test_the_claim_sum_is_zero_after_a_multi_tenant_preset(monkeypatch):
+    managers = []
+    run = WorkflowManager.run
+
+    def spy_run(self, *args, **kwargs):
+        managers.append(self)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(WorkflowManager, "run", spy_run)
+    result = run_scenario(SCENARIOS["multi-tenant"])
+    assert result.completed_tasks == result.total_tasks
+    (manager,) = managers
+    # The tenant stores wrote their placements through, and took every one
+    # of them out again by the end.
+    assert manager._claims and nonzero(manager._claims) == {}
 
 
 # ------------------------------------------------------ (c) fair-share is stateful

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from tests.serving.serving_env import build_env
-from repro.monitor.store import NullHistoryStore
 from repro.serving import WorkflowManager
 from repro.streaming import StreamingService, StreamingSpec
 from repro.workloads.spec import TaskTypeSpec, make_task_type
@@ -220,15 +219,14 @@ class TestUnboundedGrowthGuards:
         for model in profiler._models.values():
             assert len(model.samples) <= 16
 
-    def test_null_history_store_records_nothing(self):
+    def test_no_history_path_builds_no_history_store(self):
         env = build_env()
-        store = NullHistoryStore()
-        manager = make_manager(env, history_store=store)
-        service, _ = run_stream(manager, tasks_per_wf=4, max_arrivals=5, max_active=2)
+        manager = make_manager(env)
+        assert manager.config.history_db_path == ""
+        run_stream(manager, tasks_per_wf=4, max_arrivals=5, max_active=2)
         assert manager.retired_count == 5
-        assert store.task_records() == []
-        assert store.function_names() == []
-        assert store.task_count() == 0
+        assert manager.task_monitor.store is None
+        assert manager.task_monitor.records_seen == 5 * 4
 
 
 class TestPlanScope:
