@@ -1,12 +1,12 @@
 """Ablation — DHA's delay mechanism.
 
-Not a paper table, but a design choice of §IV-D (the ``should_dispatch()``
-gate of README.md's "Architecture" diagram): DHA selects an
-endpoint early (so staging can start immediately) yet delays the dispatch
-until the endpoint has idle workers, keeping staged tasks in the client
-queue where the re-scheduling mechanism can still move them.  Disabling the
-delay pushes tasks into endpoint queues immediately, shrinking the
-re-schedulable pool.
+Not a paper table, but a design choice of §IV-D (the
+``dispatch_allowance()`` gate of README.md's "Architecture" diagram): DHA
+selects an endpoint early (so staging can start immediately) yet delays the
+dispatch until the endpoint has idle workers, keeping staged tasks in the
+client queue where the re-scheduling mechanism can still move them.
+Disabling the delay pushes tasks into endpoint queues immediately, shrinking
+the re-schedulable pool.
 """
 
 import dataclasses

@@ -110,7 +110,7 @@ class ExecutionEngine:
         # Per-workflow state.
         self.graph = TaskGraph()
         self.bus = EventBus()
-        self.index = TaskIndex(self.graph.store)
+        self.index = TaskIndex()
         #: Workflow namespace prefixing this engine's task ids; "" (the
         #: single-workflow client) keeps the process-global task counter.
         self.namespace = namespace
@@ -311,14 +311,18 @@ class ExecutionEngine:
         run loop see recovery branches materialized by a terminal failure
         before it re-checks completion).
         """
-        before = len(self.graph)
-        for hook in self._growth_hooks:
-            hook()
+        grew = False
+        if self._growth_hooks:
+            store = self.graph.store
+            before = store.size
+            for hook in self._growth_hooks:
+                hook()
+            grew = store.size > before
         if self._pending_added:
             batch = self._pending_added
             self._pending_added = []
             self.scheduler.on_tasks_added(batch)
-        return len(self.graph) > before
+        return grew
 
     def pump_due(self) -> bool:
         """Whether the run loop must visit this workflow again next round

@@ -2,15 +2,19 @@
 
 The one handler of :class:`~repro.engine.events.StagingDone`: a staged task
 joins its endpoint's client queue, and a failed ticket goes to the failure
-coordinator (§IV-G).  Each pump round the coordinator walks every queue head
-and asks the scheduler whether the task may leave (DHA's delay mechanism
-hooks in through :meth:`~repro.sched.base.Scheduler.should_dispatch`);
-dispatching builds the execution request, submits it to the fabric and tells
-the endpoint monitor (mock update) and — when the task has successors to
-feed — the prefetcher.  Leaving STAGED releases the task's claim: the task
-store's pending-dispatch count is the one claim count.  The round's
-dispatches are announced as one :class:`~repro.engine.events.TasksDispatched`
-event.
+coordinator (§IV-G).  Each pump round the coordinator walks every endpoint's
+queue from the head.  The delay mechanism is one question per endpoint:
+:meth:`~repro.sched.base.Scheduler.dispatch_allowance`, asked at the first
+head the round's budget lets through and spent like the budget.  With
+mocking on, a task the allowance let through takes its cores from the mock's
+free capacity, so the spent allowance is what a fresh read would return;
+with it off every read re-synchronises against the service, so the walk
+asks again after each dispatch.  Dispatching builds the execution request,
+submits it to the fabric and tells the endpoint monitor (mock update) and —
+when the task has successors to feed — the prefetcher.  Leaving STAGED
+releases the task's claim: the task store's pending-dispatch count is the
+one claim count.  The round's dispatches are announced as one
+:class:`~repro.engine.events.TasksDispatched` event.
 """
 
 from __future__ import annotations
@@ -46,23 +50,30 @@ class DispatchCoordinator:
     def dispatch_staged(
         self, force: bool = False, budget: Optional[Mapping[str, int]] = None
     ) -> bool:
-        """Dispatch queue heads the scheduler clears; True when any left.
+        """Dispatch the queue heads the scheduler's allowance covers; True
+        when any left.
 
         ``budget`` (multi-workflow serving) bounds how many workers' worth of
         tasks may leave per endpoint this round — the arbitration policy's
         per-tenant slice of the federation's free capacity.  Endpoints absent
         from the budget get nothing; ``None`` (single-workflow) is unbounded.
+        ``force`` dispatches past the scheduler's allowance, never past the
+        budget.
         """
         engine = self._engine
         store = engine.graph.store
         names = store.endpoint_names
+        allowance_of = engine.scheduler.dispatch_allowance
+        mocked = engine.endpoint_monitor.mocking_enabled
         now = engine.clock.now()
         dispatched_any = False
         # The round's dispatches fold into one TasksDispatched event.
         batch: List[Task] = []
         batch_log: List[tuple] = []
         for endpoint, queue in self._staged_queues.items():
-            allowance = None if budget is None else budget.get(endpoint, 0)
+            left = None if budget is None else budget.get(endpoint, 0)
+            asked = False
+            allowance = None
             while queue:
                 task = queue[0]
                 row = task._row
@@ -71,14 +82,23 @@ class DispatchCoordinator:
                     queue.popleft()
                     continue
                 cores = int(store.cores[row])
-                if allowance is not None and allowance < cores:
+                if left is not None and left < cores:
                     break
-                if not force and not engine.scheduler.should_dispatch(task):
-                    break
+                if not force:
+                    if not asked:
+                        allowance = allowance_of(endpoint)
+                        asked = True
+                    if allowance is not None and allowance < cores:
+                        break
                 queue.popleft()
                 self.dispatch(task, endpoint, now, batch, batch_log)
+                if left is not None:
+                    left -= cores
                 if allowance is not None:
-                    allowance -= cores
+                    if mocked:
+                        allowance -= cores
+                    else:
+                        asked = False
                 dispatched_any = True
         if batch:
             engine.bus.publish(

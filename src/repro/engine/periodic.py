@@ -12,11 +12,11 @@ identically under the simulated and wall clocks:
 * **re-scheduling** — offer the not-yet-dispatched tasks back to the
   scheduler (DHA's task stealing, §IV-D);
 
-plus the metrics sampler, which reads the per-endpoint pending counts
-straight from the incremental :class:`~repro.engine.state.TaskIndex` instead
-of re-scanning every undispatched task.  Work on the shared substrate is
-not a tenant's: elastic scaling (§IV-H) and the profiler refresh (§IV-C,
-retraining the execution / transfer models every
+plus the metrics sampler, which hands the collector the fabric's worker
+counts and the task store's live per-endpoint pending counts as they are:
+no status object is built and no undispatched task is re-scanned.  Work on
+the shared substrate is not a tenant's: elastic scaling (§IV-H) and the
+profiler refresh (§IV-C, retraining the execution / transfer models every
 ``profiler_update_interval_s`` on what the whole federation observed) are
 federation cadences of the run loop
 (:meth:`~repro.serving.manager.WorkflowManager.run`), paid once however many
@@ -109,11 +109,11 @@ class PeriodicCoordinator:
     # ---------------------------------------------------------- re-scheduling
     def run_rescheduling(self) -> None:
         engine = self._engine
-        index = engine.index
-        if not index.undispatched_count:
-            return
         graph = engine.graph
         store = graph.store
+        if not store.undispatched_count:
+            return
+        index = engine.index
         key = (index.undispatched_epoch, store.pending_version)
         if key != self._resched_key:
             self._resched_key = key
@@ -149,7 +149,7 @@ class PeriodicCoordinator:
         self._last_metrics_sample = now
         engine.metrics.sample(
             now,
-            engine.fabric.worker_snapshot(),
+            engine.fabric.worker_counts(),
             engine.data_manager.active_staging_tasks(),
-            engine.index.undispatched_by_endpoint(),
+            engine.graph.store.pending_dispatch,
         )

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.dag import Task
-from repro.engine.store import TaskStore
 
 __all__ = ["TaskIndex"]
 
@@ -32,12 +31,15 @@ class TaskIndex:
       dispatched (scheduled/staging/staged), in *placement order* (what the
       re-scheduling pass walks).  Their counts, in total and per endpoint,
       for the metrics sampler and the scaling strategy, are the running
-      aggregates of the graph's :class:`TaskStore`.
+      aggregates of the graph's :class:`TaskStore`
+      (``undispatched_count``, ``pending_dispatch``).
     """
 
-    def __init__(self, store: TaskStore) -> None:
-        self._store = store
+    def __init__(self) -> None:
         self._pending_schedule: Dict[str, Task] = {}
+        #: Tasks awaiting scheduling (a plain count the run loop reads every
+        #: visit).
+        self.queued_count = 0
         self._undispatched: Dict[str, Task] = {}  # insertion-ordered
         #: Bumped whenever the undispatched set's *membership* changes; the
         #: periodic re-scheduling pass caches its candidate list keyed by
@@ -47,18 +49,18 @@ class TaskIndex:
     # ------------------------------------------------------ scheduling queue
     def enqueue(self, task: Task) -> None:
         """Add a ready task to the scheduling queue (idempotent)."""
-        self._pending_schedule.setdefault(task.task_id, task)
+        queue = self._pending_schedule
+        if task.task_id not in queue:
+            queue[task.task_id] = task
+            self.queued_count += 1
 
     def remove_queued(self, task_id: str) -> None:
-        self._pending_schedule.pop(task_id, None)
+        if self._pending_schedule.pop(task_id, None) is not None:
+            self.queued_count -= 1
 
     def queued_tasks(self) -> List[Task]:
         """Tasks awaiting scheduling, in arrival order."""
         return list(self._pending_schedule.values())
-
-    @property
-    def queued_count(self) -> int:
-        return len(self._pending_schedule)
 
     # --------------------------------------------------- undispatched index
     def mark_undispatched(self, task: Task) -> None:
@@ -77,11 +79,3 @@ class TaskIndex:
     def undispatched_tasks(self) -> List[Task]:
         """Undispatched tasks in placement order (deterministic)."""
         return list(self._undispatched.values())
-
-    @property
-    def undispatched_count(self) -> int:
-        return self._store.undispatched_count
-
-    def undispatched_by_endpoint(self) -> Dict[str, int]:
-        """Non-zero per-endpoint counts of tasks awaiting dispatch."""
-        return self._store.undispatched_by_endpoint()

@@ -63,7 +63,8 @@ class TaskStore:
 
     def __init__(self) -> None:
         self._capacity = _GROW
-        self._size = 0
+        #: Rows registered: the graph's task count, as a plain read.
+        self.size = 0
         self.state = np.full(self._capacity, PENDING_CODE, dtype=np.int8)
         self.cores = np.ones(self._capacity, dtype=np.int32)
         self.input_mb = np.zeros(self._capacity, dtype=np.float64)
@@ -88,9 +89,10 @@ class TaskStore:
         self.staged_cores: Dict[str, int] = {}
         #: Bumped whenever :attr:`staged_cores` changes.
         self.staged_version = 0
-        #: Tasks placed but not yet dispatched, per endpoint (non-zero):
-        #: the schedulers' claims (:meth:`pending_on`) ...
-        self._pending_dispatch: Dict[str, int] = {}
+        #: Tasks placed but not yet dispatched, per endpoint (non-zero
+        #: entries; live, read-only outside the store): the schedulers'
+        #: claims (:meth:`pending_on`), the metrics sampler's pending series ...
+        self.pending_dispatch: Dict[str, int] = {}
         #: ... written through to a federation-wide per-endpoint sum while
         #: the serving layer counts this store in it (:meth:`share_pending`) ...
         self._shared_pending: Optional[Dict[str, int]] = None
@@ -109,7 +111,7 @@ class TaskStore:
 
     # --------------------------------------------------------------- basics
     def __len__(self) -> int:
-        return self._size
+        return self.size
 
     def intern_endpoint(self, name: str) -> int:
         idx = self._endpoint_index.get(name)
@@ -125,11 +127,11 @@ class TaskStore:
             old = getattr(self, name)
             fill = -1 if name == "endpoint" else 0
             grown = np.full(new_capacity, fill, dtype=old.dtype)
-            grown[: self._size] = old[: self._size]
+            grown[: self.size] = old[: self.size]
             setattr(self, name, grown)
         for name, old in self.timestamps.items():
             grown = np.full(new_capacity, np.nan, dtype=np.float64)
-            grown[: self._size] = old[: self._size]
+            grown[: self.size] = old[: self.size]
             self.timestamps[name] = grown
         self._capacity = new_capacity
 
@@ -138,10 +140,10 @@ class TaskStore:
             endpoint: Optional[str], timestamps: Optional[Mapping] = None) -> int:
         """Register a task (``timestamps`` by field name, ``None`` or absent =
         unset) and return its stable row index."""
-        if self._size == self._capacity:
+        if self.size == self._capacity:
             self._grow()
-        row = self._size
-        self._size += 1
+        row = self.size
+        self.size += 1
         code = STATE_CODES[state]
         self.state[row] = code
         self.cores[row] = cores
@@ -207,7 +209,7 @@ class TaskStore:
         on it): a decrement that reaches zero deletes the entry, and an
         increment never reaches zero (counts and cores are >= 1).
         """
-        pending, staged = self._pending_dispatch, self.staged_cores
+        pending, staged = self.pending_dispatch, self.staged_cores
         shared = self._shared_pending
         if old_ep >= 0:
             name = self.endpoint_names[old_ep]
@@ -252,7 +254,7 @@ class TaskStore:
 
     def rows_in_states(self, *states: TaskState) -> np.ndarray:
         """Row indices of tasks in any of ``states``, in insertion order."""
-        view = self.state[: self._size]
+        view = self.state[: self.size]
         codes = [STATE_CODES[s] for s in states]
         mask = view == codes[0]
         for code in codes[1:]:
@@ -266,8 +268,8 @@ class TaskStore:
         produces: identical IEEE subtraction on the identical float64 values,
         in the identical (insertion) order.
         """
-        ready = self.timestamps["ready"][: self._size]
-        started = self.timestamps["started"][: self._size]
+        ready = self.timestamps["ready"][: self.size]
+        started = self.timestamps["started"][: self.size]
         mask = ~np.isnan(ready) & ~np.isnan(started)
         return np.maximum(0.0, started[mask] - ready[mask])
 
@@ -281,11 +283,11 @@ class TaskStore:
 
     def pending_on(self, endpoint: str) -> int:
         """Tasks placed on ``endpoint`` but not yet dispatched."""
-        return self._pending_dispatch.get(endpoint, 0)
+        return self.pending_dispatch.get(endpoint, 0)
 
     def pending_counts(self, endpoints: Sequence[str]) -> List[int]:
         """:meth:`pending_on` of each of ``endpoints``, in order."""
-        return list(map(self._pending_dispatch.get, endpoints, repeat(0)))
+        return list(map(self.pending_dispatch.get, endpoints, repeat(0)))
 
     def share_pending(self, totals: Optional[Dict[str, int]]) -> None:
         """Keep ``totals`` — a per-endpoint sum over several stores — current
@@ -298,13 +300,13 @@ class TaskStore:
         """
         for sign, target in ((-1, self._shared_pending), (1, totals)):
             if target is not None:
-                for name, count in self._pending_dispatch.items():
+                for name, count in self.pending_dispatch.items():
                     target[name] = target.get(name, 0) + sign * count
         self._shared_pending = totals
 
     def undispatched_by_endpoint(self) -> Dict[str, int]:
         """Tasks placed but not yet dispatched, per endpoint (non-zero)."""
-        return self._in_intern_order(self._pending_dispatch)
+        return self._in_intern_order(self.pending_dispatch)
 
     def _in_intern_order(self, counts: Dict[str, int]) -> Dict[str, int]:
         # A stable key order whatever order the entries came and went in.

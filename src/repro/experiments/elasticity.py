@@ -97,7 +97,7 @@ def run_elasticity_experiment(
             else env.endpoint(name).queued_tasks
             for name in caps
         }
-        metrics.sample(env.kernel.now(), env.fabric.worker_snapshot(), 0, pending)
+        metrics.sample(env.kernel.now(), env.fabric.worker_counts(), 0, pending)
 
     # Regular sampling independent of the client loop so scale-down during
     # idle periods is captured too.

@@ -10,7 +10,7 @@ thread-pool endpoints on the local machine
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -82,18 +82,14 @@ class ExecutionFabric(ABC):
         return 0
 
     # -------------------------------------------------------------- metrics
-    def worker_snapshot(self) -> Dict[str, Dict[str, int]]:
-        """Per-endpoint worker counters for the metrics collector."""
-        snapshot: Dict[str, Dict[str, int]] = {}
+    def worker_counts(self) -> Dict[str, Tuple[int, int]]:
+        """``{endpoint: (active workers, busy workers)}`` (ground truth), what
+        the metrics collector samples."""
+        counts: Dict[str, Tuple[int, int]] = {}
         for name in self.endpoint_names():
             status = self.true_status(name)
-            snapshot[name] = {
-                "active": status.active_workers,
-                "busy": status.busy_workers,
-                "idle": status.idle_workers,
-                "pending": status.pending_tasks,
-            }
-        return snapshot
+            counts[name] = (status.active_workers, status.busy_workers)
+        return counts
 
 
 class SimulatedFabric(ExecutionFabric):
@@ -131,6 +127,11 @@ class SimulatedFabric(ExecutionFabric):
 
     def speed_factor(self, name: str) -> float:
         return self.service.endpoint(name).speed_factor
+
+    def worker_counts(self) -> Dict[str, Tuple[int, int]]:
+        # The endpoints' counters as they are: a metrics sample builds no
+        # status snapshot.
+        return self.service.worker_counts()
 
     # ------------------------------------------------------------ execution
     def build_request(self, task: Task) -> TaskExecutionRequest:

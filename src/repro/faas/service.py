@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.exceptions import EndpointError
 from repro.faas.endpoint import SimulatedEndpoint
@@ -65,6 +65,14 @@ class FederatedFaaSService:
             return self._endpoints[name]
         except KeyError:
             raise EndpointError(f"unknown endpoint {name!r}") from None
+
+    def worker_counts(self) -> Dict[str, Tuple[int, int]]:
+        """``{endpoint: (active workers, busy workers)}``, read off the
+        endpoints' own counters (ground truth, not the status cache)."""
+        counts: Dict[str, Tuple[int, int]] = {}
+        for name, endpoint in self._endpoints.items():
+            counts[name] = (endpoint._active_workers, endpoint._busy_workers)
+        return counts
 
     def endpoint_uuid(self, name: str) -> str:
         self.endpoint(name)

@@ -20,7 +20,7 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
     "LatencyBreakdown",
@@ -295,27 +295,43 @@ class MetricsCollector:
     def sample(
         self,
         now: float,
-        worker_snapshot: Dict[str, Dict[str, int]],
+        worker_counts: Mapping[str, Tuple[int, int]],
         staging_tasks: int,
-        pending_by_endpoint: Optional[Dict[str, int]] = None,
+        pending_by_endpoint: Optional[Mapping[str, int]] = None,
     ) -> None:
-        """Record one sample of the system state (periodic)."""
+        """Record one sample of the system state (periodic).
+
+        ``worker_counts`` is ``{endpoint: (active, busy)}``.  With
+        ``pending_by_endpoint`` given, every endpoint of ``worker_counts``
+        gets a pending sample, 0 where the mapping has no entry, so a
+        drained endpoint's series returns to zero.
+        """
+        # Appended to the series' lists in place: a sample is a handful of
+        # list appends, not a method call per value.
         total_active = 0
         total_busy = 0
-        for endpoint, counters in worker_snapshot.items():
-            active = counters.get("active", 0)
-            busy = counters.get("busy", 0)
-            self.active_workers[endpoint].append(now, active)
-            self.busy_workers[endpoint].append(now, busy)
+        for endpoint, (active, busy) in worker_counts.items():
+            series = self.active_workers[endpoint]
+            series.times.append(now)
+            series.values.append(active)
+            series = self.busy_workers[endpoint]
+            series.times.append(now)
+            series.values.append(busy)
             total_active += active
             total_busy += busy
         utilization = (total_busy / total_active * 100.0) if total_active else 0.0
-        self.utilization.append(now, utilization)
-        self.staging_tasks.append(now, staging_tasks)
-        self.rescheduled_tasks_series.append(now, self.rescheduled_count)
-        if pending_by_endpoint:
-            for endpoint, pending in pending_by_endpoint.items():
-                self.pending_tasks[endpoint].append(now, pending)
+        for series, value in (
+            (self.utilization, utilization),
+            (self.staging_tasks, staging_tasks),
+            (self.rescheduled_tasks_series, self.rescheduled_count),
+        ):
+            series.times.append(now)
+            series.values.append(value)
+        if pending_by_endpoint is not None:
+            for endpoint in worker_counts:
+                series = self.pending_tasks[endpoint]
+                series.times.append(now)
+                series.values.append(pending_by_endpoint.get(endpoint, 0))
 
     # ---------------------------------------------------------------- summary
     @property

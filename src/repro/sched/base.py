@@ -1,8 +1,8 @@
 """Scheduler interface and shared scheduling context.
 
 The orchestration engine is scheduler-agnostic: every pump of its main loop
-it offers the scheduler the currently ready-but-unplaced tasks, asks whether
-staged tasks may be dispatched (DHA's delay mechanism hooks in here), and
+it offers the scheduler the currently ready-but-unplaced tasks, asks how many
+staged tasks each endpoint may take (DHA's delay mechanism hooks in here), and
 periodically offers the not-yet-dispatched tasks for re-scheduling.  The
 scheduler sees the system exclusively through :class:`SchedulingContext` —
 the endpoint monitor's mocked real-time view, the two profilers and the data
@@ -252,9 +252,16 @@ class Scheduler(ABC):
     def schedule(self, ready_tasks: Sequence[Task]) -> List[Placement]:
         """Place (a subset of) the ready tasks onto endpoints."""
 
-    def should_dispatch(self, task: Task) -> bool:
-        """Gate dispatch of a staged task (delay mechanism hook)."""
-        return True
+    def dispatch_allowance(self, endpoint: str) -> Optional[int]:
+        """Workers' worth of staged tasks that may leave for ``endpoint`` now
+        (the delay mechanism's gate); ``None`` leaves the endpoint ungated.
+
+        The dispatch walk asks once per endpoint per round, at the first
+        queue head its budget lets through, and spends the answer as it
+        dispatches: each task takes its cores, and a head needing more than
+        is left waits.
+        """
+        return None
 
     def reschedule(self, pending_tasks: Sequence[Task]) -> List[Placement]:
         """Re-scheduling pass over not-yet-dispatched tasks.  Optional."""

@@ -276,9 +276,10 @@ class DHAScheduler(Scheduler):
             finish = vectors.finish_row(exec_matrix[row], stag_matrix[row])
             mask = self._selection_mask(plan, task, names, warm_mask)
             if mask is not None:
-                column = int(np.where(mask, finish, np.inf).argmin())
-            else:
-                column = int(finish.argmin())
+                # A fresh row, and never an all-False mask: the chosen
+                # column keeps its estimate.
+                finish[~mask] = np.inf
+            column = int(finish.argmin())
             # Claim as you go: the placement reaches the store only when the
             # engine applies it, after this batch.
             vectors.claimed[column] += 1
@@ -442,21 +443,15 @@ class DHAScheduler(Scheduler):
         names = arrays.endpoint_names
         mask = self._selection_mask(self._current_plan(), task, names, self._warm_mask(names))
         if mask is not None:
-            finish = np.where(mask, finish, np.inf)
+            finish[~mask] = np.inf
         return names[int(finish.argmin())]
 
     # --------------------------------------------------------- delay mechanism
-    def should_dispatch(self, task: Task) -> bool:
+    def dispatch_allowance(self, endpoint: str) -> Optional[int]:
         if not self.uses_delay_mechanism:
-            return True
-        context = self._require_context()
-        store = context.graph.store
-        column = store.endpoint[task._row]
-        if column < 0:
-            return False
-        # Dispatch only when the (mocked) endpoint can start the task now.
-        free = context.endpoint_monitor.free_capacity(store.endpoint_names[column])
-        return free >= int(store.cores[task._row])
+            return None
+        # Dispatch only what the (mocked) endpoint can start now.
+        return self._require_context().endpoint_monitor.free_capacity(endpoint)
 
     # ------------------------------------------------------------ rescheduling
     def reschedule(self, pending_tasks: Sequence[Task]) -> List[Placement]:
@@ -583,7 +578,8 @@ class DHAScheduler(Scheduler):
             row = arrays.rows((task,), default)[0]
             finish = vectors.finish_row(arrays.exec_matrix[row], arrays.staging_matrix[row])
             current_finish = finish[column]
-            best_column = int(np.where(candidates, finish, np.inf).argmin())
+            finish[~candidates] = np.inf
+            best_column = int(finish.argmin())
             best_finish = finish[best_column]
             if best_finish >= current_finish:
                 continue

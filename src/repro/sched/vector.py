@@ -479,5 +479,5 @@ class EndpointStateVectors:
         idle = self._idle
         backlog = self.pending + self.claimed - idle
         wait = np.maximum(0, backlog) * exec_row / self._workers
-        wait = np.where(idle <= 0, wait + 0.5 * exec_row, wait)
+        np.add(wait, 0.5 * exec_row, out=wait, where=idle <= 0)
         return np.maximum(stag_row, wait) + exec_row

@@ -960,11 +960,11 @@ class WorkflowManager:
         sizes = self._demand_size
         placeable: List[WorkflowHandle] = []
         for handle in visited:
-            index = handle.engine.index
-            queued = index.queued_count
+            engine = handle.engine
+            queued = engine.index.queued_count
             if queued:
                 placeable.append(handle)
-            size = queued + index.undispatched_count
+            size = queued + engine.graph.store.undispatched_count
             if size != sizes[handle.workflow_id]:
                 sizes[handle.workflow_id] = size
                 self._demand[handle.workflow_id] = dict.fromkeys(free, size)

@@ -6,7 +6,6 @@ import pytest
 from repro.core.dag import Task, TaskGraph, TaskState
 from repro.core.functions import SimProfile, function
 from repro.engine.state import TaskIndex
-from repro.engine.store import TaskStore
 
 from tests.integration.conftest import build_two_site_env
 
@@ -18,7 +17,7 @@ def engine_work(data=None):
 
 class TestTaskIndex:
     def test_queue_preserves_arrival_order(self):
-        index = TaskIndex(TaskStore())
+        index = TaskIndex()
         tasks = [Task(function=engine_work) for _ in range(3)]
         for task in tasks:
             index.enqueue(task)
@@ -32,7 +31,8 @@ class TestTaskIndex:
         # The index keeps the placement order; the counts are the aggregates
         # of the graph's store, which follow task state and endpoint.
         graph = TaskGraph()
-        index = TaskIndex(graph.store)
+        index = TaskIndex()
+        store = graph.store
         t1, t2, t3 = tasks = [Task(function=engine_work) for _ in range(3)]
         for task in tasks:
             graph.add_task(task, now=0.0)
@@ -49,25 +49,25 @@ class TestTaskIndex:
         place(t1, "a")
         place(t2, "a")
         place(t3, "b")
-        assert index.undispatched_by_endpoint() == {"a": 2, "b": 1}
+        assert store.undispatched_by_endpoint() == {"a": 2, "b": 1}
         epoch = index.undispatched_epoch
         # A re-scheduling move shifts the count, O(1), and keeps t1's place
         # in the order: the membership (the epoch) did not change.
         place(t1, "b")
-        assert index.undispatched_by_endpoint() == {"a": 1, "b": 2}
+        assert store.undispatched_by_endpoint() == {"a": 1, "b": 2}
         assert index.undispatched_epoch == epoch
         assert index.undispatched_tasks() == tasks
         dispatch(t2)
         dispatch(t3)
-        assert index.undispatched_by_endpoint() == {"b": 1}
+        assert store.undispatched_by_endpoint() == {"b": 1}
         assert index.undispatched_tasks() == [t1]
-        assert index.undispatched_count == 1
+        assert store.undispatched_count == 1
         assert index.undispatched_epoch == epoch + 2
 
     def test_clear_unknown_task_is_a_noop(self):
-        index = TaskIndex(TaskStore())
+        index = TaskIndex()
         index.clear_undispatched("missing")
-        assert index.undispatched_count == 0
+        assert index.undispatched_tasks() == []
         assert index.undispatched_epoch == 0
 
 

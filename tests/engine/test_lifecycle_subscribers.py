@@ -76,7 +76,7 @@ class TestOneSubscriber:
         assert failed[0].endpoint == "site_b"
         assert task.task_id not in plane.store._pins_by_task
         assert client.summary().failed_tasks == 1
-        assert client.engine.index.undispatched_count == 0
+        assert client.engine.graph.store.undispatched_count == 0
 
     def test_placing_a_guessed_task_releases_its_virtual_claim(self):
         _, client = build_client(names=("site_a", "site_b", "site_c"))

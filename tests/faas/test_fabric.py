@@ -102,11 +102,17 @@ class TestSimulatedFabric:
         with pytest.raises(EndpointError):
             fabric.submit("nope", fabric.build_request(task))
 
-    def test_worker_snapshot(self):
-        _, _, fabric = build_sim_fabric()
-        snapshot = fabric.worker_snapshot()
-        assert snapshot["ep0"]["active"] == 4
-        assert snapshot["ep0"]["busy"] == 0
+    def test_worker_counts_are_the_true_status(self):
+        kernel, _, fabric = build_sim_fabric()
+        fabric.submit("ep1", fabric.build_request(Task(function=sim_work)))
+        fabric.flush()
+        kernel.run(until=kernel.now() + 1.0)
+        counts = fabric.worker_counts()
+        assert list(counts) == fabric.endpoint_names()
+        for name, (active, busy) in counts.items():
+            status = fabric.true_status(name)
+            assert (active, busy) == (status.active_workers, status.busy_workers)
+        assert counts == {"ep0": (4, 0), "ep1": (4, 1)}
 
     def test_scaling_passthrough(self):
         kernel, service, fabric = build_sim_fabric(workers=0)
@@ -183,6 +189,7 @@ class TestLocalFabric:
         assert status.active_workers == 3
         assert fabric.speed_factor("local") == 2.0
         assert fabric.endpoint_names() == ["local"]
+        assert fabric.worker_counts() == {"local": (3, 0)}
         fabric.shutdown()
 
     def test_invalid_worker_count(self):

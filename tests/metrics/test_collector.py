@@ -41,7 +41,7 @@ class TestMetricsCollector:
         collector = MetricsCollector(sample_interval_s=1.0)
         collector.sample(
             0.0,
-            {"a": {"active": 10, "busy": 5}, "b": {"active": 10, "busy": 10}},
+            {"a": (10, 5), "b": (10, 10)},
             staging_tasks=3,
         )
         assert collector.utilization.values == [75.0]
@@ -75,6 +75,29 @@ class TestMetricsCollector:
         assert summary.rescheduled_tasks == 3
         assert summary.scheduler_overhead_per_task_s == pytest.approx(0.001)
         assert summary.as_dict()["completed_tasks"] == 1
+
+    def test_every_endpoint_gets_a_pending_sample(self):
+        collector = MetricsCollector(sample_interval_s=1.0)
+        workers = {"a": (2, 1), "b": (2, 2)}
+        collector.sample(0.0, workers, 0, {"b": 3})
+        collector.sample(1.0, workers, 0, {})
+        assert collector.pending_tasks["a"].values == [0, 0]
+        assert collector.pending_tasks["b"].values == [3, 0]
+        assert collector.pending_tasks["b"].times == [0.0, 1.0]
+        # No pending mapping, no pending series.
+        collector.sample(2.0, workers, 0)
+        assert len(collector.pending_tasks["a"]) == 2
+
+    def test_pending_series_returns_to_zero_when_a_run_drains(self):
+        from repro.scenarios.presets import get_scenario
+        from repro.scenarios.spec import run_scenario
+
+        metrics = run_scenario(get_scenario("ci-smoke"), seed=0).metrics
+        assert set(metrics.pending_tasks) == set(metrics.active_workers)
+        for endpoint, series in metrics.pending_tasks.items():
+            assert series.times == metrics.active_workers[endpoint].times
+            assert series.last() == 0
+        assert max(max(s.values) for s in metrics.pending_tasks.values()) > 0
 
     def test_zero_division_guards(self):
         collector = MetricsCollector()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dag import TaskState
+from repro.core.exceptions import EndpointError
 from repro.faas.types import TaskExecutionRecord
 from repro.sched.dha import DHAScheduler
 
@@ -273,7 +274,7 @@ class TestEndpointSelection:
 
 
 class TestDelayMechanism:
-    def test_dispatch_gated_on_idle_capacity(self):
+    def test_allowance_is_the_mocked_free_capacity(self):
         bundle, scheduler = build({"a": EndpointSpec(workers=1)})
         t1 = add_task(bundle.graph)
         t2 = add_task(bundle.graph)
@@ -281,26 +282,24 @@ class TestDelayMechanism:
         for p in scheduler.schedule([t1, t2]):
             place(bundle.graph, bundle.graph.get(p.task_id), p.endpoint, TaskState.STAGED)
 
-        assert scheduler.should_dispatch(t1)
+        assert scheduler.dispatch_allowance("a") == 1
         # Occupy the single worker.
         bundle.monitor.record_dispatch("a")
         bundle.graph.set_state(t1, TaskState.DISPATCHED)
         assert scheduler.claimed("a") == 1
-        assert not scheduler.should_dispatch(t2)
+        assert scheduler.dispatch_allowance("a") == 0
         # Worker frees up -> dispatch allowed again.
         bundle.monitor.record_completion("a")
-        assert scheduler.should_dispatch(t2)
+        assert scheduler.dispatch_allowance("a") == 1
 
     def test_delay_mechanism_can_be_disabled(self):
         bundle, scheduler = build({"a": EndpointSpec(workers=0)}, enable_delay_mechanism=False)
-        task = add_task(bundle.graph)
-        task.assigned_endpoint = "a"
-        assert scheduler.should_dispatch(task)
+        assert scheduler.dispatch_allowance("a") is None
 
-    def test_unassigned_task_never_dispatchable(self):
+    def test_unmonitored_endpoint_is_an_error(self):
         bundle, scheduler = build({"a": EndpointSpec(workers=4)})
-        task = add_task(bundle.graph)
-        assert not scheduler.should_dispatch(task)
+        with pytest.raises(EndpointError):
+            scheduler.dispatch_allowance("nowhere")
 
 
 class TestRescheduling:

@@ -72,7 +72,7 @@ class World:
         self.context = bundle.context
         self.graph = bundle.graph
         self.store = bundle.graph.store
-        self.index = TaskIndex(self.store)
+        self.index = TaskIndex()
         self.files = [
             input_file(40.0 * (i + 1), NAMES[i % len(NAMES)]) for i in range(FILE_COUNT)
         ]

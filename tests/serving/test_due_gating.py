@@ -240,7 +240,7 @@ def count_dispatch_allocations(manager):
 def close_the_gate(manager, handles):
     manager._activate_due()
     for handle in handles:
-        handle.scheduler.should_dispatch = lambda task: False
+        handle.scheduler.dispatch_allowance = lambda endpoint: 0
 
 
 def test_fair_share_allocation_is_never_skipped_once_service_moved():
@@ -305,11 +305,13 @@ def test_undispatched_tenant_is_resliced_when_capacity_moves(monkeypatch):
     for name in env.fabric.endpoint_names():  # what run() does first
         manager.endpoint_monitor.register(name)
     manager._activate_due()
-    silent.scheduler.should_dispatch = lambda task: False
+    asked = []
+    silent.scheduler.dispatch_allowance = lambda endpoint: asked.append(endpoint) or 0
     # Two pumps: place / stage / dispatch, then settle.
     manager._pump(manager._active)
     manager._pump(manager._active)
-    assert silent.engine.index.undispatched_count == 3 and not silent.engine.index.queued_count
+    assert silent.engine.graph.store.undispatched_count == 3
+    assert not silent.engine.index.queued_count
     assert silent not in manager._due
     # Its three placed tasks claim ``b``; the slice offers it three more of ``a``.
     assert silent.scheduler._capacity_slice == {"a": 3}
@@ -331,3 +333,6 @@ def test_undispatched_tenant_is_resliced_when_capacity_moves(monkeypatch):
     assert visits == ["busy"]
     assert manager._free_capacity()["a"] == 2
     assert silent.scheduler._capacity_slice == {"a": 2}
+    # Its closed gate kept it silent: asked once, when the moved capacity
+    # opened a budget on ``b``, it let nothing leave.
+    assert asked == ["b"] and silent.engine.graph.store.undispatched_count == 3

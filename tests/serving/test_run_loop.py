@@ -68,7 +68,7 @@ class TestStallLadder:
         )
         manager.stall_hard_rounds = 50
         for handle in handles:
-            handle.scheduler.should_dispatch = lambda task: False
+            handle.scheduler.dispatch_allowance = lambda endpoint: 0
         with pytest.raises(SchedulingError, match="no progress.*staged"):
             manager.run()
 
@@ -87,18 +87,34 @@ class TestStallLadder:
 
     @TENANTS
     def test_forced_dispatch_breaks_a_delay_mechanism_deadlock(self, tenants):
-        # The delay mechanism holds every staged task back (the gate claims
-        # no endpoint can start it); past the soft threshold the loop forces
-        # the queue heads out, one workflow per stalled stretch.
+        # The delay mechanism holds every staged task back (the allowance
+        # says no endpoint can start one); past the soft threshold the loop
+        # forces the queue heads out, one workflow per stalled stretch.
         env = build_two_site_env()
         config = env.make_config("DHA")
         manager, handles = build_federation(
             tenants, env, config, compose=lambda h: chains(h, count=1)
         )
+        asked, forced = [], []
         for handle in handles:
-            handle.scheduler.should_dispatch = lambda task: False
+            handle.scheduler.dispatch_allowance = lambda endpoint: asked.append(endpoint) or 0
+            dispatch = handle.engine.dispatch.dispatch_staged
+
+            def counted(force=False, budget=None, _dispatch=dispatch):
+                left = _dispatch(force=force, budget=budget)
+                assert force or not left, "a gated walk dispatched past the allowance"
+                if left:
+                    forced.append(True)
+                return left
+
+            handle.engine.dispatch.dispatch_staged = counted
         manager.run(max_wall_time_s=60)
         assert all(h.finished and h.graph.is_complete() for h in handles)
+        # Only the forced path dispatched: the gate was asked and held, and
+        # each chain's three tasks, staged one at a time, left through a
+        # forced walk of their own.
+        assert asked
+        assert len(forced) == 3 * tenants
 
 
 class TestIdleRoundSkip:
