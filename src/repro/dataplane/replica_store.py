@@ -33,6 +33,11 @@ per-endpoint set, updated where one of its inputs moves (a pin, a release,
 the file gaining or losing a replica anywhere, an endpoint crashing or
 rejoining) — an arrival at an over-budget endpoint that holds nothing
 evictable costs one empty-set lookup, not a scan of the endpoint's replicas.
+Only an endpoint with a budget ever evicts, and budgets are fixed when the
+store is built, so the set exists only at budgeted endpoints: pins, releases
+and replica moves at an unbounded endpoint update no eviction state, and a
+file is watched for location changes only once it has a replica at a
+budgeted endpoint.
 """
 
 from __future__ import annotations
@@ -158,7 +163,9 @@ class ReplicaStore:
         self.offline_generation = 0
         #: endpoint -> file_id -> replica, for exactly the replicas eviction
         #: may take: unpinned, still listed at the endpoint by their file, and
-        #: either backed up at an online endpoint or expendable.
+        #: either backed up at an online endpoint or expendable.  Keyed by
+        #: the budgeted endpoints holding replicas only (an unbounded one
+        #: never evicts); created with the endpoint's first replica.
         self._evictable: Dict[str, Dict[str, Replica]] = {}
         self._usage: Dict[str, float] = {}
         self._touch_seq = itertools.count(1)
@@ -222,7 +229,7 @@ class ReplicaStore:
         """
         if file.size_mb <= 0:
             return []
-        existing = self.replica(file.file_id, endpoint)
+        existing = self._replicas.get(endpoint, {}).get(file.file_id)
         if existing is not None:
             existing.last_touch = next(self._touch_seq)
             return []
@@ -236,7 +243,7 @@ class ReplicaStore:
 
     def touch(self, file: RemoteFile, endpoint: str) -> None:
         """Record an access to the replica (recency for LRU)."""
-        replica = self.replica(file.file_id, endpoint)
+        replica = self._replicas.get(endpoint, {}).get(file.file_id)
         if replica is not None:
             replica.last_touch = next(self._touch_seq)
             replica.used = True
@@ -311,23 +318,33 @@ class ReplicaStore:
         if key in pins:
             return
         pins.append(key)
-        replica = self.replica(file.file_id, endpoint)
+        replica = self._replicas.get(endpoint, {}).get(file.file_id)
         if replica is None:
             # Not there yet: remember the pin; _insert() re-applies it.
             self._pending_pins.setdefault(key, set()).add(task_id)
         else:
             replica.pinned_by.add(task_id)
             replica.last_touch = next(self._touch_seq)
-            self._refresh(replica)
+            evictable = self._evictable.get(endpoint)
+            if evictable is not None:
+                self._refresh(replica, evictable)
 
     def release_task(self, task_id: str) -> None:
         """Drop every pin held by ``task_id`` (it finished, failed or moved)."""
-        for endpoint, file_id in self._pins_by_task.pop(task_id, []):
-            self._pending_pins.get((endpoint, file_id), set()).discard(task_id)
-            replica = self.replica(file_id, endpoint)
+        pending_pins = self._pending_pins
+        for key in self._pins_by_task.pop(task_id, []):
+            pending = pending_pins.get(key)
+            if pending is not None:
+                pending.discard(task_id)
+                if not pending:
+                    del pending_pins[key]
+            endpoint, file_id = key
+            replica = self._replicas.get(endpoint, {}).get(file_id)
             if replica is not None:
                 replica.pinned_by.discard(task_id)
-                self._refresh(replica)
+                evictable = self._evictable.get(endpoint)
+                if evictable is not None:
+                    self._refresh(replica, evictable)
 
     def pinned_mb(self, endpoint: str) -> float:
         return float(
@@ -346,9 +363,16 @@ class ReplicaStore:
         pending = self._pending_pins.pop((endpoint, file.file_id), None)
         if pending:
             replica.pinned_by.update(pending)
-        self._replicas.setdefault(endpoint, {})[file.file_id] = replica
-        file.watch_locations(self._refresh_file)
-        self._refresh(replica)
+        replicas = self._replicas.get(endpoint)
+        if replicas is None:
+            replicas = self._replicas[endpoint] = {}
+            if self.capacity_mb(endpoint) is not None:
+                self._evictable[endpoint] = {}
+        replicas[file.file_id] = replica
+        evictable = self._evictable.get(endpoint)
+        if evictable is not None:
+            file.watch_locations(self._refresh_file)
+            self._refresh(replica, evictable)
         usage = self._usage.get(endpoint, 0.0) + replica.size_mb
         self._usage[endpoint] = usage
         if usage > self.peak_usage_mb.get(endpoint, 0.0):
@@ -405,32 +429,36 @@ class ReplicaStore:
             )
         )
 
-    def _refresh(self, replica: Replica) -> None:
-        """Re-evaluate one stored replica's membership of the evictable set."""
+    def _refresh(self, replica: Replica, evictable: Dict[str, Replica]) -> None:
+        """Re-evaluate one stored replica's membership of ``evictable``, the
+        evictable set of its (budgeted) endpoint."""
         if self._is_evictable(replica):
-            self._evictable.setdefault(replica.endpoint, {})[replica.file.file_id] = replica
+            evictable[replica.file.file_id] = replica
         else:
-            self._evictable.get(replica.endpoint, {}).pop(replica.file.file_id, None)
+            evictable.pop(replica.file.file_id, None)
 
     def _refresh_file(self, file: RemoteFile, moved_at: Optional[str] = None) -> None:
-        """Re-evaluate ``file``'s replicas wherever it is listed.
+        """Re-evaluate ``file``'s replicas wherever it is listed at a
+        budgeted endpoint.
 
         Doubles as the file's location watcher: a replica appearing at or
         vanishing from ``moved_at`` changes that copy's own availability
         (it may no longer be listed there) and every other copy's backup.
         """
         for endpoint in {*file.locations, moved_at}:
-            replica = self._replicas.get(endpoint, {}).get(file.file_id)
-            if replica is not None:
-                self._refresh(replica)
+            evictable = self._evictable.get(endpoint)
+            if evictable is not None:
+                replica = self._replicas[endpoint].get(file.file_id)
+                if replica is not None:
+                    self._refresh(replica, evictable)
 
     def _reachability_changed(self) -> None:
         """The offline set moved: any replica's backup may have (dis)appeared."""
         self.offline_generation += 1
         bump_location_version()
-        for replicas in self._replicas.values():
-            for replica in replicas.values():
-                self._refresh(replica)
+        for endpoint, evictable in self._evictable.items():
+            for replica in self._replicas[endpoint].values():
+                self._refresh(replica, evictable)
 
     def _has_reachable_backup(self, replica: Replica, endpoint: str) -> bool:
         """Another replica exists at a currently *online* endpoint.
@@ -447,7 +475,7 @@ class ReplicaStore:
 
     def _evict(self, replica: Replica) -> None:
         self._replicas[replica.endpoint].pop(replica.file.file_id, None)
-        self._evictable.get(replica.endpoint, {}).pop(replica.file.file_id, None)
+        self._evictable[replica.endpoint].pop(replica.file.file_id, None)
         self._usage[replica.endpoint] = max(
             0.0, self._usage.get(replica.endpoint, 0.0) - replica.size_mb
         )

@@ -119,6 +119,11 @@ class EndpointMonitor:
         #: The schedulers' endpoint-state vectors re-read the mocks only
         #: when this version moves, instead of per task.
         self.state_version = 0
+        #: Endpoints registered so far.  :meth:`register` is the only way the
+        #: monitored set changes (it only grows), so a consumer that built
+        #: per-endpoint state from :meth:`endpoint_names` is current exactly
+        #: while this still equals the length of the list it read.
+        self.endpoint_count = 0
 
     # ----------------------------------------------------------- registration
     def register(self, endpoint_name: str) -> MockEndpoint:
@@ -129,6 +134,7 @@ class EndpointMonitor:
         status = self._status_provider(endpoint_name)
         mock.synchronize(status, self._clock.now())
         self._mocks[endpoint_name] = mock
+        self.endpoint_count += 1
         self.state_version += 1
         return mock
 

@@ -83,17 +83,19 @@ class SchedulingContext:
         return self.arrays
 
     # ------------------------------------------------------------ memoization
-    def _prediction_generation(self) -> Tuple[int, int]:
-        return (
-            getattr(self.execution_profiler, "prediction_version", 0),
-            getattr(self.endpoint_monitor, "hardware_version", 0),
-        )
-
     def invalidate_task(self, task_id: str) -> None:
-        """Drop cached predictions for one task (a dependency completed)."""
+        """Drop cached predictions for one task (a dependency completed).
+
+        Stamps the task's matrix rows stale in place (``-1``): the next
+        :meth:`~repro.sched.vector.PredictionIndex.rows` query refills them.
+        """
         self._input_cache.pop(task_id, None)
-        if self.arrays is not None:
-            self.arrays.invalidate_task(task_id)
+        arrays = self.arrays
+        if arrays is not None:
+            row = arrays._rows.get(task_id)
+            if row is not None:
+                arrays._exec_stamp[row] = -1
+                arrays._stag_stamp[row] = -1
 
     def release_task(self, task_id: str) -> None:
         """Evict a *finished* task: drop its cached predictions and recycle
@@ -109,7 +111,10 @@ class SchedulingContext:
         completed); otherwise falls back to the execution profiler's
         predicted output sizes of the task's predecessors.
         """
-        generation = self._prediction_generation()
+        generation = (
+            self.execution_profiler.prediction_version,
+            self.endpoint_monitor.hardware_version,
+        )
         cached = self._input_cache.get(task.task_id)
         if cached is not None and cached[1] == generation:
             return cached[0]

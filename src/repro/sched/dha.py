@@ -182,7 +182,7 @@ class DHAScheduler(Scheduler):
         writes plain floats.  Each task's ``max`` over its successors is kept
         running; only a successor that held it and went down forces a rescan.
         """
-        if context.endpoint_names():
+        if context.endpoint_monitor.endpoint_count:
             arrays = context.ensure_arrays()
             w, d = arrays.row_means(arrays.rows(order, self.default_execution_time_s))
             base = (d + w).tolist()
@@ -256,7 +256,7 @@ class DHAScheduler(Scheduler):
         missing = [t for t in ready_tasks if t.task_id not in self._priorities]
         if missing:
             self._compute_priorities(missing)
-        if not context.endpoint_names():
+        if not context.endpoint_monitor.endpoint_count:
             return []
         ordered = self._ordered_by_priority(ready_tasks, "schedule")
         arrays = context.ensure_arrays()
@@ -269,7 +269,7 @@ class DHAScheduler(Scheduler):
         stag_matrix = arrays.staging_matrix
         names = arrays.endpoint_names
         plan = self._current_plan()
-        warm_mask = self._warm_mask(names)
+        warm_mask = self._warm_mask(plan, names)
         placements: List[Placement] = []
         for position, task in enumerate(ordered):
             row = rows[position]
@@ -335,7 +335,7 @@ class DHAScheduler(Scheduler):
         With a placement plan live the global optimizer already paid the
         opening costs of the warm set, so greedy EFT only arbitrates *within*
         it.  Filter order: the plan-warm restriction (``warm_mask``, which
-        is :meth:`_warm_mask` of ``names`` under ``plan``) first, then the
+        is :meth:`_warm_mask` of ``plan`` over ``names``) first, then the
         root-affinity restriction (:meth:`_input_roots`) while it leaves at
         least one candidate; the combined masks come from the same per-plan
         cache as ``warm_mask``.
@@ -365,8 +365,8 @@ class DHAScheduler(Scheduler):
         cached = self._warm_cache = (plan, list(names), mask, {})
         return cached
 
-    def _warm_mask(self, names: Sequence[str]) -> Optional[np.ndarray]:
-        """Boolean plan-warm mask over ``names``.
+    def _warm_mask(self, plan, names: Sequence[str]) -> Optional[np.ndarray]:
+        """Boolean plan-warm mask of ``plan`` over ``names``.
 
         Returns None when there is no plan, when no listed endpoint is warm
         (selection falls back to the plain paper EFT sweep over all of them),
@@ -375,7 +375,7 @@ class DHAScheduler(Scheduler):
         object and endpoint list and is read-only: callers combine it into
         new arrays, never in place.
         """
-        cached = self._plan_masks(self._current_plan(), names)
+        cached = self._plan_masks(plan, names)
         return None if cached is None else cached[2]
 
     def _root_masks(self, plan, roots: frozenset, names: Sequence[str]) -> Tuple:
@@ -426,7 +426,7 @@ class DHAScheduler(Scheduler):
         again before returning.
         """
         context = self.context
-        if context is None or not context.endpoint_names():
+        if context is None or not context.endpoint_monitor.endpoint_count:
             return None
         arrays = context.ensure_arrays()
         row = arrays.rows((task,), self.default_execution_time_s)[0]
@@ -441,7 +441,8 @@ class DHAScheduler(Scheduler):
             for name, count in overlaid:
                 vectors.add_claim(name, -count)
         names = arrays.endpoint_names
-        mask = self._selection_mask(self._current_plan(), task, names, self._warm_mask(names))
+        plan = self._current_plan()
+        mask = self._selection_mask(plan, task, names, self._warm_mask(plan, names))
         if mask is not None:
             finish[~mask] = np.inf
         return names[int(finish.argmin())]
@@ -476,7 +477,7 @@ class DHAScheduler(Scheduler):
         if not self.supports_rescheduling or not pending_tasks:
             return []
         context = self._require_context()
-        if not context.endpoint_names():
+        if not context.endpoint_monitor.endpoint_count:
             return []
         fingerprint = self._reschedule_fingerprint(context, pending_tasks)
         if fingerprint == self._resched_noop_fingerprint:
@@ -543,7 +544,7 @@ class DHAScheduler(Scheduler):
             return []
         names = arrays.endpoint_names
         plan = self._current_plan()
-        warm_mask = self._warm_mask(names)
+        warm_mask = self._warm_mask(plan, names)
         moves: List[Placement] = []
         for task in ordered:
             current = task.assigned_endpoint

@@ -4,8 +4,11 @@ Two data structures replace per-task × per-endpoint Python loops with dense
 array operations:
 
 * :class:`PredictionIndex` — stable integer ids for tasks (rows) and
-  endpoints (columns) plus two float64 matrices holding the predicted
-  execution time and predicted staging time of every pair.  Rows are filled
+  endpoints (columns) plus two float64 matrices, ``exec_matrix`` and
+  ``staging_matrix``, holding the predicted execution time and predicted
+  staging time of every pair.  Both are plain attributes, replaced by larger
+  arrays when the rows outgrow them, so a caller reads them after
+  :meth:`PredictionIndex.rows` has resolved its tasks.  Rows are filled
   lazily and batched, and are generation-stamped: a profiler retrain, a
   hardware change or a transfer observation invalidates lazily via version
   counters, a replica move invalidates the staging rows of the tasks that
@@ -60,6 +63,7 @@ _GROW = 1024
 _STAGING_ROWS_CAP = 4096
 
 _location_stamp = attrgetter("location_stamp")
+_task_of = itemgetter(0)
 _row_of = itemgetter(1)
 
 
@@ -84,8 +88,10 @@ class PredictionIndex:
         width = max(1, len(self.endpoint_names))
         self._rows: Dict[str, int] = {}
         self._row_count = 0
-        self._exec = np.zeros((_GROW, width))
-        self._stag = np.zeros((_GROW, width))
+        #: Task × endpoint predictions, read by row index from :meth:`rows`.
+        #: Reassigned when the rows outgrow them.
+        self.exec_matrix = np.zeros((_GROW, width))
+        self.staging_matrix = np.zeros((_GROW, width))
         #: Per-row generation stamps; ``-1`` marks an invalidated row.
         self._exec_stamp = np.full(_GROW, -1, dtype=np.int64)
         self._stag_stamp = np.full(_GROW, -1, dtype=np.int64)
@@ -165,12 +171,6 @@ class PredictionIndex:
         return self._stag_gen_nofiles, self._stag_gen_files
 
     # ----------------------------------------------------------- invalidation
-    def invalidate_task(self, task_id: str) -> None:
-        row = self._rows.get(task_id)
-        if row is not None:
-            self._exec_stamp[row] = -1
-            self._stag_stamp[row] = -1
-
     def release_task(self, task_id: str) -> None:
         """Forget a finished task and recycle its row.
 
@@ -185,14 +185,6 @@ class PredictionIndex:
             self._free_rows.append(row)
 
     # ---------------------------------------------------------------- queries
-    @property
-    def exec_matrix(self) -> np.ndarray:
-        return self._exec
-
-    @property
-    def staging_matrix(self) -> np.ndarray:
-        return self._stag
-
     def endpoint_index(self, name: str) -> Optional[int]:
         return self._endpoint_index.get(name)
 
@@ -205,7 +197,7 @@ class PredictionIndex:
             # state versions with it) before any stamp below is compared.
             for name in monitor.endpoint_names():
                 monitor.mock(name)
-        if monitor.endpoint_names() != self.endpoint_names:
+        if monitor.endpoint_count != len(self.endpoint_names):
             self._rebuild()
         if self._default is None:
             self._default = default
@@ -260,8 +252,8 @@ class PredictionIndex:
         count = len(self.endpoint_names)
         w = np.zeros(len(indices))
         d = np.zeros(len(indices))
-        exec_rows = self._exec[indices]
-        stag_rows = self._stag[indices]
+        exec_rows = self.exec_matrix[indices]
+        stag_rows = self.staging_matrix[indices]
         for column in range(count):
             w += exec_rows[:, column]
             d += stag_rows[:, column]
@@ -275,9 +267,10 @@ class PredictionIndex:
 
         Endpoint *registration* is the only event that changes the column
         set (worker churn and elastic scaling change counts on existing
-        endpoints); it happens at engine start-up and, rarely, when a
-        dynamic topology grows — a full refill is the cold-start cost, not
-        a steady-state one.
+        endpoints), so :meth:`rows` detects it by comparing
+        ``EndpointMonitor.endpoint_count`` with the column count.  It
+        happens at engine start-up and, rarely, when a dynamic topology
+        grows — a full refill is the cold-start cost, not a steady-state one.
         """
         self.__init__(self._context)  # noqa: PLC2801 - deliberate reset
 
@@ -289,8 +282,8 @@ class PredictionIndex:
         row = self._row_count
         if row >= len(self._exec_stamp):
             grow = len(self._exec_stamp) * 2
-            width = self._exec.shape[1]
-            for name in ("_exec", "_stag"):
+            width = self.exec_matrix.shape[1]
+            for name in ("exec_matrix", "staging_matrix"):
                 old = getattr(self, name)
                 new = np.zeros((grow, width))
                 new[:row] = old
@@ -334,20 +327,22 @@ class PredictionIndex:
             by_function[task.name].append((task, row))
         hardware = self._hardware_matrix()
         width = len(self.endpoint_names)
+        estimated_input_mb = context.estimated_input_mb
         for function_name, items in by_function.items():
-            inputs = np.array(
-                [context.estimated_input_mb(task) for task, _ in items], dtype=float
+            count = len(items)
+            inputs = np.fromiter(
+                map(estimated_input_mb, map(_task_of, items)), dtype=float, count=count
             )
-            rows = np.fromiter(map(_row_of, items), dtype=np.intp, count=len(items))
+            rows = np.fromiter(map(_row_of, items), dtype=np.intp, count=count)
             matrix = context.execution_profiler.predict_time_matrix(
                 function_name, inputs, hardware
             )
             if matrix is None:
-                self._exec[rows] = self._fallback()
+                self.exec_matrix[rows] = self._fallback()
             else:
-                self._exec[rows] = matrix
+                self.exec_matrix[rows] = matrix
             self._exec_stamp[rows] = generation
-            self.cells_filled += len(items) * width
+            self.cells_filled += count * width
 
     def _fill_staging(self, stale: List[Tuple["Task", int, int]]) -> None:
         estimated_input_mb = self._context.estimated_input_mb
@@ -365,7 +360,7 @@ class PredictionIndex:
                 self.staging_rows_built += 1
             else:
                 self.staging_rows_reused += 1
-            self._stag[row] = values
+            self.staging_matrix[row] = values
             self._stag_stamp[row] = generation
         self.cells_filled += len(stale) * len(self.endpoint_names)
 

@@ -2,10 +2,13 @@
 
 ``brute_force_candidates`` is the store's victim scan as it was before the
 set existed: a pass over every replica of the endpoint.  After any sequence
-of store and file operations the kept set must equal it, and the victim the
-store picks must be the brute-force minimum, for both eviction policies.
+of store and file operations the kept set must equal it at every budgeted
+endpoint, and the victim the store picks there must be the brute-force
+minimum, for both eviction policies.  An endpoint without a budget never
+evicts, so no set is kept for it at all.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,8 +46,12 @@ def brute_force_victim(store, endpoint, protect=None):
 
 def assert_index_matches(store):
     for endpoint in ENDPOINTS:
+        kept = set(store._evictable.get(endpoint, {}))
+        if store.capacity_mb(endpoint) is None:
+            assert kept == set()
+            continue
         expected = {r.file.file_id for r in brute_force_candidates(store, endpoint)}
-        assert set(store._evictable.get(endpoint, {})) == expected
+        assert kept == expected
         for protect in (None, *sorted(expected)[:1]):
             assert store._select_victim(endpoint, protect) is brute_force_victim(
                 store, endpoint, protect
@@ -114,3 +121,49 @@ def test_over_budget_arrivals_with_nothing_evictable_examine_nothing():
     assert store.peak_overflow_mb == 400.0
     assert store.victim_scans == 40
     assert store.victim_candidates_examined == 0
+
+
+def test_a_store_without_budgets_never_evaluates_evictability(monkeypatch):
+    def evaluated(self, replica):
+        raise AssertionError(f"evictability of {replica.file.name} at {replica.endpoint}")
+
+    monkeypatch.setattr(ReplicaStore, "_is_evictable", evaluated)
+    store = ReplicaStore({"a": None})
+    files = [GlobusFile(f"f{i}", size_mb=10.0, location="a") for i in range(3)]
+    for file in files:
+        store.track(file)
+    store.pin(files[0], "a", "t0")
+    store.pin(files[1], "b", "t0")  # not there yet
+    files[1].add_location("b")
+    assert store.admit(files[1], "b") == []
+    files[2].add_location("c")
+    files[2].remove_location("a")
+    store.mark_expendable(files[0])
+    store.reclaim(files[0])
+    store.mark_offline("b")
+    store.mark_online("b")
+    store.release_task("t0")
+    # Pins and usage are kept as before; only the eviction index is not.
+    assert store.usage_mb("a") == 30.0 and store.usage_mb("b") == 10.0
+    assert store.pinned_mb("a") == 0.0 and store._pins_by_task == {}
+    assert store._evictable == {}
+
+
+@pytest.mark.parametrize("budget", (None, 100.0))
+def test_pins_and_recency_do_not_depend_on_the_budget(budget):
+    store = ReplicaStore({"a": budget})
+    file = GlobusFile("f", size_mb=10.0, location="a")
+    file.add_location("b")
+    store.track(file)
+    store.pin(file, "a", "t0")
+    replica = store.replica(file.file_id, "a")
+    assert replica.pinned_by == {"t0"}
+    touched = replica.last_touch
+    store.touch(file, "a")
+    assert replica.used and replica.last_touch > touched
+    store.release_task("t0")
+    assert not replica.pinned
+    if budget is None:
+        assert store._evictable == {}
+    else:
+        assert set(store._evictable["a"]) == {file.file_id}

@@ -113,6 +113,21 @@ class TestPinning:
         store.admit(incoming, "a")
         assert store.replica(incoming.file_id, "a").pinned
 
+    def test_releasing_a_pending_pin_drops_its_key(self):
+        store = make_store(capacity_mb=100.0)
+        incoming = file_at("incoming", 40.0, "b")
+        key = ("a", incoming.file_id)
+        store.pin(incoming, "a", "task-1")
+        store.pin(incoming, "a", "task-2")
+        store.release_task("task-1")
+        assert store._pending_pins == {key: {"task-2"}}
+        store.release_task("task-2")
+        assert store._pending_pins == {}
+        # The replica lands unpinned once nobody waits for it.
+        incoming.add_location("a")
+        store.admit(incoming, "a")
+        assert not store.replica(incoming.file_id, "a").pinned
+
     def test_sole_replica_never_evicted(self):
         store = make_store(capacity_mb=100.0)
         sole = file_at("sole", 90.0, "a")  # only copy anywhere

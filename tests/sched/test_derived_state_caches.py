@@ -62,34 +62,34 @@ def planned_dha():
 def test_a_new_plan_gives_a_new_mask():
     bundle, scheduler, holder = planned_dha()
     names = bundle.context.ensure_arrays().endpoint_names
-    assert scheduler._warm_mask(names) is None  # no plan
+    assert scheduler._warm_mask(holder.plan, names) is None  # no plan
 
     holder.plan = plan("a", "b")
-    first = scheduler._warm_mask(names)
+    first = scheduler._warm_mask(holder.plan, names)
     assert first.tolist() == [True, True, False, False]
-    assert scheduler._warm_mask(names) is first  # same plan: derived once
+    assert scheduler._warm_mask(holder.plan, names) is first  # same plan: derived once
     assert not first.flags.writeable
 
     holder.plan = plan("b", "c", generation=2)
-    second = scheduler._warm_mask(names)
+    second = scheduler._warm_mask(holder.plan, names)
     assert second is not first
     assert second.tolist() == [False, True, True, False]
     assert first.tolist() == [True, True, False, False]  # the old one untouched
 
     # An equal plan is still a new plan object: derived again, same values.
     holder.plan = plan("b", "c", generation=2)
-    third = scheduler._warm_mask(names)
+    third = scheduler._warm_mask(holder.plan, names)
     assert third is not second and third.tolist() == second.tolist()
 
     # Another endpoint list under the same plan is another mask.
-    assert scheduler._warm_mask(["c", "d"]).tolist() == [True, False]
-    assert scheduler._warm_mask(names).tolist() == [False, True, True, False]
+    assert scheduler._warm_mask(holder.plan, ["c", "d"]).tolist() == [True, False]
+    assert scheduler._warm_mask(holder.plan, names).tolist() == [False, True, True, False]
 
     # Every endpoint warm, or none listed: no restriction.
     holder.plan = plan("a", "b", "c", "d")
-    assert scheduler._warm_mask(names) is None
+    assert scheduler._warm_mask(holder.plan, names) is None
     holder.plan = plan("elsewhere")
-    assert scheduler._warm_mask(names) is None
+    assert scheduler._warm_mask(holder.plan, names) is None
 
 
 def test_schedule_reschedule_and_hints_never_mutate_the_cached_mask():
@@ -98,7 +98,7 @@ def test_schedule_reschedule_and_hints_never_mutate_the_cached_mask():
     hot = input_file(300.0, "d")
     holder.plan = plan("a", "b", "d", roots={hot.file_id: "d"})
     names = bundle.context.ensure_arrays().endpoint_names
-    mask = scheduler._warm_mask(names)
+    mask = scheduler._warm_mask(holder.plan, names)
     snapshot = mask.copy()
 
     tasks = [add_task(graph) for _ in range(4)]
@@ -116,7 +116,7 @@ def test_schedule_reschedule_and_hints_never_mutate_the_cached_mask():
     # Warm candidates first; the overflow past their spare may go cold.
     assert moves and moves[0].endpoint in {"b", "d"}
 
-    assert scheduler._warm_mask(names) is mask
+    assert scheduler._warm_mask(holder.plan, names) is mask
     assert np.array_equal(mask, snapshot)
     with pytest.raises(ValueError):
         mask[0] = not mask[0]
@@ -194,7 +194,7 @@ def test_cost_rows_are_recomputed_exactly_when_their_inputs_move(published):
     # Nothing moved: served from the rows, nothing built.
     del built[:]
     for task in tasks:
-        index.invalidate_task(task.task_id)
+        context.invalidate_task(task.task_id)
     assert_cells_exact(index, context, tasks)
     assert built == []
 

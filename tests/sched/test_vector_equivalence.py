@@ -284,6 +284,34 @@ def test_a_scheduler_without_monitored_endpoints_answers(scheduler_class, recwar
     assert placed[0].endpoint in ("a", "b")
 
 
+def test_an_endpoint_registered_after_the_index_is_built_gets_its_columns():
+    # Registration is the only change of the column set: the next query
+    # rebuilds the index over the grown endpoint list.
+    bundle = build_context({"a": EndpointSpec(busy=4, pending=3), "b": EndpointSpec(busy=4)})
+    reference, product = ReferenceDHAScheduler(), DHAScheduler()
+    tasks = [add_task(bundle.graph) for _ in range(3)]
+    for scheduler in (reference, product):
+        scheduler.initialize(bundle.context)
+        scheduler.on_workflow_submitted(tasks)
+    assert product.schedule(tasks[:1]) == reference.schedule(tasks[:1])
+    assert bundle.context.arrays.endpoint_names == ["a", "b"]
+
+    bundle.statuses["c"] = EndpointSpec(workers=8)
+    bundle.monitor.register("c")
+    assert product.placement_hint(tasks[1]) == reference.placement_hint(tasks[1]) == "c"
+    placed = product.schedule(tasks[1:])
+    assert placed == reference.schedule(tasks[1:])
+    assert {p.endpoint for p in placed} == {"c"}
+    index = bundle.context.arrays
+    assert index.endpoint_names == ["a", "b", "c"]
+    rows = index.rows(tasks, product.default_execution_time_s)
+    for task, row in zip(tasks, rows):
+        for column, name in enumerate(index.endpoint_names):
+            assert index.exec_matrix[row, column] == predicted_execution_time(
+                bundle.context, task, name, product.default_execution_time_s
+            )
+
+
 def test_arrays_track_profiler_and_hardware_invalidation():
     # Matrix rows are generation-stamped: a warm-up observation (prediction
     # version) and a hardware change (hardware version) must both refill.
