@@ -56,7 +56,7 @@ of the byte-determinism contract.
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.core.exceptions import WorkflowError
 from repro.workloads.spec import TaskTypeSpec, make_task_type
@@ -299,8 +299,3 @@ def workflow(
     if fn is None:
         return lambda f: WorkflowDefinition(f, name=name)
     return WorkflowDefinition(fn, name=name)
-
-
-def sorted_jobs(jobs: Sequence[Job]) -> List[Job]:
-    """Jobs in declaration order (already sorted; defensive copy)."""
-    return list(jobs)

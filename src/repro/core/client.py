@@ -7,9 +7,8 @@ workflow, :meth:`summary` reports the outcome.  Underneath it is a
 system components of Fig. 1 (DAG generator, monitors, profilers, scheduler,
 data manager) are wired and the one run loop — holding a single workflow
 with namespace ``""`` and no cross-workflow arbitration.  The client
-delegates the workflow engine's components under their historical attribute
-names (reads *and* writes), so existing experiments, examples and tests keep
-working unchanged.
+re-exposes the workflow engine's components for reading under their
+historical attribute names (``client.scheduler``, ``client.graph``, ...).
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ from repro.sched.base import Scheduler
 from repro.serving.manager import ENGINE_ATTRS, WorkflowManager
 
 __all__ = ["ENDPOINT_HINT_KWARG", "UniFaaSClient"]
-
-#: Federation-level components re-exposed on the client.
-_MANAGER_ATTRS = frozenset({"scaling_strategy", "scaling_check_interval_s"})
 
 
 class UniFaaSClient:
@@ -66,17 +62,7 @@ class UniFaaSClient:
         # Only consulted for names not found the normal way.
         if name in ENGINE_ATTRS:
             return getattr(self.engine, name)
-        if name in _MANAGER_ATTRS:
-            return getattr(self.manager, name)
         raise AttributeError(f"{type(self).__name__!s} object has no attribute {name!r}")
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in ENGINE_ATTRS:
-            setattr(self.engine, name, value)
-        elif name in _MANAGER_ATTRS:
-            setattr(self.manager, name, value)
-        else:
-            super().__setattr__(name, value)
 
     # ----------------------------------------------------------- context mgmt
     def __enter__(self) -> "UniFaaSClient":

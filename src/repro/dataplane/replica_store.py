@@ -196,9 +196,6 @@ class ReplicaStore:
     def replica(self, file_id: str, endpoint: str) -> Optional[Replica]:
         return self._replicas.get(endpoint, {}).get(file_id)
 
-    def replica_count(self, endpoint: str) -> int:
-        return len(self._replicas.get(endpoint, {}))
-
     def endpoints(self) -> List[str]:
         return list(self._replicas)
 

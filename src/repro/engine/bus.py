@@ -13,6 +13,8 @@ coordinators rely on:
   Cascades of any depth are processed breadth-first in publication order, so
   a run's event sequence is a deterministic function of its inputs.
 
+Events enter the bus one way, one at a time: :meth:`EventBus.publish`.
+
 The bus also writes the event log.  A list attached with
 :meth:`EventBus.record_to` receives every delivered event's log entries —
 what :func:`~repro.engine.events.expand_event`, the definition of the log,
@@ -23,7 +25,7 @@ recorder costs no handler call per event.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Type
+from typing import Callable, Deque, Dict, Hashable, List, Optional, Set, Tuple, Type
 
 from repro.engine.events import BatchEvent, Event
 
@@ -80,15 +82,6 @@ class EventBus:
         self._any_handlers.append(handler)
         self._any_snapshot = tuple(self._any_handlers)
         return handler
-
-    def unsubscribe_all(self, handler: Handler) -> bool:
-        """Remove an any-event handler; returns False when not subscribed."""
-        try:
-            self._any_handlers.remove(handler)
-        except ValueError:
-            return False
-        self._any_snapshot = tuple(self._any_handlers)
-        return True
 
     def handler_count(self, event_type: Type[Event] | None = None) -> int:
         """Number of subscribed handlers (teardown/restore regression hook).
@@ -151,18 +144,6 @@ class EventBus:
         """
         self._queue.append(event)
         if not self._draining:
-            self._drain()
-
-    def publish_many(self, events: Iterable[Event]) -> None:
-        """Enqueue ``events`` together, then deliver.
-
-        Equivalent to a handler publishing each event before any of them is
-        delivered: the whole group is queued ahead of any cascade the first
-        event's handlers publish.  The completion path uses this when one
-        completion unlocks several endpoint-pinned successors.
-        """
-        self._queue.extend(events)
-        if not self._draining and self._queue:
             self._drain()
 
     def _drain(self) -> None:

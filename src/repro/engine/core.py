@@ -48,7 +48,6 @@ from repro.engine.events import (
     EndpointRejoined,
     TaskCompleted,
     TaskFailed,
-    TaskPlaced,
     TaskReady,
     TasksCompleted,
     TasksReady,
@@ -399,10 +398,11 @@ class ExecutionEngine:
             self.prefetcher.on_task_terminal(event.task_id)
 
     def _on_task_ready(self, event: TaskReady) -> None:
-        # Queue for the next scheduling round; endpoint-pinned tasks join the
-        # queue too and bypass the scheduler when the round runs.
-        self._prepare_ready(event.task)
-        self.index.enqueue(event.task)
+        # Wait for the next pump round: in the scheduling queue, or in the
+        # pinned set when the task carries an endpoint hint.
+        task = event.task
+        self._prepare_ready(task)
+        self.index.enqueue(task, self.graph.store.endpoint[task._row] >= 0)
 
     def _handle_completions(self, records: List[TaskExecutionRecord]) -> None:
         """What a completion does — one fabric round's records, in order.
@@ -410,14 +410,14 @@ class ExecutionEngine:
         Every record, successful or not, first reaches the four observers:
         endpoint monitor, task monitor, metrics, scheduler.  A successful
         one then updates the graph, releases its data-plane pins, advances
-        the prefetcher and queues the successors it made ready; the round's
-        successes are announced as a single :class:`TasksCompleted`, whose
-        ``scalar_log`` holds the per-task log entries in the order things
-        happened, and a single :class:`TasksReady`.  A failed attempt is
-        announced on its own, as :class:`TaskCompleted`, whose handler is
-        the §IV-G ladder.  Whatever starts a bus cascade of its own — a
-        failed record, endpoint-pinned successors going straight to staging
-        — flushes the pending batch first, so the log stays in order.
+        the prefetcher and queues the successors it made ready (pinned or
+        not, the next pump round places them); the round's successes are
+        announced as a single :class:`TasksCompleted`, whose ``scalar_log``
+        holds the per-task log entries in the order things happened, and a
+        single :class:`TasksReady`.  A failed attempt is announced on its
+        own, as :class:`TaskCompleted`, whose handler is the §IV-G ladder;
+        it starts a bus cascade of its own, so it flushes the pending batch
+        first and the log stays in order.
         """
         if not records:
             return
@@ -478,24 +478,11 @@ class ExecutionEngine:
             plane.release_task(record.task_id)
             if self.prefetcher is not None and task.successors:
                 self.prefetcher.on_predecessor_progress(task)
-            pinned: List[Task] = []
             for ready_task in newly_ready:
                 log.append((stamp, "TaskReady", ready_task.name))
                 ready.append(ready_task)
                 self._prepare_ready(ready_task)
-                if self.graph.store.endpoint[ready_task._row] < 0:
-                    self.index.enqueue(ready_task)
-                else:
-                    pinned.append(ready_task)
-            if pinned:
-                # Endpoint-pinned successors go straight to staging via
-                # TaskPlaced; their cascade must observe the batch first, and
-                # the whole group is enqueued before any cascade runs.
-                flush()
-                self.bus.publish_many(
-                    TaskPlaced.for_task(t, time=now, endpoint=t.assigned_endpoint)
-                    for t in pinned
-                )
+                self.index.enqueue(ready_task, self.graph.store.endpoint[ready_task._row] >= 0)
         flush()
 
     def _apply_success(self, task: Task, record: TaskExecutionRecord) -> List[Task]:

@@ -1,9 +1,12 @@
-"""Placement coordinator — offering ready tasks to the scheduler.
+"""Placement coordinator — placing ready tasks.
 
-One pump round of the engine offers every queued ready task to the scheduler
-(the observe–predict–decide loop of §IV-D) and announces each decision as a
-:class:`~repro.engine.events.TaskPlaced` event.  Endpoint-pinned tasks (the
-``unifaas_endpoint`` hint) bypass the scheduler entirely.
+One pump round of the engine offers the queued ready tasks to the scheduler
+(the observe–predict–decide loop of §IV-D), then places the endpoint-pinned
+ones (the ``unifaas_endpoint`` hint) on their pins without asking it, and
+announces each decision as a :class:`~repro.engine.events.TaskPlaced` event.
+Every ready task reaches a placement this one way: it joins the engine's
+:class:`~repro.engine.state.TaskIndex` when it becomes READY, and the next
+pump places it.
 
 The queue is an insertion-ordered index: placed tasks are deleted in O(1)
 each instead of rebuilding the whole deque per round as the monolithic
@@ -15,7 +18,6 @@ from __future__ import annotations
 import time as _time
 from typing import TYPE_CHECKING
 
-from repro.core.dag import READY_CODE
 from repro.engine.events import TaskPlaced
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -31,20 +33,13 @@ class PlacementCoordinator:
         self._engine = engine
 
     def schedule_ready(self) -> bool:
-        """Offer queued ready tasks to the scheduler; True when any placed."""
+        """Place queued ready tasks (the scheduler's picks, then the pinned
+        ones); True when any placed."""
         engine = self._engine
         index = engine.index
         if not index.queued_count:
             return False
-        store = engine.graph.store
-        candidates = [t for t in index.queued_tasks() if store.state[t._row] == READY_CODE]
-        if not candidates:
-            return False
-
-        # Endpoint-pinned tasks bypass the scheduler entirely (the common
-        # case has none, so skip the second scan then).
-        pinned = [t for t in candidates if store.endpoint[t._row] >= 0]
-        unpinned = candidates if not pinned else [t for t in candidates if store.endpoint[t._row] < 0]
+        unpinned = index.queued_tasks()
 
         placements = []
         if unpinned:
@@ -54,7 +49,6 @@ class PlacementCoordinator:
                 _time.perf_counter() - t0, len(placements) or len(unpinned)
             )
 
-        placed = 0
         now = engine.clock.now()
         placed_ids = set()
         by_id = {t.task_id: t for t in unpinned} if placements else {}
@@ -63,14 +57,13 @@ class PlacementCoordinator:
             index.remove_queued(task.task_id)
             placed_ids.add(task.task_id)
             engine.bus.publish(TaskPlaced.for_task(task, time=now, endpoint=placement.endpoint))
-            placed += 1
-        for task in pinned:
-            index.remove_queued(task.task_id)
-            placed_ids.add(task.task_id)
-            engine.bus.publish(
-                TaskPlaced.for_task(task, time=now, endpoint=task.assigned_endpoint)
-            )
-            placed += 1
+        placed = bool(placements)
+        if index.pinned:
+            for task in index.take_pinned():
+                engine.bus.publish(
+                    TaskPlaced.for_task(task, time=now, endpoint=task.assigned_endpoint)
+                )
+            placed = True
 
         # Ready tasks the scheduler left unplaced (no free capacity anywhere)
         # are the hottest prefetch candidates: their inputs can start moving
@@ -79,4 +72,4 @@ class PlacementCoordinator:
             for task in unpinned:
                 if task.task_id not in placed_ids:
                     engine.prefetcher.consider_unplaced(task)
-        return placed > 0
+        return placed

@@ -22,23 +22,33 @@ __all__ = ["TaskIndex"]
 class TaskIndex:
     """Per-state / per-endpoint index of tasks the engine still owns.
 
-    Two groups of tasks are tracked:
+    Three groups of tasks are tracked:
 
-    * the **scheduling queue** — ready tasks awaiting a placement decision
-      (insertion-ordered dict, so removing placed tasks is O(placed) instead
-      of rebuilding the whole queue), and
+    * the **scheduling queue** — unpinned ready tasks awaiting the
+      scheduler's decision (insertion-ordered dict, so removing placed tasks
+      is O(placed) instead of rebuilding the whole queue);
+    * the **pinned set** — ready tasks carrying an endpoint hint, which the
+      next pump places on their pin without asking the scheduler;
     * the **undispatched index** — tasks placed on an endpoint but not yet
       dispatched (scheduled/staging/staged), in *placement order* (what the
       re-scheduling pass walks).  Their counts, in total and per endpoint,
       for the metrics sampler and the scaling strategy, are the running
       aggregates of the graph's :class:`TaskStore`
       (``undispatched_count``, ``pending_dispatch``).
+
+    A task joins the queue or the pinned set when it becomes READY and
+    leaves it when it is placed, so every queued task is READY and unpinned
+    and a pinned task never enters the queue: the scheduler reads the queue
+    as it is, with no filter.
     """
 
     def __init__(self) -> None:
         self._pending_schedule: Dict[str, Task] = {}
-        #: Tasks awaiting scheduling (a plain count the run loop reads every
-        #: visit).
+        #: Ready endpoint-pinned tasks awaiting placement on their pin (read
+        #: only: :meth:`take_pinned` empties it).
+        self.pinned: Dict[str, Task] = {}
+        #: Ready tasks awaiting placement, queued and pinned (a plain count
+        #: the run loop reads every visit).
         self.queued_count = 0
         self._undispatched: Dict[str, Task] = {}  # insertion-ordered
         #: Bumped whenever the undispatched set's *membership* changes; the
@@ -47,9 +57,10 @@ class TaskIndex:
         self.undispatched_epoch = 0
 
     # ------------------------------------------------------ scheduling queue
-    def enqueue(self, task: Task) -> None:
-        """Add a ready task to the scheduling queue (idempotent)."""
-        queue = self._pending_schedule
+    def enqueue(self, task: Task, pinned: bool) -> None:
+        """Add a task that just became ready to the scheduling queue, or to
+        the pinned set when it carries an endpoint hint (idempotent)."""
+        queue = self.pinned if pinned else self._pending_schedule
         if task.task_id not in queue:
             queue[task.task_id] = task
             self.queued_count += 1
@@ -59,8 +70,15 @@ class TaskIndex:
             self.queued_count -= 1
 
     def queued_tasks(self) -> List[Task]:
-        """Tasks awaiting scheduling, in arrival order."""
+        """Unpinned tasks awaiting scheduling, in arrival order."""
         return list(self._pending_schedule.values())
+
+    def take_pinned(self) -> List[Task]:
+        """Empty the pinned set; its tasks in arrival order."""
+        pinned = list(self.pinned.values())
+        self.pinned.clear()
+        self.queued_count -= len(pinned)
+        return pinned
 
     # --------------------------------------------------- undispatched index
     def mark_undispatched(self, task: Task) -> None:

@@ -103,10 +103,6 @@ class PlacementService:
     def current_plan(self) -> Optional[PlacementPlan]:
         return self._plan
 
-    def plan_token(self) -> Tuple[int, int]:
-        """Cheap identity of the current plan (re-schedule fingerprints)."""
-        return (self._generation, self.solve_count)
-
     @property
     def generation(self) -> int:
         return self._generation

@@ -4,9 +4,9 @@ A list attached with :meth:`EventBus.record_to` must hold, entry for entry,
 what :func:`expand_event` — the definition of the log — makes of the events
 an any-event subscriber on the same bus sees.  The runs below are the ones
 whose bus cascades are deepest: crash re-placement, worker churn, the §IV-G
-failure ladder, endpoint-pinned successors published as one group, and
-tenants retiring from an open-loop stream.  A scenario run itself installs
-no any-event handler at all.
+failure ladder, several endpoint-pinned successors readied by one completion
+and placed by the next pump, and tenants retiring from an open-loop stream.
+A scenario run itself installs no any-event handler at all.
 """
 
 from dataclasses import replace
@@ -103,8 +103,8 @@ PINNED = TaskTypeSpec(name="log_pinned", duration_s=1.0, output_mb=0.0)
 
 
 def test_pinned_successors_log_the_same_entries():
-    # One completion unlocks several endpoint-pinned successors, which go
-    # straight to staging as one publish_many group inside the cascade.
+    # One completion unlocks several endpoint-pinned successors, which wait
+    # in the pinned set until the next pump places them on their pins.
     env = build_two_site_env()
     client = env.make_client(env.make_config("DHA"))
     written, expanded = [], []

@@ -20,12 +20,26 @@ class TestTaskIndex:
         index = TaskIndex()
         tasks = [Task(function=engine_work) for _ in range(3)]
         for task in tasks:
-            index.enqueue(task)
-        index.enqueue(tasks[0])  # idempotent
+            index.enqueue(task, False)
+        index.enqueue(tasks[0], False)  # idempotent
         assert index.queued_tasks() == tasks
         index.remove_queued(tasks[1].task_id)
         assert index.queued_tasks() == [tasks[0], tasks[2]]
         assert index.queued_count == 2
+
+    def test_pinned_tasks_wait_apart_from_the_queue(self):
+        index = TaskIndex()
+        free, pinned_a, pinned_b = tasks = [Task(function=engine_work) for _ in range(3)]
+        index.enqueue(free, False)
+        index.enqueue(pinned_a, True)
+        index.enqueue(pinned_b, True)
+        index.enqueue(pinned_a, True)  # idempotent
+        assert index.queued_tasks() == [free]
+        assert index.queued_count == 3
+        assert index.take_pinned() == [pinned_a, pinned_b]
+        assert index.pinned == {} and index.take_pinned() == []
+        assert index.queued_count == 1
+        assert index.queued_tasks() == tasks[:1]
 
     def test_undispatched_counts_track_moves(self):
         # The index keeps the placement order; the counts are the aggregates
