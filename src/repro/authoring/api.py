@@ -1,9 +1,9 @@
 """Decorator-based workflow authoring (dawgz-style) over the dynamic graph.
 
-The three legacy generators build static DAGs through internal helpers; this
-module is the user-facing surface for everything the engine could already do
-but nothing exercised: runtime graph growth, failure-dependent control flow,
-and parametric fan-out.
+The static generators (Montage, drug screening, stress, hot dataset) build
+their DAGs through internal helpers; this module is the user-facing surface
+for every workflow shape the engine runs: static DAGs, runtime graph growth,
+failure-dependent control flow, and parametric fan-out.
 
 A workflow is declared as a function whose body creates jobs::
 
@@ -27,8 +27,9 @@ Semantics (executed by :class:`~repro.authoring.runtime.WorkflowRun`):
 
 - ``after(parent)`` (a *success* edge) passes the parent's future(s) to the
   child and, for plain jobs, is wired eagerly as an ordinary engine
-  dependency — a workflow using only plain success edges materializes its
-  whole DAG up front, byte-identically to the legacy static generators.
+  dependency — a workflow using only plain success edges (the ``layered``
+  workload) materializes its whole DAG up front, with the engine calls a
+  static generator makes.
 - ``after(parent, status="failure")`` materializes the child only once the
   parent's §IV-G retry/reassign ladder is exhausted (terminal ``TaskFailed``)
   or a pre/postcondition is violated; ``status="any"`` fires on either
@@ -56,9 +57,10 @@ of the byte-determinism contract.
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.exceptions import WorkflowError
+from repro.core.functions import FederatedFunction
 from repro.workloads.spec import TaskTypeSpec, make_task_type
 
 __all__ = [
@@ -78,21 +80,18 @@ EDGE_STATUSES = ("success", "failure", "any")
 Predicate = Callable[[int], bool]
 
 
+#: One instantiation's task types, keyed by the :class:`TaskTypeSpec` fields
+#: in declaration order: jobs declaring the same type share one spec and one
+#: federated function, as a static generator's nodes share one ``fn``.
+_TypeCache = Dict[tuple, Tuple[TaskTypeSpec, FederatedFunction]]
+
+
 class _DefinitionContext(threading.local):
     def __init__(self) -> None:
-        self.stack: List[List["Job"]] = []
+        self.stack: List[Tuple[List["Job"], _TypeCache]] = []
 
 
 _CONTEXT = _DefinitionContext()
-
-
-def _active_jobs() -> List["Job"]:
-    if not _CONTEXT.stack:
-        raise WorkflowError(
-            "@job used outside a @workflow body; declare jobs inside a "
-            "workflow definition function"
-        )
-    return _CONTEXT.stack[-1]
 
 
 class JobEdge:
@@ -119,6 +118,21 @@ class Job:
     and loop trips expand into many engine tasks at run time, all sharing one
     federated function (so the profilers aggregate observations per job).
     """
+
+    __slots__ = (
+        "fn",
+        "name",
+        "retries",
+        "array",
+        "max_trips",
+        "until",
+        "edges",
+        "preconditions",
+        "postconditions",
+        "task_type",
+        "function",
+        "_siblings",
+    )
 
     def __init__(
         self,
@@ -157,16 +171,25 @@ class Job:
         # *type* the profilers and event log see defaults to it but can be
         # shared across jobs (``function_name``), e.g. when a generator
         # declares one job per DAG node of a single type.
-        self.task_type = TaskTypeSpec(
-            name=function_name or self.name,
-            duration_s=duration_s,
-            output_mb=output_mb,
-            seconds_per_input_mb=seconds_per_input_mb,
-            cores=cores,
-            failure_rate=failure_rate,
+        if not _CONTEXT.stack:
+            raise WorkflowError(
+                "@job used outside a @workflow body; declare jobs inside a "
+                "workflow definition function"
+            )
+        jobs, types = _CONTEXT.stack[-1]
+        key = (
+            function_name or self.name,
+            duration_s,
+            output_mb,
+            seconds_per_input_mb,
+            cores,
+            failure_rate,
         )
-        self.function = make_task_type(self.task_type)
-        jobs = _active_jobs()
+        shared = types.get(key)
+        if shared is None:
+            spec = TaskTypeSpec(*key)
+            shared = types[key] = (spec, make_task_type(spec))
+        self.task_type, self.function = shared
         self._siblings = jobs
         jobs.append(self)
 
@@ -195,10 +218,6 @@ class Job:
     @property
     def output_mb(self) -> float:
         return self.task_type.output_mb
-
-    @property
-    def is_loop(self) -> bool:
-        return self.max_trips is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Job({self.name!r})"
@@ -267,7 +286,7 @@ class WorkflowDefinition:
     def instantiate(self, **params) -> List[Job]:
         """Run the declaration body; returns jobs in declaration order."""
         jobs: List[Job] = []
-        _CONTEXT.stack.append(jobs)
+        _CONTEXT.stack.append((jobs, {}))
         try:
             self.build_fn(**params)
         finally:

@@ -4,9 +4,9 @@ A registered workflow turns a ``WorkloadSpec.kind`` string into a live
 :class:`~repro.authoring.runtime.WorkflowRun`: the scenario layer resolves
 the name here, the entry maps the spec's sizing knobs onto the definition's
 parameters, and ``build`` starts the run against a client or tenant handle.
-The three legacy generator strings never reach this module — their static
-builders in ``scenarios/spec.py`` are untouched, which is what keeps every
-existing preset digest stable.
+The static generators' kinds (``montage``, ``drug_screening``, ``stress``,
+``hot_dataset``) resolve in ``scenarios/spec.py`` and never reach this
+module; every other kind, ``layered`` included, is a name registered here.
 """
 
 from __future__ import annotations

@@ -3,15 +3,18 @@
 :class:`WorkflowRun` bridges the declarative surface of
 :mod:`repro.authoring.api` and the engine's runtime-growth machinery:
 
-- Plain success-edge jobs materialize *eagerly* at start, in declaration
-  order, with their parents' futures as arguments — exactly the engine calls
-  a legacy static generator makes, which is why a workflow using only those
-  constructs is digest-identical to its static original.
+- Plain success-edge jobs (one task each) materialize *eagerly* at start,
+  in declaration order, with their parents' futures as arguments — exactly
+  the engine calls a static generator makes.  The ``layered`` workload is
+  such a workflow (:mod:`repro.workloads.authored`).  An eager job's outcome
+  lands the moment the bus reports its task terminal.
 - Everything else (failure/any edges, pre/postconditions, arrays, loops, and
-  anything downstream of them) is *deferred*: the run records terminal
-  outcomes from the bus (it never publishes or submits during a cascade) and
-  materializes newly-enabled jobs in :meth:`drain`, which the engine invokes
-  as a growth hook at the top of every pump round.  That boundary is what
+  anything downstream of them) is *open* until it has an outcome: the run
+  records terminal outcomes from the bus (it never publishes or submits
+  during a cascade) and materializes newly-enabled jobs in :meth:`drain`,
+  which visits only the open jobs.  The engine invokes it as a growth hook
+  at the top of every pump round — installed only when some job is open, so
+  a workflow of eager jobs costs the pump nothing.  That boundary is what
   keeps runtime growth byte-deterministic however completions are batched.
 """
 
@@ -50,7 +53,6 @@ class _JobRun:
 
     __slots__ = (
         "job",
-        "deferred",
         "guarded",
         "started",
         "terminal",
@@ -65,7 +67,8 @@ class _JobRun:
 
     def __init__(self, job: Job) -> None:
         self.job = job
-        self.deferred = False
+        #: Outcome observed before its children materialize (see _classify);
+        #: an unguarded job is eager.
         self.guarded = False
         #: Elements materialized so far (engine tasks + require-failed ones).
         self.started = 0
@@ -79,10 +82,6 @@ class _JobRun:
         self.trip = 0
         self.trip_done = False
         self.trip_ok = False
-
-    @property
-    def total(self) -> int:
-        return self.job.array if self.job.array is not None else 1
 
 
 class WorkflowRun:
@@ -111,11 +110,13 @@ class WorkflowRun:
         self._by_job: Dict[Job, _JobRun] = {r.job: r for r in self._runs}
         self._by_task: Dict[str, Tuple[_JobRun, int]] = {}
         self._classify()
+        #: Guarded jobs without an outcome, in declaration order.
+        self._open: List[_JobRun] = [r for r in self._runs if r.guarded]
         self._started = False
 
     # --------------------------------------------------------- classification
     def _classify(self) -> None:
-        """Split jobs into the eager prefix and the deferred remainder.
+        """Split jobs into eager ones and guarded ones.
 
         A job is *guarded* when its authoring-level outcome must be observed
         before its children materialize: arrays, loops, conditions, poison
@@ -133,24 +134,23 @@ class WorkflowRun:
                     watched.add(edge.parent)
         for run in self._runs:
             job = run.job
-            deferred = any(e.status != "success" for e in job.edges)
+            deferred = False
             for edge in job.edges:
-                if self._by_job[edge.parent].guarded:
+                if edge.status != "success" or self._by_job[edge.parent].guarded:
                     deferred = True
-            run.deferred = deferred
             run.guarded = bool(
                 deferred
                 or job in watched
                 or job.task_type.failure_rate > 0.0
                 or job.array is not None
-                or job.is_loop
+                or job.max_trips is not None
                 or job.preconditions
                 or job.postconditions
             )
 
     # ----------------------------------------------------------------- start
     def start(self) -> "WorkflowRun":
-        """Subscribe, materialize the eager prefix, install the growth hook."""
+        """Subscribe, materialize the eager jobs, install the growth hook."""
         if self._started:
             raise WorkflowError(f"workflow run {self.definition.name!r} already started")
         self._started = True
@@ -158,12 +158,15 @@ class WorkflowRun:
         bus.subscribe(TasksCompleted, self._on_tasks_completed)
         bus.subscribe(TaskFailed, self._on_task_failed)
         for run in self._runs:
-            if not run.deferred and not run.guarded:
-                self._materialize_plain(run)
-        self.engine.add_growth_hook(self.drain)
-        # Guarded roots (arrays, loops, conditioned jobs without deferred
-        # parents) materialize through the same path as later growth.
-        self.drain()
+            if not run.guarded:
+                # One engine task, parents wired as future arguments.
+                run.started = 1
+                self._submit(run, 0, self._parent_args(run.job))
+        if self._open:
+            self.engine.add_growth_hook(self.drain)
+            # Guarded roots (arrays, loops, conditioned jobs without deferred
+            # parents) materialize through the same path as later growth.
+            self.drain()
         return self
 
     # --------------------------------------------------------- bus recording
@@ -192,7 +195,10 @@ class WorkflowRun:
             run.succeeded += 1
         else:
             run.failed += 1
-        if run.job.is_loop:
+        if not run.guarded:
+            # An eager job is one task: its outcome is settled here.
+            run.outcome = JobOutcome.SUCCESS if ok else JobOutcome.FAILURE
+        elif run.job.max_trips is not None:
             run.trip_done = True
             run.trip_ok = ok
 
@@ -200,26 +206,19 @@ class WorkflowRun:
     def drain(self) -> None:
         """Materialize every newly-enabled job (engine growth hook).
 
-        Runs to a fixpoint so a require-failure cascades through its failure
-        edges within one pump round.
+        Visits the open jobs only, pruning each one whose outcome landed,
+        and runs to a fixpoint so a require-failure cascades through its
+        failure edges within one pump round.
         """
         changed = True
         while changed:
             changed = False
-            for run in self._runs:
+            for run in self._open:
                 changed |= self._advance(run)
+            if changed:
+                self._open = [run for run in self._open if run.outcome is None]
 
     def _advance(self, run: _JobRun) -> bool:
-        if run.outcome is not None:
-            return False
-        if not run.deferred and not run.guarded:
-            # Eager plain job: just resolve its outcome for downstream edges.
-            if run.started and run.terminal >= run.total:
-                run.outcome = (
-                    JobOutcome.SUCCESS if run.failed == 0 else JobOutcome.FAILURE
-                )
-                return True
-            return False
         if not run.started:
             enabled = self._edges_decided(run)
             if enabled is None:
@@ -261,17 +260,12 @@ class WorkflowRun:
         future = self.client.submit(job.function, args, kwargs)
         self._by_task[future.task_id] = (run, index)
         run.futures.append(future)
-        self.info.register(future, job.name, job.duration_s, job.output_mb)
-
-    def _materialize_plain(self, run: _JobRun) -> None:
-        """Eager path: one engine task, parents wired as future arguments."""
-        args = self._parent_args(run.job)
-        run.started = 1
-        self._submit(run, 0, args)
+        spec = job.task_type
+        self.info.register(future, spec.name, spec.duration_s, spec.output_mb)
 
     def _materialize(self, run: _JobRun) -> bool:
         job = run.job
-        if job.is_loop:
+        if job.max_trips is not None:
             return self._start_trip(run, 1)
         if job.array is not None:
             return self._top_up_array(run)
@@ -336,7 +330,7 @@ class WorkflowRun:
     # ------------------------------------------------------------- progress
     def _progress_started(self, run: _JobRun) -> bool:
         job = run.job
-        if job.is_loop:
+        if job.max_trips is not None:
             if not run.trip_done:
                 return False
             if not run.trip_ok:

@@ -1,7 +1,7 @@
 """The scenario zoo: authored workflows exercising dynamic control flow.
 
 Each definition here is registered by name so scenarios address it straight
-from ``WorkloadSpec(kind="zoo-...")`` and ``python -m repro run-scenario``:
+from ``WorkloadSpec(kind=...)`` and ``python -m repro run-scenario``:
 
 - ``zoo-conditional`` — postcondition-driven branching: one branch's
   ``ensure`` holds (its success path runs, the fallback is skipped), the
@@ -14,9 +14,8 @@ from ``WorkloadSpec(kind="zoo-...")`` and ``python -m repro run-scenario``:
   (``failure_rate=1.0, retries=0``) whose §IV-G ladder exhausts on every
   endpoint so its ``status="failure"`` recovery edge genuinely fires; the
   preset runs several tenants of it under the churn timeline.
-- ``zoo-layered`` — the legacy layered generator re-expressed via the API
-  (:mod:`repro.workloads.authored`), digest-identical to the static
-  original.
+- ``layered`` — the layered DAG of plain success edges
+  (:mod:`repro.workloads.authored`): every job eager, nothing deferred.
 
 All predicates are closed-form and deterministic: the zoo is part of the
 byte-determinism CI matrix.
@@ -237,7 +236,7 @@ register_workflow(
 )
 register_workflow(
     LAYERED_AUTHORED,
-    description="legacy layered generator re-expressed via the authoring API",
+    description="layered DAG, each task after two of the previous layer",
     params=lambda spec: {
         "task_count": spec.task_count,
         "layer_width": spec.layer_width,

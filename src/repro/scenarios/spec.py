@@ -138,7 +138,8 @@ class EndpointSpec:
 class WorkloadSpec:
     """Which workflow generator a scenario runs, and how big."""
 
-    #: "montage", "drug_screening", "stress", "layered" or "hot_dataset".
+    #: A static generator ("montage", "drug_screening", "stress" or
+    #: "hot_dataset") or a registered authored workflow ("layered", "zoo-*").
     kind: str
     #: Fraction of the paper-scale workflow (montage / drug_screening).
     scale: float = 0.02
@@ -155,10 +156,7 @@ class WorkloadSpec:
     shared_mb: float = 64.0
     #: Inline authored workflow.  When set it overrides ``kind``: the
     #: definition runs through :class:`~repro.authoring.runtime.WorkflowRun`
-    #: with ``workflow_params`` as its declaration parameters.  ``kind`` may
-    #: also name a *registered* authored workflow (``zoo-*``); the legacy
-    #: generator strings keep resolving through the static-builder adapter
-    #: below, byte-identically.
+    #: with ``workflow_params`` as its declaration parameters.
     definition: Optional[WorkflowDefinition] = None
     workflow_params: Optional[Dict[str, object]] = None
 
@@ -188,9 +186,9 @@ class WorkloadSpec:
                                  duration_s=self.duration_s, output_mb=self.output_mb)]
         if self.kind == "hot_dataset":
             return list(_hot_dataset_task_types(self))
-        if self.kind not in ("layered",) and is_registered(self.kind):
+        if is_registered(self.kind):
             return get_workflow(self.kind).task_types(self)
-        return [_layered_task_type(self)]
+        raise ValueError(f"unknown workload kind {self.kind!r}")
 
 
 def _start_authored(
@@ -201,38 +199,6 @@ def _start_authored(
     run.start()
     run.info.run = run  # type: ignore[attr-defined] — scenario assertions
     return run.info
-
-
-def _layered_task_type(workload: WorkloadSpec) -> TaskTypeSpec:
-    return TaskTypeSpec(
-        name="layer_task", duration_s=workload.duration_s, output_mb=workload.output_mb
-    )
-
-
-def _build_layered_workload(client: UniFaaSClient, workload: WorkloadSpec) -> WorkloadInfo:
-    """A layered DAG: each task depends on two tasks of the previous layer.
-
-    The same shape as the scheduling-scale benchmark's — wide enough to keep
-    every endpoint busy, deep enough that crashes hit tasks with successors.
-    """
-    spec = _layered_task_type(workload)
-    fn = make_task_type(spec)
-    info = WorkloadInfo(name="layered_dag")
-    with client:
-        previous: List = []
-        while info.task_count < workload.task_count:
-            layer_size = min(workload.layer_width, workload.task_count - info.task_count)
-            layer = []
-            for i in range(layer_size):
-                if previous:
-                    parents = (previous[i % len(previous)], previous[(i + 1) % len(previous)])
-                else:
-                    parents = ()
-                future = fn(*parents)
-                info.register(future, spec.name, spec.duration_s, spec.output_mb)
-                layer.append(future)
-            previous = layer
-    return info
 
 
 def _hot_dataset_task_types(workload: WorkloadSpec) -> List[TaskTypeSpec]:
@@ -288,9 +254,8 @@ def _build_hot_dataset_workload(client: UniFaaSClient, workload: WorkloadSpec) -
     return info
 
 
-#: Adapter keeping the legacy generator strings working alongside the
-#: authored-workflow registry: each maps onto its original static builder
-#: unchanged, so the existing presets' event digests cannot move.
+#: The static generators, by ``WorkloadSpec.kind``.  Every other kind names
+#: a workflow in the authoring registry (``layered`` and the ``zoo-*``).
 _LEGACY_BUILDERS = {
     "montage": lambda client, w: build_montage_workflow(client, scale=w.scale),
     "drug_screening": lambda client, w: build_drug_screening_workflow(
@@ -299,7 +264,6 @@ _LEGACY_BUILDERS = {
     "stress": lambda client, w: build_stress_workload(
         client, w.task_count, w.duration_s, output_mb=w.output_mb
     ),
-    "layered": _build_layered_workload,
     "hot_dataset": _build_hot_dataset_workload,
 }
 

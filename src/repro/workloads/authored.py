@@ -1,13 +1,11 @@
-"""Legacy generators re-expressed through the authoring API.
+"""The layered DAG workload, declared through the authoring API.
 
-The layered DAG generator (``scenarios/spec.py::_build_layered_workload``)
-re-declared job-by-job with :mod:`repro.authoring`: every node becomes a
-plain success-edge :class:`~repro.authoring.api.Job` sharing the
-``layer_task`` task type.  Because plain success-edge jobs materialize
-eagerly in declaration order with their parents' futures as arguments, the
-engine sees the *exact* submission sequence the static builder produces —
-the parity proof that the authoring surface adds no behavioral drift
-(`tests/scenarios/test_zoo.py` pins the digests equal).
+Every node is a plain success-edge :class:`~repro.authoring.api.Job` of the
+shared ``layer_task`` type, wired to two jobs of the previous layer.  Plain
+success-edge jobs materialize eagerly at start, in declaration order, with
+their parents' futures as arguments, so the run submits the whole DAG up
+front and installs no growth hook.  It is registered as ``layered``
+(:mod:`repro.authoring.zoo`), the only generator of that kind.
 """
 
 from __future__ import annotations
@@ -21,14 +19,16 @@ def _layer_node(*args, **kwargs):  # pragma: no cover - never runs in simulation
     return None
 
 
-@workflow(name="zoo-layered")
+@workflow(name="layered")
 def _layered(
     task_count: int = 200,
     layer_width: int = 25,
     duration_s: float = 4.0,
     output_mb: float = 5.0,
 ):
-    """The layered DAG: each task depends on two tasks of the previous layer."""
+    """Wide enough to keep every endpoint busy, deep enough that crashes hit
+    tasks with successors: each task depends on two tasks of the previous
+    layer."""
     previous = []
     count = 0
     while count < task_count:

@@ -259,6 +259,28 @@ class TestTaskTypes:
         assert len({j.name for j in types}) == 3
         assert len(unique_task_types([j.task_type for j in types])) == 1
 
+    def test_equal_task_types_share_one_spec_and_one_function(self):
+        @workflow
+        def wf():
+            for i in range(3):
+                job(lambda: None, name=f"node_{i}", function_name="node", duration_s=2.0)
+            job(lambda: None, name="slow", function_name="node", duration_s=3.0)
+            job(lambda: None, name="other", duration_s=2.0)
+
+        first = wf.instantiate()
+        nodes, slow, other = first[:3], first[3], first[4]
+        assert all(j.task_type is nodes[0].task_type for j in nodes)
+        assert all(j.function is nodes[0].function for j in nodes)
+        # A different duration or a different type name is a different type.
+        for distinct in (slow, other):
+            assert distinct.task_type is not nodes[0].task_type
+            assert distinct.function is not nodes[0].function
+        # Each instantiation declares its own types.
+        again = wf.instantiate()[0]
+        assert again.task_type == nodes[0].task_type
+        assert again.task_type is not nodes[0].task_type
+        assert again.function is not nodes[0].function
+
     def test_unique_task_types_keeps_first_per_name_in_order(self):
         specs = [
             TaskTypeSpec(name="a", duration_s=1.0, output_mb=0.0),
@@ -278,7 +300,7 @@ class TestRegistry:
             "zoo-convergence",
             "zoo-array",
             "zoo-mixed",
-            "zoo-layered",
+            "layered",
         ):
             assert name in names
 

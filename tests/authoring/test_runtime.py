@@ -3,8 +3,10 @@
 import pytest
 
 from repro.authoring.api import after, ensure, job, require, workflow
+from repro.authoring.registry import get_workflow
 from repro.authoring.runtime import ARRAY_BATCH, JobOutcome, WorkflowRun
 from repro.core.exceptions import WorkflowError
+from repro.workloads.authored import LAYERED_AUTHORED
 
 from tests.integration.conftest import build_two_site_env
 
@@ -258,3 +260,45 @@ def test_inspection_rejects_unknown_jobs():
         run.outcome("missing")
     with pytest.raises(WorkflowError, match="unknown job"):
         run.materialized("missing")
+
+
+def _spy_advance(monkeypatch):
+    """Record the outcome each ``_advance`` call finds on its job."""
+    seen = []
+    advance = WorkflowRun._advance
+
+    def spy(self, run):
+        seen.append(run.outcome)
+        return advance(self, run)
+
+    monkeypatch.setattr(WorkflowRun, "_advance", spy)
+    return seen
+
+
+def test_an_all_eager_workflow_costs_the_pump_nothing(monkeypatch):
+    # The layered DAG is plain success edges only: every job materializes at
+    # start, so the run installs no growth hook and drain never runs.
+    seen = _spy_advance(monkeypatch)
+    env = build_two_site_env()
+    client = env.make_client(env.make_config("DHA"))
+    run = WorkflowRun(
+        LAYERED_AUTHORED, client, params={"task_count": 30, "layer_width": 6}
+    ).start()
+    assert client.engine._growth_hooks == []
+    client.run(max_wall_time_s=120.0)
+    assert seen == []
+    assert run.materialized("layer_task_00029") == 1
+    assert run.info.tasks_by_type == {"layer_task": 30}
+    assert set(run.outcomes().values()) == {JobOutcome.SUCCESS}
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("zoo-conditional", {}), ("zoo-mixed", {"width": 40})],
+)
+def test_drain_visits_only_jobs_without_an_outcome(monkeypatch, name, params):
+    seen = _spy_advance(monkeypatch)
+    run = run_workflow(get_workflow(name).definition, params=params)
+    assert seen
+    assert set(seen) == {None}
+    assert None not in run.outcomes().values()

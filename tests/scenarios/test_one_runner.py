@@ -56,7 +56,7 @@ class TestStreamTotals:
         spec = dataclasses.replace(
             get_scenario("stream-steady"),
             workload=WorkloadSpec(
-                kind="zoo-layered", task_count=8, layer_width=4, duration_s=2.0,
+                kind="layered", task_count=8, layer_width=4, duration_s=2.0,
                 output_mb=1.0,
             ),
         )

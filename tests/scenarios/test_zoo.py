@@ -1,4 +1,4 @@
-"""The authored scenario zoo: determinism, parity with legacy generators,
+"""The authored scenario zoo: determinism, workload-kind resolution,
 and the zoo-mixed acceptance properties (10k-wide array + a failure-recovery
 edge that actually fires under churn).
 
@@ -104,23 +104,6 @@ class TestZooMixedAcceptance:
         assert again.to_json() == result.to_json()
 
 
-def test_authored_layered_matches_the_legacy_generator_byte_for_byte():
-    # The parity proof for the API redesign: re-expressing the legacy
-    # "layered" generator through @job/@after must reproduce the exact event
-    # log — same submissions, same order, same digest.
-    legacy = get_scenario("ci-smoke")
-    authored = dataclasses.replace(
-        legacy,
-        workload=dataclasses.replace(legacy.workload, kind="zoo-layered"),
-    )
-    legacy_result = run_scenario(legacy)
-    authored_result = run_scenario(authored)
-    assert legacy_result.determinism_digest == authored_result.determinism_digest
-    assert legacy_result.total_tasks == authored_result.total_tasks
-    assert legacy_result.makespan_s == authored_result.makespan_s
-    assert legacy_result.tasks_per_endpoint == authored_result.tasks_per_endpoint
-
-
 def test_inline_definition_overrides_kind():
     # WorkloadSpec.definition: an unregistered, ad-hoc authored workflow
     # drives a scenario directly.
@@ -164,3 +147,10 @@ def test_unknown_workload_kind_is_an_error():
     )
     with pytest.raises(ValueError, match="no-such-workload"):
         run_scenario(spec)
+
+
+def test_unknown_workload_kind_has_no_task_types():
+    # Profiler pre-training must refuse the kind build() refuses, not seed a
+    # type of some other workload.
+    with pytest.raises(ValueError, match="no-such-workload"):
+        WorkloadSpec(kind="no-such-workload").task_types()
