@@ -132,7 +132,7 @@ def run_through_a_scenario():
 # ----------------------------------------------------------------- tour 3
 def run_the_zoo():
     print("\n=== 3. The registered zoo ===")
-    print(f"  registered: {', '.join(registered_names())}")
+    print(f"  workload kinds: {', '.join(registered_names())}")
     for preset in ("zoo-conditional", "zoo-convergence"):
         result = run_scenario(get_scenario(preset))
         print(f"  {preset:16s} {result.completed_tasks}/{result.total_tasks} "

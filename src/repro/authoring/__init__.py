@@ -6,8 +6,10 @@ Public surface::
     from repro.authoring import WorkflowRun
 
 See :mod:`repro.authoring.api` for the declaration semantics,
-:mod:`repro.authoring.runtime` for the execution model, and
-:mod:`repro.authoring.zoo` for the registered scenario-zoo workflows.
+:mod:`repro.authoring.runtime` for the execution model,
+:mod:`repro.authoring.zoo` for the scenario-zoo workflows, and
+:mod:`repro.authoring.registry` for the table of every workload kind a
+scenario can name.
 """
 
 from repro.authoring.api import (
@@ -23,9 +25,7 @@ from repro.authoring.api import (
 )
 from repro.authoring.registry import (
     RegisteredWorkflow,
-    build_registered,
     get_workflow,
-    is_registered,
     register_workflow,
     registered_names,
 )
@@ -41,10 +41,8 @@ __all__ = [
     "WorkflowDefinition",
     "WorkflowRun",
     "after",
-    "build_registered",
     "ensure",
     "get_workflow",
-    "is_registered",
     "job",
     "register_workflow",
     "registered_names",

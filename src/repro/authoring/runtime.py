@@ -6,7 +6,7 @@
 - Plain success-edge jobs (one task each) materialize *eagerly* at start,
   in declaration order, with their parents' futures as arguments — exactly
   the engine calls a static generator makes.  The ``layered`` workload is
-  such a workflow (:mod:`repro.workloads.authored`).  An eager job's outcome
+  such a workflow (:mod:`repro.authoring.zoo`).  An eager job's outcome
   lands the moment the bus reports its task terminal.
 - Everything else (failure/any edges, pre/postconditions, arrays, loops, and
   anything downstream of them) is *open* until it has an outcome: the run
@@ -99,12 +99,11 @@ class WorkflowRun:
         client,
         *,
         params: Optional[dict] = None,
-        info: Optional[WorkloadInfo] = None,
     ) -> None:
         self.definition = definition
         self.client = client
         self.engine = client.engine
-        self.info = info if info is not None else WorkloadInfo(name=definition.name)
+        self.info = WorkloadInfo(name=definition.name)
         self.jobs = definition.instantiate(**(params or {}))
         self._runs: List[_JobRun] = [_JobRun(j) for j in self.jobs]
         self._by_job: Dict[Job, _JobRun] = {r.job: r for r in self._runs}

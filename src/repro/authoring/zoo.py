@@ -1,7 +1,9 @@
-"""The scenario zoo: authored workflows exercising dynamic control flow.
+"""The scenario zoo: the authored workflows a scenario can name.
 
-Each definition here is registered by name so scenarios address it straight
-from ``WorkloadSpec(kind=...)`` and ``python -m repro run-scenario``:
+This module only declares definitions.  The workload table
+(:mod:`repro.authoring.registry`) lists each one under its name, so
+scenarios address it straight from ``WorkloadSpec(kind=...)`` and
+``python -m repro run-scenario``:
 
 - ``zoo-conditional`` — postcondition-driven branching: one branch's
   ``ensure`` holds (its success path runs, the fallback is skipped), the
@@ -14,8 +16,9 @@ from ``WorkloadSpec(kind=...)`` and ``python -m repro run-scenario``:
   (``failure_rate=1.0, retries=0``) whose §IV-G ladder exhausts on every
   endpoint so its ``status="failure"`` recovery edge genuinely fires; the
   preset runs several tenants of it under the churn timeline.
-- ``layered`` — the layered DAG of plain success edges
-  (:mod:`repro.workloads.authored`): every job eager, nothing deferred.
+- ``layered`` — the layered DAG of plain success edges: every job eager,
+  nothing deferred, so the run submits the whole DAG up front with the
+  engine calls a static generator makes.
 
 All predicates are closed-form and deterministic: the zoo is part of the
 byte-determinism CI matrix.
@@ -24,10 +27,8 @@ byte-determinism CI matrix.
 from __future__ import annotations
 
 from repro.authoring.api import after, ensure, job, workflow
-from repro.authoring.registry import register_workflow
-from repro.workloads.authored import LAYERED_AUTHORED
 
-__all__ = ["ZOO_ARRAY", "ZOO_CONDITIONAL", "ZOO_CONVERGENCE", "ZOO_MIXED"]
+__all__ = ["LAYERED", "ZOO_ARRAY", "ZOO_CONDITIONAL", "ZOO_CONVERGENCE", "ZOO_MIXED"]
 
 
 def _noop(*args, **kwargs):  # pragma: no cover - never runs in simulation
@@ -201,46 +202,34 @@ def ZOO_MIXED(width: int = 10000, duration_s: float = 0.05):
         return _noop()
 
 
-register_workflow(
-    ZOO_CONDITIONAL,
-    description="postcondition-driven branching with a recovery edge",
-    params=lambda spec: {
-        "duration_s": spec.duration_s,
-        "output_mb": spec.output_mb,
-    },
-)
-register_workflow(
-    ZOO_CONVERGENCE,
-    description="iterate-until-metric loop with a bounded trip count",
-    params=lambda spec: {
-        "duration_s": spec.duration_s,
-        "output_mb": spec.output_mb,
-    },
-)
-register_workflow(
-    ZOO_ARRAY,
-    description="wide array fan-out expanding lazily in batches",
-    params=lambda spec: {
-        "width": spec.task_count,
-        "duration_s": spec.duration_s,
-        "output_mb": spec.output_mb,
-    },
-)
-register_workflow(
-    ZOO_MIXED,
-    description="conditional + loop + poison-failure recovery + 10k array",
-    params=lambda spec: {
-        "width": spec.task_count,
-        "duration_s": spec.duration_s,
-    },
-)
-register_workflow(
-    LAYERED_AUTHORED,
-    description="layered DAG, each task after two of the previous layer",
-    params=lambda spec: {
-        "task_count": spec.task_count,
-        "layer_width": spec.layer_width,
-        "duration_s": spec.duration_s,
-        "output_mb": spec.output_mb,
-    },
-)
+@workflow(name="layered")
+def LAYERED(
+    task_count: int = 200,
+    layer_width: int = 25,
+    duration_s: float = 4.0,
+    output_mb: float = 5.0,
+):
+    """Wide enough to keep every endpoint busy, deep enough that crashes hit
+    tasks with successors: each task depends on two tasks of the previous
+    layer.  Every node is a plain success-edge job of the shared
+    ``layer_task`` type, so the run installs no growth hook."""
+    previous = []
+    count = 0
+    while count < task_count:
+        layer_size = min(layer_width, task_count - count)
+        layer = []
+        for i in range(layer_size):
+            node = job(
+                _noop,
+                name=f"layer_task_{count:05d}",
+                function_name="layer_task",
+                duration_s=duration_s,
+                output_mb=output_mb,
+            )
+            if previous:
+                node.after(
+                    previous[i % len(previous)], previous[(i + 1) % len(previous)]
+                )
+            layer.append(node)
+            count += 1
+        previous = layer

@@ -4,7 +4,7 @@ UniFaaS predicts task execution times and data transfer times with common
 performance models trained on monitored history:
 
 * :mod:`repro.profiling.models` — regression models implemented from scratch
-  on NumPy (random forest, polynomial, Bayesian linear) so no external ML
+  on NumPy (random forest, polynomial) so no external ML
   dependency is needed;
 * :mod:`repro.profiling.execution` — the execution profiler (one model per
   function, predicting execution time and output size from input size and
@@ -14,7 +14,6 @@ performance models trained on monitored history:
 """
 
 from repro.profiling.models import (
-    BayesianLinearRegression,
     DecisionTreeRegressor,
     PolynomialRegression,
     RandomForestRegressor,
@@ -23,7 +22,6 @@ from repro.profiling.execution import ExecutionProfiler
 from repro.profiling.transfer import TransferProfiler
 
 __all__ = [
-    "BayesianLinearRegression",
     "DecisionTreeRegressor",
     "ExecutionProfiler",
     "PolynomialRegression",

@@ -4,13 +4,11 @@ The paper uses random-forest regression for task execution times (citing
 Pham et al. and Singh et al.), polynomial regression for transfer times, and
 notes that the profilers are extensible to other models (XGBoost, Bayesian
 linear regression).  scikit-learn is not available in this environment, so
-the models are implemented here directly on NumPy:
+the models the profilers use are implemented here directly on NumPy:
 
 * :class:`DecisionTreeRegressor` — CART with variance-reduction splits;
 * :class:`RandomForestRegressor` — bagged trees with feature subsampling;
-* :class:`PolynomialRegression` — least-squares fit on polynomial features;
-* :class:`BayesianLinearRegression` — conjugate Gaussian prior, giving both a
-  mean prediction and predictive uncertainty.
+* :class:`PolynomialRegression` — least-squares fit on polynomial features.
 
 All models expose the same ``fit(X, y)`` / ``predict(X)`` interface.
 """
@@ -26,7 +24,6 @@ __all__ = [
     "DecisionTreeRegressor",
     "RandomForestRegressor",
     "PolynomialRegression",
-    "BayesianLinearRegression",
 ]
 
 
@@ -365,48 +362,3 @@ class PolynomialRegression:
         X = _as_2d(X, self.n_features_)
         return self._design_matrix(X) @ self._coef
 
-
-class BayesianLinearRegression:
-    """Bayesian linear regression with a conjugate Gaussian prior.
-
-    Included because the paper lists it as an alternative execution model;
-    it also exposes predictive uncertainty, which schedulers could use to be
-    conservative about poorly observed functions.
-    """
-
-    def __init__(self, alpha: float = 1.0, beta: float = 25.0) -> None:
-        if alpha <= 0 or beta <= 0:
-            raise ValueError("alpha and beta must be positive")
-        self.alpha = alpha
-        self.beta = beta
-        self._mean: Optional[np.ndarray] = None
-        self._cov: Optional[np.ndarray] = None
-        self.n_features_: int = 0
-
-    @staticmethod
-    def _augment(X: np.ndarray) -> np.ndarray:
-        return np.column_stack([np.ones(len(X)), X])
-
-    def fit(self, X, y) -> "BayesianLinearRegression":
-        X = _as_2d(X)
-        y = np.asarray(y, dtype=float).ravel()
-        if len(X) != len(y):
-            raise ValueError("X and y lengths differ")
-        if len(y) == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        self.n_features_ = X.shape[1]
-        A = self._augment(X)
-        precision = self.alpha * np.eye(A.shape[1]) + self.beta * (A.T @ A)
-        self._cov = np.linalg.inv(precision)
-        self._mean = self.beta * self._cov @ A.T @ y
-        return self
-
-    def predict(self, X, return_std: bool = False):
-        _check_fitted(self._mean is not None)
-        X = _as_2d(X, self.n_features_)
-        A = self._augment(X)
-        mean = A @ self._mean
-        if not return_std:
-            return mean
-        var = 1.0 / self.beta + np.einsum("ij,jk,ik->i", A, self._cov, A)
-        return mean, np.sqrt(var)

@@ -355,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser(
-        "list-workflows", help="list the registered authored (zoo) workflows"
+        "list-workflows",
+        help="list every workload kind a scenario can name (static and authored)",
     ).set_defaults(func=_cmd_list_workflows)
 
     run = sub.add_parser("run-scenario", help="run one scenario preset")

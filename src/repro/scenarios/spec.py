@@ -33,10 +33,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.authoring.api import WorkflowDefinition
-from repro.authoring.registry import get_workflow, is_registered, unique_task_types
-from repro.authoring.runtime import WorkflowRun
+from repro.authoring.registry import RegisteredWorkflow, authored_entry, get_workflow
 from repro.core.client import UniFaaSClient
-from repro.data.remote_file import GlobusFile
+from repro.core.exceptions import WorkflowError
 from repro.durability import (
     DurabilityController,
     DurabilityOptions,
@@ -56,10 +55,7 @@ from repro.sim.hardware import ClusterSpec, testbed_clusters
 from repro.sim.network import NetworkModel
 from repro.streaming import StreamingService
 from repro.streaming.spec import StreamingSpec
-from repro.workloads.drug_screening import DRUG_SCREENING_TYPES, build_drug_screening_workflow
-from repro.workloads.montage import MONTAGE_TYPES, build_montage_workflow
-from repro.workloads.spec import TaskTypeSpec, WorkloadInfo, make_task_type
-from repro.workloads.synthetic import build_stress_workload
+from repro.workloads.spec import TaskTypeSpec, WorkloadInfo
 
 __all__ = [
     "EndpointSpec",
@@ -138,8 +134,9 @@ class EndpointSpec:
 class WorkloadSpec:
     """Which workflow generator a scenario runs, and how big."""
 
-    #: A static generator ("montage", "drug_screening", "stress" or
-    #: "hot_dataset") or a registered authored workflow ("layered", "zoo-*").
+    #: A name in the workload table (:mod:`repro.authoring.registry`): a
+    #: static generator ("montage", "drug_screening", "stress",
+    #: "hot_dataset") or an authored workflow ("layered", "zoo-*").
     kind: str
     #: Fraction of the paper-scale workflow (montage / drug_screening).
     scale: float = 0.02
@@ -161,111 +158,22 @@ class WorkloadSpec:
     workflow_params: Optional[Dict[str, object]] = None
 
     def build(self, client: UniFaaSClient) -> WorkloadInfo:
-        if self.definition is not None:
-            return _start_authored(self.definition, client, self.workflow_params)
-        builder = _LEGACY_BUILDERS.get(self.kind)
-        if builder is not None:
-            return builder(client, self)
-        if is_registered(self.kind):
-            entry = get_workflow(self.kind)
-            return _start_authored(entry.definition, client, entry.params(self))
-        raise ValueError(f"unknown workload kind {self.kind!r}")
+        return self._entry().build(client, self)
 
     def task_types(self) -> List[TaskTypeSpec]:
         """Task types to pre-train the execution profiler with."""
+        return self._entry().task_types(self)
+
+    def _entry(self) -> RegisteredWorkflow:
+        """The inline ``definition``, else the workload table's ``kind``."""
         if self.definition is not None:
-            return unique_task_types(
-                self.definition.task_types(**(self.workflow_params or {}))
+            return authored_entry(
+                self.definition, lambda spec: spec.workflow_params or {}
             )
-        if self.kind == "montage":
-            return list(MONTAGE_TYPES.values())
-        if self.kind == "drug_screening":
-            return list(DRUG_SCREENING_TYPES.values())
-        if self.kind == "stress":
-            return [TaskTypeSpec(name=f"stress_{self.duration_s:g}s",
-                                 duration_s=self.duration_s, output_mb=self.output_mb)]
-        if self.kind == "hot_dataset":
-            return list(_hot_dataset_task_types(self))
-        if is_registered(self.kind):
-            return get_workflow(self.kind).task_types(self)
-        raise ValueError(f"unknown workload kind {self.kind!r}")
-
-
-def _start_authored(
-    definition: WorkflowDefinition, client, params: Optional[Dict[str, object]]
-) -> WorkloadInfo:
-    """Start an authored workflow on a client or tenant handle."""
-    run = WorkflowRun(definition, client, params=dict(params or {}))
-    run.start()
-    run.info.run = run  # type: ignore[attr-defined] — scenario assertions
-    return run.info
-
-
-def _hot_dataset_task_types(workload: WorkloadSpec) -> List[TaskTypeSpec]:
-    return [
-        TaskTypeSpec(name="hot_prepare", duration_s=workload.duration_s, output_mb=0.0),
-        TaskTypeSpec(
-            name="hot_consume", duration_s=workload.duration_s, output_mb=workload.output_mb
-        ),
-    ]
-
-
-def _build_hot_dataset_workload(client: UniFaaSClient, workload: WorkloadSpec) -> WorkloadInfo:
-    """Many consumers share a hot input dataset.
-
-    A handful of large shared files live on the *last* endpoint of the
-    topology (presets put a small "datastore" site there); a layer of
-    compute-only *prepare* tasks gates a wide fan of *consume* tasks that
-    each read two of the shared files.  While the
-    prepare layer executes, every consumer is *ready-soon* — exactly the
-    window the data plane's prefetcher pipelines the hot files into, and the
-    re-used replicas are what the capacity-bounded store must keep (or
-    cheaply re-stage) under eviction pressure.
-    """
-    prepare_spec, consume_spec = _hot_dataset_task_types(workload)
-    prepare_fn = make_task_type(prepare_spec)
-    consume_fn = make_task_type(consume_spec)
-    # The dataset lives on the *last* endpoint of the topology — presets put
-    # a small "datastore" site there, so compute endpoints must pull the hot
-    # files over the WAN (or serve them from prefetched replicas).
-    home = client.fabric.endpoint_names()[-1]
-    shared = [
-        GlobusFile(f"hot-{i:03d}", size_mb=workload.shared_mb, location=home)
-        for i in range(max(1, workload.shared_files))
-    ]
-    info = WorkloadInfo(name="hot_dataset")
-    info.total_data_mb += sum(f.size_mb for f in shared)
-    with client:
-        prepares = []
-        for _ in range(max(1, workload.layer_width)):
-            future = prepare_fn()
-            info.register(future, prepare_spec.name, prepare_spec.duration_s, 0.0)
-            prepares.append(future)
-        consumers = max(0, workload.task_count - len(prepares))
-        for i in range(consumers):
-            gate = prepares[i % len(prepares)]
-            first = shared[i % len(shared)]
-            second = shared[(i + len(shared) // 2) % len(shared)]
-            inputs = (first,) if second is first else (first, second)
-            future = consume_fn(gate, *inputs)
-            info.register(
-                future, consume_spec.name, consume_spec.duration_s, workload.output_mb
-            )
-    return info
-
-
-#: The static generators, by ``WorkloadSpec.kind``.  Every other kind names
-#: a workflow in the authoring registry (``layered`` and the ``zoo-*``).
-_LEGACY_BUILDERS = {
-    "montage": lambda client, w: build_montage_workflow(client, scale=w.scale),
-    "drug_screening": lambda client, w: build_drug_screening_workflow(
-        client, scale=w.scale
-    ),
-    "stress": lambda client, w: build_stress_workload(
-        client, w.task_count, w.duration_s, output_mb=w.output_mb
-    ),
-    "hot_dataset": _build_hot_dataset_workload,
-}
+        try:
+            return get_workflow(self.kind)
+        except WorkflowError:
+            raise ValueError(f"unknown workload kind {self.kind!r}") from None
 
 
 @dataclass(frozen=True)

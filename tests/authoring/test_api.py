@@ -12,6 +12,7 @@ from repro.authoring.api import (
     workflow,
 )
 from repro.authoring.registry import (
+    get_workflow,
     register_workflow,
     registered_names,
     unique_task_types,
@@ -281,6 +282,28 @@ class TestTaskTypes:
         assert again.task_type is not nodes[0].task_type
         assert again.function is not nodes[0].function
 
+    def test_task_types_hands_its_instantiation_to_the_next_one(self):
+        bodies = []
+
+        @workflow
+        def wf(width=2):
+            bodies.append(width)
+            for i in range(width):
+                job(lambda: None, name=f"node_{i}", function_name="node")
+
+        types = wf.task_types(width=3)
+        first = wf.instantiate(width=3)
+        assert bodies == [3]
+        assert [j.task_type for j in first] == types
+        # Handed out once: the next instantiation runs the body again.
+        again = wf.instantiate(width=3)
+        assert bodies == [3, 3]
+        assert again[0] is not first[0]
+        # Other parameters never take it.
+        wf.task_types(width=3)
+        assert len(wf.instantiate(width=4)) == 4
+        assert bodies == [3, 3, 3, 4]
+
     def test_unique_task_types_keeps_first_per_name_in_order(self):
         specs = [
             TaskTypeSpec(name="a", duration_s=1.0, output_mb=0.0),
@@ -315,19 +338,18 @@ class TestRegistry:
             register_workflow(impostor)
 
     def test_unknown_workflow_lookup_raises(self):
-        from repro.authoring.registry import get_workflow, is_registered
-
-        assert not is_registered("no-such-workflow")
         with pytest.raises(WorkflowError, match="unknown workflow"):
             get_workflow("no-such-workflow")
 
     def test_zoo_definitions_instantiate(self):
-        from repro.authoring.registry import get_workflow
-
-        for name in registered_names():
-            entry = get_workflow(name)
-            jobs = entry.definition.instantiate(**entry.params(_SpecStub()))
-            assert jobs, name
+        authored = [
+            get_workflow(name)
+            for name in registered_names()
+            if get_workflow(name).definition is not None
+        ]
+        assert {entry.name for entry in authored} >= {"layered", "zoo-mixed"}
+        for entry in authored:
+            assert entry.task_types(_SpecStub()), entry.name
 
 
 class _SpecStub:

@@ -5,8 +5,8 @@ import pytest
 from repro.authoring.api import after, ensure, job, require, workflow
 from repro.authoring.registry import get_workflow
 from repro.authoring.runtime import ARRAY_BATCH, JobOutcome, WorkflowRun
+from repro.authoring.zoo import LAYERED
 from repro.core.exceptions import WorkflowError
-from repro.workloads.authored import LAYERED_AUTHORED
 
 from tests.integration.conftest import build_two_site_env
 
@@ -282,7 +282,7 @@ def test_an_all_eager_workflow_costs_the_pump_nothing(monkeypatch):
     env = build_two_site_env()
     client = env.make_client(env.make_config("DHA"))
     run = WorkflowRun(
-        LAYERED_AUTHORED, client, params={"task_count": 30, "layer_width": 6}
+        LAYERED, client, params={"task_count": 30, "layer_width": 6}
     ).start()
     assert client.engine._growth_hooks == []
     client.run(max_wall_time_s=120.0)

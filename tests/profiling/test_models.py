@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.profiling.models import (
-    BayesianLinearRegression,
     DecisionTreeRegressor,
     PolynomialRegression,
     RandomForestRegressor,
@@ -146,28 +145,6 @@ class TestPolynomialRegression:
             PolynomialRegression().predict([[1.0]])
 
 
-class TestBayesianLinearRegression:
-    def test_recovers_linear_relationship(self):
-        X, y = linear_dataset(noise=0.1)
-        model = BayesianLinearRegression(alpha=1e-3, beta=100.0).fit(X, y)
-        pred = model.predict([[1.0, 2.0, 3.0]])[0]
-        assert pred == pytest.approx(2.0 + 1.0 - 3.0 + 3.0, abs=0.3)
-
-    def test_uncertainty_grows_away_from_data(self):
-        X = np.linspace(0, 1, 50).reshape(-1, 1)
-        y = 2 * X[:, 0]
-        model = BayesianLinearRegression().fit(X, y)
-        _, std_near = model.predict([[0.5]], return_std=True)
-        _, std_far = model.predict([[100.0]], return_std=True)
-        assert std_far[0] > std_near[0]
-
-    def test_invalid_hyperparameters(self):
-        with pytest.raises(ValueError):
-            BayesianLinearRegression(alpha=0)
-        with pytest.raises(ValueError):
-            BayesianLinearRegression(beta=-1)
-
-
 class TestFeatureCountChecked:
     """A query of another width than the fit is a typed error in every model:
     a forest used to answer a too-wide one silently (reading the columns it
@@ -179,7 +156,6 @@ class TestFeatureCountChecked:
         # A constant target is fitted without a bootstrap; same check.
         lambda: RandomForestRegressor(n_estimators=3, max_depth=3).fit(np.ones((6, 4)), np.ones(6)),
         lambda: PolynomialRegression(),
-        lambda: BayesianLinearRegression(),
     ]
 
     @pytest.mark.parametrize("build", MODELS)

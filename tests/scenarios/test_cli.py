@@ -15,6 +15,14 @@ class TestListScenarios:
         assert "ci-smoke" in out
 
 
+class TestListWorkflows:
+    def test_lists_every_workload_kind(self, capsys):
+        assert main(["list-workflows"]) == 0
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        for kind in ("montage", "hot_dataset", "layered", "zoo-mixed"):
+            assert kind in names
+
+
 class TestRunScenario:
     def test_writes_bench_artifact(self, tmp_path, capsys):
         assert main(["run-scenario", "ci-smoke", "--out", str(tmp_path)]) == 0

@@ -1,9 +1,12 @@
-"""Import layering between ``repro.durability`` and ``repro.scenarios``.
+"""Import layering of ``repro.durability``, ``repro.scenarios``,
+``repro.authoring`` and ``repro.workloads``.
 
 Durability works on payload dicts, so it imports nothing from the scenario
-layer; the scenario layer imports durability at module level.  A
-function-local ``import repro...`` is how an import cycle hides, so neither
-package has one outside an ``if TYPE_CHECKING:`` block.
+layer; the scenario layer imports durability at module level.  The workload
+table (``authoring.registry``) imports the zoo's definitions and the static
+generators of ``workloads`` at module level too.  A function-local
+``import repro...`` is how an import cycle hides, so none of the four
+packages has one outside an ``if TYPE_CHECKING:`` block.
 """
 
 import ast
@@ -12,7 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-PACKAGES = ("scenarios", "durability")
+PACKAGES = ("scenarios", "durability", "authoring", "workloads")
 MODULES = [
     path for package in PACKAGES for path in sorted((SRC / "repro" / package).rglob("*.py"))
 ]
