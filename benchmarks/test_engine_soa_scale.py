@@ -110,7 +110,7 @@ def columnar_refresh(graph: TaskGraph):
     store = graph.store
     ready = graph.in_state(TaskState.READY)
     waits = store.wait_times()
-    return len(ready), waits, store.staged_demand(), store.undispatched_by_endpoint()
+    return len(ready), waits, dict(store.staged_cores), store.undispatched_by_endpoint()
 
 
 # ----------------------------------------------------------- event delivery

@@ -375,7 +375,7 @@ class DataPlane:
         none of this.
         """
         if self.published or self.store.is_offline(endpoint):
-            return  # every tenant's bus forwards the same crash; the first one acted
+            return  # already quarantined: nothing left to cancel or re-route
         self.store.mark_offline(endpoint)
         for job in self.transfers.queued_jobs():
             if job.request.dst != endpoint:

@@ -15,8 +15,8 @@ coordinators:
   fail ladder of §IV-G;
 
 plus the :class:`~repro.engine.periodic.PeriodicCoordinator` for everything
-on a cadence.  The monitors, the metrics collector and the scheduler observe
-a dispatch and a completion by direct call, in one fixed order, at the one
+on a cadence.  The monitors and the metrics collector observe a dispatch
+and a completion by direct call, in one fixed order, at the one
 place each happens (:meth:`~repro.engine.dispatch.DispatchCoordinator.dispatch`,
 :meth:`ExecutionEngine._handle_completions`); the bus then announces the
 round's batch.
@@ -131,8 +131,8 @@ class ExecutionEngine:
             self.scheduler.plan_provider = self.plan_service.current_plan
 
         # Engine state.
+        #: Built by :meth:`start`; ``None`` until the workflow has started.
         self.context: Optional[SchedulingContext] = None
-        self._running = False
         #: Tasks submitted since the last pump round, handed to the scheduler
         #: in one ``on_tasks_added`` batch (the sole graph-growth hook) so
         #: DHA's incremental ancestors-only recompute runs once per round.
@@ -148,13 +148,10 @@ class ExecutionEngine:
         #: the new consumer runs.
         self._consumer_counts: Dict[str, int] = {}
 
-        self.bus.subscribe(CapacityChanged, lambda e: self.scheduler.on_capacity_changed())
-
-        # Endpoint dynamics (crash / rejoin / churn) change capacity out from
-        # under the mocked view: re-synchronise the monitor and react at once
-        # instead of waiting for the periodic cadences.  Subscribed before
-        # the coordinators so the failure coordinator's crash handler sees
-        # fresh online flags.
+        # Endpoint dynamics (crash / rejoin / churn) reach this bus after the
+        # federation re-synchronised the shared monitor, re-planned and
+        # quarantined (:meth:`WorkflowManager._forward_dynamics`); this
+        # workflow reacts at once instead of waiting for its cadences.
         for dynamics_type in (EndpointCrashed, EndpointRejoined, WorkerChurn):
             self.bus.subscribe(dynamics_type, self._on_endpoint_dynamics)
 
@@ -167,20 +164,12 @@ class ExecutionEngine:
         self.bus.subscribe(TaskReady, self._on_task_ready)
 
         # Data-plane wiring: pin lifecycle and prefetch guesses on terminal
-        # failure (which the metrics count), crash cleanup and the prefetch
-        # pipeline (a successful completion releases its pins and advances
-        # the prefetcher in _handle_completions; the staging coordinator
-        # tells it about placements).
+        # failure (which the metrics count) and the prefetch pipeline (a
+        # successful completion releases its pins and advances the
+        # prefetcher in _handle_completions; the staging coordinator tells
+        # it about placements).
         plane = self.data_manager
         self.bus.subscribe(TaskFailed, self._on_task_failed)
-        # On this workflow's own bus, so the quarantine lands after the
-        # synchronous dynamics handlers above (the failure coordinator's
-        # re-placements are still deferred in the bus cascade) and before
-        # any re-placed task stages — never from a replica on the dead
-        # endpoint.  Every tenant forwards the same event; the plane
-        # ignores the repeats.
-        self.bus.subscribe(EndpointCrashed, lambda e: plane.on_endpoint_crashed(e.endpoint))
-        self.bus.subscribe(EndpointRejoined, lambda e: plane.on_endpoint_rejoined(e.endpoint))
         self.prefetcher: Optional[Prefetcher] = None
         if config.enable_prefetch and not plane.published:
             self.prefetcher = Prefetcher(
@@ -245,7 +234,7 @@ class ExecutionEngine:
         ready = self.graph.store.state[task._row] == READY_CODE
         if ready:
             self.bus.publish(TaskReady.for_task(task, time=now))
-        if self._running:
+        if self.context is not None:
             # Deferred: the scheduler sees every addition of this pump round
             # in one on_tasks_added batch (flushed by drain_growth).
             self._pending_added.append(task)
@@ -268,7 +257,6 @@ class ExecutionEngine:
         """Begin execution bookkeeping: scheduling context, scheduler
         initialisation, metrics.  The federation's run loop calls this when
         the workflow's (possibly staggered) arrival comes due."""
-        self._running = True
         self.context = SchedulingContext(
             graph=self.graph,
             endpoint_monitor=self.endpoint_monitor,
@@ -343,39 +331,23 @@ class ExecutionEngine:
 
     # ---------------------------------------------------------------- events
     def _on_endpoint_dynamics(self, event) -> None:
-        """React to a crash / rejoin / churn announced on the bus.
+        """This workflow's reaction to a crash / rejoin / churn.
 
-        The service notices the connection change immediately (heartbeat),
-        so the monitor force-syncs against it; the elastic scaler and DHA's
-        re-scheduling then run promptly — the reactions the scenario
-        subsystem's chaos regimes exercise.
+        The shared substrate has already reacted.  The workflow announces
+        the capacity change and, once started, runs DHA's re-scheduling
+        promptly — the reaction the scenario subsystem's chaos regimes
+        exercise.  Not on a crash: the failure coordinator owns re-placement
+        of the stranded tasks, and a rescheduling pass here too would move
+        the same tasks twice (its TaskPlaced events are deferred by the bus
+        cascade, so the coordinator cannot see them yet).
         """
-        self.endpoint_monitor.synchronize(force=True)
         self.bus.publish(CapacityChanged(time=self.clock.now()))
-        if self.plan_service is not None:
-            # Dynamics invalidate the plan (the service's generation mirrors
-            # the monitor's state_version idiom): a crash excludes the
-            # endpoint from future solves, a rejoin re-admits it, churn just
-            # forces a re-solve.  Every tenant engine forwards the same event;
-            # the service dedups the bump.
-            if isinstance(event, EndpointCrashed):
-                self.plan_service.mark_offline(event.endpoint)
-            elif isinstance(event, EndpointRejoined):
-                self.plan_service.mark_online(event.endpoint)
-            else:
-                self.plan_service.bump(event)
-        if self._running:
-            if self.plan_service is not None:
-                # Re-solve before the reactions below so the scaler and the
-                # re-scheduling pass already steer by the post-event plan.
-                self.plan_service.maybe_resolve(self.clock.now(), self)
-            self.federation.scale_now(event)
-            # On a crash the failure coordinator owns re-placement of the
-            # stranded tasks; running a rescheduling pass here too would move
-            # the same tasks twice (its TaskPlaced events are deferred by the
-            # bus cascade, so the coordinator cannot see them yet).
-            if self.scheduler.supports_rescheduling and not isinstance(event, EndpointCrashed):
-                self.periodic.run_rescheduling()
+        if (
+            self.context is not None
+            and self.scheduler.supports_rescheduling
+            and not isinstance(event, EndpointCrashed)
+        ):
+            self.periodic.run_rescheduling()
 
     def _prepare_ready(self, task: Task) -> None:
         """Input-file augmentation + cache invalidation for a ready task."""
@@ -407,8 +379,8 @@ class ExecutionEngine:
     def _handle_completions(self, records: List[TaskExecutionRecord]) -> None:
         """What a completion does — one fabric round's records, in order.
 
-        Every record, successful or not, first reaches the four observers:
-        endpoint monitor, task monitor, metrics, scheduler.  A successful
+        Every record, successful or not, first reaches the three observers:
+        endpoint monitor, task monitor, metrics.  A successful
         one then updates the graph, releases its data-plane pins, advances
         the prefetcher and queues the successors it made ready (pinned or
         not, the next pump round places them); the round's successes are
@@ -459,7 +431,6 @@ class ExecutionEngine:
             self.metrics.record_completion(
                 record.endpoint, record.function_name, record.success
             )
-            self.scheduler.on_task_completed(task, record)
             if not record.success:
                 flush()
                 self.bus.publish(

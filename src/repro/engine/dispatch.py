@@ -111,16 +111,6 @@ class DispatchCoordinator:
             )
         return dispatched_any
 
-    def staged_demand(self) -> Dict[str, int]:
-        """Workers' worth of dispatchable staged tasks per endpoint.
-
-        What this workflow would dispatch right now given unlimited budget —
-        the demand the serving layer's arbitration policy allocates against.
-        A copy of the task store's ``staged_cores``; the run loop hands the
-        policy that live dict itself instead of asking here every round.
-        """
-        return self._engine.graph.store.staged_demand()
-
     def dispatch(
         self, task: Task, endpoint: str, now: float, batch: List[Task], batch_log: List[tuple]
     ) -> None:

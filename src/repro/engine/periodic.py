@@ -86,7 +86,7 @@ class PeriodicCoordinator:
             # Before re-scheduling: it steers by the plan, so a due re-solve
             # (cadence elapsed or generation invalidated) must land first.
             # The service itself gates on its own interval.
-            engine.plan_service.maybe_resolve(now, engine)
+            engine.plan_service.maybe_resolve(now)
         if (
             engine.scheduler.supports_rescheduling
             and now - self._last_reschedule >= engine.config.rescheduling_interval_s

@@ -277,10 +277,6 @@ class TaskStore:
         """:meth:`wait_values` as a plain Python list."""
         return self.wait_values().tolist()
 
-    def staged_demand(self) -> Dict[str, int]:
-        """Workers' worth of STAGED tasks per endpoint (non-zero entries)."""
-        return self._in_intern_order(self.staged_cores)
-
     def pending_on(self, endpoint: str) -> int:
         """Tasks placed on ``endpoint`` but not yet dispatched."""
         return self.pending_dispatch.get(endpoint, 0)

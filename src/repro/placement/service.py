@@ -12,7 +12,9 @@ service:
   ``state_version`` idiom: a crash marks the endpoint offline and bumps the
   generation, a rejoin re-admits it, worker churn bumps without touching the
   offline set — a stale generation forces a re-solve at the next periodic
-  check regardless of the cadence;
+  check regardless of the cadence.  The federation reports each dynamics
+  event once, whatever the tenant count, and re-solves at once when some
+  tenant has started (``WorkflowManager._forward_dynamics``);
 * on adopting a new plan, **proactively replicates** hot datasets toward
   their plan roots through the data plane's prefetch class, so consumers
   find warm replicas where the plan wants them instead of each endpoint
@@ -78,8 +80,6 @@ class PlacementService:
         self._solved_generation = -1
         self._last_solved: Optional[float] = None
         self._offline: set = set()
-        #: The dynamics event behind the last :meth:`bump` (dedup).
-        self._bumped_for: object = None
         #: Hot-file bookkeeping of the latest solve (drives replication).
         self._consumers: Dict[str, List] = {}
         self._hot_file_objects: List = []
@@ -109,12 +109,8 @@ class PlacementService:
 
     # ----------------------------------------------------------- invalidation
     def mark_offline(self, endpoint: str) -> None:
-        """A crash: exclude the endpoint from solves and invalidate the plan.
-
-        Set-deduped — in the serving layer every tenant engine forwards the
-        same crash event to the shared service, and only the first arrival
-        may bump the generation.
-        """
+        """A crash: exclude the endpoint from solves and invalidate the plan
+        (an endpoint already offline changes nothing)."""
         if endpoint in self._offline:
             return
         self._offline.add(endpoint)
@@ -127,30 +123,21 @@ class PlacementService:
         self._offline.discard(endpoint)
         self._generation += 1
 
-    def bump(self, cause: object = None) -> None:
-        """Capacity changed (worker churn, scaling): invalidate the plan.
-
-        Every tenant engine forwards the same ``cause`` event, and only the
-        first arrival bumps (``mark_offline`` dedups the same way); without
-        a cause every call bumps.
-        """
-        if cause is not None:
-            if cause is self._bumped_for:
-                return
-            self._bumped_for = cause
+    def bump(self) -> None:
+        """Capacity changed (worker churn, scaling): invalidate the plan."""
         self._generation += 1
 
     def offline_endpoints(self) -> List[str]:
         return sorted(self._offline)
 
     # ---------------------------------------------------------------- solving
-    def maybe_resolve(self, now: float, engine) -> Optional[PlacementPlan]:
+    def maybe_resolve(self, now: float) -> Optional[PlacementPlan]:
         """Re-solve when the cadence elapsed or the generation moved on."""
         if self._last_solved is not None:
             fresh = self._solved_generation == self._generation
             if fresh and now - self._last_solved < self.interval_s:
                 return self._plan
-        return self.resolve(now, engine)
+        return self.resolve(now)
 
     def next_resolve_at(self) -> float:
         """Earliest clock time :meth:`maybe_resolve` will solve again:
@@ -159,9 +146,8 @@ class PlacementService:
             return float("-inf")
         return self._last_solved + self.interval_s
 
-    def resolve(self, now: float, engine) -> Optional[PlacementPlan]:
+    def resolve(self, now: float) -> Optional[PlacementPlan]:
         """Solve unconditionally against the current live state."""
-        self.attach(engine)
         engines = [e for e in self._engines if getattr(e, "context", None) is not None]
         if not engines:
             return self._plan

@@ -265,8 +265,10 @@ class DynamicsInjector:
     Every firing does two things in order: (1) mutate the simulation
     substrate — the endpoint, the service's status cache, the network — and
     (2) publish the corresponding typed event on the federation's control
-    bus, which forwards it to every workflow's bus, where the failure
-    coordinator, the elastic scaler and the schedulers subscribe.
+    bus.  The federation reacts once for the shared substrate (monitor
+    re-sync, placement plan, elastic scaler, data plane), then forwards the
+    event to every workflow's bus, where the failure coordinator and the
+    re-scheduling pass subscribe.
     """
 
     def __init__(self, env: "SimulationEnvironment", federation: "WorkflowManager") -> None:

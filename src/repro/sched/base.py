@@ -18,7 +18,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.config import Config
 from repro.core.dag import Task, TaskGraph
 from repro.dataplane.plane import DataPlane
-from repro.faas.types import TaskExecutionRecord
 from repro.monitor.endpoint_monitor import EndpointMonitor
 from repro.profiling.execution import ExecutionProfiler
 from repro.profiling.transfer import TransferProfiler
@@ -284,13 +283,6 @@ class Scheduler(ABC):
         back to a locality guess.
         """
         return None
-
-    # ----------------------------------------------------------- notifications
-    def on_task_completed(self, task: Task, record: TaskExecutionRecord) -> None:
-        """Engine notification: the task finished (successfully or not)."""
-
-    def on_capacity_changed(self) -> None:
-        """Engine notification: endpoint capacity changed (sync happened)."""
 
     # --------------------------------------------------------------- helpers
     def claimed(self, endpoint: str) -> int:

@@ -598,6 +598,3 @@ class DHAScheduler(Scheduler):
                 )
             )
         return moves
-
-    def on_capacity_changed(self) -> None:
-        """Capacity changes are handled by the next re-scheduling pass."""

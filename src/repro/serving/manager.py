@@ -29,8 +29,10 @@ a round costs follows what moved since the last one, not how many workflows
 are active: :meth:`WorkflowManager.run` states the contract.  Workflow
 arrivals may be staggered: an arrival is scheduled on the simulation kernel
 (the same mechanism the dynamics layer uses), the workflow's DAG is built
-when its arrival comes due, and endpoint-dynamics events are forwarded from
-the control bus to every tenant bus.
+when its arrival comes due.  An endpoint-dynamics event on the control bus
+is met once by the shared substrate (monitor re-sync, plan invalidation and
+re-solve, elastic scaling, replica quarantine), then forwarded to every
+tenant bus for the tenants' own reactions.
 """
 
 from __future__ import annotations
@@ -121,6 +123,9 @@ _DYNAMICS_EVENTS = (
     NetworkRestored,
     StatusStalenessChanged,
 )
+
+#: The dynamics events that change endpoint capacity.
+_CAPACITY_EVENTS = (EndpointCrashed, EndpointRejoined, WorkerChurn)
 
 #: Task states that count as scaling pressure.
 _PENDING_STATES = (TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
@@ -343,7 +348,7 @@ class WorkflowManager:
         self.fabric = fabric
         self.clock = fabric.clock
         #: Control bus: the dynamics injector publishes here; the manager
-        #: forwards to every tenant bus.
+        #: reacts once, then forwards to every tenant bus.
         self.bus = EventBus()
         #: Cross-workflow arbitration; ``None`` (the single-workflow client)
         #: hands the one tenant the whole federation — no capacity slice, no
@@ -402,10 +407,9 @@ class WorkflowManager:
                 self.scaling_strategy.plan_provider = self.plan_service.current_plan
             self.data_manager.set_plan_provider(self.plan_service.current_plan)
 
-        # Dynamics are forwarded to every tenant bus, where each engine's own
-        # handlers (monitor re-sync, failure coordinator, data-plane
-        # quarantine) react in one fixed order.  Every subscription is
-        # recorded so :meth:`shutdown` can release it.
+        # Dynamics reach the shared substrate once, then every tenant bus
+        # (:meth:`_forward_dynamics`).  Every subscription is recorded so
+        # :meth:`shutdown` can release it.
         self._subscriptions: List = []
         for event_type in _DYNAMICS_EVENTS:
             self.bus.subscribe(event_type, self._forward_dynamics)
@@ -463,9 +467,6 @@ class WorkflowManager:
         #: ``bus.published_count`` at the last pump (a control-bus event since
         #: then makes the next round pump).
         self._control_settled = 0
-        #: The dynamics event the scaler last reacted to (every tenant
-        #: forwards the same event; only the first reaction counts).
-        self._scaled_for: object = None
         self._arrival_handles: Dict[str, object] = {}
         self._shut_down = False
         self._last_scaling_check = 0.0
@@ -1019,17 +1020,12 @@ class WorkflowManager:
                 progressed |= dispatched
         return progressed
 
-    def scale_now(self, cause: object = None) -> None:
+    def scale_now(self) -> None:
         """Let the elasticity strategy request workers (§IV-H).
 
-        Runs on the run loop's cadence, and promptly when endpoint dynamics
-        change capacity: every tenant engine forwards the same ``cause``
-        event, and only the first call per event acts.
+        Runs on the run loop's cadence, and once per endpoint-dynamics event
+        that changes capacity (:meth:`_forward_dynamics`).
         """
-        if cause is not None:
-            if cause is self._scaled_for:
-                return
-            self._scaled_for = cause
         pending = 0
         for handle in self._active:
             graph = handle.engine.graph
@@ -1051,6 +1047,38 @@ class WorkflowManager:
                 self.fabric.request_workers(name, workers)
 
     def _forward_dynamics(self, event) -> None:
+        """React to a control-bus dynamics event, then relay it to every tenant.
+
+        A crash, rejoin or churn changes the shared substrate, which reacts
+        here once, however many tenants there are: the service notices the
+        connection change at once (heartbeat), so the monitor force-syncs
+        against it; the plan is invalidated (a crash excludes the endpoint
+        from future solves, a rejoin re-admits it, churn only forces a
+        re-solve); once some tenant has started, the plan is re-solved and
+        the elastic scaler runs, in that order so the scaler already steers
+        by the post-event plan; last, the data plane quarantines or
+        re-admits the endpoint's replicas.  Each tenant bus then carries the
+        event to that tenant's own reactions (its failure coordinator's
+        re-placement, its re-scheduling pass).
+        """
+        if isinstance(event, _CAPACITY_EVENTS):
+            self.endpoint_monitor.synchronize(force=True)
+            plans = self.plan_service
+            if plans is not None:
+                if isinstance(event, EndpointCrashed):
+                    plans.mark_offline(event.endpoint)
+                elif isinstance(event, EndpointRejoined):
+                    plans.mark_online(event.endpoint)
+                else:
+                    plans.bump()
+            if any(handle.engine.context is not None for handle in self._ordered):
+                if plans is not None:
+                    plans.maybe_resolve(self.clock.now())
+                self.scale_now()
+            if isinstance(event, EndpointCrashed):
+                self.data_manager.on_endpoint_crashed(event.endpoint)
+            elif isinstance(event, EndpointRejoined):
+                self.data_manager.on_endpoint_rejoined(event.endpoint)
         for handle in self._ordered:
             handle.engine.bus.publish(event)
 

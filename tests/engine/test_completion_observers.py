@@ -1,5 +1,5 @@
 """A completion is described once: every record — failed or successful —
-reaches the same four observers, in the same order, at one call site
+reaches the same three observers, in the same order, at one call site
 (:meth:`ExecutionEngine._handle_completions`); only then is a failed attempt
 announced on the bus, where the §IV-G ladder picks it up.
 """
@@ -10,7 +10,7 @@ from repro.engine.events import TaskCompleted, TaskFailed, TaskPlaced, expand_ev
 
 from tests.integration.conftest import build_two_site_env
 
-OBSERVERS = ["endpoint_monitor", "task_monitor", "metrics", "scheduler"]
+OBSERVERS = ["endpoint_monitor", "task_monitor", "metrics"]
 
 
 @workflow
@@ -51,7 +51,6 @@ def test_failed_and_successful_records_reach_the_same_observers_in_order():
     spy(timeline, engine.endpoint_monitor, "record_completion", "endpoint_monitor")
     spy(timeline, engine.task_monitor, "observe_task", "task_monitor")
     spy(timeline, engine.metrics, "record_completion", "metrics")
-    spy(timeline, engine.scheduler, "on_task_completed", "scheduler")
     client.bus.subscribe_all(
         lambda event: timeline.append(("event", event))
         if isinstance(event, (TaskCompleted, TaskFailed, TaskPlaced))
@@ -71,10 +70,10 @@ def test_failed_and_successful_records_reach_the_same_observers_in_order():
     failed_chunks = []
     succeeded = 0
     for chunk in chunks:
-        # The four observers, in order, before anything else happens.
-        assert [entry[0] for entry in chunk[:4]] == OBSERVERS
-        assert not any(entry[0] in OBSERVERS for entry in chunk[4:])
-        announced = [e[1] for e in chunk[4:] if e[0] == "event"]
+        # The three observers, in order, before anything else happens.
+        assert [entry[0] for entry in chunk[:3]] == OBSERVERS
+        assert not any(entry[0] in OBSERVERS for entry in chunk[3:])
+        announced = [e[1] for e in chunk[3:] if e[0] == "event"]
         if announced and isinstance(announced[0], TaskCompleted):
             failed_chunks.append(announced)
         else:

@@ -64,7 +64,7 @@ class TestOneSubscriber:
         _, client = build_client()
         bus = client.engine.bus
         assert bus.handler_count(TaskPlaced) == bus.handler_count(StagingDone) == 1
-        assert bus.handler_count() == 12
+        assert bus.handler_count() == 9
 
     def test_a_failed_staging_done_still_reaches_the_ladder(self):
         _, client = build_client()

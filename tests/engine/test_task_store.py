@@ -59,20 +59,20 @@ class TestStateAccounting:
 
 
 class TestEndpointAggregates:
-    def test_staged_demand_tracks_cores(self):
+    def test_staged_cores_follow_state_and_endpoint(self):
         store = make_store()
         a = add(store, cores=2, endpoint="ep1")
         b = add(store, cores=3, endpoint="ep1")
         add(store, cores=5, endpoint="ep2")
-        assert store.staged_demand() == {}
+        assert store.staged_cores == {}
         store.set_state(a, TaskState.STAGED)
         store.set_state(b, TaskState.STAGED)
-        assert store.staged_demand() == {"ep1": 5}
+        assert store.staged_cores == {"ep1": 5}
         store.set_state(a, TaskState.DISPATCHED)
-        assert store.staged_demand() == {"ep1": 3}
+        assert store.staged_cores == {"ep1": 3}
         # Re-placement moves the staged cores with the task.
         store.set_endpoint(b, "ep2")
-        assert store.staged_demand() == {"ep2": 3}
+        assert store.staged_cores == {"ep2": 3}
 
     def test_undispatched_spans_the_scheduled_to_staged_band(self):
         store = make_store()
@@ -109,7 +109,7 @@ class TestEndpointAggregates:
             (codes[TaskState.STAGING], codes[TaskState.STAGED]),
             (codes[TaskState.STAGED], codes[TaskState.DISPATCHED]),
         ]
-        assert store.undispatched_count == 0 and store.staged_demand() == {}
+        assert store.undispatched_count == 0 and store.staged_cores == {}
 
 
 class TestSharedPending:
@@ -191,7 +191,7 @@ class TestTaskViews:
 
         task.assigned_endpoint = "ep9"
         task.state = TaskState.STAGED
-        assert graph.store.staged_demand() == {"ep9": task.cores}
+        assert graph.store.staged_cores == {"ep9": task.cores}
 
         task.timestamps.ready = 5.0
         assert graph.store.timestamps["ready"][row] == 5.0

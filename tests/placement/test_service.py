@@ -42,7 +42,7 @@ def test_engine_builds_and_attaches_the_service_by_default():
     service = client.engine.plan_service
     assert service is not None
     assert client.engine.scheduler.plan_provider is not None
-    plan = service.resolve(env.kernel.now(), client.engine)
+    plan = service.resolve(env.kernel.now())
     assert plan is service.current_plan()
     assert service.solve_count == 1
     assert set(plan.warm_endpoints) <= {"site_a", "site_b"}
@@ -60,21 +60,20 @@ def test_disabled_flag_leaves_every_consumer_unwired():
 def test_crash_bumps_generation_and_resolve_excludes_the_endpoint():
     env, client, _ = _client_with_pending_consumers()
     service = client.engine.plan_service
-    service.resolve(env.kernel.now(), client.engine)
+    service.resolve(env.kernel.now())
     generation = service.generation
 
-    client.engine.bus.publish(
+    client.manager.bus.publish(
         EndpointCrashed(time=env.kernel.now(), endpoint="site_a")
     )
     assert service.generation == generation + 1
     assert service.offline_endpoints() == ["site_a"]
 
-    plan = service.maybe_resolve(env.kernel.now(), client.engine)
+    plan = service.maybe_resolve(env.kernel.now())
     assert "site_a" not in plan.warm_endpoints
     assert all(root != "site_a" for root in plan.replica_roots.values())
 
-    # The same crash forwarded again (serving layer: every tenant engine
-    # relays the shared event) must not bump twice.
+    # A repeated crash of an endpoint already offline changes nothing.
     again = service.generation
     service.mark_offline("site_a")
     assert service.generation == again
@@ -86,14 +85,14 @@ def test_rejoin_readmits_the_endpoint():
     service.mark_offline("site_a")
     generation = service.generation
 
-    client.engine.bus.publish(
+    client.manager.bus.publish(
         EndpointRejoined(time=env.kernel.now(), endpoint="site_a", workers=8)
     )
     assert service.generation == generation + 1
     assert service.offline_endpoints() == []
     # Re-admitted: the endpoint is eligible again (the solver may still
     # choose to keep it cold, but it is back in the candidate set).
-    plan = service.resolve(env.kernel.now(), client.engine)
+    plan = service.resolve(env.kernel.now())
     assert plan.generation == service.generation
 
 
@@ -101,7 +100,7 @@ def test_churn_invalidates_without_touching_the_offline_set():
     env, client, _ = _client_with_pending_consumers()
     service = client.engine.plan_service
     generation = service.generation
-    client.engine.bus.publish(
+    client.manager.bus.publish(
         WorkerChurn(time=env.kernel.now(), endpoint="site_a", delta_workers=-2)
     )
     assert service.generation == generation + 1
@@ -132,24 +131,24 @@ def test_maybe_resolve_honours_cadence_and_generation():
     env, client, _ = _client_with_pending_consumers()
     service = client.engine.plan_service
     now = env.kernel.now()
-    service.maybe_resolve(now, client.engine)
+    service.maybe_resolve(now)
     assert service.solve_count == 1
     # Fresh generation, cadence not elapsed: cached plan, no second solve.
-    service.maybe_resolve(now + 0.1, client.engine)
+    service.maybe_resolve(now + 0.1)
     assert service.solve_count == 1
     # A bump forces the re-solve regardless of the cadence.
     service.bump()
-    service.maybe_resolve(now + 0.2, client.engine)
+    service.maybe_resolve(now + 0.2)
     assert service.solve_count == 2
     # Cadence elapsed re-solves even without invalidation.
-    service.maybe_resolve(now + 0.2 + service.interval_s, client.engine)
+    service.maybe_resolve(now + 0.2 + service.interval_s)
     assert service.solve_count == 3
 
 
 def test_capture_state_pins_plan_and_rng_stream():
     env, client, _ = _client_with_pending_consumers()
     service = client.engine.plan_service
-    service.resolve(env.kernel.now(), client.engine)
+    service.resolve(env.kernel.now())
     state = service.capture_state()
     assert state["solves"] == 1
     assert state["offline"] == []
@@ -159,7 +158,7 @@ def test_capture_state_pins_plan_and_rng_stream():
     # The captured stream state is a deep copy: further solves must not
     # mutate an already-written snapshot section.
     service.bump()
-    service.resolve(env.kernel.now(), client.engine)
+    service.resolve(env.kernel.now())
     assert state["solves"] == 1
     assert state["rng"] != service.capture_state()["rng"] or True
     assert service.capture_state()["solves"] == 2

@@ -50,7 +50,6 @@ def test_visits_per_task_on_a_scripted_stream(monkeypatch):
 
     counted(PeriodicCoordinator, "check")
     counted(PlacementCoordinator, "schedule_ready")
-    counted(DispatchCoordinator, "staged_demand")
     counted(DispatchCoordinator, "dispatch_staged")
 
     spec = ScenarioSpec(
@@ -75,7 +74,7 @@ def test_visits_per_task_on_a_scripted_stream(monkeypatch):
     result = run_scenario(spec, seed=3)
     assert result.failed_tasks == 0 and result.completed_tasks == result.total_tasks == 160
     per_task = {name: count / result.total_tasks for name, count in calls.items()}
-    for name in ("check", "schedule_ready", "staged_demand", "dispatch_staged"):
+    for name in ("check", "schedule_ready", "dispatch_staged"):
         assert per_task.get(name, 0.0) <= 2.0, per_task
 
 
