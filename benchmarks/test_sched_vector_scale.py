@@ -75,7 +75,7 @@ def build_context(endpoints, profiler):
             cores_per_node=spec["cores"],
             cpu_freq_ghz=spec["freq"],
             ram_gb=spec["ram"],
-            as_of=kernel.now(),
+            as_of=kernel.clock.now,
         )
 
     monitor = EndpointMonitor(provider, kernel.clock, sync_interval_s=3600.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.data.remote_file import RemoteFile
-from repro.sim.kernel import SimulationKernel
+from repro.sim.kernel import SimClock, SimulationKernel
 from repro.sim.network import NetworkModel
 
 __all__ = [
@@ -99,7 +99,7 @@ class SimulatedTransferBackend(TransferBackend):
         self.completed_count = 0
 
     def start(self, request: TransferRequest, on_done: TransferCallback) -> None:
-        started_at = self.kernel.now()
+        started_at = self.kernel.clock.now
         self.started_count += 1
         self.network.register_transfer_start(request.src, request.dst)
         failed = self.network.sample_failure(request.src, request.dst)
@@ -123,7 +123,7 @@ class SimulatedTransferBackend(TransferBackend):
                     request=request,
                     success=not failed,
                     started_at=started_at,
-                    completed_at=self.kernel.now(),
+                    completed_at=self.kernel.clock.now,
                     error="simulated transfer failure" if failed else None,
                 )
             )
@@ -138,15 +138,13 @@ class LocalCopyTransferBackend(TransferBackend):
     """Immediate transfers for local mode (shared filesystem)."""
 
     def __init__(self, clock=None, copy_files: bool = False) -> None:
-        self._clock = clock
+        # Without a clock, time stands at 0.0: a SimClock nothing advances.
+        self._clock = clock if clock is not None else SimClock()
         self.copy_files = copy_files
         self.completed_count = 0
 
-    def _now(self) -> float:
-        return self._clock.now() if self._clock is not None else 0.0
-
     def start(self, request: TransferRequest, on_done: TransferCallback) -> None:
-        now = self._now()
+        now = self._clock.now
         error = None
         success = True
         if self.copy_files and request.file.local_path:
@@ -164,7 +162,7 @@ class LocalCopyTransferBackend(TransferBackend):
                 request=request,
                 success=success,
                 started_at=now,
-                completed_at=self._now(),
+                completed_at=self._clock.now,
                 error=error,
             )
         )

@@ -242,7 +242,7 @@ class DataPlane:
         self.store.release_task(task_id)
 
         namespace = task_namespace(task_id)
-        now = self.clock.now()
+        now = self.clock.now
         ticket = StagingTicket(
             task_id=task_id,
             destination=destination,
@@ -560,7 +560,7 @@ class DataPlane:
             # fails the task cleanly instead of crashing the engine run.
             ticket.fail(NoReplicaError(file.file_id, destination))
             if ticket.completed_at is None:
-                ticket.completed_at = self.clock.now()
+                ticket.completed_at = self.clock.now
                 self._open_ticket_count -= 1
             self._notify(ticket)
             return
@@ -592,7 +592,7 @@ class DataPlane:
         """
         self.superseded_tickets += 1
         ticket.superseded = True
-        ticket.completed_at = self.clock.now()
+        ticket.completed_at = self.clock.now
         self._open_ticket_count -= 1
         if self.published:
             return
@@ -621,7 +621,7 @@ class DataPlane:
 
     def _detach_tickets(self, job: TransferJob) -> None:
         """Complete (superseded) tickets of a cancelled job."""
-        now = self.clock.now()
+        now = self.clock.now
         for ticket in job.tickets:
             ticket.pending_transfers.discard(job.request.transfer_id)
             if ticket.done and ticket.completed_at is None:
@@ -649,7 +649,7 @@ class DataPlane:
                 # the prefetch-hit accounting cannot count it a second time.
                 self.store.touch(job.request.file, job.request.dst)
             live = [t for t in job.tickets if not t.failed and not t.superseded]
-            now = self.clock.now()
+            now = self.clock.now
             for ticket in live:
                 # Volume attribution: live tickets only, exactly once per
                 # successful transfer — retries never double-count.
@@ -680,7 +680,7 @@ class DataPlane:
             self.transfers.requeue(job, request)
             return
         self.transfers.release(job)
-        now = self.clock.now()
+        now = self.clock.now
         request = job.request
         for ticket in job.tickets:
             if ticket.failed or ticket.superseded:

@@ -52,7 +52,7 @@ def capture_sections(env, manager, engines, streaming=None) -> Dict[str, object]
     endpoints = sorted(env.fabric.endpoint_names())
     sections: Dict[str, object] = {
         "kernel": {
-            "now": _r(kernel.now()),
+            "now": _r(kernel.clock.now),
             "events_processed": kernel.events_processed,
             "pending_events": kernel.pending_events,
             "pending_total": kernel.pending_events_total,

@@ -185,7 +185,7 @@ class DurabilityController:
             if self.checkpoint_dir is not None:
                 write_snapshot(snapshot, checkpoint_path(self.checkpoint_dir, index))
             self.checkpoints_written += 1
-            self.last_checkpoint_s = self.env.kernel.now()
+            self.last_checkpoint_s = self.env.kernel.clock.now
         self.env.kernel.schedule_at(
             (index + 1) * self.checkpoint_interval_s, self._ckpt_tick, index + 1,
             daemon=True, label="durability-ckpt",
@@ -207,7 +207,7 @@ class DurabilityController:
             scenario=self.scenario,
             seed=self.seed,
             cut=make_cut(
-                kind, index, kernel.now(), kernel.events_processed,
+                kind, index, kernel.clock.now, kernel.events_processed,
                 log_counts, log_prefixes,
             ),
             sections=self._capture(),

@@ -221,7 +221,7 @@ class ExecutionEngine:
             task.assigned_endpoint = str(endpoint_hint)
         if max_retries is not None:
             task.max_retries = int(max_retries)
-        now = self.clock.now()
+        now = self.clock.now
         self.graph.add_task(task, now=now)
         for dep in dependencies:
             self._consumer_counts[dep] = self._consumer_counts.get(dep, 0) + 1
@@ -251,7 +251,7 @@ class ExecutionEngine:
         # layer's arbitration policies trade between tenants — streamed from
         # the store's timestamp columns into the collector's bounded sketch.
         self.metrics.set_wait_times(self.graph.store.wait_values())
-        self.metrics.workflow_finished(self.clock.now())
+        self.metrics.workflow_finished(self.clock.now)
 
     def start(self) -> None:
         """Begin execution bookkeeping: scheduling context, scheduler
@@ -271,7 +271,7 @@ class ExecutionEngine:
         )
         self.scheduler.initialize(self.context)
         self.scheduler.on_workflow_submitted(self.graph.tasks())
-        self.metrics.workflow_started(self.clock.now())
+        self.metrics.workflow_started(self.clock.now)
         self.periodic.sample_metrics(force=True)
 
     # ------------------------------------------------------------------ pump
@@ -341,7 +341,7 @@ class ExecutionEngine:
         the same tasks twice (its TaskPlaced events are deferred by the bus
         cascade, so the coordinator cannot see them yet).
         """
-        self.bus.publish(CapacityChanged(time=self.clock.now()))
+        self.bus.publish(CapacityChanged(time=self.clock.now))
         if (
             self.context is not None
             and self.scheduler.supports_rescheduling
@@ -398,7 +398,7 @@ class ExecutionEngine:
         ready: List[Task] = []
         log: List[tuple] = []
         plane = self.data_manager
-        now = self.clock.now()
+        now = self.clock.now
         stamp = round(now, 9)
 
         def flush() -> None:

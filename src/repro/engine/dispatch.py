@@ -65,7 +65,7 @@ class DispatchCoordinator:
         names = store.endpoint_names
         allowance_of = engine.scheduler.dispatch_allowance
         mocked = engine.endpoint_monitor.mocking_enabled
-        now = engine.clock.now()
+        now = engine.clock.now
         dispatched_any = False
         # The round's dispatches fold into one TasksDispatched event.
         batch: List[Task] = []

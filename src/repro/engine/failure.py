@@ -73,13 +73,13 @@ class FailureCoordinator:
         engine.index.clear_undispatched(task.task_id)
         if engine.context is not None:
             engine.context.release_task(task.task_id)
-        engine.graph.set_state(task, TaskState.FAILED, now=engine.clock.now())
+        engine.graph.set_state(task, TaskState.FAILED, now=engine.clock.now)
         error = event.ticket.error
         task.future.set_exception(error)
         engine.bus.publish(
             TaskFailed.for_task(
                 task,
-                time=engine.clock.now(),
+                time=engine.clock.now,
                 endpoint=event.endpoint,
                 error=str(error),
                 attempts=task.attempts,
@@ -107,7 +107,7 @@ class FailureCoordinator:
             # Nowhere to go: leave the tasks placed, the stall diagnosis and
             # a later rejoin (or scale-out) will resolve them.
             return
-        now = engine.clock.now()
+        now = engine.clock.now
         # Loop-invariant: reliability cannot change while re-placing.  The
         # pile-on onto one survivor is deliberate — the next scheduling /
         # re-scheduling pass rebalances with full capacity knowledge.
@@ -153,7 +153,7 @@ class FailureCoordinator:
             if not candidates:
                 if engine.context is not None:
                     engine.context.release_task(task.task_id)
-                engine.graph.set_state(task, TaskState.FAILED, now=engine.clock.now())
+                engine.graph.set_state(task, TaskState.FAILED, now=engine.clock.now)
                 error = TaskFailedError(
                     task.task_id, record.error or "unknown error", task.attempts
                 )
@@ -161,7 +161,7 @@ class FailureCoordinator:
                 engine.bus.publish(
                     TaskFailed.for_task(
                         task,
-                        time=engine.clock.now(),
+                        time=engine.clock.now,
                         endpoint=endpoint,
                         error=str(error),
                         attempts=task.attempts,
@@ -170,5 +170,5 @@ class FailureCoordinator:
                 return
             retry_endpoint = engine.task_monitor.most_reliable_endpoint(candidates)
         engine.bus.publish(
-            TaskPlaced.for_task(task, time=engine.clock.now(), endpoint=retry_endpoint)
+            TaskPlaced.for_task(task, time=engine.clock.now, endpoint=retry_endpoint)
         )

@@ -77,7 +77,7 @@ class PeriodicCoordinator:
     # ------------------------------------------------------------------ tick
     def check(self) -> None:
         engine = self._engine
-        now = engine.clock.now()
+        now = engine.clock.now
         if now - self._last_endpoint_sync >= engine.config.endpoint_sync_interval_s:
             self._last_endpoint_sync = now
             engine.endpoint_monitor.synchronize()
@@ -137,13 +137,13 @@ class PeriodicCoordinator:
             # re-stages toward the new target (already-arrived replicas at
             # the old endpoint remain reusable).
             engine.bus.publish(
-                TaskPlaced.for_task(task, time=engine.clock.now(), endpoint=move.endpoint)
+                TaskPlaced.for_task(task, time=engine.clock.now, endpoint=move.endpoint)
             )
 
     # ---------------------------------------------------------------- metrics
     def sample_metrics(self, force: bool = False) -> None:
         engine = self._engine
-        now = engine.clock.now()
+        now = engine.clock.now
         if not force and now - self._last_metrics_sample < engine.metrics.sample_interval_s:
             return
         self._last_metrics_sample = now

@@ -49,7 +49,7 @@ class PlacementCoordinator:
                 _time.perf_counter() - t0, len(placements) or len(unpinned)
             )
 
-        now = engine.clock.now()
+        now = engine.clock.now
         placed_ids = set()
         by_id = {t.task_id: t for t in unpinned} if placements else {}
         for placement in placements:

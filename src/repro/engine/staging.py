@@ -49,7 +49,7 @@ class StagingCoordinator:
         engine = self._engine
         store = engine.graph.store
         row = task._row
-        now = engine.clock.now()
+        now = engine.clock.now
         store.set_endpoint(row, endpoint)
         store.set_state(row, TaskState.SCHEDULED, now)
         engine.index.mark_undispatched(task)
@@ -70,7 +70,7 @@ class StagingCoordinator:
             # A re-scheduling move or retry opened a newer ticket for this
             # task; this one belongs to an abandoned destination.
             return
-        now = engine.clock.now()
+        now = engine.clock.now
         if not ticket.failed:
             graph.store.set_state(task._row, TaskState.STAGED, now)
         engine.bus.publish(

@@ -97,7 +97,7 @@ def run_elasticity_experiment(
             else env.endpoint(name).queued_tasks
             for name in caps
         }
-        metrics.sample(env.kernel.now(), env.fabric.worker_counts(), 0, pending)
+        metrics.sample(env.kernel.clock.now, env.fabric.worker_counts(), 0, pending)
 
     # Regular sampling independent of the client loop so scale-down during
     # idle periods is captured too.
@@ -107,13 +107,13 @@ def run_elasticity_experiment(
     for phase_time, submissions in phases:
         # A previous phase may already have pushed the clock past this phase's
         # nominal submission time; submit immediately in that case.
-        env.kernel.run(until=max(phase_time, env.kernel.now()))
+        env.kernel.run(until=max(phase_time, env.kernel.clock.now))
         for endpoint, (count, duration) in submissions.items():
             info = build_stress_workload(client, count, duration, endpoint=endpoint)
             completed += info.task_count
         client.run()
     # Let idle shutdown drain the pools so the final scale-to-zero is visible.
-    env.kernel.run(until=env.kernel.now() + drain_time_s)
+    env.kernel.run(until=env.kernel.clock.now + drain_time_s)
 
     result = ElasticityResult(
         active_workers={name: metrics.active_workers[name] for name in caps},
@@ -122,6 +122,6 @@ def run_elasticity_experiment(
             name: int(metrics.active_workers[name].max()) for name in caps
         },
         completed_tasks=metrics.completed_count,
-        makespan_s=env.kernel.now(),
+        makespan_s=env.kernel.clock.now,
     )
     return result

@@ -128,7 +128,7 @@ class SimulatedEndpoint:
         self._running: Dict[str, _RunningTask] = {}
         self._completion_callbacks: List[CompletionCallback] = []
 
-        self._last_activity_at = kernel.now()
+        self._last_activity_at = kernel.clock.now
         self._worker_seq = 0
 
         # Statistics used by the metrics layer and tests.
@@ -177,7 +177,7 @@ class SimulatedEndpoint:
     @property
     def cold(self) -> bool:
         """True while tasks starting here pay the cold-start penalty."""
-        return self.kernel.now() < self._cold_until
+        return self.kernel.clock.now < self._cold_until
 
     @property
     def utilization(self) -> float:
@@ -204,7 +204,7 @@ class SimulatedEndpoint:
             cores_per_node=hw.cores_per_node,
             cpu_freq_ghz=hw.cpu_freq_ghz,
             ram_gb=hw.ram_gb,
-            as_of=self.kernel.now(),
+            as_of=self.kernel.clock.now,
         )
 
     # ------------------------------------------------------------ submission
@@ -219,13 +219,13 @@ class SimulatedEndpoint:
             raise EndpointError(
                 f"simulated endpoint {self.name} received a request without sim_duration_s"
             )
-        when = self.kernel.now() if submitted_at is None else submitted_at
+        when = self.kernel.clock.now if submitted_at is None else submitted_at
         if not self._online:
             self.dispatched_count += 1
             self._fail_request(request, when, error="endpoint offline")
             return
         self._queue.append((request, when))
-        self._last_activity_at = self.kernel.now()
+        self._last_activity_at = self.kernel.clock.now
         self.dispatched_count += 1
         if self.auto_scale:
             self._maybe_scale_out()
@@ -312,7 +312,7 @@ class SimulatedEndpoint:
         self._online = False
         self.crash_count += 1
         self._lifecycle_epoch += 1
-        now = self.kernel.now()
+        now = self.kernel.clock.now
         lost = 0
         for running in list(self._running.values()):
             if running.finish_handle is not None:
@@ -340,7 +340,7 @@ class SimulatedEndpoint:
         grant = self.max_workers if workers is None else min(workers, self.max_workers)
         self._active_workers = max(0, grant)
         self._busy_workers = 0
-        self._last_activity_at = self.kernel.now()
+        self._last_activity_at = self.kernel.clock.now
         if self.cold_start_penalty_s > 0:
             # A rejoined pool is cold until its first tasks have warmed it up.
             self.begin_cold_window(self.cold_start_penalty_s * 10.0)
@@ -350,7 +350,7 @@ class SimulatedEndpoint:
         """Tasks starting within ``duration_s`` from now pay the cold penalty."""
         if penalty_s is not None:
             self.cold_start_penalty_s = penalty_s
-        self._cold_until = max(self._cold_until, self.kernel.now() + duration_s)
+        self._cold_until = max(self._cold_until, self.kernel.clock.now + duration_s)
 
     # -------------------------------------------------------------- internal
     def _sample_queue_delay(self) -> float:
@@ -385,7 +385,7 @@ class SimulatedEndpoint:
             return
         if self.idle_workers == 0:
             return
-        if self.kernel.now() - self._last_activity_at >= self.idle_shutdown_s:
+        if self.kernel.clock.now - self._last_activity_at >= self.idle_shutdown_s:
             self.release_idle_workers()
 
     def _start_queued_tasks(self) -> None:
@@ -399,7 +399,7 @@ class SimulatedEndpoint:
             self._busy_workers += request.cores
             self._worker_seq += 1
             worker_id = f"{self.name}-worker-{self._worker_seq}"
-            started_at = self.kernel.now()
+            started_at = self.kernel.clock.now
             running = _RunningTask(
                 request=request,
                 submitted_at=submitted_at,
@@ -430,7 +430,7 @@ class SimulatedEndpoint:
         error: str = "endpoint offline",
     ) -> None:
         """Emit a failure record for a task the endpoint could not finish."""
-        now = self.kernel.now()
+        now = self.kernel.clock.now
         self.failed_count += 1
         hw = self.cluster.hardware
         record = TaskExecutionRecord(
@@ -457,7 +457,7 @@ class SimulatedEndpoint:
         running = self._running.pop(task_id)
         request = running.request
         self._busy_workers -= request.cores
-        now = self.kernel.now()
+        now = self.kernel.clock.now
         self._last_activity_at = now
 
         # Retire workers earmarked for removal by a capacity decrease.

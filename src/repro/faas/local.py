@@ -81,12 +81,12 @@ class LocalEndpoint:
             raise EndpointError(
                 f"local endpoint {self.name} received a request without a callable"
             )
-        submitted_at = clock.now()
+        submitted_at = clock.now
         with self._lock:
             self._busy += 1
 
         def run() -> None:
-            started_at = clock.now()
+            started_at = clock.now
             success = True
             result = None
             error: Optional[str] = None
@@ -97,7 +97,7 @@ class LocalEndpoint:
             except Exception as exc:  # noqa: BLE001 - report any task failure
                 success = False
                 error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-            completed_at = clock.now()
+            completed_at = clock.now
             with self._lock:
                 self._busy -= 1
                 if success:
@@ -155,7 +155,7 @@ class LocalFabric(ExecutionFabric):
             raise EndpointError(f"unknown endpoint {name!r}") from None
 
     def endpoint_status(self, name: str, force_refresh: bool = False) -> EndpointStatus:
-        return self.endpoint(name).status(self.clock.now())
+        return self.endpoint(name).status(self.clock.now)
 
     def true_status(self, name: str) -> EndpointStatus:
         return self.endpoint_status(name)

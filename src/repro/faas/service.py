@@ -88,7 +88,7 @@ class FederatedFaaSService:
         """
         endpoint = self.endpoint(endpoint_name)
         self.submitted_count += 1
-        submitted_at = self.kernel.now()
+        submitted_at = self.kernel.clock.now
         delay = self.latency.submit_latency_s + self.latency.dispatch_latency_s
         self.kernel.schedule(
             delay, endpoint.submit, request, submitted_at, label="service-dispatch"
@@ -98,7 +98,7 @@ class FederatedFaaSService:
         """Submit several tasks in one call, amortising the submission latency."""
         endpoint = self.endpoint(endpoint_name)
         self.submitted_count += len(requests)
-        submitted_at = self.kernel.now()
+        submitted_at = self.kernel.clock.now
         delay = self.latency.submit_latency_s + self.latency.dispatch_latency_s
 
         def deliver() -> None:
@@ -132,7 +132,7 @@ class FederatedFaaSService:
         """
         endpoint = self.endpoint(name)
         cached = self._status_cache.get(name)
-        age = self.kernel.now() - cached.as_of if cached is not None else float("inf")
+        age = self.kernel.clock.now - cached.as_of if cached is not None else float("inf")
         if force_refresh or cached is None or age >= self.latency.status_refresh_interval_s:
             cached = endpoint.status()
             self._status_cache[name] = cached

@@ -52,7 +52,8 @@ class MockEndpoint:
     def record_dispatch(self, cores: int = 1) -> None:
         """Mirror a task dispatch: occupy a worker or queue the mock task."""
         self.outstanding_tasks += 1
-        if self.idle_workers >= cores:
+        # ``idle_workers``, inlined: this runs once per dispatched task.
+        if max(0, self.active_workers - self.busy_workers) >= cores:
             self.busy_workers += cores
         else:
             self.pending_tasks += 1
@@ -132,7 +133,7 @@ class EndpointMonitor:
             raise EndpointError(f"endpoint {endpoint_name!r} already monitored")
         mock = MockEndpoint(name=endpoint_name)
         status = self._status_provider(endpoint_name)
-        mock.synchronize(status, self._clock.now())
+        mock.synchronize(status, self._clock.now)
         self._mocks[endpoint_name] = mock
         self.endpoint_count += 1
         self.state_version += 1
@@ -142,28 +143,46 @@ class EndpointMonitor:
         return list(self._mocks)
 
     def mock(self, endpoint_name: str) -> MockEndpoint:
+        """The mock of ``endpoint_name`` (:class:`EndpointError` if unknown).
+
+        With mocking disabled, the mock is first re-synchronised from the
+        status provider, and ``state_version`` (and ``hardware_version`` if
+        the hardware changed) moves.
+        """
         try:
             mock = self._mocks[endpoint_name]
         except KeyError:
             raise EndpointError(f"endpoint {endpoint_name!r} is not monitored") from None
         if not self.mocking_enabled:
-            if mock.synchronize(self._status_provider(endpoint_name), self._clock.now()):
+            if mock.synchronize(self._status_provider(endpoint_name), self._clock.now):
                 self.hardware_version += 1
             self.state_version += 1
         return mock
 
     # --------------------------------------------------------------- updates
+    # The per-task accessors below (one dispatch, one completion and about
+    # one free-capacity read per task) look the mock up directly while
+    # mocking is on; with it off, or for an unknown name, they go through
+    # :meth:`mock`, which re-synchronises or raises.
     def record_dispatch(self, endpoint_name: str, cores: int = 1) -> None:
-        self.mock(endpoint_name).record_dispatch(cores)
+        """Mirror a dispatch on the mock (:meth:`MockEndpoint.record_dispatch`)."""
+        mock = self._mocks.get(endpoint_name) if self.mocking_enabled else None
+        if mock is None:
+            mock = self.mock(endpoint_name)
+        mock.record_dispatch(cores)
         self.state_version += 1
 
     def record_completion(self, endpoint_name: str, cores: int = 1) -> None:
-        self.mock(endpoint_name).record_completion(cores)
+        """Mirror a completion on the mock (:meth:`MockEndpoint.record_completion`)."""
+        mock = self._mocks.get(endpoint_name) if self.mocking_enabled else None
+        if mock is None:
+            mock = self.mock(endpoint_name)
+        mock.record_completion(cores)
         self.state_version += 1
 
     def synchronize(self, force: bool = False) -> None:
         """Re-sync every mock whose snapshot is older than the sync interval."""
-        now = self._clock.now()
+        now = self._clock.now
         for name, mock in self._mocks.items():
             if force or now - mock.last_synced_at >= self.sync_interval_s:
                 before = (
@@ -191,7 +210,13 @@ class EndpointMonitor:
         return self.mock(endpoint_name).idle_workers
 
     def free_capacity(self, endpoint_name: str) -> int:
-        return self.mock(endpoint_name).free_capacity
+        """Workers of ``endpoint_name`` free for a new task, in the mocked
+        view (:attr:`MockEndpoint.free_capacity`)."""
+        mock = self._mocks.get(endpoint_name) if self.mocking_enabled else None
+        if mock is None:
+            mock = self.mock(endpoint_name)
+        free = mock.active_workers - mock.busy_workers - mock.pending_tasks
+        return free if free > 0 else 0
 
     def free_capacities(self) -> Dict[str, int]:
         """``{name: free_capacity(name)}`` for every monitored endpoint.

@@ -273,6 +273,7 @@ class DynamicsInjector:
 
     def __init__(self, env: "SimulationEnvironment", federation: "WorkflowManager") -> None:
         self._env = env
+        self._clock = env.kernel.clock
         self._bus = federation.bus
         #: Events that actually perturbed the substrate (no-ops — churn on a
         #: crashed endpoint, crash of an offline endpoint — are excluded).
@@ -317,7 +318,7 @@ class DynamicsInjector:
         lost = endpoint.crash()
         self._refresh_service_view(event.endpoint)
         self._bus.publish(
-            EndpointCrashed(time=self._now(), endpoint=event.endpoint, lost_tasks=lost)
+            EndpointCrashed(time=self._clock.now, endpoint=event.endpoint, lost_tasks=lost)
         )
         return None
 
@@ -330,7 +331,7 @@ class DynamicsInjector:
         self._refresh_service_view(event.endpoint)
         self._bus.publish(
             EndpointRejoined(
-                time=self._now(), endpoint=event.endpoint, workers=endpoint.active_workers
+                time=self._clock.now, endpoint=event.endpoint, workers=endpoint.active_workers
             )
         )
         return None
@@ -348,7 +349,7 @@ class DynamicsInjector:
         endpoint.apply_capacity_change(delta)
         self._refresh_service_view(event.endpoint)
         self._bus.publish(
-            WorkerChurn(time=self._now(), endpoint=event.endpoint, delta_workers=delta)
+            WorkerChurn(time=self._clock.now, endpoint=event.endpoint, delta_workers=delta)
         )
         return None
 
@@ -357,7 +358,7 @@ class DynamicsInjector:
         endpoint.begin_cold_window(event.duration_s, penalty_s=event.value or None)
         self._bus.publish(
             ColdStartWindow(
-                time=self._now(),
+                time=self._clock.now,
                 endpoint=event.endpoint,
                 penalty_s=endpoint.cold_start_penalty_s,
                 duration_s=event.duration_s,
@@ -366,7 +367,7 @@ class DynamicsInjector:
 
     def _apply_net_degrade(self, event: TimelineEvent) -> None:
         factor = event.value if event.value > 0 else 0.5
-        now = self._now()
+        now = self._clock.now
         # duration 0 = indefinite: only an explicit net_restore clears it.
         until = float("inf") if event.duration_s <= 0 else now + event.duration_s
         self._net_until = max(self._net_until, until)
@@ -381,21 +382,21 @@ class DynamicsInjector:
             )
 
     def _apply_net_restore(self, event: TimelineEvent) -> None:
-        self._net_until = self._now()
+        self._net_until = self._clock.now
         self._restore_network()
 
     def _restore_network(self) -> None:
-        if self._now() + 1e-9 < self._net_until:
+        if self._clock.now + 1e-9 < self._net_until:
             return  # a longer (or later) window still holds the degradation
         self._env.network.set_bandwidth_scale(1.0)
-        self._bus.publish(NetworkRestored(time=self._now()))
+        self._bus.publish(NetworkRestored(time=self._clock.now))
 
     def _apply_staleness(self, event: TimelineEvent) -> None:
         previous = self._env.service.latency.status_refresh_interval_s
         if self._nominal_refresh_s is None:
             self._nominal_refresh_s = previous
         interval = event.value if event.value > 0 else previous * 4
-        now = self._now()
+        now = self._clock.now
         until = float("inf") if event.duration_s <= 0 else now + event.duration_s
         self._staleness_until = max(self._staleness_until, until)
         self._env.service.set_status_refresh_interval(interval)
@@ -409,12 +410,9 @@ class DynamicsInjector:
             )
 
     def _restore_staleness(self) -> None:
-        if self._now() + 1e-9 < self._staleness_until or self._nominal_refresh_s is None:
+        if self._clock.now + 1e-9 < self._staleness_until or self._nominal_refresh_s is None:
             return  # a longer (or later) spike still holds the staleness
         self._env.service.set_status_refresh_interval(self._nominal_refresh_s)
         self._bus.publish(
-            StatusStalenessChanged(time=self._now(), interval_s=self._nominal_refresh_s)
+            StatusStalenessChanged(time=self._clock.now, interval_s=self._nominal_refresh_s)
         )
-
-    def _now(self) -> float:
-        return self._env.kernel.now()

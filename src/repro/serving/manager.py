@@ -38,7 +38,7 @@ tenant bus for the tenants' own reactions.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isfinite
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
@@ -187,6 +187,16 @@ class WorkflowHandle:
         self.builder = builder
         #: FIFO position among live tenants; stamped by the manager.
         self.arrival_index = 0
+        #: What the arbitration policy sees of this tenant.  Every field but
+        #: ``arrival_index`` is fixed here; the manager replaces the share
+        #: when it restamps that.
+        self.share = TenantShare(
+            workflow_id=workflow_id,
+            weight=weight,
+            priority=priority,
+            arrival_index=0,
+            deadline=self.deadline_s,
+        )
         self.started = False
         self.finished = False
         self.paused = False
@@ -545,10 +555,12 @@ class WorkflowManager:
             self._workflows.values(), key=lambda h: (h.arrival_s, h.workflow_id)
         )
         for index, ordered_handle in enumerate(self._ordered):
-            ordered_handle.arrival_index = index
+            if ordered_handle.arrival_index != index:
+                ordered_handle.arrival_index = index
+                ordered_handle.share = replace(ordered_handle.share, arrival_index=index)
         self._membership_changed()
         kernel = getattr(self.fabric, "kernel", None)
-        if kernel is not None and arrival_s > self.clock.now():
+        if kernel is not None and arrival_s > self.clock.now:
             # A real (non-daemon) kernel event, like the dynamics layer's
             # timeline: the simulation advances to the arrival even when the
             # already-running workflows drain first.  The handle is kept so
@@ -632,7 +644,7 @@ class WorkflowManager:
                 handle.engine.start()
                 self._membership_changed()
         if self._started_at is None:
-            self._started_at = self.clock.now()
+            self._started_at = self.clock.now
         wall_start = _time.monotonic()
         stall_rounds = 0
         try:
@@ -653,7 +665,7 @@ class WorkflowManager:
                     if self._history_on_disk:
                         self.task_monitor.store.flush()
                 active = self._active
-                now = self.clock.now()
+                now = self.clock.now
                 control = self.bus.published_count != self._control_settled
                 if active and (control or now >= self._cadence_at):
                     if now - self._last_refit >= self.config.profiler_update_interval_s:
@@ -694,7 +706,7 @@ class WorkflowManager:
             # exception, Ctrl-C), the rows observed so far stay.
             if self.task_monitor.store is not None:
                 self.task_monitor.store.flush()
-        self._finished_at = self.clock.now()
+        self._finished_at = self.clock.now
         self.fabric.flush()
 
     # ------------------------------------------------------------- teardown
@@ -719,8 +731,9 @@ class WorkflowManager:
 
     # ------------------------------------------------------------- internals
     def _membership_changed(self) -> None:
-        """Rebuild the cached active list and its arbitration shares; tenants
-        entering or leaving it join or leave the running aggregates."""
+        """Rebuild the cached active list and its list of arbitration shares
+        (each handle keeps its own); tenants entering or leaving it join or
+        leave the running aggregates."""
         active = [h for h in self._ordered if h.started and not h.finished and not h.paused]
         staying = set(active)
         for handle in self._active:
@@ -741,16 +754,7 @@ class WorkflowManager:
                 self._staged[handle.workflow_id] = handle.engine.graph.store.staged_cores
                 self._due.add(handle)
         self._active = active
-        self._shares = [
-            TenantShare(
-                workflow_id=h.workflow_id,
-                weight=h.weight,
-                priority=h.priority,
-                arrival_index=h.arrival_index,
-                deadline=h.deadline_s,
-            )
-            for h in active
-        ]
+        self._shares = [h.share for h in active]
         self._placement_fingerprint = self._dispatch_fingerprint = None
         self._cadence_at = float("-inf")
         self._dirty = True
@@ -772,7 +776,7 @@ class WorkflowManager:
             handle.builder(handle)
         if len(handle.engine.graph) == 0:
             # An empty workflow is trivially complete.
-            handle.engine.metrics.workflow_started(self.clock.now())
+            handle.engine.metrics.workflow_started(self.clock.now)
             self._finish(handle)
             return
         handle.engine.start()
@@ -780,7 +784,7 @@ class WorkflowManager:
 
     def _activate_due(self) -> bool:
         activated = False
-        now = self.clock.now()
+        now = self.clock.now
         for handle in self._ordered:
             if not handle.started and not handle.cancelled and handle.arrival_s <= now:
                 self._activate(handle)
@@ -1073,7 +1077,7 @@ class WorkflowManager:
                     plans.bump()
             if any(handle.engine.context is not None for handle in self._ordered):
                 if plans is not None:
-                    plans.maybe_resolve(self.clock.now())
+                    plans.maybe_resolve(self.clock.now)
                 self.scale_now()
             if isinstance(event, EndpointCrashed):
                 self.data_manager.on_endpoint_crashed(event.endpoint)
@@ -1092,7 +1096,7 @@ class WorkflowManager:
         workflows = {h.workflow_id: h.summary() for h in self._ordered}
         mean_waits = [s.wait_time_mean_s for s in workflows.values()]
         start = self._started_at or 0.0
-        finish = self._finished_at if self._finished_at is not None else self.clock.now()
+        finish = self._finished_at if self._finished_at is not None else self.clock.now
         return ServingSummary(
             policy=self.policy.name if self.policy is not None else "none",
             makespan_s=max(0.0, finish - start),

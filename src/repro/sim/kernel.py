@@ -14,7 +14,9 @@ Two clock implementations are provided:
 
 Components never call ``time.time()`` or ``sleep`` directly; they receive a
 :class:`Clock` and, when they need timed callbacks, a
-:class:`SimulationKernel`.
+:class:`SimulationKernel`.  The time is an attribute, ``clock.now``, not a
+call: it is read several times per task.  A kernel has no time of its own;
+its holders read ``kernel.clock.now``.
 
 Events may be marked as *daemon* events: recurring housekeeping (endpoint
 idle checks, profiler refreshes, metrics sampling) that should run while the
@@ -43,13 +45,13 @@ __all__ = [
 class Clock:
     """Abstract time source.
 
-    Sub-classes expose :meth:`now` returning seconds as a float.  The origin
-    is arbitrary (simulation start or process start); only differences are
-    meaningful.
+    Sub-classes expose :attr:`now`, the current time in seconds as a float,
+    read as an attribute (a plain field on :class:`SimClock`, a property on
+    :class:`WallClock`).  The origin is arbitrary (simulation start or
+    process start); only differences are meaningful.
     """
 
-    def now(self) -> float:
-        raise NotImplementedError
+    now: float
 
 
 class WallClock(Clock):
@@ -58,23 +60,25 @@ class WallClock(Clock):
     def __init__(self) -> None:
         self._t0 = _time.monotonic()
 
+    @property
     def now(self) -> float:
         return _time.monotonic() - self._t0
 
 
 class SimClock(Clock):
-    """Virtual clock owned by a :class:`SimulationKernel`."""
+    """Virtual clock owned by a :class:`SimulationKernel`.
+
+    ``now`` is a plain attribute: reading simulated time costs no call.  The
+    kernel writes it as it fires events; nothing else should.
+    """
 
     def __init__(self) -> None:
-        self._now = 0.0
-
-    def now(self) -> float:
-        return self._now
+        self.now = 0.0
 
     def _advance_to(self, t: float) -> None:
-        if t < self._now:
-            raise ValueError(f"cannot move simulation time backwards ({t} < {self._now})")
-        self._now = t
+        if t < self.now:
+            raise ValueError(f"cannot move simulation time backwards ({t} < {self.now})")
+        self.now = t
 
 
 @dataclass(eq=False)
@@ -136,10 +140,7 @@ class SimulationKernel:
         self._events_processed = 0
         self._non_daemon_pending = 0
 
-    # ------------------------------------------------------------------ time
-    def now(self) -> float:
-        return self.clock._now
-
+    # ---------------------------------------------------------------- counts
     @property
     def events_processed(self) -> int:
         return self._events_processed
@@ -168,7 +169,7 @@ class SimulationKernel:
             raise ValueError(f"negative delay {delay!r}")
         # schedule_at's body, inlined (one Python call per scheduled event):
         # a non-negative delay is never in the past.
-        when = self.clock._now + delay
+        when = self.clock.now + delay
         handle = EventHandle(when, callback, args, self, daemon, label)
         heapq.heappush(self._queue, (when, next(self._seq), handle))
         if not daemon:
@@ -184,7 +185,7 @@ class SimulationKernel:
         label: str = "",
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulation time ``when``."""
-        now = self.clock._now
+        now = self.clock.now
         if when < now:
             raise ValueError(f"cannot schedule in the past ({when} < {now})")
         handle = EventHandle(when, callback, args, self, daemon, label)
@@ -229,9 +230,9 @@ class SimulationKernel:
             if event.cancelled:
                 continue
             # SimClock._advance_to, inlined (one Python call per event).
-            if when < clock._now:
-                raise ValueError(f"cannot move simulation time backwards ({when} < {clock._now})")
-            clock._now = when
+            if when < clock.now:
+                raise ValueError(f"cannot move simulation time backwards ({when} < {clock.now})")
+            clock.now = when
             self._events_processed += 1
             event.fired = True
             if not event.daemon:
@@ -263,8 +264,8 @@ class SimulationKernel:
         otherwise recurring housekeeping would keep the simulation alive
         forever.  Returns the simulation time at which the loop stopped.
         """
-        if until is not None and until <= self.now():
-            return self.now()
+        if until is not None and until <= self.clock.now:
+            return self.clock.now
         processed = 0
         while self._queue:
             if stop_when is not None and stop_when():
@@ -282,9 +283,9 @@ class SimulationKernel:
             processed += 1
             if max_events is not None and processed >= max_events:
                 break
-        if until is not None and self.now() < until and not self._queue:
+        if until is not None and self.clock.now < until and not self._queue:
             self.clock._advance_to(until)
-        return self.now()
+        return self.clock.now
 
     # ------------------------------------------------------------- internal
     def _peek_time(self) -> Optional[float]:

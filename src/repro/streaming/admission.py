@@ -88,7 +88,7 @@ class AdmissionController:
                 handle.cancel()
             self.admitted += 1
             admitted += 1
-            self._admit_cb(arrival, self.kernel.now())
+            self._admit_cb(arrival, self.kernel.clock.now)
         return admitted
 
     # ------------------------------------------------------------- teardown

@@ -113,7 +113,7 @@ class StreamingService:
     # --------------------------------------------------------------- report
     def payload(self) -> Dict[str, object]:
         """The BENCH artifact's ``streaming`` block (byte-deterministic)."""
-        elapsed = max(0.0, self.kernel.now() - self.spec.start_s)
+        elapsed = max(0.0, self.kernel.clock.now - self.spec.start_s)
         payload: Dict[str, object] = {
             "policy": self.manager.policy.name,
             "arrivals": self.admission.submitted,
@@ -162,7 +162,7 @@ class StreamingService:
         arrival = self._live.pop(handle.workflow_id, None)
         if arrival is None:
             return  # not one of ours (a pre-registered batch workflow)
-        now = self.kernel.now()
+        now = self.kernel.clock.now
         self.metrics.record_completion(
             now, now - arrival.arrival_s, missed=now > arrival.deadline_s
         )

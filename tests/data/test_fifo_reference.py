@@ -132,7 +132,7 @@ def replay(build, case):
             manager.register_output(output, op[2])
             files.append(output)
         else:
-            kernel.run(until=kernel.now() + op[1])
+            kernel.run(until=kernel.clock.now + op[1])
     kernel.run()
 
     return {

@@ -80,7 +80,7 @@ class TestSimulatedFabric:
         assert len(records) == 1
         assert records[0].task_id == task.task_id
         assert records[0].success
-        assert kernel.now() == pytest.approx(10.0)
+        assert kernel.clock.now == pytest.approx(10.0)
         assert not fabric.pending_work()
 
     def test_unflushed_batches_get_forced_out(self):
@@ -106,7 +106,7 @@ class TestSimulatedFabric:
         kernel, _, fabric = build_sim_fabric()
         fabric.submit("ep1", fabric.build_request(Task(function=sim_work)))
         fabric.flush()
-        kernel.run(until=kernel.now() + 1.0)
+        kernel.run(until=kernel.clock.now + 1.0)
         counts = fabric.worker_counts()
         assert list(counts) == fabric.endpoint_names()
         for name, (active, busy) in counts.items():

@@ -97,7 +97,7 @@ class TestSubmissionPath:
         assert delivered == []  # completed but not yet visible
         kernel.run()
         assert len(delivered) == 1
-        assert kernel.now() == pytest.approx(1.117)
+        assert kernel.clock.now == pytest.approx(1.117)
 
     def test_batch_submission_delivers_all(self):
         kernel = SimulationKernel()

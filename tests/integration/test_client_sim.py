@@ -47,7 +47,7 @@ class TestBasicExecution:
         assert client.graph.state_count(TaskState.COMPLETED) == 4
         # Simulated time should reflect the critical path (10 + 5 + 2 = 17 s)
         # plus modest service latencies, not wall-clock noise.
-        assert 17.0 <= env.kernel.now() < 60.0
+        assert 17.0 <= env.kernel.clock.now < 60.0
 
     def test_futures_carry_output_files(self):
         env = build_two_site_env()

@@ -1,5 +1,7 @@
 """Tests for the endpoint monitor's local mocking mechanism."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.exceptions import EndpointError
@@ -183,3 +185,65 @@ class TestEndpointMonitor:
         assert monitor.free_capacities() == {"ep1": 4}  # the dispatch is forgotten
         assert provider.calls == calls + 1
         assert monitor.state_version > version
+
+
+class TestPerTaskAccessors:
+    """``record_dispatch`` / ``record_completion`` / ``free_capacity``: the
+    reads and writes every dispatched task makes."""
+
+    ACCESSORS = {
+        "record_dispatch": lambda monitor, name: monitor.record_dispatch(name),
+        "record_completion": lambda monitor, name: monitor.record_completion(name),
+        "free_capacity": lambda monitor, name: monitor.free_capacity(name),
+    }
+
+    @pytest.mark.parametrize("mocking", [True, False])
+    @pytest.mark.parametrize("accessor", sorted(ACCESSORS))
+    def test_unknown_endpoint_raises(self, provider, clock, mocking, accessor):
+        monitor = EndpointMonitor(provider, clock, mocking_enabled=mocking)
+        monitor.register("ep1")
+        with pytest.raises(EndpointError):
+            self.ACCESSORS[accessor](monitor, "ghost")
+
+    def test_mocking_on_never_asks_the_service(self, provider, clock):
+        monitor = EndpointMonitor(provider, clock)
+        monitor.register("ep1")
+        calls, version = provider.calls, monitor.state_version
+        monitor.record_dispatch("ep1", cores=2)
+        assert monitor.free_capacity("ep1") == 2
+        monitor.record_completion("ep1", cores=2)
+        assert monitor.free_capacity("ep1") == 4
+        assert provider.calls == calls
+        assert monitor.state_version == version + 2
+        assert monitor.hardware_version == 0
+
+    # (accessor, state_version step, mock's (busy, pending) after, result)
+    WITHOUT_MOCKING = [
+        ("record_dispatch", 2, (3, 2), None),
+        ("record_completion", 2, (2, 1), None),
+        ("free_capacity", 1, (2, 2), 4),
+    ]
+
+    @pytest.mark.parametrize("accessor, version_step, counters, result", WITHOUT_MOCKING)
+    def test_mocking_off_resynchronises_before_acting(
+        self, provider, clock, accessor, version_step, counters, result
+    ):
+        monitor = EndpointMonitor(provider, clock, mocking_enabled=False)
+        monitor.register("ep1")
+        clock._advance_to(9.0)
+        provider.snapshots["ep1"] = replace(status(active=8, busy=2, pending=2), cores_per_node=48)
+        calls, version, syncs = provider.calls, monitor.state_version, monitor.sync_count
+        assert self.ACCESSORS[accessor](monitor, "ep1") == result
+        mock = monitor._mocks["ep1"]
+        # The accessor acted on the fresh snapshot, not on the stale mock.
+        assert (mock.active_workers, mock.cores_per_node) == (8, 48)
+        assert (mock.busy_workers, mock.pending_tasks) == counters
+        assert mock.last_synced_at == 9.0
+        assert provider.calls == calls + 1
+        assert monitor.sync_count == syncs
+        assert monitor.state_version == version + version_step
+        assert monitor.hardware_version == 1
+        # Same hardware again: the capacity version moves, the hardware one not.
+        self.ACCESSORS[accessor](monitor, "ep1")
+        assert monitor.state_version == version + 2 * version_step
+        assert monitor.hardware_version == 1

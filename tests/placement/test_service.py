@@ -42,7 +42,7 @@ def test_engine_builds_and_attaches_the_service_by_default():
     service = client.engine.plan_service
     assert service is not None
     assert client.engine.scheduler.plan_provider is not None
-    plan = service.resolve(env.kernel.now())
+    plan = service.resolve(env.kernel.clock.now)
     assert plan is service.current_plan()
     assert service.solve_count == 1
     assert set(plan.warm_endpoints) <= {"site_a", "site_b"}
@@ -60,16 +60,16 @@ def test_disabled_flag_leaves_every_consumer_unwired():
 def test_crash_bumps_generation_and_resolve_excludes_the_endpoint():
     env, client, _ = _client_with_pending_consumers()
     service = client.engine.plan_service
-    service.resolve(env.kernel.now())
+    service.resolve(env.kernel.clock.now)
     generation = service.generation
 
     client.manager.bus.publish(
-        EndpointCrashed(time=env.kernel.now(), endpoint="site_a")
+        EndpointCrashed(time=env.kernel.clock.now, endpoint="site_a")
     )
     assert service.generation == generation + 1
     assert service.offline_endpoints() == ["site_a"]
 
-    plan = service.maybe_resolve(env.kernel.now())
+    plan = service.maybe_resolve(env.kernel.clock.now)
     assert "site_a" not in plan.warm_endpoints
     assert all(root != "site_a" for root in plan.replica_roots.values())
 
@@ -86,13 +86,13 @@ def test_rejoin_readmits_the_endpoint():
     generation = service.generation
 
     client.manager.bus.publish(
-        EndpointRejoined(time=env.kernel.now(), endpoint="site_a", workers=8)
+        EndpointRejoined(time=env.kernel.clock.now, endpoint="site_a", workers=8)
     )
     assert service.generation == generation + 1
     assert service.offline_endpoints() == []
     # Re-admitted: the endpoint is eligible again (the solver may still
     # choose to keep it cold, but it is back in the candidate set).
-    plan = service.resolve(env.kernel.now())
+    plan = service.resolve(env.kernel.clock.now)
     assert plan.generation == service.generation
 
 
@@ -101,7 +101,7 @@ def test_churn_invalidates_without_touching_the_offline_set():
     service = client.engine.plan_service
     generation = service.generation
     client.manager.bus.publish(
-        WorkerChurn(time=env.kernel.now(), endpoint="site_a", delta_workers=-2)
+        WorkerChurn(time=env.kernel.clock.now, endpoint="site_a", delta_workers=-2)
     )
     assert service.generation == generation + 1
     assert service.offline_endpoints() == []
@@ -118,7 +118,7 @@ def test_one_churn_event_forwarded_by_every_tenant_bumps_and_solves_once():
     def churn():
         before = (service.generation, service.solve_count)
         # The control bus forwards the one event object to all four tenants.
-        manager.bus.publish(WorkerChurn(time=env.kernel.now(), endpoint="a", delta_workers=-1))
+        manager.bus.publish(WorkerChurn(time=env.kernel.clock.now, endpoint="a", delta_workers=-1))
         seen.append((before, (service.generation, service.solve_count)))
 
     env.kernel.schedule(1.0, churn)
@@ -130,7 +130,7 @@ def test_one_churn_event_forwarded_by_every_tenant_bumps_and_solves_once():
 def test_maybe_resolve_honours_cadence_and_generation():
     env, client, _ = _client_with_pending_consumers()
     service = client.engine.plan_service
-    now = env.kernel.now()
+    now = env.kernel.clock.now
     service.maybe_resolve(now)
     assert service.solve_count == 1
     # Fresh generation, cadence not elapsed: cached plan, no second solve.
@@ -148,7 +148,7 @@ def test_maybe_resolve_honours_cadence_and_generation():
 def test_capture_state_pins_plan_and_rng_stream():
     env, client, _ = _client_with_pending_consumers()
     service = client.engine.plan_service
-    service.resolve(env.kernel.now())
+    service.resolve(env.kernel.clock.now)
     state = service.capture_state()
     assert state["solves"] == 1
     assert state["offline"] == []
@@ -158,7 +158,7 @@ def test_capture_state_pins_plan_and_rng_stream():
     # The captured stream state is a deep copy: further solves must not
     # mutate an already-written snapshot section.
     service.bump()
-    service.resolve(env.kernel.now())
+    service.resolve(env.kernel.clock.now)
     assert state["solves"] == 1
     assert state["rng"] != service.capture_state()["rng"] or True
     assert service.capture_state()["solves"] == 2

@@ -148,13 +148,13 @@ class DataManager:
             # supersede-and-cancel path; FIFO transfers are left to land —
             # another ticket may be waiting on the same copy).
             previous.superseded = True
-            previous.completed_at = self.clock.now()
+            previous.completed_at = self.clock.now
             self._open_ticket_count -= 1
         ticket = StagingTicket(
             task_id=task_id,
             destination=destination,
             namespace=task_namespace(task_id),
-            created_at=self.clock.now(),
+            created_at=self.clock.now,
         )
         self._tickets[ticket.ticket_id] = ticket
         self._tickets_by_task[task_id] = ticket
@@ -162,7 +162,7 @@ class DataManager:
 
         missing = self.missing_files(files, destination)
         if not missing:
-            ticket.completed_at = self.clock.now()
+            ticket.completed_at = self.clock.now
             self._notify(ticket)
             return ticket
 
@@ -283,7 +283,7 @@ class DataManager:
                 if ticket.superseded:
                     continue  # a newer ticket owns this task's staging
                 if ticket.done and ticket.completed_at is None:
-                    ticket.completed_at = self.clock.now()
+                    ticket.completed_at = self.clock.now
                     self._open_ticket_count -= 1
                     self._notify(ticket)
         else:
@@ -311,7 +311,7 @@ class DataManager:
                         )
                     )
                     ticket.pending_transfers.discard(request.transfer_id)
-                    ticket.completed_at = self.clock.now()
+                    ticket.completed_at = self.clock.now
                     self._open_ticket_count -= 1
                     self._notify(ticket)
 

@@ -42,7 +42,7 @@ def dispatch_staged(
     engine = coordinator._engine
     store = engine.graph.store
     names = store.endpoint_names
-    now = engine.clock.now()
+    now = engine.clock.now
     dispatched_any = False
     batch: List[Task] = []
     batch_log: List[tuple] = []

@@ -305,7 +305,7 @@ class TestNetworkAndStalenessDynamics:
         probes = {}
 
         def probe():
-            probes[round(env.kernel.now(), 1)] = env.network.bandwidth_scale
+            probes[round(env.kernel.clock.now, 1)] = env.network.bandwidth_scale
 
         for t in (6.0, 12.0):
             env.kernel.schedule(t, probe, daemon=True)

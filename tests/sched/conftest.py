@@ -69,7 +69,7 @@ def build_context(endpoints: Dict[str, EndpointSpec], bandwidth=100.0) -> Contex
             cores_per_node=spec.cores,
             cpu_freq_ghz=spec.freq,
             ram_gb=spec.ram,
-            as_of=kernel.now(),
+            as_of=kernel.clock.now,
         )
 
     monitor = EndpointMonitor(provider, kernel.clock, sync_interval_s=60.0)

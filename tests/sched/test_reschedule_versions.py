@@ -130,7 +130,7 @@ class World:
     # ---------------------------------------------------------------- ops
     def apply(self, op):
         kind, a, b = op
-        store, now = self.store, self.bundle.kernel.clock.now()
+        store, now = self.store, self.bundle.kernel.clock.now
         if kind == "add":
             files = [self.files[i] for i in range(FILE_COUNT) if a >> i & 1]
             deps = [self.tasks[b % len(self.tasks)]] if self.tasks and b % 3 == 0 else []

@@ -325,7 +325,7 @@ def test_undispatched_tenant_is_resliced_when_capacity_moves(monkeypatch):
     env.endpoint("a").apply_capacity_change(-8)
     env.service.endpoint_status("a", force_refresh=True)
     manager.endpoint_monitor.synchronize(force=True)
-    busy.bus.publish(CapacityChanged(time=manager.clock.now()))
+    busy.bus.publish(CapacityChanged(time=manager.clock.now))
     assert manager._due == {busy}
     manager._pump(manager._active)
 

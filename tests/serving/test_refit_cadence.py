@@ -31,7 +31,7 @@ def refit_times(monkeypatch, name):
 
     def spy_update_models(self, force=False):
         if not force:
-            times.append(running[-1].clock.now())
+            times.append(running[-1].clock.now)
         return update_models(self, force)
 
     monkeypatch.setattr(WorkflowManager, "run", spy_run)

@@ -9,12 +9,32 @@ from repro.sim.kernel import SimClock, SimulationKernel, WallClock
 
 class TestSimClock:
     def test_starts_at_zero(self):
-        assert SimClock().now() == 0.0
+        assert SimClock().now == 0.0
+
+    def test_now_is_a_float_attribute(self):
+        clock = SimClock()
+        assert type(clock.now) is float
+        assert "now" in vars(clock)
+
+    def test_step_and_run_advance_the_attribute(self):
+        kernel = SimulationKernel()
+        clock = kernel.clock
+        kernel.schedule(2.0, lambda: None)
+        assert kernel.step()
+        assert clock.now == 2.0
+        kernel.run(until=7.5)
+        assert clock.now == 7.5
+        kernel.schedule(1.0, lambda: None)
+        kernel.run(until=100.0)
+        assert clock.now == 100.0
+
+    def test_kernel_has_no_time_of_its_own(self):
+        assert not hasattr(SimulationKernel(), "now")
 
     def test_advance_forward(self):
         clock = SimClock()
         clock._advance_to(5.0)
-        assert clock.now() == 5.0
+        assert clock.now == 5.0
 
     def test_advance_backwards_rejected(self):
         clock = SimClock()
@@ -26,21 +46,21 @@ class TestSimClock:
 class TestWallClock:
     def test_monotone_nonnegative(self):
         clock = WallClock()
-        a = clock.now()
-        b = clock.now()
-        assert a >= 0.0
-        assert b >= a
+        readings = [clock.now for _ in range(100)]
+        assert all(type(t) is float for t in readings)
+        assert readings[0] >= 0.0
+        assert readings == sorted(readings)
 
 
 class TestSchedule:
     def test_schedule_and_run(self):
         kernel = SimulationKernel()
         fired = []
-        kernel.schedule(1.0, lambda: fired.append(kernel.now()))
-        kernel.schedule(3.0, lambda: fired.append(kernel.now()))
+        kernel.schedule(1.0, lambda: fired.append(kernel.clock.now))
+        kernel.schedule(3.0, lambda: fired.append(kernel.clock.now))
         kernel.run()
         assert fired == [1.0, 3.0]
-        assert kernel.now() == 3.0
+        assert kernel.clock.now == 3.0
 
     def test_schedule_with_args(self):
         kernel = SimulationKernel()
@@ -84,8 +104,8 @@ class TestSchedule:
         fired = []
 
         def first():
-            fired.append(("first", kernel.now()))
-            kernel.schedule(2.0, lambda: fired.append(("second", kernel.now())))
+            fired.append(("first", kernel.clock.now))
+            kernel.schedule(2.0, lambda: fired.append(("second", kernel.clock.now)))
 
         kernel.schedule(1.0, first)
         kernel.run()
@@ -98,7 +118,7 @@ class TestSchedule:
             kernel.schedule(t, fired.append, t)
         kernel.run(until=2.5)
         assert fired == [1.0, 2.0]
-        assert kernel.now() == 2.5
+        assert kernel.clock.now == 2.5
         kernel.run()
         assert fired == [1.0, 2.0, 3.0, 4.0]
 
@@ -192,7 +212,7 @@ class TestHeapEntries:
         kernel.run()
         fired.cancel()  # already fired: a no-op
         assert not fired.cancelled
-        assert kernel.now() == 2.5
+        assert kernel.clock.now == 2.5
         assert kernel.pending_events == 0
 
 
@@ -200,18 +220,18 @@ class TestDaemonEvents:
     def test_run_stops_when_only_daemon_events_remain(self):
         kernel = SimulationKernel()
         ticks = []
-        kernel.schedule_periodic(10.0, lambda: ticks.append(kernel.now()), daemon=True)
+        kernel.schedule_periodic(10.0, lambda: ticks.append(kernel.clock.now), daemon=True)
         kernel.schedule(35.0, lambda: None)
         kernel.run()
         # The non-daemon event at t=35 bounds the run; the daemon periodic
         # fires while the simulation is alive but does not keep it alive.
-        assert kernel.now() == 35.0
+        assert kernel.clock.now == 35.0
         assert ticks == [10.0, 20.0, 30.0]
 
     def test_run_until_processes_daemon_events(self):
         kernel = SimulationKernel()
         ticks = []
-        kernel.schedule_periodic(10.0, lambda: ticks.append(kernel.now()), daemon=True)
+        kernel.schedule_periodic(10.0, lambda: ticks.append(kernel.clock.now), daemon=True)
         kernel.run(until=45.0)
         assert ticks == [10.0, 20.0, 30.0, 40.0]
 
@@ -237,7 +257,7 @@ class TestPeriodic:
     def test_periodic_fires_until_cancelled(self):
         kernel = SimulationKernel()
         ticks = []
-        handle = kernel.schedule_periodic(10.0, lambda: ticks.append(kernel.now()))
+        handle = kernel.schedule_periodic(10.0, lambda: ticks.append(kernel.clock.now))
         kernel.schedule(45.0, handle.cancel)
         kernel.run()
         assert ticks == [10.0, 20.0, 30.0, 40.0]
@@ -245,7 +265,7 @@ class TestPeriodic:
     def test_periodic_start_delay(self):
         kernel = SimulationKernel()
         ticks = []
-        handle = kernel.schedule_periodic(10.0, lambda: ticks.append(kernel.now()), start_delay=0.0)
+        handle = kernel.schedule_periodic(10.0, lambda: ticks.append(kernel.clock.now), start_delay=0.0)
         kernel.schedule(25.0, handle.cancel)
         kernel.run()
         assert ticks == [0.0, 10.0, 20.0]
@@ -262,7 +282,7 @@ class TestKernelProperties:
         kernel = SimulationKernel()
         fire_times = []
         for d in delays:
-            kernel.schedule(d, lambda: fire_times.append(kernel.now()))
+            kernel.schedule(d, lambda: fire_times.append(kernel.clock.now))
         kernel.run()
         assert len(fire_times) == len(delays)
         assert fire_times == sorted(fire_times)

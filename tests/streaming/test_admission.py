@@ -87,7 +87,7 @@ class TestAbandonment:
         assert [a.workflow_id for a in h.abandoned] == ["wf00000"]
         # The abandon event fires exactly at arrival + patience, and keeps
         # the kernel alive until then (it is a non-daemon event).
-        assert h.kernel.now() == pytest.approx(35.0)
+        assert h.kernel.clock.now == pytest.approx(35.0)
         assert not h.controller.pending
 
     def test_admission_cancels_the_abandon_event(self):
@@ -98,7 +98,7 @@ class TestAbandonment:
         assert h.controller.admitted == 1
         assert h.controller.abandoned == 0
         # No abandon event left behind: the run ends at admission time.
-        assert h.kernel.now() == pytest.approx(5.0)
+        assert h.kernel.clock.now == pytest.approx(5.0)
         assert not h.controller._abandon_handles
 
     def test_late_pump_frees_slot_too_late(self):
@@ -138,7 +138,7 @@ class TestAbandonment:
         h.kernel.schedule_at(2.0, h.controller.shutdown, daemon=True)
         h.kernel.run()
         assert h.controller.abandoned == 0
-        assert h.kernel.now() == pytest.approx(2.0)
+        assert h.kernel.clock.now == pytest.approx(2.0)
 
 
 class TestSloDraw:
