@@ -109,7 +109,7 @@ def columnar_refresh(graph: TaskGraph):
     """The same observables from the store's arrays."""
     store = graph.store
     ready = graph.in_state(TaskState.READY)
-    waits = store.wait_times()
+    waits = store.wait_values().tolist()
     return len(ready), waits, dict(store.staged_cores), store.undispatched_by_endpoint()
 
 

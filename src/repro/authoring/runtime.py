@@ -260,7 +260,7 @@ class WorkflowRun:
         self._by_task[future.task_id] = (run, index)
         run.futures.append(future)
         spec = job.task_type
-        self.info.register(future, spec.name, spec.duration_s, spec.output_mb)
+        self.info.register(future, spec.name)
 
     def _materialize(self, run: _JobRun) -> bool:
         job = run.job

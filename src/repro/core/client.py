@@ -43,7 +43,6 @@ class UniFaaSClient:
         scaling_strategy: Optional[ScalingStrategy] = None,
         history_store: Optional[HistoryStore] = None,
         metrics: Optional[MetricsCollector] = None,
-        scaling_check_interval_s: float = 10.0,
     ) -> None:
         self.manager = WorkflowManager(
             config,
@@ -52,7 +51,6 @@ class UniFaaSClient:
             arbitration=None,
             scaling_strategy=scaling_strategy,
             history_store=history_store,
-            scaling_check_interval_s=scaling_check_interval_s,
         )
         self.engine = self.manager.add_workflow("", scheduler=scheduler, metrics=metrics).engine
         set_current_client(self)
@@ -96,6 +94,3 @@ class UniFaaSClient:
         """Workflow summary (makespan, transfer volume, utilisation, ...)."""
         self.metrics.set_dataplane_stats(self.data_manager.stats_dict())
         return self.metrics.summary(self.data_manager.total_transferred_mb)
-
-    def task_states(self) -> Dict[str, int]:
-        return self.graph.counts()

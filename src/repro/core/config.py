@@ -8,7 +8,7 @@ endpoints by changing only the configuration ("write once, run anywhere").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.exceptions import ConfigurationError
 
@@ -192,12 +192,3 @@ class Config:
             gb = executor.storage_gb if executor.storage_gb is not None else self.storage_capacity_gb
             budgets[executor.endpoint] = None if gb is None else gb * 1024.0
         return budgets
-
-    def executor_labels(self) -> List[str]:
-        return [e.label for e in self.executors]
-
-    def executor_by_label(self, label: str) -> ExecutorSpec:
-        for executor in self.executors:
-            if executor.label == label:
-                return executor
-        raise ConfigurationError(f"no executor labelled {label!r}")

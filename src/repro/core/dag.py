@@ -122,23 +122,10 @@ class TaskTimestamps:
         return f"TaskTimestamps({fields})"
 
     @property
-    def execution_time(self) -> Optional[float]:
-        if self.started is None or self.completed is None:
-            return None
-        return self.completed - self.started
-
-    @property
     def staging_time(self) -> Optional[float]:
         if self.staging_started is None or self.staging_done is None:
             return None
         return self.staging_done - self.staging_started
-
-    @property
-    def queue_time(self) -> Optional[float]:
-        """Time between dispatch to the endpoint and execution start."""
-        if self.dispatched is None or self.started is None:
-            return None
-        return self.started - self.dispatched
 
 
 _NAN = float("nan")
@@ -357,8 +344,8 @@ class TaskGraph:
     decorated functions are invoked, and may continue to grow while earlier
     tasks execute.  Edges always point from producer to consumer; cycles are
     impossible by construction (a future can only be passed to a task created
-    after its producer) but :meth:`add_dependency` still validates.  Each
-    task holds its neighbours in task-id order: no traversal sorts.
+    after its producer).  Each task holds its neighbours in task-id order: no
+    traversal sorts.
     """
 
     def __init__(self) -> None:
@@ -398,9 +385,6 @@ class TaskGraph:
 
     def tasks(self) -> List[Task]:
         return list(self._tasks.values())
-
-    def task_ids(self) -> List[str]:
-        return list(self._tasks.keys())
 
     def successors(self, task_id: str) -> List[Task]:
         """The consumers of ``task_id`` in task-id order: the task's own list,
@@ -466,29 +450,6 @@ class TaskGraph:
         self._by_row.append(task)
         return task
 
-    def add_dependency(self, upstream_id: str, downstream_id: str) -> None:
-        """Add an extra edge (used when a future is discovered late)."""
-        upstream = self.get(upstream_id)
-        downstream = self.get(downstream_id)
-        if upstream_id == downstream_id:
-            raise WorkflowError("a task cannot depend on itself")
-        if downstream.state not in (TaskState.PENDING, TaskState.READY):
-            raise WorkflowError(
-                f"cannot add dependency to task {downstream_id} in state {downstream.state.value}"
-            )
-        if upstream in downstream.predecessors:
-            return
-        if self._would_create_cycle(upstream, downstream):
-            raise WorkflowError(
-                f"dependency {upstream_id} -> {downstream_id} would create a cycle"
-            )
-        insort(downstream.predecessors, upstream, key=task_id_of)
-        insort(upstream.successors, downstream, key=task_id_of)
-        if upstream.state != TaskState.COMPLETED:
-            self._unfinished_dependency_count[downstream_id] += 1
-            if downstream.state == TaskState.READY:
-                self.set_state(downstream, TaskState.PENDING)
-
     def set_state(self, task: Task, state: TaskState, now: Optional[float] = None) -> Task:
         """Move ``task`` to ``state``, updating counters and, when ``now`` is
         given, the timestamp the transition stamps (the store's
@@ -524,10 +485,6 @@ class TaskGraph:
     def roots(self) -> List[Task]:
         """Tasks with no dependencies."""
         return [t for t in self._tasks.values() if not t.predecessors]
-
-    def leaves(self) -> List[Task]:
-        """Tasks with no successors."""
-        return [t for t in self._tasks.values() if not t.successors]
 
     def topological_order(self) -> List[Task]:
         """Tasks in an order where producers precede consumers (Kahn's
@@ -585,18 +542,3 @@ class TaskGraph:
             best_pred = max((longest[d.task_id] for d in task.predecessors), default=0.0)
             longest[task.task_id] = best_pred + weight(task)
         return max(longest.values(), default=0.0)
-
-    # ------------------------------------------------------------- internal
-    def _would_create_cycle(self, upstream: Task, downstream: Task) -> bool:
-        """True if ``downstream`` can already reach ``upstream``."""
-        stack = [downstream]
-        seen: Set[str] = set()
-        while stack:
-            node = stack.pop()
-            if node is upstream:
-                return True
-            if node.task_id in seen:
-                continue
-            seen.add(node.task_id)
-            stack.extend(node.successors)
-        return False

@@ -121,8 +121,7 @@ class FederatedFunction:
 
     Calling the wrapper registers a task with the active client and returns a
     :class:`UniFuture`.  The raw callable remains accessible through
-    :attr:`callable` and :meth:`run_locally` (used by the local execution
-    fabric and in tests).
+    :attr:`callable` (the local execution fabric runs it).
     """
 
     def __init__(
@@ -153,10 +152,6 @@ class FederatedFunction:
             )
         self.validate_payload(args, kwargs)
         return client.submit(self, args, kwargs)
-
-    def run_locally(self, *args: Any, **kwargs: Any) -> Any:
-        """Execute the wrapped callable directly (local fabric / tests)."""
-        return self.callable(*args, **kwargs)
 
     # ------------------------------------------------------------ validation
     def validate_payload(self, args: tuple, kwargs: Dict[str, Any]) -> None:

@@ -70,9 +70,3 @@ class StagingTicket:
     @property
     def done(self) -> bool:
         return not self.pending_transfers or self.failed
-
-    @property
-    def staging_time_s(self) -> Optional[float]:
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.created_at

@@ -94,13 +94,11 @@ class SimulatedTransferBackend(TransferBackend):
         self.kernel = kernel
         self.network = network
         #: Counters exposed for metrics/tests.
-        self.started_count = 0
         self.failed_count = 0
         self.completed_count = 0
 
     def start(self, request: TransferRequest, on_done: TransferCallback) -> None:
         started_at = self.kernel.clock.now
-        self.started_count += 1
         self.network.register_transfer_start(request.src, request.dst)
         failed = self.network.sample_failure(request.src, request.dst)
         duration = self.network.sample_duration(

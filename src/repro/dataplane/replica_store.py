@@ -257,9 +257,6 @@ class ReplicaStore:
             self._expendable.add(file.file_id)
             self._refresh_file(file)
 
-    def is_expendable(self, file_id: str) -> bool:
-        return file_id in self._expendable
-
     # ------------------------------------------------------------- liveness
     def mark_offline(self, endpoint: str) -> None:
         """``endpoint`` crashed: quarantine its replicas until it rejoins.
@@ -342,11 +339,6 @@ class ReplicaStore:
                 evictable = self._evictable.get(endpoint)
                 if evictable is not None:
                     self._refresh(replica, evictable)
-
-    def pinned_mb(self, endpoint: str) -> float:
-        return float(
-            sum(r.size_mb for r in self._replicas.get(endpoint, {}).values() if r.pinned)
-        )
 
     # --------------------------------------------------------------- internal
     def _insert(self, file: RemoteFile, endpoint: str, *, prefetched: bool) -> Replica:

@@ -273,10 +273,6 @@ class TaskStore:
         mask = ~np.isnan(ready) & ~np.isnan(started)
         return np.maximum(0.0, started[mask] - ready[mask])
 
-    def wait_times(self) -> List[float]:
-        """:meth:`wait_values` as a plain Python list."""
-        return self.wait_values().tolist()
-
     def pending_on(self, endpoint: str) -> int:
         """Tasks placed on ``endpoint`` but not yet dispatched."""
         return self.pending_dispatch.get(endpoint, 0)

@@ -25,7 +25,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.monitor.store import HistoryStore
 from repro.sched.base import Scheduler
 from repro.serving.manager import WorkflowManager
-from repro.sim.hardware import ClusterSpec, QIMING
+from repro.sim.hardware import ClusterSpec
 from repro.sim.kernel import SimulationKernel
 from repro.sim.network import NetworkModel
 from repro.sim.rng import RngRegistry
@@ -34,7 +34,6 @@ __all__ = [
     "EndpointSetup",
     "SimulationEnvironment",
     "build_simulation",
-    "single_cluster_environment",
 ]
 
 
@@ -225,20 +224,4 @@ def build_simulation(
         endpoints=built,
         rng=rng,
     )
-
-
-def single_cluster_environment(
-    workers: int = 24, cluster: Optional[ClusterSpec] = None, seed: int = 0
-) -> SimulationEnvironment:
-    """Small single-endpoint environment (quick tests and the Fig. 5 bench)."""
-    cluster = cluster or QIMING
-    setup = EndpointSetup(
-        name=cluster.name,
-        cluster=cluster,
-        initial_workers=workers,
-        max_workers=max(workers, cluster.workers_per_node),
-        auto_scale=False,
-        duration_jitter=0.0,
-    )
-    return build_simulation([setup], seed=seed)
 

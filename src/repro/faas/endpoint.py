@@ -135,7 +135,6 @@ class SimulatedEndpoint:
         self.completed_count = 0
         self.failed_count = 0
         self.busy_core_seconds = 0.0
-        self.dispatched_count = 0
 
         if auto_scale and scale_check_interval_s > 0:
             # Daemon: idle-pool housekeeping must not keep the simulation alive.
@@ -161,10 +160,6 @@ class SimulatedEndpoint:
     def queued_tasks(self) -> int:
         """Tasks dispatched to this endpoint but not yet running."""
         return len(self._queue)
-
-    @property
-    def running_tasks(self) -> int:
-        return len(self._running)
 
     @property
     def speed_factor(self) -> float:
@@ -221,12 +216,10 @@ class SimulatedEndpoint:
             )
         when = self.kernel.clock.now if submitted_at is None else submitted_at
         if not self._online:
-            self.dispatched_count += 1
             self._fail_request(request, when, error="endpoint offline")
             return
         self._queue.append((request, when))
         self._last_activity_at = self.kernel.clock.now
-        self.dispatched_count += 1
         if self.auto_scale:
             self._maybe_scale_out()
         self._start_queued_tasks()

@@ -38,7 +38,6 @@ class FederatedFaaSService:
         self.kernel = kernel
         self.latency = latency or ServiceLatencyModel()
         self._endpoints: Dict[str, SimulatedEndpoint] = {}
-        self._endpoint_uuids: Dict[str, str] = {}
         self._status_cache: Dict[str, EndpointStatus] = {}
         self._result_callbacks: List[ResultCallback] = []
         self._uuid_counter = itertools.count(1)
@@ -52,7 +51,6 @@ class FederatedFaaSService:
             raise EndpointError(f"endpoint {endpoint.name!r} already registered")
         self._endpoints[endpoint.name] = endpoint
         uuid = f"ep-{next(self._uuid_counter):04d}-{endpoint.name}"
-        self._endpoint_uuids[endpoint.name] = uuid
         endpoint.add_completion_callback(self._on_endpoint_completion)
         self._status_cache[endpoint.name] = endpoint.status()
         return uuid
@@ -73,10 +71,6 @@ class FederatedFaaSService:
         for name, endpoint in self._endpoints.items():
             counts[name] = (endpoint._active_workers, endpoint._busy_workers)
         return counts
-
-    def endpoint_uuid(self, name: str) -> str:
-        self.endpoint(name)
-        return self._endpoint_uuids[name]
 
     # ------------------------------------------------------------ submission
     def submit(self, endpoint_name: str, request: TaskExecutionRequest) -> None:

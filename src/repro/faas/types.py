@@ -138,7 +138,3 @@ class TaskExecutionRecord:
     @property
     def execution_time_s(self) -> float:
         return self.completed_at - self.started_at
-
-    @property
-    def queue_time_s(self) -> float:
-        return self.started_at - self.submitted_at

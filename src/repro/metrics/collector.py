@@ -8,7 +8,8 @@ Everything the paper's evaluation plots or tabulates is gathered here:
 * number of tasks in the data-staging state over time (Fig. 10),
 * tasks assigned per endpoint / per worker (Fig. 11),
 * number of re-scheduled tasks over time (Figs. 12–13),
-* per-component latency breakdown of a task (Fig. 5),
+* the per-component latency breakdown record of a task (Fig. 5; the
+  :mod:`repro.experiments.latency` runs fill it),
 * real (wall-clock) scheduler overhead per task (Table III), and
 * the data-plane counters (bytes moved, cache hit rate, evictions,
   prefetch usefulness) when the :mod:`repro.dataplane` subsystem is active.
@@ -99,9 +100,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def last(self) -> Optional[float]:
-        return self.values[-1] if self.values else None
 
     def max(self) -> float:
         return max(self.values) if self.values else 0.0
@@ -221,14 +219,6 @@ class MetricsCollector:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
 
-        # Optional latency breakdowns keyed by task id (Fig. 5), bounded: a
-        # million-task run must not retain a million six-field records for a
-        # figure that plots a handful.  Beyond the cap new tasks are counted
-        # but not stored (updates to already-stored tasks still land).
-        self.latency_breakdowns: Dict[str, LatencyBreakdown] = {}
-        self.latency_breakdown_cap = 4096
-        self.latency_breakdowns_dropped = 0
-
         # Data-plane counters, pushed by the engine at workflow completion.
         self.dataplane_stats: Dict[str, float] = {}
 
@@ -266,23 +256,10 @@ class MetricsCollector:
         self.scheduling_cpu_s += cpu_seconds
         self.scheduled_decisions += decisions
 
-    def record_latency_breakdown(self, task_id: str, breakdown: LatencyBreakdown) -> None:
-        if (
-            task_id not in self.latency_breakdowns
-            and len(self.latency_breakdowns) >= self.latency_breakdown_cap
-        ):
-            self.latency_breakdowns_dropped += 1
-            return
-        self.latency_breakdowns[task_id] = breakdown
-
     def set_dataplane_stats(self, stats: Dict[str, float]) -> None:
         """Install the data plane's counter snapshot (bytes moved, cache hit
         rate, evictions, prefetch usefulness) for the workflow summary."""
         self.dataplane_stats = dict(stats)
-
-    def observe_wait(self, wait_s: float) -> None:
-        """Stream one task's ready-to-start wait into the summary stats."""
-        self.wait_stats.observe(wait_s)
 
     def set_wait_times(self, waits: Iterable[float]) -> None:
         """Replace the wait stream with ``waits`` (any iterable; consumed

@@ -235,20 +235,6 @@ class EndpointMonitor:
     def active_workers(self, endpoint_name: str) -> int:
         return self.mock(endpoint_name).active_workers
 
-    def total_active_workers(self) -> int:
-        return sum(m.active_workers for m in self._mocks.values())
-
-    def total_outstanding_tasks(self) -> int:
-        return sum(m.outstanding_tasks for m in self._mocks.values())
-
     def capacities(self) -> Dict[str, int]:
         """Current worker capacity per endpoint (Capacity scheduler input)."""
         return {name: mock.active_workers for name, mock in self._mocks.items()}
-
-    def endpoints_with_capacity(self, cores: int = 1) -> List[str]:
-        """Endpoints whose mocked view has at least ``cores`` free workers."""
-        return [
-            name
-            for name, mock in self._mocks.items()
-            if mock.online and mock.free_capacity >= cores
-        ]

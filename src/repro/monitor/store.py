@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 __all__ = ["HistoryStore", "TaskRecord", "TransferRecord"]
 
@@ -235,12 +235,6 @@ class HistoryStore:
     def transfer_count(self) -> int:
         row = self._conn.execute("SELECT COUNT(*) FROM transfer_records").fetchone()
         return int(row[0])
-
-    def endpoint_pairs(self) -> List[Tuple[str, str]]:
-        rows = self._conn.execute(
-            "SELECT DISTINCT src, dst FROM transfer_records ORDER BY src, dst"
-        ).fetchall()
-        return [(r[0], r[1]) for r in rows]
 
     # ----------------------------------------------------------------- misc
     def clear(self) -> None:

@@ -2,10 +2,10 @@
 
 Tracks task execution information — state transitions, completion times,
 input/output sizes and which endpoint ran the task — and streams it into the
-local history store, when there is one, and to any registered listeners (the
-profilers).  It also maintains the per-endpoint success-rate statistics used
-by the fault tolerance layer when reassigning repeatedly failing tasks
-(§IV-G).
+local history store, when there is one, and to any registered task listeners
+(the execution profiler).  Transfer results go to the history store only.  It
+also maintains the per-endpoint success-rate statistics used by the fault
+tolerance layer when reassigning repeatedly failing tasks (§IV-G).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.data.transfer import TransferResult
 __all__ = ["TaskMonitor"]
 
 RecordListener = Callable[[TaskExecutionRecord], None]
-TransferListener = Callable[[TransferResult], None]
 
 
 class TaskMonitor:
@@ -30,19 +29,13 @@ class TaskMonitor:
         #: Where observations are persisted; ``None`` keeps none.
         self.store = store
         self._task_listeners: List[RecordListener] = []
-        self._transfer_listeners: List[TransferListener] = []
         self._success_by_endpoint: Dict[str, int] = defaultdict(int)
         self._failure_by_endpoint: Dict[str, int] = defaultdict(int)
-        self._exec_time_sum: Dict[str, float] = defaultdict(float)
-        self._exec_time_count: Dict[str, int] = defaultdict(int)
         self.records_seen = 0
 
     # ------------------------------------------------------------- listeners
     def add_task_listener(self, listener: RecordListener) -> None:
         self._task_listeners.append(listener)
-
-    def add_transfer_listener(self, listener: TransferListener) -> None:
-        self._transfer_listeners.append(listener)
 
     # ------------------------------------------------------------ observation
     def observe_task(self, record: TaskExecutionRecord) -> None:
@@ -50,9 +43,6 @@ class TaskMonitor:
         self.records_seen += 1
         if record.success:
             self._success_by_endpoint[record.endpoint] += 1
-            key = record.function_name
-            self._exec_time_sum[key] += record.execution_time_s
-            self._exec_time_count[key] += 1
         else:
             self._failure_by_endpoint[record.endpoint] += 1
 
@@ -89,8 +79,6 @@ class TaskMonitor:
                     timestamp=result.completed_at,
                 )
             )
-        for listener in self._transfer_listeners:
-            listener(result)
 
     # -------------------------------------------------------------- summaries
     def success_rate(self, endpoint: str) -> float:
@@ -107,16 +95,3 @@ class TaskMonitor:
         if not candidates:
             raise ValueError("candidates must be non-empty")
         return max(candidates, key=lambda ep: (self.success_rate(ep), ep))
-
-    def mean_execution_time(self, function_name: str) -> Optional[float]:
-        """Mean observed execution time of a function (None if unseen)."""
-        count = self._exec_time_count.get(function_name, 0)
-        if count == 0:
-            return None
-        return self._exec_time_sum[function_name] / count
-
-    def completed_task_count(self) -> int:
-        return sum(self._success_by_endpoint.values())
-
-    def failed_task_count(self) -> int:
-        return sum(self._failure_by_endpoint.values())

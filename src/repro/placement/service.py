@@ -127,9 +127,6 @@ class PlacementService:
         """Capacity changed (worker churn, scaling): invalidate the plan."""
         self._generation += 1
 
-    def offline_endpoints(self) -> List[str]:
-        return sorted(self._offline)
-
     # ---------------------------------------------------------------- solving
     def maybe_resolve(self, now: float) -> Optional[PlacementPlan]:
         """Re-solve when the cadence elapsed or the generation moved on."""

@@ -176,7 +176,6 @@ class ExecutionProfiler:
         )
         self.min_samples_to_train = min_samples_to_train
         self.max_training_samples = max_training_samples
-        self.update_count = 0
         #: Monotonic counter bumped whenever any prediction may have changed:
         #: on every retrain, and on warm-up observations (an untrained model
         #: predicts the running mean of its samples, which shifts per
@@ -241,7 +240,6 @@ class ExecutionProfiler:
                 model.train(self.max_training_samples)
                 retrained += 1
         if retrained:
-            self.update_count += 1
             self.prediction_version += 1
         return retrained
 
@@ -328,16 +326,6 @@ class ExecutionProfiler:
             self._memo.clear()
         self._memo[key] = (predicted, model.stamp)
         return predicted
-
-    def average_execution_time(self, function_name: str, default: float = 0.0) -> float:
-        """Mean observed execution time across all endpoints (DHA priorities)."""
-        model = self._models.get(function_name)
-        if model is None or not model.samples:
-            return default
-        return float(np.mean([s[1] for s in model.samples]))
-
-    def known_functions(self) -> List[str]:
-        return [name for name, model in self._models.items() if model.samples]
 
     def sample_count(self, function_name: str) -> int:
         model = self._models.get(function_name)

@@ -101,7 +101,6 @@ class TransferProfiler:
         self.min_samples_to_train = min_samples_to_train
         self._degree = degree
         self._pairs: Dict[Pair, _PairModel] = defaultdict(lambda: _PairModel(self._degree))
-        self.update_count = 0
         #: Monotonic counter bumped whenever any prediction may have changed:
         #: an observation shifts an *untrained* pair's bandwidth estimate
         #: (a trained pair predicts from its coefficients until the next
@@ -170,7 +169,6 @@ class TransferProfiler:
                 model.train()
                 retrained += 1
         if retrained:
-            self.update_count += 1
             self.prediction_version += 1
         return retrained
 
@@ -214,17 +212,6 @@ class TransferProfiler:
                 if predicted is not None:
                     return predicted
         return size_mb / self.default_bandwidth_mbps
-
-    def estimated_bandwidth_mbps(self, src: str, dst: str) -> float:
-        model = self._pairs.get((src, dst))
-        if model is not None:
-            bandwidth = model.observed_bandwidth_mbps()
-            if bandwidth:
-                return bandwidth
-        return self.default_bandwidth_mbps
-
-    def known_pairs(self) -> List[Pair]:
-        return [pair for pair, model in self._pairs.items() if model.samples]
 
     def sample_count(self, src: str, dst: str) -> int:
         model = self._pairs.get((src, dst))

@@ -12,7 +12,6 @@ which is why Capacity suits static DAGs on static resources.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List, Sequence
 
 from repro.core.dag import Task
@@ -97,11 +96,3 @@ class CapacityScheduler(Scheduler):
                 continue
             placements.append(Placement(task_id=task.task_id, endpoint=endpoint))
         return placements
-
-    # ---------------------------------------------------------------- queries
-    def assignment(self) -> Dict[str, str]:
-        """The offline task → endpoint map (exposed for tests/analysis)."""
-        return dict(self._assignment)
-
-    def assigned_counts(self) -> Dict[str, int]:
-        return dict(Counter(self._assignment.values()))

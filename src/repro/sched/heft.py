@@ -119,6 +119,3 @@ class HEFTScheduler(Scheduler):
     # ---------------------------------------------------------------- queries
     def rank(self, task_id: str) -> float:
         return self._ranks.get(task_id, 0.0)
-
-    def assignment(self) -> Dict[str, str]:
-        return dict(self._assignment)

@@ -61,8 +61,9 @@ class TenantShare:
     weight: float = 1.0
     #: Strict-priority rank (higher preempts lower).
     priority: int = 0
-    #: Position in arrival order (earlier = smaller).
-    arrival_index: int = 0
+    #: Position in arrival order (earlier = smaller); the serving layer
+    #: stamps the arrival time, ties broken on ``workflow_id``.
+    arrival_index: float = 0
     #: Absolute SLO deadline on the simulation clock (EDF); ``inf`` = none.
     deadline: float = float("inf")
 

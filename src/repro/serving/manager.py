@@ -38,7 +38,7 @@ tenant bus for the tenants' own reactions.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import isfinite
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
@@ -132,7 +132,7 @@ _PENDING_STATES = (TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
 
 # Per-tenant reads the run loop gathers over a list of handles without a
 # Python-level call per tenant.
-_ARRIVAL_INDEX = attrgetter("arrival_index")
+_ARRIVAL_ORDER = attrgetter("arrival_s", "workflow_id")
 _PERIODIC_DUE_AT = attrgetter("engine.periodic.due_at")
 _STAGED_VERSION = attrgetter("engine.graph.store.staged_version")
 
@@ -185,16 +185,14 @@ class WorkflowHandle:
         #: Absolute SLO deadline on the simulation clock (EDF arbitration).
         self.deadline_s = float("inf") if deadline_s is None else float(deadline_s)
         self.builder = builder
-        #: FIFO position among live tenants; stamped by the manager.
-        self.arrival_index = 0
-        #: What the arbitration policy sees of this tenant.  Every field but
-        #: ``arrival_index`` is fixed here; the manager replaces the share
-        #: when it restamps that.
+        #: What the arbitration policy sees of this tenant, fixed here: its
+        #: FIFO key is the arrival time (ties broken on the id), which a
+        #: retirement or a later registration never moves.
         self.share = TenantShare(
             workflow_id=workflow_id,
             weight=weight,
             priority=priority,
-            arrival_index=0,
+            arrival_index=arrival_s,
             deadline=self.deadline_s,
         )
         self.started = False
@@ -252,10 +250,6 @@ class WorkflowHandle:
             return
         self.cancelled = True
         self._manager._finish(self)
-
-    @property
-    def complete(self) -> bool:
-        return self.started and self.engine.graph.is_complete()
 
     def summary(self) -> WorkflowSummary:
         """This workflow's summary, with its own attributed transfer volume."""
@@ -341,6 +335,8 @@ class WorkflowManager:
     #: legitimately wait, but a federation that makes no progress for this
     #: many rounds can never recover — raise instead of spinning forever.
     stall_hard_rounds: int = 1000
+    #: Simulated seconds between two scaling-strategy passes of the run loop.
+    scaling_check_interval_s: float = 10.0
 
     def __init__(
         self,
@@ -351,7 +347,6 @@ class WorkflowManager:
         arbitration: Union[str, ArbitrationPolicy, None] = "fair_share",
         scaling_strategy: Optional[ScalingStrategy] = None,
         history_store: Optional[HistoryStore] = None,
-        scaling_check_interval_s: float = 10.0,
         profiler_sample_window: Optional[int] = None,
     ) -> None:
         self.config = config
@@ -368,7 +363,6 @@ class WorkflowManager:
             if arbitration is None or isinstance(arbitration, ArbitrationPolicy)
             else create_arbitration(arbitration)
         )
-        self.scaling_check_interval_s = scaling_check_interval_s
 
         # Shared substrate: one of each, federation-wide, built only here.
         # History is kept only where someone can read it back: a store the
@@ -547,17 +541,7 @@ class WorkflowManager:
         self._unstarted += 1
         self._unfinished += 1
         # Deterministic tenant order regardless of registration interleaving.
-        # Every live handle is (re)stamped with its position — the arbitration
-        # policies' FIFO key.  The stamp, not a live ``enumerate``, is what
-        # the pump uses, so retiring an early tenant cannot shift the relative
-        # order of the survivors mid-run.
-        self._ordered = sorted(
-            self._workflows.values(), key=lambda h: (h.arrival_s, h.workflow_id)
-        )
-        for index, ordered_handle in enumerate(self._ordered):
-            if ordered_handle.arrival_index != index:
-                ordered_handle.arrival_index = index
-                ordered_handle.share = replace(ordered_handle.share, arrival_index=index)
+        self._ordered = sorted(self._workflows.values(), key=_ARRIVAL_ORDER)
         self._membership_changed()
         kernel = getattr(self.fabric, "kernel", None)
         if kernel is not None and arrival_s > self.clock.now:
@@ -905,7 +889,7 @@ class WorkflowManager:
         # terminal failure in the placement or dispatch phase must still
         # reach the growth hooks) makes it due again next round.
         visited: List[WorkflowHandle] = []
-        for handle in sorted(self._due, key=_ARRIVAL_INDEX):
+        for handle in sorted(self._due, key=_ARRIVAL_ORDER):
             if handle.active:
                 progressed |= handle.engine.drain_growth()
                 visited.append(handle)

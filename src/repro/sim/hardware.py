@@ -60,10 +60,6 @@ class HardwareSpec:
         if self.speed_factor <= 0:
             raise ValueError("speed_factor must be positive")
 
-    def feature_vector(self) -> tuple[float, float, float]:
-        """Features fed to performance models (cores, frequency, RAM)."""
-        return (float(self.cores_per_node), self.cpu_freq_ghz, self.ram_gb)
-
 
 @dataclass(frozen=True)
 class ClusterSpec:

@@ -147,10 +147,6 @@ class NetworkModel:
         return self._active.get((src, dst), 0)
 
     # ------------------------------------------------------------ degradation
-    @property
-    def bandwidth_scale(self) -> float:
-        return self._bandwidth_scale
-
     def set_bandwidth_scale(self, scale: float) -> None:
         """Scale every link's bandwidth (1.0 = nominal, <1.0 = degraded)."""
         if scale <= 0:

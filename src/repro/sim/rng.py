@@ -51,17 +51,6 @@ class RngRegistry:
             self._streams[name] = derive_stream(self._seed, name)
         return self._streams[name]
 
-    def stream_names(self) -> list:
-        """Names of every stream created so far, sorted."""
-        return sorted(self._streams)
-
-    def reset(self, name: str | None = None) -> None:
-        """Forget one stream (or all of them) so it is re-created on next use."""
-        if name is None:
-            self._streams.clear()
-        else:
-            self._streams.pop(name, None)
-
     # ------------------------------------------------------------- snapshots
     def get_state(self, name: str | None = None) -> Dict[str, object]:
         """Bit-generator state of one stream, or of every named stream.

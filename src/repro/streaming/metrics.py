@@ -32,8 +32,6 @@ class SteadyStateMetrics:
         self.response = StreamingStats(seed=seed + 1)
         self.completed = 0
         self.deadline_misses = 0
-        self.first_completion_s: float = 0.0
-        self.last_completion_s: float = 0.0
         self._window: Deque[float] = deque()
         self.window_completions_peak = 0
 
@@ -42,10 +40,7 @@ class SteadyStateMetrics:
         self.queue_wait.observe(wait_s)
 
     def record_completion(self, now: float, response_s: float, missed: bool) -> None:
-        if self.completed == 0:
-            self.first_completion_s = now
         self.completed += 1
-        self.last_completion_s = now
         self.response.observe(response_s)
         if missed:
             self.deadline_misses += 1

@@ -5,8 +5,8 @@
 * :mod:`repro.workloads.montage` — the Montage mosaic workflow (11 340
   functions; the paper's 108 h and 673 GB, the generator's 18.3 h and
   652.9 GB of outputs; Fig. 8 right).
-* :mod:`repro.workloads.synthetic` — CPU-stress tasks and random DAGs used by
-  the scalability and elasticity experiments (Figs. 6 and 7), and the hot
+* :mod:`repro.workloads.synthetic` — CPU-stress tasks used by the
+  scalability and elasticity experiments (Figs. 6 and 7), and the hot
   shared dataset of the data-plane scenarios.
 
 Each one composes its DAG straight through the client.  The authoring
@@ -20,7 +20,6 @@ from repro.workloads.drug_screening import build_drug_screening_workflow
 from repro.workloads.montage import build_montage_workflow
 from repro.workloads.synthetic import (
     build_hot_dataset_workload,
-    build_random_dag,
     build_stress_workload,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "build_drug_screening_workflow",
     "build_hot_dataset_workload",
     "build_montage_workflow",
-    "build_random_dag",
     "build_stress_workload",
 ]

@@ -83,48 +83,25 @@ def build_drug_screening_workflow(
 
     location = library_location or client.config.executors[0].endpoint
     library = GlobusFile("molecule_library.smi", size_mb=molecule_library_mb, location=location)
-    info.total_data_mb += molecule_library_mb
 
     with client:
         receptor = fns["prepare_receptor"](library)
-        info.register(
-            receptor,
-            "prepare_receptor",
-            types["prepare_receptor"].duration_s,
-            types["prepare_receptor"].output_mb,
-        )
+        info.register(receptor, "prepare_receptor")
         for _ in range(batches):
             docked = fns["dock"](receptor)
-            info.register(docked, "dock", types["dock"].duration_s, types["dock"].output_mb)
+            info.register(docked, "dock")
 
             features = fns["compute_features"](docked)
-            info.register(
-                features,
-                "compute_features",
-                types["compute_features"].duration_s,
-                types["compute_features"].output_mb,
-            )
+            info.register(features, "compute_features")
             fingerprint = fns["compute_fingerprint"](docked)
-            info.register(
-                fingerprint,
-                "compute_fingerprint",
-                types["compute_fingerprint"].duration_s,
-                types["compute_fingerprint"].output_mb,
-            )
+            info.register(fingerprint, "compute_fingerprint")
 
             score = fns["ml_score"](features, fingerprint)
-            info.register(score, "ml_score", types["ml_score"].duration_s, types["ml_score"].output_mb)
+            info.register(score, "ml_score")
 
             hits = fns["filter_hits"](score)
-            info.register(
-                hits, "filter_hits", types["filter_hits"].duration_s, types["filter_hits"].output_mb
-            )
+            info.register(hits, "filter_hits")
 
             simulation = fns["simulate_complex"](hits)
-            info.register(
-                simulation,
-                "simulate_complex",
-                types["simulate_complex"].duration_s,
-                types["simulate_complex"].output_mb,
-            )
+            info.register(simulation, "simulate_complex")
     return info

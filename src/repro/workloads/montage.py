@@ -75,11 +75,8 @@ def build_montage_workflow(
         projected = []
         for index in range(images):
             raw = GlobusFile(f"raw_{index:05d}.fits", size_mb=raw_image_mb, location=location)
-            info.total_data_mb += raw_image_mb
             future = fns["project_image"](raw)
-            info.register(
-                future, "project_image", types["project_image"].duration_s, types["project_image"].output_mb
-            )
+            info.register(future, "project_image")
             projected.append(future)
 
         diffs = []
@@ -88,29 +85,22 @@ def build_montage_workflow(
             right = projected[(index + 1) % images]
             for _ in range(2):  # two overlap fits per image on average
                 diff = fns["diff_fit"](left, right)
-                info.register(diff, "diff_fit", types["diff_fit"].duration_s, types["diff_fit"].output_mb)
+                info.register(diff, "diff_fit")
                 diffs.append(diff)
 
         concat = fns["concat_fit"](*diffs[: min(len(diffs), 64)])
-        info.register(concat, "concat_fit", types["concat_fit"].duration_s, types["concat_fit"].output_mb)
+        info.register(concat, "concat_fit")
         model = fns["background_model"](concat)
-        info.register(
-            model, "background_model", types["background_model"].duration_s, types["background_model"].output_mb
-        )
+        info.register(model, "background_model")
 
         corrected = []
         for future in projected:
             corr = fns["background_correct"](future, model)
-            info.register(
-                corr,
-                "background_correct",
-                types["background_correct"].duration_s,
-                types["background_correct"].output_mb,
-            )
+            info.register(corr, "background_correct")
             corrected.append(corr)
 
         mosaic = fns["coadd"](*corrected[: min(len(corrected), 128)])
-        info.register(mosaic, "coadd", types["coadd"].duration_s, types["coadd"].output_mb)
+        info.register(mosaic, "coadd")
         preview = fns["shrink_jpeg"](mosaic)
-        info.register(preview, "shrink_jpeg", types["shrink_jpeg"].duration_s, types["shrink_jpeg"].output_mb)
+        info.register(preview, "shrink_jpeg")
     return info

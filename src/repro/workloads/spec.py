@@ -67,26 +67,10 @@ class WorkloadInfo:
     futures: List[UniFuture] = field(default_factory=list)
     task_count: int = 0
     tasks_by_type: Dict[str, int] = field(default_factory=dict)
-    #: Total data volume (input + intermediate + output) the workload touches, MB.
-    total_data_mb: float = 0.0
-    #: Expected total computation time on reference hardware, in core-seconds.
-    total_compute_s: float = 0.0
     #: Scale factor the generator was invoked with.
     scale: float = 1.0
 
-    @property
-    def average_task_duration_s(self) -> float:
-        if self.task_count == 0:
-            return 0.0
-        return self.total_compute_s / self.task_count
-
-    @property
-    def total_data_gb(self) -> float:
-        return self.total_data_mb / 1024.0
-
-    def register(self, future: UniFuture, type_name: str, duration_s: float, output_mb: float) -> None:
+    def register(self, future: UniFuture, type_name: str) -> None:
         self.futures.append(future)
         self.task_count += 1
         self.tasks_by_type[type_name] = self.tasks_by_type.get(type_name, 0) + 1
-        self.total_compute_s += duration_s
-        self.total_data_mb += output_mb

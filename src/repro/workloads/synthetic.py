@@ -1,17 +1,14 @@
-"""Synthetic workloads: CPU-stress tasks, a hot shared dataset, random DAGs.
+"""Synthetic workloads: CPU-stress tasks and a hot shared dataset.
 
 The scalability experiment (Fig. 6) uses large bags of fixed-duration
 compute-intensive tasks; the elasticity experiment (Fig. 7) uses batches of
 stress tasks pinned to specific endpoints; the data-plane scenarios fan many
-consumers over a few hot input files; tests use small random DAGs to
-exercise the engine against arbitrary dependency structures.
+consumers over a few hot input files.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
-
-import numpy as np
 
 from repro.core.client import UniFaaSClient
 from repro.core.client import ENDPOINT_HINT_KWARG
@@ -20,7 +17,6 @@ from repro.workloads.spec import TaskTypeSpec, WorkloadInfo, make_task_type
 
 __all__ = [
     "build_hot_dataset_workload",
-    "build_random_dag",
     "build_stress_workload",
     "hot_dataset_task_types",
     "stress_task_type",
@@ -61,7 +57,7 @@ def build_stress_workload(
     with client:
         for _ in range(count):
             future = fn(**kwargs)
-            info.register(future, spec.name, duration_s, output_mb)
+            info.register(future, spec.name)
     return info
 
 
@@ -105,12 +101,11 @@ def build_hot_dataset_workload(
         for i in range(max(1, shared_files))
     ]
     info = WorkloadInfo(name="hot_dataset")
-    info.total_data_mb += sum(f.size_mb for f in shared)
     with client:
         prepares = []
         for _ in range(max(1, prepare_width)):
             future = prepare_fn()
-            info.register(future, prepare_spec.name, prepare_spec.duration_s, 0.0)
+            info.register(future, prepare_spec.name)
             prepares.append(future)
         consumers = max(0, count - len(prepares))
         for i in range(consumers):
@@ -119,38 +114,6 @@ def build_hot_dataset_workload(
             second = shared[(i + len(shared) // 2) % len(shared)]
             inputs = (first,) if second is first else (first, second)
             future = consume_fn(gate, *inputs)
-            info.register(future, consume_spec.name, consume_spec.duration_s, output_mb)
+            info.register(future, consume_spec.name)
     return info
 
-
-def build_random_dag(
-    client: UniFaaSClient,
-    task_count: int,
-    *,
-    max_parents: int = 3,
-    duration_range: tuple = (1.0, 10.0),
-    output_range_mb: tuple = (0.0, 20.0),
-    seed: int = 0,
-) -> WorkloadInfo:
-    """Submit a random DAG (used by property-style integration tests)."""
-    if task_count < 1:
-        raise ValueError("task_count must be >= 1")
-    rng = np.random.default_rng(seed)
-    info = WorkloadInfo(name="random_dag")
-    futures: List = []
-    with client:
-        for index in range(task_count):
-            duration = float(rng.uniform(*duration_range))
-            output = float(rng.uniform(*output_range_mb))
-            spec = TaskTypeSpec(name=f"random_{index}", duration_s=duration, output_mb=output)
-            fn = make_task_type(spec)
-            if futures:
-                n_parents = int(rng.integers(0, min(max_parents, len(futures)) + 1))
-                parent_indices = rng.choice(len(futures), size=n_parents, replace=False)
-                parents = [futures[i] for i in parent_indices]
-            else:
-                parents = []
-            future = fn(*parents)
-            futures.append(future)
-            info.register(future, "random", duration, output)
-    return info

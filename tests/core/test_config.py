@@ -41,7 +41,7 @@ class TestConfig:
         )
         assert config.strategy == "LOCALITY"
         assert config.transfer_mechanism == "globus"
-        assert config.executor_labels() == ["Cluster1", "Cluster2"]
+        assert [e.label for e in config.executors] == ["Cluster1", "Cluster2"]
 
     def test_defaults_are_valid(self):
         config = Config(executors=two_executors())
@@ -90,12 +90,6 @@ class TestConfig:
     def test_invalid_numeric_fields_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
             Config(executors=two_executors(), **{field: value})
-
-    def test_executor_by_label(self):
-        config = Config(executors=two_executors())
-        assert config.executor_by_label("Cluster2").endpoint == "9c2344-7ff98"
-        with pytest.raises(ConfigurationError):
-            config.executor_by_label("nope")
 
 
 class TestPublicApi:

@@ -42,7 +42,7 @@ class TestDecorator:
 
         assert isinstance(add, FederatedFunction)
         assert add.name == "add"
-        assert add.run_locally(2, 3) == 5
+        assert add.callable(2, 3) == 5
 
     def test_decorator_with_options(self):
         profile = SimProfile(base_time_s=30.0)

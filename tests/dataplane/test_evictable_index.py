@@ -145,7 +145,8 @@ def test_a_store_without_budgets_never_evaluates_evictability(monkeypatch):
     store.release_task("t0")
     # Pins and usage are kept as before; only the eviction index is not.
     assert store.usage_mb("a") == 30.0 and store.usage_mb("b") == 10.0
-    assert store.pinned_mb("a") == 0.0 and store._pins_by_task == {}
+    assert not any(store.replica(f.file_id, "a").pinned for f in files)
+    assert store._pins_by_task == {}
     assert store._evictable == {}
 
 

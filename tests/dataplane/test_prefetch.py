@@ -119,7 +119,7 @@ def test_a_replica_less_input_fails_its_task_cleanly(enable_dataplane):
         consume(GlobusFile("orphan", size_mb=10.0, location=None),
                 **{ENDPOINT_HINT_KWARG: "site_a"})
     client.run()
-    assert client.task_states() == {"failed": 1}
+    assert client.graph.counts() == {"failed": 1}
 
 
 class TestLifecycle:
@@ -137,15 +137,21 @@ class TestLifecycle:
         ]
         assert produced
         # Every producer's only consumer completed: outputs are expendable.
-        assert all(store.is_expendable(f.file_id) for f in produced)
+        assert all(f.file_id in store._expendable for f in produced)
 
     def test_pins_released_after_completion(self):
         env, client = build_env()
         submit_gated_pipeline(client, "site_a", "site_b", units=2)
         client.run()
         store = client.data_manager.store
-        assert store.pinned_mb("site_a") == 0.0
-        assert store.pinned_mb("site_b") == 0.0
+        replicas = [
+            store.replica(f.file_id, endpoint)
+            for task in client.graph
+            for f in task.output_files
+            for endpoint in store.endpoints()
+        ]
+        assert any(replicas)
+        assert not any(r.pinned for r in replicas if r is not None)
 
 
 class TestUnplacedBookkeeping:

@@ -175,7 +175,7 @@ class TestTimestamps:
         add(store, timestamps={"ready": 1.0, "started": 3.5})
         add(store, timestamps={"ready": 2.0, "started": None})  # never started
         add(store, timestamps={"ready": 9.0, "started": 8.0})  # clock skew clamps to 0
-        assert store.wait_times() == [2.5, 0.0]
+        assert store.wait_values().tolist() == [2.5, 0.0]
 
 
 class TestTaskViews:

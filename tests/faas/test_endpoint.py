@@ -61,7 +61,7 @@ class TestExecution:
         kernel.run()
         assert [r.task_id for r in records] == ["a", "b"]
         assert records[1].completed_at == pytest.approx(20.0)
-        assert records[1].queue_time_s == pytest.approx(10.0)
+        assert records[1].started_at - records[1].submitted_at == pytest.approx(10.0)
 
     def test_parallel_execution_on_multiple_workers(self, kernel):
         ep = make_endpoint(kernel, initial_workers=4)

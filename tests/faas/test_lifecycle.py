@@ -35,7 +35,7 @@ class TestCrash:
         endpoint.add_completion_callback(records.append)
         for i in range(4):  # 2 run, 2 queue
             endpoint.submit(make_request(task_id=f"t{i}", duration=10.0))
-        assert endpoint.running_tasks == 2 and endpoint.queued_tasks == 2
+        assert endpoint.busy_workers == 2 and endpoint.queued_tasks == 2
 
         lost = endpoint.crash()
         assert lost == 4

@@ -53,7 +53,7 @@ class TestRegistration:
         kernel = SimulationKernel()
         service = make_service(kernel)
         ep, uuid = add_endpoint(service, kernel)
-        assert uuid == service.endpoint_uuid("ep1")
+        assert uuid == "ep-0001-ep1"
         assert service.endpoint("ep1") is ep
         assert service.endpoint_names() == ["ep1"]
 

@@ -11,13 +11,13 @@ class TestTimeSeries:
         series.append(0.0, 1.0)
         series.append(5.0, 3.0)
         assert len(series) == 2
-        assert series.last() == 3.0
+        assert series.values[-1] == 3.0
         assert series.max() == 3.0
         assert series.mean() == 2.0
 
     def test_empty_series(self):
         series = TimeSeries()
-        assert series.last() is None
+        assert series.values == []
         assert series.max() == 0.0
         assert series.mean() == 0.0
 
@@ -96,7 +96,7 @@ class TestMetricsCollector:
         assert set(metrics.pending_tasks) == set(metrics.active_workers)
         for endpoint, series in metrics.pending_tasks.items():
             assert series.times == metrics.active_workers[endpoint].times
-            assert series.last() == 0
+            assert series.values[-1] == 0
         assert max(max(s.values) for s in metrics.pending_tasks.values()) > 0
 
     def test_zero_division_guards(self):
@@ -160,7 +160,7 @@ class TestStreamingStats:
 class TestWaitTimeStreaming:
     def test_set_wait_times_replaces_the_stream(self):
         collector = MetricsCollector()
-        collector.observe_wait(1.0)
+        collector.wait_stats.observe(1.0)
         collector.set_wait_times([2.0, 4.0])
         assert collector.wait_time_mean_s() == 3.0
         assert collector.wait_time_p95_s() == 4.0
@@ -175,20 +175,3 @@ class TestWaitTimeStreaming:
         assert collector.wait_time_mean_s() == 0.0
         assert collector.wait_time_p95_s() == 0.0
 
-
-class TestLatencyBreakdownCap:
-    def test_new_tasks_beyond_the_cap_are_counted_not_stored(self):
-        collector = MetricsCollector()
-        collector.latency_breakdown_cap = 3
-        for i in range(5):
-            collector.record_latency_breakdown(f"t{i}", LatencyBreakdown())
-        assert len(collector.latency_breakdowns) == 3
-        assert collector.latency_breakdowns_dropped == 2
-
-    def test_updates_to_stored_tasks_still_land(self):
-        collector = MetricsCollector()
-        collector.latency_breakdown_cap = 1
-        collector.record_latency_breakdown("t0", LatencyBreakdown(execution_s=1.0))
-        collector.record_latency_breakdown("t1", LatencyBreakdown())  # dropped
-        collector.record_latency_breakdown("t0", LatencyBreakdown(execution_s=2.0))
-        assert collector.latency_breakdowns["t0"].execution_s == 2.0

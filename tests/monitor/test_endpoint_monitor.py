@@ -147,9 +147,7 @@ class TestEndpointMonitor:
         monitor.register("ep1")
         monitor.register("ep2")
         assert monitor.capacities() == {"ep1": 4, "ep2": 2}
-        assert monitor.total_active_workers() == 6
-        assert monitor.endpoints_with_capacity() == ["ep1"]
-        assert monitor.total_outstanding_tasks() == 0
+        assert monitor.free_capacities() == {"ep1": 4, "ep2": 0}
 
     def test_invalid_interval(self, provider, clock):
         with pytest.raises(ValueError):

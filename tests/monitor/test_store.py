@@ -78,7 +78,7 @@ class TestTransferRecords:
         store.add_transfer_record(transfer_record(src="a", dst="b"))
         store.add_transfer_record(transfer_record(src="b", dst="c"))
         assert store.transfer_count() == 2
-        assert store.endpoint_pairs() == [("a", "b"), ("b", "c")]
+        assert [(r.src, r.dst) for r in store.transfer_records()] == [("a", "b"), ("b", "c")]
         assert len(store.transfer_records(src="a")) == 1
         assert len(store.transfer_records(dst="c")) == 1
 

@@ -41,20 +41,6 @@ class TestTaskObservation:
         assert monitor.records_seen == 1
         assert len(seen) == 1
         assert monitor.store.task_count() == 1
-        assert monitor.completed_task_count() == 1
-
-    def test_mean_execution_time(self):
-        monitor = TaskMonitor()
-        monitor.observe_task(record(end=4.0))
-        monitor.observe_task(record(end=8.0))
-        assert monitor.mean_execution_time("work") == pytest.approx(6.0)
-        assert monitor.mean_execution_time("unknown") is None
-
-    def test_failures_not_used_for_exec_stats(self):
-        monitor = TaskMonitor()
-        monitor.observe_task(record(success=False))
-        assert monitor.mean_execution_time("work") is None
-        assert monitor.failed_task_count() == 1
 
 
 class TestSuccessRates:
@@ -80,11 +66,8 @@ class TestSuccessRates:
 class TestTransferObservation:
     def test_transfer_records_stored(self):
         monitor = TaskMonitor(HistoryStore())
-        seen = []
-        monitor.add_transfer_listener(seen.append)
         monitor.observe_transfer(transfer_result(), concurrency=2)
         assert monitor.store.transfer_count() == 1
-        assert len(seen) == 1
         stored = monitor.store.transfer_records()[0]
         assert stored.concurrency == 2
         assert stored.duration_s == pytest.approx(2.0)
@@ -95,9 +78,7 @@ class TestNoStore:
         monitor = TaskMonitor(None)
         seen = []
         monitor.add_task_listener(seen.append)
-        monitor.add_transfer_listener(seen.append)
         monitor.observe_task(record())
         monitor.observe_transfer(transfer_result())
         assert monitor.store is None
-        assert len(seen) == 2 and monitor.records_seen == 1
-        assert monitor.completed_task_count() == 1
+        assert len(seen) == 1 and monitor.records_seen == 1

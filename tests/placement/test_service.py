@@ -67,7 +67,7 @@ def test_crash_bumps_generation_and_resolve_excludes_the_endpoint():
         EndpointCrashed(time=env.kernel.clock.now, endpoint="site_a")
     )
     assert service.generation == generation + 1
-    assert service.offline_endpoints() == ["site_a"]
+    assert service.capture_state()["offline"] == ["site_a"]
 
     plan = service.maybe_resolve(env.kernel.clock.now)
     assert "site_a" not in plan.warm_endpoints
@@ -89,7 +89,7 @@ def test_rejoin_readmits_the_endpoint():
         EndpointRejoined(time=env.kernel.clock.now, endpoint="site_a", workers=8)
     )
     assert service.generation == generation + 1
-    assert service.offline_endpoints() == []
+    assert service.capture_state()["offline"] == []
     # Re-admitted: the endpoint is eligible again (the solver may still
     # choose to keep it cold, but it is back in the candidate set).
     plan = service.resolve(env.kernel.clock.now)
@@ -104,7 +104,7 @@ def test_churn_invalidates_without_touching_the_offline_set():
         WorkerChurn(time=env.kernel.clock.now, endpoint="site_a", delta_workers=-2)
     )
     assert service.generation == generation + 1
-    assert service.offline_endpoints() == []
+    assert service.capture_state()["offline"] == []
 
 
 def test_one_churn_event_forwarded_by_every_tenant_bumps_and_solves_once():

@@ -54,7 +54,6 @@ class TestExecutionProfiler:
         profiler.observe(exec_record(duration=20.0))
         predicted = profiler.predict_execution_time("simulate", 10.0, QIMING_HW)
         assert predicted == pytest.approx(15.0)
-        assert profiler.average_execution_time("simulate") == pytest.approx(15.0)
 
     def test_model_learns_input_size_dependence(self):
         profiler = ExecutionProfiler(min_samples_to_train=3)
@@ -100,7 +99,6 @@ class TestExecutionProfiler:
         profiler = ExecutionProfiler(store=store)
         assert profiler.sample_count("fp") == 3
         assert profiler.predict_execution_time("fp", 1.0, QIMING_HW) == pytest.approx(12.0, rel=0.3)
-        assert profiler.known_functions() == ["fp"]
 
     def test_update_models_only_retrains_on_new_data(self):
         profiler = ExecutionProfiler(min_samples_to_train=2)
@@ -134,7 +132,6 @@ class TestTransferProfiler:
         profiler = TransferProfiler(min_samples_to_train=100)
         profiler.observe(transfer_result(size=90.0, duration=1.0))
         profiler.observe(transfer_result(size=180.0, duration=2.0))
-        assert profiler.estimated_bandwidth_mbps("a", "b") == pytest.approx(90.0)
         assert profiler.predict_transfer_time("a", "b", 900.0) == pytest.approx(10.0)
 
     def test_polynomial_model_after_training(self):
@@ -154,7 +151,7 @@ class TestTransferProfiler:
         profiler = TransferProfiler()
         profiler.seed_bandwidth("taiyi", "qiming", bandwidth_mbps=400.0)
         assert profiler.predict_transfer_time("taiyi", "qiming", 400.0) == pytest.approx(1.0)
-        assert ("taiyi", "qiming") in profiler.known_pairs()
+        assert profiler.sample_count("taiyi", "qiming") == 3
 
     def test_failed_transfers_ignored(self):
         profiler = TransferProfiler()

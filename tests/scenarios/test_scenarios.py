@@ -39,6 +39,11 @@ def fast_latency():
     )
 
 
+def link_bandwidth(env):
+    """What one transfer from site_a to site_b gets now, in MB/s."""
+    return env.network.effective_bandwidth("site_a", "site_b", concurrency=1)
+
+
 def two_site_env(*, batch_size=1, seed=0, workers=8):
     setups = [
         EndpointSetup(
@@ -271,6 +276,7 @@ class TestNetworkAndStalenessDynamics:
         injector.install([
             TimelineEvent(at_s=1.0, action="net_degrade", value=0.25, duration_s=4.0),
         ])
+        nominal = link_bandwidth(env)
         spec = TaskTypeSpec(name="tock", duration_s=10.0, output_mb=0.0)
         fn = make_task_type(spec)
         with client:
@@ -278,7 +284,7 @@ class TestNetworkAndStalenessDynamics:
         client.run(max_wall_time_s=30.0)
         assert all(f.done() for f in futures)
         # Window opened and closed: bandwidth is back to nominal.
-        assert env.network.bandwidth_scale == pytest.approx(1.0)
+        assert link_bandwidth(env) == pytest.approx(nominal)
         assert [e.as_dict()["action"] for e in injector.fired] == ["net_degrade"]
 
     def test_brownout_slows_staging_heavy_scenario(self):
@@ -303,9 +309,10 @@ class TestNetworkAndStalenessDynamics:
             TimelineEvent(at_s=3.0, action="net_degrade", value=0.25, duration_s=2.0),
         ])
         probes = {}
+        nominal = link_bandwidth(env)
 
         def probe():
-            probes[round(env.kernel.clock.now, 1)] = env.network.bandwidth_scale
+            probes[round(env.kernel.clock.now, 1)] = link_bandwidth(env) / nominal
 
         for t in (6.0, 12.0):
             env.kernel.schedule(t, probe, daemon=True)

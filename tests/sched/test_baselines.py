@@ -69,7 +69,7 @@ class TestHEFT:
         scheduler.initialize(bundle.context)
         tasks = [add_task(bundle.graph) for _ in range(6)]
         scheduler.on_workflow_submitted(tasks)
-        assert set(scheduler.assignment()) == {t.task_id for t in tasks}
+        assert set(scheduler._assignment) == {t.task_id for t in tasks}
         placements = scheduler.schedule(tasks)
         assert len(placements) == 6
 
@@ -81,7 +81,7 @@ class TestHEFT:
         scheduler.initialize(bundle.context)
         task = add_task(bundle.graph)
         scheduler.on_workflow_submitted([task])
-        assert scheduler.assignment()[task.task_id] == "fast"
+        assert scheduler._assignment[task.task_id] == "fast"
 
     def test_unseen_tasks_planned_on_demand(self):
         bundle = build_context({"a": EndpointSpec()})

@@ -28,7 +28,7 @@ class TestPartitioning:
         )
         tasks = [add_task(bundle.graph) for _ in range(8)]
         scheduler.on_workflow_submitted(tasks)
-        counts = Counter(scheduler.assignment().values())
+        counts = Counter(scheduler._assignment.values())
         assert counts == {"ep1": 5, "ep2": 2, "ep3": 1}
 
     def test_all_tasks_assigned_despite_rounding(self):
@@ -37,7 +37,7 @@ class TestPartitioning:
         )
         tasks = [add_task(bundle.graph) for _ in range(10)]
         scheduler.on_workflow_submitted(tasks)
-        assert len(scheduler.assignment()) == 10
+        assert len(scheduler._assignment) == 10
 
     def test_dfs_keeps_paths_together(self):
         # A chain should stay on one endpoint (data locality along the path).
@@ -47,7 +47,7 @@ class TestPartitioning:
         b = add_task(bundle.graph, deps=[a])
         other_root = add_task(bundle.graph)
         scheduler.on_workflow_submitted([root, a, b, other_root])
-        assignment = scheduler.assignment()
+        assignment = scheduler._assignment
         chain_endpoints = {assignment[root.task_id], assignment[a.task_id], assignment[b.task_id]}
         assert len(chain_endpoints) == 1
 
@@ -57,7 +57,7 @@ class TestPartitioning:
         scheduler.on_workflow_submitted(tasks)
         placements = scheduler.schedule(tasks)
         assert len(placements) == 4
-        assignment = scheduler.assignment()
+        assignment = scheduler._assignment
         assert all(p.endpoint == assignment[p.task_id] for p in placements)
 
     def test_unseen_ready_tasks_partitioned_on_demand(self):
@@ -73,20 +73,13 @@ class TestPartitioning:
         scheduler.on_workflow_submitted(first)
         more = [add_task(bundle.graph) for _ in range(4)]
         scheduler.on_tasks_added(more)
-        assert len(scheduler.assignment()) == 8
+        assert len(scheduler._assignment) == 8
 
     def test_no_delay_no_reschedule(self):
         _, scheduler = build({"a": EndpointSpec()})
         assert not scheduler.uses_delay_mechanism
         assert not scheduler.supports_rescheduling
         assert scheduler.reschedule([]) == []
-
-    def test_assigned_counts(self):
-        bundle, scheduler = build({"a": EndpointSpec(workers=4), "b": EndpointSpec(workers=4)})
-        tasks = [add_task(bundle.graph) for _ in range(6)]
-        scheduler.on_workflow_submitted(tasks)
-        counts = scheduler.assigned_counts()
-        assert sum(counts.values()) == 6
 
     def test_uninitialized_scheduler_raises(self):
         scheduler = CapacityScheduler()

@@ -208,7 +208,7 @@ def test_heft_matches_the_reference(seed, mocking):
 
     def plans_match():
         assert reference._ranks == product._ranks  # exact float equality
-        assert reference.assignment() == product.assignment()
+        assert reference._assignment == product._assignment
         assert reference._endpoint_ready == product._endpoint_ready
 
     reference.on_workflow_submitted(tasks)

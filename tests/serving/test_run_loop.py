@@ -191,8 +191,8 @@ class TestPromptScaling:
             env.fabric,
             transfer_backend=env.transfer_backend,
             scaling_strategy=CountingStrategy(),
-            scaling_check_interval_s=1e9,  # no cadence pass: only the reaction counts
         )
+        manager.scaling_check_interval_s = 1e9  # no cadence pass: only the reaction counts
         handles = [manager.add_workflow(f"wf{i}", builder=chains) for i in range(3)]
         DynamicsInjector(env, manager).install(
             [TimelineEvent(at_s=1.5, action="churn", endpoint="site_a", value=-2.0)]
@@ -214,7 +214,7 @@ class TestRepeatedRun:
             assert not client.graph.is_complete()
             client.run()
         assert second.done()
-        assert client.task_states()["completed"] == 2
+        assert client.graph.counts()["completed"] == 2
         assert client.summary().completed_tasks == 2
 
     def test_run_with_nothing_composed_returns(self):

@@ -1,17 +1,18 @@
-"""Each tenant keeps one arbitration share, replaced only when its FIFO
-position is restamped.
+"""Each tenant keeps one arbitration share for its whole life.
 
 ``WorkflowHandle.share`` is what the arbitration policies see of a tenant.
-Membership changes (activation, pause, finish) reuse it; ``add_workflow``'s
-restamp replaces it when the tenant's ``arrival_index`` moves, which happens
-to every survivor of an earlier tenant's retirement.
+Its FIFO key, ``arrival_index``, is the arrival time, stamped once at
+registration; every policy breaks its ties on the id, so it orders tenants as
+``(arrival_s, workflow_id)`` does and no later membership change (activation,
+pause, another tenant's retirement or registration) has to restamp or replace
+it.
 """
 
 import pytest
 
 from tests.serving.serving_env import build_env
 from repro.serving import WorkflowManager
-from repro.serving.arbitration import TenantShare
+from repro.serving.arbitration import ARBITRATION_POLICIES, TenantShare
 from repro.workloads.synthetic import build_stress_workload
 
 
@@ -19,19 +20,18 @@ def stress_builder(handle):
     build_stress_workload(handle, 4, 1.0, output_mb=0.0)
 
 
-def fresh_share(handle):
-    """The share as it would be built from scratch from the handle."""
+def fresh_share(handle, arrival_index):
+    """The share built from scratch from the handle, with ``arrival_index``."""
     return TenantShare(
         workflow_id=handle.workflow_id,
         weight=handle.weight,
         priority=handle.priority,
-        arrival_index=handle.arrival_index,
+        arrival_index=arrival_index,
         deadline=handle.deadline_s,
     )
 
 
-@pytest.mark.parametrize("policy", ["fifo", "edf"])
-def test_restamped_shares_after_a_retirement(policy):
+def make_manager(policy):
     env = build_env()
     config = env.make_config("DHA", enable_scaling=False)
     manager = WorkflowManager(
@@ -39,6 +39,12 @@ def test_restamped_shares_after_a_retirement(policy):
     )
     for name in env.fabric.endpoint_names():
         manager.endpoint_monitor.register(name)
+    return manager
+
+
+@pytest.mark.parametrize("policy", ARBITRATION_POLICIES)
+def test_shares_are_kept_across_a_retirement(policy):
+    manager = make_manager(policy)
     # Same arrival time: the id breaks the tie, so this is also FIFO order.
     deadlines = {"a-early": 50.0, "b-mid": 80.0, "c-late": 20.0}
     handles = {
@@ -51,7 +57,6 @@ def test_restamped_shares_after_a_retirement(policy):
     mid.pause()
     mid.resume()
     assert all(handle.share is share for handle, share in kept.items())
-    assert [share.arrival_index for share in manager._shares] == [0, 1, 2]
 
     early.cancel()
     manager.retire(early)
@@ -60,19 +65,36 @@ def test_restamped_shares_after_a_retirement(policy):
 
     live = manager.workflows()
     assert live == [mid, late, newest]
-    for index, handle in enumerate(live):
-        assert handle.arrival_index == index
-        assert handle.share == fresh_share(handle)
-    # The survivors moved up one place, so their shares were replaced.
-    assert all(handle.share is not share for handle, share in kept.items())
+    for handle in live:
+        assert handle.share == fresh_share(handle, 0.0)
+    assert all(handle.share is share for handle, share in kept.items())
     assert manager._shares == [handle.share for handle in live]
 
     free = {"a": 6, "b": 3}
     demands = {handle.workflow_id: {"a": 4, "b": 4} for handle in live}
     allocation = manager.policy.allocate(free, demands, manager._shares, record_service=False)
-    rebuilt = manager.policy.allocate(
-        free, demands, [fresh_share(handle) for handle in live], record_service=False
+    # The same tenants stamped with their list positions allocate the same.
+    by_position = manager.policy.allocate(
+        free,
+        demands,
+        [fresh_share(handle, index) for index, handle in enumerate(live)],
+        record_service=False,
     )
-    assert allocation == rebuilt
-    first = {"fifo": "b-mid", "edf": "c-late"}[policy]
-    assert allocation[first] == {"a": 4, "b": 3}
+    assert allocation == by_position
+    first = {"fifo": "b-mid", "priority": "b-mid", "edf": "c-late"}.get(policy)
+    if first is not None:
+        assert allocation[first] == {"a": 4, "b": 3}
+
+
+def test_registration_order_is_not_arrival_order():
+    manager = make_manager("fifo")
+    shares = {}
+    for wid, arrival_s in (("b", 5.0), ("a", 5.0), ("c", 1.0)):
+        handle = manager.add_workflow(wid, builder=stress_builder, arrival_s=arrival_s)
+        shares[handle] = handle.share
+    assert [h.workflow_id for h in manager.workflows()] == ["c", "a", "b"]
+    assert [h.share.arrival_index for h in manager.workflows()] == [1.0, 5.0, 5.0]
+    manager.run(max_wall_time_s=60)
+    assert all(h.graph.is_complete() for h in manager.workflows())
+    # One share per registration, none replaced by later ones or by the run.
+    assert all(handle.share is share for handle, share in shares.items())

@@ -15,10 +15,6 @@ from repro.sim.hardware import testbed_clusters as load_testbed_clusters
 
 
 class TestHardwareSpec:
-    def test_feature_vector(self):
-        hw = HardwareSpec(cores_per_node=24, cpu_freq_ghz=2.6, ram_gb=64)
-        assert hw.feature_vector() == (24.0, 2.6, 64.0)
-
     @pytest.mark.parametrize(
         "kwargs",
         [

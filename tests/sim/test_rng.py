@@ -24,19 +24,5 @@ class TestRngRegistry:
         reg = RngRegistry()
         assert reg.stream("x") is reg.stream("x")
 
-    def test_reset_single(self):
-        reg = RngRegistry(seed=5)
-        first = list(reg.stream("x").random(3))
-        reg.reset("x")
-        again = list(reg.stream("x").random(3))
-        assert first == again
-
-    def test_reset_all(self):
-        reg = RngRegistry(seed=5)
-        first = list(reg.stream("x").random(3))
-        reg.stream("y").random(3)
-        reg.reset()
-        assert list(reg.stream("x").random(3)) == first
-
     def test_seed_property(self):
         assert RngRegistry(seed=42).seed == 42

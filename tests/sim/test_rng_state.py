@@ -33,7 +33,6 @@ class TestStreamStateRoundTrip:
         reg.stream("a")
         reg.stream("b")
         assert sorted(reg.get_state()) == ["a", "b"]
-        assert reg.stream_names() == ["a", "b"]
 
     def test_state_is_a_deep_copy(self):
         reg = RngRegistry(seed=5)

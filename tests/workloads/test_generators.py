@@ -10,7 +10,7 @@ from repro.workloads.drug_screening import (
 )
 from repro.workloads.montage import FULL_SCALE_IMAGES, MONTAGE_TYPES, build_montage_workflow
 from repro.workloads.spec import TaskTypeSpec, WorkloadInfo, make_task_type
-from repro.workloads.synthetic import build_random_dag, build_stress_workload
+from repro.workloads.synthetic import build_stress_workload
 
 from tests.integration.conftest import build_two_site_env
 
@@ -40,12 +40,12 @@ class TestSpec:
         info = WorkloadInfo(name="x")
         from repro.core.futures import UniFuture
 
-        info.register(UniFuture("t1"), "a", 10.0, 5.0)
-        info.register(UniFuture("t2"), "a", 20.0, 5.0)
-        assert info.task_count == 2
-        assert info.average_task_duration_s == 15.0
-        assert info.total_data_gb == pytest.approx(10.0 / 1024.0)
-        assert info.tasks_by_type == {"a": 2}
+        info.register(UniFuture("t1"), "a")
+        info.register(UniFuture("t2"), "a")
+        info.register(UniFuture("t3"), "b")
+        assert info.task_count == 3
+        assert [f.task_id for f in info.futures] == ["t1", "t2", "t3"]
+        assert info.tasks_by_type == {"a": 2, "b": 1}
 
 
 class TestDrugScreening:
@@ -134,17 +134,3 @@ class TestSynthetic:
             build_stress_workload(client, 0, 1.0)
         with pytest.raises(ValueError):
             build_stress_workload(client, 1, 0.0)
-
-    def test_random_dag_completes(self):
-        env, client = make_client()
-        info = build_random_dag(client, 30, seed=5)
-        client.run()
-        assert client.graph.is_complete()
-        assert info.task_count == 30
-
-    def test_random_dag_deterministic(self):
-        env1, client1 = make_client()
-        env2, client2 = make_client()
-        a = build_random_dag(client1, 20, seed=9)
-        b = build_random_dag(client2, 20, seed=9)
-        assert a.total_compute_s == pytest.approx(b.total_compute_s)
