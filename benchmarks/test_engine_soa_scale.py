@@ -142,14 +142,16 @@ def deliver_scalar(completed, records, now: float):
     bus, log = recording_bus()
     for task in completed:
         bus.publish(
-            TaskCompleted.for_task(
-                task,
+            TaskCompleted(
                 time=now,
+                task=task,
+                task_id=task.task_id,
+                name=task.name,
                 endpoint=task.assigned_endpoint,
                 record=records[task.task_id],
             )
         )
-        bus.publish(TaskReady.for_task(task, time=now))
+        bus.publish(TaskReady(time=now, task=task, task_id=task.task_id, name=task.name))
     return log
 
 

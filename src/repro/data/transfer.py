@@ -126,7 +126,7 @@ class SimulatedTransferBackend(TransferBackend):
                 )
             )
 
-        self.kernel.schedule(duration, finish, label=f"transfer-{request.mechanism}")
+        self.kernel.schedule(duration, finish)
 
     def estimate_duration(self, src: str, dst: str, size_mb: float, mechanism: str = "globus") -> float:
         return self.network.estimate(src, dst, size_mb, mechanism=mechanism).duration_s

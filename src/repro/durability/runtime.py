@@ -145,25 +145,18 @@ class DurabilityController:
         self.streaming = streaming
         kernel = env.kernel
         if self.snapshot_at is not None:
-            kernel.schedule_at(
-                self.snapshot_at, self._oneshot_point, daemon=True,
-                label="durability-snapshot",
-            )
+            kernel.schedule_at(self.snapshot_at, self._oneshot_point, daemon=True)
         elif self.restore is not None and self.restore.cut.get("kind") == "oneshot":
             kernel.schedule_at(
-                float(self.restore.cut["time_s"]), self._oneshot_point,
-                daemon=True, label="durability-verify",
+                float(self.restore.cut["time_s"]), self._oneshot_point, daemon=True
             )
         if self.checkpoint_interval_s is not None:
-            kernel.schedule_at(
-                self.checkpoint_interval_s, self._ckpt_tick, 1,
-                daemon=True, label="durability-ckpt",
-            )
+            kernel.schedule_at(self.checkpoint_interval_s, self._ckpt_tick, 1, daemon=True)
         for index, crash in enumerate(self.crashes):
             kernel.schedule_at(
                 crash.at_s, self._crash_point, crash,
                 index >= self.crashes_fired,
-                daemon=True, label="durability-orch-crash",
+                daemon=True,
             )
 
     # ------------------------------------------------------------ callbacks
@@ -187,8 +180,7 @@ class DurabilityController:
             self.checkpoints_written += 1
             self.last_checkpoint_s = self.env.kernel.clock.now
         self.env.kernel.schedule_at(
-            (index + 1) * self.checkpoint_interval_s, self._ckpt_tick, index + 1,
-            daemon=True, label="durability-ckpt",
+            (index + 1) * self.checkpoint_interval_s, self._ckpt_tick, index + 1, daemon=True
         )
 
     def _crash_point(self, crash, live: bool) -> None:

@@ -140,19 +140,21 @@ class EventBus:
 
         Re-entrant publishes are queued FIFO: when a handler publishes, the
         new event is delivered after the in-flight event finishes, keeping
-        delivery order deterministic and stack depth bounded.
+        delivery order deterministic and stack depth bounded.  The outermost
+        ``publish`` drains the queue itself, so delivering an event costs
+        one frame for the bus plus one per handler.  A handler that raises
+        clears the undelivered remainder of its cascade.
         """
         self._queue.append(event)
-        if not self._draining:
-            self._drain()
-
-    def _drain(self) -> None:
+        if self._draining:
+            return
         self._draining = True
         if self._activity is not None:
             self._activity.add(self._token)
+        queue = self._queue
         try:
-            while self._queue:
-                current = self._queue.popleft()
+            while queue:
+                current = queue.popleft()
                 self.published_count += 1
                 log = self._log
                 if log is not None:
@@ -168,7 +170,7 @@ class EventBus:
         except BaseException:
             # A handler failed mid-cascade: drop the undelivered remainder so
             # a later, unrelated publish cannot replay stale events.
-            self._queue.clear()
+            queue.clear()
             raise
         finally:
             self._draining = False

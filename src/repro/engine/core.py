@@ -233,7 +233,7 @@ class ExecutionEngine:
 
         ready = self.graph.store.state[task._row] == READY_CODE
         if ready:
-            self.bus.publish(TaskReady.for_task(task, time=now))
+            self.bus.publish(TaskReady(time=now, task=task, task_id=task.task_id, name=task.name))
         if self.context is not None:
             # Deferred: the scheduler sees every addition of this pump round
             # in one on_tasks_added batch (flushed by drain_growth).
@@ -434,9 +434,11 @@ class ExecutionEngine:
             if not record.success:
                 flush()
                 self.bus.publish(
-                    TaskCompleted.for_task(
-                        task,
+                    TaskCompleted(
                         time=now,
+                        task=task,
+                        task_id=task.task_id,
+                        name=task.name,
                         endpoint=record.endpoint,
                         record=record,
                     )

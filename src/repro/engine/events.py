@@ -25,7 +25,14 @@ elastic scaler and DHA's re-scheduling subscribe and react.
 Events are small frozen dataclasses.  They carry the :class:`Task` object
 for in-process consumers (``repr``-suppressed), plus the stable identifying
 fields — function name, endpoint — that event logs and the cross-fabric
-parity tests compare on.
+parity tests compare on.  A task event is built in place by the code that
+publishes it, every field spelled out::
+
+    TaskPlaced(time=now, task=task, task_id=task.task_id, name=task.name,
+               endpoint=endpoint)
+
+so building one costs only its dataclass ``__init__`` frame: no factory
+sits between the publisher and the event on the per-task path.
 """
 
 from __future__ import annotations
@@ -82,10 +89,6 @@ class TaskEvent(Event):
     task_id: str = ""
     #: Function name — stable across runs (task ids are process-global).
     name: str = ""
-
-    @classmethod
-    def for_task(cls, task: Task, time: float, **fields):
-        return cls(time=time, task=task, task_id=task.task_id, name=task.name, **fields)
 
     def describe(self) -> Tuple:
         return (type(self).__name__, self.name)

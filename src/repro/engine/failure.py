@@ -77,9 +77,11 @@ class FailureCoordinator:
         error = event.ticket.error
         task.future.set_exception(error)
         engine.bus.publish(
-            TaskFailed.for_task(
-                task,
+            TaskFailed(
                 time=engine.clock.now,
+                task=task,
+                task_id=task.task_id,
+                name=task.name,
                 endpoint=event.endpoint,
                 error=str(error),
                 attempts=task.attempts,
@@ -115,7 +117,11 @@ class FailureCoordinator:
         for task in engine.index.undispatched_tasks():
             if task.assigned_endpoint != crashed or task.state not in _REASSIGNABLE:
                 continue
-            engine.bus.publish(TaskPlaced.for_task(task, time=now, endpoint=target))
+            engine.bus.publish(
+                TaskPlaced(
+                    time=now, task=task, task_id=task.task_id, name=task.name, endpoint=target
+                )
+            )
 
     # ---------------------------------------------------- execution failures
     def handle_execution_failure(self, task: Task, record: TaskExecutionRecord) -> None:
@@ -159,9 +165,11 @@ class FailureCoordinator:
                 )
                 task.future.set_exception(error)
                 engine.bus.publish(
-                    TaskFailed.for_task(
-                        task,
+                    TaskFailed(
                         time=engine.clock.now,
+                        task=task,
+                        task_id=task.task_id,
+                        name=task.name,
                         endpoint=endpoint,
                         error=str(error),
                         attempts=task.attempts,
@@ -170,5 +178,11 @@ class FailureCoordinator:
                 return
             retry_endpoint = engine.task_monitor.most_reliable_endpoint(candidates)
         engine.bus.publish(
-            TaskPlaced.for_task(task, time=engine.clock.now, endpoint=retry_endpoint)
+            TaskPlaced(
+                time=engine.clock.now,
+                task=task,
+                task_id=task.task_id,
+                name=task.name,
+                endpoint=retry_endpoint,
+            )
         )

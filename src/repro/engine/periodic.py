@@ -137,7 +137,13 @@ class PeriodicCoordinator:
             # re-stages toward the new target (already-arrived replicas at
             # the old endpoint remain reusable).
             engine.bus.publish(
-                TaskPlaced.for_task(task, time=engine.clock.now, endpoint=move.endpoint)
+                TaskPlaced(
+                    time=engine.clock.now,
+                    task=task,
+                    task_id=task.task_id,
+                    name=task.name,
+                    endpoint=move.endpoint,
+                )
             )
 
     # ---------------------------------------------------------------- metrics

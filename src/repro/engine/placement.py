@@ -56,12 +56,26 @@ class PlacementCoordinator:
             task = by_id[placement.task_id]
             index.remove_queued(task.task_id)
             placed_ids.add(task.task_id)
-            engine.bus.publish(TaskPlaced.for_task(task, time=now, endpoint=placement.endpoint))
+            engine.bus.publish(
+                TaskPlaced(
+                    time=now,
+                    task=task,
+                    task_id=task.task_id,
+                    name=task.name,
+                    endpoint=placement.endpoint,
+                )
+            )
         placed = bool(placements)
         if index.pinned:
             for task in index.take_pinned():
                 engine.bus.publish(
-                    TaskPlaced.for_task(task, time=now, endpoint=task.assigned_endpoint)
+                    TaskPlaced(
+                        time=now,
+                        task=task,
+                        task_id=task.task_id,
+                        name=task.name,
+                        endpoint=task.assigned_endpoint,
+                    )
                 )
             placed = True
 

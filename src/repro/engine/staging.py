@@ -74,9 +74,11 @@ class StagingCoordinator:
         if not ticket.failed:
             graph.store.set_state(task._row, TaskState.STAGED, now)
         engine.bus.publish(
-            StagingDone.for_task(
-                task,
+            StagingDone(
                 time=now,
+                task=task,
+                task_id=task.task_id,
+                name=task.name,
                 endpoint=ticket.destination,
                 failed=ticket.failed,
                 ticket=ticket,

@@ -69,7 +69,13 @@ class _RunningTask:
 
 
 class SimulatedEndpoint:
-    """Discrete-event model of a funcX endpoint deployed on one cluster."""
+    """Discrete-event model of a funcX endpoint deployed on one cluster.
+
+    ``speed_factor`` is the cluster's relative per-core speed; every
+    execution's sampled duration is divided by it.  It is a plain attribute,
+    as on :class:`~repro.faas.local.LocalEndpoint`, copied at construction
+    from the frozen :class:`ClusterSpec` rather than derived per execution.
+    """
 
     def __init__(
         self,
@@ -92,6 +98,7 @@ class SimulatedEndpoint:
             raise EndpointError(f"initial_workers must be non-negative, got {initial_workers}")
         self.name = name
         self.cluster = cluster
+        self.speed_factor = cluster.speed_factor
         self.kernel = kernel
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.max_workers = max_workers if max_workers is not None else cluster.max_workers
@@ -160,10 +167,6 @@ class SimulatedEndpoint:
     def queued_tasks(self) -> int:
         """Tasks dispatched to this endpoint but not yet running."""
         return len(self._queue)
-
-    @property
-    def speed_factor(self) -> float:
-        return self.cluster.speed_factor
 
     @property
     def online(self) -> bool:
@@ -245,13 +248,7 @@ class SimulatedEndpoint:
             return 0
         self._provisioning_workers += workers
         delay = self._sample_queue_delay()
-        self.kernel.schedule(
-            delay,
-            self._provision_arrived,
-            workers,
-            self._lifecycle_epoch,
-            label=f"{self.name}-provision",
-        )
+        self.kernel.schedule(delay, self._provision_arrived, workers, self._lifecycle_epoch)
         return workers
 
     def release_idle_workers(self, count: Optional[int] = None) -> int:
@@ -285,10 +282,7 @@ class SimulatedEndpoint:
         """Schedule future capacity changes on the simulation kernel."""
         for change in changes:
             self.kernel.schedule_at(
-                change.at_time_s,
-                self.apply_capacity_change,
-                change.delta_workers,
-                label=f"{self.name}-capacity",
+                change.at_time_s, self.apply_capacity_change, change.delta_workers
             )
 
     # ------------------------------------------------------------- lifecycle
@@ -402,7 +396,7 @@ class SimulatedEndpoint:
             self._running[request.task_id] = running
             duration = self._execution_duration(request)
             running.finish_handle = self.kernel.schedule(
-                duration, self._finish_task, request.task_id, label=f"{self.name}-exec"
+                duration, self._finish_task, request.task_id
             )
 
     def _execution_duration(self, request: TaskExecutionRequest) -> float:

@@ -157,7 +157,7 @@ class SimulatedFabric(ExecutionFabric):
         )
 
     def submit(self, endpoint_name: str, request: TaskExecutionRequest) -> None:
-        if endpoint_name not in self.service.endpoint_names():
+        if endpoint_name not in self.service._endpoints:
             raise EndpointError(f"unknown endpoint {endpoint_name!r}")
         self._outstanding += 1
         self.faas_client.submit(endpoint_name, request)

@@ -80,13 +80,15 @@ class FederatedFaaSService:
         to service) plus the dispatch latency (service to endpoint over the
         WAN).
         """
-        endpoint = self.endpoint(endpoint_name)
+        # endpoint(name), inlined: this runs once per submitted task.
+        try:
+            endpoint = self._endpoints[endpoint_name]
+        except KeyError:
+            raise EndpointError(f"unknown endpoint {endpoint_name!r}") from None
         self.submitted_count += 1
         submitted_at = self.kernel.clock.now
         delay = self.latency.submit_latency_s + self.latency.dispatch_latency_s
-        self.kernel.schedule(
-            delay, endpoint.submit, request, submitted_at, label="service-dispatch"
-        )
+        self.kernel.schedule(delay, endpoint.submit, request, submitted_at)
 
     def submit_batch(self, endpoint_name: str, requests: List[TaskExecutionRequest]) -> None:
         """Submit several tasks in one call, amortising the submission latency."""
@@ -99,7 +101,7 @@ class FederatedFaaSService:
             for request in requests:
                 endpoint.submit(request, submitted_at)
 
-        self.kernel.schedule(delay, deliver, label="service-dispatch-batch")
+        self.kernel.schedule(delay, deliver)
 
     # --------------------------------------------------------------- results
     def add_result_callback(self, callback: ResultCallback) -> None:
@@ -108,9 +110,7 @@ class FederatedFaaSService:
 
     def _on_endpoint_completion(self, record: TaskExecutionRecord) -> None:
         # The result becomes visible to the client after the polling latency.
-        self.kernel.schedule(
-            self.latency.result_poll_latency_s, self._deliver_result, record, label="service-result"
-        )
+        self.kernel.schedule(self.latency.result_poll_latency_s, self._deliver_result, record)
 
     def _deliver_result(self, record: TaskExecutionRecord) -> None:
         for callback in self._result_callbacks:

@@ -296,8 +296,7 @@ class DynamicsInjector:
         """
         kernel = self._env.kernel
         for event in timeline:
-            kernel.schedule_at(event.at_s, self._fire, event, daemon=True,
-                               label=f"dynamics-{event.action}")
+            kernel.schedule_at(event.at_s, self._fire, event, daemon=True)
         return len(timeline)
 
     # ------------------------------------------------------------------ fire
@@ -376,10 +375,7 @@ class DynamicsInjector:
             NetworkDegraded(time=now, factor=factor, duration_s=event.duration_s)
         )
         if event.duration_s > 0:
-            self._env.kernel.schedule(
-                event.duration_s, self._restore_network,
-                daemon=True, label="dynamics-net-restore",
-            )
+            self._env.kernel.schedule(event.duration_s, self._restore_network, daemon=True)
 
     def _apply_net_restore(self, event: TimelineEvent) -> None:
         self._net_until = self._clock.now
@@ -404,10 +400,7 @@ class DynamicsInjector:
             StatusStalenessChanged(time=now, interval_s=interval)
         )
         if event.duration_s > 0:
-            self._env.kernel.schedule(
-                event.duration_s, self._restore_staleness,
-                daemon=True, label="dynamics-staleness-restore",
-            )
+            self._env.kernel.schedule(event.duration_s, self._restore_staleness, daemon=True)
 
     def _restore_staleness(self) -> None:
         if self._clock.now + 1e-9 < self._staleness_until or self._nominal_refresh_s is None:

@@ -553,10 +553,7 @@ class WorkflowManager:
             # loop) skip the event: ``_activate_due`` picks them up on the
             # current round.
             self._arrival_handles[workflow_id] = kernel.schedule_at(
-                arrival_s,
-                self._activate,
-                handle,
-                label=f"workflow-arrival-{workflow_id}",
+                arrival_s, self._activate, handle
             )
         return handle
 
@@ -1071,7 +1068,10 @@ class WorkflowManager:
             handle.engine.bus.publish(event)
 
     def _on_transfer_result(self, result, concurrency: int) -> None:
-        self.task_monitor.observe_transfer(result, concurrency)
+        # The monitor only writes transfers to a history store: without one
+        # (the default) the call would do nothing.
+        if self.task_monitor.store is not None:
+            self.task_monitor.observe_transfer(result, concurrency)
         self.transfer_profiler.observe(result, concurrency)
 
     # --------------------------------------------------------------- report

@@ -81,29 +81,37 @@ class SimClock(Clock):
         self.now = t
 
 
-@dataclass(eq=False)
 class EventHandle:
     """A scheduled ``callback(*args)``, returned by
     :meth:`SimulationKernel.schedule` for cancellation.
 
     The kernel's heap holds it as ``(time, seq, handle)``: the unique ``seq``
-    settles ties in C, so handles themselves are never compared.
+    settles ties in C, so handles themselves are never compared.  The class
+    has no ``__init__``: :meth:`SimulationKernel.schedule` and
+    :meth:`~SimulationKernel.schedule_at` allocate it with ``object.__new__``
+    and store its slots in place, so a scheduled event costs no constructor
+    frame.  Read ``time``, ``cancelled`` and ``fired``; only :meth:`cancel`
+    and the kernel write them.
     """
+
+    __slots__ = ("time", "callback", "args", "_kernel", "daemon", "cancelled", "fired")
 
     time: float
     callback: Callable[..., None]
     args: tuple
     _kernel: "SimulationKernel"
-    daemon: bool = False
-    label: str = ""
-    cancelled: bool = False
-    fired: bool = False
+    daemon: bool
+    cancelled: bool
+    fired: bool
 
     def cancel(self) -> None:
         if not self.cancelled and not self.fired:
             self.cancelled = True
             if not self.daemon:
                 self._kernel._non_daemon_pending -= 1
+
+
+_new_handle = object.__new__
 
 
 @dataclass
@@ -162,7 +170,6 @@ class SimulationKernel:
         callback: Callable[..., None],
         *args: Any,
         daemon: bool = False,
-        label: str = "",
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
@@ -170,7 +177,13 @@ class SimulationKernel:
         # schedule_at's body, inlined (one Python call per scheduled event):
         # a non-negative delay is never in the past.
         when = self.clock.now + delay
-        handle = EventHandle(when, callback, args, self, daemon, label)
+        handle = _new_handle(EventHandle)
+        handle.time = when
+        handle.callback = callback
+        handle.args = args
+        handle._kernel = self
+        handle.daemon = daemon
+        handle.cancelled = handle.fired = False
         heapq.heappush(self._queue, (when, next(self._seq), handle))
         if not daemon:
             self._non_daemon_pending += 1
@@ -182,13 +195,18 @@ class SimulationKernel:
         callback: Callable[..., None],
         *args: Any,
         daemon: bool = False,
-        label: str = "",
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulation time ``when``."""
         now = self.clock.now
         if when < now:
             raise ValueError(f"cannot schedule in the past ({when} < {now})")
-        handle = EventHandle(when, callback, args, self, daemon, label)
+        handle = _new_handle(EventHandle)
+        handle.time = when
+        handle.callback = callback
+        handle.args = args
+        handle._kernel = self
+        handle.daemon = daemon
+        handle.cancelled = handle.fired = False
         heapq.heappush(self._queue, (when, next(self._seq), handle))
         if not daemon:
             self._non_daemon_pending += 1
@@ -212,12 +230,10 @@ class SimulationKernel:
                 return
             callback()
             if handle.active:
-                handle._next_handle = self.schedule(
-                    interval, _tick, daemon=daemon, label="periodic"
-                )
+                handle._next_handle = self.schedule(interval, _tick, daemon=daemon)
 
         first = interval if start_delay is None else start_delay
-        handle._next_handle = self.schedule(first, _tick, daemon=daemon, label="periodic")
+        handle._next_handle = self.schedule(first, _tick, daemon=daemon)
         return handle
 
     # ------------------------------------------------------------------- run

@@ -74,7 +74,6 @@ class AdmissionController:
                 arrival.arrival_s + self.spec.patience_s,
                 self._abandon,
                 arrival,
-                label="stream-abandon",
             )
         self.pump()
 

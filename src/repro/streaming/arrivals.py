@@ -74,9 +74,7 @@ class ArrivalProcess:
         self._started = True
         for at_s in sorted(self.spec.scripted_arrivals):
             self._scripted_handles.append(
-                self.kernel.schedule_at(
-                    at_s, self._fire_scripted, at_s, label="stream-arrival-scripted"
-                )
+                self.kernel.schedule_at(at_s, self._fire_scripted, at_s)
             )
             self._pending_scripted += 1
         if self.spec.max_arrivals > 0:
@@ -111,9 +109,7 @@ class ArrivalProcess:
         gap = float(self.rng.exponential(self.spec.mean_interarrival_s))
         at_s = base_s + gap
         self.next_arrival_s = at_s
-        self._next_handle = self.kernel.schedule_at(
-            at_s, self._fire, at_s, label="stream-arrival"
-        )
+        self._next_handle = self.kernel.schedule_at(at_s, self._fire, at_s)
 
     def _emit(self, at_s: float, scripted: bool) -> None:
         arrival = StreamArrival(

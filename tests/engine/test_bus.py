@@ -1,18 +1,25 @@
 """EventBus semantics: ordering, cascades, run-to-run determinism, and the
 event log the bus writes."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.core.dag import Task
 from repro.core.functions import SimProfile, function
 from repro.engine.bus import EventBus
 from repro.engine.events import (
     CapacityChanged,
     EndpointCrashed,
+    TaskEvent,
+    TaskPlaced,
     TaskReady,
     TasksDispatched,
     expand_event,
 )
 
+from tests.frames import python_frames
 from tests.integration.conftest import build_two_site_env
 
 
@@ -160,6 +167,63 @@ class TestDeterminism:
             "TaskDispatched",
             "TaskCompleted",
         ]
+
+
+class TestFrameCounts:
+    """A delivery costs the ``publish`` frame plus one per handler, and a
+    task event costs its dataclass ``__init__``: the engine builds each one
+    in place, through no factory."""
+
+    def test_publish_with_one_handler_runs_two_frames(self):
+        bus = EventBus()
+        seen = []
+
+        def handler(event):
+            seen.append(event)
+
+        bus.subscribe(CapacityChanged, handler)
+        event = CapacityChanged(time=0.0)
+        assert python_frames(lambda: bus.publish(event)) == ["publish", "handler"]
+        assert seen == [event]
+
+    def test_building_a_task_placed_runs_one_frame(self):
+        task = Task(function=bus_stage_a)
+        frames = python_frames(
+            lambda: TaskPlaced(
+                time=1.0, task=task, task_id=task.task_id, name=task.name, endpoint="ep"
+            )
+        )
+        assert frames == ["__init__"]
+
+    def test_the_engine_builds_task_events_in_place(self):
+        # Site a fails every attempt, so the failure ladder's TaskCompleted
+        # and re-placement are built too.
+        built = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "__init__":
+                instance = frame.f_locals.get("self")
+                if isinstance(instance, TaskEvent):
+                    caller = Path(frame.f_back.f_code.co_filename)
+                    built.add((type(instance).__name__, caller.parent.name, caller.name))
+
+        env = build_two_site_env(failure_rate_a=1.0)
+        client = env.make_client(env.make_config("DHA"))
+        sys.setprofile(profile)
+        try:
+            with client:
+                root = bus_stage_a()
+                bus_stage_c(bus_stage_b(root), bus_stage_b(root))
+                client.run()
+        finally:
+            sys.setprofile(None)
+        assert client.graph.is_complete()
+        assert {kind for kind, _, _ in built} == {
+            "TaskReady", "TaskPlaced", "StagingDone", "TaskCompleted",
+        }
+        assert {(package, module) for _, package, module in built} <= {
+            ("engine", module) for module in ("core.py", "placement.py", "staging.py", "failure.py")
+        }
 
 
 class TestCopyOnWriteSnapshots:

@@ -144,7 +144,10 @@ class World:
             assert placements == self.reference.schedule(ready)
             for placement in placements:
                 task = self.graph.get(placement.task_id)
-                self.placed(TaskPlaced.for_task(task, time=now, endpoint=placement.endpoint))
+                self.placed(
+                    TaskPlaced(time=now, task=task, task_id=task.task_id, name=task.name,
+                               endpoint=placement.endpoint)
+                )
         elif kind == "staged":
             task = self.pick(state_codes(TaskState.STAGING), a, undispatched=True)
             if task is not None:
@@ -166,7 +169,10 @@ class World:
             # An execution failure re-placed (the failure ladder's publish).
             task = self.pick(state_codes(TaskState.DISPATCHED), a)
             if task is not None:
-                self.placed(TaskPlaced.for_task(task, time=now, endpoint=NAMES[b % len(NAMES)]))
+                self.placed(
+                    TaskPlaced(time=now, task=task, task_id=task.task_id, name=task.name,
+                               endpoint=NAMES[b % len(NAMES)])
+                )
         elif kind == "stage_fail":
             task = self.pick(_PENDING, a, undispatched=True)
             if task is not None:
@@ -180,7 +186,10 @@ class World:
                 new = NAMES[b % len(NAMES)]
                 if b % 2:
                     # The crash path: the failure coordinator re-places it.
-                    self.placed(TaskPlaced.for_task(task, time=now, endpoint=new))
+                    self.placed(
+                        TaskPlaced(time=now, task=task, task_id=task.task_id, name=task.name,
+                                   endpoint=new)
+                    )
                 else:
                     # A bare target change: the claim follows the task, no
                     # other version moves.
@@ -197,7 +206,10 @@ class World:
             # An endpoint-pinned task placed without the scheduler.
             task = self.pick(state_codes(TaskState.READY), a)
             if task is not None:
-                self.placed(TaskPlaced.for_task(task, time=now, endpoint=NAMES[b % len(NAMES)]))
+                self.placed(
+                    TaskPlaced(time=now, task=task, task_id=task.task_id, name=task.name,
+                               endpoint=NAMES[b % len(NAMES)])
+                )
         elif kind == "slice":
             capacity = None if a % 4 == 0 else {n: (a >> i) % 3 for i, n in enumerate(NAMES)}
             self.both("set_capacity_slice", capacity)

@@ -186,8 +186,8 @@ def test_incremental_aggregates_equal_a_brute_force_rebuild(policy, tenants, dyn
     DynamicsInjector(env, manager).install(timeline)
     if pause:
         kernel = env.fabric.kernel
-        kernel.schedule_at(2.5, handles[0].pause, label="pause")
-        kernel.schedule_at(7.5, handles[0].resume, label="resume")
+        kernel.schedule_at(2.5, handles[0].pause)
+        kernel.schedule_at(7.5, handles[0].resume)
     checks = check_aggregates_every_pump(manager)
     manager.run(max_wall_time_s=60)
     assert all(h.finished for h in handles)

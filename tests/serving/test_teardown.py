@@ -90,8 +90,8 @@ class TestPauseResume:
         baseline_mgr.run(max_wall_time_s=60)
         baseline = baseline_mgr.summary().makespan_s
 
-        env.kernel.schedule_at(1.0, handle.pause, label="test-pause")
-        env.kernel.schedule_at(baseline + 5.0, handle.resume, label="test-resume")
+        env.kernel.schedule_at(1.0, handle.pause)
+        env.kernel.schedule_at(baseline + 5.0, handle.resume)
         manager.run(max_wall_time_s=60)
         assert handle.finished
         assert manager.summary().completed_tasks == 16
@@ -116,7 +116,7 @@ class TestCancellation:
         manager = make_manager(env)
         victim = manager.add_workflow("victim", builder=stress_builder(count=40))
         other = manager.add_workflow("other", builder=stress_builder(count=12))
-        env.kernel.schedule_at(3.0, victim.cancel, label="test-cancel")
+        env.kernel.schedule_at(3.0, victim.cancel)
         manager.run(max_wall_time_s=60)
         assert victim.cancelled and victim.finished
         assert not victim.graph.is_complete()  # work was abandoned, not run
@@ -147,7 +147,7 @@ class TestCancellation:
 
         def on_first_dispatch(event):
             victim.bus.unsubscribe(TasksDispatched, on_first_dispatch)
-            env.kernel.schedule_at(event.time + 0.5, cancel_and_retire, label="test-retire")
+            env.kernel.schedule_at(event.time + 0.5, cancel_and_retire)
 
         victim.bus.subscribe(TasksDispatched, on_first_dispatch)
         manager.run(max_wall_time_s=60)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.sim.kernel import SimClock, SimulationKernel, WallClock
 
+from tests.frames import python_frames
+
 
 class TestSimClock:
     def test_starts_at_zero(self):
@@ -251,6 +253,40 @@ class TestDaemonEvents:
         assert kernel.pending_events == 1
         kernel.run()
         assert kernel.pending_events == 0
+
+    def test_cancelling_a_fired_or_daemon_handle_leaves_pending_events(self):
+        kernel = SimulationKernel()
+        fired = kernel.schedule(1.0, lambda: None)
+        daemon = kernel.schedule(2.0, lambda: None, daemon=True)
+        live = kernel.schedule_at(3.0, lambda: None)
+        assert kernel.step() and fired.fired
+        assert kernel.pending_events == 1
+        fired.cancel()
+        daemon.cancel()
+        assert kernel.pending_events == 1
+        assert daemon.cancelled and not fired.cancelled
+        live.cancel()
+        assert kernel.pending_events == 0
+        assert kernel.pending_events_total == 0
+
+
+class TestFrameCounts:
+    """A scheduled event costs the ``schedule`` frame, the ``step`` frame
+    and its callback's: the handle is filled in place, with no constructor
+    frame of its own."""
+
+    @pytest.mark.parametrize("method", ["schedule", "schedule_at"])
+    def test_schedule_then_step_runs_three_frames(self, method):
+        kernel = SimulationKernel()
+        fired = []
+
+        def callback(value):
+            fired.append(value)
+
+        schedule = getattr(kernel, method)
+        frames = python_frames(lambda: (schedule(1.0, callback, "x"), kernel.step()))
+        assert frames == [method, "step", "callback"]
+        assert fired == ["x"]
 
 
 class TestPeriodic:
