@@ -97,8 +97,8 @@ def _build_client(dataplane: bool, storage_gb=None):
         storage_capacity_gb=storage_gb,
     )
     client = env.make_client(config)
-    env.seed_full_knowledge(client)
-    env.seed_execution_knowledge(client, [PRODUCE, GATE, CONSUME])
+    env.seed_full_knowledge(client.federation)
+    env.seed_execution_knowledge(client.federation, [PRODUCE, GATE, CONSUME])
     return client, names
 
 

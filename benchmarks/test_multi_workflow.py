@@ -26,7 +26,7 @@ from repro.engine.events import Event
 from repro.experiments.environment import EndpointSetup, build_simulation
 from repro.faas.types import ServiceLatencyModel
 from repro.metrics.collector import percentile
-from repro.serving import WorkflowManager, jain_index
+from repro.serving import Federation, WorkflowManager, jain_index
 from repro.sim.hardware import ClusterSpec, HardwareSpec
 from repro.sim.network import NetworkModel
 from repro.workloads.spec import TaskTypeSpec, make_task_type
@@ -81,11 +81,10 @@ def _run(policy: str):
     config = env.make_config(
         "DHA", enable_scaling=False, profiler_update_interval_s=3600.0
     )
-    manager = WorkflowManager(
-        config, env.fabric, transfer_backend=env.transfer_backend, arbitration=policy
-    )
-    env.seed_full_knowledge(manager)
-    env.seed_execution_knowledge(manager, [TENANT_TASK])
+    federation = Federation(config, env.fabric, transfer_backend=env.transfer_backend)
+    manager = WorkflowManager(federation, arbitration=policy)
+    env.seed_full_knowledge(federation)
+    env.seed_execution_knowledge(federation, [TENANT_TASK])
 
     fn = make_task_type(TENANT_TASK)
     logs = {}

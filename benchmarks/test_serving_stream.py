@@ -31,7 +31,7 @@ import numpy as np
 from repro.engine.events import Event, expand_event
 from repro.experiments.environment import EndpointSetup, build_simulation
 from repro.faas.types import ServiceLatencyModel
-from repro.serving import WorkflowManager
+from repro.serving import Federation, WorkflowManager
 from repro.sim.hardware import ClusterSpec, HardwareSpec
 from repro.sim.network import NetworkModel
 from repro.streaming import StreamingService, StreamingSpec
@@ -107,19 +107,16 @@ def _run(policy: str):
         enable_placement_plan=False,
         profiler_update_interval_s=3600.0,
     )
-    manager = WorkflowManager(
-        config,
-        env.fabric,
-        transfer_backend=env.transfer_backend,
-        arbitration=policy,
-        # Unbounded-growth guard: a bounded profiler sample window (with no
-        # history path the manager keeps no per-observation history rows).
-        profiler_sample_window=256,
-    )
-    env.seed_full_knowledge(manager)
-    env.seed_execution_knowledge(manager, [STREAM_TASK])
-    dm = manager.data_manager
-    base_handlers = manager.bus.handler_count()
+    federation = Federation(config, env.fabric, transfer_backend=env.transfer_backend)
+    # Unbounded-growth guard: a bounded profiler sample window, set before
+    # the first observation (with no history path the federation keeps no
+    # per-observation history rows).
+    federation.execution_profiler.max_samples_retained = 256
+    manager = WorkflowManager(federation, arbitration=policy)
+    env.seed_full_knowledge(federation)
+    env.seed_execution_knowledge(federation, [STREAM_TASK])
+    dm = federation.data_manager
+    base_handlers = federation.bus.handler_count()
     base_callbacks = len(dm._staged_callbacks)
 
     spec = StreamingSpec(
@@ -166,7 +163,7 @@ def _run(policy: str):
     # Retirement really drained every per-tenant registry.
     assert manager.workflows() == []
     assert manager.retired_count == service.admission.admitted
-    assert manager.bus.handler_count() == base_handlers
+    assert federation.bus.handler_count() == base_handlers
     assert len(dm._staged_callbacks) == base_callbacks
     assert not getattr(dm, "_tickets_by_task", {})
     assert not dict(dm.volume_by_namespace_mb)

@@ -24,7 +24,7 @@ import argparse
 
 from repro.experiments.environment import EndpointSetup, build_simulation
 from repro.faas.types import ServiceLatencyModel
-from repro.serving import WorkflowManager
+from repro.serving import Federation, WorkflowManager
 from repro.sim.hardware import testbed_clusters
 from repro.sim.network import NetworkModel
 from repro.workloads.synthetic import build_stress_workload
@@ -59,10 +59,9 @@ def build_environment(seed: int):
 def run_policy(policy: str, seed: int):
     env = build_environment(seed)
     config = env.make_config("DHA", enable_scaling=False)
-    manager = WorkflowManager(config, env.fabric,
-                              transfer_backend=env.transfer_backend,
-                              arbitration=policy)
-    env.seed_full_knowledge(manager)
+    federation = Federation(config, env.fabric, transfer_backend=env.transfer_backend)
+    env.seed_full_knowledge(federation)
+    manager = WorkflowManager(federation, arbitration=policy)
     for wid, owner, weight, priority, arrival, tasks in TENANTS:
         manager.add_workflow(
             wid,

@@ -2,13 +2,14 @@
 
 :class:`UniFaaSClient` is the object user code holds: decorated-function
 invocations register tasks through it, :meth:`run` executes the composed
-workflow, :meth:`summary` reports the outcome.  Underneath it is a
-:class:`~repro.serving.manager.WorkflowManager` — the one place the five
-system components of Fig. 1 (DAG generator, monitors, profilers, scheduler,
-data manager) are wired and the one run loop — holding a single workflow
-with namespace ``""`` and no cross-workflow arbitration.  The client
-re-exposes the workflow engine's components for reading under their
-historical attribute names (``client.scheduler``, ``client.graph``, ...).
+workflow, :meth:`summary` reports the outcome.  Underneath it are one
+:class:`~repro.serving.federation.Federation` — the shared components of
+Fig. 1 (monitors, profilers, data manager, scaler), built once — and one
+:class:`~repro.serving.manager.WorkflowManager`, the one run loop, holding a
+single workflow with namespace ``""`` and no cross-workflow arbitration.
+The client re-exposes the workflow engine's components for reading under
+their historical attribute names (``client.scheduler``, ``client.graph``,
+...).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.faas.fabric import ExecutionFabric
 from repro.metrics.collector import MetricsCollector
 from repro.monitor.store import HistoryStore
 from repro.sched.base import Scheduler
+from repro.serving.federation import Federation
 from repro.serving.manager import ENGINE_ATTRS, WorkflowManager
 
 __all__ = ["ENDPOINT_HINT_KWARG", "UniFaaSClient"]
@@ -44,14 +46,14 @@ class UniFaaSClient:
         history_store: Optional[HistoryStore] = None,
         metrics: Optional[MetricsCollector] = None,
     ) -> None:
-        self.manager = WorkflowManager(
+        self.federation = Federation(
             config,
             fabric,
             transfer_backend=transfer_backend,
-            arbitration=None,
             scaling_strategy=scaling_strategy,
             history_store=history_store,
         )
+        self.manager = WorkflowManager(self.federation, arbitration=None)
         self.engine = self.manager.add_workflow("", scheduler=scheduler, metrics=metrics).engine
         set_current_client(self)
 

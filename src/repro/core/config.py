@@ -107,10 +107,6 @@ class Config:
     #: destinations).  Disable (``--no-placement``) to run the pure-greedy
     #: layers byte-identically to the pre-placement engine.
     enable_placement_plan: bool = True
-    #: Period (s) at which the placement plan is re-solved (a dynamics
-    #: invalidation — crash / rejoin / churn — forces a re-solve at the next
-    #: periodic check regardless of the cadence).
-    placement_interval_s: float = 30.0
     #: Period (s) at which the durability layer writes a checkpoint snapshot
     #: of the full serving state (``None`` disables periodic checkpointing).
     #: Crash recovery restores from the latest checkpoint that validates.
@@ -166,7 +162,6 @@ class Config:
             ("endpoint_sync_interval_s", self.endpoint_sync_interval_s),
             ("profiler_update_interval_s", self.profiler_update_interval_s),
             ("rescheduling_interval_s", self.rescheduling_interval_s),
-            ("placement_interval_s", self.placement_interval_s),
             ("metrics_sample_interval_s", self.metrics_sample_interval_s),
         ):
             if value <= 0:

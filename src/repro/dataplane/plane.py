@@ -237,9 +237,12 @@ class DataPlane:
         if self.published:
             priority = 0.0
         previous = self._tickets_by_task.get(task_id)
-        if previous is not None and previous.completed_at is None:
-            self._supersede(previous)
-        self.store.release_task(task_id)
+        if previous is not None:
+            # A re-stage drops the previous ticket's pins (only staging
+            # pins, so a task's first ticket has none to drop).
+            if previous.completed_at is None:
+                self._supersede(previous)
+            self.store.release_task(task_id)
 
         namespace = task_namespace(task_id)
         now = self.clock.now
@@ -329,10 +332,6 @@ class DataPlane:
         """Record a produced output and charge it against the endpoint budget."""
         file.add_location(endpoint)
         self.store.admit(file, endpoint)
-
-    def release_task(self, task_id: str) -> None:
-        """The task reached a terminal state: its input pins are released."""
-        self.store.release_task(task_id)
 
     # ------------------------------------------------------------- retirement
     def release_namespace(self, namespace: str) -> int:

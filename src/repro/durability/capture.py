@@ -21,6 +21,7 @@ the cut raises :class:`~repro.durability.errors.SnapshotStateMismatch`.
 from __future__ import annotations
 
 import hashlib
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -42,12 +43,14 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def capture_sections(env, manager, engines, streaming=None) -> Dict[str, object]:
+def capture_sections(env, manager, streaming=None) -> Dict[str, object]:
     """The full verification manifest of a live run (JSON-native).
 
-    ``engines`` maps each registered tenant's workflow id to its engine;
-    ``streaming`` is the open-loop stream the tenants arrive through, if any.
+    Every live engine of ``manager``'s federation is captured under its
+    namespace (its workflow id); ``streaming`` is the open-loop stream the
+    tenants arrive through, if any.
     """
+    federation = manager.federation
     kernel = env.kernel
     endpoints = sorted(env.fabric.endpoint_names())
     sections: Dict[str, object] = {
@@ -59,10 +62,10 @@ def capture_sections(env, manager, engines, streaming=None) -> Dict[str, object]
         },
         "rng": env.rng.get_state(),
         "workflows": {
-            key: _capture_engine(engine, endpoints)
-            for key, engine in sorted(engines.items())
+            engine.namespace: _capture_engine(engine, endpoints)
+            for engine in sorted(federation.engines, key=attrgetter("namespace"))
         },
-        "dataplane": _capture_data_manager(manager.data_manager),
+        "dataplane": _capture_data_manager(federation.data_manager),
     }
     if manager.policy is not None:
         # Arbitration state exists only where workflows are arbitrated (the
@@ -70,10 +73,10 @@ def capture_sections(env, manager, engines, streaming=None) -> Dict[str, object]
         sections["serving"] = _capture_serving(manager)
     if streaming is not None:
         sections["streaming"] = _capture_streaming(streaming)
-    if manager.plan_service is not None:
+    if federation.plan_service is not None:
         # Plan state plus the dedicated "placement" RNG stream: the replay
         # proof requires the restored run's solves to continue bit-identically.
-        sections["placement"] = manager.plan_service.capture_state()
+        sections["placement"] = federation.plan_service.capture_state()
     return sections
 
 
@@ -185,7 +188,7 @@ def _capture_serving(manager) -> Dict[str, object]:
             }
             for handle in manager.workflows()
         },
-        "last_scaling_check": _r(manager._last_scaling_check),
+        "last_scaling_check": _r(manager.federation.last_scaling_check),
     }
     served = getattr(manager.policy, "_served", None)
     if served is not None:

@@ -2,10 +2,11 @@
 
 The scenario runner (``run_scenario``) builds one :class:`DurabilityController`
 per attempt from the spec's payload dict.  The attempt hands it its live
-objects — environment, federation, tenant engines and event logs, open-loop
-stream — through :meth:`~DurabilityController.install` at a **fixed
-call-site** (right after the dynamics timeline is installed, before an
-open-loop stream opens and the run starts).  This package never sees a
+objects — environment, run loop (whose federation lists the live tenant
+engines), the tenants' event logs, open-loop stream — through
+:meth:`~DurabilityController.install` at a **fixed call-site** (right after
+the dynamics timeline is installed, before an open-loop stream opens and the
+run starts).  This package never sees a
 scenario spec: it stores, and compares, the payload its caller encoded.
 That fixed position matters: every kernel event the controller schedules
 consumes a sequence number, and the capture run and the restore run must
@@ -127,20 +128,20 @@ class DurabilityController:
         self.last_checkpoint_s: Optional[float] = None
 
     # ----------------------------------------------------------------- arm
-    def install(self, env, manager, *, engines, logs, streaming=None) -> None:
+    def install(self, env, manager, *, logs, streaming=None) -> None:
         """Bind the attempt's live objects and schedule its durability events.
 
-        ``manager`` is the attempt's federation
-        (:class:`~repro.serving.manager.WorkflowManager`); ``engines``
-        (tenants not yet retired) and ``logs`` (every tenant's event-log
-        entry list) are the runner's live dicts, keyed by workflow id ("" for the
-        single-workflow client's lone tenant); ``streaming`` is the open-loop
+        ``manager`` is the attempt's run loop
+        (:class:`~repro.serving.manager.WorkflowManager`), whose federation's
+        ``engines`` are the tenants not yet retired; ``logs`` (every
+        tenant's event-log entry list) is the runner's live dict, keyed by
+        workflow id ("" for the single-workflow client's lone tenant);
+        ``streaming`` is the open-loop
         :class:`~repro.streaming.service.StreamingService` the tenants arrive
         through, if they do.  The events armed have a fixed shape per spec.
         """
         self.env = env
         self.manager = manager
-        self.engines = engines
         self.logs = logs
         self.streaming = streaming
         kernel = env.kernel
@@ -206,7 +207,7 @@ class DurabilityController:
         )
 
     def _capture(self) -> Dict[str, object]:
-        return capture_sections(self.env, self.manager, self.engines, self.streaming)
+        return capture_sections(self.env, self.manager, self.streaming)
 
     def _verify_cut(self, context: str) -> None:
         snapshot = self.restore

@@ -23,12 +23,13 @@ round's batch.
 
 An engine is strictly *per-workflow* state.  Everything shared — fabric,
 clock, monitors, profilers, data manager, placement service — belongs to the
-federation (:class:`~repro.serving.manager.WorkflowManager`) that constructs
-the engine and drives it from the one run loop; the single-workflow
-:class:`~repro.core.client.UniFaaSClient` is a one-tenant federation.  The
-engine is deliberately single-threaded and runs identically on the
-discrete-event simulation substrate (experiments) and on real thread-pool
-endpoints (examples).
+:class:`~repro.serving.federation.Federation` the engine is built on, and
+joins that federation's list of live engines as it is built; the run loop
+(:class:`~repro.serving.manager.WorkflowManager`) constructs it and drives
+it, and the single-workflow :class:`~repro.core.client.UniFaaSClient` is a
+one-tenant federation.  The engine is deliberately single-threaded and runs
+identically on the discrete-event simulation substrate (experiments) and on
+real thread-pool endpoints (examples).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from repro.sched import create_scheduler
 from repro.sched.base import Scheduler, SchedulingContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serving.manager import WorkflowManager
+    from repro.serving.federation import Federation
 
 __all__ = ["ENDPOINT_HINT_KWARG", "MAX_RETRIES_KWARG", "ExecutionEngine"]
 
@@ -82,14 +83,13 @@ class ExecutionEngine:
 
     def __init__(
         self,
-        federation: "WorkflowManager",
+        federation: "Federation",
         *,
         scheduler: Optional[Scheduler] = None,
         metrics: Optional[MetricsCollector] = None,
         namespace: str = "",
     ) -> None:
         # The shared substrate, by reference: one of each, federation-wide.
-        self.federation = federation
         self.config = config = federation.config
         self.fabric = federation.fabric
         self.clock = federation.clock
@@ -127,12 +127,13 @@ class ExecutionEngine:
             self.scheduler = create_scheduler(config.strategy, **kwargs)
         self.metrics = metrics or MetricsCollector(config.metrics_sample_interval_s)
         if self.plan_service is not None:
-            self.plan_service.attach(self)
             self.scheduler.plan_provider = self.plan_service.current_plan
 
         # Engine state.
         #: Built by :meth:`start`; ``None`` until the workflow has started.
         self.context: Optional[SchedulingContext] = None
+        #: In the run loop's active set (started, unfinished, unpaused).
+        self.active = False
         #: Tasks submitted since the last pump round, handed to the scheduler
         #: in one ``on_tasks_added`` batch (the sole graph-growth hook) so
         #: DHA's incremental ancestors-only recompute runs once per round.
@@ -150,8 +151,8 @@ class ExecutionEngine:
 
         # Endpoint dynamics (crash / rejoin / churn) reach this bus after the
         # federation re-synchronised the shared monitor, re-planned and
-        # quarantined (:meth:`WorkflowManager._forward_dynamics`); this
-        # workflow reacts at once instead of waiting for its cadences.
+        # quarantined (:meth:`Federation.react`); this workflow reacts at
+        # once instead of waiting for its cadences.
         for dynamics_type in (EndpointCrashed, EndpointRejoined, WorkerChurn):
             self.bus.subscribe(dynamics_type, self._on_endpoint_dynamics)
 
@@ -185,6 +186,8 @@ class ExecutionEngine:
                     else None
                 ),
             )
+        # Built: one of the federation's live engines until it is retired.
+        federation.engines.append(self)
 
     # ------------------------------------------------------------- submission
     def submit(self, fn: FederatedFunction, args: tuple, kwargs: Dict[str, Any]) -> UniFuture:
@@ -365,7 +368,7 @@ class ExecutionEngine:
 
     def _on_task_failed(self, event: TaskFailed) -> None:
         self.metrics.record_failure()
-        self.data_manager.release_task(event.task_id)
+        self.data_manager.store.release_task(event.task_id)
         if self.prefetcher is not None:
             self.prefetcher.on_task_terminal(event.task_id)
 
@@ -397,7 +400,7 @@ class ExecutionEngine:
         completed_records: List[TaskExecutionRecord] = []
         ready: List[Task] = []
         log: List[tuple] = []
-        plane = self.data_manager
+        plane_store = self.data_manager.store
         now = self.clock.now
         stamp = round(now, 9)
 
@@ -448,7 +451,7 @@ class ExecutionEngine:
             completed.append(task)
             completed_records.append(record)
             newly_ready = self._apply_success(task, record)
-            plane.release_task(record.task_id)
+            plane_store.release_task(record.task_id)
             if self.prefetcher is not None and task.successors:
                 self.prefetcher.on_predecessor_progress(task)
             for ready_task in newly_ready:

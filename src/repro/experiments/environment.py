@@ -11,7 +11,7 @@ facade, the execution fabric, a wide-area network and a transfer backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.client import UniFaaSClient
 from repro.core.config import Config, ExecutorSpec
@@ -24,7 +24,7 @@ from repro.faas.types import ServiceLatencyModel, TaskExecutionRecord
 from repro.metrics.collector import MetricsCollector
 from repro.monitor.store import HistoryStore
 from repro.sched.base import Scheduler
-from repro.serving.manager import WorkflowManager
+from repro.serving.federation import Federation
 from repro.sim.hardware import ClusterSpec
 from repro.sim.kernel import SimulationKernel
 from repro.sim.network import NetworkModel
@@ -121,14 +121,12 @@ class SimulationEnvironment:
             metrics=metrics,
         )
 
-    def seed_full_knowledge(self, federation: Union[WorkflowManager, UniFaaSClient]) -> None:
+    def seed_full_knowledge(self, federation: Federation) -> None:
         """Give a federation's transfer profiler the true pairwise bandwidths.
 
-        ``federation`` is the :class:`WorkflowManager` that owns the shared
-        profilers (what the scenario runner passes) or a client, which
-        exposes its manager's.  The paper's DHA experiments assume "full
-        knowledge can be retrieved from the profilers"; this mirrors the
-        probing transfers that would provide it.
+        The paper's DHA experiments assume "full knowledge can be retrieved
+        from the profilers"; this mirrors the probing transfers that would
+        provide it.
         """
         names = list(self.endpoints)
         for src in names:
@@ -139,16 +137,14 @@ class SimulationEnvironment:
                 federation.transfer_profiler.seed_bandwidth(src, dst, bandwidth)
         federation.transfer_profiler.update_models(force=True)
 
-    def seed_execution_knowledge(
-        self, federation: Union[WorkflowManager, UniFaaSClient], task_types
-    ) -> None:
+    def seed_execution_knowledge(self, federation: Federation, task_types) -> None:
         """Pre-train a federation's execution profiler with per-cluster durations.
 
-        ``federation`` is as for :meth:`seed_full_knowledge`.  ``task_types``
-        is an iterable of :class:`~repro.workloads.spec.TaskTypeSpec`; for
-        each (type, endpoint) pair a few synthetic observations are generated
-        from the cluster's speed factor, standing in for the historical
-        database a production deployment would load (§IV-B).
+        ``task_types`` is an iterable of
+        :class:`~repro.workloads.spec.TaskTypeSpec`; for each (type, endpoint)
+        pair a few synthetic observations are generated from the cluster's
+        speed factor, standing in for the historical database a production
+        deployment would load (§IV-B).
         """
         for spec in task_types:
             for name, endpoint in self.endpoints.items():

@@ -12,12 +12,11 @@ package implements the substrate:
   batch-queue provisioning delays and dynamic capacity schedules.
 * :mod:`repro.faas.service` — the web-service facade with *stale* status
   (refreshed only periodically, motivating UniFaaS's local mocking).
-* :mod:`repro.faas.client` — the client used by the task executor (batched
-  submission, result polling).
 * :mod:`repro.faas.local` — endpoints that really execute Python functions in
   thread pools (local mode used by the examples).
 * :mod:`repro.faas.fabric` — the :class:`ExecutionFabric` abstraction that
-  the UniFaaS engine programs against.
+  the UniFaaS engine programs against; its simulated fabric is the client
+  side of the service (batched submission, results by callback).
 """
 
 from repro.faas.types import (
@@ -28,7 +27,6 @@ from repro.faas.types import (
 )
 from repro.faas.endpoint import CapacityChange, SimulatedEndpoint
 from repro.faas.service import FederatedFaaSService
-from repro.faas.client import FaaSClient
 from repro.faas.fabric import ExecutionFabric, SimulatedFabric
 from repro.faas.local import LocalEndpoint, LocalFabric
 
@@ -36,7 +34,6 @@ __all__ = [
     "CapacityChange",
     "EndpointStatus",
     "ExecutionFabric",
-    "FaaSClient",
     "FederatedFaaSService",
     "LocalEndpoint",
     "LocalFabric",

@@ -4,19 +4,22 @@ The orchestration engine (:class:`repro.core.client.UniFaaSClient`) programs
 against :class:`ExecutionFabric`, which hides whether tasks run on the
 discrete-event simulation substrate (:class:`SimulatedFabric`) or on real
 thread-pool endpoints on the local machine
-(:class:`repro.faas.local.LocalFabric`).
+(:class:`repro.faas.local.LocalFabric`).  :class:`SimulatedFabric` is also
+the client side of the federated FaaS service (§IV-F): it batches
+submissions per endpoint (§IV-H) and receives results through the service's
+result callbacks.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.dag import Task
 from repro.core.exceptions import EndpointError
-from repro.faas.client import FaaSClient
 from repro.faas.endpoint import SimulatedEndpoint
 from repro.faas.service import FederatedFaaSService
 from repro.faas.types import EndpointStatus, TaskExecutionRecord, TaskExecutionRequest
@@ -103,10 +106,15 @@ class SimulatedFabric(ExecutionFabric):
         batch_size: int = 64,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         self.kernel = kernel
         self.clock = kernel.clock
         self.service = service
-        self.faas_client = FaaSClient(service, batch_size=batch_size)
+        #: Requests per endpoint held client-side until the batch fills up or
+        #: :meth:`flush` sends it (one service round-trip per batch).
+        self.batch_size = batch_size
+        self._pending: Dict[str, List[TaskExecutionRequest]] = defaultdict(list)
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._completions: List[TaskExecutionRecord] = []
         self._outstanding = 0
@@ -157,20 +165,34 @@ class SimulatedFabric(ExecutionFabric):
         )
 
     def submit(self, endpoint_name: str, request: TaskExecutionRequest) -> None:
+        """Queue a request; it is sent when the endpoint's batch fills up."""
         if endpoint_name not in self.service._endpoints:
             raise EndpointError(f"unknown endpoint {endpoint_name!r}")
         self._outstanding += 1
-        self.faas_client.submit(endpoint_name, request)
+        batch = self._pending[endpoint_name]
+        batch.append(request)
+        if len(batch) >= self.batch_size:
+            self._send(endpoint_name)
 
     def flush(self) -> None:
-        self.faas_client.flush()
+        """Send every queued request now."""
+        for endpoint_name in list(self._pending):
+            self._send(endpoint_name)
+
+    def _send(self, endpoint_name: str) -> None:
+        # One service round-trip per batch; a lone request as a plain submit.
+        batch = self._pending.pop(endpoint_name)
+        if len(batch) == 1:
+            self.service.submit(endpoint_name, batch[0])
+        else:
+            self.service.submit_batch(endpoint_name, batch)
 
     def process(self, timeout_s: Optional[float] = None) -> List[TaskExecutionRecord]:
         kernel = self.kernel
-        if kernel._non_daemon_pending == 0:
+        if kernel._non_daemon_pending == 0 and self._pending:
             # Batched submissions must not wait for a full batch while the
-            # kernel runs out of other events (a no-op when none is queued).
-            self.faas_client.flush()
+            # kernel runs out of other events.
+            self.flush()
         # Quiescent otherwise: only daemon housekeeping remains in the queue.
         # Stepping then would warp the clock across the idle gap before the
         # pump has had a chance to dispatch work (most visibly at run start,
@@ -185,7 +207,7 @@ class SimulatedFabric(ExecutionFabric):
         return (
             self.kernel._non_daemon_pending > 0
             or self._outstanding > 0
-            or self.faas_client.queued_requests > 0
+            or bool(self._pending)
         )
 
     def _on_result(self, record: TaskExecutionRecord) -> None:

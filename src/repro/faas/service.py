@@ -132,9 +132,6 @@ class FederatedFaaSService:
             self._status_cache[name] = cached
         return cached
 
-    def all_statuses(self, force_refresh: bool = False) -> Dict[str, EndpointStatus]:
-        return {name: self.endpoint_status(name, force_refresh) for name in self._endpoints}
-
     def set_status_refresh_interval(self, interval_s: float) -> None:
         """Change how stale the served endpoint statuses may get.
 

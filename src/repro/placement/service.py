@@ -1,20 +1,21 @@
 """The placement service: owns the plan lifecycle across the run.
 
-One service instance serves one federation: :class:`~repro.serving.manager.
-WorkflowManager` builds it and shares it across every tenant engine.  The
+One service instance serves one federation: the
+:class:`~repro.serving.federation.Federation` builds it on its list of live
+engines, which the service reads in place, and on its data plane.  The
 service:
 
 * snapshots the live state (pending demand, hot datasets, online endpoints,
   remaining storage budgets, prediction means) into a
-  :class:`~repro.placement.solver.PlacementProblem` and re-solves it on the
-  configured cadence (:attr:`~repro.core.config.Config.placement_interval_s`);
+  :class:`~repro.placement.solver.PlacementProblem` and re-solves it every
+  :attr:`PlacementService.interval_s`;
 * tracks an **invalidation generation** mirroring the endpoint monitor's
   ``state_version`` idiom: a crash marks the endpoint offline and bumps the
   generation, a rejoin re-admits it, worker churn bumps without touching the
   offline set — a stale generation forces a re-solve at the next periodic
   check regardless of the cadence.  The federation reports each dynamics
   event once, whatever the tenant count, and re-solves at once when some
-  tenant has started (``WorkflowManager._forward_dynamics``);
+  tenant has started (``Federation.react``);
 * on adopting a new plan, **proactively replicates** hot datasets toward
   their plan roots through the data plane's prefetch class, so consumers
   find warm replicas where the plan wants them instead of each endpoint
@@ -66,15 +67,17 @@ _PENDING_STATES = (
 class PlacementService:
     """Periodic global placement solves + dynamics invalidation."""
 
-    def __init__(self, config, rng: Optional[np.random.Generator] = None) -> None:
+    #: Simulated seconds between two cadence solves (a dynamics invalidation
+    #: forces one at the next periodic check regardless).
+    interval_s: float = 30.0
+
+    def __init__(self, config, engines: List[object], data_manager) -> None:
         self.config = config
-        self.interval_s = float(config.placement_interval_s)
-        self._rng = (
-            rng
-            if rng is not None
-            else derive_stream(config.random_seed, "placement")
-        )
-        self._engines: List[object] = []
+        self._rng = derive_stream(config.random_seed, "placement")
+        #: The federation's live engines (its list, not a copy), whose graphs
+        #: feed the demand / hot-file scan, and its data plane.
+        self._engines = engines
+        self._data_manager = data_manager
         self._plan: Optional[PlacementPlan] = None
         self._generation = 0
         self._solved_generation = -1
@@ -89,17 +92,6 @@ class PlacementService:
         self.replications_issued = 0
 
     # ------------------------------------------------------------- providers
-    def attach(self, engine) -> None:
-        """Register an engine whose graph feeds the demand/hot-file scan."""
-        if engine not in self._engines:
-            self._engines.append(engine)
-
-    def detach(self, engine) -> None:
-        """Forget a retired tenant engine (open-loop serving: keeps the
-        attached set O(live tenants), not O(all-time tenants))."""
-        if engine in self._engines:
-            self._engines.remove(engine)
-
     def current_plan(self) -> Optional[PlacementPlan]:
         return self._plan
 
@@ -145,7 +137,7 @@ class PlacementService:
 
     def resolve(self, now: float) -> Optional[PlacementPlan]:
         """Solve unconditionally against the current live state."""
-        engines = [e for e in self._engines if getattr(e, "context", None) is not None]
+        engines = [e for e in self._engines if e.context is not None]
         if not engines:
             return self._plan
         problem = self._build_problem(engines)
@@ -157,11 +149,11 @@ class PlacementService:
         self._last_solved = now
         self._solved_generation = generation
         self.solve_count += 1
-        self._replicate(plan, engines[0].data_manager)
+        self._replicate(plan)
         return plan
 
     # ------------------------------------------------------------ replication
-    def _replicate(self, plan: PlacementPlan, data_manager) -> None:
+    def _replicate(self, plan: PlacementPlan) -> None:
         """Push each hot dataset toward its plan root (prefetch class).
 
         Speculative like every prefetch: losing the replica to eviction or a
@@ -178,7 +170,7 @@ class PlacementService:
         ]
         rooted.sort(key=lambda pair: (-pair[0].size_mb, pair[0].file_id))
         for file, root in rooted:
-            if data_manager.prefetch(
+            if self._data_manager.prefetch(
                 file, root, priority=float(len(self._consumers[file.file_id]))
             ):
                 self.replications_issued += 1
@@ -195,7 +187,7 @@ class PlacementService:
         max_workers = {
             name: max(1, int(monitor.mock(name).max_workers)) for name in names
         }
-        capacity_mb = self._remaining_capacity(engines[0].data_manager, names)
+        capacity_mb = self._remaining_capacity(self._data_manager, names)
 
         demand = 0
         perf_rows: List[np.ndarray] = []

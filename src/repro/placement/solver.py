@@ -68,7 +68,7 @@ class PlacementProblem:
     capacity_mb: Dict[str, Optional[float]]
     #: Mean predicted seconds per pending task at each endpoint.
     perf: Dict[str, float]
-    #: Pending (unplaced) task count across every attached workflow.
+    #: Pending (unplaced) task count across every live workflow.
     demand: int
     hot_files: List[HotFile] = field(default_factory=list)
     #: Shared-consumer counts for co-accessed hot-file pairs (ids sorted).

@@ -16,9 +16,11 @@ dynamics into data:
 * :class:`DynamicsInjector` — schedules a compiled timeline on the
   simulation kernel; each firing mutates the substrate (endpoint, service,
   network) and announces a typed
-  :class:`~repro.engine.events.EndpointDynamicsEvent` on the federation's
-  control bus, which forwards it to every workflow so the failure
-  coordinators, elastic scaler and DHA re-scheduling react.
+  :class:`~repro.engine.events.EndpointDynamicsEvent` on the control bus of
+  the :class:`~repro.serving.federation.Federation` it is handed: the
+  federation's elastic scaler, monitor, plan and data plane react once, and
+  the run loop relays the event to every workflow so the failure
+  coordinators and DHA re-scheduling react.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.engine.events import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.environment import SimulationEnvironment
-    from repro.serving.manager import WorkflowManager
+    from repro.serving.federation import Federation
 
 __all__ = [
     "ACTIONS",
@@ -264,14 +266,15 @@ class DynamicsInjector:
 
     Every firing does two things in order: (1) mutate the simulation
     substrate — the endpoint, the service's status cache, the network — and
-    (2) publish the corresponding typed event on the federation's control
-    bus.  The federation reacts once for the shared substrate (monitor
-    re-sync, placement plan, elastic scaler, data plane), then forwards the
+    (2) publish the corresponding typed event on the
+    :class:`~repro.serving.federation.Federation`'s control bus.  The run
+    loop has the federation react once for the shared substrate (monitor
+    re-sync, placement plan, elastic scaler, data plane), then relays the
     event to every workflow's bus, where the failure coordinator and the
     re-scheduling pass subscribe.
     """
 
-    def __init__(self, env: "SimulationEnvironment", federation: "WorkflowManager") -> None:
+    def __init__(self, env: "SimulationEnvironment", federation: "Federation") -> None:
         self._env = env
         self._clock = env.kernel.clock
         self._bus = federation.bus

@@ -50,7 +50,7 @@ from repro.faas.endpoint import CapacityChange
 from repro.faas.types import ServiceLatencyModel
 from repro.metrics.collector import MetricsCollector
 from repro.scenarios.dynamics import DynamicsInjector, DynamicsSpec
-from repro.serving import WorkflowManager
+from repro.serving import Federation, WorkflowManager
 from repro.sim.hardware import ClusterSpec, testbed_clusters
 from repro.sim.network import NetworkModel
 from repro.streaming import StreamingService
@@ -469,9 +469,6 @@ class _Tenants:
         self.logs: Dict[str, List[Tuple]] = {}
         #: ... -> arrival time, the digests' order ...
         self.arrivals: Dict[str, float] = {}
-        #: ... -> engine, while the tenant is registered (what durability
-        #: captures) ...
-        self.engines: Dict[str, object] = {}
         #: ... and -> what its builder composed, until it is totalled.
         self.infos: Dict[str, WorkloadInfo] = {}
         self.total_tasks = 0
@@ -492,11 +489,9 @@ class _Tenants:
         handle.bus.record_to(log)
         self.logs[wid] = log
         self.arrivals[wid] = handle.arrival_s
-        self.engines[wid] = handle.engine
 
     def retire(self, handle) -> None:
         self.absorb(handle, handle.summary())
-        del self.engines[handle.workflow_id]
 
     def absorb(self, handle, summary) -> None:
         self.total_tasks += self.infos.pop(handle.workflow_id).task_count
@@ -525,7 +520,8 @@ def run_scenario(
 ) -> ScenarioResult:
     """Execute ``spec`` and return its deterministic result record.
 
-    Every run goes through one federation (``WorkflowManager``):
+    Every run goes through one federation and its run loop
+    (``Federation`` + ``WorkflowManager``):
     ``spec.workflows > 1`` runs N instances of the workload concurrently
     under the spec's arbitration policy; 1 is the paper's single-workflow
     client, a lone unarbitrated tenant.
@@ -568,8 +564,8 @@ def _run_attempt(
 ) -> ScenarioResult:
     """One full execution of ``spec`` (the unit crash recovery retries).
 
-    Every run is one federation (``WorkflowManager``) and its tenants; the
-    spec only says how the tenants arrive.  A closed cohort of
+    Every run is one federation (``Federation`` + ``WorkflowManager``) and
+    its tenants; the spec only says how the tenants arrive.  A closed cohort of
     ``spec.workflows`` instances of the workload is registered up front,
     ``workflow_stagger_s`` apart (one is the paper's single-workflow client:
     namespace ``""``, no arbitration).  With ``spec.streaming`` they arrive
@@ -585,15 +581,13 @@ def _run_attempt(
         reset_global_id_counters()
     env, config = _build_environment(spec, seed)
     cohort = spec.workflows if spec.streaming is None else 0
+    federation = Federation(config, env.fabric, transfer_backend=env.transfer_backend)
     manager = WorkflowManager(
-        config,
-        env.fabric,
-        transfer_backend=env.transfer_backend,
-        arbitration=spec.arbitration if cohort != 1 else None,
+        federation, arbitration=spec.arbitration if cohort != 1 else None
     )
     if spec.seed_knowledge:
-        env.seed_full_knowledge(manager)
-        env.seed_execution_knowledge(manager, spec.workload.task_types())
+        env.seed_full_knowledge(federation)
+        env.seed_execution_knowledge(federation, spec.workload.task_types())
 
     tenants = _Tenants(spec.workload)
     for index in range(cohort):
@@ -613,7 +607,7 @@ def _run_attempt(
     timeline = spec.dynamics.compile(
         [e.name for e in spec.topology], env.rng.stream("dynamics")
     )
-    injector = DynamicsInjector(env, manager)
+    injector = DynamicsInjector(env, federation)
     injector.install(timeline)
 
     stream = None
@@ -632,10 +626,7 @@ def _run_attempt(
         # Fixed call-site: the controller's kernel events must be scheduled
         # at the same sequence positions in capture and restore runs — armed
         # after the dynamics timeline, before the stream opens and the run.
-        controller.install(
-            env, manager,
-            engines=tenants.engines, logs=tenants.logs, streaming=stream,
-        )
+        controller.install(env, manager, logs=tenants.logs, streaming=stream)
     if stream is not None:
         stream.install()
     try:
@@ -677,7 +668,7 @@ def _run_attempt(
         total_tasks=tenants.total_tasks,
         completed_tasks=tenants.completed_tasks,
         failed_tasks=tenants.failed_tasks,
-        staged_mb=manager.data_manager.total_transferred_mb,
+        staged_mb=federation.data_manager.total_transferred_mb,
         retries=tenants.retries,
         rescheduled_tasks=tenants.rescheduled_tasks,
         mean_utilization_pct=(
@@ -687,7 +678,7 @@ def _run_attempt(
         dynamics_fired=[e.as_dict() for e in injector.fired],
         determinism_digest=digest.hexdigest(),
         endpoint_crashes=crashes,
-        dataplane=manager.data_manager.stats_dict(),
+        dataplane=federation.data_manager.stats_dict(),
         metrics=manager.workflow("").engine.metrics if cohort == 1 else None,
     )
     if stream is not None:

@@ -1,10 +1,12 @@
 """The federation: N workflows over one shared substrate, one run loop.
 
-:class:`~repro.serving.manager.WorkflowManager` builds and shares the
-simulation kernel, fabric, endpoint monitor, profilers and data plane
-between workflows while keeping graphs, schedulers, metrics and event buses
-per workflow, and drives them all from the one run loop (the single-workflow
-:class:`~repro.core.client.UniFaaSClient` is a one-tenant manager); an
+:class:`~repro.serving.federation.Federation` builds the shared substrate
+once — fabric and clock, control bus, monitors, profilers, data plane,
+scaler, placement service — and lists the live tenant engines;
+:class:`~repro.serving.manager.WorkflowManager` keeps graphs, schedulers,
+metrics and event buses per workflow and drives them all from the one run
+loop (the single-workflow :class:`~repro.core.client.UniFaaSClient` is a
+one-tenant manager); an
 :class:`~repro.serving.arbitration.ArbitrationPolicy` (FIFO, weighted
 fair-share, strict-priority, EDF) splits free capacity between tenants every
 pump round.
@@ -19,6 +21,7 @@ from repro.serving.arbitration import (
     TenantShare,
     create_arbitration,
 )
+from repro.serving.federation import Federation
 from repro.serving.manager import (
     ServingSummary,
     WorkflowHandle,
@@ -30,6 +33,7 @@ __all__ = [
     "ARBITRATION_POLICIES",
     "ArbitrationPolicy",
     "FairShareArbitration",
+    "Federation",
     "FifoArbitration",
     "ServingSummary",
     "StrictPriorityArbitration",

@@ -1,19 +1,13 @@
-"""The federation: one shared substrate, one run loop, N workflows.
+"""The run loop: N workflows over one federation.
 
-:class:`WorkflowManager` is the only place the shared substrate of Fig. 1 is
-built and the only run loop in the package:
-
-* **shared** — the simulation kernel / clock, the execution fabric, the
-  endpoint monitor's mocked real-time view, both profilers, the task
-  monitor (history + reliability), one data manager / data plane (so
-  replica caching, pinning and eviction budgets are federation-wide), the
-  placement service, the elastic scaling strategy and the control bus the
-  dynamics layer publishes on;
-* **per workflow** — an :class:`~repro.engine.core.ExecutionEngine`: task
-  graph, task index, event bus, metrics, coordinators and scheduler, with
-  workflow-namespaced task ids so the shared replica store's pins,
-  sole-replica licenses and per-ticket volume accounting never alias
-  between tenants.
+:class:`WorkflowManager` holds the tenants of a
+:class:`~repro.serving.federation.Federation` — the shared substrate of
+Fig. 1, built once — their arbitration and the only run loop in the package.
+Each tenant is a :class:`WorkflowHandle` around an
+:class:`~repro.engine.core.ExecutionEngine` (task graph, task index, event
+bus, metrics, coordinators and scheduler), with workflow-namespaced task ids
+so the shared replica store's pins, sole-replica licenses and per-ticket
+volume accounting never alias between tenants.
 
 The paper's single-workflow client (:class:`~repro.core.client.UniFaaSClient`)
 is this manager with one tenant, namespace ``""`` and no arbitration: the
@@ -29,34 +23,23 @@ a round costs follows what moved since the last one, not how many workflows
 are active: :meth:`WorkflowManager.run` states the contract.  Workflow
 arrivals may be staggered: an arrival is scheduled on the simulation kernel
 (the same mechanism the dynamics layer uses), the workflow's DAG is built
-when its arrival comes due.  An endpoint-dynamics event on the control bus
-is met once by the shared substrate (monitor re-sync, plan invalidation and
-re-solve, elastic scaling, replica quarantine), then forwarded to every
-tenant bus for the tenants' own reactions.
+when its arrival comes due.  An endpoint-dynamics event on the federation's
+control bus is met once by the substrate (:meth:`Federation.react
+<repro.serving.federation.Federation.react>`), then relayed to every tenant
+bus, in arrival order, for the tenants' own reactions.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from math import isfinite
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
-from repro.core.config import Config
 from repro.core.dag import TaskState
 from repro.core.exceptions import SchedulingError
 from repro.core.functions import FederatedFunction, set_current_client
 from repro.data.manager import task_namespace
-from repro.data.transfer import LocalCopyTransferBackend, TransferBackend
-from repro.dataplane import DataPlane
-from repro.elastic.scaling import (
-    DefaultScalingStrategy,
-    EndpointView,
-    NoScalingStrategy,
-    ScalingStrategy,
-)
-from repro.engine.bus import EventBus
 from repro.engine.core import ExecutionEngine
 from repro.engine.events import (
     ColdStartWindow,
@@ -67,20 +50,14 @@ from repro.engine.events import (
     StatusStalenessChanged,
     WorkerChurn,
 )
-from repro.engine.periodic import EARLY
-from repro.faas.fabric import ExecutionFabric
 from repro.metrics.collector import MetricsCollector, WorkflowSummary, percentile
-from repro.monitor.endpoint_monitor import EndpointMonitor
-from repro.monitor.store import HistoryStore
-from repro.monitor.task_monitor import TaskMonitor
-from repro.profiling.execution import ExecutionProfiler
-from repro.profiling.transfer import TransferProfiler
 from repro.sched.base import Scheduler
 from repro.serving.arbitration import (
     ArbitrationPolicy,
     TenantShare,
     create_arbitration,
 )
+from repro.serving.federation import Federation
 
 __all__ = [
     "ENGINE_ATTRS",
@@ -113,7 +90,7 @@ ENGINE_ATTRS = frozenset(
     }
 )
 
-#: Dynamics event types the manager's control bus forwards to tenant buses.
+#: Dynamics event types the run loop relays from the control bus to tenant buses.
 _DYNAMICS_EVENTS = (
     EndpointCrashed,
     EndpointRejoined,
@@ -123,12 +100,6 @@ _DYNAMICS_EVENTS = (
     NetworkRestored,
     StatusStalenessChanged,
 )
-
-#: The dynamics events that change endpoint capacity.
-_CAPACITY_EVENTS = (EndpointCrashed, EndpointRejoined, WorkerChurn)
-
-#: Task states that count as scaling pressure.
-_PENDING_STATES = (TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
 
 # Per-tenant reads the run loop gathers over a list of handles without a
 # Python-level call per tenant.
@@ -200,8 +171,6 @@ class WorkflowHandle:
         self.paused = False
         self.cancelled = False
         self.retired = False
-        #: In the manager's active set (started, unfinished, unpaused).
-        self.active = False
         #: Attributed transfer volume, frozen at retirement (the shared data
         #: manager's per-namespace entry is released then).
         self._attributed_mb: Optional[float] = None
@@ -256,7 +225,7 @@ class WorkflowHandle:
         if self._attributed_mb is not None:
             return self.engine.metrics.summary(self._attributed_mb)
         return self.engine.metrics.summary(
-            self._manager.data_manager.volume_by_namespace_mb.get(self.workflow_id, 0.0)
+            self.engine.data_manager.volume_by_namespace_mb.get(self.workflow_id, 0.0)
         )
 
 
@@ -293,39 +262,6 @@ class ServingSummary:
         }
 
 
-def _build_data_manager(config: Config, backend: TransferBackend, clock) -> DataPlane:
-    """The data plane ``config`` asks for; with the plane disabled it runs the
-    paper's published §IV-E policy (no budget, FIFO links, no prefetch)."""
-    default_storage = (
-        config.storage_capacity_gb * 1024.0
-        if config.storage_capacity_gb is not None
-        else None
-    )
-    return DataPlane(
-        backend,
-        clock,
-        mechanism=config.transfer_mechanism,
-        max_concurrent_transfers=config.max_concurrent_transfers,
-        max_retries=config.max_transfer_retries,
-        storage_budget_mb=config.storage_budget_mb(),
-        default_storage_mb=default_storage,
-        eviction_policy=config.eviction_policy,
-        published=not config.enable_dataplane,
-    )
-
-
-def _build_scaling_strategy(config: Config) -> ScalingStrategy:
-    """The elasticity strategy ``config`` asks for (§IV-H)."""
-    if not config.enable_scaling:
-        return NoScalingStrategy()
-    caps = {
-        spec.endpoint: spec.max_workers
-        for spec in config.executors
-        if spec.max_workers is not None
-    }
-    return DefaultScalingStrategy(caps=caps)
-
-
 class WorkflowManager:
     """Run N concurrent workflows over one shared federation."""
 
@@ -335,26 +271,15 @@ class WorkflowManager:
     #: legitimately wait, but a federation that makes no progress for this
     #: many rounds can never recover — raise instead of spinning forever.
     stall_hard_rounds: int = 1000
-    #: Simulated seconds between two scaling-strategy passes of the run loop.
-    scaling_check_interval_s: float = 10.0
 
     def __init__(
         self,
-        config: Config,
-        fabric: ExecutionFabric,
+        federation: Federation,
         *,
-        transfer_backend: Optional[TransferBackend] = None,
         arbitration: Union[str, ArbitrationPolicy, None] = "fair_share",
-        scaling_strategy: Optional[ScalingStrategy] = None,
-        history_store: Optional[HistoryStore] = None,
-        profiler_sample_window: Optional[int] = None,
     ) -> None:
-        self.config = config
-        self.fabric = fabric
-        self.clock = fabric.clock
-        #: Control bus: the dynamics injector publishes here; the manager
-        #: reacts once, then forwards to every tenant bus.
-        self.bus = EventBus()
+        #: The shared substrate every tenant engine is built on.
+        self.federation = federation
         #: Cross-workflow arbitration; ``None`` (the single-workflow client)
         #: hands the one tenant the whole federation — no capacity slice, no
         #: dispatch budget.
@@ -364,59 +289,12 @@ class WorkflowManager:
             else create_arbitration(arbitration)
         )
 
-        # Shared substrate: one of each, federation-wide, built only here.
-        # History is kept only where someone can read it back: a store the
-        # caller handed over, or the configured file ("" keeps none).
-        store = history_store
-        if store is None and config.history_db_path:
-            store = HistoryStore(config.history_db_path)
-        self.task_monitor = TaskMonitor(store)
-        #: A file-backed history is committed once per delivered record batch
-        #: (another connection can read it mid-run; a crash loses one round at
-        #: most).  A ``:memory:`` store has no other reader and never commits.
-        self._history_on_disk = store is not None and store.path != ":memory:"
-        self.endpoint_monitor = EndpointMonitor(
-            lambda name: fabric.endpoint_status(name),
-            self.clock,
-            sync_interval_s=config.endpoint_sync_interval_s,
-            mocking_enabled=config.enable_endpoint_mocking,
-        )
-        # Profilers, warm-started from history when available.
-        self.execution_profiler = ExecutionProfiler(
-            store if store is not None and store.task_count() else None,
-            max_samples_retained=profiler_sample_window,
-        )
-        self.transfer_profiler = TransferProfiler(
-            store if store is not None and store.transfer_count() else None
-        )
-        self.task_monitor.add_task_listener(self.execution_profiler.observe)
-        backend = transfer_backend or LocalCopyTransferBackend(clock=self.clock)
-        self.data_manager = _build_data_manager(config, backend, self.clock)
-        self.data_manager.add_transfer_callback(self._on_transfer_result)
-
-        # Elasticity is a federation-level concern: one strategy, fed the
-        # aggregate pending pressure of every workflow.
-        self.scaling_strategy = scaling_strategy or _build_scaling_strategy(config)
-
-        # Global placement (capacitated facility location) is federation-
-        # level too: one service, every engine attached, so demand and hot
-        # datasets are planned across tenants and one RNG stream drives every
-        # solve.  ``None`` (the config disables the plan) = greedy layers.
-        self.plan_service = None
-        if config.enable_placement_plan:
-            from repro.placement.service import PlacementService
-
-            self.plan_service = PlacementService(config)
-            if hasattr(self.scaling_strategy, "plan_provider"):
-                self.scaling_strategy.plan_provider = self.plan_service.current_plan
-            self.data_manager.set_plan_provider(self.plan_service.current_plan)
-
         # Dynamics reach the shared substrate once, then every tenant bus
         # (:meth:`_forward_dynamics`).  Every subscription is recorded so
         # :meth:`shutdown` can release it.
         self._subscriptions: List = []
         for event_type in _DYNAMICS_EVENTS:
-            self.bus.subscribe(event_type, self._forward_dynamics)
+            federation.bus.subscribe(event_type, self._forward_dynamics)
             self._subscriptions.append((event_type, self._forward_dynamics))
 
         self._workflows: Dict[str, WorkflowHandle] = {}
@@ -461,10 +339,6 @@ class WorkflowManager:
         #: Earliest clock time any active tenant's periodic duty, or the
         #: federation's profiler refit, can fire.
         self._cadence_at = float("-inf")
-        # When the shared profilers were last refit (one federation cadence,
-        # however many tenants are active) and when the next refit can come
-        # due: ``_last_refit`` / ``_refit_at``.
-        self._start_refit_interval(0.0)
         #: The active set changed, or a dispatch grant went unconsumed, since
         #: the last pump: the next round must pump.
         self._dirty = False
@@ -473,7 +347,6 @@ class WorkflowManager:
         self._control_settled = 0
         self._arrival_handles: Dict[str, object] = {}
         self._shut_down = False
-        self._last_scaling_check = 0.0
         self._started_at: Optional[float] = None
         self._finished_at: Optional[float] = None
         #: Streaming hooks.  ``completion_hold`` keeps :meth:`run` alive while
@@ -522,7 +395,7 @@ class WorkflowManager:
         if "/" in workflow_id:
             raise ValueError("workflow ids must not contain '/' (the namespace separator)")
         engine = ExecutionEngine(
-            self, scheduler=scheduler, metrics=metrics, namespace=workflow_id
+            self.federation, scheduler=scheduler, metrics=metrics, namespace=workflow_id
         )
         engine.metrics.tenant = owner or workflow_id
         handle = WorkflowHandle(
@@ -543,8 +416,8 @@ class WorkflowManager:
         # Deterministic tenant order regardless of registration interleaving.
         self._ordered = sorted(self._workflows.values(), key=_ARRIVAL_ORDER)
         self._membership_changed()
-        kernel = getattr(self.fabric, "kernel", None)
-        if kernel is not None and arrival_s > self.clock.now:
+        kernel = getattr(self.federation.fabric, "kernel", None)
+        if kernel is not None and arrival_s > self.federation.clock.now:
             # A real (non-daemon) kernel event, like the dynamics layer's
             # timeline: the simulation advances to the arrival even when the
             # already-running workflows drain first.  The handle is kept so
@@ -614,9 +487,12 @@ class WorkflowManager:
         """
         if not self._workflows and self.completion_hold is None:
             return
-        for name in self.fabric.endpoint_names():
-            if name not in self.endpoint_monitor.endpoint_names():
-                self.endpoint_monitor.register(name)
+        federation = self.federation
+        fabric, clock = federation.fabric, federation.clock
+        monitor = federation.endpoint_monitor
+        for name in fabric.endpoint_names():
+            if name not in monitor.endpoint_names():
+                monitor.register(name)
         for handle in self._ordered:
             if handle.finished and not handle.cancelled and handle.engine.graph.unfinished_count():
                 # Composed further since an earlier run() finished it.
@@ -625,7 +501,7 @@ class WorkflowManager:
                 handle.engine.start()
                 self._membership_changed()
         if self._started_at is None:
-            self._started_at = self.clock.now
+            self._started_at = clock.now
         wall_start = _time.monotonic()
         stall_rounds = 0
         try:
@@ -640,30 +516,28 @@ class WorkflowManager:
                         f"run exceeded the wall-time budget of {max_wall_time_s} s"
                     )
                 activated = self._unstarted > 0 and self._activate_due()
-                records = self.fabric.process()
+                records = fabric.process()
                 if records:
                     self._deliver(records)
-                    if self._history_on_disk:
-                        self.task_monitor.store.flush()
+                    if federation.history_on_disk:
+                        federation.task_monitor.store.flush()
                 active = self._active
-                now = self.clock.now
-                control = self.bus.published_count != self._control_settled
+                now = clock.now
+                control = federation.bus.published_count != self._control_settled
                 if active and (control or now >= self._cadence_at):
-                    if now - self._last_refit >= self.config.profiler_update_interval_s:
-                        self._start_refit_interval(now)
-                        self.execution_profiler.update_models()
-                        self.transfer_profiler.update_models()
+                    if now - federation.last_refit >= federation.config.profiler_update_interval_s:
+                        federation.refit(now)
                     for handle in active:
                         periodic = handle.engine.periodic
                         if control or now >= periodic.due_at:
                             periodic.check()
-                    self._cadence_at = min(min(map(_PERIODIC_DUE_AT, active)), self._refit_at)
-                if now - self._last_scaling_check >= self.scaling_check_interval_s:
-                    self._last_scaling_check = now
-                    self.scale_now()
+                    self._cadence_at = min(min(map(_PERIODIC_DUE_AT, active)), federation.refit_at)
+                if now - federation.last_scaling_check >= federation.scaling_check_interval_s:
+                    federation.last_scaling_check = now
+                    federation.scale_now()
                 due = bool(records) or self._dirty or control or bool(self._due)
                 progressed = due and self._pump(active)
-                if activated or records or progressed or self.fabric.pending_work():
+                if activated or records or progressed or fabric.pending_work():
                     stall_rounds = 0
                     continue
                 stall_rounds += 1
@@ -675,7 +549,10 @@ class WorkflowManager:
                         f"run stalled: no progress for {stall_rounds} rounds; "
                         f"task states: {counts}"
                     )
-                if stall_rounds > self.stall_soft_rounds and self.config.enable_delay_mechanism:
+                if (
+                    stall_rounds > self.stall_soft_rounds
+                    and federation.config.enable_delay_mechanism
+                ):
                     # Delay-mechanism deadlock on an empty pool: force the staged
                     # queue heads out, in arrival order.  (Without the mechanism
                     # the dispatch gate is open and the next pump retries.)
@@ -685,10 +562,10 @@ class WorkflowManager:
         finally:
             # However the loop ends (stall, wall-time budget, a builder's
             # exception, Ctrl-C), the rows observed so far stay.
-            if self.task_monitor.store is not None:
-                self.task_monitor.store.flush()
-        self._finished_at = self.clock.now
-        self.fabric.flush()
+            if federation.task_monitor.store is not None:
+                federation.task_monitor.store.flush()
+        self._finished_at = clock.now
+        fabric.flush()
 
     # ------------------------------------------------------------- teardown
     def shutdown(self) -> None:
@@ -707,7 +584,7 @@ class WorkflowManager:
             event_handle.cancel()
         self._arrival_handles.clear()
         for event_type, handler in self._subscriptions:
-            self.bus.unsubscribe(event_type, handler)
+            self.federation.bus.unsubscribe(event_type, handler)
         self._subscriptions.clear()
 
     # ------------------------------------------------------------- internals
@@ -719,15 +596,15 @@ class WorkflowManager:
         staying = set(active)
         for handle in self._active:
             if handle not in staying:
-                handle.active = False
+                handle.engine.active = False
                 handle.engine.graph.store.share_pending(None)
                 del self._demand_size[handle.workflow_id]
                 del self._demand[handle.workflow_id]
                 del self._staged[handle.workflow_id]
                 self._due.discard(handle)
         for handle in active:
-            if not handle.active:
-                handle.active = True
+            if not handle.engine.active:
+                handle.engine.active = True
                 handle.engine.graph.store.share_pending(self._claims)
                 # Demand is read at the tenant's first visit, which is next.
                 self._demand_size[handle.workflow_id] = 0
@@ -740,14 +617,6 @@ class WorkflowManager:
         self._cadence_at = float("-inf")
         self._dirty = True
 
-    def _start_refit_interval(self, now: float) -> None:
-        """The shared profilers were refit at ``now``.  ``_refit_at`` is when
-        the interval ends, set early like a tenant's ``due_at`` (see
-        :data:`~repro.engine.periodic.EARLY`)."""
-        self._last_refit = now
-        due = now + self.config.profiler_update_interval_s
-        self._refit_at = due - EARLY * max(1.0, abs(due)) if isfinite(due) else due
-
     def _activate(self, handle: WorkflowHandle) -> None:
         if handle.started or handle.cancelled or self._shut_down:
             return
@@ -757,7 +626,7 @@ class WorkflowManager:
             handle.builder(handle)
         if len(handle.engine.graph) == 0:
             # An empty workflow is trivially complete.
-            handle.engine.metrics.workflow_started(self.clock.now)
+            handle.engine.metrics.workflow_started(self.federation.clock.now)
             self._finish(handle)
             return
         handle.engine.start()
@@ -765,7 +634,7 @@ class WorkflowManager:
 
     def _activate_due(self) -> bool:
         activated = False
-        now = self.clock.now
+        now = self.federation.clock.now
         for handle in self._ordered:
             if not handle.started and not handle.cancelled and handle.arrival_s <= now:
                 self._activate(handle)
@@ -812,9 +681,10 @@ class WorkflowManager:
         Open-loop serving admits workflows forever; without retirement every
         completed tenant keeps its task graph, columnar store, event bus,
         scheduler and staging records alive and the run is O(all-time tasks)
-        in memory.  Retiring drops the manager's references and releases the
-        tenant's namespace on the shared data manager (its tickets, pins and
-        staged callback) — after which the tenant's whole engine is garbage.
+        in memory.  Retiring drops the manager's references, takes the engine
+        off ``federation.engines`` and releases the tenant's namespace on the
+        shared data manager (its tickets, pins and staged callback) — after
+        which the tenant's whole engine is garbage.
         The handle itself stays valid (its summary is frozen) but is no
         longer known to the manager.
 
@@ -837,11 +707,11 @@ class WorkflowManager:
                 f"workflow {wid!r} still has {in_flight} task(s) on the fabric; "
                 "retire it once their records have come back"
             )
-        handle._attributed_mb = self.data_manager.volume_by_namespace_mb.get(wid, 0.0)
+        federation = self.federation
+        handle._attributed_mb = federation.data_manager.volume_by_namespace_mb.get(wid, 0.0)
         handle.retired = True
-        self.data_manager.release_namespace(wid)
-        if self.plan_service is not None:
-            self.plan_service.detach(handle.engine)
+        federation.data_manager.release_namespace(wid)
+        federation.engines.remove(handle.engine)
         if self._workflows.get(wid) is handle:
             del self._workflows[wid]
         self._ordered = [h for h in self._ordered if h is not handle]
@@ -852,7 +722,7 @@ class WorkflowManager:
 
     def _free_capacity(self) -> Dict[str, int]:
         """Mocked free workers per endpoint (shared: read, never written)."""
-        monitor = self.endpoint_monitor
+        monitor = self.federation.endpoint_monitor
         if monitor.state_version != self._free_version or not monitor.mocking_enabled:
             free = monitor.free_capacities()
             if free.keys() != self._free.keys():
@@ -875,7 +745,7 @@ class WorkflowManager:
         that changed, a dispatch budget that is not empty.
         """
         self._dirty = False
-        self._control_settled = self.bus.published_count
+        self._control_settled = self.federation.bus.published_count
         progressed = False
 
         # Workflow growth first (authoring runtimes reacting to terminal
@@ -887,7 +757,7 @@ class WorkflowManager:
         # reach the growth hooks) makes it due again next round.
         visited: List[WorkflowHandle] = []
         for handle in sorted(self._due, key=_ARRIVAL_ORDER):
-            if handle.active:
+            if handle.engine.active:
                 progressed |= handle.engine.drain_growth()
                 visited.append(handle)
             self._due.discard(handle)
@@ -904,7 +774,7 @@ class WorkflowManager:
                     progressed |= handle.engine.dispatch.dispatch_staged()
         else:
             progressed |= self._pump_arbitrated(active, visited, self.policy)
-        self.fabric.flush()
+        self.federation.fabric.flush()
 
         for handle in visited:
             engine = handle.engine
@@ -1005,74 +875,12 @@ class WorkflowManager:
                 progressed |= dispatched
         return progressed
 
-    def scale_now(self) -> None:
-        """Let the elasticity strategy request workers (§IV-H).
-
-        Runs on the run loop's cadence, and once per endpoint-dynamics event
-        that changes capacity (:meth:`_forward_dynamics`).
-        """
-        pending = 0
-        for handle in self._active:
-            graph = handle.engine.graph
-            pending += handle.engine.index.queued_count
-            pending += sum(graph.state_count(state) for state in _PENDING_STATES)
-        views = {}
-        for name in self.fabric.endpoint_names():
-            mock = self.endpoint_monitor.mock(name)
-            views[name] = EndpointView(
-                name=name,
-                active_workers=mock.active_workers,
-                idle_workers=mock.idle_workers,
-                outstanding_tasks=mock.outstanding_tasks,
-                max_workers=mock.max_workers,
-            )
-        decision = self.scaling_strategy.decide(pending, views)
-        for name, workers in decision.workers_to_request.items():
-            if workers > 0:
-                self.fabric.request_workers(name, workers)
-
     def _forward_dynamics(self, event) -> None:
-        """React to a control-bus dynamics event, then relay it to every tenant.
-
-        A crash, rejoin or churn changes the shared substrate, which reacts
-        here once, however many tenants there are: the service notices the
-        connection change at once (heartbeat), so the monitor force-syncs
-        against it; the plan is invalidated (a crash excludes the endpoint
-        from future solves, a rejoin re-admits it, churn only forces a
-        re-solve); once some tenant has started, the plan is re-solved and
-        the elastic scaler runs, in that order so the scaler already steers
-        by the post-event plan; last, the data plane quarantines or
-        re-admits the endpoint's replicas.  Each tenant bus then carries the
-        event to that tenant's own reactions (its failure coordinator's
-        re-placement, its re-scheduling pass).
-        """
-        if isinstance(event, _CAPACITY_EVENTS):
-            self.endpoint_monitor.synchronize(force=True)
-            plans = self.plan_service
-            if plans is not None:
-                if isinstance(event, EndpointCrashed):
-                    plans.mark_offline(event.endpoint)
-                elif isinstance(event, EndpointRejoined):
-                    plans.mark_online(event.endpoint)
-                else:
-                    plans.bump()
-            if any(handle.engine.context is not None for handle in self._ordered):
-                if plans is not None:
-                    plans.maybe_resolve(self.clock.now)
-                self.scale_now()
-            if isinstance(event, EndpointCrashed):
-                self.data_manager.on_endpoint_crashed(event.endpoint)
-            elif isinstance(event, EndpointRejoined):
-                self.data_manager.on_endpoint_rejoined(event.endpoint)
+        """The substrate reacts once, then every tenant bus, in arrival
+        order, carries the event to that tenant's own reactions."""
+        self.federation.react(event)
         for handle in self._ordered:
             handle.engine.bus.publish(event)
-
-    def _on_transfer_result(self, result, concurrency: int) -> None:
-        # The monitor only writes transfers to a history store: without one
-        # (the default) the call would do nothing.
-        if self.task_monitor.store is not None:
-            self.task_monitor.observe_transfer(result, concurrency)
-        self.transfer_profiler.observe(result, concurrency)
 
     # --------------------------------------------------------------- report
     def summary(self) -> ServingSummary:
@@ -1080,14 +888,14 @@ class WorkflowManager:
         workflows = {h.workflow_id: h.summary() for h in self._ordered}
         mean_waits = [s.wait_time_mean_s for s in workflows.values()]
         start = self._started_at or 0.0
-        finish = self._finished_at if self._finished_at is not None else self.clock.now
+        finish = self._finished_at if self._finished_at is not None else self.federation.clock.now
         return ServingSummary(
             policy=self.policy.name if self.policy is not None else "none",
             makespan_s=max(0.0, finish - start),
             total_tasks=sum(s.total_tasks for s in workflows.values()),
             completed_tasks=sum(s.completed_tasks for s in workflows.values()),
             failed_tasks=sum(s.failed_tasks for s in workflows.values()),
-            total_transferred_mb=self.data_manager.total_transferred_mb,
+            total_transferred_mb=self.federation.data_manager.total_transferred_mb,
             jain_fairness=jain_index(mean_waits),
             wait_time_p95_s=percentile(mean_waits, 0.95),
             workflows=workflows,

@@ -47,7 +47,8 @@ class StreamingService:
         on_admit: Optional[Callable[[WorkflowHandle], None]] = None,
         on_retire: Optional[Callable[[WorkflowHandle], None]] = None,
     ) -> None:
-        kernel = getattr(manager.fabric, "kernel", None)
+        federation = manager.federation
+        kernel = getattr(federation.fabric, "kernel", None)
         if kernel is None:
             raise ValueError("streaming serving needs a simulated fabric (kernel)")
         self.manager = manager
@@ -59,7 +60,7 @@ class StreamingService:
         # arbitration policies' fairness properties.  The plan is scoped to
         # closed-loop managers by construction: streaming serving takes one
         # built from a config with the plan off.
-        if manager.plan_service is not None:
+        if federation.plan_service is not None:
             raise ValueError(
                 "streaming serving needs a manager built without the placement "
                 "plan (Config.enable_placement_plan=False)"
@@ -71,7 +72,7 @@ class StreamingService:
         self.on_retire = on_retire
 
         self.metrics = SteadyStateMetrics(
-            spec.window_s, seed=manager.config.random_seed
+            spec.window_s, seed=federation.config.random_seed
         )
         self.arrivals = ArrivalProcess(kernel, arrivals_rng, spec, self._on_arrival)
         self.admission = AdmissionController(

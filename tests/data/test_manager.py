@@ -127,6 +127,28 @@ class TestStaging:
         assert f.available_at("b")
 
 
+class TestStagingPins:
+    def test_a_tasks_first_stage_releases_nothing(self, monkeypatch):
+        # Only staging pins, so a task with no earlier ticket holds none.
+        _, _, manager = build_manager()
+        released = []
+        monkeypatch.setattr(manager.store, "release_task", released.append)
+        manager.stage("t1", [file_at("x", 10.0, "a")], "b")
+        manager.stage("t2", [file_at("y", 10.0, "a")], "b")
+        assert released == []
+
+    def test_a_restage_drops_the_previous_tickets_pins(self):
+        kernel, _, manager = build_manager()
+        x, y = file_at("x", 10.0, "a"), file_at("y", 10.0, "a")
+        manager.stage("t1", [x], "b")
+        kernel.run()
+        assert manager.store.replica(x.file_id, "b").pinned_by == {"t1"}
+        manager.stage("t1", [y], "c")
+        kernel.run()
+        assert manager.store.replica(x.file_id, "b").pinned_by == set()
+        assert manager.store.replica(y.file_id, "c").pinned_by == {"t1"}
+
+
 class TestConcurrencyLimit:
     def test_transfers_respect_concurrency_limit(self):
         kernel, net, manager = build_manager(max_concurrent=2)

@@ -69,8 +69,8 @@ def submit_gated_pipeline(client, src, dst, units=4):
 class TestEndToEndOverlap:
     def test_prefetch_hides_staging_behind_the_gate(self):
         env, client = build_env()
-        env.seed_full_knowledge(client)
-        env.seed_execution_knowledge(client, [PRODUCE, GATE, CONSUME])
+        env.seed_full_knowledge(client.federation)
+        env.seed_execution_knowledge(client.federation, [PRODUCE, GATE, CONSUME])
         submit_gated_pipeline(client, "site_a", "site_b")
         client.run()
         plane = client.data_manager
@@ -93,16 +93,16 @@ class TestEndToEndOverlap:
 
     def test_prefetch_beats_fifo_on_the_gated_pipeline(self):
         env, client = build_env()
-        env.seed_full_knowledge(client)
-        env.seed_execution_knowledge(client, [PRODUCE, GATE, CONSUME])
+        env.seed_full_knowledge(client.federation)
+        env.seed_execution_knowledge(client.federation, [PRODUCE, GATE, CONSUME])
         submit_gated_pipeline(client, "site_a", "site_b", units=6)
         client.run()
         plane_makespan = client.summary().makespan_s
 
         set_current_client(None)
         env, client = build_env(enable_dataplane=False)
-        env.seed_full_knowledge(client)
-        env.seed_execution_knowledge(client, [PRODUCE, GATE, CONSUME])
+        env.seed_full_knowledge(client.federation)
+        env.seed_execution_knowledge(client.federation, [PRODUCE, GATE, CONSUME])
         submit_gated_pipeline(client, "site_a", "site_b", units=6)
         client.run()
         fifo_makespan = client.summary().makespan_s
@@ -177,8 +177,8 @@ class TestVirtualClaims:
         heavy = TaskTypeSpec(name="pf_heavy", duration_s=5.0, output_mb=0.0)
         small_out = TaskTypeSpec(name="pf_small_produce", duration_s=0.2, output_mb=20.0)
         env, client = build_env(names=("site_a", "site_b", "site_c"))
-        env.seed_full_knowledge(client)
-        env.seed_execution_knowledge(client, [small_out, GATE, heavy])
+        env.seed_full_knowledge(client.federation)
+        env.seed_execution_knowledge(client.federation, [small_out, GATE, heavy])
         produce = make_task_type(small_out)
         gate_fn = make_task_type(GATE)
         consume = make_task_type(heavy)

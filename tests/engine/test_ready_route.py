@@ -95,7 +95,7 @@ def test_every_ready_task_waits_ready_and_is_placed_once_by_its_route():
 
     failed_attempts = []
     engine.bus.subscribe(TaskCompleted, failed_attempts.append)
-    injector = DynamicsInjector(env, client.manager)
+    injector = DynamicsInjector(env, client.federation)
     injector.install([
         TimelineEvent(at_s=3.0, action="crash", endpoint="site_b"),
         TimelineEvent(at_s=9.0, action="rejoin", endpoint="site_b", value=8),

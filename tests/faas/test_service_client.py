@@ -1,10 +1,9 @@
-"""Tests for the federated FaaS service facade and the FaaS client."""
+"""Tests for the federated FaaS service facade and the fabric's batching."""
 
 import numpy as np
 import pytest
 
 from repro.core.exceptions import EndpointError
-from repro.faas.client import FaaSClient
 from repro.faas.endpoint import SimulatedEndpoint
 from repro.faas.fabric import SimulatedFabric
 from repro.faas.service import FederatedFaaSService
@@ -174,68 +173,74 @@ class TestStatusStaleness:
         assert service.endpoint_status("ep1").busy_workers == 0
         assert service.endpoint_status("ep1", force_refresh=True).busy_workers == 1
 
-    def test_all_statuses(self):
+
+class TestBatchedSubmission:
+    """The simulated fabric holds requests per endpoint and sends a batch as
+    one service round-trip."""
+
+    def make(self, batch_size, names=("ep1",), workers=4):
         kernel = SimulationKernel()
         service = make_service(kernel)
-        add_endpoint(service, kernel, name="a")
-        add_endpoint(service, kernel, name="b")
-        statuses = service.all_statuses()
-        assert set(statuses) == {"a", "b"}
+        for name in names:
+            add_endpoint(service, kernel, name=name, workers=workers)
+        calls = []
+        submit, submit_batch = service.submit, service.submit_batch
+        service.submit = lambda name, request: (
+            calls.append(("submit", name, [request.task_id])), submit(name, request)
+        )
+        service.submit_batch = lambda name, requests: (
+            calls.append(("submit_batch", name, [r.task_id for r in requests])),
+            submit_batch(name, requests),
+        )
+        return kernel, SimulatedFabric(kernel, service, batch_size=batch_size), calls
 
-
-class TestFaaSClient:
-    def test_batching_reduces_submit_calls(self):
-        kernel = SimulationKernel()
-        service = make_service(kernel)
-        add_endpoint(service, kernel, workers=16)
-        client = FaaSClient(service, batch_size=4)
-        results = collect(service)
+    def test_a_full_batch_is_one_submit_batch(self):
+        kernel, fabric, calls = self.make(batch_size=4, workers=16)
         for i in range(8):
-            client.submit("ep1", make_request(task_id=f"t{i}", duration=1.0))
-        assert client.submit_calls == 2
-        assert client.queued_requests == 0
-        kernel.run()
-        assert len(results) == 8
+            fabric.submit("ep1", make_request(task_id=f"t{i}", duration=1.0))
+        assert calls == [
+            ("submit_batch", "ep1", ["t0", "t1", "t2", "t3"]),
+            ("submit_batch", "ep1", ["t4", "t5", "t6", "t7"]),
+        ]
+        records = []
+        while fabric.pending_work():
+            records.extend(fabric.process())
+        assert len(records) == 8
 
-    def test_flush_sends_partial_batches(self):
-        kernel = SimulationKernel()
-        service = make_service(kernel)
-        add_endpoint(service, kernel)
-        client = FaaSClient(service, batch_size=100)
-        results = collect(service)
-        client.submit("ep1", make_request(duration=1.0))
-        assert client.queued_requests == 1
-        client.flush()
-        assert client.queued_requests == 0
-        kernel.run()
-        assert len(results) == 1
+    def test_a_flushed_single_request_goes_through_submit(self):
+        kernel, fabric, calls = self.make(batch_size=100)
+        fabric.submit("ep1", make_request(duration=1.0))
+        assert calls == []
+        fabric.flush()
+        assert calls == [("submit", "ep1", ["t1"])]
+        records = []
+        while fabric.pending_work():
+            records.extend(fabric.process())
+        assert len(records) == 1
+
+    def test_pending_work_sees_a_queued_batch(self):
+        kernel, fabric, calls = self.make(batch_size=100)
+        assert not fabric.pending_work()
+        fabric.submit("ep1", make_request(duration=1.0))
+        fabric._outstanding = 0  # only the queued batch is left to report
+        assert calls == [] and kernel.pending_events == 0
+        assert fabric.pending_work()
 
     def test_batches_kept_per_endpoint(self):
-        kernel = SimulationKernel()
-        service = make_service(kernel)
-        add_endpoint(service, kernel, name="a")
-        add_endpoint(service, kernel, name="b")
-        client = FaaSClient(service, batch_size=2)
-        client.submit("a", make_request(task_id="t1", duration=1.0))
-        client.submit("b", make_request(task_id="t2", duration=1.0))
-        assert client.queued_requests == 2
-        client.submit("a", make_request(task_id="t3", duration=1.0))
-        assert client.queued_requests == 1  # endpoint a flushed
+        kernel, fabric, calls = self.make(batch_size=2, names=("a", "b"))
+        fabric.submit("a", make_request(task_id="t1", duration=1.0))
+        fabric.submit("b", make_request(task_id="t2", duration=1.0))
+        assert calls == []
+        fabric.submit("a", make_request(task_id="t3", duration=1.0))
+        assert calls == [("submit_batch", "a", ["t1", "t3"])]  # a flushed, b still held
+        fabric.flush()
+        assert calls == [("submit_batch", "a", ["t1", "t3"]), ("submit", "b", ["t2"])]
 
     def test_invalid_batch_size(self):
         kernel = SimulationKernel()
         service = make_service(kernel)
         with pytest.raises(ValueError):
-            FaaSClient(service, batch_size=0)
-
-    def test_status_passthrough(self):
-        kernel = SimulationKernel()
-        service = make_service(kernel)
-        add_endpoint(service, kernel)
-        client = FaaSClient(service)
-        assert client.endpoint_names() == ["ep1"]
-        assert client.endpoint_status("ep1").endpoint == "ep1"
-        assert set(client.all_statuses()) == {"ep1"}
+            SimulatedFabric(kernel, service, batch_size=0)
 
 
 class TestLatencyModelValidation:

@@ -72,7 +72,7 @@ class TestBasicExecution:
     def test_input_files_are_staged_to_execution_site(self):
         env = build_two_site_env()
         client = env.make_client(env.make_config("DHA"))
-        env.seed_full_knowledge(client)
+        env.seed_full_knowledge(client.federation)
         big_input = GlobusFile("input.dat", size_mb=500.0, location="site_b")
         with client:
             fut = stage_one(big_input)

@@ -37,7 +37,7 @@ def _client_with_pending_consumers(tasks: int = 8):
     return env, client, futures
 
 
-def test_engine_builds_and_attaches_the_service_by_default():
+def test_the_federation_builds_the_service_by_default():
     env, client, _ = _client_with_pending_consumers()
     service = client.engine.plan_service
     assert service is not None
@@ -63,7 +63,7 @@ def test_crash_bumps_generation_and_resolve_excludes_the_endpoint():
     service.resolve(env.kernel.clock.now)
     generation = service.generation
 
-    client.manager.bus.publish(
+    client.federation.bus.publish(
         EndpointCrashed(time=env.kernel.clock.now, endpoint="site_a")
     )
     assert service.generation == generation + 1
@@ -85,7 +85,7 @@ def test_rejoin_readmits_the_endpoint():
     service.mark_offline("site_a")
     generation = service.generation
 
-    client.manager.bus.publish(
+    client.federation.bus.publish(
         EndpointRejoined(time=env.kernel.clock.now, endpoint="site_a", workers=8)
     )
     assert service.generation == generation + 1
@@ -100,7 +100,7 @@ def test_churn_invalidates_without_touching_the_offline_set():
     env, client, _ = _client_with_pending_consumers()
     service = client.engine.plan_service
     generation = service.generation
-    client.manager.bus.publish(
+    client.federation.bus.publish(
         WorkerChurn(time=env.kernel.clock.now, endpoint="site_a", delta_workers=-2)
     )
     assert service.generation == generation + 1
@@ -112,13 +112,15 @@ def test_one_churn_event_forwarded_by_every_tenant_bumps_and_solves_once():
     manager = make_manager(env)
     for i in range(4):
         manager.add_workflow(f"wf{i}", builder=stress_builder(30, duration=4.0))
-    service = manager.plan_service
+    service = manager.federation.plan_service
     seen = []
 
     def churn():
         before = (service.generation, service.solve_count)
         # The control bus forwards the one event object to all four tenants.
-        manager.bus.publish(WorkerChurn(time=env.kernel.clock.now, endpoint="a", delta_workers=-1))
+        manager.federation.bus.publish(
+            WorkerChurn(time=env.kernel.clock.now, endpoint="a", delta_workers=-1)
+        )
         seen.append((before, (service.generation, service.solve_count)))
 
     env.kernel.schedule(1.0, churn)

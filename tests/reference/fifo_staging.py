@@ -10,7 +10,7 @@ paper case studies select); the hypothesis test in
 ``tests/data/test_fifo_reference.py`` and the whole runs in
 ``tests/scenarios/test_reference_runs.py`` hold it to this class.  Nothing
 under ``src/`` imports this module: tests inject it by patching
-``repro.serving.manager._build_data_manager``.
+``repro.serving.federation._build_data_manager``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import pytest
 from repro.faas.endpoint import CapacityChange, SimulatedEndpoint
 from repro.scenarios.presets import SCENARIOS, paper_spec
 from repro.scenarios.spec import EndpointSpec, _build_environment, run_scenario
-from repro.serving import WorkflowManager
+from repro.serving import Federation
 
 
 def test_the_paper_presets_are_case_study_runs():
@@ -67,7 +67,7 @@ def test_the_substrate_sets_sampling_and_the_mocking_switch_reaches_the_monitor(
     spec = dataclasses.replace(paper_spec("montage", scale=0.01), endpoint_mocking=False)
     env, config = _build_environment(spec, spec.seed)
     assert config.metrics_sample_interval_s == 20.0
-    assert not WorkflowManager(config, env.fabric).endpoint_monitor.mocking_enabled
+    assert not Federation(config, env.fabric).endpoint_monitor.mocking_enabled
     _, config = _build_environment(SCENARIOS["ci-smoke"], 0)
     assert config.metrics_sample_interval_s == 5.0 and config.enable_endpoint_mocking
 

@@ -20,7 +20,7 @@ import dataclasses
 import pytest
 
 import repro.sched
-import repro.serving.manager
+import repro.serving.federation
 from repro.dataplane.replica_store import ReplicaStore
 from repro.durability.runtime import reset_global_id_counters
 from repro.engine.bus import EventBus
@@ -111,9 +111,6 @@ class ReferenceStaging(DataManager):
         super().__init__(*args, **kwargs)
         self.store = ReplicaStore()
 
-    def release_task(self, task_id):
-        self.store.release_task(task_id)
-
     def set_plan_provider(self, provider):
         pass
 
@@ -158,6 +155,6 @@ def test_published_run_on_the_fifo_reference_writes_the_same_artifact(name, monk
         )
         return built[-1]
 
-    monkeypatch.setattr(repro.serving.manager, "_build_data_manager", build_reference)
+    monkeypatch.setattr(repro.serving.federation, "_build_data_manager", build_reference)
     assert run_scenario(spec).to_json() == product
     assert built  # the run really staged through the reference

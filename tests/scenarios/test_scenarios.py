@@ -100,12 +100,12 @@ class TestCrashRecovery:
         env = two_site_env()
         config = env.make_config("DHA", max_task_retries=1)
         client = env.make_client(config)
-        env.seed_full_knowledge(client)
+        env.seed_full_knowledge(client.federation)
         spec = TaskTypeSpec(name="steady", duration_s=20.0, output_mb=0.0)
-        env.seed_execution_knowledge(client, [spec])
+        env.seed_execution_knowledge(client.federation, [spec])
         fn = make_task_type(spec)
 
-        injector = DynamicsInjector(env, client.manager)
+        injector = DynamicsInjector(env, client.federation)
         injector.install([TimelineEvent(at_s=5.0, action="crash", endpoint="site_a")])
 
         with client:
@@ -131,12 +131,12 @@ class TestCrashRecovery:
         env = two_site_env(workers=4)
         config = env.make_config("DHA", max_task_retries=1)
         client = env.make_client(config)
-        env.seed_full_knowledge(client)
+        env.seed_full_knowledge(client.federation)
         spec = TaskTypeSpec(name="burst", duration_s=10.0, output_mb=0.0)
-        env.seed_execution_knowledge(client, [spec])
+        env.seed_execution_knowledge(client.federation, [spec])
         fn = make_task_type(spec)
 
-        injector = DynamicsInjector(env, client.manager)
+        injector = DynamicsInjector(env, client.federation)
         injector.install([TimelineEvent(at_s=2.0, action="crash", endpoint="site_a")])
 
         with client:
@@ -151,12 +151,12 @@ class TestCrashRecovery:
         env = two_site_env()
         config = env.make_config("DHA")
         client = env.make_client(config)
-        env.seed_full_knowledge(client)
+        env.seed_full_knowledge(client.federation)
         spec = TaskTypeSpec(name="wave", duration_s=8.0, output_mb=0.0)
-        env.seed_execution_knowledge(client, [spec])
+        env.seed_execution_knowledge(client.federation, [spec])
         fn = make_task_type(spec)
 
-        injector = DynamicsInjector(env, client.manager)
+        injector = DynamicsInjector(env, client.federation)
         injector.install([
             TimelineEvent(at_s=4.0, action="crash", endpoint="site_a"),
             TimelineEvent(at_s=20.0, action="rejoin", endpoint="site_a", value=8.0),
@@ -192,7 +192,7 @@ class TestFlushStarvation:
                     task_id=f"t{i}", function_name="w", sim_duration_s=5.0
                 ),
             )
-        assert fabric.faas_client.queued_requests == 5
+        assert env.service.submitted_count == 0  # all five held client-side
         env.endpoint("site_a").crash()
 
         # The engine's pump flushes every round; emulate it, then drain.
@@ -212,12 +212,12 @@ class TestFlushStarvation:
         env = two_site_env(batch_size=64)
         config = env.make_config("DHA", max_task_retries=1)
         client = env.make_client(config)
-        env.seed_full_knowledge(client)
+        env.seed_full_knowledge(client.federation)
         spec = TaskTypeSpec(name="batched", duration_s=6.0, output_mb=0.0)
-        env.seed_execution_knowledge(client, [spec])
+        env.seed_execution_knowledge(client.federation, [spec])
         fn = make_task_type(spec)
 
-        injector = DynamicsInjector(env, client.manager)
+        injector = DynamicsInjector(env, client.federation)
         injector.install([TimelineEvent(at_s=3.0, action="crash", endpoint="site_a")])
 
         with client:
@@ -272,7 +272,7 @@ class TestNetworkAndStalenessDynamics:
         env = two_site_env()
         config = env.make_config("DHA")
         client = env.make_client(config)
-        injector = DynamicsInjector(env, client.manager)
+        injector = DynamicsInjector(env, client.federation)
         injector.install([
             TimelineEvent(at_s=1.0, action="net_degrade", value=0.25, duration_s=4.0),
         ])
@@ -300,7 +300,7 @@ class TestNetworkAndStalenessDynamics:
         env = two_site_env()
         config = env.make_config("DHA")
         client = env.make_client(config)
-        injector = DynamicsInjector(env, client.manager)
+        injector = DynamicsInjector(env, client.federation)
         injector.install([
             # A long window with a shorter one nested inside it: neither the
             # long window's own restore nor the nested one may end the
@@ -329,7 +329,7 @@ class TestNetworkAndStalenessDynamics:
         env = two_site_env()
         config = env.make_config("DHA")
         client = env.make_client(config)
-        injector = DynamicsInjector(env, client.manager)
+        injector = DynamicsInjector(env, client.federation)
         injector.install([
             TimelineEvent(at_s=1.0, action="crash", endpoint="site_a"),
             # Churn on the crashed endpoint and a second crash are no-ops.
@@ -349,7 +349,7 @@ class TestNetworkAndStalenessDynamics:
         env = two_site_env()
         config = env.make_config("DHA")
         client = env.make_client(config)
-        injector = DynamicsInjector(env, client.manager)
+        injector = DynamicsInjector(env, client.federation)
         injector.install([
             TimelineEvent(at_s=1.0, action="staleness", value=500.0, duration_s=5.0),
         ])

@@ -12,7 +12,7 @@ import pytest
 
 from repro.scenarios.presets import SCENARIOS, get_scenario, scenario_names, standard_dynamics
 from repro.scenarios.spec import _build_environment, run_scenario
-from repro.serving import WorkflowManager
+from repro.serving import Federation, WorkflowManager
 
 
 class TestOneCompositionSurface:
@@ -22,7 +22,9 @@ class TestOneCompositionSurface:
     def test_every_preset_workload_builds_through_a_workflow_handle(self, name):
         spec = SCENARIOS[name]
         env, config = _build_environment(spec, spec.seed)
-        manager = WorkflowManager(config, env.fabric, transfer_backend=env.transfer_backend)
+        manager = WorkflowManager(
+            Federation(config, env.fabric, transfer_backend=env.transfer_backend)
+        )
         handle = manager.add_workflow("wf0")
         info = spec.workload.build(handle)
         assert info.task_count == len(handle.graph) > 0

@@ -81,7 +81,7 @@ def test_visits_per_task_on_a_scripted_stream(monkeypatch):
 # ------------------------------------------------- (b) aggregates == brute force
 def rebuild(manager):
     """What the ungated loop recomputed every pump, from the task objects."""
-    names = manager.endpoint_monitor.endpoint_names()
+    names = manager.federation.endpoint_monitor.endpoint_names()
     active = [h for h in manager.workflows() if h.started and not h.finished and not h.paused]
     demand, staged, terminal, undispatched = {}, {}, {}, {}
     placed = Counter()
@@ -102,7 +102,7 @@ def rebuild(manager):
         staged[wid] = dict(cores)
         terminal[wid] = done
     claims = {name: placed[name] for name in names}
-    free = {name: manager.endpoint_monitor.free_capacity(name) for name in names}
+    free = {name: manager.federation.endpoint_monitor.free_capacity(name) for name in names}
     return active, demand, staged, terminal, undispatched, claims, free
 
 
@@ -183,7 +183,7 @@ def test_incremental_aggregates_equal_a_brute_force_rebuild(policy, tenants, dyn
         ],
         "churn": [TimelineEvent(at_s=2.0, action="churn", endpoint="a", value=-5.0)],
     }[dynamics]
-    DynamicsInjector(env, manager).install(timeline)
+    DynamicsInjector(env, manager.federation).install(timeline)
     if pause:
         kernel = env.fabric.kernel
         kernel.schedule_at(2.5, handles[0].pause)
@@ -302,7 +302,7 @@ def test_undispatched_tenant_is_resliced_when_capacity_moves(monkeypatch):
     busy = manager.add_workflow("busy", builder=stress_builder(2))
     silent = manager.add_workflow("silent", builder=stress_builder(3))
     for name in env.fabric.endpoint_names():  # what run() does first
-        manager.endpoint_monitor.register(name)
+        manager.federation.endpoint_monitor.register(name)
     manager._activate_due()
     asked = []
     silent.scheduler.dispatch_allowance = lambda endpoint: asked.append(endpoint) or 0
@@ -324,8 +324,8 @@ def test_undispatched_tenant_is_resliced_when_capacity_moves(monkeypatch):
     # event is the CapacityChanged of another tenant's periodic sync.
     env.endpoint("a").apply_capacity_change(-8)
     env.service.endpoint_status("a", force_refresh=True)
-    manager.endpoint_monitor.synchronize(force=True)
-    busy.bus.publish(CapacityChanged(time=manager.clock.now))
+    manager.federation.endpoint_monitor.synchronize(force=True)
+    busy.bus.publish(CapacityChanged(time=manager.federation.clock.now))
     assert manager._due == {busy}
     manager._pump(manager._active)
 

@@ -12,7 +12,7 @@ from repro.engine.events import EndpointCrashed, EndpointRejoined
 from repro.engine.failure import FailureCoordinator
 from repro.engine.periodic import PeriodicCoordinator
 from repro.scenarios.dynamics import DynamicsInjector, TimelineEvent
-from repro.serving import WorkflowManager
+from repro.serving import Federation, WorkflowManager
 
 from tests.integration.conftest import build_two_site_env
 from tests.serving.test_run_loop import chains
@@ -56,12 +56,12 @@ def run_crash_and_rejoin(monkeypatch):
 
     env = build_two_site_env()
     manager = WorkflowManager(
-        env.make_config("DHA"), env.fabric, transfer_backend=env.transfer_backend
+        Federation(env.make_config("DHA"), env.fabric, transfer_backend=env.transfer_backend)
     )
     handles = [manager.add_workflow(f"wf{i}", builder=chains) for i in range(TENANTS)]
-    monitor, service = manager.endpoint_monitor, manager.plan_service
+    monitor, service = manager.federation.endpoint_monitor, manager.federation.plan_service
     deltas = {}
-    publish = manager.bus.publish
+    publish = manager.federation.bus.publish
 
     def observed(event):
         before = (monitor.sync_count, service.generation, service.solve_count)
@@ -73,8 +73,8 @@ def run_crash_and_rejoin(monkeypatch):
         after = (monitor.sync_count, service.generation, service.solve_count)
         deltas[type(event)] = tuple(b - a for a, b in zip(before, after))
 
-    manager.bus.publish = observed
-    DynamicsInjector(env, manager).install(
+    manager.federation.bus.publish = observed
+    DynamicsInjector(env, manager.federation).install(
         [
             TimelineEvent(at_s=1.5, action="crash", endpoint=CRASHED),
             TimelineEvent(at_s=3.0, action="rejoin", endpoint=CRASHED, value=8.0),

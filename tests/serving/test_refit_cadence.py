@@ -31,13 +31,13 @@ def refit_times(monkeypatch, name):
 
     def spy_update_models(self, force=False):
         if not force:
-            times.append(running[-1].clock.now)
+            times.append(running[-1].federation.clock.now)
         return update_models(self, force)
 
     monkeypatch.setattr(WorkflowManager, "run", spy_run)
     monkeypatch.setattr(ExecutionProfiler, "update_models", spy_update_models)
     result = run_scenario(SCENARIOS[name])
-    return result, times, running[-1].config.profiler_update_interval_s
+    return result, times, running[-1].federation.config.profiler_update_interval_s
 
 
 def test_a_stream_of_tenants_refits_once_per_interval(monkeypatch):

@@ -16,7 +16,7 @@ from repro.engine.core import ExecutionEngine
 from repro.scenarios.dynamics import DynamicsInjector, TimelineEvent
 from repro.scenarios.presets import get_scenario
 from repro.scenarios.spec import run_scenario
-from repro.serving import WorkflowManager
+from repro.serving import Federation, WorkflowManager
 
 from tests.golden.regenerate import GOLDEN_PATH, artifact_sha256
 from tests.integration.conftest import build_two_site_env
@@ -43,7 +43,8 @@ def build_federation(tenants, env, config, compose=chains):
         compose(handle)
         return client.manager, [handle]
     manager = WorkflowManager(
-        config, env.fabric, transfer_backend=env.transfer_backend, arbitration="fair_share"
+        Federation(config, env.fabric, transfer_backend=env.transfer_backend),
+        arbitration="fair_share",
     )
     handles = [
         manager.add_workflow(f"wf{i}", arrival_s=float(i), builder=compose)
@@ -124,7 +125,7 @@ class TestIdleRoundSkip:
     def _run_chains(tenants, monkeypatch, always_pump=False, mocking=True):
         env = build_two_site_env(workers_a=2, workers_b=2)
         manager, handles = build_federation(tenants, env, env.make_config("DHA"))
-        manager.endpoint_monitor.mocking_enabled = mocking
+        manager.federation.endpoint_monitor.mocking_enabled = mocking
         if always_pump:
             monkeypatch.setattr(ExecutionEngine, "pump_due", lambda self: True)
         log, rounds, pumps = [], [0], [0]
@@ -134,7 +135,7 @@ class TestIdleRoundSkip:
                     (wid, type(e).__name__, e.time, getattr(e, "endpoint", None))
                 )
             )
-        process, pump = manager.fabric.process, manager._pump
+        process, pump = manager.federation.fabric.process, manager._pump
 
         def counted_process(*args, **kwargs):
             rounds[0] += 1
@@ -144,7 +145,7 @@ class TestIdleRoundSkip:
             pumps[0] += 1
             return pump(active)
 
-        manager.fabric.process, manager._pump = counted_process, counted_pump
+        manager.federation.fabric.process, manager._pump = counted_process, counted_pump
         manager.run()
         monkeypatch.undo()
         return log, rounds[0], pumps[0]
@@ -187,14 +188,16 @@ class TestPromptScaling:
 
         env = build_two_site_env()
         manager = WorkflowManager(
-            env.make_config("DHA"),
-            env.fabric,
-            transfer_backend=env.transfer_backend,
-            scaling_strategy=CountingStrategy(),
+            Federation(
+                env.make_config("DHA"),
+                env.fabric,
+                transfer_backend=env.transfer_backend,
+                scaling_strategy=CountingStrategy(),
+            )
         )
-        manager.scaling_check_interval_s = 1e9  # no cadence pass: only the reaction counts
+        manager.federation.scaling_check_interval_s = 1e9  # no cadence pass: only the reaction counts
         handles = [manager.add_workflow(f"wf{i}", builder=chains) for i in range(3)]
-        DynamicsInjector(env, manager).install(
+        DynamicsInjector(env, manager.federation).install(
             [TimelineEvent(at_s=1.5, action="churn", endpoint="site_a", value=-2.0)]
         )
         manager.run(max_wall_time_s=60)

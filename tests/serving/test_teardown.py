@@ -12,18 +12,16 @@ import pytest
 from tests.serving.serving_env import build_env
 from repro.core.dag import TaskState
 from repro.engine.events import TasksDispatched
-from repro.serving import WorkflowManager
+from repro.serving import Federation, WorkflowManager
 from repro.workloads.spec import TaskTypeSpec, make_task_type
 from repro.workloads.synthetic import build_stress_workload
 
 
 def make_manager(env, policy="fair_share", **config_overrides):
     config = env.make_config("DHA", enable_scaling=False, **config_overrides)
-    manager = WorkflowManager(
-        config, env.fabric, transfer_backend=env.transfer_backend, arbitration=policy
-    )
-    env.seed_full_knowledge(manager)
-    return manager
+    federation = Federation(config, env.fabric, transfer_backend=env.transfer_backend)
+    env.seed_full_knowledge(federation)
+    return WorkflowManager(federation, arbitration=policy)
 
 
 def stress_builder(count=12, duration=2.0):
@@ -37,15 +35,15 @@ class TestShutdown:
     def test_unsubscribes_every_control_bus_handler(self):
         env = build_env()
         manager = make_manager(env)
-        assert manager.bus.handler_count() > 0
+        assert manager.federation.bus.handler_count() > 0
         manager.shutdown()
-        assert manager.bus.handler_count() == 0
+        assert manager.federation.bus.handler_count() == 0
 
     def test_is_idempotent(self):
         manager = make_manager(build_env())
         manager.shutdown()
         manager.shutdown()
-        assert manager.bus.handler_count() == 0
+        assert manager.federation.bus.handler_count() == 0
 
     def test_cancels_pending_arrival_events(self):
         env = build_env()
@@ -75,7 +73,7 @@ class TestShutdown:
         assert live.summary().completed_tasks == 12
         for manager in discarded:
             assert not manager.workflow("wf0").started
-            assert manager.bus.handler_count() == 0
+            assert manager.federation.bus.handler_count() == 0
 
 
 class TestPauseResume:
@@ -165,7 +163,7 @@ class TestCancellation:
         assert victim.graph.state_count(TaskState.DISPATCHED) == 0
         assert victim.summary().completed_tasks >= in_flight
         for name in env.fabric.endpoint_names():
-            assert manager.endpoint_monitor.mock(name).outstanding_tasks == 0
+            assert manager.federation.endpoint_monitor.mock(name).outstanding_tasks == 0
         manager.retire(victim)
         assert victim.retired and manager.retired_count == 1
 

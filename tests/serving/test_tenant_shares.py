@@ -11,7 +11,7 @@ it.
 import pytest
 
 from tests.serving.serving_env import build_env
-from repro.serving import WorkflowManager
+from repro.serving import Federation, WorkflowManager
 from repro.serving.arbitration import ARBITRATION_POLICIES, TenantShare
 from repro.workloads.synthetic import build_stress_workload
 
@@ -35,10 +35,11 @@ def make_manager(policy):
     env = build_env()
     config = env.make_config("DHA", enable_scaling=False)
     manager = WorkflowManager(
-        config, env.fabric, transfer_backend=env.transfer_backend, arbitration=policy
+        Federation(config, env.fabric, transfer_backend=env.transfer_backend),
+        arbitration=policy,
     )
     for name in env.fabric.endpoint_names():
-        manager.endpoint_monitor.register(name)
+        manager.federation.endpoint_monitor.register(name)
     return manager
 
 

@@ -38,7 +38,7 @@ def test_each_ticket_reaches_one_coordinator_and_nothing_after_retire(monkeypatc
     manager = make_manager(env, enable_placement_plan=False)
     handles = [manager.add_workflow(f"wf{i}", builder=fanin_builder()) for i in range(3)]
     manager.run(max_wall_time_s=60)
-    plane = manager.data_manager
+    plane = manager.federation.data_manager
     assert manager.summary().completed_tasks == 3 * 7
     assert plane.total_transferred_mb > 0.0  # producers' outputs crossed endpoints
 

@@ -44,7 +44,7 @@ def run_with_transfers(monkeypatch, history_store=None):
     env = build_two_site_env()
     client = env.make_client(env.make_config("DHA"), history_store=history_store)
     reported = []
-    client.manager.data_manager.add_transfer_callback(
+    client.federation.data_manager.add_transfer_callback(
         lambda result, concurrency: reported.append(result)
     )
     with client:

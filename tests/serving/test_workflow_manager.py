@@ -5,7 +5,7 @@ import pytest
 from tests.serving.serving_env import build_env
 from repro.engine.events import Event, TasksDispatched
 from repro.monitor.store import HistoryStore
-from repro.serving import WorkflowManager, jain_index
+from repro.serving import Federation, WorkflowManager, jain_index
 from repro.workloads.synthetic import build_stress_workload
 from repro.workloads.spec import TaskTypeSpec, make_task_type
 
@@ -41,11 +41,9 @@ class EventLog:
 
 def make_manager(env, policy="fair_share", **config_overrides):
     config = env.make_config("DHA", enable_scaling=False, **config_overrides)
-    manager = WorkflowManager(
-        config, env.fabric, transfer_backend=env.transfer_backend, arbitration=policy
-    )
-    env.seed_full_knowledge(manager)
-    return manager
+    federation = Federation(config, env.fabric, transfer_backend=env.transfer_backend)
+    env.seed_full_knowledge(federation)
+    return WorkflowManager(federation, arbitration=policy)
 
 
 class TestSharedSubstrate:
@@ -84,8 +82,8 @@ class TestSharedSubstrate:
         manager.add_workflow("wf0", builder=chain_builder(output_mb=8.0))
         manager.add_workflow("wf1", builder=chain_builder(output_mb=8.0))
         manager.run(max_wall_time_s=60)
-        volumes = manager.data_manager.volume_by_namespace_mb
-        total = manager.data_manager.total_transferred_mb
+        volumes = manager.federation.data_manager.volume_by_namespace_mb
+        total = manager.federation.data_manager.total_transferred_mb
         assert sum(volumes.values()) == pytest.approx(total)
         summary = manager.summary()
         per_wf = sum(
@@ -118,7 +116,7 @@ class TestSharedSubstrate:
             if len(seen_mid_run) == 4:
                 raise RuntimeError("listener blew up")
 
-        manager.task_monitor.add_task_listener(listener)
+        manager.federation.task_monitor.add_task_listener(listener)
         with pytest.raises(RuntimeError, match="listener blew up"):
             manager.run(max_wall_time_s=60)
         assert seen_mid_run == [0, 1, 2, 3]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tests.serving.serving_env import build_env
-from repro.serving import WorkflowManager
+from repro.serving import Federation, WorkflowManager
 from repro.streaming import StreamingService, StreamingSpec
 from repro.workloads.spec import TaskTypeSpec, make_task_type
 from repro.workloads.synthetic import build_stress_workload
@@ -43,18 +43,12 @@ def fanin_builder(width=6, duration=1.0, output_mb=8.0):
     return build
 
 
-def make_manager(env, policy="edf", **kwargs):
+def make_manager(env, policy="edf"):
     # Streaming serving takes a manager built without the placement plan.
     config = env.make_config("DHA", enable_scaling=False, enable_placement_plan=False)
-    manager = WorkflowManager(
-        config,
-        env.fabric,
-        transfer_backend=env.transfer_backend,
-        arbitration=policy,
-        **kwargs,
-    )
-    env.seed_full_knowledge(manager)
-    return manager
+    federation = Federation(config, env.fabric, transfer_backend=env.transfer_backend)
+    env.seed_full_knowledge(federation)
+    return WorkflowManager(federation, arbitration=policy)
 
 
 def run_stream(
@@ -103,8 +97,8 @@ class TestRetirementFreesState:
     def test_live_state_is_bounded_by_active_tenants(self):
         env = build_env()
         manager = make_manager(env)
-        dm = manager.data_manager
-        base_handlers = manager.bus.handler_count()
+        dm = manager.federation.data_manager
+        base_handlers = manager.federation.bus.handler_count()
 
         service, samples = run_stream(
             manager, tasks_per_wf=4, max_arrivals=12, max_active=3
@@ -118,7 +112,7 @@ class TestRetirementFreesState:
         assert manager._arrival_handles == {}
         # The control bus and the shared data manager are back at baseline —
         # no per-tenant handler leak, and no namespace keeps a staged callback.
-        assert manager.bus.handler_count() == base_handlers
+        assert manager.federation.bus.handler_count() == base_handlers
         assert dict(dm._staged_callbacks) == {}
         assert dm._tickets_by_namespace == {}
         assert dict(dm.volume_by_namespace_mb) == {}
@@ -134,7 +128,7 @@ class TestRetirementFreesState:
     def test_retired_namespace_releases_tickets_and_volume(self):
         env = build_env()
         manager = make_manager(env)
-        dm = manager.data_manager
+        dm = manager.federation.data_manager
         service, _ = run_stream(
             manager,
             max_arrivals=6,
@@ -208,33 +202,22 @@ class TestRetireValidation:
 
 
 class TestUnboundedGrowthGuards:
-    def test_profiler_sample_window_bounds_retention(self):
-        env = build_env()
-        manager = make_manager(env, profiler_sample_window=16)
-        run_stream(manager, tasks_per_wf=6, max_arrivals=8, max_active=2)
-        profiler = manager.execution_profiler
-        assert profiler.max_samples_retained == 16
-        total_observed = sum(m.observed for m in profiler._models.values())
-        assert total_observed == 8 * 6
-        for model in profiler._models.values():
-            assert len(model.samples) <= 16
-
     def test_no_history_path_builds_no_history_store(self):
         env = build_env()
         manager = make_manager(env)
-        assert manager.config.history_db_path == ""
+        assert manager.federation.config.history_db_path == ""
         run_stream(manager, tasks_per_wf=4, max_arrivals=5, max_active=2)
         assert manager.retired_count == 5
-        assert manager.task_monitor.store is None
-        assert manager.task_monitor.records_seen == 5 * 4
+        assert manager.federation.task_monitor.store is None
+        assert manager.federation.task_monitor.records_seen == 5 * 4
 
 
 class TestPlanScope:
     def test_streaming_refuses_a_manager_built_with_the_placement_plan(self):
         env = build_env()
         manager = WorkflowManager(
-            env.make_config("DHA"), env.fabric, transfer_backend=env.transfer_backend
+            Federation(env.make_config("DHA"), env.fabric, transfer_backend=env.transfer_backend)
         )
-        assert manager.plan_service is not None
+        assert manager.federation.plan_service is not None
         with pytest.raises(ValueError, match="without the placement plan"):
             run_stream(manager)
