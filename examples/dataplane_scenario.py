@@ -14,8 +14,8 @@ The same comparison is available from the command line::
     python -m repro run-scenario hot-dataset --seed 3
 
 This script shows the Python API: take a preset, flip
-``ScenarioSpec.enable_dataplane`` (and, if you like, ``storage_gb``,
-``eviction_policy`` or ``enable_prefetch``), and execute both variants with
+``ScenarioSpec.enable_dataplane`` (and, if you like, ``storage_gb`` or
+``eviction_policy``), and execute both variants with
 :func:`~repro.scenarios.spec.run_scenario`.
 """
 

@@ -6,6 +6,15 @@ passing the :class:`~repro.core.futures.UniFuture` of one task as an argument
 to another.  The graph is *dynamic*: tasks may be added while the workflow is
 executing, which is why every mutation keeps the ready-set and dependency
 counters incrementally up to date instead of recomputing them.
+
+A task exists to become a node.  :meth:`TaskGraph.add_task` gives it a row
+of the graph's columnar :class:`~repro.engine.store.TaskStore`, born READY
+or PENDING, and that row is the only copy of the task's state, endpoint,
+priority, input size and timestamps from then on.  The :class:`Task` object
+carries what the row cannot: its function and arguments, its future, its
+files, its retry bookkeeping and its neighbour lists.  It reads the rest
+through the row, and :class:`TaskTimestamps` is a view of the row's
+timestamp columns, built on access.
 """
 
 from __future__ import annotations
@@ -82,40 +91,15 @@ TIMESTAMP_FIELDS = (
 
 
 class TaskTimestamps:
-    """Timeline of a task, filled in by the orchestration engine.
+    """Timeline of a task, filled in by the orchestration engine: a view of
+    the task's row of its graph's :class:`~repro.engine.store.TaskStore`
+    timestamp columns, built by :attr:`Task.timestamps` on access."""
 
-    Plain per-instance values until the owning task is inserted into a
-    :class:`TaskGraph`, which hands them to its columnar
-    :class:`~repro.engine.store.TaskStore` and drops them: from then on every
-    read and write goes to the task's row of the store's timestamp columns.
-    """
+    __slots__ = ("_store", "_row")
 
-    __slots__ = ("_store", "_row", "_local")
-
-    def __init__(
-        self,
-        created: float = 0.0,
-        ready: Optional[float] = None,
-        scheduled: Optional[float] = None,
-        staging_started: Optional[float] = None,
-        staging_done: Optional[float] = None,
-        dispatched: Optional[float] = None,
-        started: Optional[float] = None,
-        completed: Optional[float] = None,
-    ) -> None:
-        self._store = None
-        self._row = -1
-        #: The values while detached (``None`` once the store owns them).
-        self._local: Optional[Dict[str, Optional[float]]] = {
-            "created": created,
-            "ready": ready,
-            "scheduled": scheduled,
-            "staging_started": staging_started,
-            "staging_done": staging_done,
-            "dispatched": dispatched,
-            "started": started,
-            "completed": completed,
-        }
+    def __init__(self, store, row: int) -> None:
+        self._store = store
+        self._row = row
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in TIMESTAMP_FIELDS)
@@ -133,16 +117,11 @@ _NAN = float("nan")
 
 def _timestamp_property(name: str) -> property:
     def getter(self: TaskTimestamps) -> Optional[float]:
-        if self._store is None:
-            return self._local[name]
         value = self._store.timestamps[name][self._row]
         return None if value != value else float(value)
 
     def setter(self: TaskTimestamps, value: Optional[float]) -> None:
-        if self._store is None:
-            self._local[name] = value
-        else:
-            self._store.timestamps[name][self._row] = _NAN if value is None else value
+        self._store.timestamps[name][self._row] = _NAN if value is None else value
 
     return property(getter, setter)
 
@@ -156,8 +135,8 @@ task_id_of = attrgetter("task_id")
 
 
 def files_size_mb(files) -> float:
-    """Total ``size_mb`` of ``files`` (0 for an object without one): what an
-    attached task's store row keeps in its ``input_mb`` column."""
+    """Total ``size_mb`` of ``files`` (0 for an object without one): what a
+    task's store row keeps in its ``input_mb`` column."""
     return float(sum(getattr(f, "size_mb", 0.0) for f in files))
 
 
@@ -171,11 +150,12 @@ def _next_task_id() -> str:
 class Task:
     """One invocation of a federated function — the authoring view of a node.
 
-    ``state``, ``assigned_endpoint``, ``priority`` and the timestamps live on
-    the task only while it is detached; a :class:`TaskGraph` moves them into
-    its columnar :class:`~repro.engine.store.TaskStore`, whose row the
-    properties then read and write.  :attr:`predecessors` / :attr:`successors`
-    are the neighbour tasks in task-id order, kept by the graph (read-only).
+    A task exists to be inserted into a :class:`TaskGraph`: ``state``,
+    ``assigned_endpoint``, ``priority``, ``input_size_mb`` and the
+    timestamps read and write its row of the graph's columnar
+    :class:`~repro.engine.store.TaskStore`, the only copy of them.
+    :attr:`predecessors` / :attr:`successors` are the neighbour tasks in
+    task-id order, kept by the graph (read-only).
     """
 
     def __init__(
@@ -185,18 +165,6 @@ class Task:
         kwargs: Optional[Dict[str, Any]] = None,
         task_id: Optional[str] = None,
         dependencies: Optional[Set[str]] = None,
-        state: TaskState = TaskState.PENDING,
-        future: Optional[UniFuture] = None,
-        assigned_endpoint: Optional[str] = None,
-        failed_endpoints: Optional[List[str]] = None,
-        attempts: int = 0,
-        timestamps: Optional[TaskTimestamps] = None,
-        input_files: Optional[List[Any]] = None,
-        output_files: Optional[List[Any]] = None,
-        result: Any = None,
-        priority: float = 0.0,
-        reschedule_count: int = 0,
-        max_retries: Optional[int] = None,
     ) -> None:
         self.function = function
         #: The function's name, copied once (``function`` is never reassigned).
@@ -204,93 +172,70 @@ class Task:
         self.args = args
         self.kwargs: Dict[str, Any] = {} if kwargs is None else kwargs
         self.task_id = _next_task_id() if task_id is None else task_id
-        #: Ids of the producers while detached: the graph builds
+        #: Ids of the producers until insertion: the graph builds
         #: :attr:`predecessors` from them, then drops them.
         self._dependencies: Optional[Set[str]] = set() if dependencies is None else dependencies
         self.predecessors: List[Task] = []
         self.successors: List[Task] = []
-        self.future = future if future is not None else UniFuture(task_id=self.task_id)
+        self.future = UniFuture(task_id=self.task_id)
         #: Endpoints on which this task already failed (used for reassignment).
-        self.failed_endpoints: List[str] = (
-            [] if failed_endpoints is None else failed_endpoints
-        )
-        self.attempts = attempts
-        self.timestamps = timestamps if timestamps is not None else TaskTimestamps()
+        self.failed_endpoints: List[str] = []
+        self.attempts = 0
         #: Files this task reads (RemoteFile objects), discovered from arguments.
         #: In a graph, a change must also write ``files_size_mb(input_files)``
         #: to the store's ``input_mb`` column (as ``ExecutionEngine._prepare_ready``
         #: does): that column is what :attr:`input_size_mb` reads.
-        self.input_files: List[Any] = [] if input_files is None else input_files
+        self.input_files: List[Any] = []
         #: Files this task produced (filled when the task completes).
-        self.output_files: List[Any] = [] if output_files is None else output_files
-        self.result = result
+        self.output_files: List[Any] = []
+        self.result: Any = None
         #: Number of times the re-scheduling mechanism moved this task.
-        self.reschedule_count = reschedule_count
+        self.reschedule_count = 0
         #: Per-task override of ``Config.max_task_retries`` on the §IV-G
         #: failure ladder (``None`` = use the config default).  Set by the
         #: authoring API's ``@job(retries=...)``.
-        self.max_retries: Optional[int] = max_retries
-        #: Store-owned fields while detached (``None`` once attached); the
-        #: ``priority`` is the DHA rank, larger = more urgent (§IV-D, eq. 2).
-        self._local: Optional[Dict[str, Any]] = dict(
-            state=state, assigned_endpoint=assigned_endpoint, priority=priority
-        )
+        self.max_retries: Optional[int] = None
+        #: The graph's store and this task's row in it, set at insertion.
         self._store = None
         self._row = -1
 
     # ------------------------------------------------------------ store view
-    def _attach(self, store, row: int) -> None:
-        """Read and write ``store``'s ``row`` (already holding the fields)."""
-        for view in (self, self.timestamps):
-            view._store, view._row, view._local = store, row, None
-        self._dependencies = None
-
     @property
     def dependencies(self) -> Set[str]:
-        """Ids of the tasks this one depends on (once in a graph, a new set
-        built from :attr:`predecessors`, the only copy of the edges)."""
-        if self._store is None:
-            return self._dependencies
+        """Ids of the tasks this one depends on: a new set built from
+        :attr:`predecessors`, the only copy of the edges."""
         return set(map(task_id_of, self.predecessors))
 
     @property
+    def timestamps(self) -> TaskTimestamps:
+        return TaskTimestamps(self._store, self._row)
+
+    @property
     def state(self) -> TaskState:
-        store = self._store
-        return self._local["state"] if store is None else STATES[store.state[self._row]]
+        return STATES[self._store.state[self._row]]
 
     @state.setter
     def state(self, value: TaskState) -> None:
-        if self._store is None:
-            self._local["state"] = value
-        else:
-            self._store.set_state(self._row, value)
+        self._store.set_state(self._row, value)
 
     @property
     def assigned_endpoint(self) -> Optional[str]:
         store = self._store
-        if store is None:
-            return self._local["assigned_endpoint"]
         index = store.endpoint[self._row]
         return None if index < 0 else store.endpoint_names[index]
 
     @assigned_endpoint.setter
     def assigned_endpoint(self, value: Optional[str]) -> None:
-        if self._store is None:
-            self._local["assigned_endpoint"] = value
-        else:
-            self._store.set_endpoint(self._row, value)
+        self._store.set_endpoint(self._row, value)
 
     @property
     def priority(self) -> float:
-        store = self._store
-        return self._local["priority"] if store is None else float(store.priority[self._row])
+        """The DHA rank, larger = more urgent (§IV-D, eq. 2)."""
+        return float(self._store.priority[self._row])
 
     @priority.setter
     def priority(self, value: float) -> None:
-        if self._store is None:
-            self._local["priority"] = value
-        else:
-            self._store.priority[self._row] = value
+        self._store.priority[self._row] = value
 
     # ---------------------------------------------------------------- helpers
     @property
@@ -310,12 +255,9 @@ class Task:
 
     @property
     def input_size_mb(self) -> float:
-        """Total size of this task's file inputs in MB (in a graph, its store
-        row's ``input_mb`` column rather than a re-sum over the files)."""
-        store = self._store
-        if store is None:
-            return files_size_mb(self.input_files)
-        return float(store.input_mb[self._row])
+        """Total size of this task's file inputs in MB: its store row's
+        ``input_mb`` column rather than a re-sum over the files."""
+        return float(self._store.input_mb[self._row])
 
     def resolved_args(self) -> Tuple[tuple, Dict[str, Any]]:
         """Arguments with future placeholders replaced by their results."""
@@ -417,16 +359,18 @@ class TaskGraph:
         return len(self._tasks) - self.store.terminal
 
     # ------------------------------------------------------------ mutation
-    def add_task(self, task: Task, now: float = 0.0) -> Task:
-        """Insert ``task`` and wire edges from its future-dependencies."""
+    def add_task(self, task: Task, now: float = 0.0, endpoint: Optional[str] = None) -> Task:
+        """Insert ``task`` (pinned to ``endpoint`` when given: the engine's
+        endpoint hint) and wire edges from its future-dependencies."""
         task_id = task.task_id
         tasks = self._tasks
         if task_id in tasks or task._store is not None:
             raise WorkflowError(f"duplicate task id {task_id!r}")
-        unknown = task._dependencies.difference(tasks)
+        dependencies = task._dependencies
+        unknown = dependencies.difference(tasks)
         if unknown:
             raise WorkflowError(f"task {task_id} depends on unknown task {min(unknown)!r}")
-        task.predecessors = list(map(tasks.__getitem__, sorted(task._dependencies)))
+        task.predecessors = list(map(tasks.__getitem__, sorted(dependencies)))
         store = self.store
         unresolved = 0
         for dep in task.predecessors:
@@ -434,18 +378,12 @@ class TaskGraph:
             if store.state[dep._row] != COMPLETED_CODE:
                 unresolved += 1
         self._unfinished_dependency_count[task_id] = unresolved
-
-        local, stamps = task._local, task.timestamps._local
-        stamps["created"] = now
-        if not unresolved:
-            stamps["ready"] = now
-        row = store.add(
-            state=TaskState.PENDING if unresolved else TaskState.READY,
-            cores=task.cores, input_mb=files_size_mb(task.input_files),
-            priority=local["priority"],
-            endpoint=local["assigned_endpoint"], timestamps=stamps,
+        task._row = store.add(
+            ready=not unresolved, now=now, cores=task.cores,
+            input_mb=files_size_mb(task.input_files), endpoint=endpoint,
         )
-        task._attach(store, row)
+        task._store = store
+        task._dependencies = None
         tasks[task_id] = task
         self._by_row.append(task)
         return task

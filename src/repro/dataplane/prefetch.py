@@ -45,6 +45,8 @@ __all__ = ["Prefetcher"]
 #: Predecessor states that make a successor "ready-soon": nothing left ahead
 #: of it but execution (and the successor itself is still pending).
 _IN_FLIGHT = state_codes(TaskState.DISPATCHED, TaskState.RUNNING, TaskState.COMPLETED)
+#: Input files one ready-soon task may have prefetched.
+_MAX_FILES_PER_TASK = 32
 
 
 class Prefetcher:
@@ -60,7 +62,6 @@ class Prefetcher:
         ] = None,
         endpoint_names: Optional[Callable[[], List[str]]] = None,
         plan_provider: Optional[Callable[[], object]] = None,
-        max_files_per_task: int = 32,
     ) -> None:
         self._plane = plane
         self._graph = graph
@@ -70,7 +71,6 @@ class Prefetcher:
         #: when the task's dominant input has a plan replica root, the guess
         #: aims there before consulting the per-task EFT hint.
         self._plan_provider = plan_provider
-        self.max_files_per_task = max_files_per_task
         #: Guessed destination per still-pending task, and the per-endpoint
         #: slots those guesses have booked (released on real placement).
         self._guesses: Dict[str, str] = {}
@@ -162,7 +162,7 @@ class Prefetcher:
         if destination is None:
             return 0
         issued = 0
-        for file in files[: self.max_files_per_task]:
+        for file in files[:_MAX_FILES_PER_TASK]:
             if self._plane.prefetch(file, destination, priority=task.priority):
                 issued += 1
                 self.issued += 1

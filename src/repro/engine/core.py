@@ -220,12 +220,12 @@ class ExecutionEngine:
         else:
             task = Task(function=fn, args=args, kwargs=kwargs, dependencies=dependencies)
         task.input_files = input_files
-        if endpoint_hint is not None:
-            task.assigned_endpoint = str(endpoint_hint)
         if max_retries is not None:
             task.max_retries = int(max_retries)
         now = self.clock.now
-        self.graph.add_task(task, now=now)
+        self.graph.add_task(
+            task, now=now, endpoint=None if endpoint_hint is None else str(endpoint_hint)
+        )
         for dep in dependencies:
             self._consumer_counts[dep] = self._consumer_counts.get(dep, 0) + 1
         # Dynamic DAG: a new consumer re-protects outputs the lifecycle hook

@@ -5,10 +5,12 @@ prediction matrices keyed by stable int rows); this module applies the same
 treatment to the *engine's* task state.  A :class:`TaskStore` keeps every
 task's state code, life-cycle timestamps, core count, input size, priority
 and assigned endpoint in flat numpy arrays keyed by a stable integer row
-minted at insertion.  It is the only copy of those fields: a
-:class:`~repro.core.dag.Task` in a graph reads and writes its row (the task
-keeps the row index, the graph the task), and the engine's hot path reads the
-columns directly, so bulk queries are array reductions.  :meth:`TaskStore.add`
+minted at insertion.  It is the only copy of those fields from the moment a
+task exists: :meth:`TaskStore.add` registers the new row READY or PENDING,
+every later change is a transition on it, a :class:`~repro.core.dag.Task`
+reads and writes its row (the task keeps the row index, the graph the task),
+and the engine's hot path reads the columns directly, so bulk queries are
+array reductions.  :meth:`TaskStore.add`
 reallocates the arrays as they grow: never hold a column across it.
 
 Endpoints are interned to small ints; the aggregates the run loop reads every
@@ -26,12 +28,12 @@ count of one workflow, exactly like the graph's task dict.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.dag import (PENDING_CODE, STAGED_CODE, STATE_CODES, STATES, TERMINAL_STATES,
-                            TIMESTAMP_FIELDS, TaskState, state_codes)
+from repro.core.dag import (PENDING_CODE, READY_CODE, STAGED_CODE, STATE_CODES, STATES,
+                            TERMINAL_STATES, TIMESTAMP_FIELDS, TaskState, state_codes)
 
 __all__ = ["TaskStore"]
 
@@ -82,7 +84,7 @@ class TaskStore:
         self._endpoint_index: Dict[str, int] = {}
 
         # Running aggregates, updated where state and endpoint change
-        # (:meth:`add`, :meth:`set_state`, :meth:`_account`).
+        # (:meth:`set_state`, :meth:`set_endpoint`, :meth:`_account`).
         #: Workers' worth of STAGED tasks per endpoint (non-zero entries).
         #: Live: the serving layer hands this very dict to its arbitration
         #: policy as the tenant's dispatch demand.
@@ -136,30 +138,29 @@ class TaskStore:
         self._capacity = new_capacity
 
     # ------------------------------------------------------------- mutation
-    def add(self, *, state: TaskState, cores: int, input_mb: float, priority: float,
-            endpoint: Optional[str], timestamps: Optional[Mapping] = None) -> int:
-        """Register a task (``timestamps`` by field name, ``None`` or absent =
-        unset) and return its stable row index."""
+    def add(self, *, ready: bool, now: float, cores: int, input_mb: float,
+            endpoint: Optional[str] = None) -> int:
+        """Register a new task — READY (its ``created`` and ``ready`` stamped
+        at ``now``) or PENDING (``created`` only), on ``endpoint`` when given
+        — and return its stable row index.  A new row awaits no dispatch and
+        is not terminal, so no endpoint aggregate moves."""
         if self.size == self._capacity:
             self._grow()
         row = self.size
         self.size += 1
-        code = STATE_CODES[state]
+        code = READY_CODE if ready else PENDING_CODE
         self.state[row] = code
+        self._state_counts[code] += 1
         self.cores[row] = cores
         self.input_mb[row] = input_mb
-        self.priority[row] = priority
-        ep = -1 if endpoint is None else self.intern_endpoint(endpoint)
-        self.endpoint[row] = ep
-        for name, value in (timestamps or {}).items():
-            if value is not None:
-                self.timestamps[name][row] = value
-        self._state_counts[code] += 1
-        if code in _TERMINAL_CODES:
-            self.terminal += 1
-        if ep >= 0 and code in _PENDING_DISPATCH:
-            self.pending_version += 1
-            self._account(row, PENDING_CODE, code, -1, ep)
+        # Rows are never recycled: the priority is still its 0.0 fill, the
+        # endpoint its -1 and the other stamps their NaN.
+        if endpoint is not None:
+            self.endpoint[row] = self.intern_endpoint(endpoint)
+        timestamps = self.timestamps
+        timestamps["created"][row] = now
+        if ready:
+            timestamps["ready"][row] = now
         return row
 
     def set_state(self, row: int, state: TaskState, now: Optional[float] = None) -> None:

@@ -28,6 +28,8 @@ ModelFactory = Callable[[], object]
 #: Entry cap of the scalar prediction memo and of each function's row table;
 #: reaching it clears the one that reached it.
 _MEMO_CAP = 4096
+#: A retrain fits the latest this many observations of a function.
+_MAX_TRAINING_SAMPLES = 512
 
 
 class _FunctionModel:
@@ -79,10 +81,10 @@ class _FunctionModel:
     def needs_training(self) -> bool:
         return self.observed > self.trained_on
 
-    def train(self, max_samples: int = 512) -> None:
+    def train(self) -> None:
         if not self.samples:
             return
-        rows = self.samples[-max_samples:]
+        rows = self.samples[-_MAX_TRAINING_SAMPLES:]
         X = np.array([r[0] for r in rows], dtype=float)
         times = np.array([r[1] for r in rows], dtype=float)
         outputs = np.array([r[2] for r in rows], dtype=float)
@@ -157,7 +159,6 @@ class ExecutionProfiler:
         *,
         model_factory: Optional[ModelFactory] = None,
         min_samples_to_train: int = 3,
-        max_training_samples: int = 512,
         max_samples_retained: Optional[int] = None,
     ) -> None:
         if min_samples_to_train < 1:
@@ -175,7 +176,6 @@ class ExecutionProfiler:
             lambda: _FunctionModel(self._model_factory, self.max_samples_retained)
         )
         self.min_samples_to_train = min_samples_to_train
-        self.max_training_samples = max_training_samples
         #: Monotonic counter bumped whenever any prediction may have changed:
         #: on every retrain, and on warm-up observations (an untrained model
         #: predicts the running mean of its samples, which shifts per
@@ -237,7 +237,7 @@ class ExecutionProfiler:
             if model.sample_count < self.min_samples_to_train:
                 continue
             if force or model.needs_training():
-                model.train(self.max_training_samples)
+                model.train()
                 retrained += 1
         if retrained:
             self.prediction_version += 1

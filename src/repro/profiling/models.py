@@ -26,6 +26,9 @@ __all__ = [
     "PolynomialRegression",
 ]
 
+#: Ridge term of :class:`PolynomialRegression`'s normal equations.
+_RIDGE = 1e-8
+
 
 def _as_2d(X, n_features: Optional[int] = None) -> np.ndarray:
     """``X`` as a float matrix — of ``n_features`` columns when a fitted
@@ -323,13 +326,10 @@ class PolynomialRegression:
     overheads.
     """
 
-    def __init__(self, degree: int = 2, regularization: float = 1e-8) -> None:
+    def __init__(self, degree: int = 2) -> None:
         if degree < 1:
             raise ValueError("degree must be >= 1")
-        if regularization < 0:
-            raise ValueError("regularization must be non-negative")
         self.degree = degree
-        self.regularization = regularization
         self._coef: Optional[np.ndarray] = None
         self.n_features_: int = 0
 
@@ -352,7 +352,7 @@ class PolynomialRegression:
         A = self._design_matrix(X)
         # Ridge-regularised normal equations keep the fit stable when the
         # training set is tiny (e.g. right after probing transfers).
-        ata = A.T @ A + self.regularization * np.eye(A.shape[1])
+        ata = A.T @ A + _RIDGE * np.eye(A.shape[1])
         atb = A.T @ y
         self._coef = np.linalg.solve(ata, atb)
         return self

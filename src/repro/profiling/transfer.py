@@ -26,6 +26,8 @@ Pair = Tuple[str, str]
 
 #: Entry cap of the prediction memo; reaching it clears the memo.
 _MEMO_CAP = 4096
+#: The probe transfers a seeded bandwidth stands for, in MB.
+_PROBE_SIZES_MB = (10.0, 100.0, 1000.0)
 
 
 class _PairModel:
@@ -145,7 +147,7 @@ class TransferProfiler:
         ):
             self.prediction_version += 1
 
-    def seed_bandwidth(self, src: str, dst: str, bandwidth_mbps: float, probe_mb: float = 10.0) -> None:
+    def seed_bandwidth(self, src: str, dst: str, bandwidth_mbps: float) -> None:
         """Seed a pair with a known bandwidth (probing transfers, §IV-C).
 
         This is how experiments give DHA "full knowledge": a few synthetic
@@ -155,7 +157,7 @@ class TransferProfiler:
             raise ValueError("bandwidth_mbps must be positive")
         model = self._pairs[(src, dst)]
         moved = False
-        for size in (probe_mb, probe_mb * 10, probe_mb * 100):
+        for size in _PROBE_SIZES_MB:
             moved |= model.add(size, 1.0, size / bandwidth_mbps)
         if moved:
             self.prediction_version += 1

@@ -192,7 +192,6 @@ class ScenarioSpec:
     enable_rescheduling: bool = True
     #: Uniform inter-endpoint bandwidth (MB/s) of the scenario network.
     bandwidth_mbps: float = 150.0
-    max_task_retries: int = 2
     #: Shorter cadences than the paper defaults so small scenarios exercise
     #: the periodic machinery (sync, rescheduling) within their makespans.
     endpoint_sync_interval_s: float = 15.0
@@ -215,8 +214,6 @@ class ScenarioSpec:
     storage_gb: Optional[float] = None
     #: Replica-store eviction policy: "lru" or "cost_benefit".
     eviction_policy: str = "lru"
-    #: Pipeline ready-soon tasks' staging behind predecessor execution.
-    enable_prefetch: bool = True
     #: Network shape: "uniform" (all links at ``bandwidth_mbps``) or "tiered"
     #: (the first half of the topology forms a fast core at
     #: ``bandwidth_mbps``, every link touching the remaining edge endpoints
@@ -844,13 +841,11 @@ def _build_environment(spec: ScenarioSpec, seed: int):
         # tenants live and die inside one re-solve cadence, so a streaming
         # federation is built without it.
         enable_placement_plan=spec.enable_placement and spec.streaming is None,
-        enable_prefetch=spec.enable_prefetch,
         storage_capacity_gb=spec.storage_gb,
         eviction_policy=spec.eviction_policy,
         storage_gb={
             e.name: e.storage_gb for e in spec.topology if e.storage_gb is not None
         },
-        max_task_retries=spec.max_task_retries,
         endpoint_sync_interval_s=spec.endpoint_sync_interval_s,
         rescheduling_interval_s=spec.rescheduling_interval_s,
         checkpoint_interval_s=spec.checkpoint_interval_s,

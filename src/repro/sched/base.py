@@ -119,7 +119,7 @@ class SchedulingContext:
             return cached[0]
         store = task._store  # its input_mb column is rewritten with any input_files change
         if task.input_files:
-            total = task.input_size_mb if store is None else float(store.input_mb[task._row])
+            total = float(store.input_mb[task._row])
         else:
             total = 0.0
             for parent in task.predecessors:

@@ -8,6 +8,7 @@ from repro.core.dag import Task, TaskGraph, TaskState
 from repro.core.exceptions import WorkflowError
 from repro.core.functions import SimProfile, function
 
+from tests.frames import python_frames
 
 
 @function(sim_profile=SimProfile(base_time_s=5.0))
@@ -47,6 +48,7 @@ class TestTask:
 
         task = make_task()
         task.input_files = [F(10.0), F(2.5)]
+        TaskGraph().add_task(task)
         assert task.input_size_mb == pytest.approx(12.5)
 
     def test_resolved_args_substitutes_futures(self):
@@ -194,6 +196,16 @@ class TestDependencies:
         assert graph.predecessors(b.task_id) == [a]
         assert graph.critical_path_length() == 2.0
         assert graph.dfs_order() == [a, b]
+
+
+class TestInsertionFrames:
+    def test_a_task_is_born_into_its_store_row(self):
+        # No detached copy of the store-owned fields: building a task and
+        # inserting it enters no timestamps object and no attach step.
+        graph = TaskGraph()
+        frames = python_frames(lambda: graph.add_task(Task(function=noop)))
+        assert frames == ["__init__", "_next_task_id", "__init__", "add_task", "cores",
+                          "files_size_mb", "<genexpr>", "add"]
 
 
 class TestAnalysis:

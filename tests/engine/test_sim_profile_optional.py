@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.client import UniFaaSClient
 from repro.core.config import Config, ExecutorSpec
-from repro.core.dag import Task
+from repro.core.dag import Task, TaskGraph
 from repro.core.exceptions import EndpointError
 from repro.core.functions import FederatedFunction, SimProfile, function, set_current_client
 from repro.engine.events import TasksDispatched
@@ -66,7 +66,7 @@ class TestLocalDispatchWithoutProfile:
     def test_build_request_defaults_cores(self):
         fabric = LocalFabric([LocalEndpoint("local", max_workers=1)])
         try:
-            task = Task(function=plain_add, args=(1, 2))
+            task = TaskGraph().add_task(Task(function=plain_add, args=(1, 2)))
             request = fabric.build_request(task)
             assert request.cores == 1
             assert request.callable_ is plain_add.callable

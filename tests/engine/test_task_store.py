@@ -1,5 +1,6 @@
 """Unit tests for the columnar TaskStore and its Task-view integration."""
 
+import numpy as np
 import pytest
 
 from repro.core.dag import STATE_CODES, Task, TaskGraph, TaskState
@@ -12,15 +13,14 @@ def make_store():
     return TaskStore()
 
 
-def add(store, state=TaskState.PENDING, cores=1, endpoint=None, priority=0.0, timestamps=None):
-    return store.add(
-        state=state,
-        cores=cores,
-        input_mb=0.0,
-        priority=priority,
-        endpoint=endpoint,
-        timestamps=timestamps,
-    )
+def add(store, state=TaskState.PENDING, cores=1, endpoint=None, now=0.0):
+    """A row in ``state``: inserted READY or PENDING (what a new row can be)
+    at ``now``, then moved there."""
+    row = store.add(ready=state is TaskState.READY, now=now, cores=cores, input_mb=0.0,
+                    endpoint=endpoint)
+    if state not in (TaskState.PENDING, TaskState.READY):
+        store.set_state(row, state)
+    return row
 
 
 class TestStateAccounting:
@@ -51,11 +51,24 @@ class TestStateAccounting:
     def test_growth_beyond_the_quantum_preserves_rows(self):
         store = make_store()
         n = 3000  # > initial capacity, forces at least one grow
-        rows = [add(store, cores=i % 4 + 1, timestamps={"created": float(i)}) for i in range(n)]
+        rows = [add(store, cores=i % 4 + 1, now=float(i)) for i in range(n)]
         assert len(store) == n
         assert rows == list(range(n))
         assert store.timestamps["created"][1500] == 1500.0
         assert int(store.cores[2999]) == (2999 % 4) + 1
+
+    def test_a_new_row_is_ready_or_pending(self):
+        store = make_store()
+        ready = add(store, state=TaskState.READY, endpoint="ep1", now=1.5)
+        pending = add(store, endpoint="ep1", now=2.5)
+        assert store.counts() == {"pending": 1, "ready": 1}
+        assert [store.timestamps["created"][row] for row in (ready, pending)] == [1.5, 2.5]
+        assert store.timestamps["ready"][ready] == 1.5
+        assert np.isnan(store.timestamps["ready"][pending])
+        assert store.endpoint_names[store.endpoint[pending]] == "ep1"
+        # Neither awaits dispatch nor is terminal: no aggregate moved.
+        assert store.pending_dispatch == {} and store.undispatched_count == 0
+        assert store.terminal == 0 and store.pending_version == 0
 
 
 class TestEndpointAggregates:
@@ -135,12 +148,12 @@ class TestSharedPending:
         assert totals == {"a": 5, "b": 1}
         assert store.pending_on("b") == 1 and store.pending_on("a") == 0
 
-    def test_a_pending_row_added_moves_the_pending_version(self):
+    def test_a_row_awaiting_dispatch_moves_the_pending_version(self):
         store = make_store()
         version = store.pending_version
-        add(store, endpoint="a", state=TaskState.READY)
-        assert store.pending_version == version
-        add(store, endpoint="a", state=TaskState.STAGED)
+        row = add(store, endpoint="a", state=TaskState.READY)
+        assert store.pending_version == version  # a new row awaits no dispatch
+        store.set_state(row, TaskState.STAGED)
         assert store.pending_version == version + 1
         assert store.pending_on("a") == 1
 
@@ -172,9 +185,11 @@ class TestTimestamps:
 
     def test_wait_values_need_both_stamps(self):
         store = make_store()
-        add(store, timestamps={"ready": 1.0, "started": 3.5})
-        add(store, timestamps={"ready": 2.0, "started": None})  # never started
-        add(store, timestamps={"ready": 9.0, "started": 8.0})  # clock skew clamps to 0
+        for ready, started in ((1.0, 3.5), (2.0, None), (9.0, 8.0)):
+            row = add(store, state=TaskState.READY, now=ready)
+            if started is not None:  # the second never started
+                store.set_state(row, TaskState.RUNNING, started)
+        # The third's clock skew clamps to 0.
         assert store.wait_values().tolist() == [2.5, 0.0]
 
 
@@ -201,7 +216,7 @@ class TestTaskViews:
         assert graph.store.priority[row] == 7.5
         assert task.priority == 7.5 and task.assigned_endpoint == "ep9"
         # The store row is the one copy: the task keeps none of its own.
-        assert task._local is None and task.timestamps._local is None
+        assert not {"state", "assigned_endpoint", "priority", "timestamps"} & set(vars(task))
 
     def test_graph_queries_delegate_to_the_store(self):
         graph = TaskGraph()
@@ -232,12 +247,6 @@ class TestTaskViews:
         assert task.timestamps.scheduled == 1.0
         assert graph.mark_completed(task, now=2.0) == []
         assert task.timestamps.completed == 2.0
-
-    def test_detached_task_keeps_local_timestamps(self):
-        task = Task(function=FederatedFunction(lambda: None, name="fn"))
-        task.timestamps.created = 1.0
-        assert task.timestamps.created == 1.0
-        assert task.timestamps.started is None
 
 
 class TestInternment:

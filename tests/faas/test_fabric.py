@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.dag import Task
+from repro.core.dag import Task, TaskGraph
 from repro.core.exceptions import EndpointError
 from repro.core.functions import SimProfile, function
 from repro.core.futures import UniFuture
@@ -32,6 +32,12 @@ def real_add(a, b):
 @function
 def real_fail():
     raise RuntimeError("intentional failure")
+
+
+def new_task(fn, *args, **kwargs):
+    """A task of ``fn``, inserted into a graph of its own (a request reads
+    its store row)."""
+    return TaskGraph().add_task(Task(function=fn, args=args, kwargs=kwargs))
 
 
 def build_sim_fabric(n_endpoints=2, workers=4, speed=1.0):
@@ -63,7 +69,7 @@ class TestSimulatedFabric:
 
     def test_build_request_from_sim_profile(self):
         _, _, fabric = build_sim_fabric()
-        task = Task(function=sim_work)
+        task = new_task(sim_work)
         request = fabric.build_request(task)
         assert request.task_id == task.task_id
         assert request.sim_duration_s == pytest.approx(10.0)
@@ -71,7 +77,7 @@ class TestSimulatedFabric:
 
     def test_submit_and_process_roundtrip(self):
         kernel, _, fabric = build_sim_fabric()
-        task = Task(function=sim_work)
+        task = new_task(sim_work)
         fabric.submit("ep0", fabric.build_request(task))
         fabric.flush()
         records = []
@@ -87,7 +93,7 @@ class TestSimulatedFabric:
         # A single task with a large batch size would otherwise never leave
         # the FaaS client; process() flushes when the kernel goes idle.
         _, _, fabric = build_sim_fabric()
-        task = Task(function=sim_work)
+        task = new_task(sim_work)
         fabric.submit("ep0", fabric.build_request(task))
         records = []
         for _ in range(100):
@@ -98,13 +104,13 @@ class TestSimulatedFabric:
 
     def test_submit_unknown_endpoint(self):
         _, _, fabric = build_sim_fabric()
-        task = Task(function=sim_work)
+        task = new_task(sim_work)
         with pytest.raises(EndpointError):
             fabric.submit("nope", fabric.build_request(task))
 
     def test_worker_counts_are_the_true_status(self):
         kernel, _, fabric = build_sim_fabric()
-        fabric.submit("ep1", fabric.build_request(Task(function=sim_work)))
+        fabric.submit("ep1", fabric.build_request(new_task(sim_work)))
         fabric.flush()
         kernel.run(until=kernel.clock.now + 1.0)
         counts = fabric.worker_counts()
@@ -126,7 +132,7 @@ class TestSimulatedFabric:
 class TestLocalFabric:
     def test_real_execution(self):
         fabric = LocalFabric([LocalEndpoint("local", max_workers=2)])
-        task = Task(function=real_add, args=(2, 3))
+        task = new_task(real_add, 2, 3)
         fabric.submit("local", fabric.build_request(task))
         records = []
         deadline = time.time() + 5.0
@@ -140,7 +146,7 @@ class TestLocalFabric:
 
     def test_failure_captured(self):
         fabric = LocalFabric([LocalEndpoint("local", max_workers=1)])
-        task = Task(function=real_fail)
+        task = new_task(real_fail)
         fabric.submit("local", fabric.build_request(task))
         records = []
         deadline = time.time() + 5.0
@@ -156,10 +162,10 @@ class TestLocalFabric:
         done, pending = UniFuture(task_id="done"), UniFuture(task_id="pending")
         done.set_result(2)
         try:
-            request = fabric.build_request(Task(function=real_add, args=(done,), kwargs={"b": 3}))
+            request = fabric.build_request(new_task(real_add, done, b=3))
             assert (request.args, request.kwargs) == ((2,), {"b": 3})
             # A future without a result yet is passed through as it is.
-            request = fabric.build_request(Task(function=real_add, args=(pending, 3)))
+            request = fabric.build_request(new_task(real_add, pending, 3))
             assert request.args == (pending, 3)
         finally:
             fabric.shutdown()

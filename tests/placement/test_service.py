@@ -1,5 +1,7 @@
 """Plan lifecycle under dynamics: crash excludes, rejoin re-admits."""
 
+import copy
+
 import pytest
 
 from repro.core.functions import SimProfile, function, set_current_client
@@ -157,12 +159,15 @@ def test_capture_state_pins_plan_and_rng_stream():
     assert state["plan"]["generation"] == service.generation
     assert state["rng"] == service._rng.bit_generator.state
 
-    # The captured stream state is a deep copy: further solves must not
-    # mutate an already-written snapshot section.
+    # The captured stream state is a deep copy: further solves and draws must
+    # not mutate an already-written snapshot section.
+    captured_rng = copy.deepcopy(state["rng"])
     service.bump()
     service.resolve(env.kernel.clock.now)
+    service._rng.random()
     assert state["solves"] == 1
-    assert state["rng"] != service.capture_state()["rng"] or True
+    assert state["rng"] == captured_rng
+    assert service.capture_state()["rng"] != captured_rng
     assert service.capture_state()["solves"] == 2
 
 
