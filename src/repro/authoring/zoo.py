@@ -30,6 +30,9 @@ from repro.authoring.api import after, ensure, job, workflow
 
 __all__ = ["LAYERED", "ZOO_ARRAY", "ZOO_CONDITIONAL", "ZOO_CONVERGENCE", "ZOO_MIXED"]
 
+#: The trip on which zoo-convergence's loop meets its metric.
+_CONVERGE_TRIP = 3
+
 
 def _noop(*args, **kwargs):  # pragma: no cover - never runs in simulation
     return None
@@ -88,7 +91,6 @@ def ZOO_CONDITIONAL(duration_s: float = 4.0, output_mb: float = 5.0):
 def ZOO_CONVERGENCE(
     duration_s: float = 4.0,
     output_mb: float = 5.0,
-    converge_trip: int = 3,
     max_trips: int = 6,
 ):
     @job(duration_s=duration_s, output_mb=output_mb)
@@ -102,7 +104,7 @@ def ZOO_CONVERGENCE(
         duration_s=duration_s,
         output_mb=output_mb,
         max_trips=max_trips,
-        until=lambda trip: trip >= converge_trip,
+        until=lambda trip: trip >= _CONVERGE_TRIP,
     )
     def refine():
         return _noop()

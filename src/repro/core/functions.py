@@ -68,8 +68,8 @@ class SimProfile:
 
         (base_time_s + time_per_input_mb_s * x) / s * lognormal(jitter)
 
-    and the task produces ``output_base_mb + output_per_input_mb * x`` MB of
-    output data.  The profilers never read this object — they learn it from
+    and the task produces ``output_base_mb`` MB of output data, whatever its
+    input.  The profilers never read this object — they learn it from
     observed executions, exactly as the paper's observe–predict–decide loop
     does.
     """
@@ -80,8 +80,6 @@ class SimProfile:
     time_per_input_mb_s: float = 0.0
     #: Output data volume produced regardless of input size (MB).
     output_base_mb: float = 0.0
-    #: Output MB produced per input MB.
-    output_per_input_mb: float = 0.0
     #: Log-normal sigma applied to sampled durations (0 = deterministic).
     jitter: float = 0.0
     #: Number of workers (cores) the task occupies; 1 for ordinary functions.
@@ -95,7 +93,7 @@ class SimProfile:
     def __post_init__(self) -> None:
         if self.base_time_s < 0 or self.time_per_input_mb_s < 0:
             raise ValueError("durations must be non-negative")
-        if self.output_base_mb < 0 or self.output_per_input_mb < 0:
+        if self.output_base_mb < 0:
             raise ValueError("output sizes must be non-negative")
         if self.jitter < 0:
             raise ValueError("jitter must be non-negative")
@@ -110,10 +108,6 @@ class SimProfile:
             raise ValueError("speed_factor must be positive")
         base = (self.base_time_s + self.time_per_input_mb_s * input_mb) / speed_factor
         return base * jitter_draw
-
-    def output_mb(self, input_mb: float = 0.0) -> float:
-        """Output data volume for a given input size."""
-        return self.output_base_mb + self.output_per_input_mb * input_mb
 
 
 class FederatedFunction:

@@ -44,18 +44,20 @@ class StagingTicket:
     #: The owning workflow's namespace (:func:`task_namespace` of
     #: ``task_id``): the data layer notifies that tenant alone.
     namespace: str = ""
-    ticket_id: str = field(default_factory=lambda: f"stage-{next(_ticket_counter):08d}")
-    pending_transfers: Set[str] = field(default_factory=set)
+    ticket_id: str = field(
+        init=False, default_factory=lambda: f"stage-{next(_ticket_counter):08d}"
+    )
+    pending_transfers: Set[str] = field(init=False, default_factory=set)
     failed: bool = False
     #: A newer placement of the same task replaced this ticket.  Superseded
     #: tickets never fire staged callbacks and accrue no transfer volume —
     #: the staging coordinator must not observe a "staged" event for a
     #: destination the task already left.
-    superseded: bool = False
+    superseded: bool = field(init=False, default=False)
     created_at: float = 0.0
     completed_at: Optional[float] = None
     #: Data volume this ticket moved across endpoints (MB).
-    transferred_mb: float = 0.0
+    transferred_mb: float = field(init=False, default=0.0)
     #: Why a failed ticket failed, as the error the task's future raises: a
     #: :class:`~repro.core.exceptions.TransferFailedError` (the input, the
     #: transfer that ran out of retries, its source and attempt count) or a

@@ -19,7 +19,7 @@ on the local filesystem.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, List, Optional, Set
+from typing import Callable, List, Optional, Set
 
 __all__ = [
     "RemoteFile",
@@ -182,11 +182,11 @@ class RsyncFile(RemoteFile):
 
 
 class RemoteDirectory:
-    """A group of remote files that are staged together."""
+    """A group of remote files that are staged together; :meth:`add` fills it."""
 
-    def __init__(self, name: str, files: Optional[Iterable[RemoteFile]] = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.files: List[RemoteFile] = list(files or [])
+        self.files: List[RemoteFile] = []
 
     @property
     def size_mb(self) -> float:

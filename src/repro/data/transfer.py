@@ -16,9 +16,8 @@ backends are provided:
 from __future__ import annotations
 
 import itertools
-import shutil
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.data.remote_file import RemoteFile
@@ -44,11 +43,11 @@ class TransferRequest:
     src: str
     dst: str
     mechanism: str = "globus"
-    transfer_id: str = ""
+    transfer_id: str = field(
+        init=False, default_factory=lambda: f"xfer-{next(_transfer_counter):08d}"
+    )
 
     def __post_init__(self) -> None:
-        if not self.transfer_id:
-            self.transfer_id = f"xfer-{next(_transfer_counter):08d}"
         if self.src == self.dst:
             raise ValueError("transfer source and destination are identical")
 
@@ -133,34 +132,20 @@ class SimulatedTransferBackend(TransferBackend):
 
 
 class LocalCopyTransferBackend(TransferBackend):
-    """Immediate transfers for local mode (shared filesystem)."""
+    """Immediate transfers for local mode (shared filesystem): a transfer
+    copies nothing, it only records the file at its destination."""
 
-    def __init__(self, clock=None, copy_files: bool = False) -> None:
+    def __init__(self, clock=None) -> None:
         # Without a clock, time stands at 0.0: a SimClock nothing advances.
         self._clock = clock if clock is not None else SimClock()
-        self.copy_files = copy_files
         self.completed_count = 0
 
     def start(self, request: TransferRequest, on_done: TransferCallback) -> None:
         now = self._clock.now
-        error = None
-        success = True
-        if self.copy_files and request.file.local_path:
-            try:
-                destination = f"{request.file.local_path}.{request.dst}"
-                shutil.copyfile(request.file.local_path, destination)
-            except OSError as exc:
-                success = False
-                error = str(exc)
-        if success:
-            request.file.add_location(request.dst)
-            self.completed_count += 1
+        request.file.add_location(request.dst)
+        self.completed_count += 1
         on_done(
             TransferResult(
-                request=request,
-                success=success,
-                started_at=now,
-                completed_at=self._clock.now,
-                error=error,
+                request=request, success=True, started_at=now, completed_at=self._clock.now
             )
         )

@@ -69,11 +69,11 @@ class Replica:
     #: Monotonic access stamp (insertion/touch order, deterministic).
     last_touch: int = 0
     #: Tasks currently pinning this replica (their inputs live here).
-    pinned_by: Set[str] = field(default_factory=set)
+    pinned_by: Set[str] = field(init=False, default_factory=set)
     #: True when the replica arrived through the prefetch pipeline.
     prefetched: bool = False
     #: True once a demand staging actually consumed the prefetched replica.
-    used: bool = False
+    used: bool = field(init=False, default=False)
 
     @property
     def pinned(self) -> bool:

@@ -52,7 +52,7 @@ class TransferJob:
     klass: int = DEMAND
     #: Downstream-task priority (higher = sooner within the class).
     priority: float = 0.0
-    seq: int = 0
+    seq: int = field(init=False, default=0)
     tickets: List[StagingTicket] = field(default_factory=list)
     attempts: int = 0
     cancelled: bool = False
@@ -70,7 +70,7 @@ class TransferJob:
     #: when a demote restores a key identical to an earlier entry's — and the
     #: token doubles as a unique heap tiebreaker, so heapq never has to
     #: compare two TransferJob payloads.
-    queue_token: int = -1
+    queue_token: int = field(init=False, default=-1)
 
     @property
     def link(self) -> Link:

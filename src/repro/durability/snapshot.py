@@ -49,8 +49,10 @@ __all__ = [
 #: Format version this build writes and the only one it reads.  Version 2
 #: dropped the ``columnar`` field from the replay recipe (``scenario``),
 #: version 3 the ``vectorized`` field; version 4 gave the ``dataplane``
-#: section one shape for every run (no ``type`` field).
-SCHEMA_VERSION = 4
+#: section one shape for every run (no ``type`` field); version 5 dropped
+#: three dynamics options (``removal_bias``, ``rejoin_workers``,
+#: ``target_endpoints``) from the recipe.
+SCHEMA_VERSION = 5
 
 _MAGIC = "repro-snapshot"
 _CKPT_PATTERN = re.compile(r"^ckpt-(\d+)\.snap$")

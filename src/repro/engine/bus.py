@@ -83,14 +83,9 @@ class EventBus:
         self._any_snapshot = tuple(self._any_handlers)
         return handler
 
-    def handler_count(self, event_type: Type[Event] | None = None) -> int:
-        """Number of subscribed handlers (teardown/restore regression hook).
-
-        With ``event_type``, counts that type's handlers only; without,
-        counts every type-specific handler plus the any-event handlers.
-        """
-        if event_type is not None:
-            return len(self._handlers.get(event_type, []))
+    def handler_count(self) -> int:
+        """Number of subscribed handlers, of every type and any-event
+        (teardown/restore regression hook)."""
         return len(self._any_handlers) + sum(
             len(handlers) for handlers in self._handlers.values()
         )

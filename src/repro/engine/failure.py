@@ -50,9 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["FailureCoordinator"]
 
-#: Placed-but-undispatched states a crash forces back through placement.
-_REASSIGNABLE = (TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
-
 
 class FailureCoordinator:
     """Retry, reassign, then fail (§IV-G)."""
@@ -115,7 +112,7 @@ class FailureCoordinator:
         # re-scheduling pass rebalances with full capacity knowledge.
         target = engine.task_monitor.most_reliable_endpoint(survivors)
         for task in engine.index.undispatched_tasks():
-            if task.assigned_endpoint != crashed or task.state not in _REASSIGNABLE:
+            if task.assigned_endpoint != crashed:
                 continue
             engine.bus.publish(
                 TaskPlaced(

@@ -38,16 +38,12 @@ import time as _time
 from math import isfinite
 from typing import TYPE_CHECKING
 
-from repro.core.dag import TaskState, state_codes
 from repro.engine.events import CapacityChanged, TaskPlaced
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.core import ExecutionEngine
 
 __all__ = ["PeriodicCoordinator"]
-
-#: Undispatched states eligible for a re-scheduling pass.
-_RESCHEDULABLE = state_codes(TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
 
 #: ``due_at`` is set this much (relatively) before the first instant a timer's
 #: own ``now - last >= interval`` test can pass, so rounding in ``last +
@@ -66,12 +62,13 @@ class PeriodicCoordinator:
         #: Earliest clock time a timer above can fire (see the module
         #: docstring); re-derived whenever one of them is reset.
         self.due_at = 0.0
-        #: Re-scheduling candidates, re-derived only when the undispatched
-        #: set's membership (``TaskIndex.undispatched_epoch``) or a row's
-        #: target or pending-dispatch membership (``TaskStore.pending_version``)
-        #: moved.  An unchanged pool is handed to the scheduler as the very
-        #: same tuple, which its no-op fingerprint recognises in O(1).
-        self._resched_key = None
+        #: Re-scheduling candidates: the undispatched index, which holds
+        #: exactly the SCHEDULED / STAGING / STAGED rows, re-derived only when
+        #: a row's target or pending-dispatch membership
+        #: (``TaskStore.pending_version``) moved.  An unchanged pool is handed
+        #: to the scheduler as the very same tuple, which its no-op
+        #: fingerprint recognises in O(1).
+        self._resched_version = None
         self._resched_candidates: tuple = ()
 
     # ------------------------------------------------------------------ tick
@@ -113,14 +110,9 @@ class PeriodicCoordinator:
         store = graph.store
         if not store.undispatched_count:
             return
-        index = engine.index
-        key = (index.undispatched_epoch, store.pending_version)
-        if key != self._resched_key:
-            self._resched_key = key
-            state = store.state
-            self._resched_candidates = tuple(
-                [t for t in index.undispatched_tasks() if state[t._row] in _RESCHEDULABLE]
-            )
+        if store.pending_version != self._resched_version:
+            self._resched_version = store.pending_version
+            self._resched_candidates = tuple(engine.index.undispatched_tasks())
         candidates = self._resched_candidates
         if not candidates:
             return

@@ -30,10 +30,13 @@ class TaskIndex:
     * the **pinned set** — ready tasks carrying an endpoint hint, which the
       next pump places on their pin without asking the scheduler;
     * the **undispatched index** — tasks placed on an endpoint but not yet
-      dispatched (scheduled/staging/staged), in *placement order* (what the
-      re-scheduling pass walks).  Their counts, in total and per endpoint,
-      for the metrics sampler and the scaling strategy, are the running
-      aggregates of the graph's :class:`TaskStore`
+      dispatched, in *placement order* (what the re-scheduling pass walks).
+      It holds exactly the graph's SCHEDULED / STAGING / STAGED rows: a task
+      joins it as it enters SCHEDULED and leaves it as it leaves STAGED or
+      STAGING, so each membership change moves the
+      :class:`~repro.engine.store.TaskStore`'s ``pending_version``.  Their
+      counts, in total and per endpoint, for the metrics sampler and the
+      scaling strategy, are the store's running aggregates
       (``undispatched_count``, ``pending_dispatch``).
 
     A task joins the queue or the pinned set when it becomes READY and
@@ -51,10 +54,6 @@ class TaskIndex:
         #: the run loop reads every visit).
         self.queued_count = 0
         self._undispatched: Dict[str, Task] = {}  # insertion-ordered
-        #: Bumped whenever the undispatched set's *membership* changes; the
-        #: periodic re-scheduling pass caches its candidate list keyed by
-        #: this instead of re-materialising it every cadence.
-        self.undispatched_epoch = 0
 
     # ------------------------------------------------------ scheduling queue
     def enqueue(self, task: Task, pinned: bool) -> None:
@@ -85,14 +84,12 @@ class TaskIndex:
         """Record that ``task`` was placed (a move to another endpoint keeps
         its place in the order and is not a membership change)."""
         if task.task_id not in self._undispatched:
-            self.undispatched_epoch += 1
             self._undispatched[task.task_id] = task
 
     def clear_undispatched(self, task_id: str) -> None:
         """Forget ``task_id`` (it was dispatched or terminally failed)."""
         if task_id in self._undispatched:
             del self._undispatched[task_id]
-            self.undispatched_epoch += 1
 
     def undispatched_tasks(self) -> List[Task]:
         """Undispatched tasks in placement order (deterministic)."""

@@ -105,7 +105,7 @@ class TaskStore:
         self._state_counts = [0] * len(STATES)
         #: Bumped whenever a row's endpoint changes or a row enters or leaves
         #: the pending-dispatch states, so every change of :meth:`pending_on`
-        #: moves it: with the engine index's ``undispatched_epoch``, what the
+        #: and of the engine's undispatched index moves it: what the
         #: re-scheduling candidates and their targets are keyed on (see
         #: :mod:`repro.engine.periodic`), and what DHA's claim column is
         #: refilled on (:class:`~repro.sched.vector.EndpointStateVectors`).

@@ -29,7 +29,7 @@ read of one run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.metrics.collector import TimeSeries
 from repro.scenarios.presets import paper_spec
@@ -41,6 +41,9 @@ __all__ = [
     "run_spec",
     "run_static_capacity_study",
 ]
+
+#: The schedulers the paper's case studies and Table III compare, in order.
+PAPER_SCHEDULERS = ("CAPACITY", "LOCALITY", "DHA")
 
 
 @dataclass
@@ -94,40 +97,36 @@ def run_spec(spec: ScenarioSpec, experiment: Optional[str] = None) -> CaseStudyR
 
 
 def run_static_capacity_study(
-    workflow: str,
-    *,
-    scale: float = 0.05,
-    schedulers: Sequence[str] = ("CAPACITY", "LOCALITY", "DHA"),
-    include_baseline: bool = True,
-    seed: int = 0,
+    workflow: str, *, scale: float = 0.05, seed: int = 0
 ) -> Dict[str, CaseStudyResult]:
-    """Table IV: static resource capacity, plus Figs. 9–11 time-series."""
+    """Table IV: static resource capacity, plus Figs. 9–11 time-series.
+
+    One run per scheduler of :data:`PAPER_SCHEDULERS`, then the
+    single-cluster baseline.
+    """
     results = {
         scheduler: run_spec(paper_spec(workflow, "static", scheduler, scale=scale, seed=seed))
-        for scheduler in schedulers
+        for scheduler in PAPER_SCHEDULERS
     }
-    if include_baseline:
-        name = "Baseline: Only " + ("Taiyi" if workflow == "drug_screening" else "Qiming")
-        spec = paper_spec(workflow, "baseline", "CAPACITY", scale=scale, seed=seed)
-        results[name] = run_spec(spec, name)
+    name = "Baseline: Only " + ("Taiyi" if workflow == "drug_screening" else "Qiming")
+    spec = paper_spec(workflow, "baseline", "CAPACITY", scale=scale, seed=seed)
+    results[name] = run_spec(spec, name)
     return results
 
 
 def run_dynamic_capacity_study(
-    workflow: str,
-    *,
-    scale: float = 0.05,
-    schedulers: Sequence[str] = ("CAPACITY", "LOCALITY", "DHA"),
-    include_no_rescheduling: bool = True,
-    seed: int = 0,
+    workflow: str, *, scale: float = 0.05, seed: int = 0
 ) -> Dict[str, CaseStudyResult]:
-    """Table V: dynamic resource capacity, plus Figs. 12–13 time-series."""
+    """Table V: dynamic resource capacity, plus Figs. 12–13 time-series.
+
+    One run per scheduler of :data:`PAPER_SCHEDULERS`, then DHA without
+    re-scheduling.
+    """
     results = {
         scheduler: run_spec(paper_spec(workflow, "dynamic", scheduler, scale=scale, seed=seed))
-        for scheduler in schedulers
+        for scheduler in PAPER_SCHEDULERS
     }
-    if include_no_rescheduling:
-        name = "DHA without re-sched."
-        spec = paper_spec(workflow, "dynamic", "DHA", scale=scale, seed=seed)
-        results[name] = run_spec(replace(spec, enable_rescheduling=False), name)
+    name = "DHA without re-sched."
+    spec = paper_spec(workflow, "dynamic", "DHA", scale=scale, seed=seed)
+    results[name] = run_spec(replace(spec, enable_rescheduling=False), name)
     return results

@@ -36,6 +36,10 @@ PAPER_MAX_WORKERS = {"ep1": 100, "ep2": 40, "ep3": 20}
 #: Each node contributes 20 workers (paper: "each node has 20 workers").
 WORKERS_PER_NODE = 20
 
+#: Simulated seconds the run continues after the last task, so idle
+#: endpoints can scale back in.
+_DRAIN_TIME_S = 120.0
+
 
 @dataclass
 class ElasticityResult:
@@ -61,7 +65,6 @@ def run_elasticity_experiment(
     max_workers: Dict[str, int] = None,
     idle_shutdown_s: float = 30.0,
     sample_interval_s: float = 2.0,
-    drain_time_s: float = 120.0,
     seed: int = 0,
 ) -> ElasticityResult:
     """Run the Fig. 7 elasticity scenario and return the time-series."""
@@ -113,7 +116,7 @@ def run_elasticity_experiment(
             completed += info.task_count
         client.run()
     # Let idle shutdown drain the pools so the final scale-to-zero is visible.
-    env.kernel.run(until=env.kernel.clock.now + drain_time_s)
+    env.kernel.run(until=env.kernel.clock.now + _DRAIN_TIME_S)
 
     result = ElasticityResult(
         active_workers={name: metrics.active_workers[name] for name in caps},

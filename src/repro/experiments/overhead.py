@@ -14,8 +14,9 @@ not simulated time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
+from repro.experiments.case_studies import PAPER_SCHEDULERS
 from repro.scenarios.presets import paper_spec
 from repro.scenarios.spec import run_scenario
 
@@ -35,21 +36,14 @@ class OverheadResult:
     def ordering_matches_paper(self) -> bool:
         """DHA (prediction + prioritisation) should be the most expensive (Table III)."""
         o = self.overhead_per_task_s
-        if not {"CAPACITY", "LOCALITY", "DHA"} <= set(o):
-            return False
         return o["DHA"] >= o["CAPACITY"] and o["DHA"] >= o["LOCALITY"]
 
 
-def run_overhead_experiment(
-    schedulers: Sequence[str] = ("CAPACITY", "LOCALITY", "DHA"),
-    *,
-    scale: float = 0.02,
-    seed: int = 0,
-) -> OverheadResult:
+def run_overhead_experiment(*, scale: float = 0.02, seed: int = 0) -> OverheadResult:
     """Measure the per-task scheduling overhead of each algorithm."""
     overheads: Dict[str, float] = {}
     task_count = 0
-    for scheduler in schedulers:
+    for scheduler in PAPER_SCHEDULERS:
         spec = paper_spec("drug_screening", "static", scheduler, scale=scale, seed=seed)
         result = run_scenario(spec)
         overheads[scheduler] = result.metrics.scheduler_overhead_per_task_s()

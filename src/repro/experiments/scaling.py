@@ -49,7 +49,7 @@ class ScalingPoint:
 class ScalingResult:
     mode: str
     task_duration_s: float
-    points: List[ScalingPoint] = field(default_factory=list)
+    points: List[ScalingPoint] = field(init=False, default_factory=list)
 
     def completion_times(self) -> Dict[int, float]:
         return {p.endpoints: p.completion_time_s for p in self.points}

@@ -23,7 +23,7 @@ The endpoint reproduces the behaviours UniFaaS depends on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
 from collections import deque
@@ -38,6 +38,9 @@ from repro.sim.kernel import EventHandle, SimulationKernel
 __all__ = ["CapacityChange", "SimulatedEndpoint"]
 
 CompletionCallback = Callable[[TaskExecutionRecord], None]
+
+#: Seconds between two checks of an auto-scaling endpoint for idle workers.
+_SCALE_CHECK_INTERVAL_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ class _RunningTask:
     started_at: float
     worker_id: str
     #: Kernel event that will complete the task; cancelled by a crash.
-    finish_handle: Optional[EventHandle] = None
+    finish_handle: Optional[EventHandle] = field(init=False, default=None)
 
 
 class SimulatedEndpoint:
@@ -88,7 +91,6 @@ class SimulatedEndpoint:
         max_workers: Optional[int] = None,
         auto_scale: bool = True,
         idle_shutdown_s: float = 30.0,
-        scale_check_interval_s: float = 10.0,
         execution_overhead_s: float = 0.0,
         failure_rate: float = 0.0,
         duration_jitter: float = 0.0,
@@ -143,10 +145,10 @@ class SimulatedEndpoint:
         self.failed_count = 0
         self.busy_core_seconds = 0.0
 
-        if auto_scale and scale_check_interval_s > 0:
+        if auto_scale:
             # Daemon: idle-pool housekeeping must not keep the simulation alive.
             kernel.schedule_periodic(
-                scale_check_interval_s, self._idle_scale_in_check, daemon=True
+                _SCALE_CHECK_INTERVAL_S, self._idle_scale_in_check, daemon=True
             )
 
     # ------------------------------------------------------------ properties

@@ -68,7 +68,7 @@ class ExecutionFabric(ABC):
         """Release fabric resources (worker pools, ...); no-op by default."""
 
     @abstractmethod
-    def process(self, timeout_s: Optional[float] = None) -> List[TaskExecutionRecord]:
+    def process(self) -> List[TaskExecutionRecord]:
         """Advance the fabric and return newly completed execution records."""
 
     @abstractmethod
@@ -160,7 +160,7 @@ class SimulatedFabric(ExecutionFabric):
             cores=profile.cores,
             input_mb=input_mb,
             sim_duration_s=duration,
-            sim_output_mb=profile.output_mb(input_mb),
+            sim_output_mb=profile.output_base_mb,
             sim_failure_rate=profile.failure_rate,
         )
 
@@ -187,7 +187,7 @@ class SimulatedFabric(ExecutionFabric):
         else:
             self.service.submit_batch(endpoint_name, batch)
 
-    def process(self, timeout_s: Optional[float] = None) -> List[TaskExecutionRecord]:
+    def process(self) -> List[TaskExecutionRecord]:
         kernel = self.kernel
         if kernel._non_daemon_pending == 0 and self._pending:
             # Batched submissions must not wait for a full batch while the

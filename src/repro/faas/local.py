@@ -22,6 +22,9 @@ from repro.sim.kernel import WallClock
 
 __all__ = ["LocalEndpoint", "LocalFabric"]
 
+#: How long one :meth:`LocalFabric.process` call waits for a first record (s).
+_POLL_TIMEOUT_S = 0.02
+
 
 class LocalEndpoint:
     """A pool of worker threads executing real Python functions."""
@@ -187,11 +190,10 @@ class LocalFabric(ExecutionFabric):
             self._outstanding += 1
         endpoint.submit(request, self.clock, self._results)
 
-    def process(self, timeout_s: Optional[float] = None) -> List[TaskExecutionRecord]:
+    def process(self) -> List[TaskExecutionRecord]:
         records: List[TaskExecutionRecord] = []
-        timeout = 0.02 if timeout_s is None else timeout_s
         try:
-            records.append(self._results.get(timeout=timeout))
+            records.append(self._results.get(timeout=_POLL_TIMEOUT_S))
         except queue.Empty:
             return records
         # Drain whatever else is immediately available.

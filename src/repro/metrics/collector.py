@@ -51,10 +51,10 @@ class StreamingStats:
     million-task-scale streams switch to sampled percentiles.
     """
 
-    def __init__(self, capacity: int = 4096, seed: int = 0) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+    #: Reservoir size: the observations kept for the percentiles.
+    capacity = 4096
+
+    def __init__(self, seed: int = 0) -> None:
         self.count = 0
         self.total = 0.0
         self._reservoir: List[float] = []
@@ -91,8 +91,8 @@ class StreamingStats:
 class TimeSeries:
     """A sampled time series (times and values of equal length)."""
 
-    times: List[float] = field(default_factory=list)
-    values: List[float] = field(default_factory=list)
+    times: List[float] = field(init=False, default_factory=list)
+    values: List[float] = field(init=False, default_factory=list)
 
     def append(self, t: float, value: float) -> None:
         self.times.append(t)

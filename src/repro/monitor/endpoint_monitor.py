@@ -10,7 +10,7 @@ a result, and re-synchronised with the service's (stale) view periodically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 from repro.core.exceptions import EndpointError
@@ -34,7 +34,7 @@ class MockEndpoint:
     online: bool = True
     #: Tasks UniFaaS has dispatched that the endpoint has not finished yet.
     outstanding_tasks: int = 0
-    last_synced_at: float = 0.0
+    last_synced_at: float = field(init=False, default=0.0)
 
     @property
     def idle_workers(self) -> int:

@@ -129,24 +129,17 @@ class HistoryStore:
         self,
         function_name: Optional[str] = None,
         endpoint: Optional[str] = None,
-        successful_only: bool = True,
-        limit: Optional[int] = None,
     ) -> List[TaskRecord]:
-        query = "SELECT * FROM task_records"
-        clauses, params = [], []
+        """The successful task records, newest first."""
+        clauses, params = ["success = 1"], []
         if function_name is not None:
             clauses.append("function_name = ?")
             params.append(function_name)
         if endpoint is not None:
             clauses.append("endpoint = ?")
             params.append(endpoint)
-        if successful_only:
-            clauses.append("success = 1")
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
-        query += " ORDER BY timestamp DESC"
-        if limit is not None:
-            query += f" LIMIT {int(limit)}"
+        where = " AND ".join(clauses)
+        query = f"SELECT * FROM task_records WHERE {where} ORDER BY timestamp DESC"
         rows = self._conn.execute(query, params).fetchall()
         return [
             TaskRecord(
@@ -199,24 +192,17 @@ class HistoryStore:
         self,
         src: Optional[str] = None,
         dst: Optional[str] = None,
-        successful_only: bool = True,
-        limit: Optional[int] = None,
     ) -> List[TransferRecord]:
-        query = "SELECT * FROM transfer_records"
-        clauses, params = [], []
+        """The successful transfer records, newest first."""
+        clauses, params = ["success = 1"], []
         if src is not None:
             clauses.append("src = ?")
             params.append(src)
         if dst is not None:
             clauses.append("dst = ?")
             params.append(dst)
-        if successful_only:
-            clauses.append("success = 1")
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
-        query += " ORDER BY timestamp DESC"
-        if limit is not None:
-            query += f" LIMIT {int(limit)}"
+        where = " AND ".join(clauses)
+        query = f"SELECT * FROM transfer_records WHERE {where} ORDER BY timestamp DESC"
         rows = self._conn.execute(query, params).fetchall()
         return [
             TransferRecord(

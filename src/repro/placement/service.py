@@ -28,7 +28,6 @@ service:
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -299,5 +298,6 @@ class PlacementService:
             "offline": sorted(self._offline),
             "replications": int(self.replications_issued),
             "plan": self._plan.describe() if self._plan is not None else None,
-            "rng": copy.deepcopy(self._rng.bit_generator.state),
+            # numpy builds a fresh dict on every ``state`` read: no copy needed.
+            "rng": self._rng.bit_generator.state,
         }

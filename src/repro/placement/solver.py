@@ -43,6 +43,12 @@ _MAX_PASSES = 8
 #: so float noise cannot make the search wander between equal solutions.
 _EPSILON = 1e-9
 
+#: Cost (seconds) of keeping one facility warm.
+_OPEN_COST_S = 2.0
+
+#: Lower bound: workers a warm facility is targeted at least.
+_MIN_WORKERS = 1
+
 
 @dataclass(frozen=True)
 class HotFile:
@@ -73,10 +79,6 @@ class PlacementProblem:
     hot_files: List[HotFile] = field(default_factory=list)
     #: Shared-consumer counts for co-accessed hot-file pairs (ids sorted).
     co_access: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    #: Cost (seconds) of keeping one facility warm.
-    open_cost_s: float = 2.0
-    #: Lower bound: workers a warm facility should be targeted at least.
-    min_workers: int = 1
 
 
 def solve_placement(
@@ -127,7 +129,7 @@ def _worker_targets(problem: PlacementProblem, warm: Tuple[str, ...]) -> Dict[st
     it rounds exactly the way the elastic scaler and the fair-share
     arbitration round.  The facility lower bound is enforced afterwards:
     while demand allows, every warm facility is targeted at least
-    ``min_workers``, taking from the largest target deterministically.
+    ``_MIN_WORKERS``, taking from the largest target deterministically.
     """
     if not warm:
         return {}
@@ -138,8 +140,8 @@ def _worker_targets(problem: PlacementProblem, warm: Tuple[str, ...]) -> Dict[st
         e: caps[e] / max(problem.perf.get(e, 1.0), 1e-9) for e in warm
     }
     targets = largest_remainder_split(demand, weights, caps=caps)
-    floor = max(0, int(problem.min_workers))
-    if floor and demand >= floor * len(warm):
+    floor = _MIN_WORKERS
+    if demand >= floor * len(warm):
         for name in sorted(warm):
             while targets[name] < min(floor, caps[name]):
                 donor = max(
@@ -179,7 +181,7 @@ class _State:
     # ------------------------------------------------------------- objective
     def objective(self) -> float:
         p = self.p
-        total = p.open_cost_s * len(self.warm)
+        total = _OPEN_COST_S * len(self.warm)
 
         rate = sum(
             p.max_workers.get(e, 1) / max(p.perf.get(e, 1.0), 1e-9)

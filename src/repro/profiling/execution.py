@@ -10,7 +10,7 @@ periodically as the task monitor streams in new observations.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,8 +23,6 @@ __all__ = ["ExecutionProfiler"]
 #: Feature vector layout: (input_mb, cores_per_node, cpu_freq_ghz, ram_gb).
 FEATURES = ("input_mb", "cores_per_node", "cpu_freq_ghz", "ram_gb")
 
-ModelFactory = Callable[[], object]
-
 #: Entry cap of the scalar prediction memo and of each function's row table;
 #: reaching it clears the one that reached it.
 _MEMO_CAP = 4096
@@ -32,12 +30,17 @@ _MEMO_CAP = 4096
 _MAX_TRAINING_SAMPLES = 512
 
 
+def _new_model() -> RandomForestRegressor:
+    """A fresh, unfitted model of one function's time or output size."""
+    return RandomForestRegressor(n_estimators=8, max_depth=6)
+
+
 class _FunctionModel:
     """Time + output-size models for one function."""
 
-    def __init__(self, model_factory: ModelFactory, max_retained: Optional[int] = None) -> None:
-        self.time_model = model_factory()
-        self.output_model = model_factory()
+    def __init__(self, max_retained: Optional[int]) -> None:
+        self.time_model = _new_model()
+        self.output_model = _new_model()
         self.samples: List[Tuple[Tuple[float, float, float, float], float, float]] = []
         self.max_retained = max_retained
         #: Total observations ever ingested (monotonic; with a bounded
@@ -157,23 +160,19 @@ class ExecutionProfiler:
         self,
         store: Optional[HistoryStore] = None,
         *,
-        model_factory: Optional[ModelFactory] = None,
         min_samples_to_train: int = 3,
-        max_samples_retained: Optional[int] = None,
     ) -> None:
         if min_samples_to_train < 1:
             raise ValueError("min_samples_to_train must be >= 1")
-        self._model_factory = model_factory or (
-            lambda: RandomForestRegressor(n_estimators=8, max_depth=6)
-        )
         #: Opt-in bounded sample window (streaming runs): keep only the last N
         #: observations per function so millions of tasks cannot grow the
         #: profiler without bound.  ``None`` (the default) retains everything
         #: — the historical behavior, whose running-mean warm-up predictions
-        #: existing preset digests depend on.
-        self.max_samples_retained = max_samples_retained
+        #: existing preset digests depend on.  Set it before the first
+        #: observation of a function: each function's model reads it once.
+        self.max_samples_retained: Optional[int] = None
         self._models: Dict[str, _FunctionModel] = defaultdict(
-            lambda: _FunctionModel(self._model_factory, self.max_samples_retained)
+            lambda: _FunctionModel(self.max_samples_retained)
         )
         self.min_samples_to_train = min_samples_to_train
         #: Monotonic counter bumped whenever any prediction may have changed:

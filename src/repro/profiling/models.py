@@ -15,7 +15,7 @@ All models expose the same ``fit(X, y)`` / ``predict(X)`` interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -50,11 +50,11 @@ def _check_fitted(flag: bool) -> None:
 
 @dataclass
 class _TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
+    feature: int = field(init=False, default=-1)
+    threshold: float = field(init=False, default=0.0)
     value: float = 0.0
-    left: Optional["_TreeNode"] = None
-    right: Optional["_TreeNode"] = None
+    left: Optional["_TreeNode"] = field(init=False, default=None)
+    right: Optional["_TreeNode"] = field(init=False, default=None)
 
     @property
     def is_leaf(self) -> bool:

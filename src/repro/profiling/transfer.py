@@ -28,6 +28,8 @@ Pair = Tuple[str, str]
 _MEMO_CAP = 4096
 #: The probe transfers a seeded bandwidth stands for, in MB.
 _PROBE_SIZES_MB = (10.0, 100.0, 1000.0)
+#: A retrain fits the latest this many observations of a pair.
+_MAX_TRAINING_SAMPLES = 512
 
 
 class _PairModel:
@@ -64,10 +66,10 @@ class _PairModel:
             return None
         return total_mb / total_s
 
-    def train(self, max_samples: int = 512) -> None:
+    def train(self) -> None:
         if not self.samples:
             return
-        rows = self.samples[-max_samples:]
+        rows = self.samples[-_MAX_TRAINING_SAMPLES:]
         X = np.array([[s, c] for s, c, _ in rows], dtype=float)
         y = np.array([d for _, _, d in rows], dtype=float)
         self.model.fit(X, y)
@@ -87,19 +89,18 @@ class _PairModel:
 class TransferProfiler:
     """Per endpoint-pair transfer-time predictor."""
 
+    #: Bandwidth (MB/s) assumed for a pair with no usable observation.
+    default_bandwidth_mbps = 100.0
+
     def __init__(
         self,
         store: Optional[HistoryStore] = None,
         *,
-        default_bandwidth_mbps: float = 100.0,
         min_samples_to_train: int = 3,
         degree: int = 2,
     ) -> None:
-        if default_bandwidth_mbps <= 0:
-            raise ValueError("default_bandwidth_mbps must be positive")
         if min_samples_to_train < 1:
             raise ValueError("min_samples_to_train must be >= 1")
-        self.default_bandwidth_mbps = default_bandwidth_mbps
         self.min_samples_to_train = min_samples_to_train
         self._degree = degree
         self._pairs: Dict[Pair, _PairModel] = defaultdict(lambda: _PairModel(self._degree))

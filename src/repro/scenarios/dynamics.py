@@ -26,7 +26,7 @@ dynamics into data:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,19 +109,18 @@ class ChurnProcess:
     (removals are slightly more likely, modelling contention).
     """
 
+    #: Probability a churn event removes workers rather than adds them.
+    REMOVAL_BIAS: ClassVar[float] = 0.6
+
     mean_interval_s: float = 60.0
     max_delta_workers: int = 8
     start_s: float = 10.0
-    #: Probability a churn event removes workers rather than adds them.
-    removal_bias: float = 0.6
 
     def __post_init__(self) -> None:
         if self.mean_interval_s <= 0:
             raise ValueError("mean_interval_s must be positive")
         if self.max_delta_workers < 1:
             raise ValueError("max_delta_workers must be >= 1")
-        if not 0.0 <= self.removal_bias <= 1.0:
-            raise ValueError("removal_bias must be in [0, 1]")
 
     def expand(
         self, endpoints: Sequence[str], horizon_s: float, rng: np.random.Generator
@@ -134,7 +133,7 @@ class ChurnProcess:
                 if t >= horizon_s:
                     break
                 magnitude = int(rng.integers(1, self.max_delta_workers + 1))
-                sign = -1 if float(rng.random()) < self.removal_bias else 1
+                sign = -1 if float(rng.random()) < self.REMOVAL_BIAS else 1
                 events.append(
                     TimelineEvent(at_s=t, action="churn", endpoint=endpoint,
                                   value=float(sign * magnitude))
@@ -144,15 +143,16 @@ class ChurnProcess:
 
 @dataclass(frozen=True)
 class CrashRejoinCycle:
-    """Seeded-stochastic endpoint crash followed by a rejoin after downtime."""
+    """Seeded-stochastic endpoint crash followed by a rejoin after downtime.
+
+    The endpoint rejoins with its pre-crash maximum of workers.
+    """
 
     #: Probability each endpoint crashes once within the horizon.
     crash_probability: float = 1.0
     earliest_s: float = 30.0
     latest_s: float = 240.0
     downtime_s: float = 60.0
-    #: Workers the endpoint rejoins with (0 = its pre-crash max).
-    rejoin_workers: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.crash_probability <= 1.0:
@@ -175,12 +175,7 @@ class CrashRejoinCycle:
             at = float(rng.uniform(self.earliest_s, latest))
             events.append(TimelineEvent(at_s=at, action="crash", endpoint=endpoint))
             events.append(
-                TimelineEvent(
-                    at_s=at + self.downtime_s,
-                    action="rejoin",
-                    endpoint=endpoint,
-                    value=float(self.rejoin_workers),
-                )
+                TimelineEvent(at_s=at + self.downtime_s, action="rejoin", endpoint=endpoint)
             )
         return events
 
@@ -231,8 +226,6 @@ class DynamicsSpec:
     #: Orchestrator (control-plane) crashes, handled by the durability
     #: layer's recovery driver — not part of the endpoint timeline.
     orchestrator: Tuple[OrchestratorCrash, ...] = ()
-    #: Endpoints the stochastic processes may touch ("" = all).
-    target_endpoints: Tuple[str, ...] = ()
     #: Horizon (simulated seconds) the stochastic processes fill.
     horizon_s: float = 600.0
 
@@ -249,12 +242,11 @@ class DynamicsSpec:
         self, endpoints: Sequence[str], rng: np.random.Generator
     ) -> List[TimelineEvent]:
         """Expand to the concrete, time-sorted timeline for this run."""
-        targets = [e for e in endpoints if not self.target_endpoints or e in self.target_endpoints]
         events = list(self.scripted)
         if self.churn is not None:
-            events.extend(self.churn.expand(targets, self.horizon_s, rng))
+            events.extend(self.churn.expand(endpoints, self.horizon_s, rng))
         if self.crashes is not None:
-            events.extend(self.crashes.expand(targets, self.horizon_s, rng))
+            events.extend(self.crashes.expand(endpoints, self.horizon_s, rng))
         # Stable order: by time, then by a content key so equal-time events
         # from different generators interleave deterministically.
         events.sort(key=lambda e: (e.at_s, e.action, e.endpoint, e.value))

@@ -64,18 +64,18 @@ class DHAScheduler(Scheduler):
     name = "dha"
     uses_delay_mechanism = True
     supports_rescheduling = True
+    #: Execution time (s) assumed for a task no profiler can predict yet.
+    default_execution_time_s = 1.0
 
     def __init__(
         self,
         *,
         enable_delay_mechanism: bool = True,
         enable_rescheduling: bool = True,
-        default_execution_time_s: float = 1.0,
     ) -> None:
         super().__init__()
         self.uses_delay_mechanism = enable_delay_mechanism
         self.supports_rescheduling = enable_rescheduling
-        self.default_execution_time_s = default_execution_time_s
         self._priorities: Dict[str, float] = {}
         #: Number of placements moved by the re-scheduling mechanism.
         self.rescheduled_count = 0

@@ -36,10 +36,11 @@ class HEFTScheduler(Scheduler):
     name = "heft"
     uses_delay_mechanism = False
     supports_rescheduling = False
+    #: Execution time (s) assumed for a task no profiler can predict yet.
+    default_execution_time_s = 1.0
 
-    def __init__(self, default_execution_time_s: float = 1.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.default_execution_time_s = default_execution_time_s
         self._ranks: Dict[str, float] = {}
         self._assignment: Dict[str, str] = {}
         #: Estimated time at which each endpoint's workers become free.

@@ -17,7 +17,6 @@ from math import isfinite
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.config import Config
-from repro.core.dag import TaskState
 from repro.data.transfer import LocalCopyTransferBackend, TransferBackend
 from repro.dataplane import DataPlane
 from repro.elastic.scaling import (
@@ -43,9 +42,6 @@ __all__ = ["Federation"]
 
 #: The dynamics events that change endpoint capacity.
 _CAPACITY_EVENTS = (EndpointCrashed, EndpointRejoined, WorkerChurn)
-
-#: Task states that count as scaling pressure.
-_PENDING_STATES = (TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
 
 
 def _build_data_manager(config: Config, backend: TransferBackend, clock) -> DataPlane:
@@ -173,9 +169,7 @@ class Federation:
         pending = 0
         for engine in self.engines:
             if engine.active:
-                graph = engine.graph
-                pending += engine.index.queued_count
-                pending += sum(graph.state_count(state) for state in _PENDING_STATES)
+                pending += engine.index.queued_count + engine.graph.store.undispatched_count
         views = {}
         for name in self.fabric.endpoint_names():
             mock = self.endpoint_monitor.mock(name)

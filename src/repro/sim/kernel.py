@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 __all__ = [
@@ -121,7 +121,7 @@ class PeriodicHandle:
     interval: float
     callback: Callable[[], None]
     active: bool = True
-    _next_handle: Optional[EventHandle] = None
+    _next_handle: Optional[EventHandle] = field(init=False, default=None)
 
     def cancel(self) -> None:
         self.active = False
@@ -257,35 +257,18 @@ class SimulationKernel:
             return True
         return False
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Run the event loop.
 
-        Parameters
-        ----------
-        until:
-            Absolute simulation time to stop at (events at exactly ``until``
-            are processed, including daemon events).
-        stop_when:
-            Predicate checked after every event; the loop stops when it
-            returns ``True``.
-        max_events:
-            Safety limit on the number of events processed by this call.
-
-        Without ``until``, the loop stops when only daemon events remain —
-        otherwise recurring housekeeping would keep the simulation alive
-        forever.  Returns the simulation time at which the loop stopped.
+        ``until`` is the absolute simulation time to stop at (events at
+        exactly ``until`` are processed, including daemon events).  Without
+        it, the loop stops when only daemon events remain — otherwise
+        recurring housekeeping would keep the simulation alive forever.
+        Returns the simulation time at which the loop stopped.
         """
         if until is not None and until <= self.clock.now:
             return self.clock.now
-        processed = 0
         while self._queue:
-            if stop_when is not None and stop_when():
-                break
             if until is None and self._non_daemon_pending == 0:
                 break
             nxt = self._peek_time()
@@ -295,9 +278,6 @@ class SimulationKernel:
                 self.clock._advance_to(until)
                 break
             if not self.step():
-                break
-            processed += 1
-            if max_events is not None and processed >= max_events:
                 break
         if until is not None and self.clock.now < until and not self._queue:
             self.clock._advance_to(until)

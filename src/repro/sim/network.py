@@ -85,8 +85,8 @@ class NetworkModel:
     Parameters
     ----------
     links:
-        Mapping from ``(src, dst)`` endpoint-name pairs to :class:`LinkSpec`.
-        Links are treated as symmetric unless both directions are given.
+        Mapping from ``(src, dst)`` endpoint-name pairs to :class:`LinkSpec`,
+        one direction per pair (:meth:`set_link` sets both).
     default_link:
         Link used for endpoint pairs not listed explicitly.
     seed:
@@ -112,10 +112,10 @@ class NetworkModel:
         self._bandwidth_scale = 1.0
 
     # ----------------------------------------------------------------- links
-    def set_link(self, src: str, dst: str, link: LinkSpec, symmetric: bool = True) -> None:
+    def set_link(self, src: str, dst: str, link: LinkSpec) -> None:
+        """Set the link between ``src`` and ``dst``, in both directions."""
         self._links[(src, dst)] = link
-        if symmetric:
-            self._links[(dst, src)] = link
+        self._links[(dst, src)] = link
 
     def link(self, src: str, dst: str) -> LinkSpec:
         if src == dst:

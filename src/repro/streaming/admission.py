@@ -12,7 +12,7 @@ are part of the byte-determinism contract.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict
 
 from repro.sim.kernel import SimulationKernel
 from repro.streaming.arrivals import StreamArrival
@@ -32,16 +32,12 @@ class AdmissionController:
         admit: Callable[[StreamArrival, float], None],
         *,
         active_count: Callable[[], int],
-        on_rejected: Optional[Callable[[StreamArrival], None]] = None,
-        on_abandoned: Optional[Callable[[StreamArrival], None]] = None,
     ) -> None:
         self.kernel = kernel
         self.rng = rng
         self.spec = spec
         self._admit_cb = admit
         self._active_count = active_count
-        self._on_rejected = on_rejected
-        self._on_abandoned = on_abandoned
 
         self.pending: Deque[StreamArrival] = deque()
         self._abandon_handles: Dict[str, object] = {}
@@ -60,8 +56,6 @@ class AdmissionController:
         arrival.slo_s = self._draw_slo()
         if len(self.pending) >= self.spec.queue_limit:
             self.rejected += 1
-            if self._on_rejected is not None:
-                self._on_rejected(arrival)
             return
         self.pending.append(arrival)
         self.queue_depth_peak = max(self.queue_depth_peak, len(self.pending))
@@ -113,5 +107,3 @@ class AdmissionController:
             return  # already admitted (its cancel raced an in-flight event)
         self._abandon_handles.pop(arrival.workflow_id, None)
         self.abandoned += 1
-        if self._on_abandoned is not None:
-            self._on_abandoned(arrival)

@@ -23,8 +23,6 @@ unchanged.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.client import UniFaaSClient
 from repro.data.remote_file import GlobusFile
 from repro.workloads.spec import TaskTypeSpec, WorkloadInfo, make_task_type
@@ -33,6 +31,10 @@ __all__ = ["DRUG_SCREENING_TYPES", "build_drug_screening_workflow", "FULL_SCALE_
 
 #: Number of molecule batches at scale 1.0 (1 + 6 * 4000 = 24 001 tasks).
 FULL_SCALE_BATCHES = 4000
+
+#: Size of the external molecule library file every docking batch reads (MB);
+#: it starts on the first configured executor.
+_MOLECULE_LIBRARY_MB = 4096.0
 
 #: Task types with durations chosen so the full-scale workflow averages
 #: ≈220 s per task (paper: 1 447 h / 24 001 tasks) and data volumes summing
@@ -52,37 +54,20 @@ def build_drug_screening_workflow(
     client: UniFaaSClient,
     *,
     scale: float = 1.0,
-    batches: Optional[int] = None,
-    molecule_library_mb: float = 4096.0,
-    library_location: Optional[str] = None,
     jitter: float = 0.0,
 ) -> WorkloadInfo:
-    """Compose the drug-screening DAG through ``client``.
-
-    Parameters
-    ----------
-    scale:
-        Fraction of the paper's 4 000 molecule batches to generate (ignored
-        when ``batches`` is given explicitly).
-    molecule_library_mb:
-        Size of the external molecule library file every docking batch reads.
-    library_location:
-        Endpoint that initially holds the library (defaults to the first
-        configured executor).
-    """
-    if batches is None:
-        if not 0 < scale <= 1.0:
-            raise ValueError("scale must be in (0, 1]")
-        batches = max(1, int(round(FULL_SCALE_BATCHES * scale)))
-    if batches < 1:
-        raise ValueError("batches must be >= 1")
+    """Compose the drug-screening DAG through ``client``: ``scale`` of the
+    paper's 4 000 molecule batches, at least one."""
+    if not 0 < scale <= 1.0:
+        raise ValueError("scale must be in (0, 1]")
+    batches = max(1, int(round(FULL_SCALE_BATCHES * scale)))
 
     types = DRUG_SCREENING_TYPES
     fns = {name: make_task_type(spec, jitter) for name, spec in types.items()}
     info = WorkloadInfo(name="drug_screening", scale=scale)
 
-    location = library_location or client.config.executors[0].endpoint
-    library = GlobusFile("molecule_library.smi", size_mb=molecule_library_mb, location=location)
+    location = client.config.executors[0].endpoint
+    library = GlobusFile("molecule_library.smi", size_mb=_MOLECULE_LIBRARY_MB, location=location)
 
     with client:
         receptor = fns["prepare_receptor"](library)

@@ -36,6 +36,9 @@ __all__ = ["MONTAGE_TYPES", "build_montage_workflow", "FULL_SCALE_IMAGES"]
 #: Number of input images at scale 1.0 (gives exactly 11 340 tasks).
 FULL_SCALE_IMAGES = 2834
 
+#: Size of one raw input image (MB).
+_RAW_IMAGE_MB = 60.0
+
 #: At full scale: durations sum to 65 722 s (5.80 s per task), outputs to
 #: 652.9 GB (see the module docstring).
 MONTAGE_TYPES = {
@@ -53,18 +56,14 @@ def build_montage_workflow(
     client: UniFaaSClient,
     *,
     scale: float = 1.0,
-    images: Optional[int] = None,
-    raw_image_mb: float = 60.0,
     image_location: Optional[str] = None,
     jitter: float = 0.0,
 ) -> WorkloadInfo:
-    """Compose the Montage DAG through ``client``."""
-    if images is None:
-        if not 0 < scale <= 1.0:
-            raise ValueError("scale must be in (0, 1]")
-        images = max(2, int(round(FULL_SCALE_IMAGES * scale)))
-    if images < 2:
-        raise ValueError("images must be >= 2")
+    """Compose the Montage DAG through ``client``: ``scale`` of the paper's
+    images, at least two."""
+    if not 0 < scale <= 1.0:
+        raise ValueError("scale must be in (0, 1]")
+    images = max(2, int(round(FULL_SCALE_IMAGES * scale)))
 
     types = MONTAGE_TYPES
     fns = {name: make_task_type(spec, jitter) for name, spec in types.items()}
@@ -74,7 +73,7 @@ def build_montage_workflow(
     with client:
         projected = []
         for index in range(images):
-            raw = GlobusFile(f"raw_{index:05d}.fits", size_mb=raw_image_mb, location=location)
+            raw = GlobusFile(f"raw_{index:05d}.fits", size_mb=_RAW_IMAGE_MB, location=location)
             future = fns["project_image"](raw)
             info.register(future, "project_image")
             projected.append(future)

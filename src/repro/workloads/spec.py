@@ -66,7 +66,7 @@ class WorkloadInfo:
     name: str
     futures: List[UniFuture] = field(default_factory=list)
     task_count: int = 0
-    tasks_by_type: Dict[str, int] = field(default_factory=dict)
+    tasks_by_type: Dict[str, int] = field(init=False, default_factory=dict)
     #: Scale factor the generator was invoked with.
     scale: float = 1.0
 

@@ -159,10 +159,6 @@ class TestSimProfile:
         p = SimProfile(base_time_s=10.0, time_per_input_mb_s=0.5)
         assert p.duration_on(1.0, input_mb=20.0) == pytest.approx(20.0)
 
-    def test_output_model(self):
-        p = SimProfile(output_base_mb=2.0, output_per_input_mb=0.1)
-        assert p.output_mb(30.0) == pytest.approx(5.0)
-
     def test_jitter_draw_multiplies(self):
         p = SimProfile(base_time_s=10.0)
         assert p.duration_on(1.0, jitter_draw=1.5) == pytest.approx(15.0)

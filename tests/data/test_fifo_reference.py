@@ -87,17 +87,15 @@ case_st = st.fixed_dictionaries(
 
 def replay(build, case):
     kernel = SimulationKernel()
-    network = NetworkModel.uniform(
-        ENDPOINTS, bandwidth_mbps=100.0, jitter=0.1,
-        failure_rate=case["failure_rate"], seed=case["seed"],
-    )
+    # A uniform network with some directed links overridden.
+    uniform = LinkSpec(bandwidth_mbps=100.0, jitter=0.1, failure_rate=case["failure_rate"])
+    links = {(src, dst): uniform for src in ENDPOINTS for dst in ENDPOINTS if src != dst}
     for src, dst, bandwidth, failure_rate in case["links"]:
         if src != dst:
-            network.set_link(
-                src, dst,
-                LinkSpec(bandwidth_mbps=bandwidth, jitter=0.1, failure_rate=failure_rate),
-                symmetric=False,
+            links[(src, dst)] = LinkSpec(
+                bandwidth_mbps=bandwidth, jitter=0.1, failure_rate=failure_rate
             )
+    network = NetworkModel(links=links, default_link=uniform, seed=case["seed"])
     starts = []
     manager = build(
         RecordingBackend(kernel, network, starts),

@@ -54,7 +54,9 @@ class TestRemoteDirectory:
     def test_aggregates_size_and_availability(self):
         a = RemoteFile("a", size_mb=5.0, location="ep1")
         b = RemoteFile("b", size_mb=7.0, location="ep1")
-        d = RemoteDirectory("inputs", [a, b])
+        d = RemoteDirectory("inputs")
+        d.add(a)
+        d.add(b)
         assert d.size_mb == pytest.approx(12.0)
         assert d.available_at("ep1")
         b.remove_location("ep1")
@@ -68,6 +70,7 @@ class TestRemoteDirectory:
         assert [f.name for f in d] == ["a", "b"]
 
     def test_directory_path(self):
-        d = RemoteDirectory("batch", [RemoteFile("a", location="ep2")])
+        d = RemoteDirectory("batch")
+        d.add(RemoteFile("a", location="ep2"))
         assert "batch" in d.get_remote_file_path()
         assert "ep2" in d.get_remote_file_path()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.data.remote_file import GlobusFile, RemoteFile
+from repro.data.remote_file import GlobusFile
 from repro.data.transfer import (
     LocalCopyTransferBackend,
     SimulatedTransferBackend,
@@ -98,23 +98,3 @@ class TestLocalBackend:
         assert len(results) == 1
         assert results[0].success
         assert results[0].request.file.available_at("b")
-
-    def test_real_copy(self, tmp_path):
-        source = tmp_path / "payload.bin"
-        source.write_bytes(b"hello world")
-        file = RemoteFile("payload.bin", size_mb=0.001, location="a", local_path=str(source))
-        backend = LocalCopyTransferBackend(copy_files=True)
-        results = []
-        backend.start(TransferRequest(file=file, src="a", dst="b"), results.append)
-        assert results[0].success
-        assert (tmp_path / "payload.bin.b").read_bytes() == b"hello world"
-
-    def test_copy_error_reported(self, tmp_path):
-        file = RemoteFile(
-            "missing.bin", size_mb=1.0, location="a", local_path=str(tmp_path / "missing.bin")
-        )
-        backend = LocalCopyTransferBackend(copy_files=True)
-        results = []
-        backend.start(TransferRequest(file=file, src="a", dst="b"), results.append)
-        assert not results[0].success
-        assert results[0].error

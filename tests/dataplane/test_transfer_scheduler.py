@@ -281,12 +281,10 @@ class TestCancellation:
         kept = plane.stage("t1", [shared], "b")  # queued behind blocker
         job = plane.transfers.active_job(shared.file_id, "b")
         twin = StagingTicket(
-            task_id=kept.task_id,
-            destination=kept.destination,
-            ticket_id=kept.ticket_id,
-            pending_transfers=set(kept.pending_transfers),
-            created_at=kept.created_at,
+            task_id=kept.task_id, destination=kept.destination, created_at=kept.created_at
         )
+        twin.ticket_id = kept.ticket_id
+        twin.pending_transfers = set(kept.pending_transfers)
         job.tickets.append(twin)
         assert kept != twin  # identity, not field equality
         plane._supersede(twin)

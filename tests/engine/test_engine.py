@@ -64,25 +64,23 @@ class TestTaskIndex:
         place(t2, "a")
         place(t3, "b")
         assert store.undispatched_by_endpoint() == {"a": 2, "b": 1}
-        epoch = index.undispatched_epoch
-        # A re-scheduling move shifts the count, O(1), and keeps t1's place
-        # in the order: the membership (the epoch) did not change.
+        version = store.pending_version
+        # A re-scheduling move shifts the count, O(1), keeps t1's place in
+        # the order and moves the store's pending version.
         place(t1, "b")
         assert store.undispatched_by_endpoint() == {"a": 1, "b": 2}
-        assert index.undispatched_epoch == epoch
+        assert store.pending_version > version
         assert index.undispatched_tasks() == tasks
         dispatch(t2)
         dispatch(t3)
         assert store.undispatched_by_endpoint() == {"b": 1}
         assert index.undispatched_tasks() == [t1]
         assert store.undispatched_count == 1
-        assert index.undispatched_epoch == epoch + 2
 
     def test_clear_unknown_task_is_a_noop(self):
         index = TaskIndex()
         index.clear_undispatched("missing")
         assert index.undispatched_tasks() == []
-        assert index.undispatched_epoch == 0
 
 
 class TestInputEstimate:

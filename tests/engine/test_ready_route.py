@@ -14,7 +14,7 @@ places every task exactly once, a pinned one on its pin.
 from collections import Counter
 
 from repro.core.client import ENDPOINT_HINT_KWARG
-from repro.core.dag import READY_CODE
+from repro.core.dag import READY_CODE, TaskState
 from repro.engine.events import TaskCompleted, TaskPlaced
 from repro.scenarios.dynamics import DynamicsInjector, TimelineEvent
 from repro.workloads.spec import TaskTypeSpec, make_task_type
@@ -24,16 +24,14 @@ from tests.integration.conftest import build_two_site_env
 PRODUCE = TaskTypeSpec(name="route_produce", duration_s=2.0, output_mb=2.0)
 FOLLOW = TaskTypeSpec(name="route_follow", duration_s=1.0, output_mb=1.0)
 SITES = ("site_a", "site_b")
+PENDING_DISPATCH = (TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
 
 
-def test_every_ready_task_waits_ready_and_is_placed_once_by_its_route():
-    env = build_two_site_env(failure_rate_a=0.3, seed=7)
-    client = env.make_client(env.make_config("DHA", max_task_retries=1))
-    engine = client.engine
-    store = engine.graph.store
+def submit_waves(client):
+    """Six waves of pinned and unpinned roots and successors; returns the
+    pins (task id -> its endpoint hint)."""
     produce, follow = make_task_type(PRODUCE), make_task_type(FOLLOW)
-
-    pins = {}  # task id -> its endpoint hint
+    pins = {}
 
     def pinned(task_type, *args, site):
         future = task_type(*args, **{ENDPOINT_HINT_KWARG: site})
@@ -54,6 +52,24 @@ def test_every_ready_task_waits_ready_and_is_placed_once_by_its_route():
                     pinned(follow, root, site=site)
                 follow(root)
                 pinned(follow, root, roots[(i + 1) % 3], site=SITES[i % 2])
+    return pins
+
+
+def crash_and_rejoin_site_b(env, client):
+    injector = DynamicsInjector(env, client.federation)
+    injector.install([
+        TimelineEvent(at_s=3.0, action="crash", endpoint="site_b"),
+        TimelineEvent(at_s=9.0, action="rejoin", endpoint="site_b", value=8),
+    ])
+    return injector
+
+
+def test_every_ready_task_waits_ready_and_is_placed_once_by_its_route():
+    env = build_two_site_env(failure_rate_a=0.3, seed=7)
+    client = env.make_client(env.make_config("DHA", max_task_retries=1))
+    engine = client.engine
+    store = engine.graph.store
+    pins = submit_waves(client)
 
     placed_by_pump = []  # (task id, endpoint) placed inside schedule_ready
     pumping = [False]
@@ -95,11 +111,7 @@ def test_every_ready_task_waits_ready_and_is_placed_once_by_its_route():
 
     failed_attempts = []
     engine.bus.subscribe(TaskCompleted, failed_attempts.append)
-    injector = DynamicsInjector(env, client.federation)
-    injector.install([
-        TimelineEvent(at_s=3.0, action="crash", endpoint="site_b"),
-        TimelineEvent(at_s=9.0, action="rejoin", endpoint="site_b", value=8),
-    ])
+    injector = crash_and_rejoin_site_b(env, client)
 
     client.run(max_wall_time_s=120.0)
 
@@ -116,3 +128,32 @@ def test_every_ready_task_waits_ready_and_is_placed_once_by_its_route():
     on_pin = {task_id: endpoint for task_id, endpoint in placed_by_pump if task_id in pins}
     assert on_pin == pins
     assert set(handed) == {t.task_id for t in tasks} - set(pins)
+
+
+def test_the_undispatched_index_is_exactly_the_pending_dispatch_rows():
+    # What the re-scheduling pass and the crash reaction walk without a state
+    # filter, and what the scaling pressure counts: after every pump round the
+    # index holds the SCHEDULED / STAGING / STAGED rows and nothing else.
+    env = build_two_site_env(failure_rate_a=0.3, seed=7)
+    client = env.make_client(env.make_config("DHA", max_task_retries=1))
+    graph = client.graph
+    submit_waves(client)
+    pump = client.manager._pump
+    rounds = []
+
+    def checked_pump(active):
+        progressed = pump(active)
+        pending = [t.task_id for t in graph.in_state(*PENDING_DISPATCH)]
+        undispatched = [t.task_id for t in client.engine.index.undispatched_tasks()]
+        assert sorted(undispatched) == sorted(pending)
+        assert graph.store.undispatched_count == len(pending)
+        rounds.append(len(pending))
+        return progressed
+
+    client.manager._pump = checked_pump
+    injector = crash_and_rejoin_site_b(env, client)
+    client.run(max_wall_time_s=120.0)
+
+    assert graph.is_complete()
+    assert [e.action for e in injector.fired] == ["crash", "rejoin"]
+    assert max(rounds) > 0 and rounds[-1] == 0

@@ -83,7 +83,7 @@ class TestElasticityExperiment:
             (70.0, {"ep1": (40, 10.0), "ep2": (16, 5.0), "ep3": (8, 5.0)}),
         ]
         result = run_elasticity_experiment(
-            phases, max_workers={"ep1": 40, "ep2": 16, "ep3": 8}, drain_time_s=120.0
+            phases, max_workers={"ep1": 40, "ep2": 16, "ep3": 8}
         )
         assert result.completed_tasks == 96
         # Every endpoint scaled out...
@@ -107,9 +107,7 @@ class TestOverheadExperiment:
 
 class TestCaseStudies:
     def test_single_case_study_result_fields(self):
-        (result,) = run_static_capacity_study(
-            "drug_screening", scale=0.005, schedulers=("DHA",), include_baseline=False
-        ).values()
+        result = run_static_capacity_study("drug_screening", scale=0.005)["DHA"]
         assert result.completed_tasks == result.task_count
         assert result.makespan_s > 0
         assert result.transfer_size_gb >= 0
@@ -118,17 +116,12 @@ class TestCaseStudies:
         assert result.tasks_per_worker()
 
     def test_static_study_contains_baseline(self):
-        results = run_static_capacity_study(
-            "montage", scale=0.005, schedulers=("CAPACITY", "DHA")
-        )
-        assert "Baseline: Only Qiming" in results
-        assert set(results) == {"CAPACITY", "DHA", "Baseline: Only Qiming"}
+        results = run_static_capacity_study("montage", scale=0.005)
+        assert list(results) == ["CAPACITY", "LOCALITY", "DHA", "Baseline: Only Qiming"]
 
     def test_dynamic_study_includes_no_rescheduling_ablation(self):
-        results = run_dynamic_capacity_study(
-            "drug_screening", scale=0.005, schedulers=("DHA",)
-        )
-        assert "DHA without re-sched." in results
+        results = run_dynamic_capacity_study("drug_screening", scale=0.005)
+        assert list(results) == ["CAPACITY", "LOCALITY", "DHA", "DHA without re-sched."]
         assert results["DHA without re-sched."].rescheduled_tasks == 0
 
     def test_unknown_workflow_rejected(self):
@@ -147,9 +140,7 @@ class TestReporting:
         assert "2.50" in text
 
     def test_case_study_table(self):
-        results = run_static_capacity_study(
-            "montage", scale=0.005, schedulers=("DHA",), include_baseline=False
-        )
+        results = run_static_capacity_study("montage", scale=0.005)
         text = format_case_study_table(results)
         assert "Makespan" in text
         assert "DHA" in text

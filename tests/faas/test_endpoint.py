@@ -202,8 +202,7 @@ class TestScaling:
 
     def test_auto_scale_in_after_idle(self, kernel):
         ep = make_endpoint(
-            kernel, initial_workers=0, auto_scale=True, idle_shutdown_s=30.0,
-            scale_check_interval_s=10.0,
+            kernel, initial_workers=0, auto_scale=True, idle_shutdown_s=30.0
         )
         ep.submit(make_request(duration=5.0))
         kernel.run(until=200.0)
@@ -211,8 +210,7 @@ class TestScaling:
 
     def test_no_scale_in_while_busy(self, kernel):
         ep = make_endpoint(
-            kernel, initial_workers=4, auto_scale=True, idle_shutdown_s=10.0,
-            scale_check_interval_s=5.0,
+            kernel, initial_workers=4, auto_scale=True, idle_shutdown_s=10.0
         )
         ep.submit(make_request(duration=500.0))
         kernel.run(until=100.0)

@@ -137,7 +137,7 @@ class TestLocalFabric:
         records = []
         deadline = time.time() + 5.0
         while not records and time.time() < deadline:
-            records.extend(fabric.process(timeout_s=0.1))
+            records.extend(fabric.process())
         assert len(records) == 1
         assert records[0].success
         assert records[0].result == 5
@@ -151,7 +151,7 @@ class TestLocalFabric:
         records = []
         deadline = time.time() + 5.0
         while not records and time.time() < deadline:
-            records.extend(fabric.process(timeout_s=0.1))
+            records.extend(fabric.process())
         assert len(records) == 1
         assert not records[0].success
         assert "intentional failure" in records[0].error

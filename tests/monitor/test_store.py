@@ -55,15 +55,13 @@ class TestTaskRecords:
         store.add_task_record(task_record(success=True))
         store.add_task_record(task_record(success=False))
         assert len(store.task_records()) == 1
-        assert len(store.task_records(successful_only=False)) == 2
+        assert store.task_count() == 2
 
-    def test_limit_and_ordering(self):
+    def test_newest_first(self):
         store = HistoryStore()
-        for i in range(5):
+        for i in (1, 4, 0, 3, 2):
             store.add_task_record(task_record(ts=float(i)))
-        latest = store.task_records(limit=2)
-        assert len(latest) == 2
-        assert latest[0].timestamp == 4.0
+        assert [r.timestamp for r in store.task_records()] == [4.0, 3.0, 2.0, 1.0, 0.0]
 
     def test_function_names(self):
         store = HistoryStore()
@@ -86,7 +84,7 @@ class TestTransferRecords:
         store = HistoryStore()
         store.add_transfer_record(transfer_record(success=False))
         assert store.transfer_records() == []
-        assert len(store.transfer_records(successful_only=False)) == 1
+        assert store.transfer_count() == 1
 
 
 class TestPersistence:

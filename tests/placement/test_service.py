@@ -159,8 +159,10 @@ def test_capture_state_pins_plan_and_rng_stream():
     assert state["plan"]["generation"] == service.generation
     assert state["rng"] == service._rng.bit_generator.state
 
-    # The captured stream state is a deep copy: further solves and draws must
-    # not mutate an already-written snapshot section.
+    # Further solves and draws must not mutate an already-written snapshot
+    # section.  The section is independent of the live stream because numpy
+    # builds a new dict, nested ``state`` dict included, on every
+    # ``bit_generator.state`` read.
     captured_rng = copy.deepcopy(state["rng"])
     service.bump()
     service.resolve(env.kernel.clock.now)

@@ -9,6 +9,8 @@ stamp with must have moved.  The same holds for the rows
 ``predict_time_matrix`` gathers from each function model's value-keyed table.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,14 +189,23 @@ EXEC_OPS = st.lists(
 EXEC_PROBES = [(fn, size, hw) for fn in FUNCTIONS for size in (1.0, 96.0) for hw in HARDWARE]
 
 
+def small_forests():
+    """Patch in forests smaller than the product's, so many examples run fast."""
+    return mock.patch.object(
+        execution, "_new_model", lambda: RandomForestRegressor(n_estimators=2, max_depth=3)
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(EXEC_OPS, st.sampled_from((None, 2, 5)))
 def test_execution_memo_equals_uncached(ops, window):
-    profiler = ExecutionProfiler(
-        model_factory=lambda: RandomForestRegressor(n_estimators=2, max_depth=3),
-        min_samples_to_train=3,
-        max_samples_retained=window,
-    )
+    with small_forests():
+        check_execution_memo_equals_uncached(ops, window)
+
+
+def check_execution_memo_equals_uncached(ops, window):
+    profiler = ExecutionProfiler(min_samples_to_train=3)
+    profiler.max_samples_retained = window
 
     def probe_all():
         return [
@@ -314,11 +325,13 @@ MATRIX_OPS = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(MATRIX_OPS, st.sampled_from((None, 2, 5)))
 def test_time_matrix_rows_equal_uncached(ops, window):
-    profiler = ExecutionProfiler(
-        model_factory=lambda: RandomForestRegressor(n_estimators=2, max_depth=3),
-        min_samples_to_train=3,
-        max_samples_retained=window,
-    )
+    with small_forests():
+        check_time_matrix_rows_equal_uncached(ops, window)
+
+
+def check_time_matrix_rows_equal_uncached(ops, window):
+    profiler = ExecutionProfiler(min_samples_to_train=3)
+    profiler.max_samples_retained = window
     # "f" starts trained, so most sequences retrain it under a filled table;
     # "g" goes through unknown -> running mean -> trained inside the sequence.
     for size, duration in ((1.0, 10.0), (96.0, 40.0), (250.5, 90.0)):
@@ -359,8 +372,9 @@ class _AnyWidthModel:
         return np.asarray(X, dtype=float).sum(axis=1)
 
 
-def test_row_table_tells_apart_hardware_of_equal_bytes():
-    profiler = ExecutionProfiler(model_factory=_AnyWidthModel, min_samples_to_train=1)
+def test_row_table_tells_apart_hardware_of_equal_bytes(monkeypatch):
+    monkeypatch.setattr(execution, "_new_model", _AnyWidthModel)
+    profiler = ExecutionProfiler(min_samples_to_train=1)
     profiler.observe(exec_record(fn="f"))
     profiler.update_models()
     assert PAIR_HW.tobytes() == RESHAPED_HW.tobytes()

@@ -123,7 +123,7 @@ class TestExecutionProfiler:
 
 class TestTransferProfiler:
     def test_default_bandwidth_fallback(self):
-        profiler = TransferProfiler(default_bandwidth_mbps=100.0)
+        profiler = TransferProfiler()
         assert profiler.predict_transfer_time("a", "b", 200.0) == pytest.approx(2.0)
         assert profiler.predict_transfer_time("a", "a", 200.0) == 0.0
         assert profiler.predict_transfer_time("a", "b", 0.0) == 0.0
@@ -170,8 +170,6 @@ class TestTransferProfiler:
         assert profiler.sample_count("a", "b") == 1
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            TransferProfiler(default_bandwidth_mbps=0.0)
         with pytest.raises(ValueError):
             TransferProfiler(min_samples_to_train=0)
         with pytest.raises(ValueError):

@@ -80,12 +80,10 @@ class TestDynamicsSpec:
         assert times == sorted(times)
         assert timeline[0].action == "crash"
 
-    def test_target_endpoints_filter(self):
-        spec = DynamicsSpec(churn=ChurnProcess(mean_interval_s=10.0),
-                            target_endpoints=("b",), horizon_s=200.0)
+    def test_stochastic_processes_touch_every_endpoint(self):
+        spec = DynamicsSpec(churn=ChurnProcess(mean_interval_s=10.0), horizon_s=200.0)
         timeline = spec.compile(["a", "b"], np.random.default_rng(0))
-        assert timeline
-        assert {e.endpoint for e in timeline} == {"b"}
+        assert {e.endpoint for e in timeline} == {"a", "b"}
 
     def test_compile_is_deterministic(self):
         spec = DynamicsSpec(

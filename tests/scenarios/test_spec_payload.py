@@ -14,7 +14,7 @@ import typing
 import pytest
 
 from repro.durability import Snapshot, SnapshotError, load_restore_snapshot, write_snapshot
-from repro.scenarios.dynamics import ACTIONS
+from repro.scenarios.dynamics import ACTIONS, OrchestratorCrash
 from repro.scenarios.presets import SCENARIOS, get_scenario
 from repro.scenarios.spec import ScenarioSpec
 
@@ -158,12 +158,12 @@ def test_stream_and_dynamics_tuples_reach_the_payload():
         streaming=dataclasses.replace(
             spec.streaming, scripted_arrivals=(3.0, 9.5), slo_choices=(40.0, 80.0)
         ),
-        dynamics=dataclasses.replace(spec.dynamics, target_endpoints=("a", "b")),
+        dynamics=dataclasses.replace(spec.dynamics, orchestrator=(OrchestratorCrash(at_s=5.0),)),
     )
     payload = changed.to_payload()
     assert payload["streaming"]["scripted_arrivals"] == [3.0, 9.5]
     assert payload["streaming"]["slo_choices"] == [40.0, 80.0]
-    assert payload["dynamics"]["target_endpoints"] == ["a", "b"]
+    assert payload["dynamics"]["orchestrator"] == [{"at_s": 5.0, "restart_delay_s": 0.0}]
 
 
 def test_an_inline_definition_cannot_be_snapshotted():

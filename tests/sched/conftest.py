@@ -89,7 +89,7 @@ def build_context(endpoints: Dict[str, EndpointSpec], bandwidth=100.0) -> Contex
     )
     graph = TaskGraph()
     execution_profiler = ExecutionProfiler()
-    transfer_profiler = TransferProfiler(default_bandwidth_mbps=bandwidth)
+    transfer_profiler = TransferProfiler()
     context = SchedulingContext(
         graph=graph,
         endpoint_monitor=monitor,

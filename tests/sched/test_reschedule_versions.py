@@ -10,10 +10,11 @@ id tuple, roots re-derived per task — inside ``ReferenceDHAScheduler``.
 
 Over random operation sequences (placements, endpoint-pinned placements,
 re-targets through the engine and bare ones, dispatches, completions, staging
-failures and re-placement, state changes outside the engine's flow, capacity
-slices, plan swaps, profiler refits, replica moves) every pass asserts that:
+failures and re-placement, capacity slices, plan swaps, profiler refits,
+replica moves) every pass asserts that:
 
-* the engine's candidate tuple is the parent's candidate list;
+* the engine's undispatched index holds exactly the SCHEDULED / STAGING /
+  STAGED rows, and its candidate tuple is the parent's candidate list;
 * the product's fingerprint moves whenever the parent's tuple would;
 * the cached order equals the parent's sort;
 * the product's moves equal the reference's, and its claims (the task
@@ -41,7 +42,8 @@ from tests.sched.test_dha import observe
 
 NAMES = ("a", "b", "c", "d")
 FILE_COUNT = 4
-_PENDING = state_codes(TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
+PENDING_STATES = (TaskState.SCHEDULED, TaskState.STAGING, TaskState.STAGED)
+_PENDING = state_codes(*PENDING_STATES)
 
 
 def endpoints():
@@ -195,13 +197,6 @@ class World:
                     # other version moves.
                     task.assigned_endpoint = new
                     self.reference.note_placed(task.task_id, new)
-        elif kind == "unstage":
-            # A state change outside the engine's flow: the task stays in the
-            # index but is no longer a candidate.
-            task = self.pick(_PENDING, a, undispatched=True)
-            if task is not None:
-                self.graph.set_state(task, TaskState.READY)
-                self.reference.note_left(task.task_id)
         elif kind == "pin":
             # An endpoint-pinned task placed without the scheduler.
             task = self.pick(state_codes(TaskState.READY), a)
@@ -244,7 +239,10 @@ class World:
     # --------------------------------------------------------------- pass
     def check_pass(self):
         context, product, reference = self.context, self.product, self.reference
-        expected = [t for t in self.index.undispatched_tasks() if self.store.state[t._row] in _PENDING]
+        expected = self.index.undispatched_tasks()
+        assert sorted(t.task_id for t in expected) == sorted(
+            t.task_id for t in self.graph.in_state(*PENDING_STATES)
+        )
         parent_fingerprint = reference._reschedule_fingerprint(context, expected)
         parent_order = reference._ordered_by_priority(expected, "reschedule")
         reference_moves = reference.reschedule(expected)
@@ -284,7 +282,7 @@ class World:
 
 KINDS = (
     "add", "add", "place", "place", "staged", "dispatch", "complete", "retry", "stage_fail",
-    "retarget", "retarget", "unstage", "pin", "slice", "plan", "refit", "capacity", "capacity",
+    "retarget", "retarget", "pin", "slice", "plan", "refit", "capacity", "capacity",
     "replica", "pass", "pass", "pass",
 )
 OPS = st.lists(

@@ -250,7 +250,7 @@ def test_mocking_off_is_served_from_the_arrays_and_equals_the_reference():
 
 
 @pytest.mark.parametrize("scheduler_class", [DHAScheduler, HEFTScheduler])
-def test_a_scheduler_without_monitored_endpoints_answers(scheduler_class, recwarn):
+def test_a_scheduler_without_monitored_endpoints_answers(scheduler_class, recwarn, monkeypatch):
     # Asked before any endpoint is registered, a scheduler ranks by the
     # default execution time alone and places nothing; once endpoints are
     # monitored the same instance places normally.
@@ -263,7 +263,8 @@ def test_a_scheduler_without_monitored_endpoints_answers(scheduler_class, recwar
         bundle.kernel.clock,
     )
     context = dataclasses.replace(bundle.context, endpoint_monitor=monitor)
-    scheduler = scheduler_class(default_execution_time_s=3.0)
+    monkeypatch.setattr(scheduler_class, "default_execution_time_s", 3.0)
+    scheduler = scheduler_class()
     scheduler.initialize(context)
     root = add_task(bundle.graph)
     child = add_task(bundle.graph, deps=[root])

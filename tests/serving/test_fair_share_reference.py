@@ -166,8 +166,8 @@ def test_solver_worker_targets_equal_the_reference(monkeypatch):
             capacity_mb={n: None for n in names},
             perf={n: rng.choice([0.0, 0.5, 1.0, 2.0, rng.uniform(0.1, 9.0)]) for n in names},
             demand=rng.randint(-3, 200),
-            min_workers=rng.randint(0, 3),
         )
+        monkeypatch.setattr(solver, "_MIN_WORKERS", rng.randint(0, 3))
         warm = tuple(sorted(rng.sample(names, rng.randint(0, len(names)))))
         bind(monkeypatch, solver, reference.largest_remainder_split)
         expected = solver._worker_targets(problem, warm)

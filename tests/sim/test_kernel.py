@@ -124,20 +124,12 @@ class TestSchedule:
         kernel.run()
         assert fired == [1.0, 2.0, 3.0, 4.0]
 
-    def test_run_stop_when(self):
+    def test_step_fires_one_event(self):
         kernel = SimulationKernel()
         fired = []
         for t in (1.0, 2.0, 3.0):
             kernel.schedule(t, fired.append, t)
-        kernel.run(stop_when=lambda: len(fired) >= 2)
-        assert fired == [1.0, 2.0]
-
-    def test_run_max_events(self):
-        kernel = SimulationKernel()
-        fired = []
-        for t in (1.0, 2.0, 3.0):
-            kernel.schedule(t, fired.append, t)
-        kernel.run(max_events=1)
+        assert kernel.step() is True
         assert fired == [1.0]
 
     def test_step_returns_false_when_idle(self):

@@ -78,11 +78,10 @@ class TestNetworkModel:
         net.set_link("a", "b", LinkSpec(bandwidth_mbps=10.0))
         assert net.link("b", "a").bandwidth_mbps == 10.0
 
-    def test_set_link_asymmetric(self):
-        net = NetworkModel()
-        net.set_link("a", "b", LinkSpec(bandwidth_mbps=10.0), symmetric=False)
-        default_bw = net.link("b", "a").bandwidth_mbps
-        assert default_bw != 10.0
+    def test_constructor_links_are_directed(self):
+        net = NetworkModel(links={("a", "b"): LinkSpec(bandwidth_mbps=10.0)})
+        assert net.link("a", "b").bandwidth_mbps == 10.0
+        assert net.link("b", "a").bandwidth_mbps != 10.0
 
     def test_failure_sampling_rate(self):
         net = NetworkModel.uniform(["a", "b"], failure_rate=0.5, seed=1)

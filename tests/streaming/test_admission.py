@@ -14,16 +14,12 @@ class Harness:
         self.kernel = SimulationKernel()
         self.active = active
         self.admitted = []
-        self.rejected = []
-        self.abandoned = []
         self.controller = AdmissionController(
             self.kernel,
             np.random.default_rng(seed),
             spec,
             lambda arrival, now: self.admitted.append((arrival, now)),
             active_count=lambda: self.active,
-            on_rejected=self.rejected.append,
-            on_abandoned=self.abandoned.append,
         )
 
     def arrive(self, index, at_s):
@@ -44,8 +40,7 @@ class TestQueueBound:
         # max_active=0 means nothing drains: slots 0-1 queue, 2-3 hit the bound.
         assert h.controller.submitted == 4
         assert h.controller.rejected == 2
-        assert [a.workflow_id for a in h.rejected] == ["wf00002", "wf00003"]
-        assert len(h.controller.pending) == 2
+        assert [a.workflow_id for a in h.controller.pending] == ["wf00000", "wf00001"]
         assert h.controller.queue_depth_peak == 2
 
     def test_rejection_still_draws_slo(self):
@@ -84,7 +79,6 @@ class TestAbandonment:
         h.arrive(0, 5.0)
         h.kernel.run()
         assert h.controller.abandoned == 1
-        assert [a.workflow_id for a in h.abandoned] == ["wf00000"]
         # The abandon event fires exactly at arrival + patience, and keeps
         # the kernel alive until then (it is a non-daemon event).
         assert h.kernel.clock.now == pytest.approx(35.0)

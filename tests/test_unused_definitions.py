@@ -28,13 +28,30 @@ what they read stays; state that a reference-equivalence test compares
 entry gives its reason on its own line.  The test fails on an unused name with
 no entry, on an entry whose name is now used (stale) and on an entry with no
 reason.
+
+A second scan, over the same parse, covers the options: every defaulted
+parameter of a public function or method and of every ``__init__``, and every
+defaulted dataclass field that ``__init__`` accepts.  Each must be supplied by
+a caller in ``src/`` or ``benchmarks/``: a keyword argument of its name, a
+positional argument at its index in a call to its function or class name,
+``*`` / ``**`` forwarding into that name, or a whole string literal equal to
+its name (how ``workflow_params`` and ``getattr`` reach names).  An option
+nobody supplies is a constant: state the constructor should never take is a
+``field(init=False)``, and a setting only tests change becomes a module or
+class constant they monkeypatch.  :data:`OPTION_ALLOWLIST` exempts a
+``"Qualname.param"`` with its reason, under the same rules as
+:data:`ALLOWLIST`.
 """
 
 import ast
+import functools
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 #: Decorators that do not register the function they wrap.
 PLAIN_DECORATORS = frozenset(
@@ -75,6 +92,26 @@ ALLOWLIST = {
     "undispatched_by_endpoint": "tests/reference/dha_scalar.py checks its claim table with it",
 }
 
+OPTION_ALLOWLIST = {
+    "WorkloadSpec.workflow_params": (
+        "public API: the README's and examples/authoring_zoo.py's parameters of an inline "
+        "workflow definition"
+    ),
+    "build_montage_workflow.image_location": (
+        "ROADMAP item 1(b) candidate 2 moves Montage's raw images with it"
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _parse(root):
+    """``((path, tree), ...)`` of every module under ``root``, parsed once for
+    both scans."""
+    return tuple(
+        (path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in sorted(root.rglob("*.py"))
+    )
+
 
 def _decorator_name(node):
     target = node.func if isinstance(node, ast.Call) else node
@@ -109,8 +146,7 @@ def scan(root):
     name is used nowhere under ``root``."""
     uses = Counter()
     definitions = {}
-    for path in sorted(root.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path, tree in _parse(root):
         exports = _export_lists(tree)
         for node in ast.walk(tree):
             if node in exports:
@@ -151,6 +187,245 @@ def problems(root, allowlist):
 
 def test_no_unused_definitions():
     assert problems(SRC, ALLOWLIST) == []
+
+
+# ------------------------------------------------------------------ options
+def _base_names(cls):
+    return [getattr(base, "id", getattr(base, "attr", None)) for base in cls.bases]
+
+
+def _is_dataclass(cls):
+    return any(_decorator_name(d) == "dataclass" for d in cls.decorator_list)
+
+
+def _defines_init(cls):
+    return any(
+        isinstance(node, ast.FunctionDef) and node.name == "__init__" for node in cls.body
+    )
+
+
+def _own_fields(cls):
+    """``(name, has_default, line)`` of each field ``cls`` declares that its
+    ``__init__`` takes, in order."""
+    fields = []
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(node.annotation):
+            continue
+        has_default = node.value is not None
+        if isinstance(node.value, ast.Call) and _decorator_name(node.value) == "field":
+            given = {k.arg: k.value for k in node.value.keywords}
+            init = given.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            has_default = "default" in given or "default_factory" in given
+        fields.append((node.target.id, has_default, node.lineno))
+    return fields
+
+
+class _Classes:
+    """Every class under ``root`` by name, for constructor calls."""
+
+    def __init__(self, root):
+        self.nodes = {}
+        for path, tree in _parse(root):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    self.nodes.setdefault(node.name, (path.relative_to(root), node))
+
+    def constructor(self, name, seen=()):
+        """The name of the class whose ``__init__`` a call ``name(...)`` runs."""
+        if name not in self.nodes or name in seen:
+            return None
+        cls = self.nodes[name][1]
+        if _defines_init(cls) or _is_dataclass(cls):
+            return name
+        for base in _base_names(cls):
+            found = self.constructor(base, seen + (name,))
+            if found:
+                return found
+        return None
+
+    def callers(self, name):
+        """The class names whose call runs ``name``'s ``__init__``."""
+        return [other for other in self.nodes if self.constructor(other) == name] or [name]
+
+    def fields(self, name, seen=()):
+        """``[(field, has_default, "path:line", declaring class), ...]`` in
+        ``__init__`` order, inherited fields first."""
+        if name not in self.nodes or name in seen:
+            return []
+        path, cls = self.nodes[name]
+        fields = []
+        for base in reversed(_base_names(cls)):
+            for inherited in self.fields(base, seen + (name,)):
+                if inherited[0] not in [f[0] for f in fields]:
+                    fields.append(inherited)
+        if _is_dataclass(cls):
+            for field, has_default, line in _own_fields(cls):
+                entry = (field, has_default, f"{path}:{line}", name)
+                names = [f[0] for f in fields]
+                if field in names:
+                    fields[names.index(field)] = entry
+                else:
+                    fields.append(entry)
+        return fields
+
+
+def _options(root):
+    """``{"Qualname.param": (["path:line", ...], [(callee, index), ...])}`` of
+    every option under ``root``: ``callee`` is a name a call reaching the
+    option has, ``index`` its positional slot (``None`` for a keyword-only
+    parameter)."""
+    classes = _Classes(root)
+    options = {}
+
+    def add(key, where, callee, index):
+        places, targets = options.setdefault(key, ([], []))
+        if where not in places:
+            places.append(where)
+        targets.append((callee, index))
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, child)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, owner)
+                continue
+            visit(child, path, None)
+            if child.name.startswith("_") and child.name != "__init__":
+                continue
+            if owner is not None and child.name == "__init__":
+                qualname, callees = owner.name, classes.callers(owner.name)
+            else:
+                prefix = f"{owner.name}." if owner is not None else ""
+                qualname, callees = f"{prefix}{child.name}", [child.name]
+            bound = owner is not None and not any(
+                _decorator_name(d) == "staticmethod" for d in child.decorator_list
+            )
+            args = child.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            where = f"{path.relative_to(root)}:{child.lineno}"
+            for index, arg in enumerate(positional):
+                if arg in defaulted:
+                    for callee in callees:
+                        add(f"{qualname}.{arg.arg}", where, callee, index - bound)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    for callee in callees:
+                        add(f"{qualname}.{arg.arg}", where, callee, None)
+
+    for path, tree in _parse(root):
+        visit(tree, path, None)
+    for name, (_, cls) in classes.nodes.items():
+        if _is_dataclass(cls) and not _defines_init(cls):
+            for index, (field, has_default, where, owner) in enumerate(classes.fields(name)):
+                if has_default:
+                    add(f"{owner}.{field}", where, name, index)
+    return options
+
+
+def _callees(call, cls):
+    """The names a call may reach a definition by: ``f(...)`` and
+    ``obj.f(...)`` reach ``f``; inside a class, ``cls(...)`` and
+    ``type(self)(...)`` reach that class and ``super().__init__(...)`` its
+    bases."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return [func.id, cls.name] if func.id == "cls" and cls is not None else [func.id]
+    if isinstance(func, ast.Attribute):
+        if func.attr == "__init__" and cls is not None:
+            return [func.attr, *_base_names(cls)]
+        return [func.attr]
+    if isinstance(func, ast.Call) and _decorator_name(func) == "type" and cls is not None:
+        return [cls.name]
+    return []
+
+
+def _supplied(trees):
+    """What the callers under the parsed ``trees`` supply: keyword names,
+    string literals, and per callee name the positional count, the first
+    ``*`` index and whether ``**`` forwards into it."""
+    keywords, strings, positional, starred, forwarded = set(), set(), Counter(), {}, set()
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+                continue
+            if isinstance(child, ast.Call):
+                names = _callees(child, cls)
+                count = 0
+                for arg in child.args:
+                    if isinstance(arg, ast.Starred):
+                        for name in names:
+                            starred[name] = min(starred.get(name, count), count)
+                        break
+                    count += 1
+                for name in names:
+                    positional[name] = max(positional[name], count)
+                for keyword in child.keywords:
+                    if keyword.arg is None:
+                        forwarded.update(names)
+                    else:
+                        keywords.add(keyword.arg)
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                strings.add(child.value)
+            visit(child, cls)
+
+    for _, tree in trees:
+        visit(tree, None)
+    return keywords, strings, positional, starred, forwarded
+
+
+def scan_options(root, callers):
+    """``{"Qualname.param": ["path:line", ...]}`` of every option under
+    ``root`` that no module under the ``callers`` roots supplies."""
+    keywords, strings, positional, starred, forwarded = _supplied(
+        [entry for caller in callers for entry in _parse(caller)]
+    )
+
+    def supplied(key, callee, index):
+        name = key.rsplit(".", 1)[1]
+        if name in keywords or name in strings or callee in forwarded:
+            return True
+        return index is not None and (
+            index < positional[callee] or index >= starred.get(callee, index + 1)
+        )
+
+    return {
+        key: places
+        for key, (places, targets) in sorted(_options(root).items())
+        if not any(supplied(key, callee, index) for callee, index in targets)
+    }
+
+
+def option_problems(root, callers, allowlist):
+    """Every way the options under ``root`` and ``allowlist`` disagree."""
+    unsupplied = scan_options(root, callers)
+    found = [
+        f"{key} ({', '.join(where)}) is supplied by no caller: make it a constant, or "
+        "allowlist it"
+        for key, where in unsupplied.items()
+        if key not in allowlist
+    ]
+    found += [
+        f"{key} is no unsupplied option (supplied now, or gone): drop its entry"
+        for key in allowlist
+        if key not in unsupplied
+    ]
+    found += [
+        f"{key} gives no reason" for key, reason in allowlist.items() if not str(reason).strip()
+    ]
+    return found
+
+
+def test_every_option_is_supplied():
+    assert option_problems(SRC, (SRC, BENCHMARKS), OPTION_ALLOWLIST) == []
 
 
 # ---------------------------------------------------------------- self-tests
@@ -254,3 +529,129 @@ def test_an_export_alone_is_not_a_use(tmp_path):
 def test_a_string_literal_counts_as_a_use(tmp_path):
     source = USED + "\ndef reached():\n    pass\n\ngetattr(Box, 'reached')\n"
     assert problems(_tree(tmp_path, source), {}) == []
+
+
+OPTIONS = """
+from dataclasses import dataclass, field
+
+
+def build(client, scale=1.0, *, jitter=0.0):
+    return client
+
+
+class Box:
+    def __init__(self, size=1):
+        self.size = size
+
+    def fill(self, amount=0):
+        return amount
+
+
+@dataclass
+class Row:
+    name: str
+    count: int = 0
+    hits: list = field(init=False, default_factory=list)
+
+
+def _private(x=1):
+    return x
+
+
+build(None, 0.5, jitter=0.1)
+Box(2).fill(amount=3)
+Row("a", 1)
+"""
+
+
+def test_options_guard_is_green_on_a_supplied_tree(tmp_path):
+    root = _tree(tmp_path, OPTIONS)
+    assert option_problems(root, (root,), {}) == []
+
+
+def test_options_guard_flags_a_planted_unsupplied_option(tmp_path):
+    root = _tree(tmp_path, OPTIONS + "\ndef planted(x, unused=None):\n    return x\n\nplanted(1)\n")
+    assert scan_options(root, (root,)) == {"planted.unused": ["mod.py:32"]}
+    assert len(option_problems(root, (root,), {})) == 1
+    assert option_problems(root, (root,), {"planted.unused": "a deployment path"}) == []
+
+
+def test_options_guard_flags_a_stale_allowlist_entry(tmp_path):
+    root = _tree(tmp_path, OPTIONS)
+    assert option_problems(root, (root,), {"Box.size": "public API"}) == [
+        "Box.size is no unsupplied option (supplied now, or gone): drop its entry"
+    ]
+
+
+def test_options_guard_flags_an_entry_without_reason(tmp_path):
+    root = _tree(tmp_path, OPTIONS + "\ndef planted(unused=None):\n    pass\n\nplanted()\n")
+    assert option_problems(root, (root,), {"planted.unused": ""}) == [
+        "planted.unused gives no reason"
+    ]
+
+
+def test_each_kind_of_option_is_scanned(tmp_path):
+    source = OPTIONS + (
+        "\nclass Late:\n    def __init__(self, retries=1):\n        pass\n"
+        "    def run(self, until=None):\n        pass\n"
+        "\n@dataclass\nclass Spec:\n    kind: str = 'x'\n"
+        "    weight: float = field(default=1.0)\n"
+        "\ndef outer():\n    def inner(b=2):\n        return b\n    return inner\n"
+        "\nLate().run()\nSpec()\nouter()\n"
+    )
+    assert list(scan_options(_tree(tmp_path, source), (tmp_path / "pkg",))) == [
+        "Late.retries", "Late.run.until", "Spec.kind", "Spec.weight", "inner.b"
+    ]
+
+
+SUPPLIED = {
+    "keyword": ("def f(x, limit=None):\n    return x\n", "f(1, limit=2)\n"),
+    "position": ("def f(x, limit=None):\n    return x\n", "f(1, 2)\n"),
+    "position after self": (
+        "class C:\n    def f(self, limit=None):\n        pass\n", "C().f(2)\n"
+    ),
+    "* forwarding": ("def f(x, limit=None):\n    return x\n", "def g(*a):\n    f(1, *a)\n"),
+    "** forwarding": ("def f(x, limit=None):\n    return x\n", "def g(**k):\n    f(1, **k)\n"),
+    "string literal": ("def f(x, limit=None):\n    return x\n", "getattr(Box, 'limit')\n"),
+    "subclass constructor": (
+        "class C:\n    def __init__(self, limit=None):\n        pass\n\n"
+        "class D(C):\n    pass\n",
+        "D(3)\n",
+    ),
+    "super().__init__": (
+        "class C:\n    def __init__(self, limit=None):\n        pass\n",
+        "class D(C):\n    def __init__(self):\n        super().__init__(3)\n",
+    ),
+    "cls(...)": (
+        "class C:\n    def __init__(self, limit=None):\n        pass\n",
+        "class D(C):\n    @classmethod\n    def make(cls):\n        return cls(3)\n",
+    ),
+    "dataclass field by position": (
+        "@dataclass\nclass C:\n    name: str\n    limit: int = 0\n", "C('x', 3)\n"
+    ),
+    "inherited dataclass field": (
+        "@dataclass\nclass C:\n    name: str\n    limit: int = 0\n\n"
+        "@dataclass\nclass D(C):\n    pass\n",
+        "D('x', 3)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("how", sorted(SUPPLIED))
+def test_every_way_of_supplying_an_option_counts(tmp_path, how):
+    definition, call = SUPPLIED[how]
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    (alone / "mod.py").write_text(OPTIONS + "\n" + definition, encoding="utf-8")
+    assert [key.rsplit(".", 1)[1] for key in scan_options(alone, (alone,))] == ["limit"]
+    root = _tree(tmp_path, OPTIONS + "\n" + definition + "\n" + call)
+    assert scan_options(root, (root,)) == {}
+
+
+def test_a_caller_outside_src_supplies_too(tmp_path):
+    root = _tree(tmp_path, OPTIONS + "\ndef timed(budget_s=60.0):\n    pass\n\ntimed()\n")
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "run.py").write_text("from pkg.mod import timed\n\ntimed(5.0)\n", encoding="utf-8")
+    assert list(scan_options(root, (root,))) == ["timed.budget_s"]
+    assert scan_options(root, (root, bench)) == {}

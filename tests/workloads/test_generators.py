@@ -51,7 +51,7 @@ class TestSpec:
 class TestDrugScreening:
     def test_task_count_structure(self):
         env, client = make_client()
-        info = build_drug_screening_workflow(client, batches=10)
+        info = build_drug_screening_workflow(client, scale=10 / FULL_SCALE_BATCHES)
         assert info.task_count == 1 + 6 * 10
         assert len(client.graph) == info.task_count
         assert info.tasks_by_type["dock"] == 10
@@ -75,12 +75,10 @@ class TestDrugScreening:
         env, client = make_client()
         with pytest.raises(ValueError):
             build_drug_screening_workflow(client, scale=0.0)
-        with pytest.raises(ValueError):
-            build_drug_screening_workflow(client, batches=0)
 
     def test_runs_to_completion(self):
         env, client = make_client()
-        info = build_drug_screening_workflow(client, batches=5)
+        info = build_drug_screening_workflow(client, scale=5 / FULL_SCALE_BATCHES)
         client.run()
         assert client.graph.is_complete()
         assert all(f.done() for f in info.futures)
@@ -89,7 +87,7 @@ class TestDrugScreening:
 class TestMontage:
     def test_task_count_structure(self):
         env, client = make_client()
-        info = build_montage_workflow(client, images=10)
+        info = build_montage_workflow(client, scale=10 / FULL_SCALE_IMAGES)
         # images + 2*images + concat + model + images + coadd + jpeg
         assert info.task_count == 10 + 20 + 1 + 1 + 10 + 1 + 1
         assert info.tasks_by_type["project_image"] == 10
@@ -101,7 +99,7 @@ class TestMontage:
 
     def test_runs_to_completion(self):
         env, client = make_client()
-        info = build_montage_workflow(client, images=6)
+        info = build_montage_workflow(client, scale=6 / FULL_SCALE_IMAGES)
         client.run()
         assert client.graph.is_complete()
         assert all(f.done() for f in info.futures)
@@ -110,8 +108,7 @@ class TestMontage:
         env, client = make_client()
         with pytest.raises(ValueError):
             build_montage_workflow(client, scale=2.0)
-        with pytest.raises(ValueError):
-            build_montage_workflow(client, images=1)
+        assert build_montage_workflow(client, scale=1e-6).task_count == 2 + 4 + 1 + 1 + 2 + 1 + 1
 
 
 class TestSynthetic:
